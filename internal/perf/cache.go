@@ -5,15 +5,20 @@ package perf
 // write-allocate distinction — because the paper's characterization
 // relies on miss-rate differences between algorithms, which first-order
 // capacity and conflict behaviour already exposes.
+//
+// Each set is a recency stack: slot 0 holds the most recently used
+// line, the last slot the next victim. Which physical way holds a line
+// is not modelled — only the hit/miss outcome of every access is
+// observable, and that depends on recency order alone.
 type Cache struct {
 	lineShift uint
 	setMask   uint64
 	ways      int
-	// tags[set*ways+way]; lru[set*ways+way] holds recency ranks where
-	// 0 is most recent.
-	tags  []uint64
-	valid []bool
-	lru   []uint8
+	// lines[set*ways:(set+1)*ways] is the set's stack of line+1, most
+	// recent first; 0 marks an empty slot, and empty slots sit at the
+	// tail. (The +1 gives up the topmost line of the address space,
+	// which no synthetic address stream reaches.)
+	lines []uint64
 
 	accesses uint64
 	misses   uint64
@@ -39,7 +44,6 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1 // drop lowest set bit until a power of two remains
 	}
-	lines := sets * ways
 	var shift uint
 	for 1<<shift < lineBytes {
 		shift++
@@ -47,78 +51,41 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	if 1<<shift != lineBytes {
 		panic("perf: line size must be a power of two")
 	}
-	c := &Cache{
+	return &Cache{
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		ways:      ways,
-		tags:      make([]uint64, lines),
-		valid:     make([]bool, lines),
-		lru:       make([]uint8, lines),
+		lines:     make([]uint64, sets*ways),
 	}
-	return c
 }
 
 // Access simulates a reference to addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-
-	hitWay := -1
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			hitWay = w
-			break
+	key := line + 1
+	base := int(line&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	if set[0] == key {
+		return true // re-hit of the MRU line: nothing moves
+	}
+	// Walk down the stack pushing every line one slot back. Finding key
+	// at slot k ends the walk with slots 0..k-1 aged by one and slot 0
+	// free for it; reaching the end has dropped the LRU line (or an
+	// empty slot) off the tail.
+	prev := set[0]
+	for k := 1; k < len(set); k++ {
+		cur := set[k]
+		set[k] = prev
+		if cur == key {
+			set[0] = key
+			return true
 		}
+		prev = cur
 	}
-	if hitWay >= 0 {
-		c.touchHit(base, hitWay)
-		return true
-	}
+	set[0] = key
 	c.misses++
-	// Choose the LRU victim (highest rank) or an invalid way.
-	victim := 0
-	var worst uint8
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
-		if c.lru[base+w] >= worst {
-			worst = c.lru[base+w]
-			victim = w
-		}
-	}
-	c.tags[base+victim] = line
-	c.valid[base+victim] = true
-	c.touchInsert(base, victim)
 	return false
-}
-
-// touchHit promotes a resident way to most-recently-used: every way
-// that was more recent slides back one rank.
-func (c *Cache) touchHit(base, way int) {
-	old := c.lru[base+way]
-	for w := 0; w < c.ways; w++ {
-		if c.lru[base+w] < old {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
-}
-
-// touchInsert installs a new line as most-recently-used: all other ways
-// age by one rank (saturating), which keeps ranks a permutation once
-// the set fills.
-func (c *Cache) touchInsert(base, way int) {
-	maxRank := uint8(c.ways - 1)
-	for w := 0; w < c.ways; w++ {
-		if w != way && c.lru[base+w] < maxRank {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
 }
 
 // Stats returns accesses and misses since construction.
@@ -134,11 +101,7 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-		c.tags[i] = 0
-	}
+	clear(c.lines)
 	c.accesses = 0
 	c.misses = 0
 }

@@ -19,8 +19,8 @@ func TestCacheGeometryValidation(t *testing.T) {
 	// Non-power-of-two set counts are legal and round down:
 	// 96 lines / 2 ways = 48 sets -> 32 sets -> 64 lines.
 	c := NewCache(96*64, 2, 64)
-	if len(c.tags) != 64 {
-		t.Fatalf("rounded geometry has %d lines, want 64", len(c.tags))
+	if len(c.lines) != 64 {
+		t.Fatalf("rounded geometry has %d lines, want 64", len(c.lines))
 	}
 	for i, g := range bad {
 		func() {
@@ -209,16 +209,26 @@ func TestProbeNegativeArgsIgnored(t *testing.T) {
 }
 
 func TestLoadRangeMatchesScalarLoads(t *testing.T) {
-	a := NewProbe(DefaultProbeConfig())
-	b := NewProbe(DefaultProbeConfig())
-	const n = 1000
-	a.LoadRange(1<<20, n, 8)
-	for i := 0; i < n; i++ {
-		b.Load(1<<20 + uint64(i*8))
-	}
-	ca, cb := a.Counters(), b.Counters()
-	if ca.Loads != cb.Loads || ca.L1Misses != cb.L1Misses || ca.LLCMisses != cb.LLCMisses {
-		t.Fatalf("range %+v vs scalar %+v", ca, cb)
+	// The same-line shortcut must follow the configured line size: with
+	// 32-byte lines, 24-byte elements land on a new line almost every
+	// step, and a hard-coded 64-byte line would book half of them as L1
+	// hits without consulting the cache.
+	for _, lineBytes := range []int{32, 64, 128} {
+		for _, elemSize := range []int{8, 24, 40} {
+			cfg := DefaultProbeConfig()
+			cfg.LineBytes = lineBytes
+			a := NewProbe(cfg)
+			b := NewProbe(cfg)
+			const n = 1000
+			a.LoadRange(1<<20, n, elemSize)
+			for i := 0; i < n; i++ {
+				b.Load(1<<20 + uint64(i*elemSize))
+			}
+			ca, cb := a.Counters(), b.Counters()
+			if ca.Loads != cb.Loads || ca.L1Hits != cb.L1Hits || ca.L1Misses != cb.L1Misses || ca.LLCMisses != cb.LLCMisses {
+				t.Errorf("line %d elem %d: range %+v vs scalar %+v", lineBytes, elemSize, ca, cb)
+			}
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func (p *Probe) LoadCold(n int) {
 	p.c.Loads += uint64(n)
 	p.c.L1Misses += uint64(n)
 	p.c.LLCMisses += uint64(n)
-	p.coldNext += uint64(n) * 64
+	p.coldNext += uint64(n) << p.l1.lineShift
 }
 
 // LoopBranches records n perfectly predicted branches — the loop
@@ -234,7 +234,7 @@ func (p *Probe) LoadRange(addr uint64, n, elemSize int) {
 	lastLine := ^uint64(0)
 	for i := 0; i < n; i++ {
 		a := addr + uint64(i*elemSize)
-		ln := a >> 6
+		ln := a >> p.l1.lineShift
 		if ln == lastLine {
 			p.c.L1Hits++
 			continue

@@ -14,10 +14,9 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
@@ -204,50 +203,58 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 			crossTile = append(crossTile, c)
 		}
 	}
+	tileIDs := make([]int32, 0, len(tiles))
+	for id := range tiles {
+		tileIDs = append(tileIDs, id)
+	}
+	slices.Sort(tileIDs)
 	res.BusyTiles = len(tiles)
 	if len(conns) > 0 {
 		res.TileLocalFraction = 1 - float64(len(crossTile))/float64(len(conns))
 	}
 
-	// Initial routing pass: tile-local connections first (parallel),
-	// then cross-tile connections (serialized negotiation).
-	if probe == nil && opts.Workers > 1 {
-		routeTilesParallel(g, tiles, opts)
-	} else {
-		tileIDs := make([]int32, 0, len(tiles))
-		for id := range tiles {
-			tileIDs = append(tileIDs, id)
-		}
-		sort.Slice(tileIDs, func(i, j int) bool { return tileIDs[i] < tileIDs[j] })
-		for _, id := range tileIDs {
-			for _, c := range tiles[id] {
-				routeConnection(g, c, probe)
+	// One search scratch serves every serial search of the run; the
+	// parallel tile pass gives each worker chunk its own.
+	scratch := &searchScratch{}
+	// routeAll routes every connection against the current cost
+	// landscape: tile-local connections first (parallel when
+	// uninstrumented), then cross-tile ones (serialized negotiation).
+	routeAll := func() {
+		if probe == nil && opts.Workers > 1 {
+			routeTilesParallel(g, tiles, tileIDs, opts)
+		} else {
+			for _, id := range tileIDs {
+				for _, c := range tiles[id] {
+					routeConnection(g, c, probe, scratch)
+				}
 			}
 		}
+		for _, c := range crossTile {
+			routeConnection(g, c, probe, scratch)
+		}
 	}
-	for _, c := range crossTile {
-		routeConnection(g, c, probe)
-	}
+
+	routeAll()
 	pf := 0.88 + 0.11*res.TileLocalFraction
 	report.AddPhase(probe.TakePhase("route-initial", pf, ints.Max(res.BusyTiles, 1)))
 
 	// Negotiated congestion: raise history on overused edges, rip up
 	// offenders, reroute.
 	iters := 0
+	var overused []int32
+	bad := make([]bool, g.numEdges()) // marks this round's overused edges
+	var rip []*connection
 	for ; iters < opts.MaxIters; iters++ {
-		overused := g.overusedEdges()
+		overused = g.appendOverused(overused[:0])
 		if len(overused) == 0 {
 			break
 		}
 		for _, e := range overused {
 			g.history[e] += opts.HistoryCost
 			probe.StoreHot(rgGrid, uint64(e))
-		}
-		bad := map[int32]bool{}
-		for _, e := range overused {
 			bad[e] = true
 		}
-		var rip []*connection
+		rip = rip[:0]
 		for i := range conns {
 			c := &conns[i]
 			hit := false
@@ -264,11 +271,14 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 				rip = append(rip, c)
 			}
 		}
+		for _, e := range overused {
+			bad[e] = false
+		}
 		for _, c := range rip {
 			g.unroute(c)
 		}
 		for _, c := range rip {
-			routeConnection(g, c, probe)
+			routeConnection(g, c, probe, scratch)
 		}
 	}
 	res.Iterations = iters
@@ -284,26 +294,7 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	for i := range conns {
 		g.unroute(&conns[i])
 	}
-	if probe == nil && opts.Workers > 1 {
-		routeTilesParallel(g, tiles, opts)
-		for _, c := range crossTile {
-			routeConnection(g, c, probe)
-		}
-	} else {
-		tileIDs := make([]int32, 0, len(tiles))
-		for id := range tiles {
-			tileIDs = append(tileIDs, id)
-		}
-		sort.Slice(tileIDs, func(i, j int) bool { return tileIDs[i] < tileIDs[j] })
-		for _, id := range tileIDs {
-			for _, c := range tiles[id] {
-				routeConnection(g, c, probe)
-			}
-		}
-		for _, c := range crossTile {
-			routeConnection(g, c, probe)
-		}
-	}
+	routeAll()
 	report.AddPhase(probe.TakePhase("refine", pf, ints.Max(res.BusyTiles, 1)))
 
 	for i := range conns {
@@ -312,7 +303,7 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 		}
 		res.Wirelength += len(conns[i].path)
 	}
-	res.Overflow = len(g.overusedEdges())
+	res.Overflow = len(g.appendOverused(overused[:0]))
 	return res, report, nil
 }
 
@@ -395,20 +386,17 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, opts Op
 }
 
 // routeTilesParallel routes tile-local connection groups on the shared
-// par worker pool (sized to opts.Workers). Tile-local paths can leave
-// their tile only through A* detours; to keep workers disjoint we
-// clamp the search to the tile's bounding box (one gcell margin),
-// which is also what keeps their grid state writes race-free.
-func routeTilesParallel(g *grid, tiles map[int32][]*connection, opts Options) {
-	ids := make([]int32, 0, len(tiles))
-	for id := range tiles {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// par worker pool (sized to opts.Workers), in the sorted tile order ids.
+// Tile-local paths can leave their tile only through A* detours; to
+// keep workers disjoint we clamp the search to the tile's bounding box
+// (one gcell margin), which is also what keeps their grid state writes
+// race-free.
+func routeTilesParallel(g *grid, tiles map[int32][]*connection, ids []int32, opts Options) {
 	par.Fixed(opts.Workers).For(len(ids), 1, func(lo, hi int) {
+		scratch := &searchScratch{}
 		for _, id := range ids[lo:hi] {
 			for _, c := range tiles[id] {
-				routeConnectionBounded(g, c, nil, tileBounds(g, id, opts.TileSize))
+				routeConnectionBounded(g, c, nil, scratch, tileBounds(g, id, opts.TileSize))
 			}
 		}
 	})
@@ -436,8 +424,8 @@ func tileBounds(g *grid, id int32, tileSize int) [4]int {
 }
 
 // routeConnection routes within the whole grid.
-func routeConnection(g *grid, c *connection, probe *perf.Probe) {
-	routeConnectionBounded(g, c, probe, [4]int{0, 0, g.w, g.h})
+func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch) {
+	routeConnectionBounded(g, c, probe, s, [4]int{0, 0, g.w, g.h})
 }
 
 // pqItem is an A* frontier entry.
@@ -446,23 +434,100 @@ type pqItem struct {
 	x, y      int16
 }
 
-type pq []pqItem
+// frontier is the A* open list: a binary min-heap on est. push and pop
+// are container/heap's Push and Pop (append then sift up; swap root
+// with last, sift down, drop last) with the same comparisons in the
+// same order, typed so that a push boxes nothing. The order matters:
+// entries with equal est are the common case on a unit grid, which of
+// them leaves first decides the path found, and the simulated counters
+// and goldens are pinned to the paths this sift order yields.
+type frontier []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].est < q[j].est }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *frontier) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].est < h[i].est) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *frontier) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].est < h[j].est {
+			j = r
+		}
+		if !(h[j].est < h[i].est) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// searchScratch is the per-search state of the maze router — tentative
+// distances, parent links and the frontier — reused by every search of
+// a routing run (of a worker chunk in the parallel tile pass). It grows
+// to the largest window it has searched, so a chunk of tile-clamped
+// searches never pays for the whole grid. begin resets it by bumping
+// epoch: a cell whose stamp is not the current epoch has not been
+// reached by this search and reads as distance +Inf.
+type searchScratch struct {
+	dist     []float64
+	from     []int32 // parent cell, -1 at the source; valid where stamped
+	stamp    []uint32
+	epoch    uint32
+	frontier frontier
+}
+
+// begin starts a new search over a window of n cells.
+func (s *searchScratch) begin(n int) {
+	if len(s.stamp) < n {
+		s.dist = make([]float64, n)
+		s.from = make([]int32, n)
+		s.stamp = make([]uint32, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps from 2^32 searches ago would read as current
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	s.frontier = s.frontier[:0]
+}
+
+// distAt returns the tentative distance of cell i, +Inf if unreached.
+func (s *searchScratch) distAt(i int32) float64 {
+	if s.stamp[i] != s.epoch {
+		return math.Inf(1)
+	}
+	return s.dist[i]
+}
+
+func (s *searchScratch) reach(i int32, dist float64, from int32) {
+	s.stamp[i] = s.epoch
+	s.dist[i] = dist
+	s.from[i] = from
 }
 
 // routeConnectionBounded is the A* maze router under the negotiated
 // congestion cost function, restricted to a window.
-func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]int) {
+func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, s *searchScratch, win [4]int) {
 	x0, y0, x1, y1 := win[0], win[1], win[2], win[3]
 	w := x1 - x0
 	h := y1 - y0
@@ -476,20 +541,14 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 		// Endpoints outside the window (tile clamp too small): fall
 		// back to the full grid.
 		if x0 != 0 || y0 != 0 || x1 != g.w || y1 != g.h {
-			routeConnectionBounded(g, c, probe, [4]int{0, 0, g.w, g.h})
+			routeConnectionBounded(g, c, probe, s, [4]int{0, 0, g.w, g.h})
 		}
 		return
 	}
 
+	// Cells are indexed relative to the window.
 	idx := func(x, y int16) int32 { return int32((int(y)-y0)*w + (int(x) - x0)) }
-	dist := make([]float64, w*h)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	from := make([]int32, w*h)
-	for i := range from {
-		from[i] = -1
-	}
+	s.begin(w * h)
 
 	edgeCost := func(e int32) float64 {
 		probe.LoadHot(rgGrid, uint64(e))
@@ -508,12 +567,12 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 		return math.Abs(dx) + math.Abs(dy)
 	}
 
-	frontier := &pq{{cost: 0, est: heuristic(c.sx, c.sy), x: c.sx, y: c.sy}}
-	dist[idx(c.sx, c.sy)] = 0
+	s.frontier.push(pqItem{cost: 0, est: heuristic(c.sx, c.sy), x: c.sx, y: c.sy})
+	s.reach(idx(c.sx, c.sy), 0, -1)
 	found := false
-	for frontier.Len() > 0 {
-		it := heap.Pop(frontier).(pqItem)
-		probe.LoadHot(rgHeap, uint64(frontier.Len()))
+	for len(s.frontier) > 0 {
+		it := s.frontier.pop()
+		probe.LoadHot(rgHeap, uint64(len(s.frontier)))
 		// Freshly touched visited/parent entries: compulsory misses.
 		probe.LoadCold(2)
 		// Per-node bookkeeping of a production 3D router: layer
@@ -526,7 +585,7 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 			found = true
 			break
 		}
-		if it.cost > dist[idx(it.x, it.y)] {
+		if it.cost > s.distAt(idx(it.x, it.y)) {
 			continue // stale entry
 		}
 		type nb struct {
@@ -555,26 +614,26 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 			nbk := nbs[k]
 			cand := it.cost + edgeCost(nbk.e)
 			di := idx(nbk.x, nbk.y)
-			better := cand < dist[di]
+			better := cand < s.distAt(di)
 			probe.Branch(brNeighborImprove, better)
 			if !better {
 				continue
 			}
-			dist[di] = cand
-			from[di] = idx(it.x, it.y)
-			heap.Push(frontier, pqItem{cost: cand, est: cand + heuristic(nbk.x, nbk.y), x: nbk.x, y: nbk.y})
-			probe.StoreHot(rgHeap, uint64(frontier.Len()))
+			s.reach(di, cand, idx(it.x, it.y))
+			s.frontier.push(pqItem{cost: cand, est: cand + heuristic(nbk.x, nbk.y), x: nbk.x, y: nbk.y})
+			probe.StoreHot(rgHeap, uint64(len(s.frontier)))
 		}
 	}
 	if !found {
 		c.path = nil
 		return
 	}
-	// Trace back the path, collecting edges and bumping usage.
+	// Trace back the path, collecting edges and bumping usage. Every
+	// cell on it was reached by this search, so from is valid there.
 	var path []int32
 	cur := idx(c.tx, c.ty)
-	for from[cur] >= 0 {
-		prev := from[cur]
+	for s.from[cur] >= 0 {
+		prev := s.from[cur]
 		cx, cy := int(cur)%w+x0, int(cur)/w+y0
 		px, py := int(prev)%w+x0, int(prev)/w+y0
 		var e int32
@@ -604,9 +663,8 @@ func (g *grid) unroute(c *connection) {
 	c.path = nil
 }
 
-// overusedEdges lists edges above capacity.
-func (g *grid) overusedEdges() []int32 {
-	var out []int32
+// appendOverused appends the edges above capacity to out, in edge order.
+func (g *grid) appendOverused(out []int32) []int32 {
 	for e, u := range g.usage {
 		if u > int32(g.cap) {
 			out = append(out, int32(e))

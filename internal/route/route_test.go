@@ -267,8 +267,9 @@ func TestUsageConservation(t *testing.T) {
 	g.usage = make([]int32, g.numEdges())
 	g.history = make([]float64, g.numEdges())
 	conns := buildConnections(nl, pl, g, opts)
+	scratch := &searchScratch{}
 	for i := range conns {
-		routeConnection(g, &conns[i], nil)
+		routeConnection(g, &conns[i], nil, scratch)
 	}
 	counted := make([]int32, g.numEdges())
 	total := 0
