@@ -1,5 +1,7 @@
 package aig
 
+import "edacloud/internal/hash"
+
 // Canonical structural identity for the content-addressed artifact
 // cache: two graphs with the same fingerprint are the same circuit
 // node for node — variable layout, input/output bindings, names and
@@ -7,54 +9,28 @@ package aig
 // serialized. FNV-1a over fixed-width words, so the hash covers
 // structure, not formatting.
 
-const (
-	fpOffset = 14695981039346656037
-	fpPrime  = 1099511628211
-)
-
-type fpHasher uint64
-
-func (h *fpHasher) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= (v >> (8 * i)) & 0xff
-		x *= fpPrime
-	}
-	*h = fpHasher(x)
-}
-
-func (h *fpHasher) str(s string) {
-	h.word(uint64(len(s)))
-	x := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		x ^= uint64(s[i])
-		x *= fpPrime
-	}
-	*h = fpHasher(x)
-}
-
 // Fingerprint returns the graph's canonical structural hash.
 func (g *Graph) Fingerprint() uint64 {
-	h := fpHasher(fpOffset)
-	h.word(uint64(g.NumVars()))
-	h.word(uint64(g.NumInputs()))
-	h.word(uint64(g.NumOutputs()))
+	h := hash.New()
+	h.Int(g.NumVars())
+	h.Int(g.NumInputs())
+	h.Int(g.NumOutputs())
 	for i := 0; i < g.NumInputs(); i++ {
-		h.str(g.InputName(i))
-		h.word(uint64(g.Input(i)))
+		h.Str(g.InputName(i))
+		h.Word(uint64(g.Input(i)))
 	}
 	for i := 0; i < g.NumOutputs(); i++ {
-		h.str(g.OutputName(i))
-		h.word(uint64(g.Output(i)))
+		h.Str(g.OutputName(i))
+		h.Word(uint64(g.Output(i)))
 	}
 	for v := 0; v < g.NumVars(); v++ {
 		if !g.IsAnd(v) {
 			continue
 		}
 		a, b := g.Fanins(v)
-		h.word(uint64(int64(v)))
-		h.word(uint64(a))
-		h.word(uint64(b))
+		h.Int(v)
+		h.Word(uint64(a))
+		h.Word(uint64(b))
 	}
 	return uint64(h)
 }

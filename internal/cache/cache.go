@@ -28,7 +28,11 @@
 // forecast under predicted hits match the execution exactly.
 package cache
 
-import "sort"
+import (
+	"sort"
+
+	"edacloud/internal/hash"
+)
 
 // ProbeSeconds is the simulated wall-clock cost of serving one stage
 // from the cache — the "near-zero cache-probe constant" a predicted
@@ -44,40 +48,16 @@ const ProbeTimeSec = 1
 // "uncacheable" and is never stored.
 type Key uint64
 
-// fnv1a64 constants; the chain hash is FNV-1a over fixed-width words
-// so it covers structure, not formatting.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func mixWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
-func mixStr(h uint64, s string) uint64 {
-	h = mixWord(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
 // Chain derives the key of one stage computation from its input
 // identity (the previous stage's key, or the content hash of the
 // actual input artifacts at a chain root), the stage name, the
 // stage's canonical options fingerprint and its engine version.
 func Chain(input uint64, stage string, optionsFP uint64, version string) Key {
-	h := uint64(fnvOffset)
-	h = mixWord(h, input)
-	h = mixStr(h, stage)
-	h = mixWord(h, optionsFP)
-	h = mixStr(h, version)
+	h := hash.New()
+	h.Word(input)
+	h.Str(stage)
+	h.Word(optionsFP)
+	h.Str(version)
 	if h == 0 {
 		h = 1 // reserve 0 for "uncacheable"
 	}
@@ -92,9 +72,6 @@ type Entry struct {
 	// entry was computed from; adoption verifies it against the live
 	// run's artifacts before installing anything.
 	InputHash uint64
-	// OutputHash is the content hash of the produced artifacts — the
-	// identity downstream stages chain from and tests pin.
-	OutputHash uint64
 	// Bytes is the entry's approximate artifact footprint, the unit the
 	// byte-budget eviction accounts in.
 	Bytes int64

@@ -3,6 +3,8 @@ package cloud
 import (
 	"math"
 	"sync"
+
+	"edacloud/internal/hash"
 )
 
 // This file is the fault injector of the preemptible-capacity model:
@@ -114,12 +116,9 @@ func (m *RevocationModel) NextRevocation(inst *FleetInstance, afterSec float64) 
 // ID into the model seed (FNV-1a) and scrambling with splitmix64, so
 // "gp.4x.spot#0" and "gp.4x.spot#1" get decorrelated streams.
 func streamSeed(seed int64, id string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return splitmix64(h ^ uint64(seed))
+	h := hash.New()
+	h.Bytes(id)
+	return splitmix64(uint64(h) ^ uint64(seed))
 }
 
 // splitmix64 is the standard 64-bit finalizer; it doubles as the

@@ -23,7 +23,10 @@ func characterized(t *testing.T, design string) *DesignCharacterization {
 	return char
 }
 
-func TestRunFlowProducesAllArtifacts(t *testing.T) {
+// TestCharacterizeProfilesEveryJobAndVCPU: a characterization holds a
+// positive runtime and a non-empty counter set for each of the four
+// jobs at each of the four vCPU counts, and looks rows up by both.
+func TestCharacterizeProfilesEveryJobAndVCPU(t *testing.T) {
 	char := characterized(t, "ibex")
 	if char.Cells == 0 || char.WorkScale <= 0 {
 		t.Fatalf("characterization empty: %+v", char)

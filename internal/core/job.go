@@ -5,24 +5,14 @@
 // multi-choice knapsack solver so deadlines are met at minimum cost.
 //
 // Flow execution itself lives in internal/flow (Stage/Pipeline/
-// Scheduler); this package keeps thin compatibility wrappers —
-// RunFlow, NewJobProbe, the JobKind aliases — and layers the
-// characterization, prediction and optimization experiments on top.
+// Scheduler); this package keeps the JobKind aliases and NewJobProbe
+// and layers the characterization, prediction and optimization
+// experiments on top.
 package core
 
 import (
-	"fmt"
-
-	"edacloud/internal/aig"
 	"edacloud/internal/cloud"
 	"edacloud/internal/flow"
-	"edacloud/internal/netlist"
-	"edacloud/internal/perf"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
-	"edacloud/internal/synth"
-	"edacloud/internal/techlib"
 )
 
 // JobKind identifies one of the four characterized EDA applications.
@@ -50,64 +40,4 @@ func RecommendedFamily(k JobKind) cloud.Family {
 	default:
 		return cloud.GeneralPurpose
 	}
-}
-
-// FlowOptions configures a full 4-stage flow run.
-type FlowOptions struct {
-	Recipe          synth.Recipe
-	RegisterOutputs bool
-	ClockPeriodNs   float64
-	// NewProbe creates the per-job instrumentation; nil runs the flow
-	// uninstrumented. A fresh probe per job mirrors the paper's setup,
-	// where each application runs as its own profiled process.
-	NewProbe func(JobKind) *perf.Probe
-	// RouteWorkers enables real goroutine parallelism in uninstrumented
-	// routing.
-	RouteWorkers int
-	// Workers bounds the worker pools of the synthesis, placement and
-	// STA kernels; 0 means GOMAXPROCS. Results are identical for every
-	// value.
-	Workers int
-}
-
-// FlowResult bundles the artifacts and profiles of one flow run.
-type FlowResult struct {
-	Optimized *aig.Graph
-	Netlist   *netlist.Netlist
-	Placement *place.Placement
-	Routing   *route.Result
-	Timing    *sta.Result
-	Reports   map[JobKind]*perf.Report
-}
-
-// pipelineFor translates FlowOptions to the flow.Pipeline options of
-// the equivalent full flow.
-func pipelineFor(opts FlowOptions) *flow.Pipeline {
-	return flow.NewPipeline(
-		flow.WithRecipe(opts.Recipe),
-		flow.WithRegisterOutputs(opts.RegisterOutputs),
-		flow.WithClockPeriodNs(opts.ClockPeriodNs),
-		flow.WithWorkers(opts.Workers),
-		flow.WithStageWorkers(flow.JobRouting, opts.RouteWorkers),
-		flow.WithNewProbe(opts.NewProbe),
-	)
-}
-
-// RunFlow executes synthesis, placement, routing and STA on the design
-// and returns all artifacts plus one performance report per job. It is
-// a compatibility wrapper over the flow package's default pipeline;
-// new code should build a flow.Pipeline directly.
-func RunFlow(g *aig.Graph, lib *techlib.Library, opts FlowOptions) (*FlowResult, error) {
-	rc, err := pipelineFor(opts).Run(g, lib)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &FlowResult{
-		Optimized: rc.Optimized,
-		Netlist:   rc.Netlist,
-		Placement: rc.Placement,
-		Routing:   rc.Routing,
-		Timing:    rc.Timing,
-		Reports:   rc.Reports,
-	}, nil
 }

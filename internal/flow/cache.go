@@ -3,11 +3,8 @@ package flow
 import (
 	"edacloud/internal/aig"
 	"edacloud/internal/cache"
-	"edacloud/internal/netlist"
+	"edacloud/internal/hash"
 	"edacloud/internal/perf"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
 	"edacloud/internal/techlib"
 )
 
@@ -58,47 +55,32 @@ type cacheStep struct {
 }
 
 // cachedArtifacts is the flow-typed payload of a cache entry: the
-// artifact references stage kind `kind` produced, plus its perf
-// report. Artifacts are shared by reference — safe because stages
-// replace their predecessors' outputs rather than mutating them. The
-// adopted report is the original run's instrumentation; a billed hit
-// never replays it for billing (hits cost the probe constant), it only
-// keeps the report map's shape identical to a cold run.
+// artifacts stage kind `kind` produced — an Artifacts value holding
+// only the kind's `makes` slots — plus its perf report. Artifacts are
+// shared by reference — safe because stages replace their
+// predecessors' outputs rather than mutating them. The adopted report
+// is the original run's instrumentation; a billed hit never replays it
+// for billing (hits cost the probe constant), it only keeps the report
+// map's shape identical to a cold run.
 type cachedArtifacts struct {
-	kind      JobKind
-	optimized *aig.Graph
-	netlist   *netlist.Netlist
-	placement *place.Placement
-	routing   *route.Result
-	timing    *sta.Result
-	report    *perf.Report
+	kind JobKind
+	Artifacts
+	report *perf.Report
 }
 
+// captureArtifacts copies what kind k makes out of the run. Callers
+// hold k's inputAnchor, so k is in the kinds table.
 func captureArtifacts(rc *RunContext, k JobKind) *cachedArtifacts {
 	a := &cachedArtifacts{kind: k, report: rc.Reports[k]}
-	switch k {
-	case JobSynthesis:
-		a.optimized, a.netlist = rc.Optimized, rc.Netlist
-	case JobPlacement:
-		a.placement = rc.Placement
-	case JobRouting:
-		a.routing = rc.Routing
-	case JobSTA:
-		a.timing = rc.Timing
+	for _, s := range kinds[k].makes {
+		slots[s].copy(&a.Artifacts, &rc.Artifacts)
 	}
 	return a
 }
 
 func (a *cachedArtifacts) install(rc *RunContext) {
-	switch a.kind {
-	case JobSynthesis:
-		rc.Optimized, rc.Netlist = a.optimized, a.netlist
-	case JobPlacement:
-		rc.Placement = a.placement
-	case JobRouting:
-		rc.Routing = a.routing
-	case JobSTA:
-		rc.Timing = a.timing
+	for _, s := range kinds[a.kind].makes {
+		slots[s].copy(&rc.Artifacts, &a.Artifacts)
 	}
 	if a.report != nil {
 		rc.Reports[a.kind] = a.report
@@ -109,23 +91,13 @@ func (a *cachedArtifacts) install(rc *RunContext) {
 // store's byte budget accounts in.
 func (a *cachedArtifacts) bytes() int64 {
 	var b int64 = 64
-	if a.optimized != nil {
-		b += a.optimized.ApproxBytes()
-	}
-	if a.netlist != nil {
-		b += a.netlist.ApproxBytes()
-	}
-	if a.placement != nil {
-		b += 64 + 16*int64(len(a.placement.X))
-	}
-	if a.routing != nil {
-		b += 96
-	}
-	if a.timing != nil {
-		b += 96 + 16*int64(len(a.timing.CriticalPath)) + 8*int64(len(a.timing.LevelWidths))
+	for _, sd := range slots {
+		if v := sd.get(&a.Artifacts); v != nil {
+			b += v.ApproxBytes()
+		}
 	}
 	if a.report != nil {
-		b += 64 + 160*int64(len(a.report.Phases))
+		b += a.report.ApproxBytes()
 	}
 	return b
 }
@@ -154,16 +126,16 @@ func (p *Pipeline) stageKey(rc *RunContext, s Stage, prev cache.Key) cache.Key {
 	}
 	optsFP := fp.OptionsFingerprint()
 	if s.Kind() == JobRouting {
-		h := newHasher()
-		h.word(optsFP)
+		h := hash.New()
+		h.Word(optsFP)
 		if p.cfg.newProbe != nil {
 			// Instrumented routing is single-threaded and deterministic;
 			// one key covers every worker bound.
-			h.i(1)
-			h.i(0)
+			h.Int(1)
+			h.Int(0)
 		} else {
-			h.i(0)
-			h.i(p.routingWorkers(s))
+			h.Int(0)
+			h.Int(p.routingWorkers(s))
 		}
 		optsFP = uint64(h)
 	}
@@ -179,8 +151,8 @@ func (p *Pipeline) routingWorkers(s Stage) int {
 	if sw, ok := p.cfg.stageWorkers[JobRouting]; ok {
 		w = sw
 	}
-	if rs, ok := s.(routingStage); ok && rs.opts.Workers != 0 {
-		w = rs.opts.Workers
+	if b, ok := s.(builtin); ok && b.own.Workers != 0 {
+		w = b.own.Workers
 	}
 	if w <= 0 {
 		w = 1
@@ -258,12 +230,11 @@ func (p *Pipeline) recordComputed(rc *RunContext, s Stage, key cache.Key) {
 	}
 	a := captureArtifacts(rc, k)
 	e := &cache.Entry{
-		Key:        key,
-		Stage:      s.Name(),
-		InputHash:  inHash,
-		OutputHash: rc.outputHash(k),
-		Bytes:      a.bytes(),
-		Payload:    a,
+		Key:       key,
+		Stage:     s.Name(),
+		InputHash: inHash,
+		Bytes:     a.bytes(),
+		Payload:   a,
 	}
 	if p.cfg.cacheFrozen {
 		rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key, entry: e})

@@ -2,40 +2,33 @@ package flow
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
-	"edacloud/internal/aig"
-	"edacloud/internal/netlist"
+	"edacloud/internal/hash"
 	"edacloud/internal/perf"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
 )
 
 // This file is the artifact half of the repo's crash-recovery story:
 // the fleet simulation models a revoked stage as losing only the work
 // since the last stage boundary, and Checkpoint/Restore is what makes
 // that boundary real for an actual pipeline run. A Checkpoint captures
-// the typed artifact map plus the per-stage perf reports and stamps
-// them with a content hash over their structural dumps; Restore
-// recomputes the hash before installing anything, so a resume is
-// verifiably working from the same artifacts the interrupted run
-// produced — not from a torn or tampered snapshot.
+// the typed artifacts plus the per-stage perf reports and stamps them
+// with a hash over each one's content fingerprint; Restore recomputes
+// the fingerprints from content before installing anything (never from
+// the run's memoized hashes, which a tampered artifact would still
+// match), so a resume is verifiably working from the same artifacts
+// the interrupted run produced — not from a torn or tampered snapshot.
 
 // Checkpoint is a stage-boundary snapshot of a flow run.
 type Checkpoint struct {
 	// Kinds lists the completed stages, in canonical JobKinds order —
 	// the stages a resumed run may skip.
 	Kinds []JobKind
-	// Hash is the FNV-1a content hash over the captured artifacts'
-	// structural dumps, stamped at capture time.
+	// Hash folds the captured artifacts' and reports' content
+	// fingerprints, stamped at capture time.
 	Hash uint64
 
-	optimized *aig.Graph
-	netlist   *netlist.Netlist
-	placement *place.Placement
-	routing   *route.Result
-	timing    *sta.Result
+	artifacts Artifacts
 	reports   map[JobKind]*perf.Report
 }
 
@@ -45,14 +38,7 @@ type Checkpoint struct {
 // reference, which is safe because stages replace their predecessors'
 // outputs rather than mutating them.
 func (rc *RunContext) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		optimized: rc.Optimized,
-		netlist:   rc.Netlist,
-		placement: rc.Placement,
-		routing:   rc.Routing,
-		timing:    rc.Timing,
-		reports:   map[JobKind]*perf.Report{},
-	}
+	cp := &Checkpoint{artifacts: rc.Artifacts, reports: map[JobKind]*perf.Report{}}
 	for _, k := range JobKinds() {
 		if rep := rc.Reports[k]; rep != nil {
 			cp.Kinds = append(cp.Kinds, k)
@@ -74,11 +60,7 @@ func (rc *RunContext) Restore(cp *Checkpoint) error {
 	if got := cp.contentHash(); got != cp.Hash {
 		return fmt.Errorf("flow: checkpoint hash mismatch: stamped %016x, content %016x", cp.Hash, got)
 	}
-	rc.Optimized = cp.optimized
-	rc.Netlist = cp.netlist
-	rc.Placement = cp.placement
-	rc.Routing = cp.routing
-	rc.Timing = cp.timing
+	rc.Artifacts = cp.artifacts
 	if rc.Reports == nil {
 		rc.Reports = map[JobKind]*perf.Report{}
 	}
@@ -89,14 +71,7 @@ func (rc *RunContext) Restore(cp *Checkpoint) error {
 }
 
 // Completed reports whether the checkpoint covers stage k.
-func (cp *Checkpoint) Completed(k JobKind) bool {
-	for _, kk := range cp.Kinds {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
+func (cp *Checkpoint) Completed(k JobKind) bool { return slices.Contains(cp.Kinds, k) }
 
 // ResumeOn restores a checkpoint into the run context and executes
 // only the pipeline stages past it, in order — the recovery path a
@@ -127,193 +102,27 @@ func (p *Pipeline) ResumeOn(rc *RunContext, cp *Checkpoint) error {
 	return nil
 }
 
-// hasher is FNV-1a 64, fed fixed-width words so the hash covers
-// structure, not formatting.
-type hasher uint64
-
-func newHasher() hasher { return 14695981039346656037 }
-
-func (h *hasher) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= (v >> (8 * i)) & 0xff
-		x *= 1099511628211
-	}
-	*h = hasher(x)
-}
-
-func (h *hasher) str(s string) {
-	h.word(uint64(len(s)))
-	x := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		x ^= uint64(s[i])
-		x *= 1099511628211
-	}
-	*h = hasher(x)
-}
-
-func (h *hasher) f64(v float64) { h.word(math.Float64bits(v)) }
-func (h *hasher) i(v int)       { h.word(uint64(int64(v))) }
-
-// contentHash folds every captured artifact's structural dump — AIG
-// nodes and fanins, netlist cells and nets, placement coordinates,
-// routing and timing statistics, perf counters — into one stamp.
+// contentHash folds the completed kinds and the content fingerprint of
+// every artifact slot (0 for an empty one) and every report into one
+// stamp.
 func (cp *Checkpoint) contentHash() uint64 {
-	h := newHasher()
-	h.word(uint64(len(cp.Kinds)))
+	h := hash.New()
+	h.Int(len(cp.Kinds))
 	for _, k := range cp.Kinds {
-		h.i(int(k))
+		h.Int(int(k))
 	}
-	hashAIG(&h, cp.optimized)
-	hashNetlist(&h, cp.netlist)
-	hashPlacement(&h, cp.placement)
-	hashRouting(&h, cp.routing)
-	hashTiming(&h, cp.timing)
+	for _, sd := range slots {
+		if v := sd.get(&cp.artifacts); v != nil {
+			h.Word(v.Fingerprint())
+		} else {
+			h.Word(0)
+		}
+	}
 	for _, k := range JobKinds() {
 		if rep := cp.reports[k]; rep != nil {
-			h.i(int(k))
-			hashReport(&h, rep)
+			h.Int(int(k))
+			h.Word(rep.Fingerprint())
 		}
 	}
 	return uint64(h)
-}
-
-func hashAIG(h *hasher, g *aig.Graph) {
-	if g == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.i(g.NumVars())
-	h.i(g.NumInputs())
-	h.i(g.NumOutputs())
-	for i := 0; i < g.NumInputs(); i++ {
-		h.str(g.InputName(i))
-		h.word(uint64(g.Input(i)))
-	}
-	for i := 0; i < g.NumOutputs(); i++ {
-		h.str(g.OutputName(i))
-		h.word(uint64(g.Output(i)))
-	}
-	for v := 0; v < g.NumVars(); v++ {
-		if !g.IsAnd(v) {
-			continue
-		}
-		a, b := g.Fanins(v)
-		h.i(v)
-		h.word(uint64(a))
-		h.word(uint64(b))
-	}
-}
-
-func hashNetlist(h *hasher, n *netlist.Netlist) {
-	if n == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.str(n.Name)
-	h.i(len(n.Cells))
-	for _, c := range n.Cells {
-		h.str(c.Name)
-		if c.Type != nil {
-			h.str(c.Type.Name)
-		}
-		h.i(int(c.Out))
-		for _, in := range c.Ins {
-			h.i(int(in))
-		}
-	}
-	h.i(len(n.Nets))
-	for _, net := range n.Nets {
-		h.str(net.Name)
-		h.i(int(net.Driver))
-		h.i(int(net.DriverPI))
-		for _, s := range net.Sinks {
-			h.i(int(s.Cell))
-			h.i(int(s.Pin))
-		}
-	}
-	for _, p := range n.PIs {
-		h.str(p.Name)
-		h.i(int(p.Net))
-	}
-	for _, p := range n.POs {
-		h.str(p.Name)
-		h.i(int(p.Net))
-	}
-}
-
-func hashPlacement(h *hasher, p *place.Placement) {
-	if p == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	for _, v := range p.X {
-		h.f64(v)
-	}
-	for _, v := range p.Y {
-		h.f64(v)
-	}
-	h.f64(p.DieW)
-	h.f64(p.DieH)
-	h.f64(p.HPWL)
-	h.f64(p.Overflow)
-}
-
-func hashRouting(h *hasher, r *route.Result) {
-	if r == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.i(r.GridW)
-	h.i(r.GridH)
-	h.i(r.Wirelength)
-	h.i(r.Overflow)
-	h.i(r.Iterations)
-	h.i(r.Connections)
-	h.f64(r.TileLocalFraction)
-	h.i(r.BusyTiles)
-	h.i(r.FailedConnections)
-}
-
-func hashTiming(h *hasher, r *sta.Result) {
-	if r == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.f64(r.WNS)
-	h.f64(r.TNS)
-	h.f64(r.MaxArrival)
-	h.f64(r.WHS)
-	h.i(r.HoldViolations)
-	h.i(r.Endpoints)
-	for _, s := range r.CriticalPath {
-		h.i(int(s.Cell))
-		h.f64(s.Arrival)
-	}
-	for _, w := range r.LevelWidths {
-		h.i(w)
-	}
-}
-
-func hashReport(h *hasher, r *perf.Report) {
-	h.str(r.Job)
-	h.i(len(r.Phases))
-	for _, p := range r.Phases {
-		h.str(p.Name)
-		h.f64(p.ParallelFraction)
-		h.i(p.Chunks)
-		c := p.C
-		for _, v := range []uint64{
-			c.Instrs, c.Branches, c.BranchMisses, c.Loads, c.Stores,
-			c.L1Hits, c.L1Misses, c.LLCHits, c.LLCMisses, c.LLCPrefetched,
-			c.FPScalar, c.FPVector,
-		} {
-			h.word(v)
-		}
-	}
 }

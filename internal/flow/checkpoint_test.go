@@ -61,7 +61,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Restored artifacts are the same objects the checkpoint captured.
-	if rc.Netlist != cp.netlist || rc.Placement != cp.placement {
+	if rc.Netlist != cp.artifacts.Netlist || rc.Placement != cp.artifacts.Placement {
 		t.Fatal("restore did not install the checkpoint's artifacts")
 	}
 	if rc.Routing == nil || rc.Timing == nil {
@@ -84,14 +84,19 @@ func TestCheckpointTamperDetected(t *testing.T) {
 		t.Fatalf("clean restore rejected: %v", err)
 	}
 
-	orig := cp.placement.X[0]
-	cp.placement.X[0] = orig + 1000 // a torn/tampered artifact
-	if err := fresh.Restore(cp); err == nil {
-		t.Fatal("tampered checkpoint restored without error")
-	}
-	cp.placement.X[0] = orig
-	if err := fresh.Restore(cp); err != nil {
-		t.Fatalf("restored after undoing the tamper: %v", err)
+	// A torn/tampered artifact: a cell center, and a pad coordinate
+	// only routing and timing read.
+	pl := cp.artifacts.Placement
+	for name, v := range map[string]*float64{"X[0]": &pl.X[0], "PIx[0]": &pl.PIx[0]} {
+		orig := *v
+		*v = orig + 1000
+		if err := fresh.Restore(cp); err == nil {
+			t.Fatalf("checkpoint with tampered %s restored without error", name)
+		}
+		*v = orig
+		if err := fresh.Restore(cp); err != nil {
+			t.Fatalf("restored after undoing the %s tamper: %v", name, err)
+		}
 	}
 
 	// A stale stamp is equally rejected.

@@ -4,11 +4,7 @@ import (
 	"context"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/netlist"
 	"edacloud/internal/perf"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
 	"edacloud/internal/techlib"
 )
 
@@ -25,16 +21,8 @@ type RunContext struct {
 	// Lib is the technology library stages map against.
 	Lib *techlib.Library
 
-	// Optimized is the post-recipe AIG (set by synthesis).
-	Optimized *aig.Graph
-	// Netlist is the mapped netlist (set by synthesis).
-	Netlist *netlist.Netlist
-	// Placement holds cell locations (set by placement).
-	Placement *place.Placement
-	// Routing is the global-routing result (set by routing).
-	Routing *route.Result
-	// Timing is the STA report (set by the sta stage).
-	Timing *sta.Result
+	// Artifacts holds what the stages have produced so far.
+	Artifacts
 	// Reports collects one performance report per executed stage.
 	Reports map[JobKind]*perf.Report
 

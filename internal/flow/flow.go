@@ -55,9 +55,6 @@
 // granted instance's machine model; bills come from the fleet's lease
 // ledger under per-second pricing with optional minimum billing
 // granularity.
-//
-// core.RunFlow remains as a thin compatibility wrapper over a default
-// four-stage pipeline; new code should construct pipelines directly.
 package flow
 
 import (

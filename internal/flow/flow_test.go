@@ -22,9 +22,8 @@ const testScale = 0.02
 
 // TestPipelineMatchesDirectEngineSequence: the pipeline must produce
 // byte-identical artifacts and perf.Reports to the hand-wired
-// synthesis -> placement -> routing -> sta sequence the pre-redesign
-// core.RunFlow ran, on a seed design, instrumented and with bounded
-// workers.
+// synthesis -> placement -> routing -> sta sequence, on a seed
+// design, instrumented and with bounded workers.
 func TestPipelineMatchesDirectEngineSequence(t *testing.T) {
 	g := designs.MustEvalDesign("dyn_node", testScale)
 	recipe, err := synth.RecipeByName("resyn2")

@@ -1,181 +1,117 @@
 package flow
 
-import (
-	"edacloud/internal/aig"
-	"edacloud/internal/netlist"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
-	"edacloud/internal/techlib"
-)
+import "edacloud/internal/hash"
 
-// This file gives a flow run stable artifact identities: every artifact
-// slot of the RunContext has a canonical content hash, computed once
-// per artifact and memoized on the slot's pointer (stages replace
-// their predecessors' outputs rather than mutating them, so a changed
-// pointer is exactly an invalidated hash). The hashes are what the
-// content-addressed artifact cache anchors its key chains on and
-// verifies adopted entries against, and what tests pin as goldens.
+// This file gives a flow run stable artifact identities: the inputs
+// and every artifact slot of the RunContext have a canonical content
+// hash — each type's own Fingerprint — computed once per artifact and
+// memoized on the pointer (stages replace their predecessors' outputs
+// rather than mutating them, so a changed pointer is exactly an
+// invalidated hash). The hashes are what the content-addressed
+// artifact cache anchors its key chains on and verifies adopted
+// entries against, and what tests pin as goldens.
 
 // idMemo memoizes one artifact pointer's content hash.
-type idMemo[T any] struct {
-	ptr *T
+type idMemo struct {
+	ptr any
 	fp  uint64
 }
 
-func (m *idMemo[T]) of(p *T, hash func(*T) uint64) uint64 {
-	if p == nil {
-		return 0
-	}
+func (m *idMemo) of(p interface{ Fingerprint() uint64 }) uint64 {
 	if m.ptr != p {
-		m.ptr, m.fp = p, hash(p)
+		m.ptr, m.fp = p, p.Fingerprint()
 	}
 	return m.fp
 }
 
 // artifactIDs holds the RunContext's memoized hashes.
 type artifactIDs struct {
-	design    idMemo[aig.Graph]
-	lib       idMemo[techlib.Library]
-	optimized idMemo[aig.Graph]
-	netlist   idMemo[netlist.Netlist]
-	placement idMemo[place.Placement]
-	routing   idMemo[route.Result]
-	timing    idMemo[sta.Result]
+	design, lib idMemo
+	slot        [numSlots]idMemo
 }
 
 // DesignHash is the canonical content hash of the input AIG; 0 when
 // absent. Like all the artifact hashes it is computed once and
 // memoized until the slot's pointer changes.
 func (rc *RunContext) DesignHash() uint64 {
-	return rc.ids.design.of(rc.Design, (*aig.Graph).Fingerprint)
+	if rc.Design == nil {
+		return 0
+	}
+	return rc.ids.design.of(rc.Design)
 }
 
-// LibHash is the canonical content hash of the technology library:
-// its name plus every cell's name, function, area and pin count — the
-// properties that shape mapping, placement and timing results.
+// LibHash is the canonical content hash of the technology library; 0
+// when absent.
 func (rc *RunContext) LibHash() uint64 {
-	return rc.ids.lib.of(rc.Lib, libFingerprint)
+	if rc.Lib == nil {
+		return 0
+	}
+	return rc.ids.lib.of(rc.Lib)
+}
+
+// slotHash is the memoized content hash of artifact slot s; 0 while
+// the slot is empty.
+func (rc *RunContext) slotHash(s slot) uint64 {
+	a := slots[s].get(&rc.Artifacts)
+	if a == nil {
+		return 0
+	}
+	return rc.ids.slot[s].of(a)
 }
 
 // OptimizedHash is the content hash of the post-recipe AIG; 0 when
 // synthesis has not run.
-func (rc *RunContext) OptimizedHash() uint64 {
-	return rc.ids.optimized.of(rc.Optimized, (*aig.Graph).Fingerprint)
-}
+func (rc *RunContext) OptimizedHash() uint64 { return rc.slotHash(slotOptimized) }
 
 // NetlistHash is the content hash of the mapped netlist; 0 before
 // synthesis.
-func (rc *RunContext) NetlistHash() uint64 {
-	return rc.ids.netlist.of(rc.Netlist, (*netlist.Netlist).Fingerprint)
-}
+func (rc *RunContext) NetlistHash() uint64 { return rc.slotHash(slotNetlist) }
 
 // PlacementHash is the content hash of the placement; 0 before
 // placement (the "no placement" marker zero-wire-load STA keys on).
-func (rc *RunContext) PlacementHash() uint64 {
-	return rc.ids.placement.of(rc.Placement, func(p *place.Placement) uint64 {
-		h := newHasher()
-		hashPlacement(&h, p)
-		return uint64(h)
-	})
-}
+func (rc *RunContext) PlacementHash() uint64 { return rc.slotHash(slotPlacement) }
 
 // RoutingHash is the content hash of the routing result; 0 before
 // routing.
-func (rc *RunContext) RoutingHash() uint64 {
-	return rc.ids.routing.of(rc.Routing, func(r *route.Result) uint64 {
-		h := newHasher()
-		hashRouting(&h, r)
-		return uint64(h)
-	})
-}
+func (rc *RunContext) RoutingHash() uint64 { return rc.slotHash(slotRouting) }
 
 // TimingHash is the content hash of the STA result; 0 before sta.
-func (rc *RunContext) TimingHash() uint64 {
-	return rc.ids.timing.of(rc.Timing, func(r *sta.Result) uint64 {
-		h := newHasher()
-		hashTiming(&h, r)
-		return uint64(h)
-	})
-}
-
-func libFingerprint(lib *techlib.Library) uint64 {
-	h := newHasher()
-	h.str(lib.Name)
-	h.i(len(lib.Cells))
-	for _, c := range lib.Cells {
-		h.str(c.Name)
-		h.f64(c.Area)
-		h.word(uint64(c.TT))
-		h.i(len(c.Inputs))
-		if c.Seq {
-			h.i(1)
-		} else {
-			h.i(0)
-		}
-	}
-	return uint64(h)
-}
+func (rc *RunContext) TimingHash() uint64 { return rc.slotHash(slotTiming) }
 
 // inputAnchor is the content hash of the direct inputs stage kind k
 // reads from the context — the root a key chain anchors on and the
 // value adoption verifies a cached entry's InputHash against. ok is
 // false while the prerequisites are missing (at planning time, or
-// before the predecessor stages ran).
+// before the predecessor stages ran). A single input anchors on its
+// own hash; several are folded in declaration order, an empty optional
+// slot contributing its 0.
 func (rc *RunContext) inputAnchor(k JobKind) (uint64, bool) {
-	switch k {
-	case JobSynthesis:
+	if k < 0 || int(k) >= len(kinds) || !rc.has(kinds[k].needs) {
+		return 0, false
+	}
+	d := &kinds[k]
+	if len(d.needs) == 0 {
+		// The flow's root reads the run's inputs, not another stage's
+		// artifacts.
 		if rc.Design == nil || rc.Lib == nil {
 			return 0, false
 		}
-		h := newHasher()
-		h.word(rc.DesignHash())
-		h.word(rc.LibHash())
-		return uint64(h), true
-	case JobPlacement:
-		if rc.Netlist == nil {
-			return 0, false
-		}
-		return rc.NetlistHash(), true
-	case JobRouting:
-		if rc.Netlist == nil || rc.Placement == nil {
-			return 0, false
-		}
-		h := newHasher()
-		h.word(rc.NetlistHash())
-		h.word(rc.PlacementHash())
-		return uint64(h), true
-	case JobSTA:
-		// STA accepts a missing placement (zero-wire-load timing);
-		// PlacementHash's 0 is the "no placement" marker.
-		if rc.Netlist == nil {
-			return 0, false
-		}
-		h := newHasher()
-		h.word(rc.NetlistHash())
-		h.word(rc.PlacementHash())
+		h := hash.New()
+		h.Word(rc.DesignHash())
+		h.Word(rc.LibHash())
 		return uint64(h), true
 	}
-	return 0, false
-}
-
-// outputHash is the content hash of the artifacts stage kind k
-// produced — the stored entry's identity downstream runs verify.
-func (rc *RunContext) outputHash(k JobKind) uint64 {
-	switch k {
-	case JobSynthesis:
-		h := newHasher()
-		h.word(rc.OptimizedHash())
-		h.word(rc.NetlistHash())
-		return uint64(h)
-	case JobPlacement:
-		return rc.PlacementHash()
-	case JobRouting:
-		return rc.RoutingHash()
-	case JobSTA:
-		return rc.TimingHash()
+	if len(d.needs)+len(d.optional) == 1 {
+		return rc.slotHash(d.needs[0]), true
 	}
-	return 0
+	h := hash.New()
+	for _, s := range d.needs {
+		h.Word(rc.slotHash(s))
+	}
+	for _, s := range d.optional {
+		h.Word(rc.slotHash(s))
+	}
+	return uint64(h), true
 }
 
 // Fingerprinted is the optional Stage extension the artifact cache
@@ -194,56 +130,3 @@ type Fingerprinted interface {
 	// stale artifacts from the old engine can never be adopted.
 	EngineVersion() string
 }
-
-func (s synthesisStage) OptionsFingerprint() uint64 {
-	h := newHasher()
-	h.str(s.opts.Recipe.Name)
-	h.i(len(s.opts.Recipe.Passes))
-	for _, p := range s.opts.Recipe.Passes {
-		h.i(int(p))
-	}
-	if s.opts.RegisterOutputs {
-		h.i(1)
-	} else {
-		h.i(0)
-	}
-	h.i(int(s.opts.Objective))
-	return uint64(h)
-}
-
-func (s synthesisStage) EngineVersion() string { return "synth/1" }
-
-func (s placementStage) OptionsFingerprint() uint64 {
-	h := newHasher()
-	h.f64(s.opts.TargetUtil)
-	h.f64(s.opts.RowHeight)
-	h.i(s.opts.SpreadIters)
-	h.i(s.opts.CGIters)
-	h.i(s.opts.Bins)
-	return uint64(h)
-}
-
-func (s placementStage) EngineVersion() string { return "place/1" }
-
-func (s routingStage) OptionsFingerprint() uint64 {
-	h := newHasher()
-	h.f64(s.opts.GCell)
-	h.i(s.opts.Capacity)
-	h.i(s.opts.MaxIters)
-	h.i(s.opts.TileSize)
-	h.f64(s.opts.HistoryCost)
-	return uint64(h)
-}
-
-func (s routingStage) EngineVersion() string { return "route/1" }
-
-func (s staStage) OptionsFingerprint() uint64 {
-	h := newHasher()
-	h.f64(s.opts.ClockPeriodNs)
-	h.f64(s.opts.InputSlewNs)
-	h.f64(s.opts.WireCapPerUm)
-	h.f64(s.opts.HoldTimeNs)
-	return uint64(h)
-}
-
-func (s staStage) EngineVersion() string { return "sta/1" }

@@ -101,24 +101,14 @@ func (c StageChoices) Option(k JobKind, typeName string) (StageOption, bool) {
 // choice table degrade to plan execution. Decisions read only the
 // serial placement simulation's fleet state, so schedules stay
 // bit-identical at any worker count.
-type AdaptivePolicy struct{}
+//
+// It embeds PlanPolicy for Choose and ReInstance: the job's plan entry
+// is what each stage nominally queues for (and what its probe is sized
+// to); upgrades happen later, inside the placement simulation.
+type AdaptivePolicy struct{ PlanPolicy }
 
 // Name implements Policy.
 func (AdaptivePolicy) Name() string { return "adaptive" }
-
-// Choose implements Policy: the job's plan entry is what each stage
-// nominally queues for (and what its probe is sized to); upgrades
-// happen later, inside the placement simulation.
-func (AdaptivePolicy) Choose(job *Job, k JobKind) (cloud.InstanceType, error) {
-	it, ok := job.Plan[k]
-	if !ok {
-		return cloud.InstanceType{}, fmt.Errorf("flow: job %q has no plan entry for stage %s", job.Name, k)
-	}
-	return it, nil
-}
-
-// ReInstance implements Policy: one lease per stage.
-func (AdaptivePolicy) ReInstance() bool { return true }
 
 // LookaheadPolicy is AdaptivePolicy's joint-re-planning variant: when
 // queue wait has eaten a job's deadline slack it re-plans the current
@@ -132,24 +122,13 @@ func (AdaptivePolicy) ReInstance() bool { return true }
 // without a deadline or a choice table degrade to plan execution.
 // Decisions read only the serial placement simulation's fleet state,
 // so schedules stay bit-identical at any worker count.
-type LookaheadPolicy struct{}
+//
+// It embeds PlanPolicy for Choose and ReInstance, like AdaptivePolicy;
+// joint re-plans happen later, inside the placement simulation.
+type LookaheadPolicy struct{ PlanPolicy }
 
 // Name implements Policy.
 func (LookaheadPolicy) Name() string { return "lookahead" }
-
-// Choose implements Policy: the job's plan entry is what each stage
-// nominally queues for; joint re-plans happen later, inside the
-// placement simulation.
-func (LookaheadPolicy) Choose(job *Job, k JobKind) (cloud.InstanceType, error) {
-	it, ok := job.Plan[k]
-	if !ok {
-		return cloud.InstanceType{}, fmt.Errorf("flow: job %q has no plan entry for stage %s", job.Name, k)
-	}
-	return it, nil
-}
-
-// ReInstance implements Policy: one lease per stage.
-func (LookaheadPolicy) ReInstance() bool { return true }
 
 // FirstFit is the greedy baseline: every stage queues for whichever
 // fleet instance becomes free earliest, whatever its type, and the job

@@ -1,8 +1,8 @@
 package flow
 
 import (
-	"fmt"
-
+	"edacloud/internal/hash"
+	"edacloud/internal/perf"
 	"edacloud/internal/place"
 	"edacloud/internal/route"
 	"edacloud/internal/sta"
@@ -24,97 +24,127 @@ type Stage interface {
 	Run(rc *RunContext) error
 }
 
+// builtin is one of the four built-in stages. Everything that differs
+// between them is declared once, in the stage's constructor: the
+// options fingerprint and engine version the cache keys on, and the
+// engine call that fills the kind's `makes` slots.
+type builtin struct {
+	kind JobKind
+	// own is the StageConfig the stage was constructed with; its
+	// non-zero fields win over the pipeline's.
+	own     StageConfig
+	optsFP  uint64
+	version string
+	run     func(rc *RunContext, sc StageConfig) (*perf.Report, error)
+}
+
+func (s builtin) Name() string               { return s.kind.String() }
+func (s builtin) Kind() JobKind              { return s.kind }
+func (s builtin) OptionsFingerprint() uint64 { return s.optsFP }
+func (s builtin) EngineVersion() string      { return s.version }
+
+func (s builtin) Run(rc *RunContext) error {
+	if err := rc.require(s.kind); err != nil {
+		return err
+	}
+	report, err := s.run(rc, rc.resolveConfig(s.kind, s.own))
+	if err != nil {
+		return err
+	}
+	rc.Reports[s.kind] = report
+	return nil
+}
+
 // Synthesis returns the built-in synthesis stage. The passed options
 // carry the stage-specific knobs (recipe, output registering, mapping
 // objective); Workers and Probe are resolved from the pipeline unless
 // set explicitly here.
-func Synthesis(opts synth.Options) Stage { return synthesisStage{opts} }
-
-type synthesisStage struct{ opts synth.Options }
-
-func (s synthesisStage) Name() string  { return "synthesis" }
-func (s synthesisStage) Kind() JobKind { return JobSynthesis }
-
-func (s synthesisStage) Run(rc *RunContext) error {
-	o := s.opts
-	o.StageConfig = rc.resolveConfig(JobSynthesis, o.StageConfig)
-	res, err := synth.Synthesize(rc.Design, rc.Lib, o)
-	if err != nil {
-		return err
+func Synthesis(opts synth.Options) Stage {
+	h := hash.New()
+	h.Str(opts.Recipe.Name)
+	h.Int(len(opts.Recipe.Passes))
+	for _, p := range opts.Recipe.Passes {
+		h.Int(int(p))
 	}
-	rc.Optimized = res.Optimized
-	rc.Netlist = res.Netlist
-	rc.Reports[JobSynthesis] = res.Report
-	return nil
+	if opts.RegisterOutputs {
+		h.Int(1)
+	} else {
+		h.Int(0)
+	}
+	h.Int(int(opts.Objective))
+	return builtin{JobSynthesis, opts.StageConfig, uint64(h), "synth/1",
+		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
+			o := opts
+			o.StageConfig = sc
+			res, err := synth.Synthesize(rc.Design, rc.Lib, o)
+			if err != nil {
+				return nil, err
+			}
+			rc.Optimized, rc.Netlist = res.Optimized, res.Netlist
+			return res.Report, nil
+		}}
 }
 
 // Placement returns the built-in placement stage.
-func Placement(opts place.Options) Stage { return placementStage{opts} }
-
-type placementStage struct{ opts place.Options }
-
-func (s placementStage) Name() string  { return "placement" }
-func (s placementStage) Kind() JobKind { return JobPlacement }
-
-func (s placementStage) Run(rc *RunContext) error {
-	if rc.Netlist == nil {
-		return fmt.Errorf("no netlist in context (run a synthesis stage first)")
-	}
-	o := s.opts
-	o.StageConfig = rc.resolveConfig(JobPlacement, o.StageConfig)
-	pl, report, err := place.Place(rc.Netlist, o)
-	if err != nil {
-		return err
-	}
-	rc.Placement = pl
-	rc.Reports[JobPlacement] = report
-	return nil
+func Placement(opts place.Options) Stage {
+	h := hash.New()
+	h.F64(opts.TargetUtil)
+	h.F64(opts.RowHeight)
+	h.Int(opts.SpreadIters)
+	h.Int(opts.CGIters)
+	h.Int(opts.Bins)
+	return builtin{JobPlacement, opts.StageConfig, uint64(h), "place/1",
+		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
+			o := opts
+			o.StageConfig = sc
+			pl, report, err := place.Place(rc.Netlist, o)
+			if err != nil {
+				return nil, err
+			}
+			rc.Placement = pl
+			return report, nil
+		}}
 }
 
 // Routing returns the built-in global-routing stage.
-func Routing(opts route.Options) Stage { return routingStage{opts} }
-
-type routingStage struct{ opts route.Options }
-
-func (s routingStage) Name() string  { return "routing" }
-func (s routingStage) Kind() JobKind { return JobRouting }
-
-func (s routingStage) Run(rc *RunContext) error {
-	if rc.Netlist == nil || rc.Placement == nil {
-		return fmt.Errorf("no placed netlist in context (run synthesis and placement first)")
-	}
-	o := s.opts
-	o.StageConfig = rc.resolveConfig(JobRouting, o.StageConfig)
-	res, report, err := route.Route(rc.Netlist, rc.Placement, o)
-	if err != nil {
-		return err
-	}
-	rc.Routing = res
-	rc.Reports[JobRouting] = report
-	return nil
+func Routing(opts route.Options) Stage {
+	h := hash.New()
+	h.F64(opts.GCell)
+	h.Int(opts.Capacity)
+	h.Int(opts.MaxIters)
+	h.Int(opts.TileSize)
+	h.F64(opts.HistoryCost)
+	return builtin{JobRouting, opts.StageConfig, uint64(h), "route/1",
+		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
+			o := opts
+			o.StageConfig = sc
+			res, report, err := route.Route(rc.Netlist, rc.Placement, o)
+			if err != nil {
+				return nil, err
+			}
+			rc.Routing = res
+			return report, nil
+		}}
 }
 
 // STA returns the built-in static-timing stage. It accepts a missing
 // placement (zero-wire-load timing), so a synthesis+sta pipeline is a
 // valid partial flow.
-func STA(opts sta.Options) Stage { return staStage{opts} }
-
-type staStage struct{ opts sta.Options }
-
-func (s staStage) Name() string  { return "sta" }
-func (s staStage) Kind() JobKind { return JobSTA }
-
-func (s staStage) Run(rc *RunContext) error {
-	if rc.Netlist == nil {
-		return fmt.Errorf("no netlist in context (run a synthesis stage first)")
-	}
-	o := s.opts
-	o.StageConfig = rc.resolveConfig(JobSTA, o.StageConfig)
-	res, report, err := sta.Analyze(rc.Netlist, rc.Placement, o)
-	if err != nil {
-		return err
-	}
-	rc.Timing = res
-	rc.Reports[JobSTA] = report
-	return nil
+func STA(opts sta.Options) Stage {
+	h := hash.New()
+	h.F64(opts.ClockPeriodNs)
+	h.F64(opts.InputSlewNs)
+	h.F64(opts.WireCapPerUm)
+	h.F64(opts.HoldTimeNs)
+	return builtin{JobSTA, opts.StageConfig, uint64(h), "sta/1",
+		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
+			o := opts
+			o.StageConfig = sc
+			res, report, err := sta.Analyze(rc.Netlist, rc.Placement, o)
+			if err != nil {
+				return nil, err
+			}
+			rc.Timing = res
+			return report, nil
+		}}
 }

@@ -1,69 +1,45 @@
 package netlist
 
+import "edacloud/internal/hash"
+
 // Canonical structural identity for the content-addressed artifact
 // cache: the fingerprint covers every cell (name, type, pin binding),
 // every net (driver and sinks) and the port lists, so two netlists
 // hash equal exactly when they are the same mapped circuit. FNV-1a
 // over fixed-width words — structure, not formatting.
 
-const (
-	fpOffset = 14695981039346656037
-	fpPrime  = 1099511628211
-)
-
-type fpHasher uint64
-
-func (h *fpHasher) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= (v >> (8 * i)) & 0xff
-		x *= fpPrime
-	}
-	*h = fpHasher(x)
-}
-
-func (h *fpHasher) str(s string) {
-	h.word(uint64(len(s)))
-	x := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		x ^= uint64(s[i])
-		x *= fpPrime
-	}
-	*h = fpHasher(x)
-}
-
 // Fingerprint returns the netlist's canonical structural hash.
 func (n *Netlist) Fingerprint() uint64 {
-	h := fpHasher(fpOffset)
-	h.str(n.Name)
-	h.word(uint64(len(n.Cells)))
+	h := hash.New()
+	h.Str(n.Name)
+	h.Int(len(n.Cells))
 	for _, c := range n.Cells {
-		h.str(c.Name)
+		h.Str(c.Name)
 		if c.Type != nil {
-			h.str(c.Type.Name)
+			h.Str(c.Type.Name)
 		}
-		h.word(uint64(int64(c.Out)))
+		h.Int(int(c.Out))
 		for _, in := range c.Ins {
-			h.word(uint64(int64(in)))
+			h.Int(int(in))
 		}
 	}
-	h.word(uint64(len(n.Nets)))
+	h.Int(len(n.Nets))
 	for _, net := range n.Nets {
-		h.str(net.Name)
-		h.word(uint64(int64(net.Driver)))
-		h.word(uint64(int64(net.DriverPI)))
+		h.Str(net.Name)
+		h.Int(int(net.Driver))
+		h.Int(int(net.DriverPI))
 		for _, s := range net.Sinks {
-			h.word(uint64(int64(s.Cell)))
-			h.word(uint64(int64(s.Pin)))
+			h.Int(int(s.Cell))
+			h.Int(int(s.Pin))
 		}
 	}
 	for _, p := range n.PIs {
-		h.str(p.Name)
-		h.word(uint64(int64(p.Net)))
+		h.Str(p.Name)
+		h.Int(int(p.Net))
 	}
 	for _, p := range n.POs {
-		h.str(p.Name)
-		h.word(uint64(int64(p.Net)))
+		h.Str(p.Name)
+		h.Int(int(p.Net))
 	}
 	return uint64(h)
 }

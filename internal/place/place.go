@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"edacloud/internal/hash"
 	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
@@ -72,6 +73,27 @@ type Placement struct {
 	HPWLGlobal float64 // wirelength after the unconstrained solve
 	Overflow   float64 // residual bin overflow fraction after spreading
 }
+
+// Fingerprint returns the placement's canonical content hash: every
+// field, with slice lengths, because routing and timing read the pad
+// coordinates and the row height as well as the cell centers.
+func (p *Placement) Fingerprint() uint64 {
+	h := hash.New()
+	for _, vec := range [][]float64{p.X, p.Y, p.PIx, p.PIy, p.POx, p.POy} {
+		h.Int(len(vec))
+		for _, v := range vec {
+			h.F64(v)
+		}
+	}
+	for _, v := range []float64{p.DieW, p.DieH, p.RowHeight, p.HPWL, p.HPWLGlobal, p.Overflow} {
+		h.F64(v)
+	}
+	return uint64(h)
+}
+
+// ApproxBytes estimates the placement's in-memory footprint — the
+// unit a byte-budgeted artifact cache accounts it in.
+func (p *Placement) ApproxBytes() int64 { return 64 + 16*int64(len(p.X)) }
 
 // Synthetic probe arena layout: each vector gets its own region so the
 // cache simulation sees realistic cross-array conflict behaviour.

@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 
+	"edacloud/internal/hash"
 	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
@@ -87,6 +88,23 @@ type Result struct {
 	// (should be zero on sane grids).
 	FailedConnections int
 }
+
+// Fingerprint returns the routing result's canonical content hash.
+func (r *Result) Fingerprint() uint64 {
+	h := hash.New()
+	h.Word(1) // the presence marker the flow used to feed first; kept so routing hashes do not move
+	for _, v := range []int{r.GridW, r.GridH, r.Wirelength, r.Overflow, r.Iterations, r.Connections} {
+		h.Int(v)
+	}
+	h.F64(r.TileLocalFraction)
+	h.Int(r.BusyTiles)
+	h.Int(r.FailedConnections)
+	return uint64(h)
+}
+
+// ApproxBytes estimates the result's in-memory footprint — the unit a
+// byte-budgeted artifact cache accounts it in.
+func (r *Result) ApproxBytes() int64 { return 96 }
 
 // connection is one two-pin route: driver gcell to sink gcell.
 type connection struct {

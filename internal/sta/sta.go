@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 
+	"edacloud/internal/hash"
 	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
@@ -85,6 +86,33 @@ type Result struct {
 	// LevelWidths histograms cells per level (drives the parallelism
 	// profile: wider levels parallelize better).
 	LevelWidths []int
+}
+
+// Fingerprint returns the timing report's canonical content hash. The
+// word sequence is pinned by the flow package's hash goldens.
+func (r *Result) Fingerprint() uint64 {
+	h := hash.New()
+	h.Word(1) // the presence marker the flow used to feed first; the pinned hashes include it
+	h.F64(r.WNS)
+	h.F64(r.TNS)
+	h.F64(r.MaxArrival)
+	h.F64(r.WHS)
+	h.Int(r.HoldViolations)
+	h.Int(r.Endpoints)
+	for _, s := range r.CriticalPath {
+		h.Int(int(s.Cell))
+		h.F64(s.Arrival)
+	}
+	for _, w := range r.LevelWidths {
+		h.Int(w)
+	}
+	return uint64(h)
+}
+
+// ApproxBytes estimates the report's in-memory footprint — the unit a
+// byte-budgeted artifact cache accounts it in.
+func (r *Result) ApproxBytes() int64 {
+	return 96 + 16*int64(len(r.CriticalPath)) + 8*int64(len(r.LevelWidths))
 }
 
 // Hot-window probe regions: STA sweeps the timing graph in level

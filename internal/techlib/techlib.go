@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"edacloud/internal/hash"
 )
 
 // Table is a two-dimensional NLDM lookup table indexed by input slew
@@ -121,6 +123,27 @@ type Library struct {
 	// cells with the pin permutation that realizes the function:
 	// perm[i] = cell pin index receiving cut leaf i.
 	match map[matchKey][]Match
+}
+
+// Fingerprint returns the library's canonical content hash: its name
+// plus every cell's name, function, area and pin count — the
+// properties that shape mapping, placement and timing results.
+func (lib *Library) Fingerprint() uint64 {
+	h := hash.New()
+	h.Str(lib.Name)
+	h.Int(len(lib.Cells))
+	for _, c := range lib.Cells {
+		h.Str(c.Name)
+		h.F64(c.Area)
+		h.Word(uint64(c.TT))
+		h.Int(len(c.Inputs))
+		if c.Seq {
+			h.Int(1)
+		} else {
+			h.Int(0)
+		}
+	}
+	return uint64(h)
 }
 
 type matchKey struct {
