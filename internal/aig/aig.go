@@ -2,7 +2,8 @@
 // representation used by the synthesis engine and the GCN runtime
 // predictor. An AIG is a directed acyclic graph whose internal nodes are
 // two-input AND gates and whose edges may be complemented. The package
-// provides structural hashing, constant propagation, levelization,
+// provides structural hashing (an open-addressed index table over the
+// node array, see Graph.strash), constant propagation, levelization,
 // 64-way parallel simulation, dead-node sweeping and ASCII AIGER I/O.
 //
 // Literals follow the AIGER convention: a literal is 2*variable plus a
@@ -12,6 +13,7 @@ package aig
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -90,18 +92,32 @@ type Graph struct {
 	inNames  []string
 	outNames []string
 
-	strash map[uint64]Lit // structural hashing: packed fanin pair -> AND literal
+	// strash is the structural-hash table: an open-addressed,
+	// power-of-two array of AND variable indices (0 marks an empty slot:
+	// variable 0 is the constant, never an AND). A slot's key is the
+	// fanin pair already stored in nodes, so the table holds no keys of
+	// its own and is rebuilt from nodes when it grows. It is allocated by
+	// the first And that creates a node and kept at most half full.
+	strash []int32
 
 	levels     []int32 // memoized logic levels, nil when stale
 	fanoutSize []int32 // memoized fanout counts, nil when stale
 }
 
 // New returns an empty graph containing only the constant node.
-func New(name string) *Graph {
+func New(name string) *Graph { return NewSized(name, 0, 1023) }
+
+// NewSized is New with room reserved for the given numbers of primary
+// inputs and AND nodes. The reservation is a hint, not a limit: callers
+// that know what they are about to add (a partition shard, a merge, a
+// sweep) avoid both New's default reservation and regrowth of the node
+// array, the input lists and the hash table.
+func NewSized(name string, inputs, ands int) *Graph {
 	g := &Graph{
-		Name:   name,
-		nodes:  make([]node, 1, 1024),
-		strash: make(map[uint64]Lit),
+		Name:    name,
+		nodes:   make([]node, 1, 1+inputs+ands),
+		inputs:  make([]int, 0, inputs),
+		inNames: make([]string, 0, inputs),
 	}
 	g.nodes[0] = node{kind: kindConst}
 	return g
@@ -168,7 +184,40 @@ func (g *Graph) invalidate() {
 	g.fanoutSize = nil
 }
 
-func strashKey(a, b Lit) uint64 { return uint64(a)<<32 | uint64(b) }
+// strashSlot returns the table slot holding the AND of the canonically
+// ordered pair (a, b), or the empty slot where that node belongs. The
+// table is never more than half full, so the linear probe terminates.
+func (g *Graph) strashSlot(a, b Lit) int {
+	key := uint64(a)<<32 | uint64(b)
+	// Fibonacci hashing: the top log2(len) bits of the product.
+	i := int(key * 0x9E3779B97F4A7C15 >> uint(bits.LeadingZeros64(uint64(len(g.strash)-1))))
+	for {
+		v := g.strash[i]
+		if v == 0 {
+			return i
+		}
+		if n := &g.nodes[v]; n.fan0 == a && n.fan1 == b {
+			return i
+		}
+		i = (i + 1) & (len(g.strash) - 1)
+	}
+}
+
+// growStrash sizes the table to at least twice the node array's
+// capacity — so it outlasts the reservation NewSized made — and
+// re-enters every AND node.
+func (g *Graph) growStrash() {
+	size := 16
+	for size < 2*cap(g.nodes) {
+		size *= 2
+	}
+	g.strash = make([]int32, size)
+	for v := range g.nodes {
+		if n := &g.nodes[v]; n.kind == kindAnd {
+			g.strash[g.strashSlot(n.fan0, n.fan1)] = int32(v)
+		}
+	}
+}
 
 // And returns a literal computing the conjunction of a and b, reusing an
 // existing structurally identical node when one exists and folding the
@@ -187,16 +236,20 @@ func (g *Graph) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	key := strashKey(a, b)
-	if l, ok := g.strash[key]; ok {
-		return l
+	// Grow before probing: room for one more node at half load. cap(nodes)
+	// exceeds the AND count, so the rebuilt table is strictly larger.
+	if 2*(g.NumAnds()+1) > len(g.strash) {
+		g.growStrash()
+	}
+	slot := g.strashSlot(a, b)
+	if v := g.strash[slot]; v != 0 {
+		return MakeLit(int(v), false)
 	}
 	v := len(g.nodes)
 	g.nodes = append(g.nodes, node{fan0: a, fan1: b, kind: kindAnd})
-	l := MakeLit(v, false)
-	g.strash[key] = l
+	g.strash[slot] = int32(v)
 	g.invalidate()
-	return l
+	return MakeLit(v, false)
 }
 
 // Or returns a literal computing the disjunction of a and b.
@@ -327,8 +380,12 @@ func (s Stats) String() string {
 
 // MarkCone sets mark[v] for every variable in the transitive fanin cone
 // of root (including root itself).
-func (g *Graph) MarkCone(root Lit, mark []bool) {
-	stack := []int{root.Var()}
+func (g *Graph) MarkCone(root Lit, mark []bool) { g.markCone(root, mark, nil) }
+
+// markCone is MarkCone on the caller's DFS stack, returned empty for
+// the next root.
+func (g *Graph) markCone(root Lit, mark []bool, stack []int) []int {
+	stack = append(stack, root.Var())
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -340,6 +397,7 @@ func (g *Graph) MarkCone(root Lit, mark []bool) {
 			stack = append(stack, n.fan0.Var(), n.fan1.Var())
 		}
 	}
+	return stack
 }
 
 // ConeSize returns the number of AND nodes in the transitive fanin cone
@@ -361,10 +419,17 @@ func (g *Graph) ConeSize(root Lit) int {
 // Input and output order and names are preserved.
 func (g *Graph) Sweep() (*Graph, []Lit) {
 	mark := make([]bool, len(g.nodes))
+	var stack []int
 	for _, o := range g.outputs {
-		g.MarkCone(o, mark)
+		stack = g.markCone(o, mark, stack)
 	}
-	ng := New(g.Name)
+	kept := 0
+	for v, m := range mark {
+		if m && g.nodes[v].kind == kindAnd {
+			kept++
+		}
+	}
+	ng := NewSized(g.Name, len(g.inputs), kept)
 	old2new := make([]Lit, len(g.nodes))
 	old2new[0] = False
 	// Inputs are kept even when dangling so that I/O signatures match.
@@ -395,10 +460,7 @@ func (g *Graph) Clone() *Graph {
 		outputs:  append([]Lit(nil), g.outputs...),
 		inNames:  append([]string(nil), g.inNames...),
 		outNames: append([]string(nil), g.outNames...),
-		strash:   make(map[uint64]Lit, len(g.strash)),
-	}
-	for k, v := range g.strash {
-		ng.strash[k] = v
+		strash:   append([]int32(nil), g.strash...),
 	}
 	return ng
 }

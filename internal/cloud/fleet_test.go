@@ -265,10 +265,10 @@ func TestSnapshotDeepCopiesLeases(t *testing.T) {
 
 func TestReleaseFromCancelsFutureLeases(t *testing.T) {
 	f := testFleet(t)
-	f.Book(0, "a", "synthesis", 0, 100)   // running at t=50: stands
-	f.Book(0, "a", "placement", 100, 50)  // starts at 100 >= 50: released
-	f.Book(1, "b", "synthesis", 50, 100)  // starts exactly at 50: released
-	f.Book(2, "c", "synthesis", 10, 20)   // finished before 50: stands
+	f.Book(0, "a", "synthesis", 0, 100)  // running at t=50: stands
+	f.Book(0, "a", "placement", 100, 50) // starts at 100 >= 50: released
+	f.Book(1, "b", "synthesis", 50, 100) // starts exactly at 50: released
+	f.Book(2, "c", "synthesis", 10, 20)  // finished before 50: stands
 
 	if n := f.ReleaseFrom(50); n != 2 {
 		t.Fatalf("released %d leases, want 2", n)

@@ -61,10 +61,9 @@ type Probe struct {
 	// HotBytes bounds each hot region's footprint. Zero means 32 KiB.
 	HotBytes uint64
 
-	cfg      ProbeConfig
-	coldNext uint64
-	c        Counters
-	mark     Counters // snapshot at the last phase boundary
+	cfg  ProbeConfig
+	c    Counters
+	mark Counters // snapshot at the last phase boundary
 
 	// shards are the per-worker child probes handed out to parallel
 	// regions (see Shards). Each keeps its own cache and predictor
@@ -77,11 +76,10 @@ type Probe struct {
 // NewProbe builds a probe with the given geometry.
 func NewProbe(cfg ProbeConfig) *Probe {
 	return &Probe{
-		l1:       NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-		llc:      NewCache(cfg.LLCBytes, cfg.LLCWays, cfg.LineBytes),
-		bp:       NewBranchPredictor(cfg.PredictorBits),
-		cfg:      cfg,
-		coldNext: 1 << 40, // cold stream lives far from every region
+		l1:  NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
+		llc: NewCache(cfg.LLCBytes, cfg.LLCWays, cfg.LineBytes),
+		bp:  NewBranchPredictor(cfg.PredictorBits),
+		cfg: cfg,
 	}
 }
 
@@ -156,7 +154,6 @@ func (p *Probe) LoadCold(n int) {
 	p.c.Loads += uint64(n)
 	p.c.L1Misses += uint64(n)
 	p.c.LLCMisses += uint64(n)
-	p.coldNext += uint64(n) << p.l1.lineShift
 }
 
 // LoopBranches records n perfectly predicted branches — the loop
@@ -168,18 +165,6 @@ func (p *Probe) LoopBranches(n int) {
 	}
 	p.c.Instrs += uint64(n)
 	p.c.Branches += uint64(n)
-}
-
-func (p *Probe) access(addr uint64) {
-	if p.l1.Access(addr) {
-		return
-	}
-	p.c.L1Misses++
-	if p.llc.Access(addr) {
-		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
-	}
 }
 
 // Load records a data load from the synthetic address addr.

@@ -26,23 +26,23 @@ import (
 // estimating foreign-leaf depths from the source graph's levels, and
 // the shards merge in deterministic partition order (see rewrite.go).
 func Balance(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := balancePool(g, probe, par.Default())
+	ng, _ := balancePool(g, probe, par.Default(), new(runScratch))
 	return ng
 }
 
 // balancePool is Balance with an explicit worker pool, also reporting
 // the pass's parallel structure.
-func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool) (*aig.Graph, passStats) {
+func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	cp := partitionAccounted(g, probe)
 	if cp.NumParts() <= 1 {
-		return balanceSerial(g, probe), passStats{chunks: 1}
+		return balanceSerial(g, probe, &rs[0]), passStats{chunks: 1}
 	}
 	// Freeze the lazily memoized fanout counts and levels before the
 	// parallel region; workers read them concurrently.
 	fanout := g.FanoutCounts()
 	srcLv := g.Levels()
 
-	shards, parInstrs := forPartitions(probe, pool, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
+	shards, parInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
 		return balancePartition(g, cp, pi, fanout, srcLv, sc, probe)
 	})
 
@@ -52,9 +52,9 @@ func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool) (*aig.Graph, p
 
 // balanceSerial is the single-cone path: one output graph, one strash
 // table, exact incremental levels for every operand.
-func balanceSerial(g *aig.Graph, probe *perf.Probe) *aig.Graph {
+func balanceSerial(g *aig.Graph, probe *perf.Probe, sc *shardScratch) *aig.Graph {
 	ng := aig.New(g.Name)
-	var o2n litMap
+	o2n := &sc.o2n
 	o2n.reset(g.NumVars())
 	o2n.set(0, aig.False)
 	// Incrementally tracked levels of the new graph's variables. Seed
@@ -65,7 +65,7 @@ func balanceSerial(g *aig.Graph, probe *perf.Probe) *aig.Graph {
 		o2n.set(v, ng.AddInput(g.InputName(i)))
 		lvl = append(lvl, 0)
 	}
-	bb := &balancer{g: g, ng: ng, old2new: &o2n, lvl: lvl, fanout: g.FanoutCounts()}
+	bb := &balancer{g: g, ng: ng, sc: sc, lvl: lvl, fanout: g.FanoutCounts()}
 	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
 		bb.balanceNode(v, probe)
 	})
@@ -88,7 +88,7 @@ func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, sr
 	for _, lv := range leafVars {
 		lvl = append(lvl, srcLv[lv])
 	}
-	bb := &balancer{g: g, ng: sg, old2new: &sc.o2n, lvl: lvl, fanout: fanout}
+	bb := &balancer{g: g, ng: sg, sc: sc, lvl: lvl, fanout: fanout}
 	for _, v := range part.Nodes {
 		bb.balanceNode(int(v), probe)
 	}
@@ -96,12 +96,13 @@ func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, sr
 }
 
 // balancer carries the shared state of one balance target (the whole
-// graph on the serial path, one shard on the partitioned path).
+// graph on the serial path, one shard on the partitioned path). sc
+// holds the old-to-new literal map and the per-node leaf lists.
 type balancer struct {
-	g, ng   *aig.Graph
-	old2new *litMap
-	lvl     []int32 // levels of ng's variables, tracked incrementally
-	fanout  []int32 // fanout counts of the *source* graph
+	g, ng  *aig.Graph
+	sc     *shardScratch
+	lvl    []int32 // levels of ng's variables, tracked incrementally
+	fanout []int32 // fanout counts of the *source* graph
 }
 
 // andL creates an AND keeping lvl in sync (strash hits reuse the
@@ -118,48 +119,48 @@ func (bb *balancer) andL(a, b aig.Lit) aig.Lit {
 	return l
 }
 
-// gather collects the leaves of the maximal AND-tree rooted at l: the
-// tree descends through uncomplemented, single-fanout AND children
-// (the classical balancing scope).
-func (bb *balancer) gather(l aig.Lit, root bool, leaves *[]aig.Lit, probe *perf.Probe) {
+// gather appends to sc.leaves the leaves of the maximal AND-tree rooted
+// at l: the tree descends through uncomplemented, single-fanout AND
+// children (the classical balancing scope).
+func (bb *balancer) gather(l aig.Lit, root bool, probe *perf.Probe) {
 	v := l.Var()
 	probe.LoadHot(rgNode, uint64(v))
 	probe.LoopBranches(3)
 	expand := bb.g.IsAnd(v) && !l.IsNeg() && (root || bb.fanout[v] == 1)
 	probe.Branch(brBalanceExpand, expand)
 	if !expand {
-		*leaves = append(*leaves, bb.old2new.get(v).NotIf(l.IsNeg()))
+		bb.sc.leaves = append(bb.sc.leaves, bb.sc.o2n.get(v).NotIf(l.IsNeg()))
 		return
 	}
 	f0, f1 := bb.g.Fanins(v)
-	bb.gather(f0, false, leaves, probe)
-	bb.gather(f1, false, leaves, probe)
+	bb.gather(f0, false, probe)
+	bb.gather(f1, false, probe)
 }
 
 // balanceNode rebuilds the maximal AND-tree rooted at v as a
 // depth-balanced tree in bb.ng.
 func (bb *balancer) balanceNode(v int, probe *perf.Probe) {
-	var leaves []aig.Lit
-	bb.gather(aig.MakeLit(v, false), true, &leaves, probe)
-	bb.old2new.set(v, balancedAnd(bb.andL, func(l aig.Lit) int32 { return bb.lvl[l.Var()] }, leaves, probe))
+	bb.sc.leaves = bb.sc.leaves[:0]
+	bb.gather(aig.MakeLit(v, false), true, probe)
+	bb.sc.o2n.set(v, bb.balancedAnd(bb.sc.leaves, probe))
 	probe.Ops(2)
 }
 
-// balancedAnd conjoins leaves pairing minimum-level operands first. The
-// and function must keep level bookkeeping in sync so levelOf is valid
-// for freshly created nodes.
-func balancedAnd(and func(a, b aig.Lit) aig.Lit, levelOf func(aig.Lit) int32, leaves []aig.Lit, probe *perf.Probe) aig.Lit {
-	switch len(leaves) {
+// balancedAnd conjoins leaves pairing minimum-level operands first,
+// using the list itself as its work queue; andL keeps the level
+// bookkeeping valid for freshly created nodes.
+func (bb *balancer) balancedAnd(work []aig.Lit, probe *perf.Probe) aig.Lit {
+	switch len(work) {
 	case 0:
 		return aig.True
 	case 1:
-		return leaves[0]
+		return work[0]
 	}
-	sort.Slice(leaves, func(i, j int) bool { return levelOf(leaves[i]) < levelOf(leaves[j]) })
-	work := append([]aig.Lit(nil), leaves...)
+	levelOf := func(l aig.Lit) int32 { return bb.lvl[l.Var()] }
+	sort.Slice(work, func(i, j int) bool { return levelOf(work[i]) < levelOf(work[j]) })
 	for len(work) > 1 {
 		probe.Ops(4)
-		n := and(work[0], work[1])
+		n := bb.andL(work[0], work[1])
 		work = work[1:]
 		work[0] = n
 		// Restore order by sinking the new node to its level position.

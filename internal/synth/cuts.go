@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"sort"
-
 	"edacloud/internal/aig"
 	"edacloud/internal/ints"
 	"edacloud/internal/par"
@@ -29,6 +27,10 @@ type cutEnum struct {
 	probe   *perf.Probe
 	pool    *par.Pool
 	cuts    [][]Cut
+	// shards holds each probe shard's merge scratch and cut storage. A
+	// shard's chunks run one at a time on one goroutine, so enumNode
+	// needs no lock and no allocation per node or per cut.
+	shards [par.ProbeShards]cutShard
 	// parInstrs counts the instructions recorded in levels wide enough
 	// to split into multiple chunks — the genuinely parallel share of
 	// the enumeration. Narrow levels run single-chunk and serialize at
@@ -56,12 +58,14 @@ func (ce *cutEnum) Cuts(v int) []Cut { return ce.cuts[v] }
 func (ce *cutEnum) run() {
 	g := ce.g
 	// Constant node and inputs have only the trivial cut.
-	ce.cuts[0] = []Cut{{Leaves: []int32{0}}}
+	sh := &ce.shards[0]
+	ce.cuts[0] = append(sh.cuts.take(1)[:0], sh.trivialCut(0))
 	for _, v := range g.InputVars() {
-		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
+		ce.cuts[v] = append(sh.cuts.take(1)[:0], sh.trivialCut(v))
 	}
 	// Bucket AND nodes by logic level, each bucket in topological
-	// (ascending-variable) order.
+	// (ascending-variable) order: a counting sort into one array, level
+	// l's nodes at order[start[l]:start[l+1]].
 	levels := g.Levels()
 	var maxLv int32
 	for _, l := range levels {
@@ -69,20 +73,31 @@ func (ce *cutEnum) run() {
 			maxLv = l
 		}
 	}
-	buckets := make([][]int32, maxLv+1)
+	start := make([]int32, maxLv+2)
+	g.TopoAnds(func(v int, f0, f1 aig.Lit) { start[levels[v]+1]++ })
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	order := make([]int32, g.NumAnds())
+	fill := append([]int32(nil), start...)
 	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
-		buckets[levels[v]] = append(buckets[levels[v]], int32(v))
+		order[fill[levels[v]]] = int32(v)
+		fill[levels[v]]++
 	})
-	for _, nodes := range buckets {
+	var nodes []int32 // the level in hand; one closure serves every level
+	enumChunk := func(lo, hi, shard int, probe *perf.Probe) {
+		sh := &ce.shards[shard]
+		for _, v := range nodes[lo:hi] {
+			ce.enumNode(int(v), probe, sh)
+		}
+	}
+	for l := 0; l+1 < len(start); l++ {
+		nodes = order[start[l]:start[l+1]]
 		if len(nodes) == 0 {
 			continue
 		}
 		before := ce.probe.Counters().Instrs
-		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, func(lo, hi, _ int, probe *perf.Probe) {
-			for _, v := range nodes[lo:hi] {
-				ce.enumNode(int(v), probe)
-			}
-		})
+		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, enumChunk)
 		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
 			ce.parInstrs += ce.probe.Counters().Instrs - before
 			ce.parChunks = ints.Max(ce.parChunks, chunks)
@@ -90,48 +105,65 @@ func (ce *cutEnum) run() {
 	}
 }
 
-// enumNode builds the cut list of AND node v from its fanins' cuts.
-// It writes only ce.cuts[v], so nodes of one level can run
-// concurrently.
-func (ce *cutEnum) enumNode(v int, probe *perf.Probe) {
+// enumNode builds the cut list of AND node v from its fanins' cuts:
+// every pairwise leaf-set union of at most k leaves, duplicates
+// dropped, the maxCuts smallest kept with ties in merge order, then
+// the trivial cut. It writes only ce.cuts[v] and sh, the scratch of the
+// shard it runs on, so nodes of one level can run concurrently.
+func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 	f0, f1 := ce.g.Fanins(v)
 	probe.LoadHot(rgCut, uint64(v))
 	c0 := ce.cuts[f0.Var()]
 	c1 := ce.cuts[f1.Var()]
-	var merged []Cut
+	k := ce.k
+	if sh.size == nil {
+		// A cut list holds at most maxCuts+1 cuts, so a node has at most
+		// that many squared candidates.
+		most := (ce.maxCuts + 1) * (ce.maxCuts + 1)
+		sh.cand, sh.size = make([]int32, most*k), make([]int, most)
+	}
+	// Candidate i's leaves are sh.cand[i*k : i*k+sh.size[i]]. A failed
+	// or duplicate merge leaves its slot to the next pair.
+	cands := 0
 	for _, a := range c0 {
 		for _, b := range c1 {
-			leaves, ok := mergeLeaves(a.Leaves, b.Leaves, ce.k)
+			leaves := sh.cand[cands*k : cands*k+k]
+			n, ok := mergeLeaves(leaves, a.Leaves, b.Leaves)
 			probe.Branch(brCutMerge, ok)
 			// Leaf-set union, dedup hashing and cut-list bookkeeping
 			// dominate enumeration cost.
 			probe.Ops(240)
 			probe.LoopBranches(6)
 			probe.LoadHot(rgCut, uint64(f0.Var()))
-			if !ok {
+			if !ok || sh.hasCandidate(cands, k, leaves[:n]) {
 				continue
 			}
-			merged = append(merged, Cut{Leaves: leaves})
+			sh.size[cands] = n
+			cands++
 		}
 	}
-	merged = dedupCuts(merged)
-	sort.SliceStable(merged, func(i, j int) bool {
-		return len(merged[i].Leaves) < len(merged[j].Leaves)
-	})
-	if len(merged) > ce.maxCuts {
-		merged = merged[:ce.maxCuts]
+	// Fewest leaves first, merge order within one leaf count: what a
+	// stable sort by leaf count followed by truncation would keep.
+	keep := ints.Min(cands, ce.maxCuts)
+	out := sh.cuts.take(keep + 1)[:0]
+	for n := 1; n <= k && len(out) < keep; n++ {
+		for i := 0; i < cands && len(out) < keep; i++ {
+			if sh.size[i] == n {
+				leaves := sh.leaves.take(n)
+				copy(leaves, sh.cand[i*k:])
+				out = append(out, Cut{Leaves: leaves})
+			}
+		}
 	}
 	// Trivial cut last so matching prefers structural cuts.
-	merged = append(merged, Cut{Leaves: []int32{int32(v)}})
-	ce.cuts[v] = merged
+	ce.cuts[v] = append(out, sh.trivialCut(v))
 	probe.Ops(len(c0)*len(c1) + 4)
 }
 
-// mergeLeaves unions two sorted leaf sets, failing when the union
-// exceeds k.
-func mergeLeaves(a, b []int32, k int) ([]int32, bool) {
-	out := make([]int32, 0, k)
-	i, j := 0, 0
+// mergeLeaves unions two sorted leaf sets into dst, returning the
+// union's size; it fails when the union exceeds len(dst).
+func mergeLeaves(dst, a, b []int32) (int, bool) {
+	n, i, j := 0, 0, 0
 	for i < len(a) || j < len(b) {
 		var next int32
 		switch {
@@ -152,52 +184,66 @@ func mergeLeaves(a, b []int32, k int) ([]int32, bool) {
 			i++
 			j++
 		}
-		if len(out) == k {
-			return nil, false
+		if n == len(dst) {
+			return 0, false
 		}
-		out = append(out, next)
+		dst[n] = next
+		n++
 	}
-	return out, true
+	return n, true
 }
 
-// FNV-1a parameters for leaf-set hashing.
+// cutShard is one probe shard's enumeration state: the candidate cuts
+// of the node in hand, and the storage the finished cut lists live in.
+type cutShard struct {
+	cand []int32 // candidate leaf sets, k slots each
+	size []int   // leaf count per candidate
+	// Finished lists and their leaf sets are carved out of chunks, so a
+	// node costs no allocation of its own; a chunk is freed with the
+	// enumeration, when the last cut list pointing into it is dropped.
+	cuts   slab[Cut]
+	leaves slab[int32]
+}
+
+// hasCandidate reports whether leaves equals one of the first n
+// candidates (at most (maxCuts+1)^2 of at most k leaves, so a scan is
+// cheaper than any index).
+func (sh *cutShard) hasCandidate(n, k int, leaves []int32) bool {
+	for i := 0; i < n; i++ {
+		if sh.size[i] == len(leaves) && sameLeaves(sh.cand[i*k:i*k+len(leaves)], leaves) {
+			return true
+		}
+	}
+	return false
+}
+
+// trivialCut returns the cut {v}.
+func (sh *cutShard) trivialCut(v int) Cut {
+	leaves := sh.leaves.take(1)
+	leaves[0] = int32(v)
+	return Cut{Leaves: leaves}
+}
+
+// slab hands out small slices carved from geometrically growing
+// chunks. Every slice is capped at its length, so appending to one can
+// never run into its neighbour.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	slabMinChunk = 256
+	slabMaxChunk = 1 << 14
 )
 
-// leafHash folds a sorted leaf set into a 64-bit FNV-1a hash,
-// replacing the per-cut []byte -> string key the dedup map used to
-// allocate in the innermost enumeration loop.
-func leafHash(leaves []int32) uint64 {
-	h := uint64(fnvOffset64)
-	for _, l := range leaves {
-		u := uint32(l)
-		h = (h ^ uint64(u&0xff)) * fnvPrime64
-		h = (h ^ uint64(u>>8&0xff)) * fnvPrime64
-		h = (h ^ uint64(u>>16&0xff)) * fnvPrime64
-		h = (h ^ uint64(u>>24&0xff)) * fnvPrime64
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.chunk = ints.Min(ints.Max(2*s.chunk, slabMinChunk), slabMaxChunk)
+		s.free = make([]T, ints.Max(s.chunk, n))
 	}
-	return h
-}
-
-func dedupCuts(cuts []Cut) []Cut {
-	// seen maps leaf-set hash to the index (in out) of the first cut
-	// with that hash. On a hash match the leaves are compared exactly,
-	// so a collision can never drop a distinct cut — at worst a
-	// colliding triple keeps a redundant duplicate, which only wastes
-	// a cut slot.
-	seen := make(map[uint64]int32, len(cuts))
-	out := cuts[:0]
-	for _, c := range cuts {
-		key := leafHash(c.Leaves)
-		if idx, ok := seen[key]; ok && sameLeaves(out[idx].Leaves, c.Leaves) {
-			continue
-		} else if !ok {
-			seen[key] = int32(len(out))
-		}
-		out = append(out, c)
-	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
 	return out
 }
 
@@ -251,25 +297,27 @@ func cutTT(g *aig.Graph, root int, leaves []int32, probe *perf.Probe, sc *ttScra
 	for i, l := range leaves {
 		sc.set(int(l), ttVar(i, n))
 	}
-	var eval func(v int) uint64
-	eval = func(v int) uint64 {
-		if tt, ok := sc.get(v); ok {
-			return tt
-		}
-		probe.LoadHot(rgNode, uint64(v))
-		probe.LoopBranches(2)
-		f0, f1 := g.Fanins(v)
-		t0 := eval(f0.Var())
-		if f0.IsNeg() {
-			t0 = ttNot(t0, n)
-		}
-		t1 := eval(f1.Var())
-		if f1.IsNeg() {
-			t1 = ttNot(t1, n)
-		}
-		tt := t0 & t1
-		sc.set(v, tt)
+	return sc.eval(g, root, n, probe)
+}
+
+// eval returns the n-variable truth table of v, memoizing every cone
+// node it visits.
+func (s *ttScratch) eval(g *aig.Graph, v, n int, probe *perf.Probe) uint64 {
+	if tt, ok := s.get(v); ok {
 		return tt
 	}
-	return eval(root)
+	probe.LoadHot(rgNode, uint64(v))
+	probe.LoopBranches(2)
+	f0, f1 := g.Fanins(v)
+	t0 := s.eval(g, f0.Var(), n, probe)
+	if f0.IsNeg() {
+		t0 = ttNot(t0, n)
+	}
+	t1 := s.eval(g, f1.Var(), n, probe)
+	if f1.IsNeg() {
+		t1 = ttNot(t1, n)
+	}
+	tt := t0 & t1
+	s.set(v, tt)
+	return tt
 }

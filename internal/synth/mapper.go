@@ -59,7 +59,7 @@ type mapper struct {
 	impls  [2][]nodeImpl // [polarity][var]; polarity 0 = positive
 	cuts   *cutEnum
 	fanout []int32
-	tts    ttScratch
+	tts    *ttScratch
 }
 
 // MapToCells covers the AIG with standard cells from lib and returns
@@ -72,17 +72,18 @@ func MapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, probe 
 // MapToCellsObjective is MapToCells with an explicit covering
 // objective.
 func MapToCellsObjective(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe) (*netlist.Netlist, error) {
-	return mapToCells(g, lib, registerOutputs, obj, probe, par.Default())
+	return mapToCells(g, lib, registerOutputs, obj, probe, par.Default(), new(ttScratch))
 }
 
 // mapToCells is the shared mapping path with an explicit worker pool
-// (used by cut enumeration; covering itself is sequential).
-func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe, pool *par.Pool) (*netlist.Netlist, error) {
+// (used by cut enumeration; covering itself is sequential) and the
+// caller's truth-table scratch.
+func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe, pool *par.Pool, tts *ttScratch) (*netlist.Netlist, error) {
 	inv := lib.Cell("INV_X1")
 	if inv == nil {
 		return nil, fmt.Errorf("synth: library %s lacks an INV_X1 cell", lib.Name)
 	}
-	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, objective: obj}
+	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, objective: obj, tts: tts}
 	m.cuts = newCutEnum(g, 3, 8, probe, pool)
 	m.fanout = g.FanoutCounts()
 	nv := g.NumVars()
@@ -168,7 +169,7 @@ func (m *mapper) mapNode(v int) {
 		if n == 1 && int(cut.Leaves[0]) == v {
 			continue // trivial cut
 		}
-		tt := cutTT(m.g, v, cut.Leaves, m.probe, &m.tts)
+		tt := cutTT(m.g, v, cut.Leaves, m.probe, m.tts)
 		// Try every leaf-polarity adjustment: complementing leaf i
 		// swaps its cofactors in the table.
 		for pm := uint8(0); pm < 1<<uint(n); pm++ {
@@ -273,7 +274,7 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 	g := m.g
 	nl := netlist.New(g.Name, m.lib)
 
-	piNet := make(map[int]netlist.NetID)
+	piNet := make([]netlist.NetID, g.NumVars()) // by input variable
 	for i, v := range g.InputVars() {
 		name := g.InputName(i)
 		if name == "" {
@@ -282,11 +283,15 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 		piNet[v] = nl.AddPI(name)
 	}
 
-	type key struct {
-		v   int
-		neg bool
+	// memo[pol][v] is the net emitted for (v, polarity), NoNet until
+	// then.
+	var memo [2][]netlist.NetID
+	for pol := range memo {
+		memo[pol] = make([]netlist.NetID, g.NumVars())
+		for v := range memo[pol] {
+			memo[pol][v] = netlist.NoNet
+		}
 	}
-	memo := make(map[key]netlist.NetID)
 	cellCount := 0
 	newCell := func(typ *techlib.Cell, ins []netlist.NetID) netlist.NetID {
 		out := nl.AddNet(fmt.Sprintf("n%d", nl.NumNets()))
@@ -328,8 +333,11 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 		if v == 0 {
 			return makeConst(neg) // constant node: False, so neg means 1
 		}
-		k := key{v, neg}
-		if net, ok := memo[k]; ok {
+		pol := 0
+		if neg {
+			pol = 1
+		}
+		if net := memo[pol][v]; net != netlist.NoNet {
 			return net, nil
 		}
 		m.probe.LoadHot(rgNode, uint64(v))
@@ -341,12 +349,8 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 			} else {
 				net = newCell(m.inv, []netlist.NetID{piNet[v]})
 			}
-			memo[k] = net
+			memo[pol][v] = net
 			return net, nil
-		}
-		pol := 0
-		if neg {
-			pol = 1
 		}
 		impl := m.impls[pol][v]
 		if !impl.valid {
@@ -358,7 +362,7 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 				return netlist.NoNet, err
 			}
 			net = newCell(m.inv, []netlist.NetID{src})
-			memo[k] = net
+			memo[pol][v] = net
 			return net, nil
 		}
 		ins := make([]netlist.NetID, impl.match.Cell.NumInputs())
@@ -371,7 +375,7 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 			ins[impl.match.Perm[i]] = src
 		}
 		net = newCell(impl.match.Cell, ins)
-		memo[k] = net
+		memo[pol][v] = net
 		return net, nil
 	}
 

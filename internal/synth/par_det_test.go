@@ -101,27 +101,3 @@ func TestPassesDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestLeafHashDistinguishesCuts guards the FNV dedup key against the
-// obvious aliasing mistakes (permuted and shifted leaf sets).
-func TestLeafHashDistinguishesCuts(t *testing.T) {
-	cases := [][]int32{
-		{1, 2, 3},
-		{1, 2, 4},
-		{2, 3},
-		{3, 2, 1},
-		{1, 2},
-		{258, 3}, // byte-boundary alias of {2, 3} under naive folding
-	}
-	seen := map[uint64][]int32{}
-	for _, c := range cases {
-		h := leafHash(c)
-		if prev, ok := seen[h]; ok {
-			t.Fatalf("hash collision: %v and %v", prev, c)
-		}
-		seen[h] = c
-	}
-	if leafHash([]int32{1, 2, 3}) != leafHash([]int32{1, 2, 3}) {
-		t.Fatal("hash not stable")
-	}
-}

@@ -26,28 +26,28 @@ const PartitionGrain = 96
 // Multi-cone graphs are rebuilt cone-parallel over a partitioned
 // strash: see rebuildWithCuts.
 func Rewrite(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := rewritePool(g, probe, par.Default())
+	ng, _ := rewritePool(g, probe, par.Default(), new(runScratch))
 	return ng
 }
 
 // rewritePool is Rewrite with an explicit worker pool, also reporting
 // the pass's parallel structure.
-func rewritePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool) (*aig.Graph, passStats) {
-	return rebuildWithCuts(g, probe, pool, 4, 6, 2, brRewriteGain)
+func rewritePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
+	return rebuildWithCuts(g, probe, pool, rs, 4, 6, 2, brRewriteGain)
 }
 
 // Refactor is Rewrite with one large cut per node (up to 6 leaves),
 // the classical coarse-grained companion pass: it collapses bigger
 // cones and resynthesizes them from their ISOP factorization.
 func Refactor(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := refactorPool(g, probe, par.Default())
+	ng, _ := refactorPool(g, probe, par.Default(), new(runScratch))
 	return ng
 }
 
 // refactorPool is Refactor with an explicit worker pool, also
 // reporting the pass's parallel structure.
-func refactorPool(g *aig.Graph, probe *perf.Probe, pool *par.Pool) (*aig.Graph, passStats) {
-	return rebuildWithCuts(g, probe, pool, 6, 4, 1, brRefactorGain)
+func refactorPool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
+	return rebuildWithCuts(g, probe, pool, rs, 6, 4, 1, brRefactorGain)
 }
 
 // passStats describes the parallel structure of one executed pass: the
@@ -74,7 +74,7 @@ type passStats struct {
 // worker count. The partitioned path may differ structurally from the
 // single-strash serial path (each shard measures realization cost
 // against its own table), but never functionally.
-func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, k, maxCuts, tryCuts int, brSite uint64) (*aig.Graph, passStats) {
+func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch, k, maxCuts, tryCuts int, brSite uint64) (*aig.Graph, passStats) {
 	cuts := newCutEnum(g, k, maxCuts, probe, pool)
 	parInstrs := cuts.parInstrs
 
@@ -86,10 +86,10 @@ func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, k, maxCuts
 	cp := partitionAccounted(g, probe)
 	chunks := ints.Max(cp.NumParts(), cuts.parChunks)
 	if cp.NumParts() <= 1 {
-		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite), passStats{chunks: chunks, parallelInstrs: parInstrs}
+		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, &rs[0]), passStats{chunks: chunks, parallelInstrs: parInstrs}
 	}
 
-	shards, rebuildInstrs := forPartitions(probe, pool, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
+	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
 		return rebuildPartition(g, cp, pi, cuts, k, tryCuts, brSite, sc, probe)
 	})
 	parInstrs += rebuildInstrs
@@ -100,15 +100,14 @@ func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, k, maxCuts
 
 // rebuildSerial is the single-cone path: one output graph, one strash
 // table, nodes visited in global topological order.
-func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts int, brSite uint64) *aig.Graph {
+func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts int, brSite uint64, sc *shardScratch) *aig.Graph {
 	ng := aig.New(g.Name)
-	var sc shardScratch
 	sc.o2n.reset(g.NumVars())
 	sc.o2n.set(0, aig.False)
 	for i, v := range g.InputVars() {
 		sc.o2n.set(v, ng.AddInput(g.InputName(i)))
 	}
-	rb := &rebuilder{g: g, ng: ng, old2new: &sc.o2n, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite, tts: &sc.tts}
+	rb := &rebuilder{g: g, ng: ng, sc: sc, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite}
 	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
 		rb.rebuildNode(v, f0, f1, probe)
 	})
@@ -146,7 +145,7 @@ type shardBuild struct {
 // are safe to run concurrently.
 func rebuildPartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, brSite uint64, sc *shardScratch, probe *perf.Probe) shardBuild {
 	sg, leafVars := beginShard(g, cp, pi, cuts, k, tryCuts, sc)
-	rb := &rebuilder{g: g, ng: sg, old2new: &sc.o2n, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite, tts: &sc.tts}
+	rb := &rebuilder{g: g, ng: sg, sc: sc, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite}
 	for _, v := range cp.Parts[pi].Nodes {
 		f0, f1 := g.Fanins(int(v))
 		rb.rebuildNode(int(v), f0, f1, probe)
@@ -208,7 +207,12 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 // which shard. The serial merge cost is recorded on the parent probe —
 // it is the non-scaling portion of a cone-parallel pass.
 func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, probe *perf.Probe) *aig.Graph {
-	ng := aig.New(g.Name)
+	// Room for every shard node: the merge can only deduplicate.
+	ands := 0
+	for pi := range shards {
+		ands += shards[pi].sg.NumAnds()
+	}
+	ng := aig.NewSized(g.Name, g.NumInputs(), ands)
 	final := make([]aig.Lit, g.NumVars())
 	final[0] = aig.False
 	for i, v := range g.InputVars() {
@@ -257,15 +261,15 @@ func sweepAccounted(ng *aig.Graph, name string, probe *perf.Probe) *aig.Graph {
 }
 
 // rebuilder carries the shared state of one rebuild target (the whole
-// graph on the serial path, one shard on the partitioned path).
+// graph on the serial path, one shard on the partitioned path). sc
+// holds the old-to-new literal map and every per-node temporary.
 type rebuilder struct {
 	g, ng   *aig.Graph
-	old2new *litMap
+	sc      *shardScratch
 	cuts    *cutEnum
 	k       int
 	tryCuts int
 	brSite  uint64
-	tts     *ttScratch
 	// coldCredit batches compulsory-miss accounting: fresh node records
 	// are one cache line per four 16-byte records.
 	coldCredit int
@@ -306,8 +310,9 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 	probe.LoopBranches(8)
 
 	// Baseline: direct structural copy.
-	a := rb.old2new.get(f0.Var()).NotIf(f0.IsNeg())
-	b := rb.old2new.get(f1.Var()).NotIf(f1.IsNeg())
+	old2new := &rb.sc.o2n
+	a := old2new.get(f0.Var()).NotIf(f0.IsNeg())
+	b := old2new.get(f1.Var()).NotIf(f1.IsNeg())
 	before := rb.ng.NumVars()
 	best := rb.ng.And(a, b)
 	bestCost := rb.ng.NumVars() - before
@@ -315,7 +320,7 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 	if bestCost == 0 {
 		// Strash hit: nothing can beat a free node.
 		probe.Branch(rb.brSite, false)
-		rb.old2new.set(v, best)
+		old2new.set(v, best)
 		return
 	}
 
@@ -329,28 +334,29 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 		}
 		tried++
 		n := len(cut.Leaves)
-		tt := cutTT(rb.g, v, cut.Leaves, probe, rb.tts)
+		tt := cutTT(rb.g, v, cut.Leaves, probe, &rb.sc.tts)
 		// ISOP extraction recurses over cofactors; its cost is the
 		// bulk of a resynthesis attempt.
 		probe.Ops(280)
-		cubes := isop(tt, 0, n)
-		// Realize over the new-graph leaf literals.
-		leafLits := make([]aig.Lit, n)
+		rb.sc.cubes = isop(rb.sc.cubes[:0], tt, 0, n)
+		// Realize over the new-graph leaf literals (a truth table has
+		// at most six variables).
+		var leafLits [6]aig.Lit
 		ok := true
 		for i, l := range cut.Leaves {
-			if rb.old2new.get(int(l)) == 0 && l != 0 {
+			if old2new.get(int(l)) == 0 && l != 0 {
 				// A leaf that was itself swept away (shouldn't
 				// happen in topo order, but stay safe).
 				ok = false
 				break
 			}
-			leafLits[i] = rb.old2new.get(int(l))
+			leafLits[i] = old2new.get(int(l))
 		}
 		if !ok {
 			continue
 		}
 		mark := rb.ng.NumVars()
-		lit := buildCover(rb.ng, cubes, leafLits, tt, n, probe)
+		lit := buildCover(rb.ng, rb.sc.cubes, leafLits[:n], tt, n, probe, rb.sc)
 		cost := rb.ng.NumVars() - mark
 		better := cost < bestCost
 		probe.Branch(rb.brSite, better)
@@ -359,22 +365,23 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 			bestCost = cost
 		}
 	}
-	rb.old2new.set(v, best)
+	old2new.set(v, best)
 }
 
 // buildCover realizes a cube cover over the given leaf literals,
 // returning the output literal. Constants and single-cube covers take
-// fast paths; multi-cube covers build balanced AND/OR trees.
-func buildCover(ng *aig.Graph, cubes []cube, leaves []aig.Lit, tt uint64, n int, probe *perf.Probe) aig.Lit {
+// fast paths; multi-cube covers build balanced AND/OR trees. sc lends
+// the term and literal lists their storage.
+func buildCover(ng *aig.Graph, cubes []cube, leaves []aig.Lit, tt uint64, n int, probe *perf.Probe, sc *shardScratch) aig.Lit {
 	if tt == 0 {
 		return aig.False
 	}
 	if tt == ttMask(n) {
 		return aig.True
 	}
-	terms := make([]aig.Lit, 0, len(cubes))
+	terms, lits := sc.terms[:0], sc.lits
 	for _, c := range cubes {
-		lits := make([]aig.Lit, 0, n)
+		lits = lits[:0]
 		for i := 0; i < n; i++ {
 			if c.pos>>uint(i)&1 == 1 {
 				lits = append(lits, leaves[i])
@@ -386,5 +393,6 @@ func buildCover(ng *aig.Graph, cubes []cube, leaves []aig.Lit, tt uint64, n int,
 		probe.Ops(len(lits))
 		terms = append(terms, ng.AndN(lits))
 	}
+	sc.terms, sc.lits = terms, lits
 	return ng.OrN(terms)
 }

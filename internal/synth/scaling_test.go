@@ -6,7 +6,9 @@ import (
 
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
+	"edacloud/internal/par"
 	"edacloud/internal/perf"
+	"edacloud/internal/techlib"
 )
 
 // passAllocBytes reports the heap bytes one run of pass allocates on a
@@ -59,5 +61,47 @@ func TestPartitionedPassAllocScaling(t *testing.T) {
 					allocRatio, varsRatio, 3*varsRatio)
 			}
 		})
+	}
+}
+
+// TestSynthesizeAllocBudget pins the allocation-free kernels: a whole
+// instrumented run (resyn2 + map) of adder.x10 measures about 4.5 KB
+// and 17 mallocs per input AND node, and must stay within a quarter
+// above that. One make per cut, per merge or per rebuilt node costs
+// tens of mallocs per AND, so the next one fails here instead of
+// waiting for the benchmark. Both figures are deterministic up to the
+// runtime's own bookkeeping (the race detector adds about 5 %).
+func TestSynthesizeAllocBudget(t *testing.T) {
+	const (
+		maxBytesPerAnd   = 5650
+		maxMallocsPerAnd = 21
+	)
+	lib := techlib.Default14nm()
+	g := designs.MustBenchmark("adder", 10)
+	recipe, err := RecipeByName("resyn2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := perf.NewProbe(perf.DefaultProbeConfig())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Synthesize(g, lib, Options{Recipe: recipe, StageConfig: par.StageConfig{Probe: probe}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Netlist == nil || probe.Counters().Instrs == 0 {
+		t.Fatal("run produced no netlist or recorded no probe events")
+	}
+	ands := float64(g.NumAnds())
+	bytesPerAnd := float64(after.TotalAlloc-before.TotalAlloc) / ands
+	mallocsPerAnd := float64(after.Mallocs-before.Mallocs) / ands
+	t.Logf("adder.x10 (%d ANDs): %.0f bytes and %.1f mallocs per input AND", g.NumAnds(), bytesPerAnd, mallocsPerAnd)
+	if bytesPerAnd > maxBytesPerAnd {
+		t.Errorf("%.0f bytes per input AND, budget %d", bytesPerAnd, maxBytesPerAnd)
+	}
+	if mallocsPerAnd > maxMallocsPerAnd {
+		t.Errorf("%.1f mallocs per input AND, budget %d", mallocsPerAnd, maxMallocsPerAnd)
 	}
 }

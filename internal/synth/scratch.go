@@ -2,20 +2,24 @@ package synth
 
 import (
 	"edacloud/internal/aig"
-	"edacloud/internal/ints"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
 
-// This file holds the pooled per-worker scratch of the cone-parallel
-// rebuild paths. Every partition needs three var-indexed maps — the
+// This file holds the var-indexed scratch of the cone-parallel rebuild
+// paths. Every partition needs three var-indexed maps — the
 // original-variable -> shard-literal map, the foreign-leaf mark set and
 // the truth-table memo — and allocating them dense per partition made
 // total shard memory O(NumVars^2 / PartitionGrain): a latent quadratic
-// that only bites at million-gate scale. All three now share one
+// that only bites at million-gate scale. All three share one
 // epoch-stamped backing per probe shard, reset in O(1) between
-// partitions, so a pass allocates O(ProbeShards * NumVars) scratch
-// total and each partition retains only its own compact result.
+// partitions, and the shards' backings belong to a runScratch that one
+// Synthesize, Optimize or RunPass call makes and hands down to every
+// pass and the mapper: a run allocates O(ProbeShards * NumVars) scratch
+// once, not once per pass, and each partition retains only its own
+// compact result. The scratch is a value the call owns, not a
+// sync.Pool or a package variable: the collector empties a pool when it
+// likes, which would make a run's allocation depend on when it ran.
 
 // epochStamps is the shared epoch-stamping core: a var-indexed
 // membership set whose reset is O(1) (bump the epoch) instead of O(n)
@@ -75,7 +79,7 @@ func (m *litMap) set(v int, l aig.Lit) {
 	m.st.stamp(v)
 }
 
-// shardScratch is one worker's pooled rebuild scratch: the literal map,
+// shardScratch is one probe shard's rebuild scratch: the literal map,
 // the foreign-leaf mark set and the truth-table memo. forPartitions
 // hands each probe shard its own instance, and since a shard's
 // partitions run on a single goroutine in ascending order, reuse is
@@ -84,19 +88,27 @@ type shardScratch struct {
 	o2n  litMap
 	mark epochStamps
 	tts  ttScratch
+	// Per-node temporaries of rebuildNode/buildCover (cubes, terms,
+	// lits) and balanceNode (leaves), kept for their capacity.
+	cubes               []cube
+	terms, lits, leaves []aig.Lit
 }
 
+// runScratch is the scratch of one synthesis run, one shardScratch per
+// probe shard. Serial code — the single-cone paths and the mapper —
+// uses shard 0's.
+type runScratch [par.ProbeShards]shardScratch
+
 // forPartitions runs build over every cone partition inside an
-// instrumented parallel region, handing each invocation the pooled
-// scratch of its probe shard, and reports the instructions retired in
+// instrumented parallel region, handing each invocation the run's
+// scratch for its probe shard, and reports the instructions retired in
 // the region. It is the one shared driver of the rewrite and balance
 // partitioned paths.
-func forPartitions(probe *perf.Probe, pool *par.Pool, n int, build func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild) ([]shardBuild, uint64) {
+func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, build func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild) ([]shardBuild, uint64) {
 	instrsBefore := probe.Counters().Instrs
 	shards := make([]shardBuild, n)
-	scratch := make([]shardScratch, ints.Min(par.ProbeShards, n))
 	pool.ForProbe(probe, n, 1, func(lo, hi, shard int, probe *perf.Probe) {
-		sc := &scratch[shard]
+		sc := &rs[shard]
 		for pi := lo; pi < hi; pi++ {
 			shards[pi] = build(pi, sc, probe)
 		}
@@ -105,13 +117,16 @@ func forPartitions(probe *perf.Probe, pool *par.Pool, n int, build func(pi int, 
 }
 
 // beginShard starts partition pi's private shard graph: it collects the
-// foreign-leaf set, resets the pooled literal map and maps the constant
-// and the placeholder inputs (ascending original-variable order). The
-// caller rebuilds the partition's owned nodes through sc.o2n and then
-// compacts the result with ownedLits.
+// foreign-leaf set, resets the shard's literal map and maps the
+// constant and the placeholder inputs (ascending original-variable
+// order). The graph is sized for the leaves and, per owned node, its
+// structural copy plus one realization per cut tried (the losing
+// realizations stay in the shard as dead nodes until the final sweep).
+// The caller rebuilds the partition's owned nodes through sc.o2n and
+// then compacts the result with ownedLits.
 func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, sc *shardScratch) (*aig.Graph, []int32) {
 	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, &sc.mark)
-	sg := aig.New(g.Name)
+	sg := aig.NewSized(g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 	sc.o2n.reset(g.NumVars())
 	sc.o2n.set(0, aig.False)
 	for _, lv := range leafVars {
@@ -120,7 +135,7 @@ func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k
 	return sg, leafVars
 }
 
-// ownedLits compacts the pooled literal map into the only per-partition
+// ownedLits compacts the shard's literal map into the only per-partition
 // state retained until the merge: the shard literal of each owned node,
 // parallel to cp.Parts[pi].Nodes. Its size is the partition's, not the
 // graph's.

@@ -72,16 +72,16 @@ func RecipeByName(name string) (Recipe, error) {
 
 // runPass dispatches one optimization pass, reporting its measured
 // parallel structure.
-func runPass(g *aig.Graph, p PassKind, probe *perf.Probe, pool *par.Pool) (*aig.Graph, passStats, error) {
+func runPass(g *aig.Graph, p PassKind, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats, error) {
 	var ng *aig.Graph
 	var stats passStats
 	switch p {
 	case PassBalance:
-		ng, stats = balancePool(g, probe, pool)
+		ng, stats = balancePool(g, probe, pool, rs)
 	case PassRewrite:
-		ng, stats = rewritePool(g, probe, pool)
+		ng, stats = rewritePool(g, probe, pool, rs)
 	case PassRefactor:
-		ng, stats = refactorPool(g, probe, pool)
+		ng, stats = refactorPool(g, probe, pool, rs)
 	default:
 		return nil, stats, fmt.Errorf("synth: unknown pass %v", p)
 	}
@@ -93,22 +93,23 @@ func runPass(g *aig.Graph, p PassKind, probe *perf.Probe, pool *par.Pool) (*aig.
 // worker count; benchmarks and conformance tests use this to pin the
 // serial baseline against the full pool.
 func RunPass(g *aig.Graph, p PassKind, probe *perf.Probe, workers int) (*aig.Graph, error) {
-	ng, _, err := runPass(g, p, probe, par.Fixed(workers))
+	ng, _, err := runPass(g, p, probe, par.Fixed(workers), new(runScratch))
 	return ng, err
 }
 
 // Optimize applies a recipe to the AIG, recording one perf phase per
 // pass into report when probe and report are non-nil.
 func Optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report) (*aig.Graph, error) {
-	return optimize(g, recipe, probe, report, par.Default())
+	return optimize(g, recipe, probe, report, par.Default(), new(runScratch))
 }
 
 // optimize is Optimize with an explicit worker pool for the passes'
-// cut enumeration and cone-parallel rebuilds.
-func optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report, pool *par.Pool) (*aig.Graph, error) {
+// cut enumeration and cone-parallel rebuilds, and the scratch every
+// pass of the recipe reuses.
+func optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report, pool *par.Pool, rs *runScratch) (*aig.Graph, error) {
 	cur := g
 	for _, p := range recipe.Passes {
-		next, stats, err := runPass(cur, p, probe, pool)
+		next, stats, err := runPass(cur, p, probe, pool, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -157,11 +158,12 @@ func Synthesize(g *aig.Graph, lib *techlib.Library, opts Options) (*Result, erro
 	probe := opts.Probe
 
 	pool := par.Fixed(opts.Workers)
-	opt, err := optimize(g, opts.Recipe, probe, report, pool)
+	rs := new(runScratch)
+	opt, err := optimize(g, opts.Recipe, probe, report, pool, rs)
 	if err != nil {
 		return nil, err
 	}
-	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, opts.Objective, probe, pool)
+	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, opts.Objective, probe, pool, &rs[0].tts)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func TestQuickIsopExact(t *testing.T) {
 	f := func(raw uint64, nRaw uint8) bool {
 		n := int(nRaw%5) + 1
 		tt := raw & ttMask(n)
-		cubes := isop(tt, 0, n)
+		cubes := isop(nil, tt, 0, n)
 		return coverTT(cubes, n) == tt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -83,7 +83,7 @@ func TestQuickIsopRespectsDontCares(t *testing.T) {
 		n := int(nRaw%5) + 1
 		on := rawOn & ttMask(n)
 		dc := rawDC & ttMask(n) &^ on
-		cov := coverTT(isop(on, dc, n), n)
+		cov := coverTT(isop(nil, on, dc, n), n)
 		return cov&on == on && cov&^(on|dc) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -94,19 +94,19 @@ func TestQuickIsopRespectsDontCares(t *testing.T) {
 func TestIsopSimpleFunctions(t *testing.T) {
 	n := 2
 	and := ttVar(0, n) & ttVar(1, n)
-	cubes := isop(and, 0, n)
+	cubes := isop(nil, and, 0, n)
 	if len(cubes) != 1 || cubes[0].literals() != 2 {
 		t.Fatalf("isop(AND) = %+v", cubes)
 	}
 	or := ttVar(0, n) | ttVar(1, n)
-	cubes = isop(or, 0, n)
+	cubes = isop(nil, or, 0, n)
 	if len(cubes) != 2 {
 		t.Fatalf("isop(OR) = %+v", cubes)
 	}
-	if got := isop(0, 0, n); len(got) != 0 {
+	if got := isop(nil, 0, 0, n); len(got) != 0 {
 		t.Fatalf("isop(0) = %+v", got)
 	}
-	if coverLiterals(isop(ttMask(n), 0, n)) != 0 {
+	if coverLiterals(isop(nil, ttMask(n), 0, n)) != 0 {
 		t.Fatal("isop(1) should be the empty cube")
 	}
 }
@@ -346,7 +346,7 @@ func TestRebuildSkipsSelfCuts(t *testing.T) {
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
 		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
 	})
-	ng := rebuildSerial(g, nil, ce, 4, 2, brRewriteGain)
+	ng := rebuildSerial(g, nil, ce, 4, 2, brRewriteGain, new(shardScratch))
 	if !aig.SimEquiv(g, ng, 7, 12) {
 		t.Fatal("self-cut-only rebuild changed function")
 	}
@@ -362,11 +362,11 @@ func TestBuildCoverOneLeaf(t *testing.T) {
 	ng := aig.New("t")
 	a := ng.AddInput("a")
 	id := ttVar(0, 1)
-	if lit := buildCover(ng, isop(id, 0, 1), []aig.Lit{a}, id, 1, nil); lit != a {
+	if lit := buildCover(ng, isop(nil, id, 0, 1), []aig.Lit{a}, id, 1, nil, new(shardScratch)); lit != a {
 		t.Fatalf("identity cover = %v, want %v", lit, a)
 	}
 	neg := ttNot(id, 1) & ttMask(1)
-	if lit := buildCover(ng, isop(neg, 0, 1), []aig.Lit{a}, neg, 1, nil); lit != a.Not() {
+	if lit := buildCover(ng, isop(nil, neg, 0, 1), []aig.Lit{a}, neg, 1, nil, new(shardScratch)); lit != a.Not() {
 		t.Fatalf("complement cover = %v, want %v", lit, a.Not())
 	}
 	if ng.NumAnds() != 0 {

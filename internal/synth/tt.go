@@ -103,23 +103,25 @@ func cubeTT(c cube, n int) uint64 {
 
 // isop computes an irredundant sum-of-products cover of the incompletely
 // specified function [onset, onset|dc] over n variables using the
-// Minato-Morreale recursion. The returned cubes cover at least onset
-// and never intersect the offset.
-func isop(onset, dc uint64, n int) []cube {
+// Minato-Morreale recursion, appending the cubes to dst (callers in a
+// loop pass the previous cover's storage, resliced to empty). The
+// returned cubes cover at least onset and never intersect the offset.
+func isop(dst []cube, onset, dc uint64, n int) []cube {
 	onset &= ttMask(n)
 	dc &= ttMask(n)
-	cubes, _ := isopRec(onset, onset|dc, n, n)
-	return cubes
+	dst, _ = isopRec(dst, onset, onset|dc, n, n)
+	return dst
 }
 
-// isopRec returns (cover, coveredTT) for lower bound L and upper bound
-// U (L subset U), recursing on the top variable.
-func isopRec(L, U uint64, topVar, n int) ([]cube, uint64) {
+// isopRec appends to dst a cover for lower bound L and upper bound U
+// (L subset U), recursing on the top variable, and returns it with the
+// truth table it covers.
+func isopRec(dst []cube, L, U uint64, topVar, n int) ([]cube, uint64) {
 	if L == 0 {
-		return nil, 0
+		return dst, 0
 	}
 	if U == ttMask(n) {
-		return []cube{{}}, ttMask(n)
+		return append(dst, cube{}), ttMask(n)
 	}
 	// Find the top variable both bounds depend on.
 	v := -1
@@ -132,36 +134,33 @@ func isopRec(L, U uint64, topVar, n int) ([]cube, uint64) {
 	if v < 0 {
 		// L constant non-zero means U must be all ones, handled above;
 		// reaching here means L == 0 on the care set.
-		return []cube{{}}, ttMask(n)
+		return append(dst, cube{}), ttMask(n)
 	}
 	L0, L1 := cofactor0(L, v), cofactor1(L, v)
 	U0, U1 := cofactor0(U, v), cofactor1(U, v)
 
 	// Cubes needed only in the negative (v=0) branch.
-	c0, f0 := isopRec(L0&^U1, U0, v, n)
+	neg := len(dst)
+	dst, f0 := isopRec(dst, L0&^U1, U0, v, n)
 	// Cubes needed only in the positive branch.
-	c1, f1 := isopRec(L1&^U0, U1, v, n)
+	pos := len(dst)
+	dst, f1 := isopRec(dst, L1&^U0, U1, v, n)
 	// Remaining onset must be covered by cubes free of v.
+	free := len(dst)
 	Lnew := (L0 &^ f0) | (L1 &^ f1)
-	cs, fs := isopRec(Lnew, U0&U1, v, n)
+	dst, fs := isopRec(dst, Lnew, U0&U1, v, n)
 
-	var cover []cube
-	var result uint64
+	// The three covers already sit in dst in their final order; the
+	// branch cubes only lack their literal of v.
+	for i := neg; i < pos; i++ {
+		dst[i].neg |= 1 << uint(v)
+	}
+	for i := pos; i < free; i++ {
+		dst[i].pos |= 1 << uint(v)
+	}
 	nv := ttNot(ttVar(v, n), n)
 	pv := ttVar(v, n)
-	for _, c := range c0 {
-		c.neg |= 1 << uint(v)
-		cover = append(cover, c)
-	}
-	result |= f0 & nv
-	for _, c := range c1 {
-		c.pos |= 1 << uint(v)
-		cover = append(cover, c)
-	}
-	result |= f1 & pv
-	cover = append(cover, cs...)
-	result |= fs
-	return cover, result
+	return dst, f0&nv | f1&pv | fs
 }
 
 // coverTT returns the truth table of a cube cover.
