@@ -65,6 +65,7 @@ func main() {
 	}
 	pred, _, err := core.TrainPredictor(ds, gcn.Config{
 		Hidden1: 8, Hidden2: 6, FCHidden: 6, LR: 3e-3, Epochs: *epochs,
+		Workers: *workers,
 	}, 0.34, 7)
 	if err != nil {
 		fail(err)

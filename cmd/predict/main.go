@@ -37,7 +37,7 @@ func main() {
 	testFrac := flag.Float64("test", 0.2, "held-out design fraction")
 	seed := flag.Int64("seed", 1, "split and init seed")
 	bins := flag.Int("bins", 12, "error histogram bins")
-	workers := flag.Int("workers", 0, "bound for the per-(benchmark, recipe) flow fan-out (0 = all cores; dataset identical)")
+	workers := flag.Int("workers", 0, "bound for the per-(benchmark, recipe) flow fan-out and for predictor training (0 = all cores; output identical)")
 	flag.Parse()
 
 	lib := techlib.Default14nm()
@@ -63,6 +63,7 @@ func main() {
 	cfg := gcn.Config{
 		Hidden1: *hidden1, Hidden2: *hidden2, FCHidden: *fcHidden,
 		LR: *lr, Epochs: *epochs,
+		Workers: *workers,
 	}
 	fmt.Printf("Training per-application GCNs (%d epochs)...\n", *epochs)
 	_, eval, err := core.TrainPredictor(ds, cfg, *testFrac, *seed)

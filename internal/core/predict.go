@@ -295,17 +295,28 @@ type PredictionEval struct {
 
 // TrainPredictor trains per-application models on a design-disjoint
 // split and evaluates them on the held-out designs.
+//
+// The models train side by side on the cfg.Workers pool, the shape of
+// BuildDataset's fan-out: each has its own split, scaler, seed and
+// training arena, and the *gcn.Graph values that placement, routing and
+// STA samples share are only read (their lazy successor layout is
+// sync.Once-guarded). The kernels inside each model use the same pool
+// and run inline when the models already fill it. Results, and the
+// first error, are taken in kind order after the barrier, so the
+// predictor is identical for any worker count.
 func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (*Predictor, *PredictionEval, error) {
-	pred := &Predictor{
-		Models:  map[JobKind]*gcn.Model{},
-		Scalers: map[JobKind]*gcn.TargetScaler{},
-		VCPUs:   ds.VCPUs,
+	type trained struct {
+		model  *gcn.Model
+		scaler *gcn.TargetScaler
+		eval   *JobEval
+		err    error
 	}
-	eval := &PredictionEval{PerJob: map[JobKind]*JobEval{}}
-	for _, k := range JobKinds() {
+	kinds := JobKinds()
+	results := par.Map(par.Fixed(cfg.Workers), len(kinds), func(i int) trained {
+		k := kinds[i]
 		train, test := ds.SplitByDesign(k, testFrac, seed)
 		if len(train) == 0 {
-			return nil, nil, fmt.Errorf("core: no training samples for %v", k)
+			return trained{err: fmt.Errorf("core: no training samples for %v", k)}
 		}
 		var targets [][]float64
 		for _, s := range train {
@@ -325,10 +336,8 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 		jobCfg.Seed = seed + int64(k)
 		model := gcn.NewModel(jobCfg, netlist.FeatureDim)
 		if _, err := model.Train(samples); err != nil {
-			return nil, nil, err
+			return trained{err: err}
 		}
-		pred.Models[k] = model
-		pred.Scalers[k] = scaler
 
 		je := &JobEval{}
 		var pctSum float64
@@ -349,7 +358,23 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 		if pctN > 0 {
 			je.AvgAbsPctErr = 100 * pctSum / float64(pctN)
 		}
-		eval.PerJob[k] = je
+		return trained{model: model, scaler: scaler, eval: je}
+	})
+
+	pred := &Predictor{
+		Models:  map[JobKind]*gcn.Model{},
+		Scalers: map[JobKind]*gcn.TargetScaler{},
+		VCPUs:   ds.VCPUs,
+	}
+	eval := &PredictionEval{PerJob: map[JobKind]*JobEval{}}
+	for i, k := range kinds {
+		r := results[i]
+		if r.err != nil {
+			return nil, nil, r.err
+		}
+		pred.Models[k] = r.model
+		pred.Scalers[k] = r.scaler
+		eval.PerJob[k] = r.eval
 	}
 	return pred, eval, nil
 }

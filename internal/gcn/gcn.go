@@ -241,6 +241,67 @@ func (m *Model) params() []*mat.Dense {
 	return []*mat.Dense{m.W1, m.B1, m.W2, m.B2, m.FW, m.FBias, m.OW, m.OBias}
 }
 
+// arena is the bump allocator one Train or Predict call carves its
+// per-sample matrices from: activations, masks, temporaries and
+// gradient products. reset rewinds it for the next sample, so a
+// training run allocates a slab the size of its largest sample once
+// instead of a dozen n x hidden matrices per step — at ~200 nodes that
+// garbage, not the arithmetic, was most of the cost of training.
+//
+// It is a local of the call that owns it, never a field of Model and
+// never a sync.Pool: PredictBatch runs forward concurrently on one
+// model, so shared scratch would need a lock or per-goroutine state,
+// and a local needs neither. A nil *arena allocates every matrix
+// afresh, which is the reference the arena is tested against.
+type arena struct {
+	buf  []float64
+	off  int // floats of buf handed out since reset
+	need int // floats requested since reset, spilled ones included
+	hdr  []mat.Dense
+	nhdr int
+}
+
+// mat returns a rows x cols matrix whose contents are unspecified:
+// every caller overwrites all of it (the mat kernels zero their out,
+// aggregate zeroes its own, ReLU fills its mask). A request the slab
+// cannot hold is served from the heap for this step; reset then grows
+// the slab to what the step turned out to need.
+func (ar *arena) mat(rows, cols int) *mat.Dense {
+	if ar == nil {
+		return mat.New(rows, cols)
+	}
+	n := rows * cols
+	ar.need += n
+	var data []float64
+	if ar.off+n <= len(ar.buf) {
+		data = ar.buf[ar.off : ar.off+n : ar.off+n]
+		ar.off += n
+	} else {
+		data = make([]float64, n)
+	}
+	if ar.nhdr == len(ar.hdr) {
+		// Headers handed out stay valid in the block they came from.
+		ar.hdr = make([]mat.Dense, 2*len(ar.hdr)+32)
+		ar.nhdr = 0
+	}
+	d := &ar.hdr[ar.nhdr]
+	ar.nhdr++
+	*d = mat.Dense{Rows: rows, Cols: cols, Data: data}
+	return d
+}
+
+// reset invalidates every matrix handed out and grows the slab to what
+// the step before it needed.
+func (ar *arena) reset() {
+	if ar == nil {
+		return
+	}
+	if ar.need > len(ar.buf) {
+		ar.buf = make([]float64, ar.need)
+	}
+	ar.off, ar.need, ar.nhdr = 0, 0, 0
+}
+
 // forwardState caches activations for backprop.
 type forwardState struct {
 	g        *Graph
@@ -254,48 +315,67 @@ type forwardState struct {
 	out      *mat.Dense
 }
 
-// forward runs the network on one graph.
-func (m *Model) forward(g *Graph) *forwardState {
-	st := &forwardState{g: g}
+// forwardFloats is what forward carves from its arena for an n-node
+// graph without masks — the slab Predict allocates.
+func (m *Model) forwardFloats(n int) int {
+	c := m.Cfg
+	return n*(m.InDim+3*c.Hidden1+2*c.Hidden2) + 2*c.Hidden2 + 1 + c.FCHidden + c.Outputs
+}
+
+// forward runs the network on one graph, carving every matrix from ar.
+// With train set it also records the ReLU masks backward needs;
+// inference builds none.
+func (m *Model) forward(g *Graph, ar *arena, train bool) forwardState {
+	st := forwardState{g: g}
 	n := g.X.Rows
+	mask := func(rows, cols int) *mat.Dense {
+		if !train {
+			return nil
+		}
+		return ar.mat(rows, cols)
+	}
 
-	st.agg1 = mat.New(n, m.InDim)
+	st.agg1 = ar.mat(n, m.InDim)
 	g.aggregate(m.pool, g.X, st.agg1)
-	st.h1 = mat.MulPool(m.pool, st.agg1, m.W1, nil)
-	selfTerm := mat.MulPool(m.pool, g.X, m.B1, nil)
-	mat.AddInPlace(st.h1, selfTerm)
-	st.mask1 = mat.ReLU(st.h1)
+	st.h1 = mat.MulPool(m.pool, st.agg1, m.W1, ar.mat(n, m.Cfg.Hidden1))
+	mat.AddInPlace(st.h1, mat.MulPool(m.pool, g.X, m.B1, ar.mat(n, m.Cfg.Hidden1)))
+	st.mask1 = mask(n, m.Cfg.Hidden1)
+	mat.ReLU(st.h1, st.mask1)
 
-	st.agg2 = mat.New(n, m.Cfg.Hidden1)
+	st.agg2 = ar.mat(n, m.Cfg.Hidden1)
 	g.aggregate(m.pool, st.h1, st.agg2)
-	st.h2 = mat.MulPool(m.pool, st.agg2, m.W2, nil)
-	selfTerm2 := mat.MulPool(m.pool, st.h1, m.B2, nil)
-	mat.AddInPlace(st.h2, selfTerm2)
-	st.mask2 = mat.ReLU(st.h2)
+	st.h2 = mat.MulPool(m.pool, st.agg2, m.W2, ar.mat(n, m.Cfg.Hidden2))
+	mat.AddInPlace(st.h2, mat.MulPool(m.pool, st.h1, m.B2, ar.mat(n, m.Cfg.Hidden2)))
+	st.mask2 = mask(n, m.Cfg.Hidden2)
+	mat.ReLU(st.h2, st.mask2)
 
 	// Pooling over nodes builds the graph embedding. The embedding is
 	// normalized by node count (mean pooling keeps activations in a
 	// stable range across designs whose sizes span decades) and
 	// augmented with an explicit log-node-count feature, which is what
 	// lets the head extrapolate runtime to unseen design sizes.
-	pooledSum := mat.SumRows(st.h2)
+	pooledSum := mat.SumRows(st.h2, ar.mat(1, m.Cfg.Hidden2))
 	pooledSum.Scale(1 / float64(ints.Max(n, 1)))
-	st.pooled = mat.New(1, m.Cfg.Hidden2+1)
+	st.pooled = ar.mat(1, m.Cfg.Hidden2+1)
 	copy(st.pooled.Data, pooledSum.Data)
 	st.pooled.Data[m.Cfg.Hidden2] = math.Log1p(float64(n))
 
-	st.fc = mat.MulPool(m.pool, st.pooled, m.FW, nil)
+	st.fc = mat.MulPool(m.pool, st.pooled, m.FW, ar.mat(1, m.Cfg.FCHidden))
 	mat.AddInPlace(st.fc, m.FBias)
-	st.fcMask = mat.ReLU(st.fc)
+	st.fcMask = mask(1, m.Cfg.FCHidden)
+	mat.ReLU(st.fc, st.fcMask)
 
-	st.out = mat.MulPool(m.pool, st.fc, m.OW, nil)
+	st.out = mat.MulPool(m.pool, st.fc, m.OW, ar.mat(1, m.Cfg.Outputs))
 	mat.AddInPlace(st.out, m.OBias)
 	return st
 }
 
 // Predict returns the raw (normalized-space) model outputs for a graph.
+// Its activations come from one slab sized for the graph and dropped
+// on return.
 func (m *Model) Predict(g *Graph) []float64 {
-	st := m.forward(g)
+	ar := &arena{buf: make([]float64, m.forwardFloats(g.X.Rows))}
+	st := m.forward(g, ar, false)
 	out := make([]float64, m.Cfg.Outputs)
 	copy(out, st.out.Data)
 	return out
@@ -320,34 +400,42 @@ func (g *grads) list() []*mat.Dense {
 }
 
 // backward accumulates gradients of the squared-error loss for one
-// sample into gr and returns the sample loss.
-func (m *Model) backward(st *forwardState, target []float64, gr *grads) float64 {
+// sample into gr and returns the sample loss. Its temporaries and
+// gradient products come from ar, like the activations in st.
+func (m *Model) backward(st forwardState, target []float64, gr *grads, ar *arena) float64 {
 	// dOut = 2*(pred - target)/outputs.
 	k := float64(m.Cfg.Outputs)
-	dOut := mat.New(1, m.Cfg.Outputs)
+	dOut := ar.mat(1, m.Cfg.Outputs)
 	var loss float64
 	for j := 0; j < m.Cfg.Outputs; j++ {
 		diff := st.out.Data[j] - target[j]
 		loss += diff * diff / k
 		dOut.Data[j] = 2 * diff / k
 	}
+	// atb and abt are the two backprop products on arena storage.
+	atb := func(a, b *mat.Dense) *mat.Dense {
+		return mat.MulATBPool(m.pool, a, b, ar.mat(a.Cols, b.Cols))
+	}
+	abt := func(a, b *mat.Dense) *mat.Dense {
+		return mat.MulABTPool(m.pool, a, b, ar.mat(a.Rows, b.Rows))
+	}
 
 	// Output layer.
 	mat.AddInPlace(gr.dOBias, dOut)
-	mat.AddInPlace(gr.dOW, mat.MulATBPool(m.pool, st.fc, dOut, nil))
-	dFC := mat.MulABTPool(m.pool, dOut, m.OW, nil)
+	mat.AddInPlace(gr.dOW, atb(st.fc, dOut))
+	dFC := abt(dOut, m.OW)
 	mat.MulElem(dFC, st.fcMask)
 
 	// FC layer.
 	mat.AddInPlace(gr.dFBias, dFC)
-	mat.AddInPlace(gr.dFW, mat.MulATBPool(m.pool, st.pooled, dFC, nil))
-	dPooled := mat.MulABTPool(m.pool, dFC, m.FW, nil)
+	mat.AddInPlace(gr.dFW, atb(st.pooled, dFC))
+	dPooled := abt(dFC, m.FW)
 
 	// Pooling broadcast: every node row receives the embedding part of
 	// dPooled scaled by 1/n (the size feature is an input, not
 	// backpropagated).
 	n := st.h2.Rows
-	dH2 := mat.New(n, m.Cfg.Hidden2)
+	dH2 := ar.mat(n, m.Cfg.Hidden2)
 	inv := 1 / float64(ints.Max(n, 1))
 	for i := 0; i < n; i++ {
 		row := dH2.Row(i)
@@ -358,16 +446,16 @@ func (m *Model) backward(st *forwardState, target []float64, gr *grads) float64 
 	mat.MulElem(dH2, st.mask2)
 
 	// Layer 2: h2 = agg2*W2 + h1*B2.
-	mat.AddInPlace(gr.dW2, mat.MulATBPool(m.pool, st.agg2, dH2, nil))
-	mat.AddInPlace(gr.dB2, mat.MulATBPool(m.pool, st.h1, dH2, nil))
-	dAgg2 := mat.MulABTPool(m.pool, dH2, m.W2, nil)
-	dH1 := mat.MulABTPool(m.pool, dH2, m.B2, nil)
+	mat.AddInPlace(gr.dW2, atb(st.agg2, dH2))
+	mat.AddInPlace(gr.dB2, atb(st.h1, dH2))
+	dAgg2 := abt(dH2, m.W2)
+	dH1 := abt(dH2, m.B2)
 	st.g.aggregateBack(m.pool, dAgg2, dH1)
 	mat.MulElem(dH1, st.mask1)
 
 	// Layer 1: h1 = agg1*W1 + X*B1.
-	mat.AddInPlace(gr.dW1, mat.MulATBPool(m.pool, st.agg1, dH1, nil))
-	mat.AddInPlace(gr.dB1, mat.MulATBPool(m.pool, st.g.X, dH1, nil))
+	mat.AddInPlace(gr.dW1, atb(st.agg1, dH1))
+	mat.AddInPlace(gr.dB1, atb(st.g.X, dH1))
 	// No gradient past the input features.
 	return loss
 }
@@ -387,8 +475,15 @@ type TrainStats struct {
 }
 
 // Train fits the model to the samples with per-sample (stochastic)
-// Adam updates, shuffling each epoch.
+// Adam updates, shuffling each epoch. The run owns one arena, rewound
+// per step, and one gradient set, zeroed per step; what a step
+// allocates does not grow with the graph.
 func (m *Model) Train(samples []Sample) (TrainStats, error) {
+	return m.train(samples, &arena{})
+}
+
+// train is Train on the given arena; nil allocates every matrix afresh.
+func (m *Model) train(samples []Sample, ar *arena) (TrainStats, error) {
 	if len(samples) == 0 {
 		return TrainStats{}, fmt.Errorf("gcn: no training samples")
 	}
@@ -408,15 +503,20 @@ func (m *Model) Train(samples []Sample) (TrainStats, error) {
 		order[i] = i
 	}
 	stats := TrainStats{Epochs: m.Cfg.Epochs}
+	gr := m.newGrads()
+	params, gradList := m.params(), gr.list()
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		for _, idx := range order {
 			s := samples[idx]
-			st := m.forward(s.G)
-			gr := m.newGrads()
-			epochLoss += m.backward(st, s.Targets, gr)
-			m.adam.step(m.params(), gr.list(), m.Cfg.LR)
+			ar.reset()
+			for _, g := range gradList {
+				g.Zero()
+			}
+			st := m.forward(s.G, ar, true)
+			epochLoss += m.backward(st, s.Targets, gr, ar)
+			m.adam.step(params, gradList, m.Cfg.LR)
 		}
 		epochLoss /= float64(len(samples))
 		stats.LossCurve = append(stats.LossCurve, epochLoss)

@@ -96,7 +96,7 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	target := []float64{0.3, -0.7}
 
 	lossAt := func() float64 {
-		st := m.forward(g)
+		st := m.forward(g, nil, true)
 		var l float64
 		for j, v := range st.out.Data {
 			d := v - target[j]
@@ -106,8 +106,8 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	}
 
 	gr := m.newGrads()
-	st := m.forward(g)
-	m.backward(st, target, gr)
+	st := m.forward(g, nil, true)
+	m.backward(st, target, gr, nil)
 
 	check := func(name string, p, dp *mat.Dense) {
 		const eps = 1e-6

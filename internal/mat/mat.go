@@ -1,7 +1,25 @@
 // Package mat provides the dense float64 matrix kernels underlying the
-// GCN runtime predictor: row-major storage, cache-blocked
-// multiplication, transposed-operand products for backpropagation, and
-// elementwise helpers.
+// GCN runtime predictor: row-major storage, multiplication,
+// transposed-operand products for backpropagation, and elementwise
+// helpers.
+//
+// # Kernels
+//
+// The three products are register-blocked, not reassociated. Mul and
+// MulATB gather the non-zero coefficients of up to gatherWidth
+// consecutive terms of an out row into a stack buffer and then add four
+// scaled b rows per pass over the out row, so out is loaded and stored
+// once per four terms instead of once per term; MulATB also walks its
+// operands in tiles of gatherWidth rows, so the b tile every out row
+// reads stays in L1. MulABT runs four dot products at a time.
+//
+// The contract all of them keep, and kernels_ref_test.go checks bit for
+// bit against the plain triple loops: every out element receives its
+// terms one at a time, in ascending order of the summed index, each
+// product rounded before it is added; and a zero coefficient of a (in
+// Mul and MulATB) is skipped, never multiplied, so an Inf or NaN in b
+// under a zero stays ignored. Loop nests, blocking and the worker count
+// are free; the order of terms per element is not.
 package mat
 
 import (
@@ -115,21 +133,65 @@ func MulPool(p *par.Pool, a, b, out *Dense) *Dense {
 	return out
 }
 
-// mulRows computes rows [lo, hi) of out = a * b in ikj order: streams
-// b rows, accumulates into out rows.
+// gatherWidth is how many consecutive terms of an out row the Mul and
+// MulATB kernels gather before applying them, and the height of
+// MulATB's row tiles.
+const gatherWidth = 64
+
+// terms is the gather buffer: the non-zero coefficients of one segment
+// of an out row's sum, in ascending order, each with the row of b it
+// scales. It lives on the kernel's stack.
+type terms struct {
+	n    int
+	coef [gatherWidth]float64
+	row  [gatherWidth]int32
+}
+
+// addTo adds coef[t] * b.Row(row[t]) to o for t = 0..n-1: four rows per
+// pass, each element still taking its terms one by one in that order.
+func (ts *terms) addTo(o []float64, b *Dense) {
+	t := 0
+	for ; t+4 <= ts.n; t += 4 {
+		c0, c1, c2, c3 := ts.coef[t], ts.coef[t+1], ts.coef[t+2], ts.coef[t+3]
+		// Pre-cut to len(o): the inner loop carries no bounds check.
+		b0 := b.Row(int(ts.row[t]))[:len(o)]
+		b1 := b.Row(int(ts.row[t+1]))[:len(o)]
+		b2 := b.Row(int(ts.row[t+2]))[:len(o)]
+		b3 := b.Row(int(ts.row[t+3]))[:len(o)]
+		for j, v := range o {
+			v += c0 * b0[j]
+			v += c1 * b1[j]
+			v += c2 * b2[j]
+			v += c3 * b3[j]
+			o[j] = v
+		}
+	}
+	for ; t < ts.n; t++ {
+		c := ts.coef[t]
+		bRow := b.Row(int(ts.row[t]))[:len(o)]
+		for j := range o {
+			o[j] += c * bRow[j]
+		}
+	}
+}
+
+// mulRows computes rows [lo, hi) of out = a * b: out row i is the sum
+// over k, ascending, of a[i][k] * b row k, zero a[i][k] skipped.
 func mulRows(a, b, out *Dense, lo, hi int) {
+	var ts terms
 	for i := lo; i < hi; i++ {
 		oRow := out.Row(i)
 		aRow := a.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := aRow[k]
-			if aik == 0 {
-				continue
+		for k0 := 0; k0 < len(aRow); k0 += gatherWidth {
+			ts.n = 0
+			for k, aik := range aRow[k0:min(k0+gatherWidth, len(aRow))] {
+				if aik == 0 {
+					continue
+				}
+				ts.coef[ts.n], ts.row[ts.n] = aik, int32(k0+k)
+				ts.n++
 			}
-			bRow := b.Row(k)
-			for j := range oRow {
-				oRow[j] += aik * bRow[j]
-			}
+			ts.addTo(oRow, b)
 		}
 	}
 }
@@ -157,20 +219,26 @@ func MulATBPool(p *par.Pool, a, b, out *Dense) *Dense {
 	return out
 }
 
-// mulATBRows computes rows [lo, hi) of out = aᵀ * b: out row i gathers
-// column i of a against the rows of b, ascending over a's rows.
+// mulATBRows computes rows [lo, hi) of out = aᵀ * b: out row i is the
+// sum over r, ascending, of a[r][i] * b row r, zero a[r][i] skipped.
+// The tile loop is outermost so that every out row reads the same
+// gatherWidth rows of b before the kernel moves on; each out row still
+// meets its tiles, and so its terms, in ascending order.
 func mulATBRows(a, b, out *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		oRow := out.Row(i)
-		for r := 0; r < a.Rows; r++ {
-			av := a.Data[r*a.Cols+i]
-			if av == 0 {
-				continue
+	var ts terms
+	for r0 := 0; r0 < a.Rows; r0 += gatherWidth {
+		r1 := min(r0+gatherWidth, a.Rows)
+		for i := lo; i < hi; i++ {
+			ts.n = 0
+			for r := r0; r < r1; r++ {
+				av := a.Data[r*a.Cols+i]
+				if av == 0 {
+					continue
+				}
+				ts.coef[ts.n], ts.row[ts.n] = av, int32(r)
+				ts.n++
 			}
-			bRow := b.Row(r)
-			for j, bv := range bRow {
-				oRow[j] += av * bv
-			}
+			ts.addTo(out.Row(i), b)
 		}
 	}
 }
@@ -197,13 +265,30 @@ func MulABTPool(p *par.Pool, a, b, out *Dense) *Dense {
 	return out
 }
 
-// mulABTRows computes rows [lo, hi) of out = a * bᵀ.
+// mulABTRows computes rows [lo, hi) of out = a * bᵀ, four dot products
+// at a time: four independent accumulators, each summing its own
+// products in ascending k from zero.
 func mulABTRows(a, b, out *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		aRow := a.Row(i)
 		oRow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			bRow := b.Row(j)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Row(j)[:len(aRow)]
+			b1 := b.Row(j + 1)[:len(aRow)]
+			b2 := b.Row(j + 2)[:len(aRow)]
+			b3 := b.Row(j + 3)[:len(aRow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range aRow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			oRow[j], oRow[j+1], oRow[j+2], oRow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			bRow := b.Row(j)[:len(aRow)]
 			var acc float64
 			for k, av := range aRow {
 				acc += av * bRow[k]
@@ -241,18 +326,29 @@ func (m *Dense) Scale(s float64) {
 	}
 }
 
-// ReLU applies max(0, x) in place and returns a mask matrix with 1
-// where the activation passed through (for backprop).
-func ReLU(m *Dense) *Dense {
-	mask := New(m.Rows, m.Cols)
+// ReLU applies max(0, x) in place. A non-nil mask, of m's shape, is
+// filled with 1 where the activation passed through and 0 elsewhere
+// (for backprop); inference passes nil.
+func ReLU(m, mask *Dense) {
+	if mask == nil {
+		for i, v := range m.Data {
+			if !(v > 0) {
+				m.Data[i] = 0
+			}
+		}
+		return
+	}
+	if mask.Rows != m.Rows || mask.Cols != m.Cols {
+		panic("mat: ReLU mask shape mismatch")
+	}
 	for i, v := range m.Data {
 		if v > 0 {
 			mask.Data[i] = 1
 		} else {
+			mask.Data[i] = 0
 			m.Data[i] = 0
 		}
 	}
-	return mask
 }
 
 // MulElem computes a *= b elementwise (used with ReLU masks).
@@ -265,10 +361,10 @@ func MulElem(a, b *Dense) {
 	}
 }
 
-// SumRows returns the column-wise sum as a 1 x Cols matrix
-// (sum-pooling over graph nodes).
-func SumRows(m *Dense) *Dense {
-	out := New(1, m.Cols)
+// SumRows computes the column-wise sum as a 1 x Cols matrix
+// (sum-pooling over graph nodes), allocating out when nil is passed.
+func SumRows(m, out *Dense) *Dense {
+	out = prep(out, 1, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {

@@ -131,18 +131,24 @@ func TestQuickTransposedProducts(t *testing.T) {
 
 func TestReLUAndMask(t *testing.T) {
 	m := FromRows([][]float64{{-1, 2}, {0, -3}})
-	mask := ReLU(m)
+	mask := FromRows([][]float64{{7, 7}, {7, 7}}) // dirty: ReLU must write every element
+	ReLU(m, mask)
 	if m.At(0, 0) != 0 || m.At(0, 1) != 2 || m.At(1, 1) != 0 {
 		t.Fatalf("ReLU result: %+v", m.Data)
 	}
-	if mask.At(0, 1) != 1 || mask.At(0, 0) != 0 {
+	if mask.At(0, 1) != 1 || mask.At(0, 0) != 0 || mask.At(1, 0) != 0 || mask.At(1, 1) != 0 {
 		t.Fatalf("mask: %+v", mask.Data)
+	}
+	n := FromRows([][]float64{{-1, 2}, {math.NaN(), -3}})
+	ReLU(n, nil)
+	if n.At(0, 0) != 0 || n.At(0, 1) != 2 || n.At(1, 0) != 0 || n.At(1, 1) != 0 {
+		t.Fatalf("ReLU without a mask: %+v", n.Data)
 	}
 }
 
 func TestSumRowsAndScale(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	s := SumRows(m)
+	s := SumRows(m, nil)
 	if s.At(0, 0) != 9 || s.At(0, 1) != 12 {
 		t.Fatalf("SumRows: %+v", s.Data)
 	}
