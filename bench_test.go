@@ -364,17 +364,20 @@ func BenchmarkAblationCacheConfig(b *testing.B) {
 			fmt.Printf("\nAblation cache: miss %% under growing LLC (slices of a %d-cell design)\n", estCells)
 			fmt.Printf("%-10s", "slices")
 		}
-		for _, slices := range []int{1, 2, 4, 8, 16} {
-			probeP := core.NewJobProbe(slices, estCells)
-			if _, _, err := place.Place(sres.Netlist, place.Options{StageConfig: par.StageConfig{Probe: probeP}}); err != nil {
-				b.Fatal(err)
-			}
-			cp := probeP.Counters()
-			probeR := core.NewJobProbe(slices, estCells)
-			if _, _, err := route.Route(sres.Netlist, pl, route.Options{StageConfig: par.StageConfig{Probe: probeR}}); err != nil {
-				b.Fatal(err)
-			}
-			cr := probeR.Counters()
+		// One run of each engine; the probe models all five LLC sizes.
+		sizes := []int{1, 2, 4, 8, 16}
+		probeP := flow.NewSweepProbe(estCells, sizes...)
+		_, reportP, err := place.Place(sres.Netlist, place.Options{StageConfig: par.StageConfig{Probe: probeP}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		probeR := flow.NewSweepProbe(estCells, sizes...)
+		_, reportR, err := route.Route(sres.Netlist, pl, route.Options{StageConfig: par.StageConfig{Probe: probeR}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, slices := range sizes {
+			cp, cr := probeP.ReportFor(reportP, slices).Total(), probeR.ReportFor(reportR, slices).Total()
 			if i == 0 {
 				fmt.Printf("  %dx: place %.0f%% route %.0f%%", slices, cp.CacheMissPct(), cr.CacheMissPct())
 			}
@@ -570,11 +573,12 @@ func BenchmarkParSpeedupGCNTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkParSpeedupCharacterize measures the per-VM-config
-// characterization sweep — the paper's cloud fan-out — at 1 worker vs
-// the full pool. Profiles are identical in both runs (see core's
-// determinism test); target >=2x on 4+ cores (the sweep has 4
-// independent configurations).
+// BenchmarkParSpeedupCharacterize measures one characterization at 1
+// worker vs the full pool. Since one flow run profiles all four VM
+// configurations there is no per-configuration fan-out left to spread:
+// only the kernel pools inside the flow scale, so expect the ratio of a
+// single instrumented flow (about 1.3 busy cores), not 4x. Profiles are
+// identical in both runs (see core's determinism test).
 func BenchmarkParSpeedupCharacterize(b *testing.B) {
 	run := func(workers int) time.Duration {
 		start := time.Now()

@@ -25,7 +25,7 @@ func main() {
 	design := flag.String("design", "sparc_core", "evaluation design for Fig. 2 (dyn_node..sparc_core)")
 	scale := flag.Float64("scale", 0.03, "design scale factor (1 = full size; keep small for quick runs)")
 	figure := flag.String("figure", "all", "which figure to regenerate: 2a, 2b, 2c, 2d, 2 (all of 2a-2d), 3, or all")
-	workers := flag.Int("workers", 0, "bound for the per-VM-config fan-out and kernel pools (0 = all cores; results identical)")
+	workers := flag.Int("workers", 0, "bound for the kernel pools of the one flow run that profiles every VM config (0 = all cores; results identical)")
 	flag.Parse()
 
 	lib := techlib.Default14nm()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"edacloud/internal/aig"
 	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
@@ -20,7 +21,7 @@ import (
 type CharacterizeOptions struct {
 	// Scale shrinks the generated designs so characterization completes
 	// in seconds; 0 means 0.05. The cache hierarchy is sized to the
-	// design (see newProbe) so that working-set-to-cache ratios
+	// design (flow.NewSweepProbe) so that working-set-to-cache ratios
 	// — the quantity behind the paper's Fig. 2b — are preserved, and
 	// runtimes are extrapolated back through Machine.WorkScale.
 	Scale float64
@@ -33,9 +34,8 @@ type CharacterizeOptions struct {
 	Background []cloud.CGroup
 	// Host is the physical machine; zero means the paper's 14-core Xeon.
 	Host cloud.Host
-	// Workers bounds both the fan-out of per-VM-config profiling runs
-	// across real cores — the paper's cloud-instance fan-out — and the
-	// worker pools inside each flow's kernels, so Workers: 1 is a true
+	// Workers bounds the worker pools inside the flow's kernels — there
+	// is one flow run, whatever VCPUs lists — so Workers: 1 is a true
 	// serial baseline; 0 means GOMAXPROCS. Results are identical for
 	// every value.
 	Workers int
@@ -58,13 +58,6 @@ func (o CharacterizeOptions) withDefaults() CharacterizeOptions {
 		o.Host = cloud.DefaultHost()
 	}
 	return o
-}
-
-// NewJobProbe builds the per-job instrumentation for a VM of the given
-// vCPU count profiling a design of roughly estCells instances; see
-// flow.NewJobProbe for the sizing rationale.
-func NewJobProbe(vcpus, estCells int) *perf.Probe {
-	return flow.NewJobProbe(vcpus, estCells)
 }
 
 // EstimateCells predicts mapped instance count from AIG size (the
@@ -134,9 +127,32 @@ func machineFor(vcpus int, avx bool, interference, workScale float64) perf.Machi
 	return m
 }
 
+// sweepFlow runs the flow once under probes that model a VM of every
+// size in vcpus (flow.NewSweepProbe) and returns the run and a reader
+// of a stage's report as a VM of one of those sizes profiles it.
+func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers int, vcpus []int) (*flow.RunContext, func(JobKind, int) *perf.Report, error) {
+	probes := map[JobKind]*perf.Probe{}
+	estCells := EstimateCells(g.NumAnds())
+	rc, err := flow.NewPipeline(
+		flow.WithRecipe(recipe),
+		flow.WithWorkers(workers),
+		flow.WithNewProbe(func(k JobKind) *perf.Probe {
+			probes[k] = flow.NewSweepProbe(estCells, vcpus...)
+			return probes[k]
+		}),
+	).Run(g, lib)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rc, func(k JobKind, v int) *perf.Report { return probes[k].ReportFor(rc.Reports[k], v) }, nil
+}
+
 // CharacterizeEval profiles all four jobs of a named evaluation design
 // under every configured vCPU count — the experiment behind the
-// paper's Fig. 2a-d.
+// paper's Fig. 2a-d. The paper ran each configuration on an instance
+// of its own, as real hardware demands; here a configuration is an LLC
+// capacity, so the flow runs once with a model of each (≈ 15 % more wall
+// than one plain run, a third of the CPU of a run per configuration).
 func CharacterizeEval(lib *techlib.Library, designName string, opts CharacterizeOptions) (*DesignCharacterization, error) {
 	opts = opts.withDefaults()
 	g, err := designs.EvalDesign(designName, opts.Scale)
@@ -147,84 +163,51 @@ func CharacterizeEval(lib *techlib.Library, designName string, opts Characterize
 	if err != nil {
 		return nil, err
 	}
-
-	out := &DesignCharacterization{Design: designName, VCPUs: opts.VCPUs}
-	baseSeconds := make([]float64, len(JobKinds()))
-	estCells := EstimateCells(g.NumAnds())
-
-	// Fan the per-VM-config profiling runs out across real cores — the
-	// paper ran each configuration as its own cloud instance, and the
-	// runs share nothing: each profiles its own clone of the design
-	// (the AIG memoizes levels/fanouts lazily) through its own pipeline
-	// with its own probes. All cross-config arithmetic (speedups vs the
-	// 1-vCPU base) happens after the barrier, in configuration order,
-	// so results are identical for any worker count.
-	type cfgRun struct {
-		rc           *flow.RunContext
-		interference float64
-		err          error
+	// Row 0 is the 1-vCPU run every speedup is against; it is profiled
+	// whether or not the options list it and emits no profile itself.
+	rows := append([]int{1}, opts.VCPUs...)
+	rc, reportAt, err := sweepFlow(g, lib, opts.Recipe, opts.Workers, rows)
+	if err != nil {
+		return nil, err
 	}
-	pool := par.Fixed(opts.Workers)
-	runs := par.Map(pool, len(opts.VCPUs), func(vi int) cfgRun {
-		vcpus := opts.VCPUs[vi]
-		p := flow.NewPipeline(
-			flow.WithRecipe(opts.Recipe),
-			flow.WithWorkers(opts.Workers),
-			flow.WithNewProbe(func(JobKind) *perf.Probe {
-				return NewJobProbe(vcpus, estCells)
-			}),
-		)
-		rc, err := p.Run(g.Clone(), lib)
+	out := &DesignCharacterization{Design: designName, VCPUs: opts.VCPUs, Cells: rc.Netlist.NumCells()}
+	out.WorkScale = workScaleFor(spec.TargetInstances, out.Cells)
+	base := make([]float64, len(JobKinds()))
+	for vi, v := range rows {
+		interference, err := opts.Host.Interference(float64(v), opts.Background)
 		if err != nil {
-			return cfgRun{err: err}
+			return nil, err
 		}
-		interference, err := opts.Host.Interference(float64(vcpus), opts.Background)
-		return cfgRun{rc: rc, interference: interference, err: err}
-	})
-
-	for vi, vcpus := range opts.VCPUs {
-		run := runs[vi]
-		if run.err != nil {
-			return nil, run.err
-		}
-		if out.Cells == 0 {
-			out.Cells = run.rc.Netlist.NumCells()
-			out.WorkScale = workScaleFor(spec.TargetInstances, out.Cells)
-		}
-		workScale := out.WorkScale
-
 		var row []JobProfile
 		for _, k := range JobKinds() {
-			report := run.rc.Reports[k]
+			report := reportAt(k, v)
 			c := report.Total()
-			m := machineFor(vcpus, true, run.interference, workScale)
-			secs := m.Seconds(report)
-			p := JobProfile{
+			secs := machineFor(v, true, interference, out.WorkScale).Seconds(report)
+			if vi == 0 {
+				base[k] = secs
+			}
+			row = append(row, JobProfile{
 				Kind:          k,
-				VCPUs:         vcpus,
+				VCPUs:         v,
 				Report:        report,
 				Counters:      c,
 				Seconds:       secs,
+				Speedup:       base[k] / secs,
 				BranchMissPct: c.BranchMissPct(),
 				CacheMissPct:  c.CacheMissPct(),
 				FPVectorPct:   c.FPVectorPct(),
-			}
-			if vcpus == opts.VCPUs[0] && opts.VCPUs[0] == 1 {
-				baseSeconds[int(k)] = secs
-			}
-			if baseSeconds[int(k)] > 0 {
-				p.Speedup = baseSeconds[int(k)] / secs
-			}
-			row = append(row, p)
+			})
 		}
-		out.Profiles = append(out.Profiles, row)
+		if vi > 0 {
+			out.Profiles = append(out.Profiles, row)
+		}
 	}
 	return out, nil
 }
 
 // RoutingSpeedupCurve measures routing speedup across 1..maxVCPUs for
-// one design — one line of the paper's Fig. 3. Synthesis and placement
-// run once; only routing is re-profiled per configuration.
+// one design — one line of the paper's Fig. 3. Synthesis, placement
+// and routing each run once; routing's probe models every size.
 func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, opts CharacterizeOptions) ([]float64, error) {
 	opts = opts.withDefaults()
 	g, err := designs.EvalDesign(designName, opts.Scale)
@@ -239,39 +222,27 @@ func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, 
 	if err != nil {
 		return nil, err
 	}
-	// Each vCPU configuration re-profiles routing independently against
-	// the shared (read-only) netlist and placement, so the sweep fans
-	// out across real cores like the characterization runs do.
-	type curvePoint struct {
-		secs float64
-		err  error
+	vcpus := make([]int, maxVCPUs)
+	for vi := range vcpus {
+		vcpus[vi] = vi + 1
 	}
-	estCells := sres.Netlist.NumCells()
-	pool := par.Fixed(opts.Workers)
-	points := par.Map(pool, maxVCPUs, func(vi int) curvePoint {
-		v := vi + 1
-		probe := NewJobProbe(v, estCells)
-		_, report, err := route.Route(sres.Netlist, pl, route.Options{StageConfig: par.StageConfig{Probe: probe}})
-		if err != nil {
-			return curvePoint{err: err}
-		}
-		interference, err := opts.Host.Interference(float64(v), opts.Background)
-		if err != nil {
-			return curvePoint{err: err}
-		}
-		m := machineFor(v, true, interference, 1)
-		return curvePoint{secs: m.Seconds(report)}
-	})
+	probe := flow.NewSweepProbe(sres.Netlist.NumCells(), vcpus...)
+	_, report, err := route.Route(sres.Netlist, pl, route.Options{StageConfig: par.StageConfig{Probe: probe}})
+	if err != nil {
+		return nil, err
+	}
 	curve := make([]float64, maxVCPUs)
 	var base float64
-	for vi, pt := range points {
-		if pt.err != nil {
-			return nil, pt.err
+	for vi, v := range vcpus {
+		interference, err := opts.Host.Interference(float64(v), opts.Background)
+		if err != nil {
+			return nil, err
 		}
+		secs := machineFor(v, true, interference, 1).Seconds(probe.ReportFor(report, v))
 		if vi == 0 {
-			base = pt.secs
+			base = secs
 		}
-		curve[vi] = base / pt.secs
+		curve[vi] = base / secs
 	}
 	return curve, nil
 }

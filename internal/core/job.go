@@ -5,7 +5,7 @@
 // multi-choice knapsack solver so deadlines are met at minimum cost.
 //
 // Flow execution itself lives in internal/flow (Stage/Pipeline/
-// Scheduler); this package keeps the JobKind aliases and NewJobProbe
+// Scheduler); this package keeps the JobKind aliases
 // and layers the characterization, prediction and optimization
 // experiments on top.
 package core

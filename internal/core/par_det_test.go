@@ -8,8 +8,8 @@ import (
 	"edacloud/internal/synth"
 )
 
-// TestCharacterizeDeterministicAcrossWorkers: fanning the per-VM-config
-// profiling runs out across cores must reproduce the serial sweep
+// TestCharacterizeDeterministicAcrossWorkers: the kernel pools inside
+// the characterization's flow run must reproduce the one-worker run
 // exactly — runtimes, counters and derived percentages.
 func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *DesignCharacterization {

@@ -8,11 +8,9 @@ import (
 
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
-	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
-	"edacloud/internal/perf"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
@@ -89,18 +87,17 @@ func (d *Dataset) NumLabels() int {
 	return n
 }
 
-// BuildDataset synthesizes every benchmark under every recipe, runs
-// the full flow under every vCPU configuration, and collects graphs
-// plus runtime labels. Synthesis samples use the AIG graph (the paper
+// BuildDataset synthesizes every benchmark under every recipe, profiles
+// the full flow for every vCPU configuration, and collects graphs plus
+// runtime labels. Synthesis samples use the AIG graph (the paper
 // runs the synthesis predictor on the AIG); placement, routing and STA
 // samples use the mapped netlist's star graph.
 //
-// The per-(benchmark, recipe) flow runs fan out across real cores with
-// the same shape as CharacterizeEval's per-VM-config sweep: the units
-// share nothing (each regenerates its benchmark and runs its own
-// pipelines with its own probes) and the dataset is assembled after
-// the barrier in benchmark-then-recipe order, so it is identical for
-// any worker count.
+// The per-(benchmark, recipe) units fan out across real cores: they
+// share nothing (each clones its benchmark and runs the flow once, under
+// its own probes that model every vCPU configuration — see sweepFlow)
+// and the dataset is assembled after the barrier in benchmark-then-
+// recipe order, so it is identical for any worker count.
 func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 	opts = opts.withDefaults()
 	ds := &Dataset{
@@ -143,29 +140,19 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 		if ri == 0 {
 			out.inputAIG = gcn.FromStarGraph(netlist.AIGGraph(g))
 		}
-		estCells := EstimateCells(g.NumAnds())
+		rc, reportAt, err := sweepFlow(g, lib, recipe, opts.Workers, opts.VCPUs)
+		if err != nil {
+			return unitOut{err: fmt.Errorf("core: dataset %s/%s: %w", bench, recipe.Name, err)}
+		}
+		out.nlGraph = gcn.FromStarGraph(rc.Netlist.StarGraph())
 		for _, v := range opts.VCPUs {
-			p := flow.NewPipeline(
-				flow.WithRecipe(recipe),
-				flow.WithWorkers(opts.Workers),
-				flow.WithNewProbe(func(JobKind) *perf.Probe {
-					return NewJobProbe(v, estCells)
-				}),
-			)
-			rc, err := p.Run(g, lib)
-			if err != nil {
-				return unitOut{err: fmt.Errorf("core: dataset %s/%s: %w", bench, recipe.Name, err)}
-			}
-			if out.nlGraph == nil {
-				out.nlGraph = gcn.FromStarGraph(rc.Netlist.StarGraph())
-			}
 			// Labels are extrapolated to full-flow magnitudes with a
 			// fixed factor; relative (percentage) prediction errors
 			// are invariant to it, but log-space training and the
 			// Fig. 5 histogram operate on paper-like seconds.
 			m := machineFor(v, true, 0, datasetWorkScale)
 			for _, k := range JobKinds() {
-				out.runtimes[k] = append(out.runtimes[k], m.Seconds(rc.Reports[k]))
+				out.runtimes[k] = append(out.runtimes[k], m.Seconds(reportAt(k, v)))
 			}
 		}
 		return out

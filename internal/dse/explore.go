@@ -29,6 +29,7 @@ import (
 	"edacloud/internal/gcn"
 	"edacloud/internal/mckp"
 	"edacloud/internal/netlist"
+	"edacloud/internal/par"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
@@ -208,6 +209,9 @@ type explorer struct {
 	// recipe name): the planning-side effort treated as free, as in the
 	// paper's offline characterization.
 	chars map[string]*core.DesignCharacterization
+	// preds memoizes every stage's predicted seconds per distinct trial
+	// netlist (by content hash): a session's trials share a handful.
+	preds map[uint64]map[flow.JobKind][]float64
 }
 
 // Explore runs the search. The result is a pure function of the
@@ -232,6 +236,7 @@ func Explore(cfg Config) (*Result, error) {
 		res:          &Result{},
 		synthSeconds: synthPred,
 		chars:        map[string]*core.DesignCharacterization{},
+		preds:        map[uint64]map[flow.JobKind][]float64{},
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.BudgetUSD > 0 && e.res.SpentUSD >= cfg.BudgetUSD {
@@ -342,19 +347,23 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 	}
 	e.res.SpentUSD += run.TotalCostUSD
 
-	graphs := make([]*gcn.Graph, len(trials))
+	// Predict the downstream stages once per netlist not seen before
+	// (predictions are per-graph independent, so batching only the new
+	// ones moves no number); synthesis uses the input-AIG prediction.
+	var fresh []uint64
+	var graphs []*gcn.Graph
 	for i := range trials {
 		jr := run.Jobs[i]
 		if jr.Err != nil {
 			return fmt.Errorf("dse: cheap rung %s: %w", jr.Name, jr.Err)
 		}
 		trials[i].Cheap.QoR = float64(jr.Run.Netlist.NumCells())
-		graphs[i] = gcn.FromStarGraph(jr.Run.Netlist.StarGraph())
+		if id := jr.Run.NetlistHash(); e.preds[id] == nil {
+			e.preds[id] = map[flow.JobKind][]float64{flow.JobSynthesis: e.synthSeconds}
+			fresh = append(fresh, id)
+			graphs = append(graphs, gcn.FromStarGraph(jr.Run.Netlist.StarGraph()))
+		}
 	}
-
-	// Predict the downstream stages per trial netlist; synthesis uses
-	// the shared input-AIG prediction.
-	pred := map[flow.JobKind][][]float64{}
 	for _, k := range core.JobKinds() {
 		if k == flow.JobSynthesis {
 			continue
@@ -363,15 +372,12 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 		if err != nil {
 			return err
 		}
-		pred[k] = p
+		for i, id := range fresh {
+			e.preds[id][k] = p[i]
+		}
 	}
 	for i, t := range trials {
-		classes, err := e.predictedClasses(func(k flow.JobKind) []float64 {
-			if k == flow.JobSynthesis {
-				return e.synthSeconds
-			}
-			return pred[k][i]
-		})
+		classes, err := e.predictedClasses(e.preds[run.Jobs[i].Run.NetlistHash()])
 		if err != nil {
 			return err
 		}
@@ -395,10 +401,10 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 // predictor's vCPU grid. Predictions are floored at one second — the
 // GCN extrapolates and must not emit non-positive runtimes into a DP
 // over integral seconds.
-func (e *explorer) predictedClasses(secondsFor func(flow.JobKind) []float64) ([]mckp.Class, error) {
+func (e *explorer) predictedClasses(seconds map[flow.JobKind][]float64) ([]mckp.Class, error) {
 	var classes []mckp.Class
 	for _, k := range core.JobKinds() {
-		secs := secondsFor(k)
+		secs := seconds[k]
 		cl := mckp.Class{Name: k.String()}
 		fam := core.RecommendedFamily(k)
 		for vi, v := range e.cfg.Predictor.VCPUs {
@@ -421,22 +427,34 @@ func (e *explorer) predictedClasses(secondsFor func(flow.JobKind) []float64) ([]
 	return classes, nil
 }
 
-// charFor characterizes the design under one recipe, memoized by the
-// canonical recipe name.
-func (e *explorer) charFor(recipe synth.Recipe) (*core.DesignCharacterization, error) {
-	if c, ok := e.chars[recipe.Name]; ok {
-		return c, nil
+// characterize fills e.chars for the trials' recipes no earlier round
+// saw. One characterization keeps little more than one core busy, so
+// the new ones run side by side on the Workers pool; memo and first
+// error are taken after the barrier in first-appearance order.
+func (e *explorer) characterize(trials []*Trial) error {
+	var fresh []synth.Recipe
+	for _, t := range trials {
+		if _, seen := e.chars[t.Recipe.Name]; !seen {
+			e.chars[t.Recipe.Name] = nil // filled after the barrier
+			fresh = append(fresh, t.Recipe)
+		}
 	}
-	c, err := core.CharacterizeEval(e.cfg.Lib, e.cfg.Design, core.CharacterizeOptions{
-		Scale:   e.cfg.Scale,
-		Recipe:  recipe,
-		Workers: e.cfg.Workers,
+	errs := make([]error, len(fresh))
+	chars := par.Map(par.Fixed(e.cfg.Workers), len(fresh), func(i int) (c *core.DesignCharacterization) {
+		c, errs[i] = core.CharacterizeEval(e.cfg.Lib, e.cfg.Design, core.CharacterizeOptions{
+			Scale:   e.cfg.Scale,
+			Recipe:  fresh[i],
+			Workers: e.cfg.Workers,
+		})
+		return c
 	})
-	if err != nil {
-		return nil, err
+	for i, r := range fresh {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		e.chars[r.Name] = chars[i]
 	}
-	e.chars[recipe.Name] = c
-	return c, nil
+	return nil
 }
 
 // fullRung fully evaluates the promoted trials as one co-optimized
@@ -451,12 +469,12 @@ func (e *explorer) fullRung(round int, trials []*Trial) error {
 	if len(trials) == 0 {
 		return nil
 	}
+	if err := e.characterize(trials); err != nil {
+		return err
+	}
 	specs := make([]core.BatchJobSpec, len(trials))
 	for i, t := range trials {
-		char, err := e.charFor(t.Recipe)
-		if err != nil {
-			return err
-		}
+		char := e.chars[t.Recipe.Name]
 		prob, err := core.BuildDeploymentProblem(char, e.cfg.Catalog)
 		if err != nil {
 			return err

@@ -31,19 +31,7 @@ type Cache struct {
 // realizable geometry. NewCache panics on non-positive geometry, a
 // non-power-of-two line size, or fewer than ways*lineBytes bytes.
 func NewCache(sizeBytes, ways, lineBytes int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
-		panic("perf: non-positive cache geometry")
-	}
-	if ways > 255 {
-		panic("perf: associativity too large")
-	}
-	sets := sizeBytes / lineBytes / ways
-	if sets == 0 {
-		panic("perf: cache smaller than one set")
-	}
-	for sets&(sets-1) != 0 {
-		sets &= sets - 1 // drop lowest set bit until a power of two remains
-	}
+	sets := cacheSets(sizeBytes, ways, lineBytes)
 	var shift uint
 	for 1<<shift < lineBytes {
 		shift++
@@ -57,6 +45,24 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 		ways:      ways,
 		lines:     make([]uint64, sets*ways),
 	}
+}
+
+// cacheSets validates a geometry and returns its realised set count.
+func cacheSets(sizeBytes, ways, lineBytes int) int {
+	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
+		panic("perf: non-positive cache geometry")
+	}
+	if ways > 255 {
+		panic("perf: associativity too large")
+	}
+	sets := sizeBytes / lineBytes / ways
+	if sets == 0 {
+		panic("perf: cache smaller than one set")
+	}
+	for sets&(sets-1) != 0 {
+		sets &= sets - 1 // drop lowest set bit until a power of two remains
+	}
+	return sets
 }
 
 // Access simulates a reference to addr and reports whether it hit.

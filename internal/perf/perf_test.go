@@ -413,11 +413,13 @@ func TestLargerLLCFewerMisses(t *testing.T) {
 
 func TestWithLLCSlices(t *testing.T) {
 	base := DefaultProbeConfig()
-	if got := base.WithLLCSlices(4).LLCBytes; got != 4*base.LLCBytes {
-		t.Fatalf("4 slices -> %d bytes", got)
+	realised := func(pc ProbeConfig) int { return len(NewProbe(pc).llc[0].cache.lines) }
+	// The default 2.5 MiB slice realises 2 MiB of sets; four of them 8 MiB.
+	if got, one := realised(base.WithLLCSlices(4)), realised(base); got != 4*one {
+		t.Fatalf("4 slices -> %d lines, one slice has %d", got, one)
 	}
-	if got := base.WithLLCSlices(0).LLCBytes; got != base.LLCBytes {
-		t.Fatalf("0 slices should clamp to 1: %d", got)
+	if got, one := realised(base.WithLLCSlices(0)), realised(base); got != one {
+		t.Fatalf("0 slices should clamp to 1: %d lines vs %d", got, one)
 	}
 }
 

@@ -1,14 +1,17 @@
 package perf
 
 // ProbeConfig sets the simulated memory hierarchy and predictor
-// geometry for one profiled run. LLC capacity is the knob that varies
-// with the VM configuration: cloud vCPUs carry a per-core slice of the
-// last-level cache, which is how the paper explains placement's miss
-// rate dropping from 45% at 1 vCPU to 34% at 8 vCPUs.
+// geometry for one profiled run. LLC capacity is all that varies with
+// the VM configuration: cloud vCPUs carry a per-core slice (LLCBytes) of
+// the last-level cache, which is how the paper explains placement's
+// miss rate dropping from 45% at 1 vCPU to 34% at 8 vCPUs. One run can
+// therefore profile several VM sizes: each entry of LLCSlices (nil
+// means {1}) is a last-level model of that many slices behind the L1.
 type ProbeConfig struct {
 	L1Bytes       int
 	L1Ways        int
 	LLCBytes      int
+	LLCSlices     []int
 	LLCWays       int
 	LineBytes     int
 	PredictorBits uint
@@ -27,13 +30,10 @@ func DefaultProbeConfig() ProbeConfig {
 	}
 }
 
-// WithLLCSlices returns the config with the LLC scaled to n per-core
-// slices, modelling the larger aggregate cache of a bigger VM.
-func (pc ProbeConfig) WithLLCSlices(n int) ProbeConfig {
-	if n < 1 {
-		n = 1
-	}
-	pc.LLCBytes = pc.LLCBytes * n
+// WithLLCSlices returns the config modelling one VM per entry of n,
+// each with that many per-core LLC slices (below 1 means 1).
+func (pc ProbeConfig) WithLLCSlices(n ...int) ProbeConfig {
+	pc.LLCSlices = n
 	return pc
 }
 
@@ -54,16 +54,20 @@ func (pc ProbeConfig) WithLLCSlices(n int) ProbeConfig {
 //     these miss every cache no matter its size, which is why routing's
 //     miss rate does not improve with bigger VMs in the paper.
 type Probe struct {
-	l1  *Cache
-	llc *Cache
-	bp  *BranchPredictor
+	l1 *Cache
+	bp *BranchPredictor
+	// llc has a model per distinct realised geometry of cfg.LLCSlices.
+	llc []llcModel
 
 	// HotBytes bounds each hot region's footprint. Zero means 32 KiB.
 	HotBytes uint64
 
 	cfg  ProbeConfig
-	c    Counters
+	c    Counters // everything but the LLC outcomes, which live in llc
 	mark Counters // snapshot at the last phase boundary
+	// others holds the LLC outcomes of models 1..K-1 per phase taken
+	// (the Phase itself carries model 0's); see ReportFor.
+	others []Counters
 
 	// shards are the per-worker child probes handed out to parallel
 	// regions (see Shards). Each keeps its own cache and predictor
@@ -73,14 +77,43 @@ type Probe struct {
 	drained Counters // portion of c already absorbed by a parent
 }
 
-// NewProbe builds a probe with the given geometry.
+// llcModel is one last-level cache and its outcomes: counters whose
+// LLC fields alone are used, to be added to the probe's own.
+type llcModel struct {
+	cache            *Cache
+	c, mark, drained Counters
+}
+
+// NewProbe builds a probe with the given geometry. VM sizes whose LLC
+// rounds to the same realised cache (see NewCache) share one model.
 func NewProbe(cfg ProbeConfig) *Probe {
-	return &Probe{
+	p := &Probe{
 		l1:  NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-		llc: NewCache(cfg.LLCBytes, cfg.LLCWays, cfg.LineBytes),
 		bp:  NewBranchPredictor(cfg.PredictorBits),
 		cfg: cfg,
 	}
+	sizes := cfg.LLCSlices
+	if len(sizes) == 0 {
+		sizes = []int{1}
+	}
+	for _, n := range sizes {
+		if p.model(n) < 0 {
+			p.llc = append(p.llc, llcModel{cache: NewCache(cfg.LLCBytes*max(n, 1), cfg.LLCWays, cfg.LineBytes)})
+		}
+	}
+	return p
+}
+
+// model returns the index of the last-level model a VM with n LLC
+// slices is simulated by, or -1.
+func (p *Probe) model(n int) int {
+	mask := uint64(cacheSets(p.cfg.LLCBytes*max(n, 1), p.cfg.LLCWays, p.cfg.LineBytes) - 1)
+	for i := range p.llc {
+		if p.llc[i].cache.setMask == mask {
+			return i
+		}
+	}
+	return -1
 }
 
 // Shards returns n per-worker child probes with the parent's geometry.
@@ -115,6 +148,27 @@ func (p *Probe) MergeShards(shards []*Probe) {
 		delta := sub(s.c, s.drained)
 		p.c.Add(&delta)
 		s.drained = s.c
+		for i := range s.llc {
+			m := &s.llc[i]
+			delta := sub(m.c, m.drained)
+			p.llc[i].c.Add(&delta)
+			m.drained = m.c
+		}
+	}
+}
+
+// l1Miss books an L1 miss and presents it to every last-level model;
+// prefetch is 1 if a stride prefetcher would cover a miss there.
+func (p *Probe) l1Miss(addr, prefetch uint64) {
+	p.c.L1Misses++
+	for i := range p.llc {
+		m := &p.llc[i]
+		if m.cache.Access(addr) {
+			m.c.LLCHits++
+		} else {
+			m.c.LLCMisses++
+			m.c.LLCPrefetched += prefetch
+		}
 	}
 }
 
@@ -144,7 +198,7 @@ func (p *Probe) StoreHot(region int, idx uint64) {
 }
 
 // LoadCold records n loads of never-before-seen lines: compulsory
-// misses in both cache levels. The cache contents are not disturbed
+// misses in every cache level. The cache contents are not disturbed
 // (streaming loads bypass with non-temporal semantics).
 func (p *Probe) LoadCold(n int) {
 	if p == nil || n <= 0 {
@@ -153,7 +207,9 @@ func (p *Probe) LoadCold(n int) {
 	p.c.Instrs += uint64(n)
 	p.c.Loads += uint64(n)
 	p.c.L1Misses += uint64(n)
-	p.c.LLCMisses += uint64(n)
+	for i := range p.llc {
+		p.llc[i].c.LLCMisses += uint64(n)
+	}
 }
 
 // LoopBranches records n perfectly predicted branches — the loop
@@ -178,12 +234,7 @@ func (p *Probe) Load(addr uint64) {
 		p.c.L1Hits++
 		return
 	}
-	p.c.L1Misses++
-	if p.llc.Access(addr) {
-		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
-	}
+	p.l1Miss(addr, 0)
 }
 
 // Store records a data store to the synthetic address addr.
@@ -197,12 +248,7 @@ func (p *Probe) Store(addr uint64) {
 		p.c.L1Hits++
 		return
 	}
-	p.c.L1Misses++
-	if p.llc.Access(addr) {
-		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
-	}
+	p.l1Miss(addr, 0)
 }
 
 // LoadRange records a sequential sweep of n elements of elemSize bytes
@@ -229,13 +275,7 @@ func (p *Probe) LoadRange(addr uint64, n, elemSize int) {
 			p.c.L1Hits++
 			continue
 		}
-		p.c.L1Misses++
-		if p.llc.Access(a) {
-			p.c.LLCHits++
-		} else {
-			p.c.LLCMisses++
-			p.c.LLCPrefetched++
-		}
+		p.l1Miss(a, 1)
 	}
 }
 
@@ -279,22 +319,36 @@ func (p *Probe) Ops(n int) {
 	p.c.Instrs += uint64(n)
 }
 
-// Counters returns the accumulated counts since construction.
+// Counters returns the accumulated counts since construction, with
+// the first modelled VM's LLC outcomes.
 func (p *Probe) Counters() Counters {
 	if p == nil {
 		return Counters{}
 	}
-	return p.c
+	c := p.c
+	c.Add(&p.llc[0].c)
+	return c
 }
 
 // TakePhase returns a Phase holding the events recorded since the last
 // TakePhase (or since construction) and advances the phase boundary.
+// Its LLC outcomes are the first modelled VM's; see ReportFor.
 func (p *Probe) TakePhase(name string, parallelFraction float64, chunks int) Phase {
 	if p == nil {
 		return Phase{Name: name, ParallelFraction: parallelFraction, Chunks: chunks}
 	}
 	delta := sub(p.c, p.mark)
 	p.mark = p.c
+	for i := range p.llc {
+		m := &p.llc[i]
+		d := sub(m.c, m.mark)
+		m.mark = m.c
+		if i == 0 {
+			delta.Add(&d)
+		} else {
+			p.others = append(p.others, d)
+		}
+	}
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -332,6 +386,23 @@ func (p *Probe) TakePhaseMeasured(name string, parallelInstrs uint64, chunks int
 		frac = float64(parallelInstrs) / float64(total)
 	}
 	return p.TakePhase(name, frac, chunks)
+}
+
+// ReportFor returns the report the run produces on a VM with n LLC
+// slices, one of cfg.LLCSlices: base — whose phases must be the phases
+// taken from p, in order — with that VM's LLC outcomes in every phase.
+// Nothing else a run records depends on the VM size.
+func (p *Probe) ReportFor(base *Report, n int) *Report {
+	m, k := p.model(n), len(p.llc)-1
+	if m < 0 || len(base.Phases)*k != len(p.others) {
+		panic("perf: ReportFor needs a modelled VM size and the report of this probe's phases")
+	}
+	out := &Report{Job: base.Job, Phases: append([]Phase(nil), base.Phases...)}
+	for j := 0; m > 0 && j < len(out.Phases); j++ {
+		c, d := &out.Phases[j].C, p.others[j*k+m-1]
+		c.LLCHits, c.LLCMisses, c.LLCPrefetched = d.LLCHits, d.LLCMisses, d.LLCPrefetched
+	}
+	return out
 }
 
 func sub(a, b Counters) Counters {
