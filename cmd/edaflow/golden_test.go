@@ -9,10 +9,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestAdaptiveFleetGolden pins the -fleet -policy adaptive mode's
-// stdout end to end: the co-optimized plans, the contended schedule
-// with its per-stage placements (where adaptive upgrades are visible
-// as off-plan instances), and the fleet ledger.
 // TestSpotFleetGolden pins the -spot fleet batch's stdout end to end:
 // the per-job schedule with revocation and lost-work columns, the
 // per-attempt stage table (checkpoint recovery and escalation to the
@@ -34,16 +30,20 @@ func TestSpotFleetGolden(t *testing.T) {
 	clitest.Golden(t, "testdata/spot_fleet.golden", got, *update)
 }
 
-func TestAdaptiveFleetGolden(t *testing.T) {
+// TestPlanFleetGolden pins the -fleet -policy plan mode's stdout end to
+// end: the co-optimized plans, the contended schedule with its
+// per-stage placements (where placement-time re-plans are visible as
+// off-plan instances), and the fleet ledger.
+func TestPlanFleetGolden(t *testing.T) {
 	bin := clitest.Build(t, "")
 	got := clitest.Run(t, bin,
 		"-design", "ibex",
 		"-scale", "0.03",
 		"-fleet", "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1",
 		"-batch", "3",
-		"-policy", "adaptive",
+		"-policy", "plan",
 	)
-	clitest.Golden(t, "testdata/adaptive_fleet.golden", got, *update)
+	clitest.Golden(t, "testdata/plan_fleet.golden", got, *update)
 }
 
 // TestHierFleetGolden pins the -hier fleet batch: the design split into
@@ -76,7 +76,7 @@ func TestCacheFleetGolden(t *testing.T) {
 		"-scale", "0.03",
 		"-fleet", "gp.2x=1,mem.2x=1",
 		"-batch", "3",
-		"-policy", "adaptive",
+		"-policy", "plan",
 		"-cache",
 	)
 	clitest.Golden(t, "testdata/cache_fleet.golden", got, *update)

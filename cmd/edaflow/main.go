@@ -13,7 +13,7 @@
 //	edaflow -design ibex -stages synthesis,sta
 //	edaflow -design ibex -fleet mem.8x=2 -batch 4 -instance mem.8x
 //	edaflow -design aes -fleet gp.4x=1,mem.8x=1 -batch 3 -policy firstfit -minbill 60
-//	edaflow -design ibex -fleet gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1 -batch 3 -policy adaptive
+//	edaflow -design ibex -fleet gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1 -batch 3 -policy plan
 //	edaflow -design aes -fleet mem.4x.spot=2,mem.4x=1 -batch 3 -instance mem.4x.spot -spot -hazard-seed 11 -escalate-after 1
 //	edaflow -bench adder -scale 100 -stages synthesis -fleet gp.4x=4 -policy firstfit -hier -hier-grain 20000
 //
@@ -66,14 +66,14 @@ func main() {
 	fleetSpec := flag.String("fleet", "", "schedule a batch over this bounded fleet (name=count,...) instead of one local run")
 	batch := flag.Int("batch", 4, "number of flow copies in the -fleet batch")
 	instName := flag.String("instance", "mem.4x", "instance type each batch job nominally rents (single policy)")
-	policyName := flag.String("policy", "single", "fleet placement policy: single (job keeps one machine), firstfit (greedy any-machine, per stage), or adaptive (co-optimized stage plans, upgrading when queueing eats a job's slack; needs -design)")
+	policyName := flag.String("policy", "single", "fleet placement policy: single (job keeps one machine), firstfit (greedy any-machine, per stage), or plan (co-optimized stage plans, the remaining stages re-planned in-table when queueing eats a job's slack; needs -design)")
 	minBill := flag.Float64("minbill", 0, "minimum billing granularity in seconds (0 = pure per-second)")
 	deadlineSec := flag.Float64("deadline", 0, "per-job completion deadline in simulated seconds (0 = none)")
 	spot := flag.Bool("spot", false, "price revocable spot twins of every type at a 30% discount and arm the revocation injector")
 	hazardSeed := flag.Int64("hazard-seed", 1, "revocation timeline seed for -spot")
 	hazardRate := flag.Float64("hazard-rate", 60, "revocations per spot-instance-hour for -spot")
 	escalateAfter := flag.Int("escalate-after", 0, "escalate a stage to the on-demand counterpart after this many revocations (0 = never)")
-	useCache := flag.Bool("cache", false, "attach a content-addressed artifact store across the -fleet batch: identical stage work dedups to cache hits (adaptive policy also plans against predicted hits)")
+	useCache := flag.Bool("cache", false, "attach a content-addressed artifact store across the -fleet batch: identical stage work dedups to cache hits (plan policy also plans against predicted hits)")
 	hier := flag.Bool("hier", false, "hierarchical -fleet mode: schedule the design's cone partitions as the batch jobs instead of -batch copies, then stitch the optimized sub-designs back together (-batch is ignored)")
 	hierGrain := flag.Int("hier-grain", 2000, "target AND nodes per sub-design in -hier mode")
 	flag.Parse()
@@ -196,7 +196,7 @@ type batchConfig struct {
 	workers   int
 	registers bool
 	clock     float64
-	// design and scale identify the evaluation design for the adaptive
+	// design and scale identify the evaluation design for the plan
 	// policy, which must re-characterize it to build choice tables.
 	design string
 	scale  float64
@@ -219,9 +219,9 @@ type batchConfig struct {
 // runFleetBatch schedules copies of the configured flow over a bounded
 // fleet — the paper's batch-deployment scenario — and prints the
 // contended schedule plus the fleet's utilization/cost ledger. The
-// adaptive policy first co-optimizes the copies' stage plans against
-// the fleet (core.OptimizeBatch) and lets queue-starved stages upgrade
-// within their choice tables at placement time.
+// plan policy first co-optimizes the copies' stage plans against the
+// fleet (core.OptimizeBatch) and re-plans a queue-starved job's
+// remaining stages within their choice tables at placement time.
 func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stageList []flow.Stage, cfg batchConfig) {
 	catalog := cloud.DefaultCatalog()
 	if cfg.spot {
@@ -312,23 +312,23 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 		if sched, err = (&flow.Scheduler{Workers: cfg.workers, Fleet: fleet, Policy: policy, Cache: store}).Run(nil, jobs); err != nil {
 			fail(err)
 		}
-	case "adaptive":
-		// The adaptive path executes through core.ExecuteBatchPlan,
+	case "plan":
+		// The plan path executes through core.ExecuteBatchPlan,
 		// which always runs the full default flow at the default clock:
 		// flags it would silently drop are rejected instead.
 		if stageList != nil || cfg.registers || cfg.clock != 1.0 {
-			fail(fmt.Errorf("-policy adaptive runs the full default flow; -stages, -registers and -clock do not apply"))
+			fail(fmt.Errorf("-policy plan runs the full default flow; -stages, -registers and -clock do not apply"))
 		}
 		if cfg.hier {
-			fail(fmt.Errorf("-hier applies to the single and firstfit policies; adaptive plans per-design choice tables, not sub-design splits"))
+			fail(fmt.Errorf("-hier applies to the single and firstfit policies; plan solves per-design choice tables, not sub-design splits"))
 		}
 		if cfg.spot {
 			fail(fmt.Errorf("-spot applies to the single and firstfit policies; use optimize -spot for risk-adjusted planning"))
 		}
-		sched = runAdaptiveBatch(lib, catalog, fleet, recipe, cfg, store)
+		sched = runPlanBatch(lib, catalog, fleet, recipe, cfg, store)
 		perJobDeadlines = true
 	default:
-		fail(fmt.Errorf("unknown policy %q (want single, firstfit or adaptive)", cfg.policy))
+		fail(fmt.Errorf("unknown policy %q (want single, firstfit or plan)", cfg.policy))
 	}
 
 	batchDesc := fmt.Sprintf("%d x %s", cfg.batch, g.Name)
@@ -379,7 +379,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 			}
 		}
 	}
-	if cfg.policy == "adaptive" {
+	if cfg.policy == "plan" {
 		fmt.Printf("\n%-12s %-10s %-10s %9s %9s %9s\n",
 			"job", "stage", "instance", "start", "wait", "busy")
 		for _, j := range sched.Jobs {
@@ -424,14 +424,14 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 	}
 }
 
-// runAdaptiveBatch characterizes the design, co-optimizes the batch's
+// runPlanBatch characterizes the design, co-optimizes the batch's
 // stage plans against the fleet, prints them, and executes the batch
-// under flow.AdaptivePolicy — each job carrying its choice table so a
-// queue-starved stage can upgrade its instance class at placement
+// under flow.PlanPolicy — each job carrying its choice table so a
+// queue-starved job's remaining stages are re-planned at placement
 // time. The fleet is mutated with the run's leases for the ledger.
-func runAdaptiveBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fleet, recipe synth.Recipe, cfg batchConfig, store *cache.Store) *flow.Schedule {
+func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fleet, recipe synth.Recipe, cfg batchConfig, store *cache.Store) *flow.Schedule {
 	if cfg.design == "" {
-		fail(fmt.Errorf("-policy adaptive needs -design (it characterizes the design to build choice tables)"))
+		fail(fmt.Errorf("-policy plan needs -design (it characterizes the design to build choice tables)"))
 	}
 	charOpts := core.CharacterizeOptions{Scale: cfg.scale, Recipe: recipe, Workers: cfg.workers}
 	char, err := core.CharacterizeEval(lib, cfg.design, charOpts)

@@ -341,8 +341,8 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 	}
 
 	// The baseline: every job's knapsack solved in isolation, executed
-	// on the same fleet — statically and with the adaptive policy
-	// upgrading queue-starved stages.
+	// on the same fleet — statically and adaptively (the jobs carry
+	// their choice tables, so queue-starved ones are re-planned).
 	static, err := core.ExecuteBatchPlan(lib, specs, ibp, opts, fleet.Clone(), false)
 	if err != nil {
 		fail(err)

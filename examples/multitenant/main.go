@@ -23,8 +23,9 @@
 // contended schedule exactly. Deadline-free, the joint plan never
 // costs more than the four plans optimized independently and executed
 // back to back on the same fleet; with deadlines added, the
-// co-optimized plans and the adaptive policy both pay for faster
-// machines to recover misses the static independent plans incur.
+// co-optimized plans and the placement-time re-plan (jobs executed
+// with their choice tables) both pay for faster machines to recover
+// misses the static independent plans incur.
 //
 // Part five goes online: the same job shapes served by the edad
 // serving engine (internal/serve) under Poisson arrivals — admission
@@ -256,8 +257,9 @@ func main() {
 
 	// Now with deadlines tight enough that queueing breaks the
 	// independent plans: the co-optimizer pays for faster machines where
-	// the shadow prices say the queue would eat the slack, and the
-	// adaptive policy recovers at placement time what static plans lose.
+	// the shadow prices say the queue would eat the slack, and jobs that
+	// carry their choice tables are re-planned at placement time to
+	// recover what static plans lose.
 	ibp, err := core.IndependentBatchPlan(specs, shared)
 	if err != nil {
 		log.Fatal(err)
@@ -297,8 +299,8 @@ func main() {
 			row.name, row.sched.TotalCostUSD, row.sched.MakespanSec, row.sched.DeadlinesMissed)
 	}
 	fmt.Println("\nShadow prices move contended stages onto the fleet's faster machines ahead")
-	fmt.Println("of time; the adaptive policy makes the same trade reactively, per stage,")
-	fmt.Println("once the queue has already eaten a job's slack.")
+	fmt.Println("of time; adaptive execution makes the same trade reactively, re-planning a")
+	fmt.Println("job's remaining stages once the queue has already eaten its slack.")
 
 	// Part five: the serving layer. Parts two through four plan a batch
 	// known up front; a real multi-tenant deployment sees jobs arrive

@@ -99,8 +99,8 @@ type BatchPlan struct {
 	Options BatchOptions
 	// Plans holds each job's stage-to-instance selection, aligned with
 	// the input specs. Problems holds the fleet-restricted deployment
-	// problems the selection was solved over (the choice tables the
-	// adaptive policy executes against).
+	// problems the selection was solved over (the choice tables an
+	// adaptive execution re-plans from).
 	Plans    []*Plan
 	Problems []*DeploymentProblem
 	// Selection is the mckp-level joint solution, including the integral
@@ -153,7 +153,8 @@ func (prob *DeploymentProblem) Restrict(fleet *cloud.Fleet) (*DeploymentProblem,
 }
 
 // StageChoices exports the problem's choice tables in the flow
-// scheduler's executable form — the table AdaptivePolicy consults.
+// scheduler's executable form — the table flow.PlanPolicy re-plans a
+// deadlined job from at placement time.
 func (prob *DeploymentProblem) StageChoices() flow.StageChoices {
 	out := flow.StageChoices{}
 	for _, stage := range prob.Stages {
@@ -348,10 +349,10 @@ func IndependentBatchPlanOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts Bat
 
 // ExecuteBatchPlan replays a batch plan on the fleet scheduler: every
 // job's flow regenerated at the characterization's scale, each stage
-// placed on its plan-chosen instance type. With adaptive true the
-// jobs run under flow.AdaptivePolicy — carrying their choice tables
-// so a stage can upgrade when queueing eats its slack — otherwise
-// under the static flow.PlanPolicy, whose schedule must match the
+// placed on its plan-chosen instance type under flow.PlanPolicy. With
+// adaptive true the jobs carry their choice tables, so the scheduler
+// re-plans a job's remaining stages when queueing eats its slack;
+// without them the plan runs verbatim and the schedule must match the
 // plan's Forecast exactly. opts must carry the same Scale/Recipe the
 // characterizations ran with. The given fleet is mutated with the
 // run's leases; Reset or Clone it between runs.
@@ -402,11 +403,8 @@ func ExecuteBatchPlan(lib *techlib.Library, specs []BatchJobSpec, bp *BatchPlan,
 		}
 	}
 	policy := flow.Policy(flow.PlanPolicy{})
-	switch {
-	case bp.Options.Hold:
+	if bp.Options.Hold {
 		policy = flow.SingleInstance{}
-	case adaptive:
-		policy = flow.AdaptivePolicy{}
 	}
 	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Policy: policy, Cache: bp.Options.Cache}
 	return sched.Run(nil, jobs)

@@ -125,11 +125,11 @@ func TestBatchPlanExecutionMatchesPrediction(t *testing.T) {
 	}
 }
 
-// TestAdaptivePolicyRecoversSlack: identical flows contending for a
-// small fleet under deadlines the static plans blow — the adaptive
-// policy must upgrade queue-starved stages off-plan and miss no more
-// deadlines than the static execution.
-func TestAdaptivePolicyRecoversSlack(t *testing.T) {
+// TestReplanRecoversSlack: identical flows contending for a small fleet
+// under deadlines the static plans blow — executed with their choice
+// tables, the jobs must be re-planned off-plan where the queue starved
+// them and miss no more deadlines than the static execution.
+func TestReplanRecoversSlack(t *testing.T) {
 	specs := contendedBatchSpecs(t, []string{"ibex", "ibex", "ibex"}, nil)
 	fleet, err := cloud.ParseFleetSpec(cloud.DefaultCatalog(), "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1")
 	if err != nil {
@@ -185,7 +185,7 @@ func TestAdaptivePolicyRecoversSlack(t *testing.T) {
 		}
 	}
 	if upgrades == 0 {
-		t.Fatal("adaptive policy never left the plan despite eaten slack")
+		t.Fatal("adaptive execution never left the plan despite eaten slack")
 	}
 	if adaptive.DeadlinesMissed >= static.DeadlinesMissed {
 		t.Fatalf("adaptive recovered nothing: %d vs %d missed", adaptive.DeadlinesMissed, static.DeadlinesMissed)

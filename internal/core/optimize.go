@@ -126,21 +126,6 @@ func BuildHoldDeploymentProblem(char *DesignCharacterization, catalog *cloud.Cat
 	return prob, nil
 }
 
-// RiskAdjusted returns a copy of the problem whose knapsack classes are
-// rewritten to their revocation-adjusted expectation (mckp.RiskAdjust):
-// spot items price in their expected truncated attempts and retry
-// backoffs. Stages keep the nominal per-attempt runtimes — those are
-// what one uninterrupted execution attempt takes, and what forecasts
-// and executions replay — so only the selection arithmetic changes.
-// Zero hazards return classes bit-identical to the input's.
-func (prob *DeploymentProblem) RiskAdjusted(hz mckp.Hazards, backoffSec float64) *DeploymentProblem {
-	return &DeploymentProblem{
-		Design:  prob.Design,
-		Stages:  prob.Stages,
-		Classes: mckp.RiskAdjust(prob.Classes, hz, backoffSec),
-	}
-}
-
 // OptimizeHold picks the cost-minimal single machine able to run every
 // stage back-to-back under the deadline — the holding-policy
 // counterpart of Optimize.
@@ -263,16 +248,6 @@ func planFromSelection(prob *DeploymentProblem, sel mckp.Selection) *Plan {
 // deadline (seconds), the paper's Table I computation.
 func (prob *DeploymentProblem) Optimize(deadlineSec int) (*Plan, error) {
 	sel, err := mckp.SolveMinCost(prob.Classes, deadlineSec)
-	if err != nil {
-		return nil, err
-	}
-	return planFromSelection(prob, sel), nil
-}
-
-// OptimizePaperObjective runs the paper's literal formulation
-// (maximize sum of reciprocal prices).
-func (prob *DeploymentProblem) OptimizePaperObjective(deadlineSec int) (*Plan, error) {
-	sel, err := mckp.SolvePaper(prob.Classes, deadlineSec)
 	if err != nil {
 		return nil, err
 	}

@@ -232,6 +232,49 @@ func TestLivePipelineCacheAdoption(t *testing.T) {
 	}
 }
 
+// TestResumedRunUsesArtifactStore: ResumeOn is RunOn's loop, store
+// included. A run resumed from a post-synthesis checkpoint on a cached
+// pipeline records placement, routing and sta under exactly the keys
+// CacheKeys predicts for an uninterrupted run, and a second, fresh run
+// adopts all three.
+func TestResumedRunUsesArtifactStore(t *testing.T) {
+	g := designs.MustEvalDesign("aes", testScale)
+	var cps []*Checkpoint
+	if _, err := NewPipeline(WithCheckpoints(func(cp *Checkpoint) { cps = append(cps, cp) })).Run(g.Clone(), lib); err != nil {
+		t.Fatal(err)
+	}
+	cp := cps[0]
+	if !cp.Completed(JobSynthesis) || cp.Completed(JobPlacement) {
+		t.Fatalf("checkpoint 0 covers %v", cp.Kinds)
+	}
+
+	store := cache.New(0)
+	p := NewPipeline(WithCache(store))
+	resumed := p.NewRunContext(g.Clone(), lib)
+	if err := p.ResumeOn(resumed, cp); err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range p.CacheKeys(g, lib) {
+		if want := !cp.Completed(sk.Kind); sk.Key == 0 || store.Contains(sk.Key) != want {
+			t.Fatalf("%s: key %016x stored=%v after the resume, want %v", sk.Kind, sk.Key, store.Contains(sk.Key), want)
+		}
+	}
+	if st := store.Stats(); store.Len() != 3 || st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("resume left %d entries, stats %+v; want the three resumed stages missed and put", store.Len(), st)
+	}
+
+	fresh, err := p.Run(g.Clone(), lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Hits != 3 || store.Len() != 4 {
+		t.Fatalf("fresh run after the resume: stats %+v, %d entries; want 3 adopted, synthesis put", st, store.Len())
+	}
+	if artifactHashes(fresh) != artifactHashes(resumed) {
+		t.Fatal("resumed and fresh runs disagree on the artifacts")
+	}
+}
+
 // TestCanonicalHashStability pins the canonical artifact hashes and
 // chain keys against a golden file: a change to any fingerprint or to
 // the chain derivation invalidates every cache on disk or in fleet

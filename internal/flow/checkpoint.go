@@ -76,30 +76,13 @@ func (cp *Checkpoint) Completed(k JobKind) bool { return slices.Contains(cp.Kind
 // ResumeOn restores a checkpoint into the run context and executes
 // only the pipeline stages past it, in order — the recovery path a
 // revoked spot instance triggers. Stages the checkpoint covers are
-// skipped; everything else runs as RunOn would.
+// skipped; everything else runs as RunOn would, the artifact store
+// included.
 func (p *Pipeline) ResumeOn(rc *RunContext, cp *Checkpoint) error {
 	if err := rc.Restore(cp); err != nil {
 		return err
 	}
-	total := len(p.stages)
-	for i, s := range p.stages {
-		if cp.Completed(s.Kind()) {
-			continue
-		}
-		if err := rc.Ctx.Err(); err != nil {
-			return fmt.Errorf("flow: %s: %w", s.Name(), err)
-		}
-		p.emit(Event{Type: StageStarted, Stage: s.Name(), Kind: s.Kind(), Index: i, Total: total})
-		err := s.Run(rc)
-		p.emit(Event{Type: StageFinished, Stage: s.Name(), Kind: s.Kind(), Index: i, Total: total, Err: err})
-		if err != nil {
-			return fmt.Errorf("flow: %s: %w", s.Name(), err)
-		}
-		if p.cfg.checkpoints != nil {
-			p.cfg.checkpoints(rc.Checkpoint())
-		}
-	}
-	return nil
+	return p.run(rc, cp)
 }
 
 // contentHash folds the completed kinds and the content fingerprint of

@@ -49,8 +49,10 @@
 // SingleInstance reproduces the historical one-job-one-VM schedule
 // (the default, with a dedicated per-job fleet when Scheduler.Fleet is
 // nil), PlanPolicy executes a deployment optimizer's per-stage machine
-// selection (each job's StagePlan, re-instancing between stages), and
-// FirstFit is the greedy any-machine baseline. Simulated stage
+// selection (each job's StagePlan, re-instancing between stages, and
+// re-planning the remaining stages of a job that carries a choice
+// table once queue wait has eaten its deadline slack), and FirstFit is
+// the greedy any-machine baseline. Simulated stage
 // runtimes come from replaying the flow's perf.Reports through the
 // granted instance's machine model; bills come from the fleet's lease
 // ledger under per-second pricing with optional minimum billing

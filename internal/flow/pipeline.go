@@ -43,7 +43,6 @@ type config struct {
 	ctx             context.Context
 	recipe          synth.Recipe
 	registerOutputs bool
-	objective       synth.MapObjective
 	clockPeriodNs   float64
 	workers         int
 	stageWorkers    map[JobKind]int
@@ -75,12 +74,6 @@ func WithRecipe(r synth.Recipe) Option {
 // behind every primary output.
 func WithRegisterOutputs(v bool) Option {
 	return func(c *config) { c.registerOutputs = v }
-}
-
-// WithObjective selects the default synthesis stage's mapping
-// objective (delay- or area-oriented).
-func WithObjective(o synth.MapObjective) Option {
-	return func(c *config) { c.objective = o }
 }
 
 // WithClockPeriodNs sets the default sta stage's timing constraint;
@@ -169,7 +162,6 @@ func NewPipeline(opts ...Option) *Pipeline {
 			Synthesis(synth.Options{
 				Recipe:          cfg.recipe,
 				RegisterOutputs: cfg.registerOutputs,
-				Objective:       cfg.objective,
 			}),
 			Placement(place.Options{}),
 			Routing(route.Options{}),
@@ -219,24 +211,33 @@ func (p *Pipeline) Run(g *aig.Graph, lib *techlib.Library) (*RunContext, error) 
 // frozen form), each cacheable stage is first looked up by its chain
 // key and a verified hit adopts the stored artifacts instead of
 // running the engine.
-func (p *Pipeline) RunOn(rc *RunContext) error {
+func (p *Pipeline) RunOn(rc *RunContext) error { return p.run(rc, nil) }
+
+// run is the pipeline's one stage loop. Stages the restored checkpoint
+// done covers (nil: none) are not run, adopted or recorded, but still
+// advance the key chain, so the stages after them hit and fill the
+// store under the keys of an uninterrupted run.
+func (p *Pipeline) run(rc *RunContext, done *Checkpoint) error {
 	total := len(p.stages)
 	var chain cache.Key
 	for i, s := range p.stages {
-		if err := rc.Ctx.Err(); err != nil {
-			return fmt.Errorf("flow: %s: %w", s.Name(), err)
-		}
 		var key cache.Key
-		var collision bool
 		if p.cfg.cache != nil {
 			key = p.stageKey(rc, s, chain)
 			chain = key
-			if key != 0 {
-				var adopted bool
-				adopted, collision = p.tryAdopt(rc, s, key, i, total)
-				if adopted {
-					continue
-				}
+		}
+		if done != nil && done.Completed(s.Kind()) {
+			continue
+		}
+		if err := rc.Ctx.Err(); err != nil {
+			return fmt.Errorf("flow: %s: %w", s.Name(), err)
+		}
+		var collision bool
+		if key != 0 {
+			var adopted bool
+			adopted, collision = p.tryAdopt(rc, s, key, i, total)
+			if adopted {
+				continue
 			}
 		}
 		p.emit(Event{Type: StageStarted, Stage: s.Name(), Kind: s.Kind(), Index: i, Total: total})

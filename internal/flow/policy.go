@@ -44,10 +44,18 @@ func (SingleInstance) Choose(job *Job, k JobKind) (cloud.InstanceType, error) {
 // ReInstance implements Policy: the job keeps its machine.
 func (SingleInstance) ReInstance() bool { return false }
 
-// PlanPolicy executes each job's StagePlan directly: stage k queues
-// for the plan's knapsack-chosen instance type and the job re-instances
-// between stages, which is what lets the MCKP optimizer's per-stage
-// predictions be validated against simulated runtimes in-repo.
+// PlanPolicy executes each job's StagePlan: stage k queues for the
+// plan's knapsack-chosen instance type and the job re-instances between
+// stages, which is what lets the MCKP optimizer's per-stage predictions
+// be validated against simulated runtimes in-repo. A job with no choice
+// table (Job.Choices) or no deadline runs its plan verbatim. One that
+// carries both is re-planned at placement time: when the queue wait for
+// a planned type has eaten the job's deadline slack, the current and
+// remaining stages are re-picked together from the table — the cheapest
+// combination that still projects to meet the deadline, the paper's
+// selection restricted to what is left of the job (replanRequest). The
+// re-plan reads only the serial placement simulation's fleet state, so
+// schedules stay bit-identical at any worker count.
 type PlanPolicy struct{}
 
 // Name implements Policy.
@@ -75,10 +83,10 @@ type StageOption struct {
 }
 
 // StageChoices maps each stage to its candidate options, in the
-// optimizer's table order (smallest instance first). The adaptive
-// policy consults it at placement time; the placement engine also uses
-// it to price stages placed on a type other than the one their probe
-// was sized for.
+// optimizer's table order (smallest instance first). A plan-executing
+// job with a deadline is re-planned from it at placement time; under
+// every policy the placement engine uses it to price stages placed on
+// a type other than the one their probe was sized for.
 type StageChoices map[JobKind][]StageOption
 
 // Option returns stage k's entry for the named instance type.
@@ -90,45 +98,6 @@ func (c StageChoices) Option(k JobKind, typeName string) (StageOption, bool) {
 	}
 	return StageOption{}, false
 }
-
-// AdaptivePolicy executes each job's StagePlan like PlanPolicy but
-// closes the loop between the plan and observed contention: at
-// placement time, when the queue wait for the planned instance type
-// has eaten the job's deadline slack, the stage upgrades to another
-// entry of the job's choice table (Job.Choices) — the cheapest one
-// whose projected job finish still meets the deadline, or failing
-// that the one finishing earliest. Jobs without a deadline or a
-// choice table degrade to plan execution. Decisions read only the
-// serial placement simulation's fleet state, so schedules stay
-// bit-identical at any worker count.
-//
-// It embeds PlanPolicy for Choose and ReInstance: the job's plan entry
-// is what each stage nominally queues for (and what its probe is sized
-// to); upgrades happen later, inside the placement simulation.
-type AdaptivePolicy struct{ PlanPolicy }
-
-// Name implements Policy.
-func (AdaptivePolicy) Name() string { return "adaptive" }
-
-// LookaheadPolicy is AdaptivePolicy's joint-re-planning variant: when
-// queue wait has eaten a job's deadline slack it re-plans the current
-// AND remaining stages together — enumerating the choice tables'
-// cross product for the cheapest combination that still projects to
-// meet the deadline — instead of upgrading only the stage in hand.
-// Upgrading one stage can be the expensive fix when a later stage
-// holds the cheap speedup; the joint re-plan finds it. Re-picked
-// remaining stages are remembered and honored at their own placements
-// (and may be re-planned again if slack keeps evaporating). Jobs
-// without a deadline or a choice table degrade to plan execution.
-// Decisions read only the serial placement simulation's fleet state,
-// so schedules stay bit-identical at any worker count.
-//
-// It embeds PlanPolicy for Choose and ReInstance, like AdaptivePolicy;
-// joint re-plans happen later, inside the placement simulation.
-type LookaheadPolicy struct{ PlanPolicy }
-
-// Name implements Policy.
-func (LookaheadPolicy) Name() string { return "lookahead" }
 
 // FirstFit is the greedy baseline: every stage queues for whichever
 // fleet instance becomes free earliest, whatever its type, and the job

@@ -49,12 +49,11 @@ type runner struct {
 	// doneSec remembers each completed stage's runtime so a
 	// from-scratch restart can account the work it throws away.
 	doneSec []float64
-	// override re-targets stages to instance types the look-ahead
-	// policy jointly re-picked when queue wait ate the job's slack; nil
-	// until the first joint re-plan. Overrides take precedence over the
-	// prepared requests but deliberately do not replace them, so
-	// stageSeconds still prices an overridden stage off the job's
-	// choice table (the same semantics as an adaptive upgrade).
+	// override re-targets stages to the instance types replanRequest
+	// jointly re-picked when queue wait ate the job's slack; nil until
+	// the first re-plan. Overrides take precedence over the prepared
+	// requests but deliberately do not replace them, so stageSeconds
+	// still prices an overridden stage off the job's choice table.
 	override map[JobKind]cloud.InstanceType
 
 	started  bool
@@ -133,14 +132,14 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 			}
 		}
 		r := queue[best]
-		out := placeNext(fleet, policy, r, gate)
+		out := placeNext(fleet, r, gate)
 		// A job holding its machine runs its whole flow back to back:
 		// nothing can use the held instance in between, so placing the
 		// remaining stages now keeps the fleet timeline conflict-free.
 		// A revocation breaks the streak — the machine is gone and the
 		// job re-queues FIFO like everyone else.
 		for out == stagePlaced && !r.reinstance && r.stage < len(r.p.kinds) {
-			out = placeNext(fleet, policy, r, gate)
+			out = placeNext(fleet, r, gate)
 		}
 		if out == stageFailed || r.stage == len(r.p.kinds) {
 			finalize(&r.p.res, r.job, fleet, r)
@@ -155,7 +154,7 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 // truncated at a revocation produces stageRevoked: the attempt's
 // survived time is recorded as lost work and the stage re-enters the
 // queue under the job's RetryPolicy.
-func placeNext(fleet *cloud.Fleet, policy Policy, r *runner, gate Gate) placement {
+func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 	k := r.p.kinds[r.stage]
 	// A cached stage on a job not holding a machine books no lease at
 	// all: the probe occupies no instance, passes no admission gate
@@ -210,11 +209,8 @@ func placeNext(fleet *cloud.Fleet, policy Policy, r *runner, gate Gate) placemen
 			start = r.ready
 		}
 	default:
-		if _, ok := policy.(AdaptivePolicy); ok {
-			req = adaptiveRequest(fleet, r, k, req)
-		}
-		if _, ok := policy.(LookaheadPolicy); ok {
-			req = lookaheadRequest(fleet, r, k, req)
+		if r.reinstance && req.Name != "" {
+			req = replanRequest(fleet, r, k, req)
 		}
 		var err error
 		instIdx, start, err = fleet.Acquire(req.Name, r.ready)
@@ -323,117 +319,55 @@ func revokeStage(res *JobResult, r *runner, retry RetryPolicy, inst *cloud.Fleet
 	return stageRevoked
 }
 
-// adaptiveRequest reconsiders stage k's planned instance type against
-// the live fleet state — the AdaptivePolicy's placement-time half.
-// The planned type stands while its projected job finish (earliest
-// grantable start, the stage's predicted runtime, and the remaining
-// stages at their planned runtimes) still meets the deadline; once
-// queue wait has eaten that slack, the stage upgrades to the cheapest
-// choice-table option that projects to meet the deadline, or failing
-// that the one finishing earliest. Candidates are probed with Acquire
-// only (no booking), and scanned in table order, so the decision is a
-// pure function of the serial simulation state.
-func adaptiveRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.InstanceType) cloud.InstanceType {
-	job := r.job
-	opts := job.Choices[k]
-	if job.DeadlineSec <= 0 || len(opts) == 0 {
-		return planned
-	}
-	var remaining float64
-	for _, kk := range r.p.kinds[r.stage+1:] {
-		remaining += r.p.stageSeconds(job, kk, r.p.requests[kk])
-	}
-	type projection struct {
-		opt    StageOption
-		finish float64
-	}
-	var planFinish float64
-	planSeen := false
-	projections := make([]projection, 0, len(opts))
-	for _, opt := range opts {
-		_, start, err := fleet.Acquire(opt.Type.Name, r.ready)
-		if err != nil {
-			continue // this fleet has no such machines
-		}
-		finish := start + r.p.stageSeconds(job, k, opt.Type) + remaining
-		projections = append(projections, projection{opt, finish})
-		if opt.Type.Name == planned.Name {
-			planFinish, planSeen = finish, true
-		}
-	}
-	if len(projections) == 0 {
-		return planned
-	}
-	// The plan's pick stands while it still projects to meet the
-	// deadline — the knapsack already made it cost-optimal.
-	if planSeen && planFinish <= job.DeadlineSec {
-		return planned
-	}
-	best := -1
-	for i, p := range projections {
-		if p.finish > job.DeadlineSec {
-			continue
-		}
-		if best < 0 || p.opt.CostUSD < projections[best].opt.CostUSD {
-			best = i
-		}
-	}
-	if best < 0 {
-		for i, p := range projections {
-			if best < 0 || p.finish < projections[best].finish {
-				best = i
-			}
-		}
-	}
-	return projections[best].opt.Type
-}
-
-// laOption is one candidate (type, projected runtime, table cost) for
-// one stage of a look-ahead joint re-plan.
-type laOption struct {
+// replanOption is one candidate (type, projected runtime, table cost)
+// for one stage of a joint re-plan.
+type replanOption struct {
 	t    cloud.InstanceType
 	sec  float64
 	cost float64
 }
 
-// lookaheadOptions lists stage kk's candidates for the joint re-plan:
+// replanOptions lists stage kk's candidates for the joint re-plan:
 // the job's choice-table entries the fleet can actually supply, priced
-// and timed the same way an adaptive upgrade would be (stageSeconds,
-// table cost). A stage with no usable table entries is fixed to its
+// and timed the way the placement itself will be (stageSeconds, table
+// cost). A stage with no usable table entries is fixed to its
 // current request at zero marginal cost — constant across combos, so
 // it never skews the comparison.
-func lookaheadOptions(fleet *cloud.Fleet, r *runner, kk JobKind, req cloud.InstanceType) []laOption {
-	var opts []laOption
+func replanOptions(fleet *cloud.Fleet, r *runner, kk JobKind, req cloud.InstanceType) []replanOption {
+	var opts []replanOption
 	for _, opt := range r.job.Choices[kk] {
 		if _, ok := fleet.TypeByName(opt.Type.Name); !ok {
 			continue
 		}
-		opts = append(opts, laOption{
+		opts = append(opts, replanOption{
 			t:    opt.Type,
 			sec:  r.p.stageSeconds(r.job, kk, opt.Type),
 			cost: opt.CostUSD,
 		})
 	}
 	if len(opts) == 0 {
-		opts = append(opts, laOption{t: req, sec: r.p.stageSeconds(r.job, kk, req)})
+		opts = append(opts, replanOption{t: req, sec: r.p.stageSeconds(r.job, kk, req)})
 	}
 	return opts
 }
 
-// lookaheadRequest is the LookaheadPolicy's placement-time half: like
-// adaptiveRequest it lets the planned pick stand while its projected
-// finish still meets the deadline, but once queue wait has eaten the
-// slack it re-plans the current AND remaining stages jointly —
-// enumerating the choice tables' cross product for the cheapest
-// combination that projects to meet the deadline (or, failing that,
-// the earliest-finishing one) — instead of upgrading only the current
-// stage. The re-picked remaining stages are recorded as overrides the
-// later placements honor (and may re-plan again if slack evaporates
-// further). Projections probe Acquire for the current stage only and
-// assume the remaining stages run back-to-back, the same optimistic
-// model the adaptive policy uses, so the decision stays a pure
-// function of the serial simulation state.
-func lookaheadRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.InstanceType) cloud.InstanceType {
+// replanRequest is the placement-time correction of a plan-executing
+// job that carries a choice table and a deadline (placeNext calls it
+// for every re-instancing stage queueing for a named type; a job
+// without either executes its plan verbatim, which is what keeps
+// Forecast == execution). The planned pick stands while its projected
+// finish still meets the deadline; once queue wait has eaten the slack
+// the current AND remaining stages are re-planned jointly — the choice
+// tables' cross product is enumerated for the cheapest combination
+// that projects to meet the deadline (or, failing that, the
+// earliest-finishing one). The re-picked remaining stages are recorded
+// as overrides the later placements honor (and may re-plan again if
+// slack evaporates further). Projections probe Acquire for the current
+// stage only (no booking) and assume the remaining stages run
+// back-to-back, so the decision stays a pure function of the serial
+// simulation state. A caller-supplied table too wide to enumerate
+// keeps the plan.
+func replanRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.InstanceType) cloud.InstanceType {
 	job := r.job
 	if job.DeadlineSec <= 0 || len(job.Choices[k]) == 0 {
 		return planned
@@ -461,11 +395,11 @@ func lookaheadRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.In
 	// Joint enumeration. The current stage's start is probed per type;
 	// remaining stages contribute runtime and table cost only.
 	type curOption struct {
-		laOption
+		replanOption
 		start float64
 	}
 	var heads []curOption
-	for _, opt := range lookaheadOptions(fleet, r, k, planned) {
+	for _, opt := range replanOptions(fleet, r, k, planned) {
 		_, start, err := fleet.Acquire(opt.t.Name, r.ready)
 		if err != nil {
 			continue
@@ -475,14 +409,14 @@ func lookaheadRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.In
 	if len(heads) == 0 {
 		return planned
 	}
-	tails := make([][]laOption, len(rest))
+	tails := make([][]replanOption, len(rest))
 	combos := len(heads)
 	for i, kk := range rest {
-		tails[i] = lookaheadOptions(fleet, r, kk, curReq(kk))
+		tails[i] = replanOptions(fleet, r, kk, curReq(kk))
 		combos *= len(tails[i])
 	}
 	if combos > 1<<16 {
-		return adaptiveRequest(fleet, r, k, planned) // degrade to single-stage upgrade
+		return planned
 	}
 
 	// Scan the cross product in table order; strict improvement keeps
@@ -491,7 +425,7 @@ func lookaheadRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.In
 	bestMeets := false
 	var bestCost, bestFinish float64
 	var bestHead cloud.InstanceType
-	var bestTail []laOption
+	var bestTail []replanOption
 	for h := range heads {
 		for {
 			finish := heads[h].start + heads[h].sec
@@ -515,7 +449,7 @@ func lookaheadRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.In
 			if better {
 				bestMeets, bestCost, bestFinish = meets, cost, finish
 				bestHead = heads[h].t
-				bestTail = make([]laOption, len(tails))
+				bestTail = make([]replanOption, len(tails))
 				for i := range tails {
 					bestTail[i] = tails[i][idx[i]]
 				}

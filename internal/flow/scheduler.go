@@ -39,10 +39,10 @@ type Job struct {
 	Plan StagePlan
 	// Choices is the optimizer's per-stage choice table in executable
 	// form: the candidate instance types with their predicted runtimes.
-	// AdaptivePolicy consults it to upgrade a stage whose queue wait has
-	// eaten the job's slack; the placement engine reads it for the
-	// runtime of a stage placed on a type other than the one its probe
-	// was sized for.
+	// Together with DeadlineSec it is what lets PlanPolicy re-plan the
+	// job's remaining stages once queue wait has eaten its slack; under
+	// any policy the placement engine reads it for the runtime of a
+	// stage placed on a type other than the one its probe was sized for.
 	Choices StageChoices
 	// DeadlineSec is the job's completion deadline in simulated
 	// seconds, measured against FinishSec (queueing included); 0 means
@@ -226,8 +226,8 @@ type preparedJob struct {
 // of preference: the forecast's fixed prediction; the probed report
 // replayed through the machine model when the stage was probed for
 // this type (the exact path plan execution is validated on); the
-// job's choice table for a stage adaptively placed on a different
-// type than its probe was sized for; and the probed report again as
+// job's choice table for a stage placed on a different type than its
+// probe was sized for; and the probed report again as
 // the last resort.
 func (p *preparedJob) stageSeconds(job *Job, k JobKind, it cloud.InstanceType) float64 {
 	// A cached stage costs the probe constant on any machine — checked
