@@ -280,32 +280,33 @@ func effectiveDeadline(job BatchJob) int {
 
 // pricedSolve runs one job's min-cost DP with each item's cost raised
 // by the shadow price of its label times its runtime — congestion
-// rendered as money — and returns picks plus true (unpriced) totals.
+// rendered as money — and returns picks plus true (unpriced) totals:
+// the priced costs only steer the picks.
 func pricedSolve(job BatchJob, prices map[string]float64) (Selection, error) {
 	if job.Hold {
 		return holdSolve(job, prices)
 	}
-	classes := job.Classes
-	if len(prices) > 0 {
-		classes = make([]Class, len(job.Classes))
-		for l, cl := range job.Classes {
-			classes[l] = Class{Name: cl.Name, Items: make([]Item, len(cl.Items))}
-			for j, it := range cl.Items {
-				it.Cost += prices[it.Label] * float64(it.TimeSec)
-				classes[l].Items[j] = it
-			}
+	var negative error
+	sel, _ := solveDP(job.Classes, effectiveDeadline(job), func(it Item) float64 {
+		cost := it.Cost
+		if len(prices) > 0 {
+			cost += prices[it.Label] * float64(it.TimeSec)
 		}
+		if cost < 0 && negative == nil {
+			negative = fmt.Errorf("mckp: job %q item %q has negative priced cost %g", job.Name, it.Label, cost)
+		}
+		return -cost
+	})
+	if negative != nil {
+		return Selection{}, negative
 	}
-	sel, err := SolveMinCost(classes, effectiveDeadline(job))
-	if err != nil || !sel.Feasible {
-		return sel, err
-	}
-	// Re-total against the true costs: the priced DP only steers picks.
-	sel.TotalTime, sel.TotalCost = 0, 0
-	for l, j := range sel.Pick {
-		it := job.Classes[l].Items[j]
-		sel.TotalTime += it.TimeSec
-		sel.TotalCost += it.Cost
+	if sel.Feasible {
+		// True totals, summed in class order (solveDP sums in reverse).
+		sel.TotalTime, sel.TotalCost = 0, 0
+		for l, j := range sel.Pick {
+			sel.TotalTime += job.Classes[l].Items[j].TimeSec
+			sel.TotalCost += job.Classes[l].Items[j].Cost
+		}
 	}
 	return sel, nil
 }

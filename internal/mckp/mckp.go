@@ -14,6 +14,7 @@ package mckp
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Item is one configuration choice within a class (stage).
@@ -115,7 +116,11 @@ func SolvePaper(classes []Class, deadline int) (Selection, error) {
 		}
 		return 1 / it.Cost
 	}
-	return solveDP(classes, deadline, score, false)
+	sel, best := solveDP(classes, deadline, score)
+	if sel.Feasible {
+		sel.Objective = best
+	}
+	return sel, nil
 }
 
 // SolveMinCost minimizes total cost subject to the deadline, the
@@ -125,71 +130,99 @@ func SolveMinCost(classes []Class, deadline int) (Selection, error) {
 	if err := validate(classes, deadline); err != nil {
 		return Selection{}, err
 	}
-	return solveDP(classes, deadline, func(it Item) float64 { return -it.Cost }, true)
+	sel, _ := solveDP(classes, deadline, func(it Item) float64 { return -it.Cost })
+	return sel, nil
 }
 
-// solveDP runs the layered DP: z_l(c) = best over j of
-// z_{l-1}(c - t_lj) + value(item_lj). Larger is better for the value
-// function; minCost repurposes it with negated cost.
-func solveDP(classes []Class, deadline int, value func(Item) float64, minCost bool) (Selection, error) {
-	n := len(classes)
-	width := deadline + 1
-	negInf := math.Inf(-1)
+// step is one piece of a DP layer: from budget start up to the next
+// step's start the layer's best value is val, reached by item pick
+// (-1: no selection fits).
+type step struct {
+	start int
+	val   float64
+	pick  int
+}
 
-	cur := make([]float64, width)
-	prev := make([]float64, width)
-	// choice[l*width+c] is the item picked for class l at budget c.
-	choice := make([]int16, n*width)
-	for c := 0; c < width; c++ {
-		prev[c] = 0 // zero classes: value 0 at any budget
-	}
-	for l := 0; l < n; l++ {
-		for c := 0; c < width; c++ {
-			cur[c] = negInf
-			choice[l*width+c] = -1
+// solveDP runs the layered DP z_l(c) = best over j of
+// z_{l-1}(c - t_lj) + value(item_lj) for 0 <= c <= deadline, larger
+// being better. Each layer is a step function of the budget, so it is
+// kept as its steps — the budgets where (value, pick) changes — and
+// built by visiting only the budgets where some item's view of the
+// previous layer changes (a previous step's start plus the item's
+// time). Between two such budgets every item reads the same previous
+// value, so each visited budget gets exactly the float sums, compared
+// in item order with the first strictly greater winning, that a dense
+// row over every second would give it: the picks and totals match that
+// row's to the bit, while work is O(items × steps) and memory does not
+// grow with the deadline. It returns the selection and its value.
+func solveDP(classes []Class, deadline int, value func(Item) float64) (Selection, float64) {
+	negInf := math.Inf(-1)
+	// steps[off[l]:off[l+1]] is z_l; z_0 is 0 at every budget.
+	steps := append(make([]step, 0, 8*(len(classes)+1)), step{start: 0, val: 0, pick: -1})
+	off := append(make([]int, 0, len(classes)+2), 0, 1)
+	var vals []float64
+	var seen []int
+	for _, cl := range classes {
+		prev := steps[off[len(off)-2]:off[len(off)-1]]
+		vals = vals[:0]
+		for _, it := range cl.Items {
+			vals = append(vals, value(it))
 		}
-		for j, it := range classes[l].Items {
-			v := value(it)
-			for c := it.TimeSec; c < width; c++ {
-				base := prev[c-it.TimeSec]
-				if math.IsInf(base, -1) {
-					continue
+		// seen[j] counts prev's steps starting at or below c - t_j: item j
+		// reads prev's step seen[j]-1 at budget c (none while it is 0).
+		seen = append(seen[:0], make([]int, len(vals))...)
+		// c visits 0 and each budget at which some item reads a new step
+		// of prev, in order; nextC is -1 once none is left within deadline.
+		for c := 0; c >= 0; {
+			best, pick, nextC := negInf, -1, -1
+			for j, it := range cl.Items {
+				k := seen[j]
+				for k < len(prev) && prev[k].start <= c-it.TimeSec {
+					k++
 				}
-				if cand := base + v; cand > cur[c] {
-					cur[c] = cand
-					choice[l*width+c] = int16(j)
+				seen[j] = k
+				if k > 0 {
+					if base := prev[k-1].val; !math.IsInf(base, -1) {
+						if cand := base + vals[j]; cand > best {
+							best, pick = cand, j
+						}
+					}
+				}
+				// The next budget at which item j reads a new step.
+				if k < len(prev) && it.TimeSec <= deadline-prev[k].start {
+					if at := prev[k].start + it.TimeSec; nextC < 0 || at < nextC {
+						nextC = at
+					}
 				}
 			}
+			if last := steps[len(steps)-1]; len(steps) == off[len(off)-1] || last.val != best || last.pick != pick {
+				steps = append(steps, step{start: c, val: best, pick: pick})
+			}
+			c = nextC
 		}
-		prev, cur = cur, prev
+		off = append(off, len(steps))
 	}
-	// prev now holds z_n. Optimal value is at the full budget: the DP
-	// is monotone in c because every z_{l}(c) allows slack.
-	best := prev[deadline]
+	// The optimum sits at the full budget: the last layer's last step.
+	best := steps[len(steps)-1].val
 	if math.IsInf(best, -1) {
-		return Selection{Feasible: false}, nil
+		return Selection{Feasible: false}, best
 	}
-	sel := Selection{Feasible: true, Pick: make([]int, n)}
-	// Reconstruct: walk budgets backward. We must recompute layer
-	// values because only two rows were kept; rebuild the full table
-	// cheaply by re-running the DP with stored choices... choices were
-	// stored per layer, so walk directly.
+	sel := Selection{Feasible: true, Pick: make([]int, len(classes))}
 	c := deadline
-	for l := n - 1; l >= 0; l-- {
-		j := choice[l*width+c]
+	for l := len(classes) - 1; l >= 0; l-- {
+		layer := steps[off[l+1]:off[l+2]]
+		// The step covering c: the last one starting at or below it.
+		j := layer[sort.Search(len(layer), func(i int) bool { return layer[i].start > c })-1].pick
 		if j < 0 {
-			return Selection{Feasible: false}, nil
+			return Selection{Feasible: false}, best
 		}
-		sel.Pick[l] = int(j)
+		sel.Pick[l] = j
 		it := classes[l].Items[j]
 		sel.TotalTime += it.TimeSec
 		sel.TotalCost += it.Cost
 		c -= it.TimeSec
 	}
-	if !minCost {
-		sel.Objective = best
-	}
-	return sel, nil
+	return sel, best
 }
 
 // SolveGreedy is the upgrade heuristic baseline: start from the

@@ -386,6 +386,40 @@ func TestTightestFeasibleDeadlinePicksFastest(t *testing.T) {
 	}
 }
 
+// TestFarDeadlinePicksCheapest: a deadline far past any plan's runtime
+// costs the solver nothing extra and returns the cheapest feasible
+// pick — the same selection, to the bit, as at the slowest plan's
+// total, past which no budget changes anything.
+func TestFarDeadlinePicksCheapest(t *testing.T) {
+	classes := paperClasses()
+	for name, solve := range map[string]func([]Class, int) (Selection, error){
+		"dp": SolveMinCost, "paper": SolvePaper,
+	} {
+		far, err := solve(classes, 1<<40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near, err := solve(classes, slowestTotal(classes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameBits(far, near); diff != "" {
+			t.Fatalf("%s: %s", name, diff)
+		}
+	}
+	sel, err := SolveMinCost(classes, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheapest, err := FixedProvision(classes, Cheapest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.Feasible || math.Abs(sel.TotalCost-cheapest.TotalCost) > 1e-9 {
+		t.Fatalf("far deadline: %+v, cheapest plan costs %g", sel, cheapest.TotalCost)
+	}
+}
+
 func TestZeroDeadlineZeroTimes(t *testing.T) {
 	classes := []Class{
 		{Name: "a", Items: []Item{{TimeSec: 0, Cost: 2}, {TimeSec: 0, Cost: 1}}},

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, status int, out any) {
@@ -35,6 +36,39 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, s
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFarDeadlineSubmit: a client deadline far past any plan (1e12 s)
+// is admitted, a second job re-plans alongside it, and the report
+// answers — all in well under a second, because the per-job solve does
+// not grow with the deadline.
+func TestFarDeadlineSubmit(t *testing.T) {
+	s, err := NewServer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	start := time.Now()
+	var far, next JobStatus
+	doJSON(t, srv, "POST", "/v1/jobs", map[string]any{
+		"tenant": "alpha", "template": "small", "name": "far", "arrival_sec": 0, "deadline_sec": 1e12,
+	}, http.StatusCreated, &far)
+	doJSON(t, srv, "POST", "/v1/jobs", map[string]any{
+		"tenant": "beta", "template": "big", "name": "next", "arrival_sec": 1, "deadline_sec": 4000,
+	}, http.StatusCreated, &next)
+	var rep Report
+	doJSON(t, srv, "GET", "/v1/report", nil, http.StatusOK, &rep)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("far-deadline submit and report took %v", elapsed)
+	}
+	if far.Status != StatusAdmitted || far.PromisedSec <= 0 || len(far.Stages) == 0 {
+		t.Fatalf("far-deadline job: %+v", far)
+	}
+	if rep.Jobs != 2 || rep.Rejected != 0 {
+		t.Fatalf("report: %s", &rep)
 	}
 }
 
