@@ -10,6 +10,8 @@ package clitest
 
 import (
 	"bytes"
+	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,10 +21,20 @@ import (
 
 // Build compiles the command package in dir (default ".") into a
 // temporary binary and returns its path.
+//
+// A golden test calls none of the command's code itself, so the
+// linker drops all of it from the test binary, and Go's test cache,
+// which keys on that binary and the files the test opens, would report
+// a cached pass after any change to the command or the packages it
+// uses. Build therefore also opens every non-test .go file under the
+// module's internal/ and cmd/, which makes them inputs of the test.
 func Build(t *testing.T, dir string) string {
 	t.Helper()
 	if dir == "" {
 		dir = "."
+	}
+	if err := openSources(dir); err != nil {
+		t.Fatalf("opening the module's sources: %v", err)
 	}
 	bin := filepath.Join(t.TempDir(), "cmd.bin")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
@@ -31,6 +43,41 @@ func Build(t *testing.T, dir string) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// openSources opens and closes every non-test .go file under internal/
+// and cmd/ of the module that contains dir.
+func openSources(dir string) error {
+	root, err := filepath.Abs(dir)
+	if err != nil {
+		return err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(root)
+		if parent == root {
+			return fmt.Errorf("no go.mod above %s", dir)
+		}
+		root = parent
+	}
+	for _, sub := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, sub), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			return f.Close()
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Run executes the binary with the given arguments and returns its

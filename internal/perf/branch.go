@@ -36,22 +36,20 @@ func NewBranchPredictor(bits uint) *BranchPredictor {
 // whether the prediction was correct.
 func (bp *BranchPredictor) Record(site uint64, taken bool) bool {
 	bp.branches++
-	idx := (site ^ bp.history) & bp.mask
-	predTaken := bp.table[idx] >= 2
-	correct := predTaken == taken
+	ctr := &bp.table[(site^bp.history)&bp.mask]
+	correct := (*ctr >= 2) == taken
+	h := bp.history << 1
+	if taken {
+		h |= 1
+		if *ctr < 3 {
+			*ctr++
+		}
+	} else if *ctr > 0 {
+		*ctr--
+	}
+	bp.history = h & bp.mask
 	if !correct {
 		bp.misses++
-	}
-	if taken {
-		if bp.table[idx] < 3 {
-			bp.table[idx]++
-		}
-	} else if bp.table[idx] > 0 {
-		bp.table[idx]--
-	}
-	bp.history = (bp.history << 1) & bp.mask
-	if taken {
-		bp.history |= 1
 	}
 	return correct
 }

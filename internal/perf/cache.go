@@ -67,14 +67,25 @@ func cacheSets(sizeBytes, ways, lineBytes int) int {
 
 // Access simulates a reference to addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
+	key, base, hit := c.mru(addr)
+	return hit || c.walk(key, base)
+}
+
+// mru counts a reference to addr and reports whether it re-hits the MRU
+// line of its set, which moves nothing. Otherwise walk(key, base)
+// finishes the access. The split keeps mru small enough to inline into
+// a caller's loop, the common case.
+func (c *Cache) mru(addr uint64) (key uint64, base int, hit bool) {
 	c.accesses++
 	line := addr >> c.lineShift
-	key := line + 1
-	base := int(line&c.setMask) * c.ways
+	base = int(line&c.setMask) * c.ways
+	return line + 1, base, c.lines[base] == line+1
+}
+
+// walk finishes a reference to key, which is not the MRU line of the
+// set starting at base.
+func (c *Cache) walk(key uint64, base int) bool {
 	set := c.lines[base : base+c.ways]
-	if set[0] == key {
-		return true // re-hit of the MRU line: nothing moves
-	}
 	// Walk down the stack pushing every line one slot back. Finding key
 	// at slot k ends the walk with slots 0..k-1 aged by one and slot 0
 	// free for it; reaching the end has dropped the LRU line (or an

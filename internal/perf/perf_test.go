@@ -413,7 +413,7 @@ func TestLargerLLCFewerMisses(t *testing.T) {
 
 func TestWithLLCSlices(t *testing.T) {
 	base := DefaultProbeConfig()
-	realised := func(pc ProbeConfig) int { return len(NewProbe(pc).llc[0].cache.lines) }
+	realised := func(pc ProbeConfig) int { return len(NewProbe(pc).sim.llc[0].cache.lines) }
 	// The default 2.5 MiB slice realises 2 MiB of sets; four of them 8 MiB.
 	if got, one := realised(base.WithLLCSlices(4)), realised(base); got != 4*one {
 		t.Fatalf("4 slices -> %d lines, one slice has %d", got, one)

@@ -53,11 +53,22 @@ func (pc ProbeConfig) WithLLCSlices(n ...int) ProbeConfig {
 //     the pattern of the router's freshly allocated per-search state —
 //     these miss every cache no matter its size, which is why routing's
 //     miss rate does not improve with bigger VMs in the paper.
+//
+// The methods are the probe's front: they count every event and append
+// the ones whose outcome a cache or the predictor decides to a batch
+// (see replay.go). The simulator replays the batch in stream order, so
+// every outcome is the one an inline simulation would give; the front
+// folds the outcomes into its counters at the only places that read
+// them — TakePhase, TakePhaseMeasured, Counters and MergeShards.
 type Probe struct {
-	l1 *Cache
-	bp *BranchPredictor
-	// llc has a model per distinct realised geometry of cfg.LLCSlices.
-	llc []llcModel
+	sim *simulator
+	// ev is the batch being filled, nil until the first simulated event
+	// after a sync.
+	ev []uint64
+	// inline is set on shards: they replay full batches themselves, on
+	// the worker that fills them, instead of handing them to a helper.
+	inline    bool
+	lineShift uint
 
 	// HotBytes bounds each hot region's footprint. Zero means 32 KiB.
 	HotBytes uint64
@@ -65,6 +76,9 @@ type Probe struct {
 	cfg  ProbeConfig
 	c    Counters // everything but the LLC outcomes, which live in llc
 	mark Counters // snapshot at the last phase boundary
+	// llc holds the outcomes of each last-level model of sim, counters
+	// whose LLC fields alone are used, to be added to the probe's own.
+	llc []llcCounters
 	// others holds the LLC outcomes of models 1..K-1 per phase taken
 	// (the Phase itself carries model 0's); see ReportFor.
 	others []Counters
@@ -77,20 +91,18 @@ type Probe struct {
 	drained Counters // portion of c already absorbed by a parent
 }
 
-// llcModel is one last-level cache and its outcomes: counters whose
-// LLC fields alone are used, to be added to the probe's own.
-type llcModel struct {
-	cache            *Cache
+type llcCounters struct {
 	c, mark, drained Counters
 }
 
 // NewProbe builds a probe with the given geometry. VM sizes whose LLC
 // rounds to the same realised cache (see NewCache) share one model.
 func NewProbe(cfg ProbeConfig) *Probe {
+	l1 := NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
 	p := &Probe{
-		l1:  NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-		bp:  NewBranchPredictor(cfg.PredictorBits),
-		cfg: cfg,
+		sim:       newSimulator(l1, NewBranchPredictor(cfg.PredictorBits)),
+		lineShift: l1.lineShift,
+		cfg:       cfg,
 	}
 	sizes := cfg.LLCSlices
 	if len(sizes) == 0 {
@@ -98,7 +110,8 @@ func NewProbe(cfg ProbeConfig) *Probe {
 	}
 	for _, n := range sizes {
 		if p.model(n) < 0 {
-			p.llc = append(p.llc, llcModel{cache: NewCache(cfg.LLCBytes*max(n, 1), cfg.LLCWays, cfg.LineBytes)})
+			p.sim.llc = append(p.sim.llc, llcSim{cache: NewCache(cfg.LLCBytes*max(n, 1), cfg.LLCWays, cfg.LineBytes)})
+			p.llc = append(p.llc, llcCounters{})
 		}
 	}
 	return p
@@ -108,8 +121,8 @@ func NewProbe(cfg ProbeConfig) *Probe {
 // slices is simulated by, or -1.
 func (p *Probe) model(n int) int {
 	mask := uint64(cacheSets(p.cfg.LLCBytes*max(n, 1), p.cfg.LLCWays, p.cfg.LineBytes) - 1)
-	for i := range p.llc {
-		if p.llc[i].cache.setMask == mask {
+	for i := range p.sim.llc {
+		if p.sim.llc[i].cache.setMask == mask {
 			return i
 		}
 	}
@@ -129,6 +142,7 @@ func (p *Probe) Shards(n int) []*Probe {
 	for len(p.shards) < n {
 		s := NewProbe(p.cfg)
 		s.HotBytes = p.HotBytes
+		s.inline = true
 		p.shards = append(p.shards, s)
 	}
 	return p.shards[:n]
@@ -145,6 +159,7 @@ func (p *Probe) MergeShards(shards []*Probe) {
 		if s == nil {
 			continue
 		}
+		s.sync()
 		delta := sub(s.c, s.drained)
 		p.c.Add(&delta)
 		s.drained = s.c
@@ -157,19 +172,68 @@ func (p *Probe) MergeShards(shards []*Probe) {
 	}
 }
 
-// l1Miss books an L1 miss and presents it to every last-level model;
-// prefetch is 1 if a stride prefetcher would cover a miss there.
-func (p *Probe) l1Miss(addr, prefetch uint64) {
-	p.c.L1Misses++
-	for i := range p.llc {
-		m := &p.llc[i]
-		if m.cache.Access(addr) {
-			m.c.LLCHits++
-		} else {
-			m.c.LLCMisses++
-			m.c.LLCPrefetched += prefetch
-		}
+// sync brings the counters up to date with every event recorded so
+// far: it waits for the helper to replay the batches handed to it,
+// replays the batch in hand, returns its buffer and folds the
+// simulator's outcomes in.
+func (p *Probe) sync() {
+	s := p.sim
+	s.wait()
+	if p.ev != nil {
+		s.replay(p.ev)
+		putBatch(p.ev)
+		p.ev = nil
 	}
+	p.c.Add(&s.c)
+	s.c = Counters{}
+	for i := range p.llc {
+		p.llc[i].c.Add(&s.llc[i].c)
+		s.llc[i].c = Counters{}
+	}
+}
+
+// push appends one event word to the batch, first handing a full batch
+// on (or fetching a buffer, before the first event).
+func (p *Probe) push(w uint64) {
+	if len(p.ev) == cap(p.ev) {
+		p.flush()
+	}
+	p.ev = append(p.ev, w)
+}
+
+// flush replays the batch in hand (shards) or hands it to the helper
+// (root probes), and starts the next one; with no batch in hand it
+// just fetches a buffer.
+func (p *Probe) flush() {
+	switch {
+	case p.ev == nil:
+	case p.inline:
+		p.sim.replay(p.ev)
+		p.ev = p.ev[:0]
+		return
+	default:
+		p.sim.submit(p.ev)
+	}
+	p.ev = getBatch()
+}
+
+// access records a reference to addr; kind is evAccess or evRange.
+func (p *Probe) access(addr, kind uint64) {
+	if addr >= evRange {
+		p.accessEscaped(addr, kind)
+		return
+	}
+	p.push(addr | kind)
+}
+
+// accessEscaped records a reference to an address whose top bits are
+// taken by the event tags: an evEscape word carrying the range bit,
+// then the address itself, both in one batch.
+func (p *Probe) accessEscaped(addr, kind uint64) {
+	if cap(p.ev)-len(p.ev) < 2 {
+		p.flush()
+	}
+	p.ev = append(p.ev, evEscape|kind>>tagShift, addr)
 }
 
 func (p *Probe) hotAddr(region int, idx uint64) uint64 {
@@ -230,11 +294,7 @@ func (p *Probe) Load(addr uint64) {
 	}
 	p.c.Instrs++
 	p.c.Loads++
-	if p.l1.Access(addr) {
-		p.c.L1Hits++
-		return
-	}
-	p.l1Miss(addr, 0)
+	p.access(addr, evAccess)
 }
 
 // Store records a data store to the synthetic address addr.
@@ -244,11 +304,7 @@ func (p *Probe) Store(addr uint64) {
 	}
 	p.c.Instrs++
 	p.c.Stores++
-	if p.l1.Access(addr) {
-		p.c.L1Hits++
-		return
-	}
-	p.l1Miss(addr, 0)
+	p.access(addr, evAccess)
 }
 
 // LoadRange records a sequential sweep of n elements of elemSize bytes
@@ -265,17 +321,13 @@ func (p *Probe) LoadRange(addr uint64, n, elemSize int) {
 	lastLine := ^uint64(0)
 	for i := 0; i < n; i++ {
 		a := addr + uint64(i*elemSize)
-		ln := a >> p.l1.lineShift
+		ln := a >> p.lineShift
 		if ln == lastLine {
 			p.c.L1Hits++
 			continue
 		}
 		lastLine = ln
-		if p.l1.Access(a) {
-			p.c.L1Hits++
-			continue
-		}
-		p.l1Miss(a, 1)
+		p.access(a, evRange)
 	}
 }
 
@@ -287,9 +339,11 @@ func (p *Probe) Branch(site uint64, taken bool) {
 	}
 	p.c.Instrs++
 	p.c.Branches++
-	if !p.bp.Record(site, taken) {
-		p.c.BranchMisses++
+	w := evBranch | (site<<1)&^evTags
+	if taken {
+		w |= 1
 	}
+	p.push(w)
 }
 
 // FPScalar records n scalar floating-point operations.
@@ -325,6 +379,7 @@ func (p *Probe) Counters() Counters {
 	if p == nil {
 		return Counters{}
 	}
+	p.sync()
 	c := p.c
 	c.Add(&p.llc[0].c)
 	return c
@@ -337,6 +392,7 @@ func (p *Probe) TakePhase(name string, parallelFraction float64, chunks int) Pha
 	if p == nil {
 		return Phase{Name: name, ParallelFraction: parallelFraction, Chunks: chunks}
 	}
+	p.sync()
 	delta := sub(p.c, p.mark)
 	p.mark = p.c
 	for i := range p.llc {
