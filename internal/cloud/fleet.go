@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,16 @@ type FleetInstance struct {
 	// BusySec totals leased time; CostUSD totals the bills.
 	BusySec float64
 	CostUSD float64
-	Leases  []Lease
+	// Leases is the live timeline: every lease not yet moved out by
+	// Settle.
+	Leases []Lease
+
+	// settledFree, settledBusy and settledCost are the left folds over
+	// the leases Settle moved out — the max end, the summed durations and
+	// the summed bills a ledger recompute would have accumulated before
+	// reaching the first live lease. Continuing each fold from its carry
+	// gives the bits the full timeline would.
+	settledFree, settledBusy, settledCost float64
 }
 
 // Fleet is a bounded pool of rentable instances.
@@ -208,7 +218,7 @@ func (f *Fleet) Extend(idx int, stage string, durSec float64) float64 {
 // instanceCost re-sums an instance's lease bills so the ledger equals
 // the exact sum of final lease costs regardless of extension order.
 func instanceCost(inst *FleetInstance) float64 {
-	var c float64
+	c := inst.settledCost
 	for _, l := range inst.Leases {
 		c += l.CostUSD
 	}
@@ -264,6 +274,7 @@ func (f *Fleet) Reset() {
 		inst.BusySec = 0
 		inst.CostUSD = 0
 		inst.Leases = nil
+		inst.settledFree, inst.settledBusy, inst.settledCost = 0, 0, 0
 	}
 }
 
@@ -278,7 +289,8 @@ type LedgerRow struct {
 }
 
 // Ledger summarizes per-instance usage, ordered by instance index, for
-// the given horizon (0 means HorizonSec).
+// the given horizon (0 means HorizonSec). Leases counts live leases
+// only; Unsettle first to count what Settle moved out.
 func (f *Fleet) Ledger(horizonSec float64) []LedgerRow {
 	if horizonSec <= 0 {
 		horizonSec = f.HorizonSec()
@@ -337,10 +349,10 @@ func (f *Fleet) Clone() *Fleet {
 	return out
 }
 
-// Snapshot returns a deep copy of the fleet including every lease and
-// ledger total — unlike Clone, which returns an unused twin. A serving
-// layer trial-books a re-plan on a snapshot and adopts or discards the
-// whole fleet state atomically. The revocation model is shared, not
+// Snapshot returns a deep copy of the fleet including every live lease,
+// ledger total and settled carry — unlike Clone, which returns an
+// unused twin. A serving layer trial-books a re-plan on a snapshot and
+// adopts or discards the whole fleet state atomically. The revocation model is shared, not
 // copied, for the same reason Clone shares it: its timelines are a pure
 // function of (seed, instance ID).
 func (f *Fleet) Snapshot() *Fleet {
@@ -365,20 +377,26 @@ func (f *Fleet) Snapshot() *Fleet {
 // releases the uncommitted tail of the schedule and re-books it against
 // the fleet's remaining capacity. It returns the number of leases
 // released.
-func (f *Fleet) ReleaseFrom(tSec float64) int {
+func (f *Fleet) ReleaseFrom(tSec float64) int { return f.ReleaseWhere(tSec, nil) }
+
+// ReleaseWhere is ReleaseFrom restricted to the not-yet-started leases
+// drop selects (nil selects all of them) — a canceled job's future
+// bookings, say, while every other reservation stands. The ledgers are
+// recomputed the same way ReleaseFrom recomputes them.
+func (f *Fleet) ReleaseWhere(tSec float64, drop func(Lease) bool) int {
 	released := 0
 	for _, inst := range f.Instances {
 		kept := inst.Leases[:0]
 		for _, l := range inst.Leases {
-			if l.StartSec >= tSec {
+			if l.StartSec >= tSec && (drop == nil || drop(l)) {
 				released++
 				continue
 			}
 			kept = append(kept, l)
 		}
 		inst.Leases = kept
-		inst.FreeAtSec = 0
-		inst.BusySec = 0
+		inst.FreeAtSec = inst.settledFree
+		inst.BusySec = inst.settledBusy
 		for _, l := range inst.Leases {
 			if l.EndSec > inst.FreeAtSec {
 				inst.FreeAtSec = l.EndSec
@@ -388,6 +406,64 @@ func (f *Fleet) ReleaseFrom(tSec float64) int {
 		inst.CostUSD = instanceCost(inst)
 	}
 	return released
+}
+
+// Settle moves out of each instance the longest prefix of leases no
+// release at tSec or later can touch — started before tSec and ended
+// by it — folds them into the instance's carries, and returns them per
+// instance (nil when none moved). A zero-length lease starting exactly
+// at tSec stays live: ReleaseFrom(tSec) would still release it. Every
+// ledger total keeps its bits, so a settling fleet matches one that
+// never settles as long as no later release runs before tSec. A rolling
+// re-planner settles as its clock advances, so each re-plan copies and
+// rescans only the live tail instead of every lease ever booked.
+func (f *Fleet) Settle(tSec float64) [][]Lease {
+	var out [][]Lease
+	for i, inst := range f.Instances {
+		n := 0
+		for n < len(inst.Leases) && inst.Leases[n].StartSec < tSec && inst.Leases[n].EndSec <= tSec {
+			l := inst.Leases[n]
+			if l.EndSec > inst.settledFree {
+				inst.settledFree = l.EndSec
+			}
+			inst.settledBusy += l.EndSec - l.StartSec
+			inst.settledCost += l.CostUSD
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([][]Lease, len(f.Instances))
+		}
+		// Appends to the live tail land past index n, so the settled prefix
+		// is never written again.
+		out[i] = inst.Leases[:n:n]
+		inst.Leases = inst.Leases[n:]
+	}
+	return out
+}
+
+// Unsettle returns a deep copy of the fleet with settled — the leases
+// Settle returned, per instance and in order — put back in front of
+// each live timeline and the carries cleared: the fleet that never
+// settled, with the same ledger to the bit.
+func (f *Fleet) Unsettle(settled [][]Lease) *Fleet {
+	out := &Fleet{
+		Instances:  make([]*FleetInstance, len(f.Instances)),
+		Revocation: f.Revocation,
+	}
+	for i, inst := range f.Instances {
+		cp := *inst
+		var prefix []Lease
+		if i < len(settled) {
+			prefix = settled[i]
+		}
+		cp.Leases = slices.Concat(prefix, inst.Leases)
+		cp.settledFree, cp.settledBusy, cp.settledCost = 0, 0, 0
+		out.Instances[i] = &cp
+	}
+	return out
 }
 
 // TypeByName returns the instance type of the given name present in

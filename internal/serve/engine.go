@@ -14,9 +14,11 @@ import (
 
 // This file is the serving engine: a single-goroutine simulated-time
 // event loop over (arrival, completion, cancel) events. The engine's
-// authoritative state is one cloud.Fleet carrying the full lease
-// timeline — committed stages (already started) plus the planned
-// future bookings of every in-flight job. At each event the
+// authoritative state is one cloud.Fleet carrying the live lease
+// timeline — stages the clock has not yet seen finish plus the planned
+// future bookings of every in-flight job — and an archive of the leases
+// the fleet settled as the clock passed their end, so an event's work
+// follows the live tail, not the trace's length. At each event the
 // uncommitted tail is released (Fleet.Snapshot + ReleaseFrom), all
 // remaining stages are re-solved jointly (mckp.BatchOptimizeState,
 // warm-started), replayed through the placement engine under the
@@ -44,10 +46,14 @@ type Engine struct {
 	tenants   map[string]Tenant
 	caps      map[string]float64
 
-	fleet  *cloud.Fleet
-	now    float64
-	jobs   []*record
-	prices map[string]float64
+	fleet *cloud.Fleet
+	// settled archives, per fleet instance, the leases the fleet settled
+	// as the clock advanced; Fleet() puts them back in front of the live
+	// timeline.
+	settled [][]cloud.Lease
+	now     float64
+	jobs    []*record
+	prices  map[string]float64
 
 	// seen maps each artifact chain key an admitted job will compute to
 	// the job that introduced it — the serving layer's fleet-wide dedup
@@ -74,6 +80,7 @@ func New(cfg Config) (*Engine, error) {
 		tenants:   map[string]Tenant{},
 		caps:      quotaCaps(cfg.Fleet, cfg.Tenants),
 		fleet:     cfg.Fleet,
+		settled:   make([][]cloud.Lease, len(cfg.Fleet.Instances)),
 		prices:    map[string]float64{},
 		seen:      map[cache.Key]int{},
 	}
@@ -96,14 +103,23 @@ func (e *Engine) Now() float64 { return e.now }
 func jobKey(id int) string { return "j" + strconv.Itoa(id) }
 
 func (e *Engine) tenantOf(jobName string) string {
+	if r := e.jobOf(jobName); r != nil {
+		return r.status.Tenant
+	}
+	return ""
+}
+
+// jobOf resolves a lease/forecast name to its job, nil when it names
+// none.
+func (e *Engine) jobOf(jobName string) *record {
 	if len(jobName) < 2 || jobName[0] != 'j' {
-		return ""
+		return nil
 	}
 	id, err := strconv.Atoi(jobName[1:])
 	if err != nil || id < 0 || id >= len(e.jobs) {
-		return ""
+		return nil
 	}
-	return e.jobs[id].status.Tenant
+	return e.jobs[id]
 }
 
 // chainHits renders one job's predicted cache hits over its template's
@@ -154,7 +170,8 @@ type SubmitRequest struct {
 	// It must not precede the engine's current time.
 	ArrivalSec float64
 	// DeadlineSec is the job's absolute completion deadline; 0 means
-	// none. Admission promises the deadline or rejects the job.
+	// none. Admission promises the deadline or rejects the job. Both
+	// times must be finite and below 2^53 s.
 	DeadlineSec float64
 }
 
@@ -169,6 +186,13 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 	tpl, ok := e.templates[req.Template]
 	if !ok {
 		return JobStatus{}, fmt.Errorf("serve: unknown template %q", req.Template)
+	}
+	err := checkTime("arrival", req.ArrivalSec)
+	if err == nil {
+		err = checkTime("deadline", req.DeadlineSec)
+	}
+	if err != nil {
+		return JobStatus{}, fmt.Errorf("serve: job %q: %w", req.Name, err)
 	}
 	if req.ArrivalSec < e.now {
 		return JobStatus{}, fmt.Errorf("serve: job %q arrives at %g, before the engine clock %g",
@@ -299,7 +323,7 @@ func (e *Engine) AdvanceTo(tSec float64) {
 		if id < 0 || next > tSec {
 			break
 		}
-		e.now = next
+		e.setNow(next)
 		r := e.jobs[id]
 		r.status.Status = StatusDone
 		r.status.FinishSec = next
@@ -308,9 +332,22 @@ func (e *Engine) AdvanceTo(tSec float64) {
 		e.reoptimize(false)
 	}
 	if !math.IsInf(tSec, 1) && tSec > e.now {
-		e.now = tSec
+		e.setNow(tSec)
 	}
 	e.emitUpTo(e.now)
+}
+
+// setNow moves the clock to t and archives the leases the fleet can
+// settle. It settles at min(t, readyInt(t)), not t: a re-plan books
+// nothing before readyInt of the clock, which sits a hair below t when
+// t is just past a whole second, so no settled lease can overlap a
+// booking in the quota gate; and none started at or after t, so no
+// release can drop one.
+func (e *Engine) setNow(t float64) {
+	e.now = t
+	for i, ls := range e.fleet.Settle(math.Min(t, float64(readyInt(t)))) {
+		e.settled[i] = append(e.settled[i], ls...)
+	}
 }
 
 // Drain runs the engine to quiescence: every admitted job completes.
@@ -350,6 +387,22 @@ func stageCost(stages []PlannedStage) float64 {
 		c += st.CostUSD
 	}
 	return c
+}
+
+// maxClockSec bounds every time a client hands the engine: past 2^53 a
+// float64 no longer holds every whole second, and well before int
+// overflows (about 9.2e18) the knapsack's integral clock stops meaning
+// anything.
+const maxClockSec = 1 << 53
+
+// checkTime refuses a client-supplied time that is not finite or not
+// below maxClockSec. Callers check before the clock moves, so a refused
+// request leaves the engine as it was.
+func checkTime(what string, t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) || t >= maxClockSec {
+		return fmt.Errorf("%s %g is not a finite time below 2^53 s", what, t)
+	}
+	return nil
 }
 
 // readyInt and deadlineInt move the serving layer's continuous clock
@@ -569,35 +622,14 @@ func (e *Engine) reoptimize(cancel bool) {
 	}
 }
 
-// dropCanceledLeases removes canceled jobs' not-yet-started leases
+// dropCanceledLeases releases canceled jobs' not-yet-started leases
 // from the live fleet in place, leaving every other booking untouched
 // — the fallback when a post-cancel re-plan would break a promise.
 func (e *Engine) dropCanceledLeases() {
-	canceled := map[string]bool{}
-	for i, r := range e.jobs {
-		if r.status.Status == StatusCanceled {
-			canceled[jobKey(i)] = true
-		}
-	}
-	for _, inst := range e.fleet.Instances {
-		kept := inst.Leases[:0]
-		for _, l := range inst.Leases {
-			if canceled[l.Job] && l.StartSec >= e.now {
-				e.Released++
-				continue
-			}
-			kept = append(kept, l)
-		}
-		inst.Leases = kept
-		inst.FreeAtSec, inst.BusySec, inst.CostUSD = 0, 0, 0
-		for _, l := range inst.Leases {
-			if l.EndSec > inst.FreeAtSec {
-				inst.FreeAtSec = l.EndSec
-			}
-			inst.BusySec += l.EndSec - l.StartSec
-			inst.CostUSD += l.CostUSD
-		}
-	}
+	e.Released += e.fleet.ReleaseWhere(e.now, func(l cloud.Lease) bool {
+		r := e.jobOf(l.Job)
+		return r != nil && r.status.Status == StatusCanceled
+	})
 }
 
 // admitIndependent is the per-arrival baseline: the job's own min-cost

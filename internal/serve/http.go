@@ -143,6 +143,10 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 		}
+		if err := checkTime("cancel at_sec", req.AtSec); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
+			return
+		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		at := req.AtSec
@@ -185,12 +189,15 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		to := req.ToSec
 		if req.Drain {
 			to = math.Inf(1)
+		} else if err := checkTime("advance to_sec", to); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
+			return
 		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		if to < s.eng.Now() {
 			writeErr(w, http.StatusBadRequest,
 				fmt.Errorf("serve: cannot advance to %g, clock is at %g", to, s.eng.Now()))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,4 +155,93 @@ func TestServerLifecycle(t *testing.T) {
 	if rep.Jobs != 3 || rep.Completed != 1 || rep.Rejected != 1 || rep.Canceled != 1 || rep.MissedPromises != 0 {
 		t.Fatalf("report: %s", &rep)
 	}
+}
+
+// send drives one request through the handler in process.
+func send(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestOutOfRangeTimesRefused: a time at or above 2^53 s — where the
+// knapsack's integral clock used to overflow into a "negative deadline"
+// — comes back 400 from every endpoint that takes one, before the clock
+// moves, so the next ordinary request still succeeds. The largest
+// accepted deadline is simply a loose one.
+func TestOutOfRangeTimesRefused(t *testing.T) {
+	s, err := NewServer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := send(h, "POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":10,"deadline_sec":2000}`); rec.Code != http.StatusCreated {
+		t.Fatalf("first submit: %d %s", rec.Code, rec.Body)
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":20,"deadline_sec":1e19}`},
+		{"POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":1e19}`},
+		{"POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":9007199254740992}`},
+		{"POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":20,"deadline_sec":1e308}`},
+		{"POST", "/v1/jobs/0/cancel", `{"at_sec":1e19}`},
+		{"POST", "/v1/advance", `{"to_sec":1e19}`},
+	} {
+		rec := send(h, c.method, c.path, c.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "2^53") {
+			t.Fatalf("%s %s %s: %d %s, want 400", c.method, c.path, c.body, rec.Code, rec.Body)
+		}
+		if now := s.Engine().Now(); now != 10 {
+			t.Fatalf("%s %s %s moved the clock to %g", c.method, c.path, c.body, now)
+		}
+	}
+	for _, req := range []SubmitRequest{
+		{Tenant: "alpha", Template: "small", ArrivalSec: math.NaN()},
+		{Tenant: "alpha", Template: "small", ArrivalSec: math.Inf(1)},
+		{Tenant: "alpha", Template: "small", ArrivalSec: 20, DeadlineSec: math.Inf(-1)},
+	} {
+		if _, err := s.Engine().Submit(req); err == nil || s.Engine().Now() != 10 {
+			t.Fatalf("submit %+v: err %v, clock %g", req, err, s.Engine().Now())
+		}
+	}
+	if rec := send(h, "POST", "/v1/jobs", `{"tenant":"beta","template":"big","arrival_sec":20,"deadline_sec":9007199254740991}`); rec.Code != http.StatusCreated {
+		t.Fatalf("loosest deadline: %d %s", rec.Code, rec.Body)
+	}
+	if rec := send(h, "POST", "/v1/advance", `{"drain":true}`); rec.Code != http.StatusOK {
+		t.Fatalf("drain: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// FuzzSubmitBody: whatever body reaches the submit handler, it never
+// panics and answers 201, 409 or 400; a 400 leaves the engine clock
+// where it was, no answer moves it to 2^53 s or past, and a drain
+// afterwards still succeeds.
+func FuzzSubmitBody(f *testing.F) {
+	// The out-of-range and malformed seeds live in testdata/fuzz.
+	f.Add([]byte(`{"tenant":"alpha","template":"small","arrival_sec":20,"deadline_sec":2000}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := NewServer(testConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		if rec := send(h, "POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":10,"deadline_sec":2000}`); rec.Code != http.StatusCreated {
+			t.Fatalf("first submit: %d %s", rec.Code, rec.Body)
+		}
+		rec := send(h, "POST", "/v1/jobs", string(body))
+		switch rec.Code {
+		case http.StatusCreated, http.StatusConflict:
+		case http.StatusBadRequest:
+			if now := s.Engine().Now(); now != 10 {
+				t.Fatalf("400 for %q moved the clock to %g: %s", body, now, rec.Body)
+			}
+		default:
+			t.Fatalf("body %q: status %d %s", body, rec.Code, rec.Body)
+		}
+		if now := s.Engine().Now(); now >= maxClockSec {
+			t.Fatalf("body %q moved the clock out of range, to %g", body, now)
+		}
+		if rec := send(h, "POST", "/v1/advance", `{"drain":true}`); rec.Code != http.StatusOK {
+			t.Fatalf("drain after %q: %d %s", body, rec.Code, rec.Body)
+		}
+	})
 }

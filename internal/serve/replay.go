@@ -103,8 +103,10 @@ func (e *Engine) Report() *Report {
 	return r
 }
 
-// Fleet exposes the engine's live fleet ledger.
-func (e *Engine) Fleet() *cloud.Fleet { return e.fleet }
+// Fleet returns a copy of the engine's fleet over the full timeline:
+// the settled archive in front of the live leases, with the same
+// ledger.
+func (e *Engine) Fleet() *cloud.Fleet { return e.fleet.Unsettle(e.settled) }
 
 // String renders the report in a stable, diffable form: aggregates
 // first, then one ledger line per tenant in config order. Job-level

@@ -10,6 +10,9 @@
 //   - cloud.Fleet.Snapshot + ReleaseFrom give the commit/release
 //     discipline — leases that have started stand (a booked stage runs
 //     to its checkpoint), everything later is released and re-booked.
+//     Fleet.Settle moves leases the clock has passed out of the live
+//     fleet into an archive, so this costs the live tail, not the
+//     history.
 //   - mckp.BatchOptimizeState re-solves all in-flight plans jointly
 //     against the remaining capacity, warm-started from the previous
 //     event's shadow prices so consecutive events converge in a round

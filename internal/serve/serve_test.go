@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"edacloud/internal/cloud"
@@ -400,6 +401,87 @@ func TestReplayPropertySeeds(t *testing.T) {
 		}
 		if total := rep.TotalCostUSD; math.Abs(sum-total) > 1e-9 {
 			t.Fatalf("seed %d: job bills %g vs ledger %g", seed, sum, total)
+		}
+		leaseOverlapRespectsQuota(t, eng, rep)
+	}
+}
+
+// TestSettledArchiveComplete: over a 400-job deadlined replay with
+// cancels, the engine settles finished leases out of its live fleet,
+// yet Fleet() still returns the full timeline — one lease stage per
+// booked stage of every admitted, done and canceled job, each
+// instance's bill the left fold of its leases to the bit, and the
+// tenant quota holding over the whole history. Both the rolling and
+// the independent engine are checked: only the latter drops canceled
+// leases through the fallback release on every cancel.
+func TestSettledArchiveComplete(t *testing.T) {
+	trace, err := TraceGen(TraceConfig{
+		Seed: 5, Jobs: 400, RatePerSec: 0.02, Burstiness: 0.4, SlackSec: 2200,
+		Tenants: []string{"alpha", "beta"}, Templates: []string{"small", "big"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, independent := range []bool{false, true} {
+		cfg := testConfig(t)
+		cfg.Independent = independent
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canceled := 0
+		for i, tj := range trace {
+			if _, err := eng.Submit(SubmitRequest{
+				Tenant: tj.Tenant, Template: tj.Template, Name: tj.Name,
+				ArrivalSec: tj.ArrivalSec, DeadlineSec: tj.DeadlineSec,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if i%20 == 19 {
+				if st, _ := eng.Status(i - 2); st.Status == StatusAdmitted && eng.Cancel(i-2, eng.Now()) == nil {
+					canceled++
+				}
+			}
+		}
+		eng.Drain()
+		rep := eng.Report()
+		if canceled == 0 || rep.Canceled != canceled || rep.Completed == 0 {
+			t.Fatalf("independent=%v: degenerate replay (%d canceled):\n%s", independent, canceled, rep)
+		}
+
+		full := eng.Fleet()
+		var live, archived, leaseStages int
+		for i, inst := range full.Instances {
+			live += len(eng.fleet.Instances[i].Leases)
+			archived += len(inst.Leases)
+			var c float64
+			for _, l := range inst.Leases {
+				c += l.CostUSD
+				leaseStages += 1 + strings.Count(l.Stage, "+")
+			}
+			if math.Float64bits(c) != math.Float64bits(inst.CostUSD) {
+				t.Fatalf("independent=%v: instance %s leases fold to %g, ledger %g", independent, inst.ID, c, inst.CostUSD)
+			}
+		}
+		if live >= archived {
+			t.Fatalf("independent=%v: live fleet holds %d leases of %d — nothing settled", independent, live, archived)
+		}
+		booked := 0
+		for _, s := range rep.Statuses {
+			if s.Status == StatusRejected {
+				continue
+			}
+			for _, st := range s.Stages {
+				if !st.Cached {
+					booked++
+				}
+			}
+		}
+		if leaseStages != booked {
+			t.Fatalf("independent=%v: full fleet carries %d lease stages, jobs booked %d", independent, leaseStages, booked)
+		}
+		if math.Float64bits(full.TotalCostUSD()) != math.Float64bits(rep.TotalCostUSD) {
+			t.Fatalf("independent=%v: full fleet bills %g, report %g", independent, full.TotalCostUSD(), rep.TotalCostUSD)
 		}
 		leaseOverlapRespectsQuota(t, eng, rep)
 	}
