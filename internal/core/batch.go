@@ -63,7 +63,7 @@ func (s BatchJobSpec) effectiveRecipe(opts CharacterizeOptions) synth.Recipe {
 }
 
 // BatchOptions shapes a batch optimization for preemptible capacity
-// and placement policy. The zero value reproduces the fault-oblivious
+// and the artifact cache. The zero value reproduces the fault-oblivious
 // behavior exactly.
 type BatchOptions struct {
 	// Hazards carries per-instance-type revocation rates (events/hour)
@@ -75,11 +75,6 @@ type BatchOptions struct {
 	// Retry is the revocation retry policy jobs execute (and forecast)
 	// under; its BackoffSec also feeds the risk adjustment.
 	Retry flow.RetryPolicy
-	// Hold plans and executes every job under the holding policy: one
-	// machine leased across all stages (flow.SingleInstance). Choice
-	// tables must then share labels across stages — build them with
-	// BuildHoldDeploymentProblem.
-	Hold bool
 	// Cache attaches a content-addressed artifact store to the
 	// execution: ExecuteBatchPlan hands it to the flow scheduler, so
 	// stages whose chain key is present are adopted instead of run and
@@ -94,8 +89,8 @@ type BatchOptions struct {
 type BatchPlan struct {
 	Feasible bool
 	// Options echoes the BatchOptions the plan was solved under;
-	// ExecuteBatchPlan replays them (retry policy, holding policy) so
-	// the forecast and the execution see the same discipline.
+	// ExecuteBatchPlan replays them (retry policy, cache) so the
+	// forecast and the execution see the same discipline.
 	Options BatchOptions
 	// Plans holds each job's stage-to-instance selection, aligned with
 	// the input specs. Problems holds the fleet-restricted deployment
@@ -181,13 +176,12 @@ func batchCapacity(fleet *cloud.Fleet) mckp.Capacity {
 // forecastFor replays the plans on a clone of the fleet and returns
 // the predicted schedule. The clone shares the fleet's revocation
 // model (timelines are pure functions of seed and instance ID), and
-// the options' retry/holding policy ride along, so the prediction
-// reacts to revocations exactly as the execution will.
-func forecastFor(specs []BatchJobSpec, plans []*Plan, fleet *cloud.Fleet, opts BatchOptions) (*flow.Schedule, error) {
+// the retry policy rides along, so the prediction reacts to
+// revocations exactly as the execution will.
+func forecastFor(specs []BatchJobSpec, plans []*Plan, fleet *cloud.Fleet, retry flow.RetryPolicy) (*flow.Schedule, error) {
 	fjobs := make([]flow.ForecastJob, len(specs))
 	for i, spec := range specs {
-		fj := flow.ForecastJob{Name: spec.Name, DeadlineSec: float64(spec.DeadlineSec),
-			Retry: opts.Retry, Hold: opts.Hold}
+		fj := flow.ForecastJob{Name: spec.Name, DeadlineSec: float64(spec.DeadlineSec), Retry: retry}
 		for _, pick := range plans[i].Picks {
 			fj.Stages = append(fj.Stages, flow.ForecastStage{
 				Kind:    pick.Job,
@@ -239,10 +233,9 @@ func OptimizeBatch(specs []BatchJobSpec, fleet *cloud.Fleet) (*BatchPlan, error)
 // OptimizeBatchOpts is OptimizeBatch with explicit BatchOptions: the
 // joint selection solves over risk-adjusted choice tables when hazards
 // are given (spot items priced at their expected truncated-attempt
-// cost and wall clock), under the holding policy's one-label-per-job
-// constraint when Hold is set, and the forecast replays the options'
-// retry/holding discipline on the fleet clone. TotalCost is then the
-// expected bill under revocations, not the nominal one.
+// cost and wall clock), and the forecast replays the options' retry
+// policy on the fleet clone. TotalCost is then the expected bill under
+// revocations, not the nominal one.
 func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptions) (*BatchPlan, error) {
 	if err := validateBatchSpecs(specs, fleet); err != nil {
 		return nil, err
@@ -264,7 +257,7 @@ func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptio
 		// Cache adjustment comes after risk adjustment: a cached stage
 		// books no lease, so it carries no revocation exposure to price.
 		classes = mckp.CacheAdjust(classes, hits, cache.ProbeTimeSec)
-		jobs[i] = mckp.BatchJob{Name: spec.Name, Classes: classes, DeadlineSec: spec.DeadlineSec, Hold: opts.Hold}
+		jobs[i] = mckp.BatchJob{Name: spec.Name, Classes: classes, DeadlineSec: spec.DeadlineSec}
 	}
 	sel, err := mckp.BatchOptimize(jobs, capacity)
 	if err != nil {
@@ -279,7 +272,7 @@ func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptio
 		bp.Plans = append(bp.Plans, plan)
 		bp.TotalCost += sel.Jobs[i].TotalCost
 	}
-	if bp.Forecast, err = forecastFor(specs, bp.Plans, fleet, opts); err != nil {
+	if bp.Forecast, err = forecastFor(specs, bp.Plans, fleet, opts.Retry); err != nil {
 		return nil, err
 	}
 	return bp, nil
@@ -292,21 +285,11 @@ func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptio
 // predicted waits and deadline misses are what co-optimization
 // removes; its cost lower-bounds any per-job-deadline-feasible batch.
 func IndependentBatchPlan(specs []BatchJobSpec, fleet *cloud.Fleet) (*BatchPlan, error) {
-	return IndependentBatchPlanOpts(specs, fleet, BatchOptions{})
-}
-
-// IndependentBatchPlanOpts is IndependentBatchPlan with explicit
-// BatchOptions. Note the independent baseline solves each job over the
-// NOMINAL choice tables even when hazards are given — it is exactly
-// the naive planner that believes spot discounts are free — so pairing
-// it against OptimizeBatchOpts with the same hazards isolates what the
-// risk adjustment buys.
-func IndependentBatchPlanOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptions) (*BatchPlan, error) {
 	if err := validateBatchSpecs(specs, fleet); err != nil {
 		return nil, err
 	}
 	capacity := batchCapacity(fleet)
-	bp := &BatchPlan{Feasible: true, Options: opts}
+	bp := &BatchPlan{Feasible: true}
 	for _, spec := range specs {
 		restricted, err := restrictProblem(spec.Prob, capacity)
 		if err != nil {
@@ -314,18 +297,10 @@ func IndependentBatchPlanOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts Bat
 		}
 		bp.Problems = append(bp.Problems, restricted)
 		deadline := spec.DeadlineSec
-		var plan *Plan
-		if opts.Hold {
-			// SolveHold treats 0 as deadline-free; the under-provision sum
-			// (smallest item per stage, labels mixed) can undercut every
-			// single-label total and would wrongly starve hold jobs.
-			plan, err = restricted.OptimizeHold(deadline)
-		} else {
-			if deadline <= 0 {
-				deadline = restricted.UnderProvision().TotalTime
-			}
-			plan, err = restricted.Optimize(deadline)
+		if deadline <= 0 {
+			deadline = restricted.UnderProvision().TotalTime
 		}
+		plan, err := restricted.Optimize(deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +316,7 @@ func IndependentBatchPlanOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts Bat
 		return bp, nil
 	}
 	var err error
-	if bp.Forecast, err = forecastFor(specs, bp.Plans, fleet, opts); err != nil {
+	if bp.Forecast, err = forecastFor(specs, bp.Plans, fleet, flow.RetryPolicy{}); err != nil {
 		return nil, err
 	}
 	return bp, nil
@@ -365,9 +340,6 @@ func ExecuteBatchPlan(lib *techlib.Library, specs []BatchJobSpec, bp *BatchPlan,
 	}
 	if len(bp.Plans) != len(specs) {
 		return nil, fmt.Errorf("core: batch plan holds %d jobs, specs are %d", len(bp.Plans), len(specs))
-	}
-	if bp.Options.Hold && adaptive {
-		return nil, fmt.Errorf("core: holding-policy batch plan cannot execute adaptively")
 	}
 	opts = opts.withDefaults()
 	jobs := make([]flow.Job, len(specs))
@@ -393,19 +365,10 @@ func ExecuteBatchPlan(lib *techlib.Library, specs []BatchJobSpec, bp *BatchPlan,
 			WorkScale:   spec.Char.WorkScale,
 			Retry:       bp.Options.Retry,
 		}
-		if bp.Options.Hold {
-			// The holding policy runs every stage on the job's one machine
-			// — the plan's label-uniform pick.
-			jobs[i].Instance = bp.Plans[i].Picks[0].Instance
-		}
 		if adaptive {
 			jobs[i].Choices = bp.Problems[i].StageChoices()
 		}
 	}
-	policy := flow.Policy(flow.PlanPolicy{})
-	if bp.Options.Hold {
-		policy = flow.SingleInstance{}
-	}
-	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Policy: policy, Cache: bp.Options.Cache}
+	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Policy: flow.PlanPolicy{}, Cache: bp.Options.Cache}
 	return sched.Run(nil, jobs)
 }

@@ -82,61 +82,6 @@ func BuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog
 	return prob, nil
 }
 
-// BuildHoldDeploymentProblem builds the single-machine variant of the
-// deployment problem: every stage's candidates are every catalog type
-// whose size the characterization profiled — not just the stage's
-// recommended family — so every label appears in every class and the
-// holding policy (one lease across all stages) has machines to choose
-// from. Runtimes are re-derived per type from the profiled counts, as
-// in BuildDeploymentProblem.
-func BuildHoldDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog) (*DeploymentProblem, error) {
-	prob := &DeploymentProblem{Design: char.Design}
-	for _, k := range JobKinds() {
-		var choices []StageChoice
-		cl := mckp.Class{Name: k.String()}
-		for _, it := range catalog.Types {
-			vi := -1
-			for i, v := range char.VCPUs {
-				if v == it.VCPUs {
-					vi = i
-					break
-				}
-			}
-			if vi < 0 {
-				continue // size not characterized
-			}
-			prof := char.Profiles[vi][int(k)]
-			m := machineFor(it.VCPUs, it.AVX, 0, char.WorkScale)
-			secs := m.Seconds(prof.Report)
-			cost := it.Cost(secs)
-			choices = append(choices, StageChoice{Job: k, Instance: it, Seconds: secs, Cost: cost})
-			cl.Items = append(cl.Items, mckp.Item{
-				Label:   it.Name,
-				TimeSec: int(math.Ceil(secs)),
-				Cost:    cost,
-			})
-		}
-		if len(choices) == 0 {
-			return nil, fmt.Errorf("core: catalog has no type at a characterized size for stage %s of %s",
-				k, char.Design)
-		}
-		prob.Stages = append(prob.Stages, choices)
-		prob.Classes = append(prob.Classes, cl)
-	}
-	return prob, nil
-}
-
-// OptimizeHold picks the cost-minimal single machine able to run every
-// stage back-to-back under the deadline — the holding-policy
-// counterpart of Optimize.
-func (prob *DeploymentProblem) OptimizeHold(deadlineSec int) (*Plan, error) {
-	sel, err := mckp.SolveHold(prob.Classes, deadlineSec)
-	if err != nil {
-		return nil, err
-	}
-	return planFromSelection(prob, sel), nil
-}
-
 // Plan is an optimized deployment: one instance per stage.
 type Plan struct {
 	Feasible  bool

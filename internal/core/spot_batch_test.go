@@ -255,70 +255,3 @@ func TestRiskAdjustedBatchBeatsNaiveSpot(t *testing.T) {
 			riskSched.TotalCostUSD, naiveSched.TotalCostUSD)
 	}
 }
-
-// TestHoldBatchForecastMatchesExecution closes the ROADMAP estimator
-// gap: a batch planned and executed under the holding policy (one
-// machine leased across all stages, flow.SingleInstance) must forecast
-// exactly, and its single-label plans must survive the shadow-price
-// loop.
-func TestHoldBatchForecastMatchesExecution(t *testing.T) {
-	catalog := cloud.DefaultCatalog()
-	names := []string{"dyn_node", "aes", "ibex"}
-	specs := make([]BatchJobSpec, len(names))
-	for i, name := range names {
-		char := characterized(t, name)
-		prob, err := BuildHoldDeploymentProblem(char, catalog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = BatchJobSpec{Name: name, Char: char, Prob: prob}
-	}
-	fleet, err := cloud.ParseFleetSpec(catalog, "gp.2x=1,mem.2x=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bp, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Hold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bp.Feasible {
-		t.Fatal("hold batch infeasible")
-	}
-	for i, plan := range bp.Plans {
-		for _, pick := range plan.Picks {
-			if pick.Instance.Name != plan.Picks[0].Instance.Name {
-				t.Fatalf("job %d split its held lease: %s vs %s", i, pick.Instance.Name, plan.Picks[0].Instance.Name)
-			}
-		}
-	}
-
-	sched, err := ExecuteBatchPlan(lib, specs, bp, charOpts, fleet.Clone(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range sched.Jobs {
-		if j.Err != nil {
-			t.Fatalf("job %s: %v", j.Name, j.Err)
-		}
-		f := bp.Forecast.Jobs[i]
-		if j.StartSec != f.StartSec || j.FinishSec != f.FinishSec ||
-			j.WaitSec != f.WaitSec || j.Seconds != f.Seconds || j.CostUSD != f.CostUSD {
-			t.Fatalf("job %s diverged from hold forecast:\nexec     %+v\nforecast %+v", j.Name, j, f)
-		}
-		// One machine held: every stage on the same instance, and only
-		// the first stage can wait.
-		for s, st := range j.Stages {
-			if st.Instance != j.Stages[0].Instance {
-				t.Fatalf("job %s stage %s moved machines mid-hold", j.Name, st.Kind)
-			}
-			if s > 0 && st.WaitSec != 0 {
-				t.Fatalf("job %s stage %s re-queued despite the held lease: %+v", j.Name, st.Kind, st)
-			}
-		}
-	}
-	if sched.TotalCostUSD != bp.Forecast.TotalCostUSD || sched.MakespanSec != bp.Forecast.MakespanSec {
-		t.Fatalf("aggregates: exec %g/%g, forecast %g/%g",
-			sched.TotalCostUSD, sched.MakespanSec, bp.Forecast.TotalCostUSD, bp.Forecast.MakespanSec)
-	}
-}

@@ -143,14 +143,11 @@ func (p *Pipeline) stageKey(rc *RunContext, s Stage, prev cache.Key) cache.Key {
 }
 
 // routingWorkers resolves the worker bound the routing engine will
-// honor when uninstrumented, mirroring resolveConfig: the stage's own
-// setting wins over the pipeline's per-stage override; the
-// pipeline-wide bound never applies to routing; 0 means 1.
+// honor when uninstrumented, mirroring resolveConfig: only the stage's
+// own setting counts, since the pipeline-wide bound never applies to
+// routing; 0 means 1.
 func (p *Pipeline) routingWorkers(s Stage) int {
 	w := 0
-	if sw, ok := p.cfg.stageWorkers[JobRouting]; ok {
-		w = sw
-	}
 	if b, ok := s.(builtin); ok && b.own.Workers != 0 {
 		w = b.own.Workers
 	}

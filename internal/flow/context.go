@@ -35,10 +35,9 @@ type RunContext struct {
 }
 
 // StageConfig resolves the pipeline-level execution configuration for
-// one stage: the per-stage worker override if present (else the
-// pipeline-wide bound) and a freshly built probe — each stage gets its
-// own instrumentation, mirroring the paper's setup where every
-// application runs as a separately profiled process.
+// one stage: the pipeline-wide worker bound and a freshly built probe —
+// each stage gets its own instrumentation, mirroring the paper's setup
+// where every application runs as a separately profiled process.
 func (rc *RunContext) StageConfig(k JobKind) StageConfig {
 	var sc StageConfig
 	if rc.cfg == nil {
@@ -50,9 +49,6 @@ func (rc *RunContext) StageConfig(k JobKind) StageConfig {
 		// serial search, so real routing parallelism is opt-in per
 		// stage (see WithWorkers).
 		sc.Workers = rc.cfg.workers
-	}
-	if w, ok := rc.cfg.stageWorkers[k]; ok {
-		sc.Workers = w
 	}
 	if rc.cfg.newProbe != nil {
 		sc.Probe = rc.cfg.newProbe(k)

@@ -24,9 +24,9 @@ type ForecastStage struct {
 	Type    cloud.InstanceType
 	Seconds float64
 	// Cached marks a predicted artifact-cache hit: the placement engine
-	// prices the stage at the probe constant and — unless the job holds
-	// one machine — books no lease for it, exactly as the execution
-	// will. Seconds is ignored for cached stages.
+	// prices the stage at the probe constant and books no lease for it,
+	// exactly as the execution will. Seconds is ignored for cached
+	// stages.
 	Cached bool
 }
 
@@ -44,10 +44,6 @@ type ForecastJob struct {
 	// so a forecast on a revocation-modeled fleet reacts to truncated
 	// leases exactly as the execution will.
 	Retry RetryPolicy
-	// Hold keeps the job on one machine across all its stages (every
-	// stage must then request the same type) — the forecast form of a
-	// SingleInstance execution, one lease extended stage by stage.
-	Hold bool
 }
 
 // Forecast replays the fleet scheduler's stage-level placement
@@ -79,14 +75,9 @@ func ForecastGated(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule
 			res:      JobResult{Name: fj.Name},
 			requests: map[JobKind]cloud.InstanceType{},
 			seconds:  map[JobKind]float64{},
-			hold:     fj.Hold,
 			readySec: fj.ReadySec,
 		}
 		for _, st := range fj.Stages {
-			if fj.Hold && st.Type.Name != fj.Stages[0].Type.Name {
-				return nil, fmt.Errorf("flow: forecast job %q holds one machine but stage %s requests %s after %s",
-					fj.Name, st.Kind, st.Type.Name, fj.Stages[0].Type.Name)
-			}
 			if st.Type.Name == "" && !st.Cached {
 				return nil, fmt.Errorf("flow: forecast job %q stage %s requests no instance type", fj.Name, st.Kind)
 			}

@@ -45,7 +45,6 @@ type config struct {
 	registerOutputs bool
 	clockPeriodNs   float64
 	workers         int
-	stageWorkers    map[JobKind]int
 	newProbe        func(JobKind) *perf.Probe
 	events          func(Event)
 	checkpoints     func(*Checkpoint)
@@ -86,21 +85,12 @@ func WithClockPeriodNs(ns float64) Option {
 // 0 means GOMAXPROCS. Results are identical for every value. Routing
 // is excluded because its uninstrumented parallel path tile-clamps
 // the search and may detour differently than the serial router; opt
-// in explicitly with WithStageWorkers(JobRouting, n).
+// in explicitly through the stage's own StageConfig,
+// WithStage(Routing(route.Options{StageConfig: StageConfig{Workers: n}})).
+// The routing engine honors that bound only when uninstrumented (the
+// performance simulation is single-threaded).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithStageWorkers overrides the worker bound for one stage kind. Note
-// the routing engine honors its bound only when uninstrumented (the
-// performance simulation is single-threaded).
-func WithStageWorkers(k JobKind, n int) Option {
-	return func(c *config) {
-		if c.stageWorkers == nil {
-			c.stageWorkers = map[JobKind]int{}
-		}
-		c.stageWorkers[k] = n
-	}
 }
 
 // WithNewProbe installs the per-stage instrumentation factory: each

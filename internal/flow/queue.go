@@ -36,9 +36,8 @@ type runner struct {
 	// pinned forces the first acquisition onto one instance (the
 	// dedicated compatibility fleet); -1 means queue normally.
 	pinned int
-	// reinstance is the job's placement mode: true releases the machine
-	// between stages. It is the policy's ReInstance unless the job
-	// explicitly holds one machine (ForecastJob.Hold).
+	// reinstance is the job's placement mode, the policy's ReInstance:
+	// true releases the machine between stages.
 	reinstance bool
 	// leases collects (instance, lease) refs for exact final billing.
 	leases [][2]int
@@ -110,7 +109,7 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 		r := &runner{
 			p: prepared[i], job: &jobs[i], held: -1, pinned: -1,
 			ready:      prepared[i].readySec,
-			reinstance: policy.ReInstance() && !prepared[i].hold,
+			reinstance: policy.ReInstance(),
 			attempts:   make([]int, n),
 			revs:       make([]int, n),
 			doneSec:    make([]float64, n),

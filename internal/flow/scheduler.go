@@ -207,10 +207,6 @@ type preparedJob struct {
 	// machine's model — the forecast path (see Forecast), which has
 	// predictions but no executed pipeline.
 	seconds map[JobKind]float64
-	// hold forces this job to keep one machine across its stages even
-	// under a re-instancing policy — the forecast-side mirror of a
-	// SingleInstance execution (ForecastJob.Hold).
-	hold bool
 	// readySec is the earliest simulated time the job's first stage may
 	// start — the arrival time of a job entering a rolling-horizon
 	// forecast (ForecastJob.ReadySec). Zero for batch runs.

@@ -17,8 +17,8 @@ import (
 type Stage interface {
 	// Name is the human-readable stage label used in events and errors.
 	Name() string
-	// Kind is the application slot the stage fills; per-stage worker
-	// overrides, probes and reports are keyed by it.
+	// Kind is the application slot the stage fills; probes and reports
+	// are keyed by it.
 	Kind() JobKind
 	// Run executes the stage against the run's artifact store.
 	Run(rc *RunContext) error

@@ -36,13 +36,6 @@ type BatchJob struct {
 	// The zero value reproduces the one-shot batch exactly: every job
 	// ready at time zero, the DP budget the full deadline.
 	ReadySec int
-	// Hold marks a job executed under the holding policy (flow's
-	// SingleInstance): one machine leased once and kept across every
-	// stage. Its selection is then constrained to a single label — the
-	// solver enumerates the labels common to all classes — and the
-	// estimator places the whole job back-to-back on one machine with no
-	// inter-stage re-queueing.
-	Hold bool
 }
 
 // Capacity is the shared fleet's capacity profile: instance-type label
@@ -143,114 +136,8 @@ func batchValidate(jobs []BatchJob, capacity Capacity) error {
 				}
 			}
 		}
-		if job.Hold {
-			if err := validateHold(job); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// validateHold checks a holding-policy job's choice table: a label may
-// appear at most once per class (a label must determine the pick), and
-// at least one label must appear in every class (otherwise no single
-// machine can run the whole job).
-func validateHold(job BatchJob) error {
-	for _, cl := range job.Classes {
-		seen := map[string]bool{}
-		for _, it := range cl.Items {
-			if seen[it.Label] {
-				return fmt.Errorf("mckp: hold job %q stage %q repeats label %q", job.Name, cl.Name, it.Label)
-			}
-			seen[it.Label] = true
-		}
-	}
-	if len(holdLabels(job)) == 0 {
-		return fmt.Errorf("mckp: hold job %q has no label common to all stages", job.Name)
-	}
-	return nil
-}
-
-// holdLabels returns the labels available to a hold job — those present
-// in every class — sorted for determinism.
-func holdLabels(job BatchJob) []string {
-	if len(job.Classes) == 0 {
-		return nil
-	}
-	count := map[string]int{}
-	for _, cl := range job.Classes {
-		for _, it := range cl.Items {
-			count[it.Label]++
-		}
-	}
-	var labels []string
-	for label, n := range count {
-		if n == len(job.Classes) {
-			labels = append(labels, label)
-		}
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// holdPicks resolves a hold job's per-class item indices for one label.
-func holdPicks(job BatchJob, label string) []int {
-	picks := make([]int, len(job.Classes))
-	for l, cl := range job.Classes {
-		picks[l] = -1
-		for j, it := range cl.Items {
-			if it.Label == label {
-				picks[l] = j
-				break
-			}
-		}
-		if picks[l] < 0 {
-			return nil
-		}
-	}
-	return picks
-}
-
-// SolveHold solves one holding-policy job in isolation: the cheapest
-// single label whose total busy time across every class fits the
-// deadline (0 means none) — the per-job counterpart of SolveMinCost
-// for flows that keep one machine leased across all stages.
-func SolveHold(classes []Class, deadlineSec int) (Selection, error) {
-	job := BatchJob{Name: "hold", Classes: classes, DeadlineSec: deadlineSec, Hold: true}
-	if err := validate(classes, 0); err != nil {
-		return Selection{}, err
-	}
-	if deadlineSec < 0 {
-		return Selection{}, fmt.Errorf("mckp: negative deadline %d", deadlineSec)
-	}
-	if err := validateHold(job); err != nil {
-		return Selection{}, err
-	}
-	return holdSolve(job, nil)
-}
-
-// holdSolve is the holding-policy counterpart of pricedSolve: the
-// selection is one label for every stage, so the solve enumerates the
-// common labels, keeps those whose total busy time fits the deadline,
-// and returns the cheapest under the priced costs (ties toward the
-// lexicographically earlier label), re-totaled against true costs.
-func holdSolve(job BatchJob, prices map[string]float64) (Selection, error) {
-	best := Selection{Feasible: false}
-	bestPriced := math.Inf(1)
-	for _, label := range holdLabels(job) {
-		picks := holdPicks(job, label)
-		sel := retotal(job, picks)
-		if sel.TotalTime > effectiveDeadline(job) {
-			continue
-		}
-		priced := sel.TotalCost + prices[label]*float64(sel.TotalTime)
-		if priced < bestPriced {
-			bestPriced = priced
-			best = sel
-		}
-	}
-	return best, nil
 }
 
 // effectiveDeadline is the DP budget for one job: the busy time its
@@ -283,9 +170,6 @@ func effectiveDeadline(job BatchJob) int {
 // rendered as money — and returns picks plus true (unpriced) totals:
 // the priced costs only steer the picks.
 func pricedSolve(job BatchJob, prices map[string]float64) (Selection, error) {
-	if job.Hold {
-		return holdSolve(job, prices)
-	}
 	var negative error
 	sel, _ := solveDP(job.Classes, effectiveDeadline(job), func(it Item) float64 {
 		cost := it.Cost
@@ -405,39 +289,6 @@ func batchEstimate(jobs []BatchJob, picks [][]int, capacity Capacity, freeAt map
 		}
 		r := queue[best]
 		job := jobs[r.job]
-		if job.Hold {
-			// The holding policy leases one machine for the whole job: all
-			// stages run back-to-back on it with no inter-stage re-queueing,
-			// exactly as the flow scheduler's SingleInstance placement does.
-			label := job.Classes[0].Items[picks[r.job][0]].Label
-			total := 0
-			for l := range job.Classes {
-				total += job.Classes[l].Items[picks[r.job][l]].TimeSec
-			}
-			machines := free[label]
-			m := 0
-			for i := 1; i < len(machines); i++ {
-				if machines[i] < machines[m] {
-					m = i
-				}
-			}
-			start := r.ready
-			if machines[m] > start {
-				start = machines[m]
-			}
-			free[label][m] = start + total
-			busy[label] += total
-			wait[label] += start - r.ready
-			started[r.job] = true
-			ests[r.job].StartSec = start
-			ests[r.job].WaitSec = start - r.ready
-			ests[r.job].FinishSec = start + total
-			if start+total > makespan {
-				makespan = start + total
-			}
-			queue = append(queue[:best], queue[best+1:]...)
-			continue
-		}
 		it := job.Classes[r.stage].Items[picks[r.job][r.stage]]
 		machines := free[it.Label]
 		m := 0
@@ -707,26 +558,14 @@ func repairMisses(jobs []BatchJob, capacity Capacity, freeAt map[string][]int, s
 				}
 			}
 		}
-		if jobs[worst].Hold {
-			// A hold job moves as a unit: re-pick its single label, never a
-			// lone stage (a per-stage move would split the held lease).
-			curLabel := jobs[worst].Classes[0].Items[cur.picks[worst][0]].Label
-			for _, label := range holdLabels(jobs[worst]) {
-				if label == curLabel {
+		for l := range jobs[worst].Classes {
+			for j := range jobs[worst].Classes[l].Items {
+				if j == cur.picks[worst][l] {
 					continue
 				}
-				try(holdPicks(jobs[worst], label))
-			}
-		} else {
-			for l := range jobs[worst].Classes {
-				for j := range jobs[worst].Classes[l].Items {
-					if j == cur.picks[worst][l] {
-						continue
-					}
-					picks := append([]int(nil), cur.picks[worst]...)
-					picks[l] = j
-					try(picks)
-				}
+				picks := append([]int(nil), cur.picks[worst]...)
+				picks[l] = j
+				try(picks)
 			}
 		}
 		if bestMove == nil {

@@ -28,6 +28,11 @@ import (
 // ever improves. Everything is a pure function of the submission
 // sequence, so replays are byte-identical at any worker count.
 
+// warmRounds bounds the warm re-solve's price-adjustment iterations at
+// each event (warm starts converge fast). The initial cold solve uses
+// the optimizer's default budget.
+const warmRounds = 2
+
 // record is one submitted job's full state.
 type record struct {
 	status JobStatus
@@ -498,10 +503,7 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 			ReadySec:    a.ready,
 		}
 	}
-	rounds := e.cfg.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
+	rounds := warmRounds
 	if len(e.prices) == 0 {
 		rounds = 0 // first solve is cold: use the optimizer's full budget
 	}

@@ -29,6 +29,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
@@ -82,10 +83,6 @@ type Config struct {
 	// expectation.
 	Hazards    mckp.Hazards
 	BackoffSec float64
-	// Rounds bounds the warm re-solve's price-adjustment iterations at
-	// each event; 0 means 2 (warm starts converge fast). The initial
-	// cold solve always uses the optimizer's default budget.
-	Rounds int
 	// Workers bounds the per-job DP fan-out inside each re-solve; 0
 	// means all cores. Results are identical for every value.
 	Workers int
@@ -173,9 +170,11 @@ type TenantStat struct {
 }
 
 // validate checks a config's fleet, tenants and templates against each
-// other: every tenant named once with positive weight, every template
-// stage shaped consistently, every choice-table label resolvable to a
-// fleet instance type.
+// other: every tenant named once with a finite positive weight (and a
+// finite weight sum — a NaN or infinite weight turns the quota caps
+// into NaN, which never binds), every template stage shaped
+// consistently, every choice-table label resolvable to a fleet
+// instance type.
 func (cfg *Config) validate() error {
 	if cfg.Fleet == nil || len(cfg.Fleet.Instances) == 0 {
 		return fmt.Errorf("serve: config needs a non-empty fleet")
@@ -184,14 +183,19 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("serve: config needs at least one tenant")
 	}
 	seen := map[string]bool{}
+	var weightSum float64
 	for _, t := range cfg.Tenants {
-		if t.Name == "" || t.Weight <= 0 {
-			return fmt.Errorf("serve: tenant %+v needs a name and a positive weight", t)
+		if t.Name == "" || !(t.Weight > 0) || math.IsInf(t.Weight, 1) {
+			return fmt.Errorf("serve: tenant %+v needs a name and a finite positive weight", t)
 		}
 		if seen[t.Name] {
 			return fmt.Errorf("serve: tenant %q declared twice", t.Name)
 		}
 		seen[t.Name] = true
+		weightSum += t.Weight
+	}
+	if math.IsInf(weightSum, 1) {
+		return fmt.Errorf("serve: tenant weights overflow when summed")
 	}
 	if len(cfg.Templates) == 0 {
 		return fmt.Errorf("serve: config needs at least one template")

@@ -554,6 +554,22 @@ func TestNoStarvation(t *testing.T) {
 	}
 }
 
+// TestTenantWeightsMustBeFinite: a NaN or infinite weight, or finite
+// weights whose sum overflows, would make every quota cap NaN (never
+// binding, so quotas silently switch off) or zero. New refuses them,
+// along with zero and negative weights.
+func TestTenantWeightsMustBeFinite(t *testing.T) {
+	for _, w := range [][2]float64{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {math.Inf(-1), 1}, {0, 1}, {-1, 1}, {1e308, 1e308},
+	} {
+		cfg := testConfig(t)
+		cfg.Tenants = []Tenant{{Name: "a", Weight: w[0]}, {Name: "b", Weight: w[1]}}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("weights %v accepted", w)
+		}
+	}
+}
+
 // TestTraceGen: determinism, strict ordering, and parameter
 // validation.
 func TestTraceGen(t *testing.T) {
