@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"edacloud/internal/clitest"
@@ -24,4 +25,14 @@ func TestFigure2Golden(t *testing.T) {
 		"-figure", "2",
 	)
 	clitest.Golden(t, "testdata/figure2.golden", got, *update)
+}
+
+// TestUnknownFigureRefused: a -figure value the command does not draw
+// is an error naming the valid ones, not a silent empty run.
+func TestUnknownFigureRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-figure", "4", "-design", "dyn_node", "-scale", "0.02")
+	if !strings.Contains(msg, "2a, 2b, 2c, 2d, 2, 3, all") {
+		t.Fatalf("stderr %q does not list the valid figures", msg)
+	}
 }

@@ -28,6 +28,12 @@ func main() {
 	workers := flag.Int("workers", 0, "bound for the kernel pools of the one flow run that profiles every VM config (0 = all cores; results identical)")
 	flag.Parse()
 
+	switch *figure {
+	case "2a", "2b", "2c", "2d", "2", "3", "all":
+	default:
+		fail(fmt.Errorf("unknown -figure %q: want one of 2a, 2b, 2c, 2d, 2, 3, all", *figure))
+	}
+
 	lib := techlib.Default14nm()
 	opts := core.CharacterizeOptions{Scale: *scale, Workers: *workers}
 

@@ -148,10 +148,13 @@ func buildTemplates(catalog *cloud.Catalog, fleet *cloud.Fleet, designs []string
 			return nil, err
 		}
 		prob, err := core.BuildDeploymentProblem(char, catalog)
+		if err == nil {
+			prob, err = prob.Restrict(fleet)
+		}
 		if err != nil {
 			return nil, err
 		}
-		tpl := serve.Template{Name: d, Kinds: core.JobKinds()}
+		tpl := serve.Template{Name: d, Kinds: core.JobKinds(), Classes: prob.Classes}
 		if useCache {
 			sk, err := core.CacheChain(lib, d, opts)
 			if err != nil {
@@ -160,19 +163,6 @@ func buildTemplates(catalog *cloud.Catalog, fleet *cloud.Fleet, designs []string
 			for _, s := range sk {
 				tpl.Chain = append(tpl.Chain, s.Key)
 			}
-		}
-		for l, cl := range prob.Classes {
-			kept := cl
-			kept.Items = nil
-			for _, it := range cl.Items {
-				if _, ok := fleet.TypeByName(it.Label); ok {
-					kept.Items = append(kept.Items, it)
-				}
-			}
-			if len(kept.Items) == 0 {
-				return nil, fmt.Errorf("edad: design %s stage %s has no machine choice in fleet", d, tpl.Kinds[l])
-			}
-			tpl.Classes = append(tpl.Classes, kept)
 		}
 		out = append(out, tpl)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"edacloud/internal/clitest"
@@ -9,12 +10,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestBatchGolden pins the -batch mode's stdout end to end: the
-// co-optimized plans, the forecast-vs-simulation table (which the
-// command itself verifies for an exact match), and the three-way
-// execution comparison. Every printed value is simulated and
-// deterministic, so the comparison is byte-exact after whitespace
-// normalization.
 // TestSpotGolden pins the -spot mode's three-way comparison: the
 // on-demand, naive-spot and risk-adjusted plans, their executions
 // under the same seeded revocation timelines, and the closing verdict.
@@ -35,6 +30,12 @@ func TestSpotGolden(t *testing.T) {
 	clitest.Golden(t, "testdata/spot.golden", got, *update)
 }
 
+// TestBatchGolden pins the -batch mode's stdout end to end: the
+// co-optimized plans, the forecast-vs-simulation table (which the
+// command itself verifies for an exact match), and the three-way
+// execution comparison. Every printed value is simulated and
+// deterministic, so the comparison is byte-exact after whitespace
+// normalization.
 func TestBatchGolden(t *testing.T) {
 	bin := clitest.Build(t, "")
 	got := clitest.Run(t, bin,
@@ -65,4 +66,17 @@ func TestBatchCacheGolden(t *testing.T) {
 		"-scale", "0.03",
 	)
 	clitest.Golden(t, "testdata/batch_cache.golden", got, *update)
+}
+
+// TestCacheOutsideBatchRefused: -cache is a -batch option, and a run
+// that pairs it with another mode is refused before that mode does any
+// work — exit 1, nothing on stdout.
+func TestCacheOutsideBatchRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	for _, mode := range []string{"-execute", "-spot", "-table1"} {
+		msg := clitest.RunFail(t, bin, mode, "-cache", "-design", "dyn_node", "-designs", "dyn_node", "-scale", "0.02")
+		if !strings.Contains(msg, "-cache applies to -batch") {
+			t.Errorf("%s -cache: stderr %q does not name the rule", mode, msg)
+		}
+	}
 }

@@ -64,6 +64,9 @@ func main() {
 	workers := flag.Int("workers", 0, "bound for the characterization fan-out and kernel pools (0 = all cores; results identical)")
 	flag.Parse()
 
+	if *useCache && !*batch {
+		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))
+	}
 	if !*table1 && !*figure6 && !*execute && !*batch && !*spot {
 		*table1 = true
 		*figure6 = true
@@ -86,9 +89,6 @@ func main() {
 			store = cache.New(0)
 		}
 		batchOptimize(lib, catalog, strings.Split(*designList, ","), opts, *slack, *fleetSpec, store)
-	}
-	if *useCache && !*batch {
-		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))
 	}
 
 	if *spot {

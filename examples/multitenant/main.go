@@ -310,23 +310,12 @@ func main() {
 	// completion, and meters each tenant's concurrent spend against its
 	// weighted quota.
 	var templates []serve.Template
-	for i, spec := range specs[:2] { // two designs are enough job shapes
-		tpl := serve.Template{Name: spec.Name, Kinds: core.JobKinds()}
-		for l, cl := range spec.Prob.Classes {
-			kept := cl
-			kept.Items = nil
-			for _, it := range cl.Items {
-				if _, ok := shared.TypeByName(it.Label); ok {
-					kept.Items = append(kept.Items, it)
-				}
-			}
-			if len(kept.Items) == 0 {
-				log.Fatalf("design %s stage %s has no machine in the fleet", spec.Name, tpl.Kinds[l])
-			}
-			tpl.Classes = append(tpl.Classes, kept)
+	for _, spec := range specs[:2] { // two designs are enough job shapes
+		prob, err := spec.Prob.Restrict(shared)
+		if err != nil {
+			log.Fatal(err)
 		}
-		templates = append(templates, tpl)
-		_ = i
+		templates = append(templates, serve.Template{Name: spec.Name, Kinds: core.JobKinds(), Classes: prob.Classes})
 	}
 	serveFleet, err := cloud.ParseFleetSpec(catalog, "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1")
 	if err != nil {

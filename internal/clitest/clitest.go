@@ -98,6 +98,24 @@ func Run(t *testing.T, bin string, args ...string) string {
 	return Normalize(stdout.String())
 }
 
+// RunFail executes the binary, expecting it to refuse its arguments:
+// exit status 1 with nothing on stdout. It returns stderr, the
+// refusal message.
+func RunFail(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 1 {
+		t.Fatalf("%s %s: %v, want exit status 1", filepath.Base(bin), strings.Join(args, " "), err)
+	}
+	if stdout.Len() > 0 {
+		t.Fatalf("%s %s printed before refusing its arguments:\n%s", filepath.Base(bin), strings.Join(args, " "), stdout.String())
+	}
+	return stderr.String()
+}
+
 // Normalize strips trailing whitespace per line and trailing blank
 // lines, and canonicalizes line endings — the only variance a golden
 // comparison should forgive.

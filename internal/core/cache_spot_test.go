@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,19 +16,29 @@ import (
 
 // prewarmStore builds a fresh artifact store holding each design's
 // synthesis artifact — the shared-prefix state an earlier exploration
-// leaves behind. Rebuilt identically per execution so every worker
-// count starts from the same store bytes.
+// leaves behind — by running one synthesis-only job per design through
+// a cached scheduler batch. Rebuilt identically per execution so every
+// worker count starts from the same store bytes.
 func prewarmStore(t *testing.T, designNames []string) *cache.Store {
 	t.Helper()
+	opts := charOpts.withDefaults()
+	jobs := make([]flow.Job, len(designNames))
+	for i, d := range designNames {
+		jobs[i] = flow.Job{
+			Name:    d,
+			Design:  designs.MustEvalDesign(d, opts.Scale),
+			Lib:     lib,
+			Options: []flow.Option{flow.WithStages(flow.Synthesis(synth.Options{Recipe: opts.Recipe}))},
+		}
+	}
 	store := cache.New(0)
-	recipe := charOpts.withDefaults().Recipe
-	for _, d := range designNames {
-		p := flow.NewPipeline(
-			flow.WithStages(flow.Synthesis(synth.Options{Recipe: recipe})),
-			flow.WithCache(store),
-		)
-		if _, err := p.Run(designs.MustEvalDesign(d, charOpts.withDefaults().Scale), lib); err != nil {
-			t.Fatal(err)
+	sched, err := (&flow.Scheduler{Cache: store}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range sched.Jobs {
+		if j.Err != nil {
+			t.Fatalf("pre-warm job %s: %v", j.Name, j.Err)
 		}
 	}
 	return store

@@ -7,10 +7,7 @@ import (
 
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
-	"edacloud/internal/designs"
-	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
-	"edacloud/internal/synth"
 )
 
 // TestPredictCacheHitsWithinBatchDedup: against an empty store, the
@@ -128,7 +125,6 @@ func TestCacheAwarePlansNeverCostMore(t *testing.T) {
 	for _, d := range mix {
 		chars[d] = characterized(t, d)
 	}
-	recipe := charOpts.withDefaults().Recipe
 	// Capacity-ample on purpose: with no contention the joint solve
 	// reduces to per-job DPs, where cache adjustment dominates itemwise
 	// (a hit class only ever gets cheaper and faster), so aware <= blind
@@ -165,16 +161,7 @@ func TestCacheAwarePlansNeverCostMore(t *testing.T) {
 		// designs, so every batch job hits on synthesis but must still
 		// place, route and analyze. This is what makes hits partial and
 		// the aware-vs-blind comparison non-trivial.
-		store := cache.New(0)
-		for _, d := range mix {
-			p := flow.NewPipeline(
-				flow.WithStages(flow.Synthesis(synth.Options{Recipe: recipe})),
-				flow.WithCache(store),
-			)
-			if _, err := p.Run(designs.MustEvalDesign(d, charOpts.withDefaults().Scale), lib); err != nil {
-				t.Fatal(err)
-			}
-		}
+		store := prewarmStore(t, mix)
 		if err := PredictCacheHits(store, lib, specs, charOpts); err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 
 // This file is the flow's one artifact model: which typed artifacts a
 // run carries, and which of them each stage kind reads and writes.
-// Prerequisite checks, cache-key anchors, checkpoint stamps and the
-// cache payload's capture, install and size all iterate the two tables
-// below; nothing else switches on the four kinds.
+// Prerequisite checks, cache-key anchors and the cache payload's
+// capture, install and size all iterate the two tables below; nothing
+// else switches on the four kinds.
 
 // Artifacts is the set of typed artifacts the stages hand to each
 // other. Stages replace a slot's value, never mutate it, so a copy of

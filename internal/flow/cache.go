@@ -16,33 +16,20 @@ import (
 // are deterministic and adoption checks the entry's recorded input
 // hash against the live run's artifacts.
 //
-// Two disciplines share the code. WithCache is the live form for
-// serial use: hits and misses are billed as they happen. The Scheduler
-// uses withFrozenCache: pipelines running in the parallel phase only
-// Peek (race-free, timing-independent) and record their lookups on the
-// RunContext; the scheduler then replays the records serially in job
-// order (replayAccounting), which is the single place hits are billed,
+// The Scheduler is the one way a store attaches (withFrozenCache):
+// pipelines running in the parallel phase only Peek (race-free,
+// timing-independent) and record their lookups on the RunContext; the
+// scheduler then replays the records serially in job order
+// (replayAccounting), which is the single place hits are billed,
 // recency moves and computed entries land — so two jobs computing the
 // same prefix concurrently still settle as one compute plus one billed
 // hit, at any worker count.
-
-// WithCache attaches a content-addressed artifact store to the
-// pipeline. Before each cacheable stage runs, its chain key is looked
-// up: a verified hit adopts the stored artifacts (stage events and
-// checkpoints still fire), a miss runs the stage and stores its
-// outputs. This live form bills the store as it goes and is meant for
-// one run at a time; the Scheduler's Cache field applies the
-// frozen-store discipline that stays deterministic when many jobs run
-// concurrently.
-func WithCache(store *cache.Store) Option {
-	return func(c *config) { c.cache = store }
-}
 
 // withFrozenCache attaches the store in the scheduler's frozen form:
 // stages only Peek and record their lookups for a later serial
 // accounting replay.
 func withFrozenCache(store *cache.Store) Option {
-	return func(c *config) { c.cache = store; c.cacheFrozen = true }
+	return func(c *config) { c.cache = store }
 }
 
 // cacheStep records one frozen-phase stage lookup for the serial
@@ -189,13 +176,12 @@ func (p *Pipeline) CacheKeys(g *aig.Graph, lib *techlib.Library) []StageKey {
 // match the live artifacts — a chain collision; the stage recomputes
 // and the store is left untouched.
 func (p *Pipeline) tryAdopt(rc *RunContext, s Stage, key cache.Key, i, total int) (bool, bool) {
-	store := p.cfg.cache
 	k := s.Kind()
 	inHash, ok := rc.inputAnchor(k)
 	if !ok {
 		return false, false
 	}
-	e, present := store.Peek(key)
+	e, present := p.cfg.cache.Peek(key)
 	if !present {
 		return false, false
 	}
@@ -206,19 +192,12 @@ func (p *Pipeline) tryAdopt(rc *RunContext, s Stage, key cache.Key, i, total int
 	p.emit(Event{Type: StageStarted, Stage: s.Name(), Kind: k, Index: i, Total: total})
 	a.install(rc)
 	p.emit(Event{Type: StageFinished, Stage: s.Name(), Kind: k, Index: i, Total: total})
-	if p.cfg.cacheFrozen {
-		rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key})
-	} else {
-		store.Access(key)
-	}
-	if p.cfg.checkpoints != nil {
-		p.cfg.checkpoints(rc.Checkpoint())
-	}
+	rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key})
 	return true, false
 }
 
-// recordComputed stores (live) or records (frozen) the artifacts a
-// cache-missed stage just computed.
+// recordComputed records the artifacts a cache-missed stage just
+// computed for the serial accounting replay to put.
 func (p *Pipeline) recordComputed(rc *RunContext, s Stage, key cache.Key) {
 	k := s.Kind()
 	inHash, ok := rc.inputAnchor(k)
@@ -233,12 +212,7 @@ func (p *Pipeline) recordComputed(rc *RunContext, s Stage, key cache.Key) {
 		Bytes:     a.bytes(),
 		Payload:   a,
 	}
-	if p.cfg.cacheFrozen {
-		rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key, entry: e})
-		return
-	}
-	p.cfg.cache.Access(key) // bill the miss
-	p.cfg.cache.Put(e)
+	rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key, entry: e})
 }
 
 // replayAccounting replays one run's frozen-phase cache lookups

@@ -202,76 +202,37 @@ func TestEvictionOnlyChangesHitRate(t *testing.T) {
 	}
 }
 
-// TestLivePipelineCacheAdoption covers the serial WithCache form: a
-// second run of the same pipeline adopts every stage and bills hits.
-func TestLivePipelineCacheAdoption(t *testing.T) {
+// TestSchedulerCacheAdoption: a second one-job batch of the same full
+// flow over the store adopts every stage the first one stored — the
+// very artifacts the first run computed, not a recomputation — and
+// bills each adoption as a hit.
+func TestSchedulerCacheAdoption(t *testing.T) {
 	recipe, err := synth.RecipeByName("resyn2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := cache.New(0)
-	run := func() *RunContext {
-		p := NewPipeline(WithRecipe(recipe), WithCache(store))
-		rc, err := p.Run(designs.MustEvalDesign("aes", testScale), lib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rc
-	}
-	first := run()
+	jobs := []Job{{
+		Name:    "aes",
+		Design:  designs.MustEvalDesign("aes", testScale),
+		Lib:     lib,
+		Options: []Option{WithRecipe(recipe)},
+	}}
+	first := runCachedBatch(t, jobs, 1, store)
 	if st := store.Stats(); st.Hits != 0 || st.Misses == 0 || st.Puts == 0 {
 		t.Fatalf("cold run stats: %+v", st)
 	}
-	second := run()
-	if artifactHashes(first) != artifactHashes(second) {
+	second := runCachedBatch(t, jobs, 1, store)
+	if artifactHashes(first.Jobs[0].Run) != artifactHashes(second.Jobs[0].Run) {
 		t.Fatal("adopted artifacts differ from computed ones")
 	}
+	if first.Jobs[0].Run.Artifacts != second.Jobs[0].Run.Artifacts {
+		t.Fatal("warm run recomputed stages instead of adopting the stored artifacts")
+	}
 	st := store.Stats()
-	if int(st.Hits) != store.Len() {
-		t.Fatalf("warm run should hit every stored stage: %+v with %d entries", st, store.Len())
-	}
-}
-
-// TestResumedRunUsesArtifactStore: ResumeOn is RunOn's loop, store
-// included. A run resumed from a post-synthesis checkpoint on a cached
-// pipeline records placement, routing and sta under exactly the keys
-// CacheKeys predicts for an uninterrupted run, and a second, fresh run
-// adopts all three.
-func TestResumedRunUsesArtifactStore(t *testing.T) {
-	g := designs.MustEvalDesign("aes", testScale)
-	var cps []*Checkpoint
-	if _, err := NewPipeline(WithCheckpoints(func(cp *Checkpoint) { cps = append(cps, cp) })).Run(g.Clone(), lib); err != nil {
-		t.Fatal(err)
-	}
-	cp := cps[0]
-	if !cp.Completed(JobSynthesis) || cp.Completed(JobPlacement) {
-		t.Fatalf("checkpoint 0 covers %v", cp.Kinds)
-	}
-
-	store := cache.New(0)
-	p := NewPipeline(WithCache(store))
-	resumed := p.NewRunContext(g.Clone(), lib)
-	if err := p.ResumeOn(resumed, cp); err != nil {
-		t.Fatal(err)
-	}
-	for _, sk := range p.CacheKeys(g, lib) {
-		if want := !cp.Completed(sk.Kind); sk.Key == 0 || store.Contains(sk.Key) != want {
-			t.Fatalf("%s: key %016x stored=%v after the resume, want %v", sk.Kind, sk.Key, store.Contains(sk.Key), want)
-		}
-	}
-	if st := store.Stats(); store.Len() != 3 || st.Hits != 0 || st.Misses != 3 {
-		t.Fatalf("resume left %d entries, stats %+v; want the three resumed stages missed and put", store.Len(), st)
-	}
-
-	fresh, err := p.Run(g.Clone(), lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats(); st.Hits != 3 || store.Len() != 4 {
-		t.Fatalf("fresh run after the resume: stats %+v, %d entries; want 3 adopted, synthesis put", st, store.Len())
-	}
-	if artifactHashes(fresh) != artifactHashes(resumed) {
-		t.Fatal("resumed and fresh runs disagree on the artifacts")
+	if int(st.Hits) != store.Len() || second.CacheHits != store.Len() {
+		t.Fatalf("warm run should hit every stored stage: %+v, %d billed hits, %d entries",
+			st, second.CacheHits, store.Len())
 	}
 }
 

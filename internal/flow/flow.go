@@ -25,14 +25,13 @@
 //	)
 //	rc, err := p.Run(design, lib)
 //
-// Partial flows pass an explicit stage list — synthesis-only for
-// dataset generation, for example:
+// Partial flows and custom stages pass an explicit stage list —
+// synthesis-only for dataset generation, for example:
 //
 //	p := flow.NewPipeline(flow.WithStages(flow.Synthesis(synth.Options{})))
 //
-// and stage substitution swaps one stage of the default flow for a
-// custom implementation with WithStage. WithEvents streams progress
-// (stage started/finished) to a callback as the pipeline runs.
+// WithEvents streams progress (stage started/finished) to a callback
+// as the pipeline runs.
 //
 // # Scheduling flows onto a cloud fleet
 //

@@ -56,8 +56,8 @@ func TestHierarchicalSplitShape(t *testing.T) {
 
 // TestHierarchicalStitchEquivalent: scheduling the sub-design jobs on
 // a bounded fleet and stitching their optimized AIGs must reproduce
-// the parent design's function, and the stitched graph must be
-// bit-identical at workers 1, 2 and 8.
+// the parent design's function under its name, and the stitched graph
+// must be bit-identical at workers 1, 2 and 8.
 func TestHierarchicalStitchEquivalent(t *testing.T) {
 	base := hierBase(t)
 	hb, err := Hierarchical(base, 200)
@@ -79,6 +79,9 @@ func TestHierarchicalStitchEquivalent(t *testing.T) {
 	stitched := run(1)
 	if !aig.SimEquiv(base.Design, stitched, 7, 16) {
 		t.Fatal("stitched result not equivalent to the parent design")
+	}
+	if stitched.Name != base.Design.Name {
+		t.Fatalf("stitched graph named %q, want %q", stitched.Name, base.Design.Name)
 	}
 	var want bytes.Buffer
 	if err := stitched.WriteASCII(&want); err != nil {

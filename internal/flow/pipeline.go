@@ -47,11 +47,8 @@ type config struct {
 	workers         int
 	newProbe        func(JobKind) *perf.Probe
 	events          func(Event)
-	checkpoints     func(*Checkpoint)
 	stages          []Stage
-	substitutes     []Stage
 	cache           *cache.Store
-	cacheFrozen     bool
 }
 
 // Option configures a Pipeline at construction time.
@@ -86,7 +83,7 @@ func WithClockPeriodNs(ns float64) Option {
 // is excluded because its uninstrumented parallel path tile-clamps
 // the search and may detour differently than the serial router; opt
 // in explicitly through the stage's own StageConfig,
-// WithStage(Routing(route.Options{StageConfig: StageConfig{Workers: n}})).
+// WithStages(..., Routing(route.Options{StageConfig: StageConfig{Workers: n}}), ...).
 // The routing engine honors that bound only when uninstrumented (the
 // performance simulation is single-threaded).
 func WithWorkers(n int) Option {
@@ -106,28 +103,13 @@ func WithEvents(fn func(Event)) Option {
 	return func(c *config) { c.events = fn }
 }
 
-// WithCheckpoints hands fn a content-hash-stamped Checkpoint after
-// every successful stage — the hook a spot-resilient runner uses to
-// bound lost work to one stage. Like events, checkpoints are delivered
-// synchronously on the goroutine running the pipeline.
-func WithCheckpoints(fn func(*Checkpoint)) Option {
-	return func(c *config) { c.checkpoints = fn }
-}
-
 // WithStages replaces the default four-stage flow with an explicit
-// stage list — the partial-flow hook (e.g. synthesis-only for dataset
-// generation). Stage-specific options (WithRecipe, WithClockPeriodNs,
+// stage list — the partial-flow and custom-stage hook (e.g.
+// synthesis-only for dataset generation). Stage-specific options (WithRecipe, WithClockPeriodNs,
 // ...) only shape the default stages and are ignored when this option
 // is present; configure the passed stages directly instead.
 func WithStages(stages ...Stage) Option {
 	return func(c *config) { c.stages = stages }
-}
-
-// WithStage substitutes s for the same-Kind stage of the flow —
-// built-in or previously substituted — leaving the rest of the
-// pipeline untouched.
-func WithStage(s Stage) Option {
-	return func(c *config) { c.substitutes = append(c.substitutes, s) }
 }
 
 // Pipeline is an immutable, reusable sequence of stages. A Pipeline is
@@ -160,13 +142,6 @@ func NewPipeline(opts ...Option) *Pipeline {
 	} else {
 		stages = append([]Stage(nil), stages...)
 	}
-	for _, sub := range cfg.substitutes {
-		for i, s := range stages {
-			if s.Kind() == sub.Kind() {
-				stages[i] = sub
-			}
-		}
-	}
 	return &Pipeline{stages: stages, cfg: cfg}
 }
 
@@ -197,17 +172,13 @@ func (p *Pipeline) Run(g *aig.Graph, lib *techlib.Library) (*RunContext, error) 
 
 // RunOn executes the pipeline's stages in order against an existing
 // RunContext, checking the context for cancellation at every stage
-// boundary. With a cache attached (WithCache, or the Scheduler's
-// frozen form), each cacheable stage is first looked up by its chain
-// key and a verified hit adopts the stored artifacts instead of
-// running the engine.
-func (p *Pipeline) RunOn(rc *RunContext) error { return p.run(rc, nil) }
+// boundary. Inside a Scheduler with a Cache, each cacheable stage is
+// first looked up by its chain key and a verified hit adopts the
+// stored artifacts instead of running the engine.
+func (p *Pipeline) RunOn(rc *RunContext) error { return p.run(rc) }
 
-// run is the pipeline's one stage loop. Stages the restored checkpoint
-// done covers (nil: none) are not run, adopted or recorded, but still
-// advance the key chain, so the stages after them hit and fill the
-// store under the keys of an uninterrupted run.
-func (p *Pipeline) run(rc *RunContext, done *Checkpoint) error {
+// run is the pipeline's one stage loop.
+func (p *Pipeline) run(rc *RunContext) error {
 	total := len(p.stages)
 	var chain cache.Key
 	for i, s := range p.stages {
@@ -215,9 +186,6 @@ func (p *Pipeline) run(rc *RunContext, done *Checkpoint) error {
 		if p.cfg.cache != nil {
 			key = p.stageKey(rc, s, chain)
 			chain = key
-		}
-		if done != nil && done.Completed(s.Kind()) {
-			continue
 		}
 		if err := rc.Ctx.Err(); err != nil {
 			return fmt.Errorf("flow: %s: %w", s.Name(), err)
@@ -238,9 +206,6 @@ func (p *Pipeline) run(rc *RunContext, done *Checkpoint) error {
 		}
 		if key != 0 && !collision {
 			p.recordComputed(rc, s, key)
-		}
-		if p.cfg.checkpoints != nil {
-			p.cfg.checkpoints(rc.Checkpoint())
 		}
 	}
 	return nil

@@ -16,11 +16,7 @@
 // the quantities plotted in the paper's Fig. 2.
 package perf
 
-import (
-	"fmt"
-
-	"edacloud/internal/hash"
-)
+import "fmt"
 
 // Counters accumulates simulated hardware events.
 type Counters struct {
@@ -126,28 +122,6 @@ func (r *Report) Total() Counters {
 
 // AddPhase appends a phase to the report.
 func (r *Report) AddPhase(p Phase) { r.Phases = append(r.Phases, p) }
-
-// Fingerprint returns the report's canonical content hash: the job
-// name and every phase's name, parallelism profile and counters.
-func (r *Report) Fingerprint() uint64 {
-	h := hash.New()
-	h.Str(r.Job)
-	h.Int(len(r.Phases))
-	for _, p := range r.Phases {
-		h.Str(p.Name)
-		h.F64(p.ParallelFraction)
-		h.Int(p.Chunks)
-		c := p.C
-		for _, v := range []uint64{
-			c.Instrs, c.Branches, c.BranchMisses, c.Loads, c.Stores,
-			c.L1Hits, c.L1Misses, c.LLCHits, c.LLCMisses, c.LLCPrefetched,
-			c.FPScalar, c.FPVector,
-		} {
-			h.Word(v)
-		}
-	}
-	return uint64(h)
-}
 
 // ApproxBytes estimates the report's in-memory footprint — the unit a
 // byte-budgeted artifact cache accounts it in.
