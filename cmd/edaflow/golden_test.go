@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"edacloud/internal/clitest"
@@ -96,4 +97,22 @@ func TestCacheFirstFitGolden(t *testing.T) {
 		"-cache",
 	)
 	clitest.Golden(t, "testdata/cache_firstfit.golden", got, *update)
+}
+
+// TestBatchBelowOneRefused: a -fleet batch of fewer than one copy is
+// refused under every policy before the design is even built — exit 1,
+// nothing on stdout. -hier ignores -batch, so it still runs.
+func TestBatchBelowOneRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	for _, tc := range []struct{ policy, batch string }{
+		{"plan", "-1"}, {"single", "0"}, {"firstfit", "0"},
+	} {
+		msg := clitest.RunFail(t, bin, "-design", "ibex", "-scale", "0.02",
+			"-fleet", "gp.1x=1,mem.1x=1", "-policy", tc.policy, "-batch", tc.batch)
+		if !strings.Contains(msg, "at least 1 copy") {
+			t.Errorf("-policy %s -batch %s: stderr %q does not name the rule", tc.policy, tc.batch, msg)
+		}
+	}
+	clitest.Run(t, bin, "-design", "aes", "-scale", "0.02", "-stages", "synthesis",
+		"-fleet", "gp.4x=2", "-policy", "firstfit", "-hier", "-hier-grain", "300", "-batch", "0")
 }

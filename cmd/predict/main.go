@@ -39,6 +39,12 @@ func main() {
 	bins := flag.Int("bins", 12, "error histogram bins")
 	workers := flag.Int("workers", 0, "bound for the per-(benchmark, recipe) flow fan-out and for predictor training (0 = all cores; output identical)")
 	flag.Parse()
+	if *recipes < 1 {
+		fail(fmt.Errorf("-recipes %d: need at least 1", *recipes))
+	}
+	if !(*testFrac >= 0 && *testFrac < 1) {
+		fail(fmt.Errorf("-test %v: the held-out fraction must lie in [0, 1)", *testFrac))
+	}
 
 	lib := techlib.Default14nm()
 	names := benchNames(*benchmarks)

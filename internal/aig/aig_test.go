@@ -3,7 +3,6 @@ package aig
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -414,22 +413,5 @@ func TestStatsString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty stats string")
-	}
-}
-
-func TestWriteDot(t *testing.T) {
-	g := New("dot")
-	a := g.AddInput("a")
-	b := g.AddInput("b")
-	g.AddOutput(g.And(a, b.Not()), "f")
-	var buf bytes.Buffer
-	if err := g.WriteDot(&buf); err != nil {
-		t.Fatalf("dot: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "shape=box", "shape=circle", "doublecircle", "style=dashed", "->"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dot output missing %q:\n%s", want, out)
-		}
 	}
 }

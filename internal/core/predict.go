@@ -290,8 +290,12 @@ type PredictionEval struct {
 // sync.Once-guarded). The kernels inside each model use the same pool
 // and run inline when the models already fill it. Results, and the
 // first error, are taken in kind order after the barrier, so the
-// predictor is identical for any worker count.
+// predictor is identical for any worker count. testFrac, the held-out
+// share of designs, must lie in [0, 1).
 func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (*Predictor, *PredictionEval, error) {
+	if !(testFrac >= 0 && testFrac < 1) {
+		return nil, nil, fmt.Errorf("core: held-out fraction %v outside [0, 1)", testFrac)
+	}
 	type trained struct {
 		model  *gcn.Model
 		scaler *gcn.TargetScaler

@@ -1,0 +1,107 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"edacloud/internal/gcn"
+	"edacloud/internal/mat"
+	"edacloud/internal/synth"
+)
+
+// predictorBits flattens a trained predictor, in kind order, into the
+// shape and IEEE-754 bits of every weight matrix and every scaler
+// statistic: two predictors with equal bits predict identically.
+func predictorBits(p *Predictor) []uint64 {
+	var out []uint64
+	floats := func(xs []float64) {
+		out = append(out, uint64(len(xs)))
+		for _, x := range xs {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	for _, k := range JobKinds() {
+		m, s := p.Models[k], p.Scalers[k]
+		for _, d := range []*mat.Dense{m.W1, m.B1, m.W2, m.B2, m.FW, m.FBias, m.OW, m.OBias} {
+			out = append(out, uint64(d.Rows), uint64(d.Cols))
+			floats(d.Data)
+		}
+		floats(s.Mean)
+		floats(s.Std)
+	}
+	return out
+}
+
+// TestTrainPredictorDeterministicAcrossWorkers: the four models train
+// side by side and their kernels share the same pool, so the trained
+// predictor's every weight and scaler statistic, and its held-out
+// evaluation, must be bit-identical at 8, 2 and 1 workers. Eight goes
+// first, on a dataset nothing has trained on: placement, routing and
+// STA share their *gcn.Graph values, and that run is the one where
+// three models ask for a graph's lazy successor layout at once (CI runs
+// this under -race, -short included).
+func TestTrainPredictorDeterministicAcrossWorkers(t *testing.T) {
+	ds, err := BuildDataset(lib, DatasetOptions{
+		Benchmarks: []string{"adder", "dec", "priority"},
+		Recipes:    synth.StandardRecipes[:2],
+		Scale:      0.06,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wide enough that the layer products cross mat's parallel threshold.
+	cfg := gcn.Config{Hidden1: 48, Hidden2: 24, FCHidden: 8, LR: 3e-3, Epochs: 6}
+	var wantBits []uint64
+	var wantEval *PredictionEval
+	for _, workers := range []int{8, 2, 1} {
+		cfg.Workers = workers
+		pred, eval, err := TrainPredictor(ds, cfg, 0.34, 2)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		bits := predictorBits(pred)
+		if wantBits == nil {
+			wantBits, wantEval = bits, eval
+			continue
+		}
+		if !slices.Equal(bits, wantBits) {
+			t.Fatalf("workers=%d: trained predictor differs from the 8-worker one", workers)
+		}
+		if !reflect.DeepEqual(eval, wantEval) {
+			t.Fatalf("workers=%d: held-out evaluation differs from the 8-worker one", workers)
+		}
+	}
+
+	// A kind with nothing to train on fails the call with that kind's
+	// message — the first in kind order when several fail — however many
+	// models were training next to it.
+	broken := &Dataset{Jobs: map[JobKind][]LabeledGraph{}, VCPUs: ds.VCPUs, Designs: ds.Designs}
+	broken.Jobs[JobSynthesis] = ds.Jobs[JobSynthesis]
+	broken.Jobs[JobPlacement] = ds.Jobs[JobPlacement]
+	for _, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		_, _, err := TrainPredictor(broken, cfg, 0.34, 2)
+		if err == nil || err.Error() != "core: no training samples for routing" {
+			t.Fatalf("workers=%d: error %v, want the routing split's", workers, err)
+		}
+	}
+}
+
+// TestTrainPredictorRejectsTestFraction: a held-out fraction outside
+// [0, 1) is an error, not a slice-bounds panic inside a training worker.
+func TestTrainPredictorRejectsTestFraction(t *testing.T) {
+	ds := &Dataset{
+		Jobs:    map[JobKind][]LabeledGraph{},
+		VCPUs:   []int{1},
+		Designs: []string{"a", "b", "c"},
+	}
+	for _, frac := range []float64{1, 1.5, -0.1, math.NaN(), math.Inf(1)} {
+		_, _, err := TrainPredictor(ds, gcn.Config{Epochs: 1}, frac, 1)
+		if err == nil || !strings.Contains(err.Error(), "held-out fraction") {
+			t.Errorf("fraction %v: error %v, want a held-out fraction refusal", frac, err)
+		}
+	}
+}

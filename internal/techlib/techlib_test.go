@@ -1,7 +1,6 @@
 package techlib
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -182,64 +181,6 @@ func TestPermuteTTIdentityAndInverse(t *testing.T) {
 	inv := []int{1, 2, 0}
 	if got := permuteTT(permuteTT(tt, perm, 3), inv, 3); got != tt {
 		t.Fatalf("perm∘inv != id: %b", got)
-	}
-}
-
-func TestLibertyRoundTrip(t *testing.T) {
-	lib := Default14nm()
-	var buf bytes.Buffer
-	if err := lib.WriteLiberty(&buf); err != nil {
-		t.Fatalf("WriteLiberty: %v", err)
-	}
-	lib2, err := ParseLiberty(&buf)
-	if err != nil {
-		t.Fatalf("ParseLiberty: %v", err)
-	}
-	if lib2.Name != lib.Name || len(lib2.Cells) != len(lib.Cells) {
-		t.Fatalf("shape mismatch: %s/%d vs %s/%d", lib2.Name, len(lib2.Cells), lib.Name, len(lib.Cells))
-	}
-	for i, c := range lib.Cells {
-		c2 := lib2.Cells[i]
-		if c.Name != c2.Name || c.TT != c2.TT || c.Area != c2.Area || c.Seq != c2.Seq {
-			t.Errorf("cell %s round-trip mismatch", c.Name)
-		}
-		if len(c.Arcs) != len(c2.Arcs) {
-			t.Errorf("cell %s arcs %d vs %d", c.Name, len(c.Arcs), len(c2.Arcs))
-			continue
-		}
-		for j := range c.Arcs {
-			d1 := c.Arcs[j].Delay.Lookup(0.01, 0.005)
-			d2 := c2.Arcs[j].Delay.Lookup(0.01, 0.005)
-			if math.Abs(d1-d2) > 1e-12 {
-				t.Errorf("cell %s arc %d delay %g vs %g", c.Name, j, d1, d2)
-			}
-		}
-	}
-	// The rebuilt matching index must work too.
-	if len(lib2.MatchTT(0b01, 1)) == 0 {
-		t.Fatal("round-tripped library lost matching index")
-	}
-}
-
-func TestParseLibertyErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"library x\ncell c\n",               // missing end markers
-		"library x\nbogus 1\nend_library\n", // unknown keyword
-		"library x\ncell c\narea 1 2\nend_cell\n",                 // bad arity (and missing end_library)
-		"library x\narea 5\nend_library\n",                        // attr outside cell
-		"library x\ncell c\npin A 1\nend_cell\n",                  // malformed pin
-		"library x\ncell c\ntt zz\nend_cell\n",                    // bad number
-		"cell c\nend_cell\nend_library\n",                         // attr before library is fine? cell has no library name -> accept; use delay row outside arc instead
-		"library x\ncell c\ndelay_row 1\nend_cell\nend_library\n", // table outside arc
-	}
-	for i, src := range cases {
-		if i == 7 {
-			continue // documented acceptable case above
-		}
-		if _, err := ParseLiberty(bytes.NewReader([]byte(src))); err == nil {
-			t.Errorf("case %d: expected parse error", i)
-		}
 	}
 }
 
