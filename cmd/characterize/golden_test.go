@@ -36,3 +36,14 @@ func TestUnknownFigureRefused(t *testing.T) {
 		t.Fatalf("stderr %q does not list the valid figures", msg)
 	}
 }
+
+// TestStrayArgumentRefused: an argument that is not a flag stops Go's
+// flag parsing, so every flag after it would be dropped silently; the
+// command refuses it by name before characterizing anything.
+func TestStrayArgumentRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-figure", "2b", "3", "-design", "dyn_node", "-scale", "0.02")
+	if !strings.Contains(msg, `unexpected argument "3"`) {
+		t.Fatalf("stderr %q does not name the stray argument", msg)
+	}
+}

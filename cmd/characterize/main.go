@@ -27,6 +27,9 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: 2a, 2b, 2c, 2d, 2 (all of 2a-2d), 3, or all")
 	workers := flag.Int("workers", 0, "bound for the kernel pools of the one flow run that profiles every VM config (0 = all cores; results identical)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
 
 	switch *figure {
 	case "2a", "2b", "2c", "2d", "2", "3", "all":

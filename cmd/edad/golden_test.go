@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"edacloud/internal/clitest"
@@ -93,5 +94,31 @@ func TestReplayGoldenWorkers(t *testing.T) {
 			"-workers", w,
 		)
 		clitest.Golden(t, "testdata/replay.golden", got, false)
+	}
+}
+
+// TestBadArgumentsRefused: -replay is a boolean, so "-replay 5 -slack
+// 3" used to stop parsing at 5 and replay deadline-free; a stray
+// argument is refused by name. A negative or non-finite -slack (which
+// replayed deadline-free, or failed mid-replay after printing the
+// header) is refused too — both before any template is characterized,
+// with nothing on stdout. -slack 0 stays the deadline-free replay.
+func TestBadArgumentsRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-replay", "5", "-slack", "3", "-designs", "aes", "-scale", "0.02")
+	if !strings.Contains(msg, `unexpected argument "5"`) {
+		t.Errorf("stderr %q does not name the stray argument", msg)
+	}
+	for _, slack := range []string{"-1", "NaN", "Inf", "-Inf"} {
+		msg := clitest.RunFail(t, bin, "-replay", "-slack", slack, "-designs", "aes", "-scale", "0.02")
+		if !strings.Contains(msg, "finite and not negative") {
+			t.Errorf("-slack %s: stderr %q does not name the rule", slack, msg)
+		}
+	}
+	// A finite slack whose deadlines pass the engine's clock is refused
+	// when the trace is drawn, before the header prints.
+	msg = clitest.RunFail(t, bin, "-replay", "-slack", "1e300", "-designs", "aes", "-scale", "0.02")
+	if !strings.Contains(msg, "2^53 s clock") {
+		t.Errorf("-slack 1e300: stderr %q does not name the clock bound", msg)
 	}
 }

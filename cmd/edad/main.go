@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -58,6 +59,12 @@ func main() {
 	hazardSeed := flag.Int64("hazard-seed", 1, "seed for the fleet's revocation timelines (with -hazard-rate)")
 	useCache := flag.Bool("cache", false, "enable the fleet-wide artifact cache: templates carry their chain keys, so jobs sharing a flow prefix are planned as cache hits")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("edad: unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
+	if !(*slack >= 0) || math.IsInf(*slack, 0) {
+		fail(fmt.Errorf("edad: -slack %v: the deadline multiple must be finite and not negative (0 = deadline-free)", *slack))
+	}
 
 	if *listen == "" && !*replay {
 		fail(fmt.Errorf("edad: pass -listen for daemon mode or -replay for trace replay"))

@@ -116,3 +116,15 @@ func TestBatchBelowOneRefused(t *testing.T) {
 	clitest.Run(t, bin, "-design", "aes", "-scale", "0.02", "-stages", "synthesis",
 		"-fleet", "gp.4x=2", "-policy", "firstfit", "-hier", "-hier-grain", "300", "-batch", "0")
 }
+
+// TestStrayArgumentRefused: an argument that is not a flag ends flag
+// parsing, which would drop the -fleet batch after it; it is refused by
+// name before the design is built.
+func TestStrayArgumentRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-design", "ibex", "-scale", "0.02", "plan",
+		"-fleet", "gp.1x=1,mem.1x=1", "-batch", "2")
+	if !strings.Contains(msg, `unexpected argument "plan"`) {
+		t.Fatalf("stderr %q does not name the stray argument", msg)
+	}
+}

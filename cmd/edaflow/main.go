@@ -77,6 +77,9 @@ func main() {
 	hier := flag.Bool("hier", false, "hierarchical -fleet mode: schedule the design's cone partitions as the batch jobs instead of -batch copies, then stitch the optimized sub-designs back together (-batch is ignored)")
 	hierGrain := flag.Int("hier-grain", 2000, "target AND nodes per sub-design in -hier mode")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
 	if *fleetSpec != "" && !*hier && *batch < 1 {
 		fail(fmt.Errorf("-batch %d: a -fleet batch needs at least 1 copy", *batch))
 	}

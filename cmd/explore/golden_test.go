@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"edacloud/internal/clitest"
@@ -45,4 +46,15 @@ func TestExploreCacheGolden(t *testing.T) {
 		"-cache",
 	)
 	clitest.Golden(t, "testdata/explore_cache.golden", got, *update)
+}
+
+// TestStrayArgumentRefused: an argument that is not a flag ends flag
+// parsing, which would drop every flag after it; it is refused by name
+// before the predictor trains.
+func TestStrayArgumentRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-design", "dyn_node", "-rounds", "3", "6", "-population", "6")
+	if !strings.Contains(msg, `unexpected argument "6"`) {
+		t.Fatalf("stderr %q does not name the stray argument", msg)
+	}
 }

@@ -43,6 +43,9 @@ func main() {
 	trainScale := flag.Float64("train-scale", 0.05, "predictor training-set scale")
 	epochs := flag.Int("epochs", 5, "predictor training epochs")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
 
 	lib := techlib.Default14nm()
 	catalog := cloud.DefaultCatalog()

@@ -80,3 +80,23 @@ func TestCacheOutsideBatchRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestBadArgumentsRefused: -batch is a boolean, so "-batch 3 -slack
+// 1.5" used to stop parsing at 3 and plan at the default slack; a
+// stray argument is refused by name. A -slack that is not positive and
+// finite (NaN once failed only after characterizing every design, and
+// 0 planned deadline-free) is refused too — both before any
+// characterization, with nothing on stdout.
+func TestBadArgumentsRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-batch", "3", "-slack", "1.5", "-designs", "dyn_node", "-scale", "0.02")
+	if !strings.Contains(msg, `unexpected argument "3"`) {
+		t.Errorf("stderr %q does not name the stray argument", msg)
+	}
+	for _, slack := range []string{"NaN", "0", "-1", "Inf", "-Inf"} {
+		msg := clitest.RunFail(t, bin, "-batch", "-slack", slack, "-designs", "dyn_node", "-scale", "0.02")
+		if !strings.Contains(msg, "must be positive and finite") {
+			t.Errorf("-slack %s: stderr %q does not name the rule", slack, msg)
+		}
+	}
+}

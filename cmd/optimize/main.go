@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -63,6 +64,12 @@ func main() {
 	useCache := flag.Bool("cache", false, "attach an artifact store to -batch: repeated stage work is planned as cache hits and the joint plan is compared against the cache-blind one")
 	workers := flag.Int("workers", 0, "bound for the characterization fan-out and kernel pools (0 = all cores; results identical)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
+	if !(*slack > 0) || math.IsInf(*slack, 0) {
+		fail(fmt.Errorf("-slack %v: the deadline multiple must be positive and finite", *slack))
+	}
 
 	if *useCache && !*batch {
 		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))

@@ -54,3 +54,14 @@ func TestBadArgumentsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentRefused: an argument that is not a flag ends flag
+// parsing, which would drop every flag after it; it is refused by name
+// before the dataset is built.
+func TestStrayArgumentRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	msg := clitest.RunFail(t, bin, "-benchmarks", "2", "-scale", "0.02", "extra", "-epochs", "1")
+	if !strings.Contains(msg, `unexpected argument "extra"`) {
+		t.Fatalf("stderr %q does not name the stray argument", msg)
+	}
+}

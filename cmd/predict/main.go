@@ -39,6 +39,9 @@ func main() {
 	bins := flag.Int("bins", 12, "error histogram bins")
 	workers := flag.Int("workers", 0, "bound for the per-(benchmark, recipe) flow fan-out and for predictor training (0 = all cores; output identical)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
 	if *recipes < 1 {
 		fail(fmt.Errorf("-recipes %d: need at least 1", *recipes))
 	}

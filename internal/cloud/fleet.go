@@ -92,11 +92,19 @@ func NewFleet(entries ...FleetEntry) *Fleet {
 	return f
 }
 
+// MaxFleetInstances bounds the instances a fleet spec may name in
+// total. A spec comes from a command line, and NewFleet allocates one
+// instance (and one ID string) per count, so an unbounded count would
+// exhaust memory before any check downstream could refuse it.
+const MaxFleetInstances = 1 << 16
+
 // ParseFleetSpec builds a fleet from a "name=count,name=count" spec
 // against a catalog, e.g. "gp.4x=2,mem.8x=1". A bare name means one
-// instance.
+// instance. A spec naming more than MaxFleetInstances instances in
+// total is refused before anything is allocated.
 func ParseFleetSpec(catalog *Catalog, spec string) (*Fleet, error) {
 	var entries []FleetEntry
+	total := 0
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -111,6 +119,10 @@ func ParseFleetSpec(catalog *Catalog, spec string) (*Fleet, error) {
 			}
 			count = v
 		}
+		if count > MaxFleetInstances-total {
+			return nil, fmt.Errorf("cloud: fleet spec %q names more than %d instances", spec, MaxFleetInstances)
+		}
+		total += count
 		it, err := catalog.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err

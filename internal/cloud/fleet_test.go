@@ -1,7 +1,10 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +54,63 @@ func TestParseFleetSpec(t *testing.T) {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
+}
+
+// TestParseFleetSpecBoundsInstances: a spec whose counts add up past
+// MaxFleetInstances is refused (one billion instances used to be
+// allocated one by one until the process ran out of memory), and one
+// exactly at the bound is built.
+func TestParseFleetSpecBoundsInstances(t *testing.T) {
+	c := DefaultCatalog()
+	for _, bad := range []string{
+		"gp.4x=1000000000",
+		"gp.4x=1,gp.4x=9223372036854775807", // a running sum would wrap negative
+		fmt.Sprintf("gp.4x=%d", MaxFleetInstances+1),
+		fmt.Sprintf("gp.4x=%d,mem.8x", MaxFleetInstances),
+	} {
+		if _, err := ParseFleetSpec(c, bad); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Fatalf("spec %q: err %v, want the instance bound", bad, err)
+		}
+	}
+	f, err := ParseFleetSpec(c, fmt.Sprintf("gp.4x=%d,mem.8x=%d", MaxFleetInstances-1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Instances) != MaxFleetInstances {
+		t.Fatalf("%d instances, want %d", len(f.Instances), MaxFleetInstances)
+	}
+}
+
+// FuzzParseFleetSpec: no spec panics the parser, and an accepted one
+// yields exactly the instances its counts add up to, within
+// MaxFleetInstances. Seed corpus in testdata/fuzz/FuzzParseFleetSpec.
+func FuzzParseFleetSpec(f *testing.F) {
+	f.Add("gp.4x=2, mem.8x")
+	f.Add("gp.1x=1,gp.2x=1,gp.4x=1,gp.8x=1,mem.1x=1,mem.2x=1,mem.4x=1,mem.8x=1")
+	c := DefaultCatalog()
+	f.Fuzz(func(t *testing.T, spec string) {
+		fleet, err := ParseFleetSpec(c, spec)
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, part := range strings.Split(spec, ",") {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+			count := 1
+			if _, n, ok := strings.Cut(part, "="); ok {
+				if count, err = strconv.Atoi(strings.TrimSpace(n)); err != nil {
+					t.Fatalf("spec %q accepted with count %q", spec, n)
+				}
+			}
+			want += count
+		}
+		if len(fleet.Instances) != want || want > MaxFleetInstances {
+			t.Fatalf("spec %q: %d instances, counts add up to %d (bound %d)",
+				spec, len(fleet.Instances), want, MaxFleetInstances)
+		}
+	})
 }
 
 func TestAcquireEarliestFreeDeterministicTies(t *testing.T) {

@@ -195,26 +195,6 @@ func pricedSolve(job BatchJob, prices map[string]float64) (Selection, error) {
 	return sel, nil
 }
 
-// capacityPools seeds the estimator's per-label machine free-time
-// pools from the capacity profile, pre-loaded with any committed
-// free-at times (nil freeAt means every machine free at 0).
-func capacityPools(capacity Capacity, freeAt map[string][]int) map[string][]int {
-	pools := map[string][]int{}
-	for label, n := range capacity {
-		pool := make([]int, n)
-		for i, t := range freeAt[label] {
-			if i >= n {
-				break
-			}
-			if t > 0 {
-				pool[i] = t
-			}
-		}
-		pools[label] = pool
-	}
-	return pools
-}
-
 // candidate is one joint plan under evaluation.
 type candidate struct {
 	method string
@@ -240,9 +220,11 @@ func (c *candidate) better(o *candidate) bool {
 	return c.span < o.span
 }
 
-// evaluate fills a candidate's schedule estimate and score fields.
-func (c *candidate) evaluate(jobs []BatchJob, capacity Capacity, freeAt map[string][]int) (busy, wait map[string]int) {
-	ests, span, busy, wait := batchEstimate(jobs, c.picks, capacity, freeAt)
+// evaluate fills a candidate's schedule estimate and score fields;
+// est's busy and wait then hold the candidate's per-label totals.
+func (c *candidate) evaluate(est *estimator) {
+	jobs := est.jobs
+	ests, span := est.estimate(c.picks)
 	c.ests, c.span = ests, span
 	c.cost, c.missed = 0, 0
 	for i, sel := range c.sels {
@@ -253,73 +235,139 @@ func (c *candidate) evaluate(jobs []BatchJob, capacity Capacity, freeAt map[stri
 			c.missed++
 		}
 	}
-	return busy, wait
 }
 
-// batchEstimate predicts the schedule the picks imply on the shared
-// fleet with the flow scheduler's own discipline in whole seconds:
+// estimator predicts the schedule a set of picks implies on the shared
+// fleet. BatchOptimizeState builds one per solve: the capacity labels
+// interned in sorted order, every item's label index and runtime in
+// flat slices, and the machine pools seeded once from the committed
+// free times, so an evaluation neither hashes a label nor allocates
+// beyond the estimates it returns.
+type estimator struct {
+	jobs   []BatchJob
+	labels []string
+	// Job i's stages are stageAt[i]..stageAt[i+1]-1; stage s's items
+	// start at itemAt[s] in label (interned label index) and time.
+	stageAt, itemAt []int
+	label, time     []int
+	// Label k's machines are seed[offset[k]:offset[k+1]], seeded with
+	// the committed free times.
+	offset, seed []int
+	// Scratch for one evaluation. After estimate returns, busy and wait
+	// hold its per-label totals until the next call.
+	free, busy, wait, ready, stage, queue []int
+}
+
+// newEstimator interns the batch's labels and seeds the machine pools
+// from the capacity profile, pre-loaded with any committed free-at
+// times (nil freeAt means every machine free at 0). The jobs must have
+// passed batchValidate.
+func newEstimator(jobs []BatchJob, capacity Capacity, freeAt map[string][]int) *estimator {
+	e := &estimator{jobs: jobs, labels: make([]string, 0, len(capacity))}
+	for label := range capacity {
+		e.labels = append(e.labels, label)
+	}
+	sort.Strings(e.labels)
+	index := make(map[string]int, len(e.labels))
+	e.offset = make([]int, len(e.labels)+1)
+	for k, label := range e.labels {
+		index[label] = k
+		e.offset[k+1] = e.offset[k] + capacity[label]
+	}
+	e.seed = make([]int, e.offset[len(e.labels)])
+	for k, label := range e.labels {
+		pool := e.seed[e.offset[k]:e.offset[k+1]]
+		for i, t := range freeAt[label] {
+			if i >= len(pool) {
+				break
+			}
+			if t > 0 {
+				pool[i] = t
+			}
+		}
+	}
+	e.stageAt = make([]int, len(jobs)+1)
+	items := 0
+	for i, job := range jobs {
+		e.stageAt[i+1] = e.stageAt[i] + len(job.Classes)
+		for _, cl := range job.Classes {
+			items += len(cl.Items)
+		}
+	}
+	e.itemAt = make([]int, 0, e.stageAt[len(jobs)])
+	e.label = make([]int, 0, items)
+	e.time = make([]int, 0, items)
+	for _, job := range jobs {
+		for _, cl := range job.Classes {
+			e.itemAt = append(e.itemAt, len(e.label))
+			for _, it := range cl.Items {
+				e.label = append(e.label, index[it.Label])
+				e.time = append(e.time, it.TimeSec)
+			}
+		}
+	}
+	e.free = make([]int, len(e.seed))
+	e.busy = make([]int, len(e.labels))
+	e.wait = make([]int, len(e.labels))
+	e.ready = make([]int, len(jobs))
+	e.stage = make([]int, len(jobs))
+	e.queue = make([]int, 0, len(jobs))
+	return e
+}
+
+// estimate runs the flow scheduler's own discipline in whole seconds:
 // stages are the placement unit, jobs queue FIFO by ready time (ties
 // toward the earlier job), and each stage takes the earliest-free
 // machine of its label (ties toward the lower machine index). It
-// returns the per-job estimates, the makespan, and per-label busy and
-// wait totals — the congestion signal the price loop feeds on.
-func batchEstimate(jobs []BatchJob, picks [][]int, capacity Capacity, freeAt map[string][]int) (ests []JobEstimate, makespan int, busy, wait map[string]int) {
-	type runner struct {
-		job   int
-		stage int
-		ready int
+// returns the per-job estimates and the makespan, and leaves per-label
+// busy and wait totals — the congestion signal the price loop feeds
+// on — in e.busy and e.wait.
+func (e *estimator) estimate(picks [][]int) (ests []JobEstimate, makespan int) {
+	copy(e.free, e.seed)
+	clear(e.busy)
+	clear(e.wait)
+	ests = make([]JobEstimate, len(e.jobs))
+	queue := e.queue[:0]
+	for i, job := range e.jobs {
+		queue = append(queue, i)
+		e.ready[i], e.stage[i] = job.ReadySec, 0
 	}
-	free := capacityPools(capacity, freeAt)
-	busy = map[string]int{}
-	wait = map[string]int{}
-	ests = make([]JobEstimate, len(jobs))
-	var queue []*runner
-	for i := range jobs {
-		if len(jobs[i].Classes) > 0 {
-			queue = append(queue, &runner{job: i, ready: jobs[i].ReadySec})
-		}
-	}
-	started := make([]bool, len(jobs))
 	for len(queue) > 0 {
 		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i].ready < queue[best].ready {
-				best = i
+		for q := 1; q < len(queue); q++ {
+			if e.ready[queue[q]] < e.ready[queue[best]] {
+				best = q
 			}
 		}
-		r := queue[best]
-		job := jobs[r.job]
-		it := job.Classes[r.stage].Items[picks[r.job][r.stage]]
-		machines := free[it.Label]
+		j := queue[best]
+		s := e.stageAt[j] + e.stage[j]
+		it := e.itemAt[s] + picks[j][e.stage[j]]
+		k, dur := e.label[it], e.time[it]
+		machines := e.free[e.offset[k]:e.offset[k+1]]
 		m := 0
 		for i := 1; i < len(machines); i++ {
 			if machines[i] < machines[m] {
 				m = i
 			}
 		}
-		start := r.ready
-		if machines[m] > start {
-			start = machines[m]
+		ready := e.ready[j]
+		start := max(ready, machines[m])
+		machines[m] = start + dur
+		e.busy[k] += dur
+		e.wait[k] += start - ready
+		if e.stage[j] == 0 {
+			ests[j].StartSec = start
 		}
-		free[it.Label][m] = start + it.TimeSec
-		busy[it.Label] += it.TimeSec
-		wait[it.Label] += start - r.ready
-		if !started[r.job] {
-			started[r.job] = true
-			ests[r.job].StartSec = start
-		}
-		ests[r.job].WaitSec += start - r.ready
-		r.ready = start + it.TimeSec
-		r.stage++
-		if r.stage == len(job.Classes) {
-			ests[r.job].FinishSec = r.ready
-			if r.ready > makespan {
-				makespan = r.ready
-			}
+		ests[j].WaitSec += start - ready
+		e.ready[j] = start + dur
+		e.stage[j]++
+		if s+1 == e.stageAt[j+1] {
+			ests[j].FinishSec = e.ready[j]
+			makespan = max(makespan, e.ready[j])
 			queue = append(queue[:best], queue[best+1:]...)
 		}
 	}
-	return ests, makespan, busy, wait
+	return ests, makespan
 }
 
 // BatchOptimize co-optimizes N jobs' plans against a shared fleet. It
@@ -388,7 +436,8 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	if base == nil {
 		return BatchSelection{Feasible: false, Jobs: make([]Selection, len(jobs))}, nil
 	}
-	baseBusy, baseWait := base.evaluate(jobs, capacity, st.FreeAtSec)
+	est := newEstimator(jobs, capacity, st.FreeAtSec)
+	base.evaluate(est)
 	bestCand := base
 
 	// Price loop: shadow prices start at zero (or the caller's warm
@@ -396,15 +445,11 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// average dollar-per-busy-second, so a label whose queue wait equals
 	// its busy time roughly doubles in apparent cost — enough to push
 	// marginal jobs to their next-best type without drowning the true
-	// prices.
-	labels := make([]string, 0, len(capacity))
-	for label := range capacity {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
+	// prices. Each round reads the busy and wait totals the last
+	// evaluated candidate left in est.
 	var busyTotal int
-	for _, label := range labels {
-		busyTotal += baseBusy[label]
+	for _, b := range est.busy {
+		busyTotal += b
 	}
 	unit := 0.0
 	if busyTotal > 0 {
@@ -415,7 +460,6 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		rounds = 8
 	}
 	prices := map[string]float64{}
-	busy, wait := baseBusy, baseWait
 	if len(st.Prices) > 0 && unit > 0 {
 		// Warm start: re-solve under the previous event's prices before
 		// adjusting, so one round suffices when congestion is unchanged.
@@ -427,7 +471,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 			return BatchSelection{}, err
 		}
 		if warm != nil {
-			busy, wait = warm.evaluate(jobs, capacity, st.FreeAtSec)
+			warm.evaluate(est)
 			if warm.better(bestCand) {
 				bestCand = warm
 			}
@@ -437,10 +481,10 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	for round := 1; round <= rounds && unit > 0; round++ {
 		congested := false
 		next := map[string]float64{}
-		for _, label := range labels {
+		for k, label := range est.labels {
 			congestion := 0.0
-			if busy[label] > 0 {
-				congestion = float64(wait[label]) / float64(busy[label])
+			if est.busy[k] > 0 {
+				congestion = float64(est.wait[k]) / float64(est.busy[k])
 			}
 			// Damped update: half the old price plus the fresh congestion
 			// signal, so prices both rise under sustained queueing and
@@ -462,7 +506,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		if cand == nil {
 			break // pricing made some job infeasible; stop escalating
 		}
-		busy, wait = cand.evaluate(jobs, capacity, st.FreeAtSec)
+		cand.evaluate(est)
 		if cand.better(bestCand) {
 			bestCand = cand
 		}
@@ -473,7 +517,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// every single-stage re-pick, keeping the move that most improves
 	// (missed, job finish, cost). Bounded by the total item count so it
 	// always terminates.
-	repaired := repairMisses(jobs, capacity, st.FreeAtSec, bestCand)
+	repaired := repairMisses(est, bestCand)
 	if repaired != nil && repaired.better(bestCand) {
 		bestCand = repaired
 	}
@@ -503,18 +547,16 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 // repairMisses is the greedy round-robin re-planner: starting from a
 // candidate, repeatedly re-pick one stage of the worst deadline-missing
 // job until no move improves the estimate. Returns nil when the start
-// already meets every deadline.
-func repairMisses(jobs []BatchJob, capacity Capacity, freeAt map[string][]int, start *candidate) *candidate {
+// already meets every deadline. Picks and Selections are never mutated
+// once built, so a trial shares every job's but the re-picked one's.
+func repairMisses(est *estimator, start *candidate) *candidate {
 	if start.missed == 0 {
 		return nil
 	}
-	cur := &candidate{method: "round-robin", prices: start.prices, round: start.round,
-		picks: make([][]int, len(jobs)), sels: make([]Selection, len(jobs))}
-	for i := range jobs {
-		cur.picks[i] = append([]int(nil), start.picks[i]...)
-		cur.sels[i] = start.sels[i]
-	}
-	cur.evaluate(jobs, capacity, freeAt)
+	jobs := est.jobs
+	first := *start
+	first.method = "round-robin"
+	cur := &first
 
 	budget := 0
 	for _, job := range jobs {
@@ -526,11 +568,11 @@ func repairMisses(jobs []BatchJob, capacity Capacity, freeAt map[string][]int, s
 		// The worst offender: largest finish-past-deadline overrun, ties
 		// toward the earlier job.
 		worst, overrun := -1, 0
-		for i, est := range cur.ests {
-			if jobs[i].DeadlineSec <= 0 || est.DeadlineMet {
+		for i, e := range cur.ests {
+			if jobs[i].DeadlineSec <= 0 || e.DeadlineMet {
 				continue
 			}
-			if over := est.FinishSec - jobs[i].DeadlineSec; worst < 0 || over > overrun {
+			if over := e.FinishSec - jobs[i].DeadlineSec; worst < 0 || over > overrun {
 				worst, overrun = i, over
 			}
 		}
@@ -539,18 +581,14 @@ func repairMisses(jobs []BatchJob, capacity Capacity, freeAt map[string][]int, s
 		}
 		var bestMove *candidate
 		try := func(picks []int) {
-			trial := &candidate{method: "round-robin", prices: cur.prices, round: cur.round,
-				picks: make([][]int, len(jobs)), sels: make([]Selection, len(jobs))}
-			for i := range jobs {
-				trial.picks[i] = append([]int(nil), cur.picks[i]...)
-				trial.sels[i] = cur.sels[i]
-			}
-			trial.picks[worst] = append([]int(nil), picks...)
-			trial.sels[worst] = retotal(jobs[worst], trial.picks[worst])
-			if trial.sels[worst].TotalTime > effectiveDeadline(jobs[worst]) {
+			sel := retotal(jobs[worst], picks)
+			if sel.TotalTime > effectiveDeadline(jobs[worst]) {
 				return // busy time alone already blows the budget
 			}
-			trial.evaluate(jobs, capacity, freeAt)
+			trial := &candidate{method: "round-robin", prices: cur.prices, round: cur.round,
+				picks: append([][]int(nil), cur.picks...), sels: append([]Selection(nil), cur.sels...)}
+			trial.picks[worst], trial.sels[worst] = sel.Pick, sel
+			trial.evaluate(est)
 			if trial.missed < cur.missed ||
 				(trial.missed == cur.missed && trial.ests[worst].FinishSec < cur.ests[worst].FinishSec) {
 				if bestMove == nil || trial.better(bestMove) {
@@ -576,9 +614,10 @@ func repairMisses(jobs []BatchJob, capacity Capacity, freeAt map[string][]int, s
 	return cur
 }
 
-// retotal rebuilds a job's Selection from explicit picks.
+// retotal rebuilds a job's Selection from explicit picks, which it
+// keeps as the Selection's Pick.
 func retotal(job BatchJob, picks []int) Selection {
-	sel := Selection{Feasible: true, Pick: append([]int(nil), picks...)}
+	sel := Selection{Feasible: true, Pick: picks}
 	for l, j := range picks {
 		it := job.Classes[l].Items[j]
 		sel.TotalTime += it.TimeSec

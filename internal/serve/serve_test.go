@@ -571,7 +571,8 @@ func TestTenantWeightsMustBeFinite(t *testing.T) {
 }
 
 // TestTraceGen: determinism, strict ordering, and parameter
-// validation.
+// validation, including a slack or rate that would put a deadline or
+// arrival past the engine's 2^53 s clock.
 func TestTraceGen(t *testing.T) {
 	cfg := TraceConfig{
 		Seed: 3, Jobs: 200, RatePerSec: 0.5, Burstiness: 0.2, SlackSec: 600,
@@ -601,6 +602,9 @@ func TestTraceGen(t *testing.T) {
 		{Jobs: 1, RatePerSec: 0, Tenants: []string{"a"}, Templates: []string{"x"}},
 		{Jobs: 1, RatePerSec: 1, Burstiness: 1, Tenants: []string{"a"}, Templates: []string{"x"}},
 		{Jobs: 1, RatePerSec: 1},
+		{Jobs: 1, RatePerSec: 1, SlackSec: 1e300, Tenants: []string{"a"}, Templates: []string{"x"}},
+		{Jobs: 1, RatePerSec: 1, SlackSec: math.Inf(1), Tenants: []string{"a"}, Templates: []string{"x"}},
+		{Jobs: 2, RatePerSec: 1e-300, Tenants: []string{"a"}, Templates: []string{"x"}},
 	} {
 		if _, err := TraceGen(bad); err == nil {
 			t.Fatalf("bad trace config accepted: %+v", bad)

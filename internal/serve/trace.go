@@ -39,7 +39,8 @@ type TraceConfig struct {
 
 // TraceGen generates a seeded Poisson (or bursty) arrival trace over
 // the given tenants and templates. Arrivals are rounded to the
-// millisecond and strictly ordered.
+// millisecond and strictly ordered. A trace whose arrivals or
+// deadlines would reach 2^53 s, which the engine refuses, is an error.
 func TraceGen(cfg TraceConfig) ([]TraceJob, error) {
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("serve: trace needs a positive job count, got %d", cfg.Jobs)
@@ -79,6 +80,9 @@ func TraceGen(cfg TraceConfig) ([]TraceJob, error) {
 		}
 		if cfg.SlackSec > 0 {
 			j.DeadlineSec = arrival + math.Ceil(cfg.SlackSec*(0.5+rng.Float64()))
+		}
+		if last := math.Max(arrival, j.DeadlineSec); !(last < maxClockSec) {
+			return nil, fmt.Errorf("serve: trace job %q reaches %g s, past the engine's 2^53 s clock", j.Name, last)
 		}
 		jobs[i] = j
 	}
