@@ -102,7 +102,9 @@ func TestReplayGoldenWorkers(t *testing.T) {
 // argument is refused by name. A negative or non-finite -slack (which
 // replayed deadline-free, or failed mid-replay after printing the
 // header) is refused too — both before any template is characterized,
-// with nothing on stdout. -slack 0 stays the deadline-free replay.
+// with nothing on stdout. -slack 0 stays the deadline-free replay. A
+// negative or non-finite -hazard-rate (ignored before) is refused the
+// same way.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	msg := clitest.RunFail(t, bin, "-replay", "5", "-slack", "3", "-designs", "aes", "-scale", "0.02")
@@ -113,6 +115,12 @@ func TestBadArgumentsRefused(t *testing.T) {
 		msg := clitest.RunFail(t, bin, "-replay", "-slack", slack, "-designs", "aes", "-scale", "0.02")
 		if !strings.Contains(msg, "finite and not negative") {
 			t.Errorf("-slack %s: stderr %q does not name the rule", slack, msg)
+		}
+	}
+	for _, rate := range []string{"-5", "NaN", "Inf"} {
+		msg := clitest.RunFail(t, bin, "-replay", "-hazard-rate", rate, "-designs", "aes", "-scale", "0.02")
+		if !strings.Contains(msg, "finite and not negative") {
+			t.Errorf("-hazard-rate %s: stderr %q does not name the rule", rate, msg)
 		}
 	}
 	// A finite slack whose deadlines pass the engine's clock is refused

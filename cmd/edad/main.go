@@ -36,6 +36,7 @@ import (
 
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/mckp"
 	"edacloud/internal/serve"
 	"edacloud/internal/techlib"
 )
@@ -64,6 +65,9 @@ func main() {
 	}
 	if !(*slack >= 0) || math.IsInf(*slack, 0) {
 		fail(fmt.Errorf("edad: -slack %v: the deadline multiple must be finite and not negative (0 = deadline-free)", *slack))
+	}
+	if !(*hazardRate >= 0) || math.IsInf(*hazardRate, 0) {
+		fail(fmt.Errorf("edad: -hazard-rate %v: the revocation rate must be finite and not negative (0 = no revocations)", *hazardRate))
 	}
 
 	if *listen == "" && !*replay {
@@ -204,19 +208,7 @@ func runReplay(fleet *cloud.Fleet, tenants []serve.Tenant, templates []serve.Tem
 	if p.slack > 0 {
 		worst := 0
 		for _, tpl := range templates {
-			total := 0
-			for _, cl := range tpl.Classes {
-				w := 0
-				for _, it := range cl.Items {
-					if it.TimeSec > w {
-						w = it.TimeSec
-					}
-				}
-				total += w
-			}
-			if total > worst {
-				worst = total
-			}
+			worst = max(worst, mckp.MaxTotalTime(tpl.Classes))
 		}
 		slackSec = p.slack * float64(worst)
 	}

@@ -101,7 +101,10 @@ func TestCacheFirstFitGolden(t *testing.T) {
 
 // TestBatchBelowOneRefused: a -fleet batch of fewer than one copy is
 // refused under every policy before the design is even built — exit 1,
-// nothing on stdout. -hier ignores -batch, so it still runs.
+// nothing on stdout. -hier ignores -batch, so it still runs. The same
+// holds for a VM below one vCPU, a clock period that is not positive
+// and finite, and a negative or non-finite -hazard-rate, -deadline,
+// -minbill or -escalate-after (each of which used to run to exit 0).
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -111,6 +114,25 @@ func TestBatchBelowOneRefused(t *testing.T) {
 			"-fleet", "gp.1x=1,mem.1x=1", "-policy", tc.policy, "-batch", tc.batch)
 		if !strings.Contains(msg, "at least 1 copy") {
 			t.Errorf("-policy %s -batch %s: stderr %q does not name the rule", tc.policy, tc.batch, msg)
+		}
+	}
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-vcpus", "0", "at least 1 vCPU"},
+		{"-vcpus", "-2", "at least 1 vCPU"},
+		{"-clock", "-1", "positive and finite"},
+		{"-clock", "0", "positive and finite"},
+		{"-clock", "NaN", "positive and finite"},
+		{"-clock", "Inf", "positive and finite"},
+		{"-hazard-rate", "-1", "finite and not negative"},
+		{"-deadline", "-5", "finite and not negative"},
+		{"-deadline", "NaN", "finite and not negative"},
+		{"-minbill", "-60", "finite and not negative"},
+		{"-escalate-after", "-1", "must not be negative"},
+	} {
+		msg := clitest.RunFail(t, bin, "-design", "ibex", "-scale", "0.02",
+			"-fleet", "mem.4x.spot=1,mem.4x=1", "-instance", "mem.4x.spot", "-spot", tc.flag, tc.value)
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
 		}
 	}
 	clitest.Run(t, bin, "-design", "aes", "-scale", "0.02", "-stages", "synthesis",

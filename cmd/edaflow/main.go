@@ -36,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -82,6 +83,23 @@ func main() {
 	}
 	if *fleetSpec != "" && !*hier && *batch < 1 {
 		fail(fmt.Errorf("-batch %d: a -fleet batch needs at least 1 copy", *batch))
+	}
+	if *vcpus < 1 {
+		fail(fmt.Errorf("-vcpus %d: a VM needs at least 1 vCPU", *vcpus))
+	}
+	if !(*clock > 0) || math.IsInf(*clock, 0) {
+		fail(fmt.Errorf("-clock %v: the clock period must be positive and finite", *clock))
+	}
+	if *escalateAfter < 0 {
+		fail(fmt.Errorf("-escalate-after %d: must not be negative (0 = never)", *escalateAfter))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"hazard-rate", *hazardRate}, {"deadline", *deadlineSec}, {"minbill", *minBill}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
+		}
 	}
 
 	var g *aig.Graph

@@ -48,6 +48,29 @@ func TestExploreCacheGolden(t *testing.T) {
 	clitest.Golden(t, "testdata/explore_cache.golden", got, *update)
 }
 
+// TestBadArgumentsRefused: a negative -max-passes (which panicked in
+// the sampler), -population, -eta, -rounds or -budget, and an -epochs
+// below one, are refused by name before the predictor trains — exit 1,
+// nothing on stdout.
+func TestBadArgumentsRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-max-passes", "-2", "must not be negative"},
+		{"-population", "-3", "must not be negative"},
+		{"-eta", "-1", "must not be negative"},
+		{"-rounds", "-1", "must not be negative"},
+		{"-budget", "-0.5", "must not be negative"},
+		{"-budget", "NaN", "must not be negative"},
+		{"-epochs", "-1", "need at least 1"},
+		{"-epochs", "0", "need at least 1"},
+	} {
+		msg := clitest.RunFail(t, bin, "-design", "dyn_node", tc.flag, tc.value)
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
+		}
+	}
+}
+
 // TestStrayArgumentRefused: an argument that is not a flag ends flag
 // parsing, which would drop every flag after it; it is refused by name
 // before the predictor trains.

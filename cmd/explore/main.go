@@ -46,6 +46,20 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rounds", *rounds}, {"population", *population}, {"eta", *eta}, {"max-passes", *maxPasses}} {
+		if f.v < 0 {
+			fail(fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
+		}
+	}
+	if !(*budget >= 0) {
+		fail(fmt.Errorf("-budget %v: must not be negative (0 = unlimited)", *budget))
+	}
+	if *epochs < 1 {
+		fail(fmt.Errorf("-epochs %d: need at least 1", *epochs))
+	}
 
 	lib := techlib.Default14nm()
 	catalog := cloud.DefaultCatalog()

@@ -85,7 +85,9 @@ func TestCacheOutsideBatchRefused(t *testing.T) {
 // 1.5" used to stop parsing at 3 and plan at the default slack; a
 // stray argument is refused by name. A -slack that is not positive and
 // finite (NaN once failed only after characterizing every design, and
-// 0 planned deadline-free) is refused too — both before any
+// 0 planned deadline-free) is refused too, and so are a negative
+// -deadline (which planned for the default midway deadline) and a
+// negative or non-finite -minbill or -hazard-rate — all before any
 // characterization, with nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
@@ -93,10 +95,21 @@ func TestBadArgumentsRefused(t *testing.T) {
 	if !strings.Contains(msg, `unexpected argument "3"`) {
 		t.Errorf("stderr %q does not name the stray argument", msg)
 	}
-	for _, slack := range []string{"NaN", "0", "-1", "Inf", "-Inf"} {
-		msg := clitest.RunFail(t, bin, "-batch", "-slack", slack, "-designs", "dyn_node", "-scale", "0.02")
-		if !strings.Contains(msg, "must be positive and finite") {
-			t.Errorf("-slack %s: stderr %q does not name the rule", slack, msg)
+	for _, tc := range []struct{ mode, flag, value, want string }{
+		{"-batch", "-slack", "NaN", "must be positive and finite"},
+		{"-batch", "-slack", "0", "must be positive and finite"},
+		{"-batch", "-slack", "-1", "must be positive and finite"},
+		{"-batch", "-slack", "Inf", "must be positive and finite"},
+		{"-batch", "-slack", "-Inf", "must be positive and finite"},
+		{"-execute", "-deadline", "-5", "must not be negative"},
+		{"-execute", "-minbill", "-1", "finite and not negative"},
+		{"-execute", "-minbill", "NaN", "finite and not negative"},
+		{"-spot", "-hazard-rate", "-1", "finite and not negative"},
+		{"-spot", "-hazard-rate", "Inf", "finite and not negative"},
+	} {
+		msg := clitest.RunFail(t, bin, tc.mode, tc.flag, tc.value, "-designs", "dyn_node", "-design", "dyn_node", "-scale", "0.02")
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s %s: stderr %q does not name the rule", tc.mode, tc.flag, tc.value, msg)
 		}
 	}
 }

@@ -70,6 +70,17 @@ func main() {
 	if !(*slack > 0) || math.IsInf(*slack, 0) {
 		fail(fmt.Errorf("-slack %v: the deadline multiple must be positive and finite", *slack))
 	}
+	if *deadline < 0 {
+		fail(fmt.Errorf("-deadline %d: must not be negative (0 = midway between fastest and cheapest)", *deadline))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"minbill", *minBill}, {"hazard-rate", *hazardRate}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
+		}
+	}
 
 	if *useCache && !*batch {
 		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))

@@ -36,14 +36,16 @@ func TestPredictGolden(t *testing.T) {
 	}
 }
 
-// TestBadArgumentsRefused: a recipe count below one or a held-out
-// fraction outside [0, 1) is refused before the dataset is built —
-// exit 1, nothing on stdout.
+// TestBadArgumentsRefused: a recipe or epoch count below one or a
+// held-out fraction outside [0, 1) is refused before the dataset is
+// built — exit 1, nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-recipes", "-1", "need at least 1"},
 		{"-recipes", "0", "need at least 1"},
+		{"-epochs", "-1", "need at least 1"},
+		{"-epochs", "0", "need at least 1"},
 		{"-test", "1.5", "must lie in [0, 1)"},
 		{"-test", "1", "must lie in [0, 1)"},
 		{"-test", "NaN", "must lie in [0, 1)"},

@@ -45,6 +45,9 @@ func main() {
 	if *recipes < 1 {
 		fail(fmt.Errorf("-recipes %d: need at least 1", *recipes))
 	}
+	if *epochs < 1 {
+		fail(fmt.Errorf("-epochs %d: need at least 1", *epochs))
+	}
 	if !(*testFrac >= 0 && *testFrac < 1) {
 		fail(fmt.Errorf("-test %v: the held-out fraction must lie in [0, 1)", *testFrac))
 	}

@@ -29,11 +29,9 @@ type CharacterizeOptions struct {
 	VCPUs []int
 	// Recipe is the synthesis script; zero value means raw mapping.
 	Recipe synth.Recipe
-	// Background simulates co-tenants on the characterization host (the
-	// paper's multi-tenancy environment); nil means an idle host.
+	// Background simulates co-tenants on cloud.DefaultHost, the paper's
+	// 14-core Xeon; nil means an idle host.
 	Background []cloud.CGroup
-	// Host is the physical machine; zero means the paper's 14-core Xeon.
-	Host cloud.Host
 	// Workers bounds the worker pools inside the flow's kernels — there
 	// is one flow run, whatever VCPUs lists — so Workers: 1 is a true
 	// serial baseline; 0 means GOMAXPROCS. Results are identical for
@@ -53,9 +51,6 @@ func (o CharacterizeOptions) withDefaults() CharacterizeOptions {
 	}
 	if o.VCPUs == nil {
 		o.VCPUs = []int{1, 2, 4, 8}
-	}
-	if o.Host.Cores == 0 {
-		o.Host = cloud.DefaultHost()
 	}
 	return o
 }
@@ -174,7 +169,7 @@ func CharacterizeEval(lib *techlib.Library, designName string, opts Characterize
 	out.WorkScale = workScaleFor(spec.TargetInstances, out.Cells)
 	base := make([]float64, len(JobKinds()))
 	for vi, v := range rows {
-		interference, err := opts.Host.Interference(float64(v), opts.Background)
+		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +229,7 @@ func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, 
 	curve := make([]float64, maxVCPUs)
 	var base float64
 	for vi, v := range vcpus {
-		interference, err := opts.Host.Interference(float64(v), opts.Background)
+		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edacloud/internal/aig"
+	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/par"
@@ -109,7 +110,7 @@ func refCharacterizeEval(t *testing.T, design string, opts CharacterizeOptions) 
 	out := &DesignCharacterization{Design: design, VCPUs: opts.VCPUs, Cells: cells, WorkScale: workScaleFor(spec.TargetInstances, cells)}
 	base := make([]float64, len(JobKinds()))
 	for vi, v := range opts.VCPUs {
-		interference, err := opts.Host.Interference(float64(v), opts.Background)
+		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestRoutingSpeedupCurveMatchesPerVCPURuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interference, _ := opts.Host.Interference(float64(v), nil)
+		interference, _ := cloud.DefaultHost().Interference(float64(v), nil)
 		want = append(want, machineFor(v, true, interference, 1).Seconds(report))
 	}
 	for vi := len(want) - 1; vi >= 0; vi-- {

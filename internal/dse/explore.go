@@ -34,6 +34,16 @@ import (
 	"edacloud/internal/techlib"
 )
 
+// clockPeriodsNs is the STA clock-period axis. Trials differing only
+// in clock share every artifact except timing.
+var clockPeriodsNs = []float64{0.8, 1.0, 1.25}
+
+// slackFactors is the deadline-slack axis: a trial's deployment
+// deadline is its plan's fastest achievable time times the factor.
+// Trials differing only in slack share all four artifacts — cache keys
+// are machine-independent.
+var slackFactors = []float64{1.05, 1.2, 1.5, 2.0}
+
 // Config assembles an exploration.
 type Config struct {
 	// Design is the evaluation design whose flow is being explored.
@@ -41,15 +51,6 @@ type Config struct {
 	// Scale sizes the generated design (core.CharacterizeOptions.Scale);
 	// 0 means 0.03.
 	Scale float64
-	// ClockPeriodsNs is the STA clock-period axis; nil means
-	// {0.8, 1.0, 1.25}. Trials differing only in clock share every
-	// artifact except timing.
-	ClockPeriodsNs []float64
-	// SlackFactors is the deadline-slack axis: a trial's deployment
-	// deadline is its plan's fastest achievable time times the factor.
-	// nil means {1.05, 1.2, 1.5, 2.0}. Trials differing only in slack
-	// share all four artifacts — cache keys are machine-independent.
-	SlackFactors []float64
 	// MaxPasses bounds sampled recipe length; 0 means 6.
 	MaxPasses int
 	// Population is the per-round sample count; 0 means 8.
@@ -86,12 +87,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.03
 	}
-	if cfg.ClockPeriodsNs == nil {
-		cfg.ClockPeriodsNs = []float64{0.8, 1.0, 1.25}
-	}
-	if cfg.SlackFactors == nil {
-		cfg.SlackFactors = []float64{1.05, 1.2, 1.5, 2.0}
-	}
 	if cfg.MaxPasses == 0 {
 		cfg.MaxPasses = 6
 	}
@@ -120,15 +115,12 @@ func (cfg Config) validate() error {
 	if cfg.Predictor == nil {
 		return fmt.Errorf("dse: config needs a trained runtime predictor")
 	}
-	for _, c := range cfg.ClockPeriodsNs {
-		if c <= 0 {
-			return fmt.Errorf("dse: clock period %g must be positive", c)
-		}
+	if cfg.MaxPasses < 0 || cfg.Population < 0 || cfg.Eta < 0 || cfg.Rounds < 0 {
+		return fmt.Errorf("dse: MaxPasses %d, Population %d, Eta %d and Rounds %d must not be negative",
+			cfg.MaxPasses, cfg.Population, cfg.Eta, cfg.Rounds)
 	}
-	for _, s := range cfg.SlackFactors {
-		if s < 1 {
-			return fmt.Errorf("dse: slack factor %g below 1 makes every plan infeasible", s)
-		}
+	if !(cfg.BudgetUSD >= 0) {
+		return fmt.Errorf("dse: budget %v must not be negative", cfg.BudgetUSD)
 	}
 	return nil
 }
@@ -232,7 +224,7 @@ func Explore(cfg Config) (*Result, error) {
 	}
 	e := &explorer{
 		cfg:          cfg,
-		sampler:      newSampler(cfg.Seed, cfg.MaxPasses, len(cfg.ClockPeriodsNs), len(cfg.SlackFactors)),
+		sampler:      newSampler(cfg.Seed, cfg.MaxPasses),
 		res:          &Result{},
 		synthSeconds: synthPred,
 		chars:        map[string]*core.DesignCharacterization{},
@@ -271,8 +263,8 @@ func (e *explorer) sampleRound() []*Trial {
 			ID:            e.res.Sampled + len(out),
 			Params:        p,
 			Recipe:        p.Recipe(),
-			ClockPeriodNs: e.cfg.ClockPeriodsNs[p.ClockIdx],
-			SlackFactor:   e.cfg.SlackFactors[p.SlackIdx],
+			ClockPeriodNs: clockPeriodsNs[p.ClockIdx],
+			SlackFactor:   slackFactors[p.SlackIdx],
 		}
 		out = append(out, t)
 	}

@@ -1,7 +1,9 @@
 package dse
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,6 +74,35 @@ func testConfig(t *testing.T, seed int64, workers int, store *cache.Store) Confi
 		Lib:        lib,
 		Predictor:  testPredictor(t),
 		Store:      store,
+	}
+}
+
+// TestExploreRefusesNegativeCounts: a negative recipe length,
+// population, halving factor, round count or budget is refused by name
+// before any design is built (a negative MaxPasses used to panic in the
+// sampler, a negative Eta ran no full evaluations).
+func TestExploreRefusesNegativeCounts(t *testing.T) {
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.MaxPasses = -2 },
+		func(c *Config) { c.Population = -3 },
+		func(c *Config) { c.Eta = -1 },
+		func(c *Config) { c.Rounds = -1 },
+		func(c *Config) { c.BudgetUSD = -0.5 },
+		func(c *Config) { c.BudgetUSD = math.NaN() },
+	} {
+		cfg := Config{
+			Design:    "dyn_node",
+			Fleet:     testFleet(t),
+			Catalog:   cloud.DefaultCatalog(),
+			Lib:       lib,
+			Predictor: &core.Predictor{},
+		}
+		bad(&cfg)
+		_, err := Explore(cfg)
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("MaxPasses %d, Population %d, Eta %d, Rounds %d, BudgetUSD %v: got %v, want a refusal",
+				cfg.MaxPasses, cfg.Population, cfg.Eta, cfg.Rounds, cfg.BudgetUSD, err)
+		}
 	}
 }
 

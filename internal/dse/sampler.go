@@ -10,9 +10,9 @@ import (
 
 // Params is one point of the search space, spanning all three axes the
 // tentpole names: the synthesis recipe (Passes), a stage parameter
-// (the STA clock period, by index into Config.ClockPeriodsNs), and the
+// (the STA clock period, by index into clockPeriodsNs), and the
 // instance plan (the deadline slack factor, by index into
-// Config.SlackFactors — the knob that decides which machines the
+// slackFactors — the knob that decides which machines the
 // deployment optimizer buys).
 type Params struct {
 	Passes   []synth.PassKind
@@ -84,17 +84,13 @@ type observation struct {
 type sampler struct {
 	rng       *rand.Rand
 	maxPasses int
-	nClocks   int
-	nSlacks   int
 	hist      []observation
 }
 
-func newSampler(seed int64, maxPasses, nClocks, nSlacks int) *sampler {
+func newSampler(seed int64, maxPasses int) *sampler {
 	return &sampler{
 		rng:       rand.New(rand.NewSource(seed)),
 		maxPasses: maxPasses,
-		nClocks:   nClocks,
-		nSlacks:   nSlacks,
 	}
 }
 
@@ -108,8 +104,8 @@ func (s *sampler) randomParams() Params {
 	n := s.rng.Intn(s.maxPasses + 1)
 	p := Params{
 		Passes:   make([]synth.PassKind, n),
-		ClockIdx: s.rng.Intn(s.nClocks),
-		SlackIdx: s.rng.Intn(s.nSlacks),
+		ClockIdx: s.rng.Intn(len(clockPeriodsNs)),
+		SlackIdx: s.rng.Intn(len(slackFactors)),
 	}
 	for i := range p.Passes {
 		p.Passes[i] = synth.PassKind(s.rng.Intn(3))
@@ -125,12 +121,12 @@ type density struct {
 	slack  []float64
 }
 
-func newDensity(maxPasses, nClocks, nSlacks int) *density {
+func newDensity(maxPasses int) *density {
 	d := &density{
 		length: make([]float64, maxPasses+1),
 		pass:   make([][]float64, maxPasses),
-		clock:  make([]float64, nClocks),
-		slack:  make([]float64, nSlacks),
+		clock:  make([]float64, len(clockPeriodsNs)),
+		slack:  make([]float64, len(slackFactors)),
 	}
 	for i := range d.pass {
 		d.pass[i] = make([]float64, 3)
@@ -228,8 +224,8 @@ func (s *sampler) sample() Params {
 	if nGood < 1 {
 		nGood = 1
 	}
-	good := newDensity(s.maxPasses, s.nClocks, s.nSlacks)
-	bad := newDensity(s.maxPasses, s.nClocks, s.nSlacks)
+	good := newDensity(s.maxPasses)
+	bad := newDensity(s.maxPasses)
 	for i, idx := range order {
 		if i < nGood {
 			good.add(s.hist[idx].p)
@@ -258,7 +254,7 @@ func (s *sampler) sample() Params {
 // contracts.
 func SampleParams(cfg Config, seed int64, n int) []Params {
 	cfg = cfg.withDefaults()
-	s := newSampler(seed, cfg.MaxPasses, len(cfg.ClockPeriodsNs), len(cfg.SlackFactors))
+	s := newSampler(seed, cfg.MaxPasses)
 	out := make([]Params, n)
 	for i := range out {
 		out[i] = s.sample()

@@ -45,9 +45,6 @@ type runner struct {
 	// the retry policy's attempt cap and escalation trigger.
 	attempts []int
 	revs     []int
-	// doneSec remembers each completed stage's runtime so a
-	// from-scratch restart can account the work it throws away.
-	doneSec []float64
 	// override re-targets stages to the instance types replanRequest
 	// jointly re-picked when queue wait ate the job's slack; nil until
 	// the first re-plan. Overrides take precedence over the prepared
@@ -112,7 +109,6 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 			reinstance: policy.ReInstance(),
 			attempts:   make([]int, n),
 			revs:       make([]int, n),
-			doneSec:    make([]float64, n),
 		}
 		if pinned {
 			r.pinned = i
@@ -176,7 +172,6 @@ func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 			Attempt:  r.attempts[r.stage],
 		})
 		res.Seconds += cache.ProbeSeconds
-		r.doneSec[r.stage] = cache.ProbeSeconds
 		r.ready = start + cache.ProbeSeconds
 		r.stage++
 		return stagePlaced
@@ -265,7 +260,6 @@ func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 	})
 	res.Seconds += dur
 	r.waitSec += start - r.ready
-	r.doneSec[r.stage] = dur
 	r.ready = start + dur
 	r.stage++
 	return stagePlaced
@@ -297,14 +291,7 @@ func revokeStage(res *JobResult, r *runner, retry RetryPolicy, inst *cloud.Fleet
 	r.revs[r.stage]++
 	r.held = -1 // the machine is gone
 
-	if retry.FromScratch && r.stage > 0 {
-		// No checkpoints: every completed stage's work is lost too and
-		// will be redone from the first stage.
-		for s := 0; s < r.stage; s++ {
-			res.RetriedSec += r.doneSec[s]
-		}
-		r.stage = 0
-	} else if r.stage > 0 {
+	if r.stage > 0 {
 		// Stage-boundary checkpoint: only the truncated attempt is
 		// lost; completed stages stand.
 		res.RecoveredFromCheckpoint++

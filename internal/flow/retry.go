@@ -20,10 +20,6 @@ type RetryPolicy struct {
 	// stop losing work. It engages only when the fleet actually holds
 	// the on-demand type. 0 never escalates.
 	EscalateAfter int
-	// FromScratch disables stage-boundary checkpointing: a revoked job
-	// restarts from its first stage, losing all completed work — the
-	// ablation baseline that quantifies what checkpoints save.
-	FromScratch bool
 }
 
 // DefaultMaxAttempts is the per-stage attempt cap applied when a

@@ -53,9 +53,6 @@ type Job struct {
 	// applies defaults and never engages without a revocation model on
 	// the fleet.
 	Retry RetryPolicy
-	// Interference is the multi-tenant slowdown on the job's host (see
-	// cloud.Host.Interference); 0 means an idle host.
-	Interference float64
 	// WorkScale extrapolates simulated runtime to full design size;
 	// 0 means 1 (no extrapolation).
 	WorkScale float64
@@ -418,7 +415,6 @@ func jobMachine(job *Job, it cloud.InstanceType) perf.Machine {
 	if !it.AVX {
 		m = m.WithoutAVX()
 	}
-	m.Interference = job.Interference
 	m.WorkScale = job.WorkScale
 	if m.WorkScale == 0 {
 		m.WorkScale = 1

@@ -215,44 +215,53 @@ func TestSpotMaxAttemptsFailsJob(t *testing.T) {
 	}
 }
 
-// TestFromScratchLosesMoreThanCheckpointed: the ablation — identical
-// seeds, one batch restarting revoked jobs from stage zero, one
-// resuming from the last stage boundary. Checkpointing must lose
-// strictly less work and record its recoveries.
-func TestFromScratchLosesMoreThanCheckpointed(t *testing.T) {
+// TestCheckpointedRetryLosesOnlyTruncatedAttempts: a revoked job
+// resumes from its last stage boundary. The work it loses is exactly
+// the revoked attempts' survived seconds, every completed stage runs
+// once and in order, and each revocation past the first stage is
+// recorded as a checkpoint recovery.
+func TestCheckpointedRetryLosesOnlyTruncatedAttempts(t *testing.T) {
 	const seed, rate = 11, 6.0
-	run := func(fromScratch bool) *Schedule {
-		retry := RetryPolicy{MaxAttempts: 200, BackoffSec: 30, FromScratch: fromScratch}
-		jobs := spotForecastJobs(t, 3, "mem.8x.spot", retry)
-		fleet := spotTestFleet(t, "mem.8x.spot=2", seed, rate)
-		sched, err := Forecast(fleet, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sched.Failed != 0 {
-			t.Fatalf("fromScratch=%v: %d jobs failed", fromScratch, sched.Failed)
-		}
-		return sched
+	retry := RetryPolicy{MaxAttempts: 200, BackoffSec: 30}
+	jobs := spotForecastJobs(t, 3, "mem.8x.spot", retry)
+	fleet := spotTestFleet(t, "mem.8x.spot=2", seed, rate)
+	sched, err := Forecast(fleet, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ckpt := run(false)
-	scratch := run(true)
-	if ckpt.Revocations == 0 {
+	if sched.Failed != 0 {
+		t.Fatalf("%d jobs failed", sched.Failed)
+	}
+	if sched.Revocations == 0 {
 		t.Fatal("no revocations; seed needs retuning")
 	}
-	if scratch.RetriedSec <= ckpt.RetriedSec {
-		t.Fatalf("from-scratch lost %g s, checkpointed lost %g s — checkpoints saved nothing",
-			scratch.RetriedSec, ckpt.RetriedSec)
-	}
 	recovered := 0
-	for _, j := range ckpt.Jobs {
+	for _, j := range sched.Jobs {
+		var lost float64
+		var done []JobKind
+		resumes := 0
+		for _, st := range j.Stages {
+			if !st.Revoked {
+				done = append(done, st.Kind)
+				continue
+			}
+			lost += st.Seconds
+			if st.Kind != JobKinds()[0] {
+				resumes++
+			}
+		}
+		if j.RetriedSec != lost {
+			t.Errorf("%s: lost %g s, but its revoked attempts survived %g s", j.Name, j.RetriedSec, lost)
+		}
+		if !reflect.DeepEqual(done, JobKinds()) {
+			t.Errorf("%s: completed stages %v, want each of %v once", j.Name, done, JobKinds())
+		}
+		if j.RecoveredFromCheckpoint != resumes {
+			t.Errorf("%s: %d checkpoint recoveries, want %d", j.Name, j.RecoveredFromCheckpoint, resumes)
+		}
 		recovered += j.RecoveredFromCheckpoint
 	}
 	if recovered == 0 {
-		t.Fatal("checkpointed run recorded no recoveries")
-	}
-	for _, j := range scratch.Jobs {
-		if j.RecoveredFromCheckpoint != 0 {
-			t.Fatal("from-scratch run claims checkpoint recoveries")
-		}
+		t.Fatal("no revocation past the first stage; seed needs retuning")
 	}
 }

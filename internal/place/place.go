@@ -25,16 +25,6 @@ import (
 
 // Options configures Place.
 type Options struct {
-	// TargetUtil is the die utilization; 0 means 0.70.
-	TargetUtil float64
-	// RowHeight is the placement row height in um; 0 means 2.0.
-	RowHeight float64
-	// SpreadIters is the number of anchor/spread rounds; 0 means 3.
-	SpreadIters int
-	// CGIters caps conjugate-gradient iterations per solve; 0 means 64.
-	CGIters int
-	// Bins is the spreading grid dimension; 0 means auto (~sqrt(n)/2).
-	Bins int
 	// StageConfig supplies the shared execution knobs: Workers bounds
 	// the worker pool for the parallel CG matrix-vector rows (0 means
 	// GOMAXPROCS; results are identical for every value), and Probe
@@ -42,24 +32,17 @@ type Options struct {
 	par.StageConfig
 }
 
-func (o Options) withDefaults(n int) Options {
-	if o.TargetUtil == 0 {
-		o.TargetUtil = 0.70
-	}
-	if o.RowHeight == 0 {
-		o.RowHeight = 2.0
-	}
-	if o.SpreadIters == 0 {
-		o.SpreadIters = 3
-	}
-	if o.CGIters == 0 {
-		o.CGIters = 24
-	}
-	if o.Bins == 0 {
-		o.Bins = int(math.Sqrt(float64(n)))/2 + 4
-	}
-	return o
-}
+// Die utilization, row height (um), anchor/spread rounds and the
+// conjugate-gradient iteration cap per solve.
+const (
+	targetUtil  = 0.70
+	rowHeight   = 2.0
+	spreadIters = 3
+	cgIters     = 24
+)
+
+// binsFor is the spreading grid dimension for n cells.
+func binsFor(n int) int { return int(math.Sqrt(float64(n)))/2 + 4 }
 
 // Placement is the result: one (x, y) per cell plus fixed pad
 // locations for primary inputs and outputs.
@@ -117,20 +100,20 @@ func Place(nl *netlist.Netlist, opts Options) (*Placement, *perf.Report, error) 
 	if n == 0 {
 		return nil, nil, fmt.Errorf("place: empty netlist")
 	}
-	opts = opts.withDefaults(n)
+	bins := binsFor(n)
 	probe := opts.Probe
 	report := &perf.Report{Job: "placement"}
 
 	p := &Placement{
 		X: make([]float64, n), Y: make([]float64, n),
-		RowHeight: opts.RowHeight,
+		RowHeight: rowHeight,
 	}
 	// Die sizing: square die at target utilization.
-	dieArea := nl.Area() / opts.TargetUtil
+	dieArea := nl.Area() / targetUtil
 	p.DieW = math.Sqrt(dieArea)
 	p.DieH = p.DieW
-	if p.DieH < 2*opts.RowHeight {
-		p.DieH = 2 * opts.RowHeight
+	if p.DieH < 2*rowHeight {
+		p.DieH = 2 * rowHeight
 		p.DieW = dieArea / p.DieH
 	}
 	placePads(nl, p)
@@ -145,8 +128,8 @@ func Place(nl *netlist.Netlist, opts Options) (*Placement, *perf.Report, error) 
 	}
 
 	// Phase 1: unconstrained quadratic solve.
-	solveCG(sys, p.X, sys.bx, opts.CGIters, probe)
-	solveCG(sys, p.Y, sys.by, opts.CGIters, probe)
+	solveCG(sys, p.X, sys.bx, cgIters, probe)
+	solveCG(sys, p.Y, sys.by, cgIters, probe)
 	clampToDie(p)
 	p.HPWLGlobal = HPWL(nl, p, probe)
 	report.AddPhase(probe.TakePhase("global-cg", 0.70, n/128+1))
@@ -155,15 +138,15 @@ func Place(nl *netlist.Netlist, opts Options) (*Placement, *perf.Report, error) 
 	// geometrically so late rounds dominate the quadratic pull-back.
 	alpha := 0.05 * sys.avgDegree
 	var overflow float64
-	for it := 0; it < opts.SpreadIters; it++ {
+	for it := 0; it < spreadIters; it++ {
 		var tx, ty []float64
-		tx, ty, overflow = spread(nl, p, opts.Bins, probe)
-		resolveWithAnchors(sys, p, tx, ty, alpha, opts.CGIters, probe)
+		tx, ty, overflow = spread(nl, p, bins, probe)
+		resolveWithAnchors(sys, p, tx, ty, alpha, cgIters, probe)
 		clampToDie(p)
 		alpha *= 4
 	}
 	p.Overflow = overflow
-	report.AddPhase(probe.TakePhase("spread", 0.50, opts.Bins*opts.Bins/8+1))
+	report.AddPhase(probe.TakePhase("spread", 0.50, bins*bins/8+1))
 
 	// Phase 3: legalization.
 	legalize(nl, p, probe)

@@ -190,12 +190,7 @@ func TestHPWLZeroForSingleCellNets(t *testing.T) {
 
 func TestSpreadReducesPeakDensity(t *testing.T) {
 	nl := mappedBench(t, "int2float", 0.3)
-	pNo, _, err := Place(nl, Options{SpreadIters: -1}) // clamp below
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = pNo
-	p, _, err := Place(nl, Options{SpreadIters: 4})
+	p, _, err := Place(nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,6 @@ type Options struct {
 	MaxIters int
 	// TileSize is the parallel-scheduling tile edge in gcells; 0 means 8.
 	TileSize int
-	// HistoryCost scales the congestion history increment; 0 means 1.5.
-	HistoryCost float64
 	// StageConfig supplies the shared execution knobs. Unlike the other
 	// engines, Workers here sets real goroutine parallelism for
 	// tile-local routing and is only honored when Probe is nil (the
@@ -60,9 +58,6 @@ func (o Options) withDefaults(rowHeight float64) Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = 1
-	}
-	if o.HistoryCost == 0 {
-		o.HistoryCost = 1.5
 	}
 	return o
 }
@@ -153,6 +148,10 @@ const (
 // capacityFromDemand is the sentinel Options.Capacity value requesting
 // demand-calibrated track capacity.
 const capacityFromDemand = -1
+
+// historyCost is the congestion-history increment an overused edge
+// collects per rip-up-and-reroute round.
+const historyCost = 1.5
 
 func absInt16(v int16) int {
 	if v < 0 {
@@ -268,7 +267,7 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 			break
 		}
 		for _, e := range overused {
-			g.history[e] += opts.HistoryCost
+			g.history[e] += historyCost
 			probe.StoreHot(rgGrid, uint64(e))
 			bad[e] = true
 		}

@@ -94,7 +94,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for _, tpl := range cfg.Templates {
 		if len(cfg.Hazards) > 0 {
-			tpl.Classes = mckp.RiskAdjust(tpl.Classes, cfg.Hazards, cfg.BackoffSec)
+			tpl.Classes = mckp.RiskAdjust(tpl.Classes, cfg.Hazards, 0)
 		}
 		e.templates[tpl.Name] = tpl
 	}
@@ -641,19 +641,9 @@ func (e *Engine) dropCanceledLeases() {
 func (e *Engine) admitIndependent(r *record) {
 	ready := readyInt(r.status.ArrivalSec)
 	deadline := deadlineInt(r.status.DeadlineSec)
-	budget := 0
-	if deadline > 0 {
-		budget = deadline - ready
-	} else {
-		for _, cl := range r.tpl.Classes {
-			worst := 0
-			for _, it := range cl.Items {
-				if it.TimeSec > worst {
-					worst = it.TimeSec
-				}
-			}
-			budget += worst
-		}
+	budget := deadline - ready
+	if deadline <= 0 {
+		budget = mckp.MaxTotalTime(r.tpl.Classes)
 	}
 	sel, err := mckp.SolveMinCost(r.tpl.Classes, budget)
 	if err != nil || !sel.Feasible {

@@ -78,11 +78,10 @@ type Config struct {
 	// Templates declares the submittable job shapes.
 	Templates []Template
 	// Hazards, when non-empty, risk-adjusts every template's choice
-	// table at registration (mckp.RiskAdjust with BackoffSec), so
+	// table at registration (mckp.RiskAdjust with no retry backoff), so
 	// admission forecasts price spot capacity at its revocation-adjusted
 	// expectation.
-	Hazards    mckp.Hazards
-	BackoffSec float64
+	Hazards mckp.Hazards
 	// Workers bounds the per-job DP fan-out inside each re-solve; 0
 	// means all cores. Results are identical for every value.
 	Workers int

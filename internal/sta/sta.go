@@ -27,11 +27,6 @@ import (
 type Options struct {
 	// ClockPeriodNs is the timing constraint; 0 means 1.0 ns.
 	ClockPeriodNs float64
-	// InputSlewNs is the slew at primary inputs; 0 means 0.01.
-	InputSlewNs float64
-	// WireCapPerUm adds placement-aware net capacitance; used only when
-	// a placement is supplied. 0 means 0.0002 pF/um.
-	WireCapPerUm float64
 	// HoldTimeNs is the register hold requirement checked against
 	// minimum-delay paths; 0 means 0.005 ns (comfortably under one
 	// gate delay, as 14nm-class hold times are).
@@ -44,15 +39,17 @@ type Options struct {
 	par.StageConfig
 }
 
+// inputSlewNs is the slew at primary inputs and at the clock pin of
+// every sequential launch; wireCapPerUm is the placement-aware net
+// capacitance (pF/um), added only when a placement is supplied.
+const (
+	inputSlewNs  = 0.01
+	wireCapPerUm = 0.0002
+)
+
 func (o Options) withDefaults() Options {
 	if o.ClockPeriodNs == 0 {
 		o.ClockPeriodNs = 1.0
-	}
-	if o.InputSlewNs == 0 {
-		o.InputSlewNs = 0.01
-	}
-	if o.WireCapPerUm == 0 {
-		o.WireCapPerUm = 0.0002
 	}
 	if o.HoldTimeNs == 0 {
 		o.HoldTimeNs = 0.005
@@ -158,7 +155,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 		load[id] = c
 	}
 	if pl != nil {
-		addWireLoads(nl, pl, load, opts.WireCapPerUm, probe)
+		addWireLoads(nl, pl, load, wireCapPerUm, probe)
 	}
 
 	// Forward pass: arrival (max-delay) and earliest arrival
@@ -167,7 +164,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 	minArrival := make([]float64, nl.NumNets())
 	slew := make([]float64, nl.NumNets())
 	for i := range slew {
-		slew[i] = opts.InputSlewNs
+		slew[i] = inputSlewNs
 	}
 	// fromCell[net] = driving cell on the critical (max-arrival) fanin.
 	fromPin := make([]int32, nl.NumNets())
@@ -211,8 +208,8 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 		if c.Type.Seq {
 			// Launch from the clock edge through the CK->Q arc.
 			arc := c.Type.Arcs[0]
-			bestArr = lookup(shard, probe, &arc.Delay, opts.InputSlewNs, outLoad)
-			bestSlew = lookup(shard, probe, &arc.Slew, opts.InputSlewNs, outLoad)
+			bestArr = lookup(shard, probe, &arc.Delay, inputSlewNs, outLoad)
+			bestSlew = lookup(shard, probe, &arc.Slew, inputSlewNs, outLoad)
 			bestPin = 1
 			minArr = bestArr
 		} else {
