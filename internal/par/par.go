@@ -195,9 +195,10 @@ func (p *Pool) runShared(body func(), want int) {
 // that depends only on the iteration shape. Shard s's chunks run in
 // ascending order on a single goroutine, with probe.Shards(S)[s] (a
 // per-worker probe with its own cache and predictor state, persistent
-// across regions) passed to fn; afterwards the shard counters are
-// merged into probe in shard order. Both data results and simulated
-// counters are therefore identical for every pool size, including 1.
+// across regions) passed to fn, and the same goroutine then settles the
+// shard's simulation; afterwards the shard counters are merged into
+// probe in shard order. Both data results and simulated counters are
+// therefore identical for every pool size, including 1.
 //
 // fn receives the shard index so callers can keep shard-local scratch
 // state; with a nil probe the same static schedule runs with a nil
@@ -231,6 +232,9 @@ func (p *Pool) ForProbe(probe *perf.Probe, n, grain int, fn func(start, end, sha
 				}
 				fn(lo, hi, s, shardProbes[s])
 			}
+			// The shard's unfilled batch replays here, beside the other
+			// shards, not serially in MergeShards after the barrier.
+			shardProbes[s].Settle()
 		}
 	}
 	p.runShared(body, min(p.Workers(), shards))

@@ -116,6 +116,52 @@ func TestForProbeDeterministicCounters(t *testing.T) {
 	}
 }
 
+// TestForProbeSettledMatchesSerialMerge: ForProbe settles each shard on
+// the worker that ran it; the counters of every modelled VM, phase by
+// phase, are those of the same chunks run shard by shard on the caller
+// and merged unsettled, for every worker count and shard count.
+func TestForProbeSettledMatchesSerialMerge(t *testing.T) {
+	cfg := perf.DefaultProbeConfig().WithLLCSlices(1, 4)
+	body := func(lo, hi, shard int, sp *perf.Probe) {
+		for i := lo; i < hi; i++ {
+			sp.Load(uint64(i*4099+shard*977) % (1 << 22))
+			sp.LoadHot(shard, uint64(i))
+			sp.Branch(uint64(i%29), i%3 == 0)
+			sp.LoadRange(uint64(i)*256, 1+i%9, 24)
+			sp.Ops(5)
+		}
+	}
+	shapes := [][2]int{{3, 1}, {100, 7}, {4000, 16}, {9000, 1}}
+	run := func(region func(probe *perf.Probe, n, grain int)) []perf.Phase {
+		probe := perf.NewProbe(cfg)
+		var phases []perf.Phase
+		for _, s := range shapes {
+			body(0, 50, 0, probe)
+			region(probe, s[0], s[1])
+			phases = append(phases, probe.TakePhase("region", 0.5, s[0]))
+		}
+		return phases
+	}
+	want := run(func(probe *perf.Probe, n, grain int) {
+		chunks := (n + grain - 1) / grain
+		shards := probe.Shards(min(ProbeShards, chunks))
+		for s := range shards {
+			for c := s; c < chunks; c += len(shards) {
+				body(c*grain, min(c*grain+grain, n), s, shards[s])
+			}
+		}
+		probe.MergeShards(shards)
+	})
+	for _, p := range testPools(t) {
+		got := run(func(probe *perf.Probe, n, grain int) { p.ForProbe(probe, n, grain, body) })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d, region %d: %+v, want %+v", p.Workers(), i, got[i].C, want[i].C)
+			}
+		}
+	}
+}
+
 func TestForProbeNilProbe(t *testing.T) {
 	hits := make([]int32, 500)
 	Fixed(4).ForProbe(nil, len(hits), 8, func(lo, hi, shard int, sp *perf.Probe) {

@@ -59,7 +59,9 @@ func (pc ProbeConfig) WithLLCSlices(n ...int) ProbeConfig {
 // (see replay.go). The simulator replays the batch in stream order, so
 // every outcome is the one an inline simulation would give; the front
 // folds the outcomes into its counters at the only places that read
-// them — TakePhase, TakePhaseMeasured, Counters and MergeShards.
+// them — TakePhase, TakePhaseMeasured, Counters, Settle and
+// MergeShards. Instrs reads a count the front keeps itself, so it
+// folds nothing.
 type Probe struct {
 	sim *simulator
 	// ev is the batch being filled, nil until the first simulated event
@@ -150,7 +152,9 @@ func (p *Probe) Shards(n int) []*Probe {
 
 // MergeShards absorbs the events each shard recorded since its last
 // merge into p's counters, in shard order — a deterministic reduction
-// independent of which OS thread ran which shard.
+// independent of which OS thread ran which shard. A shard not yet
+// settled is settled here, on the caller; par.ForProbe settles each on
+// its own worker first, so this only adds counters.
 func (p *Probe) MergeShards(shards []*Probe) {
 	if p == nil {
 		return
@@ -170,6 +174,17 @@ func (p *Probe) MergeShards(shards []*Probe) {
 			m.drained = m.c
 		}
 	}
+}
+
+// Settle replays the batch in hand and folds the simulator's outcomes
+// into the counters, so that reading or merging them later has nothing
+// left to replay. A parallel region calls it on each shard from the
+// worker that filled it, before the region's barrier.
+func (p *Probe) Settle() {
+	if p == nil {
+		return
+	}
+	p.sync()
 }
 
 // sync brings the counters up to date with every event recorded so
@@ -373,6 +388,17 @@ func (p *Probe) Ops(n int) {
 	p.c.Instrs += uint64(n)
 }
 
+// Instrs returns the instructions retired since construction. The
+// front counts them itself and MergeShards folds in the shards' share,
+// so unlike Counters it neither waits for the simulator nor replays
+// the batch in hand.
+func (p *Probe) Instrs() uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.c.Instrs
+}
+
 // Counters returns the accumulated counts since construction, with
 // the first modelled VM's LLC outcomes.
 func (p *Probe) Counters() Counters {
@@ -420,8 +446,8 @@ func (p *Probe) TakePhase(name string, parallelFraction float64, chunks int) Pha
 // TakePhaseMeasured is TakePhase with the parallel fraction *measured*
 // instead of modeled: parallelInstrs is the number of instructions the
 // caller recorded inside parallel regions (typically the delta of
-// Counters().Instrs across a par.ForProbe region, whose shard counters
-// are merged back before the region returns), and the fraction is its
+// Instrs across a par.ForProbe region, whose shard counters are merged
+// back before the region returns), and the fraction is its
 // share of everything retired since the last phase boundary. Callers
 // with genuinely parallel kernels use this so the machine model's
 // Amdahl scaling rests on the code's real serial/parallel split —

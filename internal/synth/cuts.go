@@ -96,10 +96,10 @@ func (ce *cutEnum) run() {
 		if len(nodes) == 0 {
 			continue
 		}
-		before := ce.probe.Counters().Instrs
+		before := ce.probe.Instrs()
 		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, enumChunk)
 		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
-			ce.parInstrs += ce.probe.Counters().Instrs - before
+			ce.parInstrs += ce.probe.Instrs() - before
 			ce.parChunks = ints.Max(ce.parChunks, chunks)
 		}
 	}

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/netlist"
@@ -38,8 +39,8 @@ const (
 // nodeImpl is the chosen realization of one (node, polarity) pair.
 type nodeImpl struct {
 	valid   bool
-	fromInv bool // realized as inverter of the opposite polarity
-	match   techlib.Match
+	fromInv bool           // realized as inverter of the opposite polarity
+	match   *techlib.Match // an entry of the library's match index
 	cut     Cut
 	polMask uint8 // bit i set: leaf i is consumed complemented
 	arrival float64
@@ -185,7 +186,9 @@ func (m *mapper) mapNode(v int) {
 				if pol == 1 {
 					want = ^tt16 & uint16(ttMask(n))
 				}
-				for _, match := range m.lib.MatchTT(want, n) {
+				matches := m.lib.MatchTT(want, n)
+				for k := range matches {
+					match := &matches[k]
 					m.probe.Ops(20)
 					m.probe.FPScalar(8) // table interpolation
 					arr := m.matchArrival(match, cut, pm, load)
@@ -243,16 +246,14 @@ func (m *mapper) mapNode(v int) {
 // matchArrival returns the output arrival time of realizing a match:
 // the worst leaf arrival (in its required polarity) plus the matched
 // arc delay at the estimated load.
-func (m *mapper) matchArrival(match techlib.Match, cut Cut, pm uint8, load float64) float64 {
+func (m *mapper) matchArrival(match *techlib.Match, cut Cut, pm uint8, load float64) float64 {
 	worst := 0.0
 	for i, leaf := range cut.Leaves {
 		neg := pm>>uint(i)&1 == 1
 		arr := m.arrivalOf(int(leaf), neg)
-		pin := match.Cell.Inputs[match.Perm[i]].Name
-		arc := match.Cell.ArcFrom(pin)
 		d := 0.0
-		if arc != nil {
-			d = arc.Delay.Lookup(nominalSlew, load)
+		if t := match.Delay[i]; t != nil {
+			d = t.Lookup(nominalSlew, load)
 		}
 		if arr+d > worst {
 			worst = arr + d
@@ -293,9 +294,14 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 		}
 	}
 	cellCount := 0
+	// name holds the n%d and u%d names as they are built, so each costs
+	// the one allocation of its string.
+	var name []byte
 	newCell := func(typ *techlib.Cell, ins []netlist.NetID) netlist.NetID {
-		out := nl.AddNet(fmt.Sprintf("n%d", nl.NumNets()))
-		nl.MustAddCell(fmt.Sprintf("u%d", cellCount), typ, ins, out)
+		name = strconv.AppendInt(append(name[:0], 'n'), int64(nl.NumNets()), 10)
+		out := nl.AddNet(string(name))
+		name = strconv.AppendInt(append(name[:0], 'u'), int64(cellCount), 10)
+		nl.MustAddCell(string(name), typ, ins, out)
 		cellCount++
 		return out
 	}

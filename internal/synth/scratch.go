@@ -105,7 +105,7 @@ type runScratch [par.ProbeShards]shardScratch
 // the region. It is the one shared driver of the rewrite and balance
 // partitioned paths.
 func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, build func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild) ([]shardBuild, uint64) {
-	instrsBefore := probe.Counters().Instrs
+	instrsBefore := probe.Instrs()
 	shards := make([]shardBuild, n)
 	pool.ForProbe(probe, n, 1, func(lo, hi, shard int, probe *perf.Probe) {
 		sc := &rs[shard]
@@ -113,7 +113,7 @@ func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, bui
 			shards[pi] = build(pi, sc, probe)
 		}
 	})
-	return shards, probe.Counters().Instrs - instrsBefore
+	return shards, probe.Instrs() - instrsBefore
 }
 
 // beginShard starts partition pi's private shard graph: it collects the

@@ -119,10 +119,12 @@ type Library struct {
 	Cells []*Cell
 
 	byName map[string]*Cell
-	// match maps (inputs, canonical permuted truth table) to candidate
-	// cells with the pin permutation that realizes the function:
-	// perm[i] = cell pin index receiving cut leaf i.
-	match map[matchKey][]Match
+	// match[n][tt] lists the candidate cells whose function over n
+	// inputs, under some pin permutation, is truth table tt (masked to
+	// n inputs), each with the permutation that realizes it: perm[i] =
+	// cell pin index receiving cut leaf i. match[n] has one entry per
+	// truth table for every n up to the widest cell's input count.
+	match [][][]Match
 }
 
 // Fingerprint returns the library's canonical content hash: its name
@@ -146,16 +148,16 @@ func (lib *Library) Fingerprint() uint64 {
 	return uint64(h)
 }
 
-type matchKey struct {
-	n  int
-	tt uint16
-}
-
 // Match pairs a cell with the input permutation under which its
 // function equals the queried truth table.
 type Match struct {
 	Cell *Cell
 	Perm []int // cut leaf i connects to cell input Perm[i]
+	// Delay[i] is the delay table of the arc from the cell input cut
+	// leaf i drives — Cell.ArcFrom(Cell.Inputs[Perm[i]].Name).Delay —
+	// or nil when that pin has no arc. It is resolved once, when the
+	// library is built.
+	Delay []*Table
 }
 
 // NewLibrary builds a library from cells and constructs the matching
@@ -165,7 +167,6 @@ func NewLibrary(name string, cells []*Cell) *Library {
 		Name:   name,
 		Cells:  cells,
 		byName: make(map[string]*Cell, len(cells)),
-		match:  make(map[matchKey][]Match),
 	}
 	for _, c := range cells {
 		lib.byName[c.Name] = c
@@ -173,18 +174,25 @@ func NewLibrary(name string, cells []*Cell) *Library {
 			continue
 		}
 		n := len(c.Inputs)
+		for len(lib.match) <= n {
+			lib.match = append(lib.match, make([][]Match, int(mask(len(lib.match)))+1))
+		}
 		permute(n, func(perm []int) {
 			tt := permuteTT(c.TT, perm, n)
-			key := matchKey{n, tt}
 			// Deduplicate: symmetric cells generate the same TT under
 			// several permutations; keep the first.
-			for _, m := range lib.match[key] {
+			for _, m := range lib.match[n][tt] {
 				if m.Cell == c {
 					return
 				}
 			}
-			p := append([]int(nil), perm...)
-			lib.match[key] = append(lib.match[key], Match{Cell: c, Perm: p})
+			m := Match{Cell: c, Perm: append([]int(nil), perm...), Delay: make([]*Table, n)}
+			for i, pin := range m.Perm {
+				if arc := c.ArcFrom(c.Inputs[pin].Name); arc != nil {
+					m.Delay[i] = &arc.Delay
+				}
+			}
+			lib.match[n][tt] = append(lib.match[n][tt], m)
 		})
 	}
 	return lib
@@ -205,7 +213,10 @@ func (lib *Library) MustCell(name string) *Cell {
 // MatchTT returns the cells (with pin permutations) whose function over
 // n inputs equals truth table tt.
 func (lib *Library) MatchTT(tt uint16, n int) []Match {
-	return lib.match[matchKey{n, tt & mask(n)}]
+	if n < 0 || n >= len(lib.match) {
+		return nil
+	}
+	return lib.match[n][tt&mask(n)]
 }
 
 func mask(n int) uint16 {
