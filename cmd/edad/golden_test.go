@@ -104,7 +104,8 @@ func TestReplayGoldenWorkers(t *testing.T) {
 // header) is refused too — both before any template is characterized,
 // with nothing on stdout. -slack 0 stays the deadline-free replay. A
 // negative or non-finite -hazard-rate (ignored before) is refused the
-// same way.
+// same way, and so are a -hazard-rate above cloud.MaxHazardPerHour and
+// a -trace-jobs, -rate or -burst the trace generator cannot draw.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	msg := clitest.RunFail(t, bin, "-replay", "5", "-slack", "3", "-designs", "aes", "-scale", "0.02")
@@ -121,6 +122,23 @@ func TestBadArgumentsRefused(t *testing.T) {
 		msg := clitest.RunFail(t, bin, "-replay", "-hazard-rate", rate, "-designs", "aes", "-scale", "0.02")
 		if !strings.Contains(msg, "finite and not negative") {
 			t.Errorf("-hazard-rate %s: stderr %q does not name the rule", rate, msg)
+		}
+	}
+	// A hazard rate past cloud.MaxHazardPerHour (1e8/h once exhausted
+	// memory memoizing revocations), a trace longer than
+	// serve.MaxTraceJobs (a billion once died allocating it) and a
+	// non-finite -rate or -burst (NaN once failed mid-replay) are
+	// refused the same way.
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-hazard-rate", "1e8", "MaxHazardPerHour"},
+		{"-trace-jobs", "1000000000", "MaxTraceJobs"},
+		{"-rate", "NaN", "rate NaN is not finite"},
+		{"-rate", "Inf", "rate +Inf is not finite"},
+		{"-burst", "NaN", "burstiness NaN is not finite"},
+	} {
+		msg := clitest.RunFail(t, bin, "-replay", tc.flag, tc.value, "-designs", "aes", "-scale", "0.02")
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
 		}
 	}
 	// A finite slack whose deadlines pass the engine's clock is refused

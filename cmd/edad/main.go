@@ -69,6 +69,14 @@ func main() {
 	if !(*hazardRate >= 0) || math.IsInf(*hazardRate, 0) {
 		fail(fmt.Errorf("edad: -hazard-rate %v: the revocation rate must be finite and not negative (0 = no revocations)", *hazardRate))
 	}
+	if *hazardRate > cloud.MaxHazardPerHour {
+		fail(fmt.Errorf("edad: -hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
+	}
+	if *replay {
+		if err := (serve.TraceConfig{Jobs: *traceJobs, RatePerSec: *rate, Burstiness: *burst}).Check(); err != nil {
+			fail(fmt.Errorf("edad: -trace-jobs %d -rate %v -burst %v: %w", *traceJobs, *rate, *burst, err))
+		}
+	}
 
 	if *listen == "" && !*replay {
 		fail(fmt.Errorf("edad: pass -listen for daemon mode or -replay for trace replay"))

@@ -104,7 +104,9 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // nothing on stdout. -hier ignores -batch, so it still runs. The same
 // holds for a VM below one vCPU, a clock period that is not positive
 // and finite, and a negative or non-finite -hazard-rate, -deadline,
-// -minbill or -escalate-after (each of which used to run to exit 0).
+// -minbill or -escalate-after (each of which used to run to exit 0). A
+// -hazard-rate above cloud.MaxHazardPerHour (1e8/h once exhausted
+// memory) is refused the same way.
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -124,6 +126,7 @@ func TestBatchBelowOneRefused(t *testing.T) {
 		{"-clock", "NaN", "positive and finite"},
 		{"-clock", "Inf", "positive and finite"},
 		{"-hazard-rate", "-1", "finite and not negative"},
+		{"-hazard-rate", "1e8", "MaxHazardPerHour"},
 		{"-deadline", "-5", "finite and not negative"},
 		{"-deadline", "NaN", "finite and not negative"},
 		{"-minbill", "-60", "finite and not negative"},

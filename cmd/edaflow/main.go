@@ -101,6 +101,9 @@ func main() {
 			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
 		}
 	}
+	if *hazardRate > cloud.MaxHazardPerHour {
+		fail(fmt.Errorf("-hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
+	}
 
 	var g *aig.Graph
 	var err error

@@ -87,8 +87,11 @@ func TestCacheOutsideBatchRefused(t *testing.T) {
 // finite (NaN once failed only after characterizing every design, and
 // 0 planned deadline-free) is refused too, and so are a negative
 // -deadline (which planned for the default midway deadline) and a
-// negative or non-finite -minbill or -hazard-rate — all before any
-// characterization, with nothing on stdout.
+// negative or non-finite -minbill or -hazard-rate, a -hazard-rate above
+// cloud.MaxHazardPerHour (1e8/h once exhausted memory) and a negative
+// or malformed -table1 -deadlines entry (once refused only after the
+// stage table printed) — all before any characterization, with nothing
+// on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	msg := clitest.RunFail(t, bin, "-batch", "3", "-slack", "1.5", "-designs", "dyn_node", "-scale", "0.02")
@@ -106,6 +109,9 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-execute", "-minbill", "NaN", "finite and not negative"},
 		{"-spot", "-hazard-rate", "-1", "finite and not negative"},
 		{"-spot", "-hazard-rate", "Inf", "finite and not negative"},
+		{"-spot", "-hazard-rate", "1e9", "MaxHazardPerHour"},
+		{"-table1", "-deadlines", "-5", "must not be negative"},
+		{"-table1", "-deadlines", "10,abc", "bad deadline"},
 	} {
 		msg := clitest.RunFail(t, bin, tc.mode, tc.flag, tc.value, "-designs", "dyn_node", "-design", "dyn_node", "-scale", "0.02")
 		if !strings.Contains(msg, tc.want) {

@@ -81,6 +81,10 @@ func main() {
 			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
 		}
 	}
+	if *hazardRate > cloud.MaxHazardPerHour {
+		fail(fmt.Errorf("-hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
+	}
+	deadlines := parseDeadlines(*deadlineList)
 
 	if *useCache && !*batch {
 		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))
@@ -118,7 +122,6 @@ func main() {
 		fmt.Printf("Table I: minimizing deployment cost for %s under runtime constraints\n\n", *design)
 		printStageTable(prob)
 
-		deadlines := parseDeadlines(*deadlineList)
 		if deadlines == nil {
 			minTime := prob.MinTime()
 			under := prob.UnderProvision()
@@ -593,6 +596,8 @@ func batchCostUnderHits(bp *core.BatchPlan, specs []core.BatchJobSpec) float64 {
 	return total
 }
 
+// parseDeadlines reads -deadlines, refusing a malformed or negative
+// entry before any design is characterized.
 func parseDeadlines(s string) []int {
 	if s == "" {
 		return nil
@@ -602,6 +607,9 @@ func parseDeadlines(s string) []int {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			fail(fmt.Errorf("bad deadline %q: %w", f, err))
+		}
+		if v < 0 {
+			fail(fmt.Errorf("-deadlines: deadline %d must not be negative", v))
 		}
 		out = append(out, v)
 	}

@@ -45,6 +45,12 @@ type revTimeline struct {
 	events []float64
 }
 
+// MaxHazardPerHour is the largest hazard rate the commands accept: one
+// revocation per second of spot time on average. A timeline memoizes
+// every event up to the latest time queried, so a rate far above this
+// would exhaust memory on an ordinary schedule.
+const MaxHazardPerHour = 3600
+
 // NewRevocationModel builds a model from a seed and per-type hazards.
 func NewRevocationModel(seed int64, hazardPerHour map[string]float64) *RevocationModel {
 	return &RevocationModel{Seed: seed, HazardPerHour: hazardPerHour}

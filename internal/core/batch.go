@@ -113,29 +113,22 @@ type BatchPlan struct {
 }
 
 // restrictProblem drops choice-table entries whose instance type the
-// fleet cannot supply, keeping Stages and Classes aligned. A stage
-// left with no candidate is a configuration error: the fleet cannot
-// run the flow at all.
+// fleet cannot supply. A stage left with no candidate is a
+// configuration error: the fleet cannot run the flow at all.
 func restrictProblem(prob *DeploymentProblem, capacity mckp.Capacity) (*DeploymentProblem, error) {
-	out := &DeploymentProblem{Design: prob.Design}
+	stages := make([][]StageChoice, len(prob.Stages))
 	for l, stage := range prob.Stages {
-		var choices []StageChoice
-		cl := mckp.Class{Name: prob.Classes[l].Name}
-		for j, c := range stage {
-			if _, ok := capacity[c.Instance.Name]; !ok {
-				continue
+		for _, c := range stage {
+			if _, ok := capacity[c.Instance.Name]; ok {
+				stages[l] = append(stages[l], c)
 			}
-			choices = append(choices, c)
-			cl.Items = append(cl.Items, prob.Classes[l].Items[j])
 		}
-		if len(choices) == 0 {
+		if len(stages[l]) == 0 {
 			return nil, fmt.Errorf("core: fleet has no instance able to run stage %s of %s",
 				prob.Classes[l].Name, prob.Design)
 		}
-		out.Stages = append(out.Stages, choices)
-		out.Classes = append(out.Classes, cl)
 	}
-	return out, nil
+	return newProblem(prob.Design, stages), nil
 }
 
 // Restrict drops choice-table entries whose instance type the fleet

@@ -6,7 +6,6 @@ import (
 	"edacloud/internal/cache"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
-	"edacloud/internal/mckp"
 	"edacloud/internal/perf"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -119,37 +118,26 @@ func hitVector(hits map[flow.JobKind]bool) []bool {
 
 // CacheAdjusted returns a copy of the problem whose hit stages are
 // collapsed to the cache-probe constant: every choice of a hit class
-// runs for cache.ProbeSeconds at zero cost and is marked Cached, in
-// both the knapsack classes and the executable stage table (so plans,
-// forecasts and adaptive choice tables all price the hit identically).
-// A nil/empty hit vector returns the problem unchanged.
+// runs for cache.ProbeSeconds at zero cost and is marked Cached (so
+// plans, forecasts and adaptive choice tables all price the hit
+// identically). A nil/empty hit vector returns the problem unchanged.
 func (prob *DeploymentProblem) CacheAdjusted(hits []bool) *DeploymentProblem {
+	stages := make([][]StageChoice, len(prob.Stages))
 	any := false
-	for l := range prob.Stages {
-		if l < len(hits) && hits[l] {
-			any = true
-			break
+	for l, stage := range prob.Stages {
+		if l >= len(hits) || !hits[l] {
+			stages[l] = stage
+			continue
+		}
+		any = true
+		stages[l] = make([]StageChoice, len(stage))
+		for j, c := range stage {
+			stages[l][j] = StageChoice{Job: c.Job, Instance: c.Instance,
+				Seconds: cache.ProbeSeconds, Cost: 0, Cached: true}
 		}
 	}
 	if !any {
 		return prob
 	}
-	out := &DeploymentProblem{
-		Design:  prob.Design,
-		Classes: mckp.CacheAdjust(prob.Classes, hits, cache.ProbeTimeSec),
-	}
-	out.Stages = make([][]StageChoice, len(prob.Stages))
-	for l, stage := range prob.Stages {
-		if l >= len(hits) || !hits[l] {
-			out.Stages[l] = stage
-			continue
-		}
-		adj := make([]StageChoice, len(stage))
-		for j, c := range stage {
-			adj[j] = StageChoice{Job: c.Job, Instance: c.Instance,
-				Seconds: cache.ProbeSeconds, Cost: 0, Cached: true}
-		}
-		out.Stages[l] = adj
-	}
-	return out
+	return newProblem(prob.Design, stages)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
@@ -27,59 +26,12 @@ type StageChoice struct {
 
 // DeploymentProblem is the optimizer input: for each flow stage, the
 // runtime and cost of every candidate instance size from the stage's
-// recommended family.
+// recommended family. Classes is the same table in knapsack form;
+// newProblem derives it from Stages and nothing else writes it.
 type DeploymentProblem struct {
 	Design  string
 	Stages  [][]StageChoice // [job][size]
 	Classes []mckp.Class
-}
-
-// BuildDeploymentProblem converts a characterization into the MCKP
-// instance of the paper's Sec. III.C: each job's candidates come from
-// its recommended family (general-purpose lacks AVX in the catalog, so
-// synthesis/STA runtimes are re-derived on non-AVX machines), costs
-// follow per-second billing of the family's price.
-func BuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog) (*DeploymentProblem, error) {
-	prob := &DeploymentProblem{Design: char.Design}
-	for _, k := range JobKinds() {
-		fam := RecommendedFamily(k)
-		var choices []StageChoice
-		cl := mckp.Class{Name: k.String()}
-		for vi, v := range char.VCPUs {
-			it, err := catalog.Size(fam, v)
-			if err != nil {
-				return nil, err
-			}
-			prof := char.Profiles[vi][int(k)]
-			// Re-derive runtime on the family's silicon (AVX presence)
-			// from the profiled event counts.
-			m := machineFor(v, it.AVX, 0, char.WorkScale)
-			secs := m.Seconds(prof.Report)
-			cost := it.Cost(secs)
-			choices = append(choices, StageChoice{Job: k, Instance: it, Seconds: secs, Cost: cost})
-			cl.Items = append(cl.Items, mckp.Item{
-				Label:   it.Name,
-				TimeSec: int(math.Ceil(secs)),
-				Cost:    cost,
-			})
-			// Catalogs extended with spot pricing (Catalog.WithSpot) expose
-			// a discounted revocable twin per type; it shares the hardware,
-			// so the stage's runtime carries over and only the bill drops.
-			// Plain catalogs have no ".spot" names and are unaffected.
-			if spot, err := catalog.ByName(it.Name + ".spot"); err == nil {
-				spotCost := spot.Cost(secs)
-				choices = append(choices, StageChoice{Job: k, Instance: spot, Seconds: secs, Cost: spotCost})
-				cl.Items = append(cl.Items, mckp.Item{
-					Label:   spot.Name,
-					TimeSec: int(math.Ceil(secs)),
-					Cost:    spotCost,
-				})
-			}
-		}
-		prob.Stages = append(prob.Stages, choices)
-		prob.Classes = append(prob.Classes, cl)
-	}
-	return prob, nil
 }
 
 // Plan is an optimized deployment: one instance per stage.

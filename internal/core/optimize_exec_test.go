@@ -78,7 +78,7 @@ func TestPlanExecutionMatchesPrediction(t *testing.T) {
 }
 
 // TestPlanExportAndFleet: plans export to the executable StagePlan /
-// fleet forms and agree with the mckp-level labeled export.
+// fleet forms and agree with the mckp-level selection's labels.
 func TestPlanExportAndFleet(t *testing.T) {
 	char := characterized(t, "dyn_node")
 	prob, err := BuildDeploymentProblem(char, cloud.DefaultCatalog())
@@ -97,20 +97,17 @@ func TestPlanExportAndFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	picks, err := sel.Export(prob.Classes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cheap, err := prob.Optimize(prob.UnderProvision().TotalTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range picks {
-		if p.Class != JobKinds()[i].String() {
-			t.Fatalf("export class %q out of order", p.Class)
+	for i, j := range sel.Pick {
+		cl := prob.Classes[i]
+		if cl.Name != JobKinds()[i].String() {
+			t.Fatalf("class %q out of order", cl.Name)
 		}
-		if p.Label != cheap.Picks[i].Instance.Name {
-			t.Fatalf("export label %q, plan instance %q", p.Label, cheap.Picks[i].Instance.Name)
+		if cl.Items[j].Label != cheap.Picks[i].Instance.Name {
+			t.Fatalf("picked label %q, plan instance %q", cl.Items[j].Label, cheap.Picks[i].Instance.Name)
 		}
 	}
 	fleet, err := plan.Fleet()

@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/cloud"
 	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
-	"edacloud/internal/mckp"
 	"edacloud/internal/netlist"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -63,47 +60,4 @@ func (p *Predictor) PredictFlowRuntimes(dg *DesignGraphs) (map[JobKind][]float64
 		out[k] = rt
 	}
 	return out, nil
-}
-
-// BuildPredictedDeploymentProblem assembles the MCKP instance from
-// predicted runtimes instead of measured profiles — the paper's
-// production path (Fig. 1: prediction -> $ cost calculator ->
-// optimization). Predictions already carry full-flow magnitudes; each
-// stage prices its recommended family's instances with per-second
-// billing.
-func BuildPredictedDeploymentProblem(pred *Predictor, dg *DesignGraphs, catalog *cloud.Catalog) (*DeploymentProblem, error) {
-	runtimes, err := pred.PredictFlowRuntimes(dg)
-	if err != nil {
-		return nil, err
-	}
-	prob := &DeploymentProblem{Design: dg.Name}
-	for _, k := range JobKinds() {
-		fam := RecommendedFamily(k)
-		rts := runtimes[k]
-		if len(rts) != len(pred.VCPUs) {
-			return nil, fmt.Errorf("core: %v prediction width %d, want %d", k, len(rts), len(pred.VCPUs))
-		}
-		var choices []StageChoice
-		cl := mckp.Class{Name: k.String()}
-		for vi, v := range pred.VCPUs {
-			it, err := catalog.Size(fam, v)
-			if err != nil {
-				return nil, err
-			}
-			secs := rts[vi]
-			if secs < 1 {
-				secs = 1 // per-second billing floor
-			}
-			cost := it.Cost(secs)
-			choices = append(choices, StageChoice{Job: k, Instance: it, Seconds: secs, Cost: cost})
-			cl.Items = append(cl.Items, mckp.Item{
-				Label:   it.Name,
-				TimeSec: int(math.Ceil(secs)),
-				Cost:    cost,
-			})
-		}
-		prob.Stages = append(prob.Stages, choices)
-		prob.Classes = append(prob.Classes, cl)
-	}
-	return prob, nil
 }

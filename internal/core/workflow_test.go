@@ -49,7 +49,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		}
 	}
 
-	prob, err := BuildPredictedDeploymentProblem(pred, dg, cloud.DefaultCatalog())
+	prob, err := BuildPredictedDeploymentProblem(dg.Name, pred.VCPUs, runtimes, cloud.DefaultCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPredictedProblemRejectsBadInputs(t *testing.T) {
 	if _, err := pred.PredictFlowRuntimes(dg); err == nil {
 		t.Fatal("missing graphs accepted")
 	}
-	if _, err := BuildPredictedDeploymentProblem(pred, dg, cloud.DefaultCatalog()); err == nil {
-		t.Fatal("missing models accepted")
+	if _, err := BuildPredictedDeploymentProblem(dg.Name, pred.VCPUs, nil, cloud.DefaultCatalog()); err == nil {
+		t.Fatal("missing predictions accepted")
 	}
 }

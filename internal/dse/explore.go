@@ -27,7 +27,6 @@ import (
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
-	"edacloud/internal/mckp"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
 	"edacloud/internal/synth"
@@ -369,54 +368,22 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 		}
 	}
 	for i, t := range trials {
-		classes, err := e.predictedClasses(e.preds[run.Jobs[i].Run.NetlistHash()])
+		prob, err := core.BuildPredictedDeploymentProblem(e.cfg.Design, e.cfg.Predictor.VCPUs,
+			e.preds[run.Jobs[i].Run.NetlistHash()], e.cfg.Catalog)
 		if err != nil {
 			return err
 		}
-		deadline := int(math.Ceil(float64(mckp.MinTotalTime(classes)) * t.SlackFactor))
-		sel, err := mckp.SolveMinCost(classes, deadline)
+		plan, err := prob.Optimize(int(math.Ceil(float64(prob.MinTime()) * t.SlackFactor)))
 		if err != nil {
 			return err
 		}
-		if !sel.Feasible {
+		if !plan.Feasible {
 			return fmt.Errorf("dse: cheap plan infeasible for %s at slack %g", t.Recipe.Name, t.SlackFactor)
 		}
-		t.Cheap.CostUSD = sel.TotalCost
-		t.Cheap.RuntimeSec = float64(sel.TotalTime)
+		t.Cheap.CostUSD = plan.TotalCost
+		t.Cheap.RuntimeSec = float64(plan.TotalTime)
 	}
 	return nil
-}
-
-// predictedClasses builds a knapsack choice table from predicted
-// per-configuration runtimes, priced like BuildDeploymentProblem:
-// each stage's candidates are its recommended family's sizes at the
-// predictor's vCPU grid. Predictions are floored at one second — the
-// GCN extrapolates and must not emit non-positive runtimes into a DP
-// over integral seconds.
-func (e *explorer) predictedClasses(seconds map[flow.JobKind][]float64) ([]mckp.Class, error) {
-	var classes []mckp.Class
-	for _, k := range core.JobKinds() {
-		secs := seconds[k]
-		cl := mckp.Class{Name: k.String()}
-		fam := core.RecommendedFamily(k)
-		for vi, v := range e.cfg.Predictor.VCPUs {
-			it, err := e.cfg.Catalog.Size(fam, v)
-			if err != nil {
-				return nil, err
-			}
-			s := secs[vi]
-			if s < 1 {
-				s = 1
-			}
-			cl.Items = append(cl.Items, mckp.Item{
-				Label:   it.Name,
-				TimeSec: int(math.Ceil(s)),
-				Cost:    it.Cost(s),
-			})
-		}
-		classes = append(classes, cl)
-	}
-	return classes, nil
 }
 
 // characterize fills e.chars for the trials' recipes no earlier round

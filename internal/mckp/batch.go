@@ -615,24 +615,3 @@ func retotal(job BatchJob, picks []int) Selection {
 	}
 	return sel
 }
-
-// Export renders every job's selection as labeled picks, in job order.
-// Like Selection.Export it refuses infeasible selections and empty
-// choice tables.
-func (b BatchSelection) Export(jobs []BatchJob) ([][]ExportedPick, error) {
-	if !b.Feasible {
-		return nil, fmt.Errorf("mckp: infeasible batch selection exports no plans")
-	}
-	if len(b.Jobs) != len(jobs) {
-		return nil, fmt.Errorf("mckp: batch selection holds %d jobs, batch has %d", len(b.Jobs), len(jobs))
-	}
-	out := make([][]ExportedPick, len(jobs))
-	for i, job := range jobs {
-		picks, err := b.Jobs[i].Export(job.Classes)
-		if err != nil {
-			return nil, fmt.Errorf("mckp: job %q: %w", job.Name, err)
-		}
-		out[i] = picks
-	}
-	return out, nil
-}

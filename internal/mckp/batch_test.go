@@ -207,59 +207,6 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchExport: the batch export mirrors Selection.Export,
-// including the empty-choice-table refusal.
-func TestBatchExport(t *testing.T) {
-	jobs := []BatchJob{
-		{Name: "j0", Classes: []Class{{Name: "s", Items: []Item{
-			{Label: "a", TimeSec: 5, Cost: 1},
-			{Label: "b", TimeSec: 3, Cost: 2},
-		}}}},
-		{Name: "j1", Classes: []Class{{Name: "s", Items: []Item{
-			{Label: "b", TimeSec: 4, Cost: 1.5},
-		}}}},
-	}
-	capacity := Capacity{"a": 1, "b": 1}
-	batch, err := BatchOptimize(jobs, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	picks, err := batch.Export(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(picks) != 2 || len(picks[0]) != 1 || picks[1][0].Label != "b" {
-		t.Fatalf("export = %+v", picks)
-	}
-	if _, err := (BatchSelection{Feasible: false}).Export(jobs); err == nil {
-		t.Fatal("infeasible batch exported")
-	}
-	if _, err := batch.Export(jobs[:1]); err == nil {
-		t.Fatal("job-count mismatch exported")
-	}
-	// The empty-table refusal (the Selection.Export fix) surfaces
-	// through the batch export too.
-	hollow := batch
-	hollow.Jobs = []Selection{{Feasible: true}, {Feasible: true}}
-	bare := []BatchJob{{Name: "j0"}, {Name: "j1"}}
-	if _, err := hollow.Export(bare); err == nil {
-		t.Fatal("empty choice tables exported a zero-stage plan")
-	}
-}
-
-// TestSelectionExportEmptyClasses pins the Export fix: a selection
-// over an empty class list (or a class with no items) must refuse to
-// export rather than emit a zero-stage plan.
-func TestSelectionExportEmptyClasses(t *testing.T) {
-	if _, err := (Selection{Feasible: true}).Export(nil); err == nil {
-		t.Fatal("empty choice table exported a zero-stage plan")
-	}
-	classes := []Class{{Name: "hollow"}}
-	if _, err := (Selection{Feasible: true, Pick: []int{0}}).Export(classes); err == nil {
-		t.Fatal("itemless class exported")
-	}
-}
-
 // TestBatchStateZeroValueMatchesBatchOptimize pins the warm-start
 // API's compatibility contract: BatchOptimizeState with a zero state
 // reproduces BatchOptimize exactly — same picks, totals, estimates,

@@ -41,48 +41,6 @@ type Selection struct {
 	Objective float64
 }
 
-// ExportedPick is one class's solved choice in self-describing form:
-// the class and item labels plus the item's time/cost, so downstream
-// layers (deployment execution, reports) can consume a plan without
-// knowing item indices.
-type ExportedPick struct {
-	Class   string
-	Label   string
-	TimeSec int
-	Cost    float64
-}
-
-// Export renders a feasible selection against the classes it solved as
-// labeled picks, in class order.
-func (s Selection) Export(classes []Class) ([]ExportedPick, error) {
-	if !s.Feasible {
-		return nil, fmt.Errorf("mckp: infeasible selection exports no plan")
-	}
-	// An empty choice table must not silently export a zero-stage plan:
-	// downstream layers would schedule nothing and bill nothing, hiding
-	// the configuration error that emptied the table.
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("mckp: empty choice table exports no plan")
-	}
-	for _, cl := range classes {
-		if len(cl.Items) == 0 {
-			return nil, fmt.Errorf("mckp: class %q has no items to export", cl.Name)
-		}
-	}
-	if len(s.Pick) != len(classes) {
-		return nil, fmt.Errorf("mckp: selection picks %d classes, classes are %d", len(s.Pick), len(classes))
-	}
-	out := make([]ExportedPick, len(classes))
-	for l, j := range s.Pick {
-		if j < 0 || j >= len(classes[l].Items) {
-			return nil, fmt.Errorf("mckp: pick %d out of range for class %q", j, classes[l].Name)
-		}
-		it := classes[l].Items[j]
-		out[l] = ExportedPick{Class: classes[l].Name, Label: it.Label, TimeSec: it.TimeSec, Cost: it.Cost}
-	}
-	return out, nil
-}
-
 func validate(classes []Class, deadline int) error {
 	if len(classes) == 0 {
 		return fmt.Errorf("mckp: no classes")
@@ -236,11 +194,7 @@ func SolveGreedy(classes []Class, deadline int) (Selection, error) {
 	n := len(classes)
 	pick := make([]int, n)
 	for l, cl := range classes {
-		for j, it := range cl.Items {
-			if it.Cost < cl.Items[pick[l]].Cost {
-				pick[l] = j
-			}
-		}
+		pick[l] = Cheapest(cl)
 	}
 	total := func() (int, float64) {
 		t, p := 0, 0.0

@@ -306,48 +306,6 @@ func TestEmptyClassAmongNonEmpty(t *testing.T) {
 	}
 }
 
-// TestSelectionExport: solved plans export as labeled picks in class
-// order; infeasible and mismatched selections refuse to.
-func TestSelectionExport(t *testing.T) {
-	classes := paperClasses()
-	sel, err := SolveMinCost(classes, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	picks, err := sel.Export(classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(picks) != len(classes) {
-		t.Fatalf("%d picks for %d classes", len(picks), len(classes))
-	}
-	var time int
-	var cost float64
-	for l, p := range picks {
-		if p.Class != classes[l].Name {
-			t.Fatalf("pick %d class %q, want %q", l, p.Class, classes[l].Name)
-		}
-		it := classes[l].Items[sel.Pick[l]]
-		if p.Label != it.Label || p.TimeSec != it.TimeSec || p.Cost != it.Cost {
-			t.Fatalf("pick %d = %+v, item %+v", l, p, it)
-		}
-		time += p.TimeSec
-		cost += p.Cost
-	}
-	if time != sel.TotalTime || math.Abs(cost-sel.TotalCost) > 1e-9 {
-		t.Fatalf("export totals %d/%f vs selection %d/%f", time, cost, sel.TotalTime, sel.TotalCost)
-	}
-	if _, err := (Selection{Feasible: false}).Export(classes); err == nil {
-		t.Fatal("infeasible selection exported")
-	}
-	if _, err := (Selection{Feasible: true, Pick: []int{0}}).Export(classes); err == nil {
-		t.Fatal("mismatched pick length exported")
-	}
-	if _, err := (Selection{Feasible: true, Pick: []int{9, 0, 0, 0}}).Export(classes); err == nil {
-		t.Fatal("out-of-range pick exported")
-	}
-}
-
 func TestFixedProvisionBaselines(t *testing.T) {
 	classes := paperClasses()
 	over, err := FixedProvision(classes, Fastest)

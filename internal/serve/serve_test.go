@@ -610,4 +610,26 @@ func TestTraceGen(t *testing.T) {
 			t.Fatalf("bad trace config accepted: %+v", bad)
 		}
 	}
+	// A length past MaxTraceJobs (a billion once died allocating the
+	// trace) and a non-finite rate or burstiness (NaN once surfaced as
+	// "reaches NaN s") are refused by name, before anything is drawn.
+	for _, tc := range []struct {
+		cfg  TraceConfig
+		want string
+	}{
+		{TraceConfig{Jobs: 1_000_000_000, RatePerSec: 1}, "MaxTraceJobs"},
+		{TraceConfig{Jobs: MaxTraceJobs + 1, RatePerSec: 1}, "MaxTraceJobs"},
+		{TraceConfig{Jobs: 1, RatePerSec: math.NaN()}, "rate NaN is not finite"},
+		{TraceConfig{Jobs: 1, RatePerSec: math.Inf(1)}, "rate +Inf is not finite"},
+		{TraceConfig{Jobs: 1, RatePerSec: 1, Burstiness: math.NaN()}, "burstiness NaN is not finite"},
+		{TraceConfig{Jobs: 1, RatePerSec: 1, Burstiness: math.Inf(-1)}, "burstiness -Inf is not finite"},
+	} {
+		tc.cfg.Tenants, tc.cfg.Templates = []string{"a"}, []string{"x"}
+		if _, err := TraceGen(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error %v does not name %q", tc.cfg, err, tc.want)
+		}
+	}
+	if err := (TraceConfig{Jobs: MaxTraceJobs, RatePerSec: 1}).Check(); err != nil {
+		t.Fatalf("a trace of MaxTraceJobs refused: %v", err)
+	}
 }

@@ -37,19 +37,41 @@ type TraceConfig struct {
 	Templates []string
 }
 
+// MaxTraceJobs bounds a trace's length. TraceGen builds the whole
+// trace up front and the count comes from a command line, so an
+// unbounded one would exhaust memory before the first arrival is drawn.
+const MaxTraceJobs = 1 << 20
+
+// Check refuses a trace shape TraceGen cannot draw: a job count outside
+// [1, MaxTraceJobs], an arrival rate that is not positive and finite,
+// or a burstiness that is not finite or lies outside [0,1). It reads
+// neither tenants nor templates, so a command can check its flags
+// before it builds them.
+func (cfg TraceConfig) Check() error {
+	switch {
+	case cfg.Jobs <= 0:
+		return fmt.Errorf("serve: trace needs a positive job count, got %d", cfg.Jobs)
+	case cfg.Jobs > MaxTraceJobs:
+		return fmt.Errorf("serve: trace of %d jobs exceeds serve.MaxTraceJobs (%d)", cfg.Jobs, MaxTraceJobs)
+	case math.IsNaN(cfg.RatePerSec) || math.IsInf(cfg.RatePerSec, 0):
+		return fmt.Errorf("serve: trace arrival rate %g is not finite", cfg.RatePerSec)
+	case cfg.RatePerSec <= 0:
+		return fmt.Errorf("serve: trace needs a positive arrival rate, got %g", cfg.RatePerSec)
+	case math.IsNaN(cfg.Burstiness) || math.IsInf(cfg.Burstiness, 0):
+		return fmt.Errorf("serve: burstiness %g is not finite", cfg.Burstiness)
+	case cfg.Burstiness < 0 || cfg.Burstiness >= 1:
+		return fmt.Errorf("serve: burstiness %g outside [0,1)", cfg.Burstiness)
+	}
+	return nil
+}
+
 // TraceGen generates a seeded Poisson (or bursty) arrival trace over
 // the given tenants and templates. Arrivals are rounded to the
 // millisecond and strictly ordered. A trace whose arrivals or
 // deadlines would reach 2^53 s, which the engine refuses, is an error.
 func TraceGen(cfg TraceConfig) ([]TraceJob, error) {
-	if cfg.Jobs <= 0 {
-		return nil, fmt.Errorf("serve: trace needs a positive job count, got %d", cfg.Jobs)
-	}
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("serve: trace needs a positive arrival rate, got %g", cfg.RatePerSec)
-	}
-	if cfg.Burstiness < 0 || cfg.Burstiness >= 1 {
-		return nil, fmt.Errorf("serve: burstiness %g outside [0,1)", cfg.Burstiness)
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	if len(cfg.Tenants) == 0 || len(cfg.Templates) == 0 {
 		return nil, fmt.Errorf("serve: trace needs tenants and templates to draw from")
