@@ -388,37 +388,6 @@ func BenchmarkAblationCacheConfig(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRouterSerial compares real wall-clock routing time
-// with 1 and 8 workers (uninstrumented goroutine parallelism),
-// isolating the tile-level concurrency behind Fig. 3.
-func BenchmarkAblationRouterSerial(b *testing.B) {
-	g := designs.MustEvalDesign("swerv", benchScale)
-	sres, err := synth.Synthesize(g, benchLib, synth.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, _, err := place.Place(sres.Netlist, place.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, workers := range []int{1, 8} {
-			res, _, err := route.Route(sres.Netlist, pl, route.Options{StageConfig: par.StageConfig{Workers: workers}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				fmt.Printf("\nAblation router: workers=%d wirelength=%d busyTiles=%d tileLocal=%.2f",
-					workers, res.Wirelength, res.BusyTiles, res.TileLocalFraction)
-			}
-		}
-		if i == 0 {
-			fmt.Println()
-		}
-	}
-}
-
 // BenchmarkAblationGCNCapacity sweeps model capacity at a fixed budget,
 // supporting the architecture sizing of the paper's Fig. 4.
 func BenchmarkAblationGCNCapacity(b *testing.B) {

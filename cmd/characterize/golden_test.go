@@ -37,6 +37,19 @@ func TestUnknownFigureRefused(t *testing.T) {
 	}
 }
 
+// TestBadScaleRefused: a -scale that is not finite, not positive or
+// above designs.MaxScale (NaN and Inf used to build the smallest
+// design and exit 0) is refused before anything is characterized.
+func TestBadScaleRefused(t *testing.T) {
+	bin := clitest.Build(t, "")
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1", "0", "1e9"} {
+		msg := clitest.RunFail(t, bin, "-figure", "2a", "-design", "dyn_node", "-scale", scale)
+		if !strings.Contains(msg, "outside (0, 1000]") {
+			t.Errorf("-scale %s: stderr %q does not name the rule", scale, msg)
+		}
+	}
+}
+
 // TestStrayArgumentRefused: an argument that is not a flag stops Go's
 // flag parsing, so every flag after it would be dropped silently; the
 // command refuses it by name before characterizing anything.

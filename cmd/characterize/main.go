@@ -30,6 +30,9 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
 	}
+	if err := designs.CheckScale(*scale); err != nil {
+		fail(fmt.Errorf("-scale: %w", err))
+	}
 
 	switch *figure {
 	case "2a", "2b", "2c", "2d", "2", "3", "all":

@@ -141,6 +141,14 @@ func TestBadArgumentsRefused(t *testing.T) {
 			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
 		}
 	}
+	// A -scale that is not finite, not positive or above
+	// designs.MaxScale is refused before any template is characterized.
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1", "0", "1e9"} {
+		msg := clitest.RunFail(t, bin, "-replay", "-designs", "aes", "-scale", scale)
+		if !strings.Contains(msg, "outside (0, 1000]") {
+			t.Errorf("-scale %s: stderr %q does not name the rule", scale, msg)
+		}
+	}
 	// A finite slack whose deadlines pass the engine's clock is refused
 	// when the trace is drawn, before the header prints.
 	msg = clitest.RunFail(t, bin, "-replay", "-slack", "1e300", "-designs", "aes", "-scale", "0.02")

@@ -36,6 +36,7 @@ import (
 
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/designs"
 	"edacloud/internal/mckp"
 	"edacloud/internal/serve"
 	"edacloud/internal/techlib"
@@ -62,6 +63,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("edad: unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
+	if err := designs.CheckScale(*scale); err != nil {
+		fail(fmt.Errorf("edad: -scale: %w", err))
 	}
 	if !(*slack >= 0) || math.IsInf(*slack, 0) {
 		fail(fmt.Errorf("edad: -slack %v: the deadline multiple must be finite and not negative (0 = deadline-free)", *slack))

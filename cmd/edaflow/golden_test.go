@@ -138,6 +138,22 @@ func TestBatchBelowOneRefused(t *testing.T) {
 			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
 		}
 	}
+	// A -scale that is not finite, not positive or above
+	// designs.MaxScale (1e9 ran a benchmark out of memory, NaN built the
+	// smallest design), or one that carries an evaluation design's block
+	// past it, is refused before the design is built.
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1", "0", "1e9"} {
+		for _, design := range [][]string{{"-design", "ibex"}, {"-bench", "adder"}} {
+			msg := clitest.RunFail(t, bin, design[0], design[1], "-stages", "synthesis", "-scale", scale)
+			if !strings.Contains(msg, "outside (0, 1000]") {
+				t.Errorf("%s %s -scale %s: stderr %q does not name the rule", design[0], design[1], scale, msg)
+			}
+		}
+	}
+	msg := clitest.RunFail(t, bin, "-design", "sparc_core", "-stages", "synthesis", "-scale", "300")
+	if !strings.Contains(msg, "i2c blocks") {
+		t.Errorf("-design sparc_core -scale 300: stderr %q does not name the block", msg)
+	}
 	clitest.Run(t, bin, "-design", "aes", "-scale", "0.02", "-stages", "synthesis",
 		"-fleet", "gp.4x=2", "-policy", "firstfit", "-hier", "-hier-grain", "300", "-batch", "0")
 }

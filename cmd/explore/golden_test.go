@@ -49,9 +49,10 @@ func TestExploreCacheGolden(t *testing.T) {
 }
 
 // TestBadArgumentsRefused: a negative -max-passes (which panicked in
-// the sampler), -population, -eta, -rounds or -budget, and an -epochs
-// below one, are refused by name before the predictor trains — exit 1,
-// nothing on stdout.
+// the sampler), -population, -eta, -rounds or -budget, an -epochs
+// below one, and a -scale or -train-scale outside (0,
+// designs.MaxScale], are refused by name before the predictor trains —
+// exit 1, nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ flag, value, want string }{
@@ -63,6 +64,13 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-budget", "NaN", "must not be negative"},
 		{"-epochs", "-1", "need at least 1"},
 		{"-epochs", "0", "need at least 1"},
+		{"-scale", "NaN", "outside (0, 1000]"},
+		{"-scale", "Inf", "outside (0, 1000]"},
+		{"-scale", "0", "outside (0, 1000]"},
+		{"-scale", "1e9", "outside (0, 1000]"},
+		{"-train-scale", "NaN", "outside (0, 1000]"},
+		{"-train-scale", "-1", "outside (0, 1000]"},
+		{"-train-scale", "1e9", "outside (0, 1000]"},
 	} {
 		msg := clitest.RunFail(t, bin, "-design", "dyn_node", tc.flag, tc.value)
 		if !strings.Contains(msg, tc.want) {

@@ -22,6 +22,7 @@ import (
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/designs"
 	"edacloud/internal/dse"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
@@ -45,6 +46,14 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"scale", *scale}, {"train-scale", *trainScale}} {
+		if err := designs.CheckScale(f.v); err != nil {
+			fail(fmt.Errorf("-%s: %w", f.name, err))
+		}
 	}
 	for _, f := range []struct {
 		name string

@@ -118,4 +118,12 @@ func TestBadArgumentsRefused(t *testing.T) {
 			t.Errorf("%s %s %s: stderr %q does not name the rule", tc.mode, tc.flag, tc.value, msg)
 		}
 	}
+	// A -scale that is not finite, not positive or above
+	// designs.MaxScale is refused the same way.
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1", "0", "1e9"} {
+		msg := clitest.RunFail(t, bin, "-table1", "-design", "dyn_node", "-scale", scale)
+		if !strings.Contains(msg, "outside (0, 1000]") {
+			t.Errorf("-scale %s: stderr %q does not name the rule", scale, msg)
+		}
+	}
 }

@@ -40,6 +40,7 @@ import (
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 	"edacloud/internal/techlib"
@@ -66,6 +67,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
+	}
+	if err := designs.CheckScale(*scale); err != nil {
+		fail(fmt.Errorf("-scale: %w", err))
 	}
 	if !(*slack > 0) || math.IsInf(*slack, 0) {
 		fail(fmt.Errorf("-slack %v: the deadline multiple must be positive and finite", *slack))

@@ -36,9 +36,11 @@ func TestPredictGolden(t *testing.T) {
 	}
 }
 
-// TestBadArgumentsRefused: a recipe or epoch count below one or a
-// held-out fraction outside [0, 1) is refused before the dataset is
-// built — exit 1, nothing on stdout.
+// TestBadArgumentsRefused: a recipe or epoch count below one, a
+// held-out fraction outside [0, 1), a -scale outside (0,
+// designs.MaxScale], a negative layer width (which panicked in mat) and
+// a negative or non-finite -lr are refused before the dataset is built
+// — exit 1, nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ flag, value, want string }{
@@ -49,6 +51,17 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-test", "1.5", "must lie in [0, 1)"},
 		{"-test", "1", "must lie in [0, 1)"},
 		{"-test", "NaN", "must lie in [0, 1)"},
+		{"-scale", "NaN", "outside (0, 1000]"},
+		{"-scale", "Inf", "outside (0, 1000]"},
+		{"-scale", "-1", "outside (0, 1000]"},
+		{"-scale", "0", "outside (0, 1000]"},
+		{"-scale", "1e9", "outside (0, 1000]"},
+		{"-hidden1", "-1", "must not be negative"},
+		{"-hidden2", "-1", "must not be negative"},
+		{"-fc", "-3", "must not be negative"},
+		{"-lr", "NaN", "finite and not negative"},
+		{"-lr", "Inf", "finite and not negative"},
+		{"-lr", "-1", "finite and not negative"},
 	} {
 		msg := clitest.RunFail(t, bin, "-benchmarks", "2", "-scale", "0.02", tc.flag, tc.value)
 		if !strings.Contains(msg, tc.want) {

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"edacloud/internal/core"
+	"edacloud/internal/designs"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -42,6 +43,9 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
 	}
+	if err := designs.CheckScale(*scale); err != nil {
+		fail(fmt.Errorf("-scale: %w", err))
+	}
 	if *recipes < 1 {
 		fail(fmt.Errorf("-recipes %d: need at least 1", *recipes))
 	}
@@ -50,6 +54,15 @@ func main() {
 	}
 	if !(*testFrac >= 0 && *testFrac < 1) {
 		fail(fmt.Errorf("-test %v: the held-out fraction must lie in [0, 1)", *testFrac))
+	}
+
+	cfg := gcn.Config{
+		Hidden1: *hidden1, Hidden2: *hidden2, FCHidden: *fcHidden,
+		LR: *lr, Epochs: *epochs,
+		Workers: *workers,
+	}
+	if err := cfg.Check(); err != nil {
+		fail(fmt.Errorf("-hidden1 %d -hidden2 %d -fc %d -lr %v: %w", *hidden1, *hidden2, *fcHidden, *lr, err))
 	}
 
 	lib := techlib.Default14nm()
@@ -72,11 +85,6 @@ func main() {
 	}
 	fmt.Printf("Dataset: %d netlists, %d runtime labels\n\n", ds.NumNetlists(), ds.NumLabels())
 
-	cfg := gcn.Config{
-		Hidden1: *hidden1, Hidden2: *hidden2, FCHidden: *fcHidden,
-		LR: *lr, Epochs: *epochs,
-		Workers: *workers,
-	}
 	fmt.Printf("Training per-application GCNs (%d epochs)...\n", *epochs)
 	_, eval, err := core.TrainPredictor(ds, cfg, *testFrac, *seed)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"edacloud/internal/cache"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
-	"edacloud/internal/perf"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
@@ -23,18 +22,11 @@ import (
 
 // planningPipeline builds the pipeline whose stage key chain matches
 // what ExecuteBatchPlan's scheduler jobs will run: the default
-// four-stage flow under the given recipe and clock period,
-// instrumented (the scheduler always probes, and instrumented routing
-// keys are worker-independent).
+// four-stage flow under the given recipe and clock period. Stage keys
+// do not depend on instrumentation or worker bounds, so it needs no
+// probe.
 func planningPipeline(recipe synth.Recipe, clockPeriodNs float64) *flow.Pipeline {
-	return flow.NewPipeline(
-		flow.WithRecipe(recipe),
-		flow.WithClockPeriodNs(clockPeriodNs),
-		// Planning never runs a stage, so the factory body is dead code —
-		// but its presence marks the pipeline instrumented, which is what
-		// keys routing the same way the scheduler's probed jobs do.
-		flow.WithNewProbe(func(flow.JobKind) *perf.Probe { return nil }),
-	)
+	return flow.NewPipeline(flow.WithRecipe(recipe), flow.WithClockPeriodNs(clockPeriodNs))
 }
 
 // CacheChain computes the stage key chain of one design's planned flow

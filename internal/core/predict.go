@@ -246,9 +246,15 @@ func (e *JobEval) ErrorsSeconds() []float64 {
 	return out
 }
 
-// Histogram buckets the signed errors into n bins over [min, max].
+// Histogram buckets the finite signed errors into n bins over
+// [min, max]; a diverged model's infinite or NaN errors have no bin.
 func (e *JobEval) Histogram(bins int) (edges []float64, counts []int) {
-	errs := e.ErrorsSeconds()
+	var errs []float64
+	for _, v := range e.ErrorsSeconds() {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			errs = append(errs, v)
+		}
+	}
 	if len(errs) == 0 || bins < 1 {
 		return nil, nil
 	}
@@ -266,9 +272,11 @@ func (e *JobEval) Histogram(bins int) (edges []float64, counts []int) {
 	}
 	counts = make([]int, bins)
 	for _, v := range errs {
-		b := int((v - lo) / (hi - lo) * float64(bins))
-		if b >= bins {
-			b = bins - 1
+		// A span too wide for a float64 makes the fraction NaN; it
+		// falls into the last bin like the maximum does.
+		b := bins - 1
+		if f := (v - lo) / (hi - lo) * float64(bins); f < float64(bins) {
+			b = int(f)
 		}
 		counts[b]++
 	}
@@ -295,6 +303,9 @@ type PredictionEval struct {
 func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (*Predictor, *PredictionEval, error) {
 	if !(testFrac >= 0 && testFrac < 1) {
 		return nil, nil, fmt.Errorf("core: held-out fraction %v outside [0, 1)", testFrac)
+	}
+	if err := cfg.Check(); err != nil {
+		return nil, nil, err
 	}
 	type trained struct {
 		model  *gcn.Model

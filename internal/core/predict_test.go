@@ -90,6 +90,48 @@ func TestTrainPredictorDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTrainPredictorRejectsBadConfig: a negative layer width or a
+// negative or non-finite learning rate is refused before any model is
+// built (a negative width used to panic in mat).
+func TestTrainPredictorRejectsBadConfig(t *testing.T) {
+	ds := &Dataset{Jobs: map[JobKind][]LabeledGraph{}, VCPUs: []int{1}, Designs: []string{"a", "b"}}
+	for _, cfg := range []gcn.Config{
+		{Hidden1: -1}, {Hidden2: -2}, {FCHidden: -3},
+		{LR: -1}, {LR: math.NaN()}, {LR: math.Inf(1)},
+	} {
+		cfg.Epochs = 1
+		_, _, err := TrainPredictor(ds, cfg, 0.5, 1)
+		if err == nil || !strings.Contains(err.Error(), "gcn: ") {
+			t.Errorf("%+v: error %v, want the config refused", cfg, err)
+		}
+	}
+}
+
+// TestHistogramSkipsNonFiniteErrors: a diverged model's infinite and
+// NaN errors get no bin (one used to index bin -2^63); the finite ones
+// are bucketed as if the others were absent.
+func TestHistogramSkipsNonFiniteErrors(t *testing.T) {
+	finite := &JobEval{Records: []ErrRecord{{Pred: []float64{1, 2, 5}, Actual: []float64{0, 0, 0}}}}
+	mixed := &JobEval{Records: []ErrRecord{
+		{Pred: []float64{1, math.Inf(1), 2}, Actual: []float64{0, 0, 0}},
+		{Pred: []float64{math.NaN(), 5, math.Inf(-1)}, Actual: []float64{0, 0, 0}},
+	}}
+	wantEdges, wantCounts := finite.Histogram(4)
+	edges, counts := mixed.Histogram(4)
+	if !slices.Equal(edges, wantEdges) || !slices.Equal(counts, wantCounts) {
+		t.Errorf("with non-finite errors: edges %v counts %v, want %v %v", edges, counts, wantEdges, wantCounts)
+	}
+	allBad := &JobEval{Records: []ErrRecord{{Pred: []float64{math.NaN(), math.Inf(1)}, Actual: []float64{0, 0}}}}
+	if edges, counts := allBad.Histogram(4); edges != nil || counts != nil {
+		t.Errorf("no finite error: edges %v counts %v, want none", edges, counts)
+	}
+	// Finite errors whose span overflows a float64 still land in bins.
+	wide := &JobEval{Records: []ErrRecord{{Pred: []float64{-math.MaxFloat64, 0, math.MaxFloat64}, Actual: []float64{0, 0, 0}}}}
+	if _, counts := wide.Histogram(4); counts[0]+counts[1]+counts[2]+counts[3] != 3 {
+		t.Errorf("overflowing span: counts %v, want all three errors bucketed", counts)
+	}
+}
+
 // TestTrainPredictorRejectsTestFraction: a held-out fraction outside
 // [0, 1) is an error, not a slice-bounds panic inside a training worker.
 func TestTrainPredictorRejectsTestFraction(t *testing.T) {

@@ -56,13 +56,26 @@ func Benchmark(name string, scale float64) (*aig.Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("designs: unknown benchmark %q", name)
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("designs: non-positive scale %g", scale)
+	if err := CheckScale(scale); err != nil {
+		return nil, err
 	}
 	g := gen(scale)
 	swept, _ := g.Sweep()
 	swept.Name = name
 	return swept, nil
+}
+
+// MaxScale is the largest scale Benchmark builds: MillionFamily's
+// adder.x1000 is the largest design anything here asks for.
+const MaxScale = 1000
+
+// CheckScale refuses a scale that is not in (0, MaxScale]: zero,
+// negative, NaN, infinite or too large to build.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= MaxScale) {
+		return fmt.Errorf("designs: scale %g outside (0, %d]", scale, MaxScale)
+	}
+	return nil
 }
 
 // MustBenchmark is Benchmark that panics on error.

@@ -1,6 +1,8 @@
 package designs
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"edacloud/internal/aig"
@@ -362,6 +364,35 @@ func TestEvalDesignNamesAndOrdering(t *testing.T) {
 	}
 	if _, err := EvalDesign("dyn_node", -1); err == nil {
 		t.Fatal("negative scale accepted")
+	}
+}
+
+// TestBadScalesRefused: a scale that is not finite, not positive or
+// above MaxScale is refused by both builders, and an evaluation design
+// refuses a scale that would carry one of its blocks out of range
+// instead of panicking in MustBenchmark.
+func TestBadScalesRefused(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), MaxScale * 1.01, 1e9} {
+		if _, err := Benchmark("adder", scale); err == nil {
+			t.Errorf("Benchmark accepted scale %g", scale)
+		}
+		if _, err := EvalDesign("dyn_node", scale); err == nil {
+			t.Errorf("EvalDesign accepted scale %g", scale)
+		}
+	}
+	for _, tc := range []struct {
+		design string
+		scale  float64
+	}{
+		{"sparc_core", 300},                       // its i2c blocks build at 4x: 1200
+		{"dyn_node", math.SmallestNonzeroFloat64}, // its arbiter blocks build at 0.12x: 0
+	} {
+		if _, err := EvalDesign(tc.design, tc.scale); err == nil || !strings.Contains(err.Error(), "blocks") {
+			t.Errorf("EvalDesign(%s, %g) = %v, want a refusal naming the block", tc.design, tc.scale, err)
+		}
+	}
+	if err := CheckScale(MaxScale); err != nil {
+		t.Errorf("MaxScale refused: %v", err)
 	}
 }
 

@@ -127,8 +127,15 @@ func EvalDesign(name string, scale float64) (*aig.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("designs: non-positive scale %g", scale)
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
+	// Each block builds at its own factor times scale; refuse the scale
+	// before any block would be refused.
+	for _, b := range spec.blocks {
+		if err := CheckScale(b.scale * scale); err != nil {
+			return nil, fmt.Errorf("designs: %s at scale %g: its %s blocks: %w", name, scale, b.bench, err)
+		}
 	}
 	rng := rand.New(rand.NewSource(spec.seed))
 	g := aig.New(name)

@@ -3,7 +3,6 @@ package flow
 import (
 	"edacloud/internal/aig"
 	"edacloud/internal/cache"
-	"edacloud/internal/hash"
 	"edacloud/internal/perf"
 	"edacloud/internal/techlib"
 )
@@ -94,10 +93,7 @@ func (a *cachedArtifacts) bytes() int64 {
 // its deterministic outputs, which are this stage's inputs); prev 0 —
 // the chain root, or a chain broken by an uncacheable stage — anchors
 // on the content hash of the live input artifacts, or returns 0 when
-// they are not available (the planning-time case). Routing folds in
-// its effective parallelism when uninstrumented, because the
-// uninstrumented parallel router may legitimately route differently
-// than the serial search (see WithWorkers).
+// they are not available (the planning-time case).
 func (p *Pipeline) stageKey(rc *RunContext, s Stage, prev cache.Key) cache.Key {
 	fp, ok := s.(Fingerprinted)
 	if !ok {
@@ -111,37 +107,7 @@ func (p *Pipeline) stageKey(rc *RunContext, s Stage, prev cache.Key) cache.Key {
 		}
 		input = anchor
 	}
-	optsFP := fp.OptionsFingerprint()
-	if s.Kind() == JobRouting {
-		h := hash.New()
-		h.Word(optsFP)
-		if p.cfg.newProbe != nil {
-			// Instrumented routing is single-threaded and deterministic;
-			// one key covers every worker bound.
-			h.Int(1)
-			h.Int(0)
-		} else {
-			h.Int(0)
-			h.Int(p.routingWorkers(s))
-		}
-		optsFP = uint64(h)
-	}
-	return cache.Chain(input, s.Name(), optsFP, fp.EngineVersion())
-}
-
-// routingWorkers resolves the worker bound the routing engine will
-// honor when uninstrumented, mirroring resolveConfig: only the stage's
-// own setting counts, since the pipeline-wide bound never applies to
-// routing; 0 means 1.
-func (p *Pipeline) routingWorkers(s Stage) int {
-	w := 0
-	if b, ok := s.(builtin); ok && b.own.Workers != 0 {
-		w = b.own.Workers
-	}
-	if w <= 0 {
-		w = 1
-	}
-	return w
+	return cache.Chain(input, s.Name(), fp.OptionsFingerprint(), fp.EngineVersion())
 }
 
 // StageKey is one planned stage's cache identity. Key 0 marks an

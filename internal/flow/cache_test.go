@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
+	"edacloud/internal/perf"
 	"edacloud/internal/synth"
 )
 
@@ -287,5 +289,57 @@ func TestCanonicalHashStability(t *testing.T) {
 	}
 	if got != want.String() {
 		t.Fatalf("canonical hashes drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want.String())
+	}
+}
+
+// TestRoutingIndependentOfProbeAndWorkers: routing has one path, so a
+// flow routes and keys the same uninstrumented at one worker, at eight
+// and probed, and the probe-free planning pipeline's keys are the ones
+// a job the scheduler executed (and probed) stored its stages under.
+func TestRoutingIndependentOfProbeAndWorkers(t *testing.T) {
+	inst, err := cloud.DefaultCatalog().Size(cloud.GeneralPurpose, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dyn_node", "ibex"} {
+		g := designs.MustEvalDesign(name, testScale)
+		estCells := EstimateCells(g.NumAnds())
+		pipelines := map[string]*Pipeline{
+			"workers 1": NewPipeline(WithWorkers(1)),
+			"workers 8": NewPipeline(WithWorkers(8)),
+			"probed":    NewPipeline(WithNewProbe(func(JobKind) *perf.Probe { return NewJobProbe(4, estCells) })),
+		}
+		var wantHash uint64
+		var wantKeys []StageKey
+		for _, mode := range []string{"workers 1", "workers 8", "probed"} {
+			p := pipelines[mode]
+			rc, err := p.Run(g.Clone(), lib)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			hash, keys := rc.RoutingHash(), p.CacheKeys(g, lib)
+			if mode == "workers 1" {
+				wantHash, wantKeys = hash, keys
+				continue
+			}
+			if hash != wantHash {
+				t.Errorf("%s %s: routing hash %#x, uninstrumented one-worker run %#x", name, mode, hash, wantHash)
+			}
+			if !slices.Equal(keys, wantKeys) {
+				t.Errorf("%s %s: cache keys %v, uninstrumented one-worker run %v", name, mode, keys, wantKeys)
+			}
+		}
+
+		store := cache.New(1 << 40)
+		planned := NewPipeline().CacheKeys(g, lib)
+		runCachedBatch(t, []Job{{Name: name, Design: g, Lib: lib, Instance: inst}}, 1, store)
+		if store.Len() != len(planned) {
+			t.Errorf("%s: the executed job stored %d entries, the plan keys %d stages", name, store.Len(), len(planned))
+		}
+		for _, sk := range planned {
+			if !store.Contains(sk.Key) {
+				t.Errorf("%s: planned %v key %#x is not what the executed job stored", name, sk.Kind, uint64(sk.Key))
+			}
+		}
 	}
 }

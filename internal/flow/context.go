@@ -43,13 +43,7 @@ func (rc *RunContext) StageConfig(k JobKind) StageConfig {
 	if rc.cfg == nil {
 		return sc
 	}
-	if k != JobRouting {
-		// Routing is exempt from the pipeline-wide bound: its
-		// uninstrumented parallel path may route differently than the
-		// serial search, so real routing parallelism is opt-in per
-		// stage (see WithWorkers).
-		sc.Workers = rc.cfg.workers
-	}
+	sc.Workers = rc.cfg.workers
 	if rc.cfg.newProbe != nil {
 		sc.Probe = rc.cfg.newProbe(k)
 	}

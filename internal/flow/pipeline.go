@@ -78,14 +78,9 @@ func WithClockPeriodNs(ns float64) Option {
 	return func(c *config) { c.clockPeriodNs = ns }
 }
 
-// WithWorkers bounds every stage's worker pool except routing's;
-// 0 means GOMAXPROCS. Results are identical for every value. Routing
-// is excluded because its uninstrumented parallel path tile-clamps
-// the search and may detour differently than the serial router; opt
-// in explicitly through the stage's own StageConfig,
-// WithStages(..., Routing(route.Options{StageConfig: StageConfig{Workers: n}}), ...).
-// The routing engine honors that bound only when uninstrumented (the
-// performance simulation is single-threaded).
+// WithWorkers bounds every stage's worker pool; 0 means GOMAXPROCS.
+// Results are identical for every value. The router is serial, so the
+// bound leaves routing unchanged.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

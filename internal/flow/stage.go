@@ -111,12 +111,19 @@ func Placement(opts place.Options) Stage {
 // Routing returns the built-in global-routing stage.
 func Routing(opts route.Options) Stage {
 	h := hash.New()
-	h.F64(opts.GCell)
-	h.Int(opts.Capacity)
-	h.Int(opts.MaxIters)
-	h.Int(opts.TileSize)
-	h.F64(0) // the history-cost option every program left at 0: keeps the pinned chain keys
-	return builtin{JobRouting, opts.StageConfig, uint64(h), "route/1",
+	// The five router options every program left at 0, then the
+	// (instrumented, workers) pair an uninstrumented one-worker run
+	// folded in: hashing those values keeps the pinned chain keys.
+	h.F64(0)
+	h.Int(0)
+	h.Int(0)
+	h.Int(0)
+	h.F64(0)
+	fold := hash.New()
+	fold.Word(uint64(h))
+	fold.Int(0)
+	fold.Int(1)
+	return builtin{JobRouting, opts.StageConfig, uint64(fold), "route/1",
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
 			o.StageConfig = sc

@@ -42,6 +42,23 @@ type Config struct {
 	Workers int
 }
 
+// Check refuses settings no model can train with: a negative layer
+// width, or a learning rate that is negative or not finite.
+func (c Config) Check() error {
+	for _, w := range []struct {
+		name string
+		v    int
+	}{{"Hidden1", c.Hidden1}, {"Hidden2", c.Hidden2}, {"FCHidden", c.FCHidden}, {"Outputs", c.Outputs}} {
+		if w.v < 0 {
+			return fmt.Errorf("gcn: %s %d: a layer width must not be negative", w.name, w.v)
+		}
+	}
+	if !(c.LR >= 0) || math.IsInf(c.LR, 0) {
+		return fmt.Errorf("gcn: LR %v: the learning rate must be finite and not negative", c.LR)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Hidden1 == 0 {
 		c.Hidden1 = 256

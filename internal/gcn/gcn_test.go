@@ -237,6 +237,23 @@ func TestConfigDefaultsArePaperValues(t *testing.T) {
 	}
 }
 
+func TestConfigCheck(t *testing.T) {
+	if err := (Config{}).Check(); err != nil {
+		t.Errorf("zero config refused: %v", err)
+	}
+	if err := tinyConfig().Check(); err != nil {
+		t.Errorf("tiny config refused: %v", err)
+	}
+	for _, c := range []Config{
+		{Hidden1: -1}, {Hidden2: -1}, {FCHidden: -3}, {Outputs: -4},
+		{LR: -1}, {LR: math.NaN()}, {LR: math.Inf(1)}, {LR: math.Inf(-1)},
+	} {
+		if err := c.Check(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+}
+
 func TestModelLearnsSizeSignal(t *testing.T) {
 	// Train on graphs of different sizes with size-proportional
 	// targets; the model must rank a large unseen graph above a small

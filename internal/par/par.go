@@ -3,9 +3,8 @@
 // heterogeneous, stage-dependent parallel speedup; this package is the
 // substrate that lets every hot kernel — synthesis cut enumeration,
 // STA level sweeps, placement matrix-vector products, GCN matrix
-// kernels, routing tiles and characterization fan-out — actually use
-// the machine's cores while keeping results byte-identical to a
-// serial run.
+// kernels and characterization fan-out — actually use the machine's
+// cores while keeping results byte-identical to a serial run.
 //
 // # Pools
 //

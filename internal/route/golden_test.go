@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
 
@@ -22,22 +21,18 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/route_instrument
 // may not.
 func TestInstrumentedRouteGolden(t *testing.T) {
 	cases := []struct {
-		design string
-		scale  float64
-		opts   Options
+		design          string
+		scale           float64
+		capacity, iters int
 	}{
-		{"int2float", 0.25, Options{}},
-		{"mem_ctrl", 0.25, Options{}},
-		{"priority", 0.2, Options{Capacity: 2, MaxIters: 4}}, // rip-up rounds > 0
+		{"int2float", 0.25, capacityFromDemand, maxIters},
+		{"mem_ctrl", 0.25, capacityFromDemand, maxIters},
+		{"priority", 0.2, 2, 4}, // rip-up rounds > 0
 	}
 	var sb strings.Builder
 	for _, tc := range cases {
 		nl, pl := placedBench(t, tc.design, tc.scale)
-		tc.opts.StageConfig = par.StageConfig{Probe: perf.NewProbe(perf.DefaultProbeConfig())}
-		res, report, err := Route(nl, pl, tc.opts)
-		if err != nil {
-			t.Fatalf("route %s: %v", tc.design, err)
-		}
+		res, report := route(nl, pl, perf.NewProbe(perf.DefaultProbeConfig()), 0.5*pl.RowHeight, tc.capacity, tc.iters)
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%+v\n", *res)
 		for _, ph := range report.Phases {
@@ -47,7 +42,7 @@ func TestInstrumentedRouteGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "%s@%g conns=%d wl=%d overflow=%d iters=%d instrs=%d l1miss=%d llcmiss=%d brmiss=%d hash=%016x\n",
 			tc.design, tc.scale, res.Connections, res.Wirelength, res.Overflow, res.Iterations,
 			tot.Instrs, tot.L1Misses, tot.LLCMisses, tot.BranchMisses, h.Sum64())
-		if tc.opts.Capacity != 0 && res.Iterations == 0 {
+		if tc.capacity != capacityFromDemand && res.Iterations == 0 {
 			t.Errorf("%s: constrained capacity needed no rip-up round; the golden no longer covers negotiation", tc.design)
 		}
 	}

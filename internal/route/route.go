@@ -3,17 +3,18 @@
 // (PathFinder-style history costs with rip-up-and-reroute iterations).
 //
 // Routing is the paper's best-scaling EDA job (Fig. 2d, Fig. 3): nets
-// confined to disjoint grid tiles route concurrently with no shared
-// state. The engine reproduces that structure — connections are
-// scheduled by tile, tile-local work runs on parallel workers (when
-// uninstrumented) and the tile statistics feed the machine model's
-// parallelism profile, which is what caps small-design speedup in
-// Fig. 3. Its data-dependent search branches (frontier comparisons,
-// design-rule/capacity checks, rip-up decisions) are also the source of
-// routing's elevated branch-miss rate in Fig. 2a.
+// confined to disjoint grid tiles can route concurrently with no
+// shared state. The engine models that structure rather than running
+// it: connections are scheduled by tile and routed serially, one A*
+// search over the whole grid each, and the tile statistics feed the
+// machine model's parallelism profile, which is what caps small-design
+// speedup in Fig. 3. Its data-dependent search branches (frontier
+// comparisons, design-rule/capacity checks, rip-up decisions) are also
+// the source of routing's elevated branch-miss rate in Fig. 2a.
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -26,40 +27,10 @@ import (
 	"edacloud/internal/place"
 )
 
-// Options configures Route.
+// Options configures Route. Probe receives performance events; nil
+// runs uninstrumented. The router is serial, so Workers is not read.
 type Options struct {
-	// GCell is the routing grid cell edge in um; 0 means one row height.
-	GCell float64
-	// Capacity is the routing track capacity per grid edge; 0 derives it
-	// from the gcell width at a 90nm wire pitch.
-	Capacity int
-	// MaxIters bounds rip-up-and-reroute rounds; 0 means 8.
-	MaxIters int
-	// TileSize is the parallel-scheduling tile edge in gcells; 0 means 8.
-	TileSize int
-	// StageConfig supplies the shared execution knobs. Unlike the other
-	// engines, Workers here sets real goroutine parallelism for
-	// tile-local routing and is only honored when Probe is nil (the
-	// performance simulation is single-threaded); 0 means 1. Probe
-	// receives performance events; nil runs uninstrumented.
 	par.StageConfig
-}
-
-func (o Options) withDefaults(rowHeight float64) Options {
-	if o.GCell == 0 {
-		o.GCell = 0.5 * rowHeight
-	}
-	if o.Capacity == 0 {
-		// Marker: calibrate from wire demand once connections exist.
-		o.Capacity = capacityFromDemand
-	}
-	if o.MaxIters == 0 {
-		o.MaxIters = 8
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	return o
 }
 
 // Result summarizes a routing run.
@@ -103,12 +74,10 @@ func (r *Result) ApproxBytes() int64 { return 96 }
 
 // connection is one two-pin route: driver gcell to sink gcell.
 type connection struct {
-	net    netlist.NetID
 	sx, sy int16
 	tx, ty int16
 	tile   int32 // owning tile, -1 when the bbox crosses tiles
 	path   []int32
-	order  int32
 }
 
 // grid is the shared routing fabric state.
@@ -145,13 +114,23 @@ const (
 	brGoalCheck       = uint64(0x24)
 )
 
-// capacityFromDemand is the sentinel Options.Capacity value requesting
-// demand-calibrated track capacity.
-const capacityFromDemand = -1
-
-// historyCost is the congestion-history increment an overused edge
-// collects per rip-up-and-reroute round.
-const historyCost = 1.5
+// The router's settings. Route always uses them; route takes the
+// gcell, capacity and round bound as parameters so tests can vary them.
+const (
+	// capacityFromDemand is the capacity value requesting
+	// demand-calibrated track capacity.
+	capacityFromDemand = -1
+	// maxIters bounds the rip-up-and-reroute rounds.
+	maxIters = 8
+	// tileSize is the scheduling tile edge in gcells. A fixed region
+	// size is what makes small designs saturate in the paper's Fig. 3:
+	// a small die simply does not contain many independent routing
+	// regions.
+	tileSize = 8
+	// historyCost is the congestion-history increment an overused edge
+	// collects per rip-up-and-reroute round.
+	historyCost = 1.5
+)
 
 func absInt16(v int16) int {
 	if v < 0 {
@@ -160,9 +139,10 @@ func absInt16(v int16) int {
 	return int(v)
 }
 
-// Route globally routes the placed netlist. The report carries two
-// phases: the initial parallel routing pass and the rip-up-and-reroute
-// negotiation rounds.
+// Route globally routes the placed netlist on a grid of half-row-height
+// gcells with demand-calibrated track capacity. The report carries
+// three phases: the initial routing pass, the rip-up-and-reroute
+// negotiation rounds and the refinement pass.
 func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *perf.Report, error) {
 	if nl.NumCells() == 0 {
 		return nil, nil, fmt.Errorf("route: empty netlist")
@@ -170,14 +150,19 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	if len(pl.X) != nl.NumCells() {
 		return nil, nil, fmt.Errorf("route: placement has %d cells, netlist %d", len(pl.X), nl.NumCells())
 	}
-	opts = opts.withDefaults(pl.RowHeight)
-	probe := opts.Probe
+	res, report := route(nl, pl, opts.Probe, 0.5*pl.RowHeight, capacityFromDemand, maxIters)
+	return res, report, nil
+}
+
+// route is Route with the gcell edge (in um), the per-edge track
+// capacity (or capacityFromDemand) and the rip-up round bound given.
+func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell float64, capacity, iterBound int) (*Result, *perf.Report) {
 	report := &perf.Report{Job: "routing"}
 
 	g := &grid{
-		w:   int(pl.DieW/opts.GCell) + 2,
-		h:   int(pl.DieH/opts.GCell) + 2,
-		cap: opts.Capacity,
+		w:   int(pl.DieW/gcell) + 2,
+		h:   int(pl.DieH/gcell) + 2,
+		cap: capacity,
 	}
 	if g.w < 2 {
 		g.w = 2
@@ -187,15 +172,9 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	}
 	g.usage = make([]int32, g.numEdges())
 	g.history = make([]float64, g.numEdges())
-	if opts.TileSize == 0 {
-		// A fixed region size (in gcells) is what makes small designs
-		// saturate in the paper's Fig. 3: a small die simply does not
-		// contain many independent routing regions.
-		opts.TileSize = 8
-	}
 
-	conns := buildConnections(nl, pl, g, opts)
-	if opts.Capacity == capacityFromDemand {
+	conns := buildConnections(nl, pl, g, gcell)
+	if capacity == capacityFromDemand {
 		// Calibrate track capacity to the design's wire demand, as a
 		// floorplanner sizing routing resources would: mildly above the
 		// average per-edge load, so congestion concentrates in genuine
@@ -208,45 +187,32 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	}
 	res := &Result{GridW: g.w, GridH: g.h, Connections: len(conns)}
 
-	// Tile statistics drive both the real worker scheduling and the
-	// machine model's parallelism profile.
-	tiles := map[int32][]*connection{}
-	var crossTile []*connection
+	// Connections route tile by tile in tile order, then the cross-tile
+	// ones (tile -1, last as an unsigned key); each group keeps net
+	// order. The tile statistics feed the machine model's parallelism
+	// profile.
+	order := make([]*connection, len(conns))
 	for i := range conns {
-		c := &conns[i]
-		if c.tile >= 0 {
-			tiles[c.tile] = append(tiles[c.tile], c)
-		} else {
-			crossTile = append(crossTile, c)
+		order[i] = &conns[i]
+	}
+	slices.SortStableFunc(order, func(a, b *connection) int { return cmp.Compare(uint32(a.tile), uint32(b.tile)) })
+	crossTile := 0
+	for i, c := range order {
+		switch {
+		case c.tile < 0:
+			crossTile++
+		case i == 0 || order[i-1].tile != c.tile:
+			res.BusyTiles++
 		}
 	}
-	tileIDs := make([]int32, 0, len(tiles))
-	for id := range tiles {
-		tileIDs = append(tileIDs, id)
-	}
-	slices.Sort(tileIDs)
-	res.BusyTiles = len(tiles)
 	if len(conns) > 0 {
-		res.TileLocalFraction = 1 - float64(len(crossTile))/float64(len(conns))
+		res.TileLocalFraction = 1 - float64(crossTile)/float64(len(conns))
 	}
 
-	// One search scratch serves every serial search of the run; the
-	// parallel tile pass gives each worker chunk its own.
+	// One search scratch serves every search of the run.
 	scratch := &searchScratch{}
-	// routeAll routes every connection against the current cost
-	// landscape: tile-local connections first (parallel when
-	// uninstrumented), then cross-tile ones (serialized negotiation).
 	routeAll := func() {
-		if probe == nil && opts.Workers > 1 {
-			routeTilesParallel(g, tiles, tileIDs, opts)
-		} else {
-			for _, id := range tileIDs {
-				for _, c := range tiles[id] {
-					routeConnection(g, c, probe, scratch)
-				}
-			}
-		}
-		for _, c := range crossTile {
+		for _, c := range order {
 			routeConnection(g, c, probe, scratch)
 		}
 	}
@@ -261,7 +227,7 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	var overused []int32
 	bad := make([]bool, g.numEdges()) // marks this round's overused edges
 	var rip []*connection
-	for ; iters < opts.MaxIters; iters++ {
+	for ; iters < iterBound; iters++ {
 		overused = g.appendOverused(overused[:0])
 		if len(overused) == 0 {
 			break
@@ -299,15 +265,15 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 		}
 	}
 	res.Iterations = iters
-	// Rip-up rounds stay region-parallel but synchronize on the shared
+	// Modelled rip-up rounds stay region-parallel but synchronize on the shared
 	// congestion history between rounds; scaling is somewhat poorer
 	// than the initial pass.
 	report.AddPhase(probe.TakePhase("rip-up-reroute", 0.60+0.35*res.TileLocalFraction, ints.Max(res.BusyTiles/2, 1)))
 
 	// Refinement: with congestion negotiated, reroute every connection
 	// once against the final cost landscape (the wire/timing cleanup
-	// pass of production routers). Tile-local work again runs fully
-	// parallel.
+	// pass of production routers). The model again treats tile-local
+	// work as fully parallel.
 	for i := range conns {
 		g.unroute(&conns[i])
 	}
@@ -321,15 +287,15 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 		res.Wirelength += len(conns[i].path)
 	}
 	res.Overflow = len(g.appendOverused(overused[:0]))
-	return res, report, nil
+	return res, report
 }
 
 // buildConnections decomposes every net into driver-to-sink two-pin
-// connections with tile assignment.
-func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, opts Options) []connection {
+// connections with tile assignment, on gcells of edge gcell um.
+func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell float64) []connection {
 	gcellOf := func(x, y float64) (int16, int16) {
-		gx := int16(x / opts.GCell)
-		gy := int16(y / opts.GCell)
+		gx := int16(x / gcell)
+		gy := int16(y / gcell)
 		if int(gx) >= g.w {
 			gx = int16(g.w - 1)
 		}
@@ -339,13 +305,12 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, opts Op
 		return gx, gy
 	}
 	tileOf := func(sx, sy, tx, ty int16) int32 {
-		ts := int16(opts.TileSize)
-		t0x, t0y := sx/ts, sy/ts
-		t1x, t1y := tx/ts, ty/ts
+		t0x, t0y := sx/tileSize, sy/tileSize
+		t1x, t1y := tx/tileSize, ty/tileSize
 		if t0x != t1x || t0y != t1y {
 			return -1
 		}
-		tilesPerRow := int32(g.w/opts.TileSize + 1)
+		tilesPerRow := int32(g.w/tileSize + 1)
 		return int32(t0y)*tilesPerRow + int32(t0x)
 	}
 
@@ -392,57 +357,12 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, opts Op
 				continue // same gcell: no global routing needed
 			}
 			conns = append(conns, connection{
-				net: netlist.NetID(id),
-				sx:  t.x, sy: t.y, tx: s.x, ty: s.y,
-				tile:  tileOf(t.x, t.y, s.x, s.y),
-				order: int32(len(conns)),
+				sx: t.x, sy: t.y, tx: s.x, ty: s.y,
+				tile: tileOf(t.x, t.y, s.x, s.y),
 			})
 		}
 	}
 	return conns
-}
-
-// routeTilesParallel routes tile-local connection groups on the shared
-// par worker pool (sized to opts.Workers), in the sorted tile order ids.
-// Tile-local paths can leave their tile only through A* detours; to
-// keep workers disjoint we clamp the search to the tile's bounding box
-// (one gcell margin), which is also what keeps their grid state writes
-// race-free.
-func routeTilesParallel(g *grid, tiles map[int32][]*connection, ids []int32, opts Options) {
-	par.Fixed(opts.Workers).For(len(ids), 1, func(lo, hi int) {
-		scratch := &searchScratch{}
-		for _, id := range ids[lo:hi] {
-			for _, c := range tiles[id] {
-				routeConnectionBounded(g, c, nil, scratch, tileBounds(g, id, opts.TileSize))
-			}
-		}
-	})
-}
-
-// tileBounds returns the search window of a tile id. Windows of
-// distinct tiles touch disjoint edge sets (the window-boundary edge is
-// never used by the bounded search), which is what makes concurrent
-// tile routing race-free.
-func tileBounds(g *grid, id int32, tileSize int) [4]int {
-	tilesPerRow := int32(g.w/tileSize + 1)
-	tx := int(id % tilesPerRow)
-	ty := int(id / tilesPerRow)
-	x0 := tx * tileSize
-	y0 := ty * tileSize
-	x1 := (tx + 1) * tileSize
-	y1 := (ty + 1) * tileSize
-	if x1 > g.w {
-		x1 = g.w
-	}
-	if y1 > g.h {
-		y1 = g.h
-	}
-	return [4]int{x0, y0, x1, y1}
-}
-
-// routeConnection routes within the whole grid.
-func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch) {
-	routeConnectionBounded(g, c, probe, s, [4]int{0, 0, g.w, g.h})
 }
 
 // pqItem is an A* frontier entry.
@@ -499,11 +419,9 @@ func (q *frontier) pop() pqItem {
 
 // searchScratch is the per-search state of the maze router — tentative
 // distances, parent links and the frontier — reused by every search of
-// a routing run (of a worker chunk in the parallel tile pass). It grows
-// to the largest window it has searched, so a chunk of tile-clamped
-// searches never pays for the whole grid. begin resets it by bumping
-// epoch: a cell whose stamp is not the current epoch has not been
-// reached by this search and reads as distance +Inf.
+// a routing run. It is sized to the grid by the first search; begin
+// resets it by bumping epoch: a cell whose stamp is not the current
+// epoch has not been reached by this search and reads as distance +Inf.
 type searchScratch struct {
 	dist     []float64
 	from     []int32 // parent cell, -1 at the source; valid where stamped
@@ -512,7 +430,7 @@ type searchScratch struct {
 	frontier frontier
 }
 
-// begin starts a new search over a window of n cells.
+// begin starts a new search over n cells.
 func (s *searchScratch) begin(n int) {
 	if len(s.stamp) < n {
 		s.dist = make([]float64, n)
@@ -542,30 +460,12 @@ func (s *searchScratch) reach(i int32, dist float64, from int32) {
 	s.from[i] = from
 }
 
-// routeConnectionBounded is the A* maze router under the negotiated
-// congestion cost function, restricted to a window.
-func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, s *searchScratch, win [4]int) {
-	x0, y0, x1, y1 := win[0], win[1], win[2], win[3]
-	w := x1 - x0
-	h := y1 - y0
-	if w <= 0 || h <= 0 {
-		return
-	}
-	inWin := func(x, y int16) bool {
-		return int(x) >= x0 && int(x) < x1 && int(y) >= y0 && int(y) < y1
-	}
-	if !inWin(c.sx, c.sy) || !inWin(c.tx, c.ty) {
-		// Endpoints outside the window (tile clamp too small): fall
-		// back to the full grid.
-		if x0 != 0 || y0 != 0 || x1 != g.w || y1 != g.h {
-			routeConnectionBounded(g, c, probe, s, [4]int{0, 0, g.w, g.h})
-		}
-		return
-	}
-
-	// Cells are indexed relative to the window.
-	idx := func(x, y int16) int32 { return int32((int(y)-y0)*w + (int(x) - x0)) }
-	s.begin(w * h)
+// routeConnection is the A* maze router under the negotiated
+// congestion cost function, searching the whole grid.
+func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch) {
+	w := g.w
+	idx := func(x, y int16) int32 { return int32(int(y)*w + int(x)) }
+	s.begin(w * g.h)
 
 	edgeCost := func(e int32) float64 {
 		probe.LoadHot(rgGrid, uint64(e))
@@ -611,19 +511,19 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, s *search
 		}
 		var nbs [4]nb
 		n := 0
-		if int(it.x) > x0 {
+		if it.x > 0 {
 			nbs[n] = nb{it.x - 1, it.y, g.hEdge(int(it.x)-1, int(it.y))}
 			n++
 		}
-		if int(it.x) < x1-1 {
+		if int(it.x) < w-1 {
 			nbs[n] = nb{it.x + 1, it.y, g.hEdge(int(it.x), int(it.y))}
 			n++
 		}
-		if int(it.y) > y0 {
+		if it.y > 0 {
 			nbs[n] = nb{it.x, it.y - 1, g.vEdge(int(it.x), int(it.y)-1)}
 			n++
 		}
-		if int(it.y) < y1-1 {
+		if int(it.y) < g.h-1 {
 			nbs[n] = nb{it.x, it.y + 1, g.vEdge(int(it.x), int(it.y))}
 			n++
 		}
@@ -651,8 +551,8 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, s *search
 	cur := idx(c.tx, c.ty)
 	for s.from[cur] >= 0 {
 		prev := s.from[cur]
-		cx, cy := int(cur)%w+x0, int(cur)/w+y0
-		px, py := int(prev)%w+x0, int(prev)/w+y0
+		cx, cy := int(cur)%w, int(cur)/w
+		px, py := int(prev)%w, int(prev)/w
 		var e int32
 		switch {
 		case cx == px+1:

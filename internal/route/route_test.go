@@ -66,16 +66,9 @@ func TestRouteRejectsBadInput(t *testing.T) {
 func TestRouteWirelengthLowerBound(t *testing.T) {
 	// Routed length can never be below the Manhattan distance sum.
 	nl, pl := placedBench(t, "priority", 0.2)
-	opts := Options{}.withDefaults(pl.RowHeight)
-	opts.TileSize = 4
-	g := &grid{w: int(pl.DieW/opts.GCell) + 2, h: int(pl.DieH/opts.GCell) + 2, cap: 16}
-	if g.w < 2 {
-		g.w = 2
-	}
-	if g.h < 2 {
-		g.h = 2
-	}
-	conns := buildConnections(nl, pl, g, opts)
+	gcell := 0.5 * pl.RowHeight
+	g := &grid{w: int(pl.DieW/gcell) + 2, h: int(pl.DieH/gcell) + 2, cap: 16}
+	conns := buildConnections(nl, pl, g, gcell)
 	manhattan := 0
 	for _, c := range conns {
 		dx := int(c.sx) - int(c.tx)
@@ -97,44 +90,15 @@ func TestRouteWirelengthLowerBound(t *testing.T) {
 	}
 }
 
-func TestRouteParallelMatchesConnectivity(t *testing.T) {
-	nl, pl := placedBench(t, "cavlc", 0.3)
-	serial, _, err := Route(nl, pl, Options{StageConfig: par.StageConfig{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := Route(nl, pl, Options{StageConfig: par.StageConfig{Workers: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tile-clamped parallel routing may detour differently but must
-	// route the same connections without failures.
-	if par.Connections != serial.Connections {
-		t.Fatalf("connection counts differ: %d vs %d", par.Connections, serial.Connections)
-	}
-	if par.FailedConnections != 0 {
-		t.Fatalf("parallel run failed %d connections", par.FailedConnections)
-	}
-	if par.Wirelength <= 0 {
-		t.Fatal("parallel run routed nothing")
-	}
-}
-
 func TestRouteCongestionNegotiation(t *testing.T) {
 	// A tiny capacity forces overflow and rip-up iterations.
 	nl, pl := placedBench(t, "int2float", 0.25)
-	res, _, err := Route(nl, pl, Options{Capacity: 1, MaxIters: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := route(nl, pl, nil, 0.5*pl.RowHeight, 1, 6)
 	if res.Iterations == 0 {
 		t.Fatal("capacity-1 routing needed no negotiation; suspicious")
 	}
 	// A generous capacity should converge with zero overflow.
-	res2, _, err := Route(nl, pl, Options{Capacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2, _ := route(nl, pl, nil, 0.5*pl.RowHeight, 64, maxIters)
 	if res2.Overflow != 0 {
 		t.Fatalf("overflow %d with generous capacity", res2.Overflow)
 	}
@@ -202,37 +166,6 @@ func TestGridEdgeIndexingDisjoint(t *testing.T) {
 	}
 }
 
-func TestTileBoundsDisjointEdges(t *testing.T) {
-	g := &grid{w: 33, h: 33, cap: 1}
-	// Edges reachable inside a window never collide across tiles.
-	edgeOwner := map[int32]int32{}
-	tilesPerRow := int32(g.w/8 + 1)
-	for ty := int32(0); ty < int32(g.h/8+1); ty++ {
-		for tx := int32(0); tx < tilesPerRow; tx++ {
-			id := ty*tilesPerRow + tx
-			b := tileBounds(g, id, 8)
-			for y := b[1]; y < b[3]; y++ {
-				for x := b[0]; x < b[2]-1; x++ {
-					e := g.hEdge(x, y)
-					if owner, ok := edgeOwner[e]; ok && owner != id {
-						t.Fatalf("h edge %d owned by tiles %d and %d", e, owner, id)
-					}
-					edgeOwner[e] = id
-				}
-			}
-			for x := b[0]; x < b[2]; x++ {
-				for y := b[1]; y < b[3]-1; y++ {
-					e := g.vEdge(x, y)
-					if owner, ok := edgeOwner[e]; ok && owner != id {
-						t.Fatalf("v edge %d owned by tiles %d and %d", e, owner, id)
-					}
-					edgeOwner[e] = id
-				}
-			}
-		}
-	}
-}
-
 func TestLargerDesignHasMoreBusyTiles(t *testing.T) {
 	nlSmall, plSmall := placedBench(t, "priority", 0.15)
 	small, _, err := Route(nlSmall, plSmall, Options{})
@@ -255,18 +188,11 @@ func TestLargerDesignHasMoreBusyTiles(t *testing.T) {
 // negotiated-congestion bookkeeping).
 func TestUsageConservation(t *testing.T) {
 	nl, pl := placedBench(t, "cavlc", 0.3)
-	opts := Options{}.withDefaults(pl.RowHeight)
-	opts.TileSize = 4
-	g := &grid{w: int(pl.DieW/opts.GCell) + 2, h: int(pl.DieH/opts.GCell) + 2, cap: 1 << 20}
-	if g.w < 2 {
-		g.w = 2
-	}
-	if g.h < 2 {
-		g.h = 2
-	}
+	gcell := 0.5 * pl.RowHeight
+	g := &grid{w: int(pl.DieW/gcell) + 2, h: int(pl.DieH/gcell) + 2, cap: 1 << 20}
 	g.usage = make([]int32, g.numEdges())
 	g.history = make([]float64, g.numEdges())
-	conns := buildConnections(nl, pl, g, opts)
+	conns := buildConnections(nl, pl, g, gcell)
 	scratch := &searchScratch{}
 	for i := range conns {
 		routeConnection(g, &conns[i], nil, scratch)

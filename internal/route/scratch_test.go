@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
 
@@ -64,10 +63,10 @@ func TestFrontierPopsLikeContainerHeap(t *testing.T) {
 	}
 }
 
-// One scratch reused across a small window, the full grid and the small
-// window again must route exactly as three fresh scratches do: growing
-// to the larger window, stale distances and parents of the larger
-// search, and the epoch wrap-around may none of them show.
+// One scratch reused across three searches must route exactly as three
+// fresh scratches do: its first-search sizing, stale distances and
+// parents of the earlier searches, and the epoch wrap-around may none
+// of them show.
 func TestSearchScratchReuse(t *testing.T) {
 	newGrid := func() *grid {
 		g := &grid{w: 24, h: 20, cap: 2}
@@ -80,21 +79,16 @@ func TestSearchScratchReuse(t *testing.T) {
 		}
 		return g
 	}
-	small := [4]int{8, 8, 16, 16}
-	searches := []struct {
-		c   connection
-		win [4]int
-	}{
-		{connection{sx: 9, sy: 9, tx: 14, ty: 15}, small},
-		{connection{sx: 1, sy: 18, tx: 22, ty: 2}, [4]int{0, 0, 24, 20}},
-		{connection{sx: 15, sy: 8, tx: 8, ty: 14}, small},
+	searches := []connection{
+		{sx: 9, sy: 9, tx: 14, ty: 15},
+		{sx: 1, sy: 18, tx: 22, ty: 2},
+		{sx: 15, sy: 8, tx: 8, ty: 14},
 	}
-	route := func(scratchFor func() *searchScratch) [][]int32 {
+	routeAll := func(scratchFor func() *searchScratch) [][]int32 {
 		g := newGrid()
 		var paths [][]int32
-		for i, sr := range searches {
-			c := sr.c
-			routeConnectionBounded(g, &c, nil, scratchFor(), sr.win)
+		for i, c := range searches {
+			routeConnection(g, &c, nil, scratchFor())
 			if len(c.path) == 0 {
 				t.Fatalf("search %d found no path", i)
 			}
@@ -102,11 +96,11 @@ func TestSearchScratchReuse(t *testing.T) {
 		}
 		return paths
 	}
-	want := route(func() *searchScratch { return &searchScratch{} })
+	want := routeAll(func() *searchScratch { return &searchScratch{} })
 
-	// Start epochs: a zero scratch, which grows at the second search;
-	// then full-size ones that wrap before the second search and before
-	// the third.
+	// Start epochs: a zero scratch, which the first search sizes; then
+	// full-size ones that wrap before the second search and before the
+	// third.
 	for _, start := range []uint32{0, math.MaxUint32 - 1, math.MaxUint32 - 2} {
 		shared := &searchScratch{}
 		if start != 0 {
@@ -120,7 +114,7 @@ func TestSearchScratchReuse(t *testing.T) {
 				shared.dist[i] = -1
 			}
 		}
-		got := route(func() *searchScratch { return shared })
+		got := routeAll(func() *searchScratch { return shared })
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
 				t.Errorf("start epoch %d, search %d: path %v with a reused scratch, %v with a fresh one", start, i, got[i], want[i])
@@ -139,50 +133,34 @@ func TestSearchScratchReuse(t *testing.T) {
 // bound below.
 func TestRouteAllocsIndependentOfGrid(t *testing.T) {
 	nl, pl := placedBench(t, "mem_ctrl", 0.25)
-	modes := []struct {
-		name string
-		cfg  func() par.StageConfig
-	}{
-		{"instrumented", func() par.StageConfig {
-			return par.StageConfig{Probe: perf.NewProbe(perf.DefaultProbeConfig())}
-		}},
-		// Tile-clamped searches on worker chunks of one tile each: a
-		// grid-sized scratch per chunk would be tiles x cells bytes.
-		{"tile-parallel", func() par.StageConfig { return par.StageConfig{Workers: 4} }},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			perConn := func(gcell float64) (bytesPerConn float64, cells int) {
-				opts := Options{GCell: gcell, StageConfig: mode.cfg()}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				res, _, err := Route(nl, pl, opts)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.FailedConnections != 0 {
-					t.Fatalf("gcell %g: %d failed connections", gcell, res.FailedConnections)
-				}
-				return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Connections), res.GridW * res.GridH
+	t.Run("instrumented", func(t *testing.T) {
+		perConn := func(gcell float64) (bytesPerConn float64, cells int) {
+			probe := perf.NewProbe(perf.DefaultProbeConfig())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, _ := route(nl, pl, probe, gcell, capacityFromDemand, maxIters)
+			runtime.ReadMemStats(&after)
+			if res.FailedConnections != 0 {
+				t.Fatalf("gcell %g: %d failed connections", gcell, res.FailedConnections)
 			}
-			g := 0.5 * pl.RowHeight
-			coarse, coarseCells := perConn(g)
-			fine, fineCells := perConn(g / 2)
-			t.Logf("coarse: %d cells, %.0f B/connection; fine: %d cells, %.0f B/connection", coarseCells, coarse, fineCells, fine)
-			if fineCells < 3*coarseCells {
-				t.Fatalf("fine grid has %d cells against %d: not the 4x this test is about", fineCells, coarseCells)
-			}
-			// Paths are about twice as long on the fine grid and are
-			// kept, so a factor of two is legitimate; four is a
-			// per-search grid fill.
-			if fine > 3*coarse {
-				t.Errorf("bytes per connection grew %.1fx with 4x the grid cells (%.0f -> %.0f)", fine/coarse, coarse, fine)
-			}
-			// One whole-grid distance+parent allocation is 12 bytes a cell.
-			if limit := 12 * float64(fineCells); fine > limit/2 {
-				t.Errorf("%.0f B per connection on a %d-cell grid: more than half of one whole-grid search allocation (%.0f B)", fine, fineCells, limit)
-			}
-		})
-	}
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Connections), res.GridW * res.GridH
+		}
+		g := 0.5 * pl.RowHeight
+		coarse, coarseCells := perConn(g)
+		fine, fineCells := perConn(g / 2)
+		t.Logf("coarse: %d cells, %.0f B/connection; fine: %d cells, %.0f B/connection", coarseCells, coarse, fineCells, fine)
+		if fineCells < 3*coarseCells {
+			t.Fatalf("fine grid has %d cells against %d: not the 4x this test is about", fineCells, coarseCells)
+		}
+		// Paths are about twice as long on the fine grid and are
+		// kept, so a factor of two is legitimate; four is a
+		// per-search grid fill.
+		if fine > 3*coarse {
+			t.Errorf("bytes per connection grew %.1fx with 4x the grid cells (%.0f -> %.0f)", fine/coarse, coarse, fine)
+		}
+		// One whole-grid distance+parent allocation is 12 bytes a cell.
+		if limit := 12 * float64(fineCells); fine > limit/2 {
+			t.Errorf("%.0f B per connection on a %d-cell grid: more than half of one whole-grid search allocation (%.0f B)", fine, fineCells, limit)
+		}
+	})
 }
