@@ -591,8 +591,9 @@ func picksString(p *core.Plan) string {
 func batchCostUnderHits(bp *core.BatchPlan, specs []core.BatchJobSpec) float64 {
 	var total float64
 	for i, plan := range bp.Plans {
-		for _, pick := range plan.Picks {
-			if !specs[i].CacheHits[pick.Job] {
+		hits := specs[i].CacheHits
+		for l, pick := range plan.Picks {
+			if l >= len(hits) || !hits[l] {
 				total += pick.Cost
 			}
 		}

@@ -34,12 +34,12 @@ type BatchJobSpec struct {
 	// DeadlineSec is the job's completion deadline in whole simulated
 	// seconds, queueing included; 0 means none.
 	DeadlineSec int
-	// CacheHits marks the stages PredictCacheHits expects the artifact
-	// cache to serve when the batch executes (store contents plus
-	// within-batch dedup). OptimizeBatchOpts collapses these stages to
-	// the cache-probe constant before solving. Nil means no prediction —
-	// the cache-blind path, bit-identical to earlier behavior.
-	CacheHits map[JobKind]bool
+	// CacheHits marks, in class order, the stages PredictCacheHits
+	// expects the artifact cache to serve when the batch executes (store
+	// contents plus within-batch dedup). OptimizeBatchOpts collapses
+	// these stages to the cache-probe constant before solving. Nil or
+	// all-false is the cache-blind path, bit-identical to no prediction.
+	CacheHits []bool
 	// Recipe, when non-zero, overrides the batch-level characterization
 	// recipe for this job alone — a DSE trial batch mixes recipes within
 	// one co-optimized execution. The job's Char must have been profiled
@@ -67,10 +67,11 @@ func (s BatchJobSpec) effectiveRecipe(opts CharacterizeOptions) synth.Recipe {
 // behavior exactly.
 type BatchOptions struct {
 	// Hazards carries per-instance-type revocation rates (events/hour)
-	// into the selection: choice tables are risk-adjusted
-	// (mckp.RiskAdjust) before the DP and shadow-price loop run, so
-	// deadline-critical stages buy on-demand capacity while slack-rich
-	// stages ride the spot discount. Empty means no adjustment.
+	// into the selection: choice tables are risk-priced (mckp.Adjust)
+	// before the DP and shadow-price loop run, so deadline-critical
+	// stages buy on-demand capacity while slack-rich stages ride the
+	// spot discount. Empty means no adjustment; a NaN, infinite or
+	// negative rate is refused.
 	Hazards mckp.Hazards
 	// Retry is the revocation retry policy jobs execute (and forecast)
 	// under; its BackoffSec also feeds the risk adjustment.
@@ -233,6 +234,9 @@ func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptio
 	if err := validateBatchSpecs(specs, fleet); err != nil {
 		return nil, err
 	}
+	if err := opts.Hazards.Validate(); err != nil {
+		return nil, err
+	}
 	capacity := batchCapacity(fleet)
 	probs := make([]*DeploymentProblem, len(specs))
 	jobs := make([]mckp.BatchJob, len(specs))
@@ -241,15 +245,8 @@ func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptio
 		if err != nil {
 			return nil, err
 		}
-		hits := hitVector(spec.CacheHits)
-		probs[i] = restricted.CacheAdjusted(hits)
-		classes := restricted.Classes
-		if len(opts.Hazards) > 0 {
-			classes = mckp.RiskAdjust(classes, opts.Hazards, opts.Retry.BackoffSec)
-		}
-		// Cache adjustment comes after risk adjustment: a cached stage
-		// books no lease, so it carries no revocation exposure to price.
-		classes = mckp.CacheAdjust(classes, hits, cache.ProbeTimeSec)
+		probs[i] = restricted.CacheAdjusted(spec.CacheHits)
+		classes := mckp.Adjust(restricted.Classes, spec.CacheHits, opts.Hazards, opts.Retry.BackoffSec)
 		jobs[i] = mckp.BatchJob{Name: spec.Name, Classes: classes, DeadlineSec: spec.DeadlineSec}
 	}
 	sel, err := mckp.BatchOptimize(jobs, capacity)

@@ -42,7 +42,8 @@ func CacheChain(lib *techlib.Library, design string, opts CharacterizeOptions) (
 }
 
 // PredictCacheHits fills each spec's CacheHits with the stages the
-// store will serve as hits when the batch executes: entries already in
+// store will serve as hits when the batch executes, in class order (the
+// planning pipeline runs its stages in JobKinds order): entries already in
 // the store, plus within-batch dedup — a stage an earlier job of the
 // same batch computes is a billed hit for every later job sharing the
 // chain prefix. The store is not touched. opts must carry the same
@@ -53,7 +54,6 @@ func PredictCacheHits(store *cache.Store, lib *techlib.Library, specs []BatchJob
 	}
 	opts = opts.withDefaults()
 	chains := make([][]cache.Key, len(specs))
-	keyed := make([][]flow.StageKey, len(specs))
 	// Specs carrying their own Recipe/ClockPeriodNs (a DSE trial batch
 	// mixes recipes) key their own flow; the memo must therefore be
 	// keyed by the full flow identity, not the design alone.
@@ -61,51 +61,27 @@ func PredictCacheHits(store *cache.Store, lib *techlib.Library, specs []BatchJob
 		design, recipe string
 		clockNs        float64
 	}
-	memo := map[flowID][]flow.StageKey{}
+	memo := map[flowID][]cache.Key{}
 	for i, spec := range specs {
 		recipe := spec.effectiveRecipe(opts)
 		id := flowID{design: spec.Char.Design, recipe: fmt.Sprintf("%s|%v", recipe.Name, recipe.Passes), clockNs: spec.ClockPeriodNs}
-		sk, ok := memo[id]
+		chain, ok := memo[id]
 		if !ok {
 			g, err := designs.EvalDesign(spec.Char.Design, opts.Scale)
 			if err != nil {
 				return err
 			}
-			sk = planningPipeline(recipe, spec.ClockPeriodNs).CacheKeys(g, lib)
-			memo[id] = sk
-		}
-		keyed[i] = sk
-		chain := make([]cache.Key, len(sk))
-		for l, s := range sk {
-			chain[l] = s.Key
+			for _, s := range planningPipeline(recipe, spec.ClockPeriodNs).CacheKeys(g, lib) {
+				chain = append(chain, s.Key)
+			}
+			memo[id] = chain
 		}
 		chains[i] = chain
 	}
-	hits := store.PredictChains(chains)
-	for i := range specs {
-		m := map[flow.JobKind]bool{}
-		for l, s := range keyed[i] {
-			if hits[i][l] {
-				m[s.Kind] = true
-			}
-		}
-		specs[i].CacheHits = m
+	for i, hits := range store.PredictChains(chains) {
+		specs[i].CacheHits = hits
 	}
 	return nil
-}
-
-// hitVector renders a spec's predicted hits in class order (JobKinds
-// order — the order BuildDeploymentProblem emits classes in).
-func hitVector(hits map[flow.JobKind]bool) []bool {
-	if len(hits) == 0 {
-		return nil
-	}
-	kinds := JobKinds()
-	out := make([]bool, len(kinds))
-	for l, k := range kinds {
-		out[l] = hits[k]
-	}
-	return out
 }
 
 // CacheAdjusted returns a copy of the problem whose hit stages are

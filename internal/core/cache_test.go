@@ -20,16 +20,19 @@ func TestPredictCacheHitsWithinBatchDedup(t *testing.T) {
 	if err := PredictCacheHits(store, lib, specs, charOpts); err != nil {
 		t.Fatal(err)
 	}
-	for k, hit := range specs[0].CacheHits {
-		if hit {
-			t.Fatalf("first aes predicted a hit on %s against an empty store", k)
+	for i, spec := range specs {
+		if len(spec.CacheHits) != len(JobKinds()) {
+			t.Fatalf("job %d: %d hit flags for %d stages", i, len(spec.CacheHits), len(JobKinds()))
 		}
 	}
-	for _, k := range JobKinds() {
-		if !specs[1].CacheHits[k] {
+	for l, k := range JobKinds() {
+		if specs[0].CacheHits[l] {
+			t.Fatalf("first aes predicted a hit on %s against an empty store", k)
+		}
+		if !specs[1].CacheHits[l] {
 			t.Fatalf("second aes did not predict a hit on %s", k)
 		}
-		if specs[2].CacheHits[k] {
+		if specs[2].CacheHits[l] {
 			t.Fatalf("dyn_node predicted a hit on %s with no shared prefix", k)
 		}
 	}
@@ -89,7 +92,7 @@ func TestCacheAwareForecastMatchesExecution(t *testing.T) {
 				t.Fatalf("job %s stage %d: executed %+v, forecast %+v",
 					j.Name, s, j.Stages[s], f.Stages[s])
 			}
-			if hit := specs[i].CacheHits[j.Stages[s].Kind]; hit != j.Stages[s].Cached {
+			if hit := specs[i].CacheHits[s]; hit != j.Stages[s].Cached {
 				t.Fatalf("job %s stage %s: predicted hit=%v, billed hit=%v",
 					j.Name, j.Stages[s].Kind, hit, j.Stages[s].Cached)
 			}
@@ -104,8 +107,8 @@ func TestCacheAwareForecastMatchesExecution(t *testing.T) {
 func planCostUnderHits(bp *BatchPlan, specs []BatchJobSpec) float64 {
 	var total float64
 	for i, plan := range bp.Plans {
-		for _, pick := range plan.Picks {
-			if specs[i].CacheHits[pick.Job] {
+		for l, pick := range plan.Picks {
+			if l < len(specs[i].CacheHits) && specs[i].CacheHits[l] {
 				continue
 			}
 			total += pick.Cost

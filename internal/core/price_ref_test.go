@@ -136,14 +136,13 @@ func refCacheAdjusted(prob *DeploymentProblem, hits []bool) *DeploymentProblem {
 	if !any {
 		return prob
 	}
-	out := &DeploymentProblem{
-		Design:  prob.Design,
-		Classes: mckp.CacheAdjust(prob.Classes, hits, cache.ProbeTimeSec),
-	}
+	out := &DeploymentProblem{Design: prob.Design}
 	out.Stages = make([][]StageChoice, len(prob.Stages))
+	out.Classes = make([]mckp.Class, len(prob.Classes))
 	for l, stage := range prob.Stages {
 		if l >= len(hits) || !hits[l] {
 			out.Stages[l] = stage
+			out.Classes[l] = prob.Classes[l]
 			continue
 		}
 		adj := make([]StageChoice, len(stage))
@@ -152,6 +151,11 @@ func refCacheAdjusted(prob *DeploymentProblem, hits []bool) *DeploymentProblem {
 				Seconds: cache.ProbeSeconds, Cost: 0, Cached: true}
 		}
 		out.Stages[l] = adj
+		cl := mckp.Class{Name: prob.Classes[l].Name, Items: make([]mckp.Item, len(prob.Classes[l].Items))}
+		for j, it := range prob.Classes[l].Items {
+			cl.Items[j] = mckp.Item{Label: it.Label, TimeSec: cache.ProbeTimeSec, Cost: 0}
+		}
+		out.Classes[l] = cl
 	}
 	return out
 }

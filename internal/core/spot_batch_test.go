@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
 	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
@@ -253,5 +256,84 @@ func TestRiskAdjustedBatchBeatsNaiveSpot(t *testing.T) {
 	if riskSched.TotalCostUSD > naiveSched.TotalCostUSD+1e-9 {
 		t.Fatalf("risk-adjusted bill %g exceeds naive-spot bill %g",
 			riskSched.TotalCostUSD, naiveSched.TotalCostUSD)
+	}
+}
+
+// TestBatchHitOnHazardStageIsProbePriced: a predicted hit on a stage
+// whose every candidate carries a hazard is solved at the probe
+// constant — never risk-priced, since a hit books no lease — and its
+// plan pick is Cached; the job's miss stages are risk-priced.
+func TestBatchHitOnHazardStageIsProbePriced(t *testing.T) {
+	catalog := spotCatalog(t)
+	specs := spotBatchSpecs(t, []string{"aes", "aes"}, nil)
+	fleet, err := cloud.ParseFleetSpec(catalog, "gp.2x=1,mem.2x=1,gp.2x.spot=1,mem.2x.spot=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := []bool{true, true, false, false}
+	specs[1].CacheHits = hits
+	// Every candidate carries a hazard: spot at 240/h, on-demand at 6/h.
+	hz := mckp.Hazards{}
+	for label, rate := range cloud.UniformSpotHazards(catalog, 240) {
+		hz[label] = rate
+		hz[strings.TrimSuffix(label, ".spot")] = 6
+	}
+	opts := BatchOptions{Hazards: hz, Retry: flow.RetryPolicy{MaxAttempts: 50, BackoffSec: 15}}
+	bp, err := OptimizeBatchOpts(specs, fleet, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bp.Feasible {
+		t.Fatal("deadline-free batch infeasible")
+	}
+	restricted, err := specs[1].Prob.Restrict(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := mckp.Adjust(restricted.Classes, hits, hz, opts.Retry.BackoffSec)
+	sel := bp.Selection.Jobs[1]
+	var total int
+	for l, j := range sel.Pick {
+		total += solved[l].Items[j].TimeSec
+		if !hits[l] {
+			if bp.Plans[1].Picks[l].Cached {
+				t.Fatalf("miss stage %d planned cached", l)
+			}
+			continue
+		}
+		for j, it := range solved[l].Items {
+			if it != (mckp.Item{Label: restricted.Classes[l].Items[j].Label, TimeSec: cache.ProbeTimeSec, Cost: 0}) {
+				t.Fatalf("hit stage %d item %d solved as %+v, want the probe constant", l, j, it)
+			}
+			if hz[it.Label] <= 0 {
+				t.Fatalf("hit stage %d item %d carries no hazard; scenario broken", l, j)
+			}
+		}
+		if pick := bp.Plans[1].Picks[l]; !pick.Cached || pick.Seconds != cache.ProbeSeconds || pick.Cost != 0 {
+			t.Fatalf("hit stage %d picked %+v, want a cached probe", l, pick)
+		}
+	}
+	if sel.TotalTime != total {
+		t.Fatalf("job solved to %d s, its risk- and cache-priced picks sum to %d s", sel.TotalTime, total)
+	}
+	for l := range hits {
+		if !hits[l] && solved[l].Items[sel.Pick[l]].TimeSec <= restricted.Classes[l].Items[sel.Pick[l]].TimeSec {
+			t.Fatalf("miss stage %d not risk-priced: %+v", l, solved[l].Items[sel.Pick[l]])
+		}
+	}
+}
+
+// TestBatchHazardsValidated: a NaN, infinite or negative hazard rate is
+// refused before anything is solved.
+func TestBatchHazardsValidated(t *testing.T) {
+	specs := spotBatchSpecs(t, []string{"dyn_node"}, nil)
+	fleet, err := cloud.ParseFleetSpec(spotCatalog(t), "gp.2x.spot=1,mem.2x.spot=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Hazards: mckp.Hazards{"gp.2x.spot": rate}}); err == nil {
+			t.Fatalf("hazard rate %g accepted", rate)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestFiftySeedRiskAdjustedBeatsNaiveSpot(t *testing.T) {
 			if err != nil || !naiveSel.Feasible {
 				t.Fatalf("seed %d: naive solve: %+v, %v", seed, naiveSel, err)
 			}
-			riskSel, err := mckp.SolveMinCost(mckp.RiskAdjust(classes, hz, backoffSec), deadline)
+			riskSel, err := mckp.SolveMinCost(mckp.Adjust(classes, nil, hz, backoffSec), deadline)
 			if err != nil || !riskSel.Feasible {
 				t.Fatalf("seed %d: risk solve: %+v, %v", seed, riskSel, err)
 			}

@@ -61,13 +61,13 @@ func TestRiskAdjustIdentityAndInflation(t *testing.T) {
 
 	// Empty or zero hazards: bit-identical output, input untouched.
 	for _, hz := range []Hazards{nil, {}, {"gp.4x.spot": 0}} {
-		if got := RiskAdjust(classes, hz, 30); !reflect.DeepEqual(got, classes) {
+		if got := Adjust(classes, nil, hz, 30); !reflect.DeepEqual(got, classes) {
 			t.Fatalf("zero-hazard adjustment changed the table: %+v", got)
 		}
 	}
 
 	hz := Hazards{"gp.4x.spot": 6}
-	adj := RiskAdjust(classes, hz, 30)
+	adj := Adjust(classes, nil, hz, 30)
 	if !reflect.DeepEqual(classes[0].Items[0], adj[0].Items[0]) {
 		t.Fatal("on-demand item adjusted")
 	}
@@ -94,7 +94,56 @@ func TestRiskAdjustIdentityAndInflation(t *testing.T) {
 	}
 	// The input was not mutated.
 	if classes[0].Items[1].TimeSec != 600 || classes[1].Items[1].Cost != 0.06 {
-		t.Fatal("RiskAdjust mutated its input")
+		t.Fatal("Adjust mutated its input")
+	}
+}
+
+// TestRiskPriceNeverFallsAsTheHazardRises: an adjusted spot item is
+// never faster or cheaper than its uninterrupted run, and neither its
+// runtime nor its cost falls as the rate rises — through the attempt
+// cap too, where the expectation is priced at lambda*t = ln(cap).
+func TestRiskPriceNeverFallsAsTheHazardRises(t *testing.T) {
+	rates := []float64{0, 0.5, 6, 60, 180, 240, 600, 1200, 3600, 36000, math.Inf(1)}
+	for _, tt := range []struct {
+		timeSec int
+		backoff float64
+	}{{1000, 0}, {2000, 0}, {600, 30}, {20000, 0}, {1, 0}} {
+		nominal := Item{Label: "spot", TimeSec: tt.timeSec, Cost: 1}
+		prev := nominal
+		for _, rate := range rates {
+			adj := Adjust([]Class{{Name: "s", Items: []Item{nominal}}}, nil, Hazards{"spot": rate}, tt.backoff)[0].Items[0]
+			if adj.TimeSec < nominal.TimeSec || adj.Cost < nominal.Cost {
+				t.Fatalf("%d s at %g/h: priced %d s at %gx cost, below the nominal run",
+					tt.timeSec, rate, adj.TimeSec, adj.Cost/nominal.Cost)
+			}
+			if adj.TimeSec < prev.TimeSec || adj.Cost < prev.Cost {
+				t.Fatalf("%d s at %g/h: priced %d s at $%g, below %d s at $%g for a lower rate",
+					tt.timeSec, rate, adj.TimeSec, adj.Cost, prev.TimeSec, prev.Cost)
+			}
+			prev = adj
+		}
+	}
+	// The capped price meets the uncapped one at lambda*t = ln(cap).
+	tSec := 1000.0
+	rate := math.Log(maxExpectedAttempts) / tSec * 3600
+	below, at := ExpectedBusySec(tSec, rate*(1-1e-9)), ExpectedBusySec(tSec, rate*(1+1e-9))
+	if math.Abs(below-at) > 1e-3 {
+		t.Fatalf("busy time jumps at the cap: %g below, %g above", below, at)
+	}
+}
+
+// TestHazardsValidate: a NaN, infinite or negative rate is refused;
+// zero, positive and absent rates are accepted.
+func TestHazardsValidate(t *testing.T) {
+	for _, hz := range []Hazards{nil, {}, {"od": 0, "spot": 6}, {"spot": 3600}} {
+		if err := hz.Validate(); err != nil {
+			t.Fatalf("%v refused: %v", hz, err)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300} {
+		if err := (Hazards{"ok": 6, "spot": rate}).Validate(); err == nil {
+			t.Fatalf("rate %g accepted", rate)
+		}
 	}
 }
 
@@ -108,7 +157,7 @@ func TestRiskAdjustFlipsDeadlineCriticalStage(t *testing.T) {
 		{Label: "spot", TimeSec: 600, Cost: 0.03},
 	}}}
 	hz := Hazards{"spot": 18} // lambda*t = 3: ~20 expected attempts
-	adj := RiskAdjust(classes, hz, 30)
+	adj := Adjust(classes, nil, hz, 30)
 
 	// Naive table happily picks spot under a 700 s deadline...
 	naive, err := SolveMinCost(classes, 700)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -171,5 +172,79 @@ func TestServeTemplateChainValidation(t *testing.T) {
 	cfg.Templates[0].Chain = []cache.Key{1}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("misaligned template chain accepted")
+	}
+}
+
+// TestServeHitOnHazardStageIsProbePriced: with hazards configured, a
+// repeat submission's hit stages are priced at the probe constant, not
+// at a risk price — its deadline of one probe per stage is attainable —
+// while miss stages run their risk-priced runtimes.
+func TestServeHitOnHazardStageIsProbePriced(t *testing.T) {
+	cfg := cacheTestConfig(t)
+	cfg.Hazards = mckp.Hazards{"gp.2x": 60, "mem.2x": 60}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced := [][]mckp.Class{
+		mckp.Adjust(cfg.Templates[0].Classes, nil, cfg.Hazards, 0),
+		mckp.Adjust(cfg.Templates[1].Classes, nil, cfg.Hazards, 0),
+	}
+	requireRiskPriced := func(st PlannedStage, cl mckp.Class, nominal mckp.Class) {
+		t.Helper()
+		d := st.EndSec - st.StartSec
+		for j, it := range cl.Items {
+			if it.Label == st.Type && float64(it.TimeSec) == d {
+				if it.TimeSec <= nominal.Items[j].TimeSec {
+					t.Fatalf("stage %s: %s at %d s is not above its nominal %d s", st.Kind, it.Label, it.TimeSec, nominal.Items[j].TimeSec)
+				}
+				return
+			}
+		}
+		t.Fatalf("stage %s runs %g s on %s, no risk-priced item of its class", st.Kind, d, st.Type)
+	}
+
+	first, err := eng.Submit(SubmitRequest{Tenant: "acme", Template: "big", Name: "a", ArrivalSec: 0})
+	if err != nil || first.Status != StatusAdmitted {
+		t.Fatalf("first job: %+v, %v", first, err)
+	}
+	for l, st := range first.Stages {
+		requireRiskPriced(st, priced[1][l], cfg.Templates[1].Classes[l])
+	}
+
+	const arrival = 10
+	repeat, err := eng.Submit(SubmitRequest{Tenant: "zeta", Template: "big", Name: "b",
+		ArrivalSec: arrival, DeadlineSec: arrival + 3*cache.ProbeSeconds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repeat.Status != StatusAdmitted {
+		t.Fatalf("repeat job with a deadline of one probe per stage: %s (%s)", repeat.Status, repeat.Reason)
+	}
+	for _, st := range repeat.Stages {
+		if !st.Cached || st.CostUSD != 0 || st.EndSec-st.StartSec != cache.ProbeSeconds {
+			t.Fatalf("repeat job's hit stage not priced at the probe: %+v", st)
+		}
+	}
+
+	third, err := eng.Submit(SubmitRequest{Tenant: "acme", Template: "small", Name: "c", ArrivalSec: arrival + 1})
+	if err != nil || third.Status != StatusAdmitted {
+		t.Fatalf("third job: %+v, %v", third, err)
+	}
+	if !third.Stages[0].Cached || third.Stages[0].EndSec-third.Stages[0].StartSec != cache.ProbeSeconds {
+		t.Fatalf("shared synthesis not priced at the probe: %+v", third.Stages[0])
+	}
+	requireRiskPriced(third.Stages[1], priced[0][1], cfg.Templates[0].Classes[1])
+}
+
+// TestServeHazardsValidated: a NaN, infinite or negative hazard rate is
+// refused when the engine is built.
+func TestServeHazardsValidated(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -6} {
+		cfg := cacheTestConfig(t)
+		cfg.Hazards = mckp.Hazards{"gp.2x": rate}
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("hazard rate %g accepted", rate)
+		}
 	}
 }

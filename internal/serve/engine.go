@@ -74,7 +74,9 @@ type Engine struct {
 }
 
 // New builds an engine over the config's fleet, tenants and templates.
-// Templates are risk-adjusted here when hazards are configured.
+// Templates are risk-priced here when hazards are configured; each
+// event then applies its predicted hits through the same mckp.Adjust,
+// which prices a hit at the probe constant whatever its risk price.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -93,9 +95,7 @@ func New(cfg Config) (*Engine, error) {
 		e.tenants[t.Name] = t
 	}
 	for _, tpl := range cfg.Templates {
-		if len(cfg.Hazards) > 0 {
-			tpl.Classes = mckp.RiskAdjust(tpl.Classes, cfg.Hazards, 0)
-		}
+		tpl.Classes = mckp.Adjust(tpl.Classes, nil, cfg.Hazards, 0)
 		e.templates[tpl.Name] = tpl
 	}
 	return e, nil
@@ -130,23 +130,16 @@ func (e *Engine) jobOf(jobName string) *record {
 // chainHits renders one job's predicted cache hits over its template's
 // full key chain: a stage hits iff its key is non-zero and a different
 // admitted job introduced it first (the introducer computes, everyone
-// later probes). Nil when the template carries no chain or nothing
-// hits — the cache-blind shape, bit-identical to earlier behavior.
+// later probes). Nil when the template carries no chain; nil and
+// all-false both leave mckp.Adjust's table as it was.
 func (e *Engine) chainHits(r *record) []bool {
 	if len(r.tpl.Chain) == 0 {
 		return nil
 	}
 	hits := make([]bool, len(r.tpl.Chain))
-	any := false
 	for l, k := range r.tpl.Chain {
 		owner, ok := e.seen[k]
-		if k != 0 && ok && owner != r.status.ID {
-			hits[l] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
+		hits[l] = k != 0 && ok && owner != r.status.ID
 	}
 	return hits
 }
@@ -221,7 +214,7 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 	// The quick-reject bound must see the same prices the joint solve
 	// will: a job whose shared prefix is already cached can attain a
 	// deadline its cold runtimes could not.
-	quickClasses := mckp.CacheAdjust(tpl.Classes, e.chainHits(r), cache.ProbeTimeSec)
+	quickClasses := mckp.Adjust(tpl.Classes, e.chainHits(r), nil, 0)
 	if deadline := deadlineInt(req.DeadlineSec); deadline > 0 &&
 		readyInt(req.ArrivalSec)+mckp.MinTotalTime(quickClasses) > deadline {
 		r.status.Status = StatusRejected
@@ -485,11 +478,10 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 	tailHits := make([][]bool, len(active))
 	for n, a := range active {
 		deadline := deadlineInt(a.eff)
-		classes := a.r.tpl.Classes[a.kept:]
 		if hits := e.chainHits(a.r); hits != nil {
 			tailHits[n] = hits[a.kept:]
-			classes = mckp.CacheAdjust(classes, tailHits[n], cache.ProbeTimeSec)
 		}
+		classes := mckp.Adjust(a.r.tpl.Classes[a.kept:], tailHits[n], nil, 0)
 		if deadline > 0 && a.ready+mckp.MinTotalTime(classes) > deadline {
 			// Doomed under any picks: solve it deadline-free so the batch
 			// stays feasible; the forecast below will count the miss and the

@@ -77,10 +77,11 @@ type Config struct {
 	Tenants []Tenant
 	// Templates declares the submittable job shapes.
 	Templates []Template
-	// Hazards, when non-empty, risk-adjusts every template's choice
-	// table at registration (mckp.RiskAdjust with no retry backoff), so
+	// Hazards, when non-empty, risk-prices every template's choice
+	// table at registration (mckp.Adjust with no retry backoff), so
 	// admission forecasts price spot capacity at its revocation-adjusted
-	// expectation.
+	// expectation; a predicted cache hit is still priced at the probe
+	// constant. A NaN, infinite or negative rate is refused.
 	Hazards mckp.Hazards
 	// Workers bounds the per-job DP fan-out inside each re-solve; 0
 	// means all cores. Results are identical for every value.
@@ -229,5 +230,5 @@ func (cfg *Config) validate() error {
 			}
 		}
 	}
-	return nil
+	return cfg.Hazards.Validate()
 }
