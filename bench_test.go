@@ -13,11 +13,8 @@ package edacloud
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -27,28 +24,19 @@ import (
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
 	"edacloud/internal/designs"
-	"edacloud/internal/dse"
 	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/ints"
 	"edacloud/internal/mat"
 	"edacloud/internal/mckp"
 	"edacloud/internal/par"
-	"edacloud/internal/perf"
 	"edacloud/internal/place"
 	"edacloud/internal/route"
-	"edacloud/internal/serve"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
 
 var benchLib = techlib.Default14nm()
-
-var (
-	exploreOnce sync.Once
-	explorePred *core.Predictor
-	exploreErr  error
-)
 
 // benchScale keeps every benchmark's single iteration in the seconds
 // range; raise it for higher-fidelity runs.
@@ -59,40 +47,6 @@ var (
 	charResult *core.DesignCharacterization
 	charErr    error
 )
-
-// benchSnapshot writes one BENCH_<name>.json perf-trajectory snapshot
-// when the BENCH_JSON env var names a directory ("1" means the current
-// directory). Each file records the metrics the benchmark already
-// reports via b.ReportMetric, plus the core count and a timestamp, so
-// CI smoke runs leave machine-readable artifacts that regression hunts
-// and roadmap re-anchors can diff across commits.
-func benchSnapshot(b *testing.B, name string, metrics map[string]float64) {
-	b.Helper()
-	dir := os.Getenv("BENCH_JSON")
-	if dir == "" {
-		return
-	}
-	if dir == "1" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		b.Fatal(err)
-	}
-	snap := struct {
-		Benchmark  string             `json:"benchmark"`
-		GoMaxProcs int                `json:"gomaxprocs"`
-		UnixSec    int64              `json:"unix_sec"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}{name, runtime.GOMAXPROCS(0), time.Now().Unix(), metrics}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // characterizeOnce profiles the paper's headline design once and
 // shares it across the Figure 2 and Table I benchmarks.
@@ -486,11 +440,6 @@ func reportParSpeedup(b *testing.B, first bool, name string, serial, parallel ti
 	if first {
 		fmt.Printf("\nParSpeedup %-16s cores=%d serial=%v parallel=%v speedup=%.2fx\n",
 			name, runtime.GOMAXPROCS(0), serial.Round(time.Millisecond), parallel.Round(time.Millisecond), ratio)
-		benchSnapshot(b, "ParSpeedup_"+name, map[string]float64{
-			"serial_sec":   serial.Seconds(),
-			"parallel_sec": parallel.Seconds(),
-			"x_speedup":    ratio,
-		})
 	}
 }
 
@@ -636,47 +585,6 @@ func BenchmarkParSpeedupRewrite(b *testing.B) {
 	}
 }
 
-// BenchmarkMillionGateSynth runs the partitioned balance+rewrite
-// passes on the smallest million-gate family member (adder at 100x its
-// EPFL-like size, ~141k ANDs across ~1400 partitions) and reports the
-// heap high-water mark alongside wall-clock. The memory metric is the
-// regression tripwire for the shard-scratch fix: with pooled
-// epoch-stamped scratch the peak stays proportional to the design plus
-// a few shard-sized buffers; the old dense per-partition scratch
-// would put gigabytes of transient allocation back on this curve
-// (benchdiff treats *_mib as lower-is-better).
-func BenchmarkMillionGateSynth(b *testing.B) {
-	spec := designs.MillionFamily()[0]
-	g := spec.Build()
-	parts := g.PartitionCones(synth.PartitionGrain).NumParts()
-	for i := 0; i < b.N; i++ {
-		wm := perf.NewMemWatermark()
-		stop := wm.Watch(time.Millisecond)
-		start := time.Now()
-		out := synth.Balance(g.Clone(), nil)
-		out = synth.Rewrite(out, nil)
-		elapsed := time.Since(start)
-		stop()
-		peakMiB := float64(wm.PeakDeltaBytes()) / (1 << 20)
-		b.ReportMetric(elapsed.Seconds(), "synth-sec")
-		b.ReportMetric(peakMiB, "peak-heap-MiB")
-		if i == 0 {
-			fmt.Printf("\nMillionGateSynth %s ands=%d parts=%d cores=%d synth=%v peak-heap=%.0fMiB\n",
-				spec.ID(), g.NumAnds(), parts, runtime.GOMAXPROCS(0),
-				elapsed.Round(time.Millisecond), peakMiB)
-			if out.NumOutputs() != g.NumOutputs() {
-				b.Fatal("synthesis dropped outputs")
-			}
-			benchSnapshot(b, "MillionGateSynth", map[string]float64{
-				"ands":          float64(g.NumAnds()),
-				"parts":         float64(parts),
-				"synth_sec":     elapsed.Seconds(),
-				"peak_heap_mib": peakMiB,
-			})
-		}
-	}
-}
-
 // BenchmarkFleetThroughput is the smoke benchmark of the fleet
 // scheduler: a batch of flows contending for a bounded instance pool
 // under the greedy first-fit policy, stages placed one machine at a
@@ -719,12 +627,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			fmt.Printf("\nFleetThroughput cores=%d jobs=%d fleet=%s wall=%v rate=%.2f jobs/s util=%.1f%% wait=%.0fs cost=$%.4f\n",
 				runtime.GOMAXPROCS(0), len(jobs), res.Fleet, elapsed.Round(time.Millisecond),
 				rate, res.UtilizationPct, res.TotalWaitSec, res.TotalCostUSD)
-			benchSnapshot(b, "FleetThroughput", map[string]float64{
-				"jobs_per_sec": rate,
-				"util_pct":     res.UtilizationPct,
-				"wait_sec":     res.TotalWaitSec,
-				"cost_usd":     res.TotalCostUSD,
-			})
 		}
 	}
 }
@@ -783,12 +685,6 @@ func BenchmarkSpotRecovery(b *testing.B) {
 			fmt.Printf("\nSpotRecovery cores=%d jobs=%d fleet=%s wall=%v rate=%.2f jobs/s revs=%d lost=%.1f%% cost=$%.4f\n",
 				runtime.GOMAXPROCS(0), len(jobs), res.Fleet, elapsed.Round(time.Millisecond),
 				rate, res.Revocations, lostPct, res.TotalCostUSD)
-			benchSnapshot(b, "SpotRecovery", map[string]float64{
-				"jobs_per_sec": rate,
-				"revocations":  float64(res.Revocations),
-				"lost_pct":     lostPct,
-				"cost_usd":     res.TotalCostUSD,
-			})
 		}
 	}
 }
@@ -829,10 +725,6 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("\nSchedulerThroughput cores=%d jobs=%d wall=%v rate=%.2f jobs/s cost=$%.4f\n",
 				runtime.GOMAXPROCS(0), len(jobs), elapsed.Round(time.Millisecond), rate, res.TotalCostUSD)
-			benchSnapshot(b, "SchedulerThroughput", map[string]float64{
-				"jobs_per_sec": rate,
-				"cost_usd":     res.TotalCostUSD,
-			})
 		}
 	}
 }
@@ -891,100 +783,6 @@ func BenchmarkBatchOptimize(b *testing.B) {
 			fmt.Printf("\nBatchOptimize cores=%d jobs=%d fleet=%d machines method=%s rounds=%d missed=%d cost=$%.4f makespan=%ds wall=%v\n",
 				runtime.GOMAXPROCS(0), nJobs, fleetSize, sel.Method, sel.Rounds,
 				sel.MissedDeadlines, sel.TotalCost, sel.MakespanSec, elapsed.Round(time.Microsecond))
-			benchSnapshot(b, "BatchOptimize", map[string]float64{
-				"jobs_per_sec": float64(nJobs) / elapsed.Seconds(),
-				"cost_usd":     sel.TotalCost,
-				"makespan_sec": float64(sel.MakespanSec),
-				"rounds":       float64(sel.Rounds),
-			})
-		}
-	}
-}
-
-// BenchmarkAdmissionThroughput is the smoke benchmark of the serving
-// layer: a 1200-job seeded bursty trace replayed through the
-// rolling-horizon engine — every arrival an admission decision with a
-// joint re-plan, every completion a re-optimization — over a bounded
-// 8-machine fleet shared by three weighted tenants. The whole replay
-// is simulated time, so the metric is real wall-clock per admission
-// decision; the decisions themselves are deterministic and
-// worker-count-independent.
-func BenchmarkAdmissionThroughput(b *testing.B) {
-	const nJobs = 1200
-	mkFleet := func() *cloud.Fleet {
-		f, err := cloud.ParseFleetSpec(cloud.DefaultCatalog(),
-			"gp.1x=2,gp.4x=2,mem.1x=2,mem.4x=2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	mkTemplates := func(fleet *cloud.Fleet) []serve.Template {
-		item := func(label string, secs int) mckp.Item {
-			typ, ok := fleet.TypeByName(label)
-			if !ok {
-				b.Fatalf("no type %q", label)
-			}
-			return mckp.Item{Label: label, TimeSec: secs, Cost: typ.Cost(float64(secs))}
-		}
-		return []serve.Template{
-			{
-				Name:  "short",
-				Kinds: []flow.JobKind{flow.JobSynthesis, flow.JobRouting},
-				Classes: []mckp.Class{
-					{Name: "synthesis", Items: []mckp.Item{item("gp.1x", 20), item("gp.4x", 8)}},
-					{Name: "routing", Items: []mckp.Item{item("mem.1x", 16), item("mem.4x", 6)}},
-				},
-			},
-			{
-				Name:  "long",
-				Kinds: []flow.JobKind{flow.JobSynthesis, flow.JobPlacement, flow.JobRouting},
-				Classes: []mckp.Class{
-					{Name: "synthesis", Items: []mckp.Item{item("gp.1x", 30), item("gp.4x", 12)}},
-					{Name: "placement", Items: []mckp.Item{item("mem.1x", 24), item("mem.4x", 10)}},
-					{Name: "routing", Items: []mckp.Item{item("mem.1x", 20), item("mem.4x", 8)}},
-				},
-			},
-		}
-	}
-	trace, err := serve.TraceGen(serve.TraceConfig{
-		Seed: 11, Jobs: nJobs, RatePerSec: 0.15, Burstiness: 0.4, SlackSec: 220,
-		Tenants:   []string{"acme", "blue", "coral"},
-		Templates: []string{"short", "long"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		fleet := mkFleet()
-		cfg := serve.Config{
-			Fleet: fleet,
-			Tenants: []serve.Tenant{
-				{Name: "acme", Weight: 3}, {Name: "blue", Weight: 2}, {Name: "coral", Weight: 1},
-			},
-			Templates: mkTemplates(fleet),
-		}
-		start := time.Now()
-		_, rep, err := serve.Replay(cfg, trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if rep.MissedDeadlines != 0 || rep.MissedPromises != 0 {
-			b.Fatalf("replay broke promises:\n%s", rep)
-		}
-		jobsPerSec := float64(nJobs) / elapsed.Seconds()
-		b.ReportMetric(jobsPerSec, "jobs/s")
-		if i == 0 {
-			fmt.Printf("\nAdmissionThroughput cores=%d jobs=%d admitted=%d rejected=%d replans=%d adopted=%d cost=$%.4f wall=%v\n",
-				runtime.GOMAXPROCS(0), nJobs, rep.Admitted, rep.Rejected,
-				rep.Replans, rep.Adopted, rep.TotalCostUSD, elapsed.Round(time.Millisecond))
-			benchSnapshot(b, "AdmissionThroughput", map[string]float64{
-				"jobs_per_sec": jobsPerSec,
-				"admitted":     float64(rep.Admitted),
-				"replans":      float64(rep.Replans),
-				"cost_usd":     rep.TotalCostUSD,
-			})
 		}
 	}
 }
@@ -994,8 +792,7 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 // content-addressed store — a cold pass that computes every stage and
 // fills it, then a warm pass served entirely from it — and reports
 // both throughputs plus the warm pass's hit rate. The warm/cold
-// speedup is the cache's payoff on repeated flow work, tracked by CI
-// across commits.
+// speedup is the cache's payoff on repeated flow work.
 func BenchmarkCacheHitThroughput(b *testing.B) {
 	catalog := cloud.DefaultCatalog()
 	inst, err := catalog.Size(cloud.MemoryOptimized, 8)
@@ -1045,85 +842,6 @@ func BenchmarkCacheHitThroughput(b *testing.B) {
 			fmt.Printf("\nCacheHitThroughput cores=%d jobs=%d cold=%.2f jobs/s warm=%.2f jobs/s speedup=%.1fx hits=%d/%d\n",
 				runtime.GOMAXPROCS(0), len(jobs), coldRate, warmRate, warmRate/coldRate,
 				warm.CacheHits, stages)
-			benchSnapshot(b, "CacheHitThroughput", map[string]float64{
-				"cold_jobs_per_sec": coldRate,
-				"warm_jobs_per_sec": warmRate,
-				"warm_speedup":      warmRate / coldRate,
-				"hit_rate":          hitRate,
-			})
-		}
-	}
-}
-
-// BenchmarkExploreThroughput drives the DSE autopilot end to end —
-// TPE sampling, the cheap synthesis rung, GCN pruning, full batch
-// evaluations on the bounded fleet — through a shared artifact store,
-// and reports the exploration rate plus the store's dedup. The hit
-// rate is the PR's headline lever: hits are trials the budget did not
-// pay for twice.
-func BenchmarkExploreThroughput(b *testing.B) {
-	exploreOnce.Do(func() {
-		ds, err := core.BuildDataset(benchLib, core.DatasetOptions{
-			Benchmarks: []string{"adder", "bar", "dec"},
-			Recipes:    synth.StandardRecipes[:1],
-			Scale:      0.05,
-		})
-		if err != nil {
-			exploreErr = err
-			return
-		}
-		explorePred, _, exploreErr = core.TrainPredictor(ds,
-			gcn.Config{Hidden1: 8, Hidden2: 6, FCHidden: 6, LR: 3e-3, Epochs: 5}, 0.34, 7)
-	})
-	if exploreErr != nil {
-		b.Fatal(exploreErr)
-	}
-	catalog := cloud.DefaultCatalog()
-	fleet, err := cloud.ParseFleetSpec(catalog, "gp.1x=1,gp.2x=1,mem.1x=1,mem.2x=1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		store := cache.New(0)
-		start := time.Now()
-		res, err := dse.Explore(dse.Config{
-			Design:     "dyn_node",
-			Scale:      0.02,
-			MaxPasses:  3,
-			Population: 6,
-			Eta:        3,
-			Rounds:     3,
-			Seed:       3,
-			Fleet:      fleet,
-			Catalog:    catalog,
-			Lib:        benchLib,
-			Predictor:  explorePred,
-			Store:      store,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wall := time.Since(start)
-		for i, p := range res.Front {
-			for j, q := range res.Front {
-				if i != j && p.Full.Dominates(q.Full) {
-					b.Fatal("dominated point on the returned front")
-				}
-			}
-		}
-		rate := float64(res.Sampled) / wall.Seconds()
-		hitRate := res.CacheStats.HitRate()
-		b.ReportMetric(rate, "trials/s")
-		b.ReportMetric(hitRate*100, "hit_%")
-		if i == 0 {
-			fmt.Printf("\nExploreThroughput cores=%d trials=%d evaluated=%d rate=%.2f trials/s hit_rate=%.1f%% spend=$%.4f front=%d\n",
-				runtime.GOMAXPROCS(0), res.Sampled, res.Evaluated, rate, hitRate*100, res.SpentUSD, len(res.Front))
-			benchSnapshot(b, "ExploreThroughput", map[string]float64{
-				"trials_per_sec": rate,
-				"hit_rate":       hitRate,
-				"evaluated":      float64(res.Evaluated),
-				"spend_usd":      res.SpentUSD,
-			})
 		}
 	}
 }

@@ -106,7 +106,10 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // and finite, and a negative or non-finite -hazard-rate, -deadline,
 // -minbill or -escalate-after (each of which used to run to exit 0). A
 // -hazard-rate above cloud.MaxHazardPerHour (1e8/h once exhausted
-// memory) is refused the same way.
+// memory) is refused the same way, as are a -hier-grain below 1 (which
+// silently fell back to the partitioner's default) and, under -policy
+// plan, a -deadline that is not a whole number of seconds below 2^53
+// (0.5 truncated to no deadline; 1e300 died after characterization).
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -148,6 +151,20 @@ func TestBatchBelowOneRefused(t *testing.T) {
 			if !strings.Contains(msg, "outside (0, 1000]") {
 				t.Errorf("%s %s -scale %s: stderr %q does not name the rule", design[0], design[1], scale, msg)
 			}
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "firstfit", "-hier", "-hier-grain", "-5"}, "at least 1 AND node"},
+		{[]string{"-policy", "plan", "-deadline", "0.5"}, "whole number of seconds"},
+		{[]string{"-policy", "plan", "-deadline", "1e300"}, "whole number of seconds"},
+	} {
+		args := append([]string{"-design", "ibex", "-scale", "0.02", "-fleet", "gp.1x=1,mem.1x=1"}, tc.args...)
+		msg := clitest.RunFail(t, bin, args...)
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q does not name the rule", tc.args, msg)
 		}
 	}
 	msg := clitest.RunFail(t, bin, "-design", "sparc_core", "-stages", "synthesis", "-scale", "300")

@@ -101,6 +101,15 @@ func main() {
 			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
 		}
 	}
+	if *hierGrain < 1 {
+		fail(fmt.Errorf("-hier-grain %d: a sub-design needs at least 1 AND node", *hierGrain))
+	}
+	// The plan path solves in whole seconds: a fractional deadline would
+	// truncate (0.5 to no deadline at all); from 2^53 on a float skips
+	// whole seconds, and further up the knapsack's int overflows.
+	if *policyName == "plan" && (*deadlineSec != math.Trunc(*deadlineSec) || *deadlineSec >= 1<<53) {
+		fail(fmt.Errorf("-deadline %v: -policy plan needs a whole number of seconds below 2^53", *deadlineSec))
+	}
 	if *hazardRate > cloud.MaxHazardPerHour {
 		fail(fmt.Errorf("-hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
 	}

@@ -28,9 +28,6 @@
 //     indices. Chunks are claimed dynamically, but each output index
 //     is written by exactly one chunk, so data results are identical
 //     for any worker count.
-//   - Reduce evaluates fixed chunks and merges the partial results in
-//     ascending chunk order, so floating-point reductions are
-//     bit-identical regardless of which worker computed which chunk.
 //   - ForProbe statically assigns chunk c to shard c%S where
 //     S = min(ProbeShards, chunks) depends only on the iteration
 //     shape. Each shard's chunks run in ascending order on one
@@ -253,36 +250,4 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 		}
 	})
 	return out
-}
-
-// Reduce evaluates chunk over fixed grain-sized chunks of [0, n) in
-// parallel and folds the partial results in ascending chunk order:
-// merge(...merge(merge(zero, c0), c1)..., cLast). Because the chunk
-// layout depends only on n and grain and the fold order is fixed, the
-// result — floating-point included — is identical for any worker
-// count.
-func Reduce[T any](p *Pool, n, grain int, zero T, chunk func(start, end int) T, merge func(acc, part T) T) T {
-	if n <= 0 {
-		return zero
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	nchunks := chunkCount(n, grain)
-	parts := make([]T, nchunks)
-	p.For(nchunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			s := c * grain
-			e := s + grain
-			if e > n {
-				e = n
-			}
-			parts[c] = chunk(s, e)
-		}
-	})
-	acc := zero
-	for _, part := range parts {
-		acc = merge(acc, part)
-	}
-	return acc
 }

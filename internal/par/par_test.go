@@ -62,30 +62,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-// TestReduceBitIdentical: a floating-point sum whose merge order is
-// fixed by chunk index must be bit-identical for every worker count.
-func TestReduceBitIdentical(t *testing.T) {
-	xs := make([]float64, 10007)
-	for i := range xs {
-		xs[i] = 1.0 / float64(i+1)
-	}
-	chunk := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += xs[i]
-		}
-		return s
-	}
-	merge := func(a, b float64) float64 { return a + b }
-	want := Reduce(Fixed(1), len(xs), 64, 0.0, chunk, merge)
-	for _, p := range testPools(t) {
-		got := Reduce(p, len(xs), 64, 0.0, chunk, merge)
-		if got != want {
-			t.Fatalf("workers=%d: Reduce = %x, want %x", p.Workers(), got, want)
-		}
-	}
-}
-
 // TestForProbeDeterministicCounters: the shard layout is a pure
 // function of the iteration shape, so the simulated counters must be
 // identical for every worker count.

@@ -285,8 +285,8 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 	// The endpoint sweep is embarrassingly parallel: each endpoint reads
 	// its own arrival record and folds into a handful of scalars. Chunks
 	// of the fixed epGrain accumulate into per-chunk partials which are
-	// merged in ascending chunk order afterwards — the ordered-reduction
-	// discipline of par.Reduce. The chunk layout, the TNS summation
+	// folded in ascending chunk order afterwards, whichever worker ran
+	// which chunk. The chunk layout, the TNS summation
 	// order (within-chunk left-to-right, then chunk-ordered fold), the
 	// first-minimum WNS/worst-net tie-breaking and the probe's shard
 	// assignment all depend only on the endpoint count, so the result —
