@@ -123,6 +123,29 @@ func NewSized(name string, inputs, ands int) *Graph {
 	return g
 }
 
+// Reset empties the graph in place, as if it were NewSized(name, inputs,
+// ands), but keeps its node, port and strash arrays for reuse: a caller
+// that builds one short-lived graph after another allocates only when a
+// graph outgrows every earlier one. A graph rebuilt after Reset numbers
+// its variables, dedupes its ANDs and fingerprints exactly as a fresh
+// one does; only the hash table's slot positions may differ.
+func (g *Graph) Reset(name string, inputs, ands int) {
+	g.Name = name
+	if cap(g.nodes) < 1+inputs+ands {
+		g.nodes = make([]node, 1, 1+inputs+ands)
+	}
+	g.nodes = g.nodes[:1]
+	g.nodes[0] = node{kind: kindConst}
+	g.inputs = g.inputs[:0]
+	g.outputs = g.outputs[:0]
+	clear(g.inNames)
+	clear(g.outNames)
+	g.inNames = g.inNames[:0]
+	g.outNames = g.outNames[:0]
+	clear(g.strash)
+	g.invalidate()
+}
+
 // NumVars returns the number of variables including the constant node.
 func (g *Graph) NumVars() int { return len(g.nodes) }
 

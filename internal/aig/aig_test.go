@@ -3,6 +3,8 @@ package aig
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -217,6 +219,110 @@ func buildAdder(t *testing.T, width int) *Graph {
 	}
 	g.AddOutput(carry, "cout")
 	return g
+}
+
+// buildRandom adds inputs primary inputs and ands AND requests to g,
+// every third request repeating an earlier fanin pair so that strash
+// dedupe is exercised, and returns the literal of every request.
+func buildRandom(g *Graph, seed int64, inputs, ands int) []Lit {
+	rng := rand.New(rand.NewSource(seed))
+	lits := []Lit{True}
+	for i := 0; i < inputs; i++ {
+		lits = append(lits, g.AddInput("i"+strconv.Itoa(i)))
+	}
+	var pairs [][2]Lit
+	var got []Lit
+	for i := 0; i < ands; i++ {
+		var p [2]Lit
+		if i%3 == 2 && len(pairs) > 0 {
+			p = pairs[rng.Intn(len(pairs))]
+		} else {
+			p = [2]Lit{
+				lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0),
+				lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0),
+			}
+			pairs = append(pairs, p)
+		}
+		l := g.And(p[0], p[1])
+		got = append(got, l)
+		lits = append(lits, l)
+	}
+	for i := 0; i < 3; i++ {
+		g.AddOutput(lits[len(lits)-1-i].NotIf(i == 1), "o"+strconv.Itoa(i))
+	}
+	return got
+}
+
+// TestResetMatchesNewSized: a graph rebuilt after Reset must number its
+// variables, dedupe its ANDs and fingerprint exactly as NewSized does on
+// the same build sequence, whether the graph it recycles was larger or
+// smaller than the new one. A stale strash slot would dedupe a pair the
+// fresh graph creates; a stale memo would report the old levels.
+func TestResetMatchesNewSized(t *testing.T) {
+	for _, tc := range []struct {
+		name                         string
+		priorInputs, priorAnds       int
+		inputs, ands, hintIn, hintAn int
+	}{
+		{"after a larger graph", 24, 3000, 6, 200, 6, 200},
+		{"after a smaller graph", 3, 40, 16, 2500, 16, 2500},
+		{"under a short hint", 10, 500, 12, 900, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewSized("prior", tc.priorInputs, tc.priorAnds)
+			buildRandom(g, 1, tc.priorInputs, tc.priorAnds)
+			g.Levels()
+			g.FanoutCounts()
+			g.Reset("next", tc.hintIn, tc.hintAn)
+			if g.NumVars() != 1 || g.NumInputs() != 0 || g.NumOutputs() != 0 || g.Name != "next" {
+				t.Fatalf("Reset left vars=%d inputs=%d outputs=%d name=%q", g.NumVars(), g.NumInputs(), g.NumOutputs(), g.Name)
+			}
+			if len(g.Levels()) != 1 || len(g.FanoutCounts()) != 1 {
+				t.Fatalf("Reset kept the old graph's memos: %d levels, %d fanout counts", len(g.Levels()), len(g.FanoutCounts()))
+			}
+			got := buildRandom(g, 2, tc.inputs, tc.ands)
+
+			fresh := NewSized("next", tc.hintIn, tc.hintAn)
+			want := buildRandom(fresh, 2, tc.inputs, tc.ands)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %d: recycled graph returned %v, fresh %v", i, got[i], want[i])
+				}
+			}
+			if g.Fingerprint() != fresh.Fingerprint() {
+				t.Fatalf("fingerprint %x, fresh %x", g.Fingerprint(), fresh.Fingerprint())
+			}
+			if g.Depth() != fresh.Depth() || !slices.Equal(g.FanoutCounts(), fresh.FanoutCounts()) {
+				t.Fatalf("depth %d, fresh %d (or fanout counts differ)", g.Depth(), fresh.Depth())
+			}
+			if g.NumAnds() >= tc.ands {
+				t.Fatalf("%d ANDs for %d requests: nothing was deduped", g.NumAnds(), tc.ands)
+			}
+		})
+	}
+}
+
+// TestSweepNeverReturnsReceiver: synthesis sweeps its recycled pass
+// graphs and keeps the result, so Sweep must return a graph of its own
+// even when nothing is dead, and emptying the receiver afterwards must
+// leave the result untouched.
+func TestSweepNeverReturnsReceiver(t *testing.T) {
+	g := New("live")
+	a, b := g.AddInput("a"), g.AddInput("b")
+	g.AddOutput(g.Xor(a, b), "y")
+	swept, _ := g.Sweep()
+	if swept == g {
+		t.Fatal("Sweep returned its receiver")
+	}
+	if swept.NumAnds() != g.NumAnds() {
+		t.Fatalf("sweep of a graph with no dead nodes changed its size: %d -> %d", g.NumAnds(), swept.NumAnds())
+	}
+	fp := swept.Fingerprint()
+	g.Reset("other", 0, 0)
+	buildRandom(g, 3, 5, 100)
+	if swept.Fingerprint() != fp {
+		t.Fatal("the swept graph shares storage with its receiver")
+	}
 }
 
 func TestAdderFunctional(t *testing.T) {

@@ -10,7 +10,8 @@
 package synth
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/par"
@@ -35,27 +36,29 @@ func Balance(g *aig.Graph, probe *perf.Probe) *aig.Graph {
 func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	cp := partitionAccounted(g, probe)
 	if cp.NumParts() <= 1 {
-		return balanceSerial(g, probe, &rs[0]), passStats{chunks: 1}
+		return balanceSerial(g, probe, rs), passStats{chunks: 1}
 	}
 	// Freeze the lazily memoized fanout counts and levels before the
 	// parallel region; workers read them concurrently.
 	fanout := g.FanoutCounts()
 	srcLv := g.Levels()
 
-	shards, parInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
-		return balancePartition(g, cp, pi, fanout, srcLv, sc, probe)
+	shards, parInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
+		return balancePartition(g, cp, pi, fanout, srcLv, sc, sg, probe)
 	})
 
-	ng := mergeShards(g, cp, shards, probe)
+	ng := mergeShards(g, cp, shards, probe, rs)
 	return ng, passStats{chunks: cp.NumParts(), parallelInstrs: parInstrs}
 }
 
 // balanceSerial is the single-cone path: one output graph, one strash
 // table, exact incremental levels for every operand. It stays separate
 // because the partitioned path would charge the probe a merge replay a
-// single partition never does (+41-46 % instructions, same graph).
-func balanceSerial(g *aig.Graph, probe *perf.Probe, sc *shardScratch) *aig.Graph {
-	ng := aig.New(g.Name)
+// single partition never does (+41-46 % instructions, same graph). It
+// builds into the run's temporary graph and returns its swept copy.
+func balanceSerial(g *aig.Graph, probe *perf.Probe, rs *runScratch) *aig.Graph {
+	ng := rs.tmpGraph(g.Name, g.NumInputs(), g.NumAnds())
+	sc := &rs.shards[0]
 	o2n := &sc.o2n
 	o2n.reset(g.NumVars())
 	o2n.set(0, aig.False)
@@ -78,14 +81,14 @@ func balanceSerial(g *aig.Graph, probe *perf.Probe, sc *shardScratch) *aig.Graph
 }
 
 // balancePartition rebalances the AND-trees owned by partition pi into
-// a fresh shard graph. Foreign leaves (only ever direct fanins of
-// owned nodes: a single-fanout child of an owned node is reachable
-// solely through it and is therefore owned too) become placeholder
-// inputs whose level is taken from the source graph — the best
-// available estimate of their merged depth.
-func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, srcLv []int32, sc *shardScratch, probe *perf.Probe) shardBuild {
+// sg, the partition's recycled shard graph. Foreign leaves (only ever
+// direct fanins of owned nodes: a single-fanout child of an owned node
+// is reachable solely through it and is therefore owned too) become
+// placeholder inputs whose level is taken from the source graph — the
+// best available estimate of their merged depth.
+func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, srcLv []int32, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 	part := cp.Parts[pi]
-	sg, leafVars := beginShard(g, cp, pi, nil, 0, 0, sc)
+	leafVars := beginShard(g, cp, pi, nil, 0, 0, sc, sg)
 	lvl := make([]int32, 1, len(part.Nodes)+len(leafVars)+1)
 	for _, lv := range leafVars {
 		lvl = append(lvl, srcLv[lv])
@@ -159,7 +162,7 @@ func (bb *balancer) balancedAnd(work []aig.Lit, probe *perf.Probe) aig.Lit {
 		return work[0]
 	}
 	levelOf := func(l aig.Lit) int32 { return bb.lvl[l.Var()] }
-	sort.Slice(work, func(i, j int) bool { return levelOf(work[i]) < levelOf(work[j]) })
+	slices.SortFunc(work, func(a, b aig.Lit) int { return cmp.Compare(levelOf(a), levelOf(b)) })
 	for len(work) > 1 {
 		probe.Ops(4)
 		n := bb.andL(work[0], work[1])

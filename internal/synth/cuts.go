@@ -27,10 +27,11 @@ type cutEnum struct {
 	probe   *perf.Probe
 	pool    *par.Pool
 	cuts    [][]Cut
-	// shards holds each probe shard's merge scratch and cut storage. A
-	// shard's chunks run one at a time on one goroutine, so enumNode
-	// needs no lock and no allocation per node or per cut.
-	shards [par.ProbeShards]cutShard
+	// rs lends each probe shard its merge scratch and cut storage
+	// (rs.shards[i].cut). A shard's chunks run one at a time on one
+	// goroutine, so enumNode needs no lock and no allocation per node
+	// or per cut.
+	rs *runScratch
 	// parInstrs counts the instructions recorded in levels wide enough
 	// to split into multiple chunks — the genuinely parallel share of
 	// the enumeration. Narrow levels run single-chunk and serialize at
@@ -46,8 +47,21 @@ type cutEnum struct {
 // the simulated counters — machine-independent.
 const cutGrain = 32
 
-func newCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool) *cutEnum {
-	ce := &cutEnum{g: g, k: k, maxCuts: maxCuts, probe: probe, pool: pool, cuts: make([][]Cut, g.NumVars())}
+// newCutEnum enumerates g's cuts into rs's cut storage. The storage is
+// rewound, not reallocated, so the cut lists of the run's previous
+// enumeration are overwritten: a pass drops its cutEnum before the next
+// one starts.
+func newCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool, rs *runScratch) *cutEnum {
+	n := g.NumVars()
+	if cap(rs.cuts) < n {
+		rs.cuts = make([][]Cut, n)
+	}
+	for i := range rs.shards {
+		rs.shards[i].cut.reset(k, maxCuts)
+	}
+	// Every variable is the constant, an input or an AND, so run
+	// overwrites every entry of the resliced array.
+	ce := &cutEnum{g: g, k: k, maxCuts: maxCuts, probe: probe, pool: pool, cuts: rs.cuts[:n], rs: rs}
 	ce.run()
 	return ce
 }
@@ -58,7 +72,7 @@ func (ce *cutEnum) Cuts(v int) []Cut { return ce.cuts[v] }
 func (ce *cutEnum) run() {
 	g := ce.g
 	// Constant node and inputs have only the trivial cut.
-	sh := &ce.shards[0]
+	sh := &ce.rs.shards[0].cut
 	ce.cuts[0] = append(sh.cuts.take(1)[:0], sh.trivialCut(0))
 	for _, v := range g.InputVars() {
 		ce.cuts[v] = append(sh.cuts.take(1)[:0], sh.trivialCut(v))
@@ -86,7 +100,7 @@ func (ce *cutEnum) run() {
 	})
 	var nodes []int32 // the level in hand; one closure serves every level
 	enumChunk := func(lo, hi, shard int, probe *perf.Probe) {
-		sh := &ce.shards[shard]
+		sh := &ce.rs.shards[shard].cut
 		for _, v := range nodes[lo:hi] {
 			ce.enumNode(int(v), probe, sh)
 		}
@@ -116,12 +130,6 @@ func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 	c0 := ce.cuts[f0.Var()]
 	c1 := ce.cuts[f1.Var()]
 	k := ce.k
-	if sh.size == nil {
-		// A cut list holds at most maxCuts+1 cuts, so a node has at most
-		// that many squared candidates.
-		most := (ce.maxCuts + 1) * (ce.maxCuts + 1)
-		sh.cand, sh.size = make([]int32, most*k), make([]int, most)
-	}
 	// Candidate i's leaves are sh.cand[i*k : i*k+sh.size[i]]. A failed
 	// or duplicate merge leaves its slot to the next pair.
 	cands := 0
@@ -199,10 +207,28 @@ type cutShard struct {
 	cand []int32 // candidate leaf sets, k slots each
 	size []int   // leaf count per candidate
 	// Finished lists and their leaf sets are carved out of chunks, so a
-	// node costs no allocation of its own; a chunk is freed with the
-	// enumeration, when the last cut list pointing into it is dropped.
+	// node costs no allocation of its own; the chunks belong to the run
+	// and are handed out again by every later enumeration.
 	cuts   slab[Cut]
 	leaves slab[int32]
+}
+
+// reset prepares the shard for an enumeration of at most maxCuts cuts
+// of at most k leaves per node: it grows the candidate buffer when this
+// enumeration needs more room than every earlier one, and rewinds the
+// slabs.
+func (sh *cutShard) reset(k, maxCuts int) {
+	// A cut list holds at most maxCuts+1 cuts, so a node has at most
+	// that many squared candidates.
+	most := (maxCuts + 1) * (maxCuts + 1)
+	if len(sh.size) < most {
+		sh.size = make([]int, most)
+	}
+	if len(sh.cand) < most*k {
+		sh.cand = make([]int32, most*k)
+	}
+	sh.cuts.rewind()
+	sh.leaves.rewind()
 }
 
 // hasCandidate reports whether leaves equals one of the first n
@@ -226,10 +252,13 @@ func (sh *cutShard) trivialCut(v int) Cut {
 
 // slab hands out small slices carved from geometrically growing
 // chunks. Every slice is capped at its length, so appending to one can
-// never run into its neighbour.
+// never run into its neighbour. A slab keeps its chunks: after rewind
+// it hands them out again, in order, and allocates only once they are
+// used up.
 type slab[T any] struct {
-	free  []T
-	chunk int
+	chunks [][]T
+	used   int // chunks handed out since the last rewind
+	free   []T
 }
 
 const (
@@ -237,10 +266,19 @@ const (
 	slabMaxChunk = 1 << 14
 )
 
+func (s *slab[T]) rewind() { s.used, s.free = 0, nil }
+
 func (s *slab[T]) take(n int) []T {
-	if len(s.free) < n {
-		s.chunk = ints.Min(ints.Max(2*s.chunk, slabMinChunk), slabMaxChunk)
-		s.free = make([]T, ints.Max(s.chunk, n))
+	for len(s.free) < n {
+		if s.used == len(s.chunks) {
+			size := slabMinChunk
+			if last := len(s.chunks) - 1; last >= 0 {
+				size = ints.Min(2*len(s.chunks[last]), slabMaxChunk)
+			}
+			s.chunks = append(s.chunks, make([]T, ints.Max(size, n)))
+		}
+		s.free = s.chunks[s.used]
+		s.used++
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -166,7 +167,7 @@ func TestCutEnumMatchesReference(t *testing.T) {
 				refProbe := perf.NewProbe(perf.DefaultProbeConfig())
 				want := refCutEnum(in.g, cfg.k, cfg.maxCuts, refProbe, par.Fixed(workers))
 				probe := perf.NewProbe(perf.DefaultProbeConfig())
-				got := newCutEnum(in.g, cfg.k, cfg.maxCuts, probe, par.Fixed(workers))
+				got := newCutEnum(in.g, cfg.k, cfg.maxCuts, probe, par.Fixed(workers), new(runScratch))
 
 				if !reflect.DeepEqual(got.cuts, want.cuts) {
 					for v := range want.cuts {
@@ -189,12 +190,80 @@ func TestCutEnumMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCutEnumReusesRunStorage: a resyn2 + map run enumerates cuts at
+// (4,6), (6,4) and then the mapper's (3,8) through one runScratch,
+// rewinding its slabs and growing its candidate buffer. Each
+// enumeration must equal a fresh-scratch one and the reference — cut
+// lists, probe counters, parallel share — at every worker count, which
+// pins stale slab chunks and a candidate buffer sized for the first
+// enumeration. Running the sequence a second time must take no new
+// chunk: the storage is rewound, not reallocated.
+func TestCutEnumReusesRunStorage(t *testing.T) {
+	inputs := []struct {
+		name string
+		g    *aig.Graph
+	}{
+		{"cavlc", designs.MustBenchmark("cavlc", 1)},
+		{"ibex@0.03", designs.MustEvalDesign("ibex", 0.03)},
+		{"adder.x2", designs.MustBenchmark("adder", 2)},
+	}
+	sequence := []struct{ k, maxCuts int }{{4, 6}, {6, 4}, {3, 8}}
+	chunks := func(rs *runScratch) (n int) {
+		for i := range rs.shards {
+			n += len(rs.shards[i].cut.cuts.chunks) + len(rs.shards[i].cut.leaves.chunks)
+		}
+		return n
+	}
+	for _, workers := range []int{1, 2, 8} {
+		rs := new(runScratch)
+		grown := 0
+		for round := 0; round < 2; round++ {
+			for _, in := range inputs {
+				for _, cfg := range sequence {
+					refProbe := perf.NewProbe(perf.DefaultProbeConfig())
+					ref := refCutEnum(in.g, cfg.k, cfg.maxCuts, refProbe, par.Fixed(workers))
+					freshProbe := perf.NewProbe(perf.DefaultProbeConfig())
+					fresh := newCutEnum(in.g, cfg.k, cfg.maxCuts, freshProbe, par.Fixed(workers), new(runScratch))
+					probe := perf.NewProbe(perf.DefaultProbeConfig())
+					got := newCutEnum(in.g, cfg.k, cfg.maxCuts, probe, par.Fixed(workers), rs)
+
+					where := func() string {
+						return fmt.Sprintf("round %d %s k=%d maxCuts=%d workers=%d", round, in.name, cfg.k, cfg.maxCuts, workers)
+					}
+					if !reflect.DeepEqual(got.cuts, ref.cuts) || !reflect.DeepEqual(got.cuts, fresh.cuts) {
+						t.Fatalf("%s: cut lists differ from the reference or a fresh scratch", where())
+					}
+					if g, w, f := probe.Counters(), refProbe.Counters(), freshProbe.Counters(); g != w || g != f {
+						t.Fatalf("%s: counters %+v, reference %+v, fresh %+v", where(), g, w, f)
+					}
+					if got.parInstrs != ref.parInstrs || got.parChunks != ref.parChunks {
+						t.Fatalf("%s: parallel share %d/%d, reference %d/%d", where(), got.parInstrs, got.parChunks, ref.parInstrs, ref.parChunks)
+					}
+					// Few nodes reach the worst case, so check the room itself.
+					most := (cfg.maxCuts + 1) * (cfg.maxCuts + 1)
+					for i := range rs.shards {
+						if sh := &rs.shards[i].cut; len(sh.size) < most || len(sh.cand) < most*cfg.k {
+							t.Fatalf("%s: shard %d has room for %d candidates of %d leaves, needs %d of %d",
+								where(), i, len(sh.size), len(sh.cand)/ints.Max(len(sh.size), 1), most, cfg.k)
+						}
+					}
+				}
+			}
+			if round == 0 {
+				grown = chunks(rs)
+			} else if n := chunks(rs); n != grown {
+				t.Fatalf("workers=%d: the repeated sequence grew the slabs from %d to %d chunks", workers, grown, n)
+			}
+		}
+	}
+}
+
 // TestCutListsDoNotAlias: cut lists and leaf sets are carved from shared
 // chunks, so each must be capped at its own length — an append by a
 // reader must reallocate, never overwrite the neighbouring cut.
 func TestCutListsDoNotAlias(t *testing.T) {
 	g := designs.MustBenchmark("int2float", 1)
-	ce := newCutEnum(g, 4, 6, nil, nil)
+	ce := newCutEnum(g, 4, 6, nil, nil, new(runScratch))
 	for v, list := range ce.cuts {
 		if cap(list) != len(list) {
 			t.Fatalf("node %d: cut list has len %d, cap %d", v, len(list), cap(list))

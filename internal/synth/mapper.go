@@ -73,19 +73,19 @@ func MapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, probe 
 // MapToCellsObjective is MapToCells with an explicit covering
 // objective.
 func MapToCellsObjective(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe) (*netlist.Netlist, error) {
-	return mapToCells(g, lib, registerOutputs, obj, probe, par.Default(), new(ttScratch))
+	return mapToCells(g, lib, registerOutputs, obj, probe, par.Default(), new(runScratch))
 }
 
 // mapToCells is the shared mapping path with an explicit worker pool
 // (used by cut enumeration; covering itself is sequential) and the
-// caller's truth-table scratch.
-func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe, pool *par.Pool, tts *ttScratch) (*netlist.Netlist, error) {
+// run's scratch: the cut storage and shard 0's truth-table memo.
+func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*netlist.Netlist, error) {
 	inv := lib.Cell("INV_X1")
 	if inv == nil {
 		return nil, fmt.Errorf("synth: library %s lacks an INV_X1 cell", lib.Name)
 	}
-	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, objective: obj, tts: tts}
-	m.cuts = newCutEnum(g, 3, 8, probe, pool)
+	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, objective: obj, tts: &rs.shards[0].tts}
+	m.cuts = newCutEnum(g, 3, 8, probe, pool, rs)
 	m.fanout = g.FanoutCounts()
 	nv := g.NumVars()
 	m.impls[0] = make([]nodeImpl, nv)

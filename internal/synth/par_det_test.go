@@ -21,7 +21,7 @@ func TestCutEnumDeterministicAcrossWorkers(t *testing.T) {
 	g := designs.MustBenchmark("cavlc", 0.25)
 	run := func(workers int) ([][]Cut, perf.Counters) {
 		probe := perf.NewProbe(perf.DefaultProbeConfig())
-		ce := newCutEnum(g, 3, 8, probe, par.Fixed(workers))
+		ce := newCutEnum(g, 3, 8, probe, par.Fixed(workers), new(runScratch))
 		return ce.cuts, probe.Counters()
 	}
 	wantCuts, wantCounters := run(1)

@@ -75,7 +75,7 @@ type passStats struct {
 // single-strash serial path (each shard measures realization cost
 // against its own table), but never functionally.
 func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch, k, maxCuts, tryCuts int, brSite uint64) (*aig.Graph, passStats) {
-	cuts := newCutEnum(g, k, maxCuts, probe, pool)
+	cuts := newCutEnum(g, k, maxCuts, probe, pool, rs)
 	parInstrs := cuts.parInstrs
 
 	// The phase's chunk bound covers both parallel regions: the cut
@@ -86,24 +86,26 @@ func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScr
 	cp := partitionAccounted(g, probe)
 	chunks := ints.Max(cp.NumParts(), cuts.parChunks)
 	if cp.NumParts() <= 1 {
-		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, &rs[0]), passStats{chunks: chunks, parallelInstrs: parInstrs}
+		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, rs), passStats{chunks: chunks, parallelInstrs: parInstrs}
 	}
 
-	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, probe *perf.Probe) shardBuild {
-		return rebuildPartition(g, cp, pi, cuts, k, tryCuts, brSite, sc, probe)
+	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
+		return rebuildPartition(g, cp, pi, cuts, k, tryCuts, brSite, sc, sg, probe)
 	})
 	parInstrs += rebuildInstrs
 
-	ng := mergeShards(g, cp, shards, probe)
+	ng := mergeShards(g, cp, shards, probe, rs)
 	return ng, passStats{chunks: chunks, parallelInstrs: parInstrs}
 }
 
 // rebuildSerial is the single-cone path: one output graph, one strash
 // table, nodes visited in global topological order. It stays separate
 // because the partitioned path would charge the probe a merge replay a
-// single partition never does (+0.2-1 % instructions, same graph).
-func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts int, brSite uint64, sc *shardScratch) *aig.Graph {
-	ng := aig.New(g.Name)
+// single partition never does (+0.2-1 % instructions, same graph). It
+// builds into the run's temporary graph and returns its swept copy.
+func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts int, brSite uint64, rs *runScratch) *aig.Graph {
+	ng := rs.tmpGraph(g.Name, g.NumInputs(), g.NumAnds())
+	sc := &rs.shards[0]
 	sc.o2n.reset(g.NumVars())
 	sc.o2n.set(0, aig.False)
 	for i, v := range g.InputVars() {
@@ -127,11 +129,12 @@ func partitionAccounted(g *aig.Graph, probe *perf.Probe) *aig.ConePartitioning {
 }
 
 // shardBuild is one partition's resynthesis product: the private shard
-// graph, the original variables backing its placeholder inputs (in
-// input order), and the shard literal of each owned node, parallel to
-// the partition's Nodes list. All three are proportional to the
-// partition, not the graph — the pooled var-indexed scratch is handed
-// back to the worker as soon as the partition finishes.
+// graph (the partition's recycled slot, valid until the next pass), the
+// original variables backing its placeholder inputs (in input order),
+// and the shard literal of each owned node, parallel to the partition's
+// Nodes list. All three are proportional to the partition, not the
+// graph — the pooled var-indexed scratch is handed back to the worker
+// as soon as the partition finishes.
 type shardBuild struct {
 	sg       *aig.Graph
 	leafVars []int32
@@ -139,14 +142,14 @@ type shardBuild struct {
 }
 
 // rebuildPartition resynthesizes the nodes owned by partition pi into
-// a fresh shard graph against a private strash table. Foreign
-// references — primary inputs and AND nodes owned by lower partitions,
-// whether direct fanins or cut leaves — become placeholder inputs, in
-// ascending original-variable order. The function reads g and the cut
-// lists only (both frozen before the parallel region), so partitions
-// are safe to run concurrently.
-func rebuildPartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, brSite uint64, sc *shardScratch, probe *perf.Probe) shardBuild {
-	sg, leafVars := beginShard(g, cp, pi, cuts, k, tryCuts, sc)
+// sg, the partition's recycled shard graph, against its private strash
+// table. Foreign references — primary inputs and AND nodes owned by
+// lower partitions, whether direct fanins or cut leaves — become
+// placeholder inputs, in ascending original-variable order. The
+// function reads g and the cut lists only (both frozen before the
+// parallel region), so partitions are safe to run concurrently.
+func rebuildPartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, brSite uint64, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
+	leafVars := beginShard(g, cp, pi, cuts, k, tryCuts, sc, sg)
 	rb := &rebuilder{g: g, ng: sg, sc: sc, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite}
 	for _, v := range cp.Parts[pi].Nodes {
 		f0, f1 := g.Fanins(int(v))
@@ -207,14 +210,15 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 // logic that distinct shards realized identically. The merge order is
 // fixed, so the merged graph is independent of which worker built
 // which shard. The serial merge cost is recorded on the parent probe —
-// it is the non-scaling portion of a cone-parallel pass.
-func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, probe *perf.Probe) *aig.Graph {
+// it is the non-scaling portion of a cone-parallel pass. The shards
+// merge into the run's temporary graph; the pass gets its swept copy.
+func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, probe *perf.Probe, rs *runScratch) *aig.Graph {
 	// Room for every shard node: the merge can only deduplicate.
 	ands := 0
 	for pi := range shards {
 		ands += shards[pi].sg.NumAnds()
 	}
-	ng := aig.NewSized(g.Name, g.NumInputs(), ands)
+	ng := rs.tmpGraph(g.Name, g.NumInputs(), ands)
 	final := make([]aig.Lit, g.NumVars())
 	final[0] = aig.False
 	for i, v := range g.InputVars() {
@@ -253,7 +257,8 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 
 // sweepAccounted runs the final dead-node sweep, charging its serial
 // full-graph copy to the probe: one node record touch and a handful of
-// bookkeeping instructions per variable.
+// bookkeeping instructions per variable. Sweep always returns a fresh
+// graph, so the run's temporary never escapes the pass.
 func sweepAccounted(ng *aig.Graph, name string, probe *perf.Probe) *aig.Graph {
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)

@@ -163,7 +163,8 @@ func Synthesize(g *aig.Graph, lib *techlib.Library, opts Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, opts.Objective, probe, pool, &rs[0].tts)
+	rs.releaseForMapping()
+	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, opts.Objective, probe, pool, rs)
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func TestIsopSimpleFunctions(t *testing.T) {
 
 func TestCutEnumLeafBounds(t *testing.T) {
 	g := designs.MustBenchmark("adder", 0.0625)
-	ce := newCutEnum(g, 4, 8, nil, nil)
+	ce := newCutEnum(g, 4, 8, nil, nil, new(runScratch))
 	count := 0
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
 		for _, c := range ce.Cuts(v) {
@@ -346,7 +346,7 @@ func TestRebuildSkipsSelfCuts(t *testing.T) {
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
 		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
 	})
-	ng := rebuildSerial(g, nil, ce, 4, 2, brRewriteGain, new(shardScratch))
+	ng := rebuildSerial(g, nil, ce, 4, 2, brRewriteGain, new(runScratch))
 	if !aig.SimEquiv(g, ng, 7, 12) {
 		t.Fatal("self-cut-only rebuild changed function")
 	}
