@@ -13,13 +13,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 
+	"edacloud/internal/cli"
 	"edacloud/internal/core"
 	"edacloud/internal/designs"
 	"edacloud/internal/techlib"
 )
+
+const prog = "characterize"
 
 func main() {
 	design := flag.String("design", "sparc_core", "evaluation design for Fig. 2 (dyn_node..sparc_core)")
@@ -27,18 +30,9 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: 2a, 2b, 2c, 2d, 2 (all of 2a-2d), 3, or all")
 	workers := flag.Int("workers", 0, "bound for the kernel pools of the one flow run that profiles every VM config (0 = all cores; results identical)")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	if err := designs.CheckScale(*scale); err != nil {
-		fail(fmt.Errorf("-scale: %w", err))
-	}
-
-	switch *figure {
-	case "2a", "2b", "2c", "2d", "2", "3", "all":
-	default:
-		fail(fmt.Errorf("unknown -figure %q: want one of 2a, 2b, 2c, 2d, 2, 3, all", *figure))
-	}
+	cli.Check(prog, cli.NoArgs(flag.Args()), cli.Count("workers", *workers), cli.Scale("scale", *scale),
+		cli.Refuse(!slices.Contains([]string{"2a", "2b", "2c", "2d", "2", "3", "all"}, *figure),
+			"unknown -figure %q: want one of 2a, 2b, 2c, 2d, 2, 3, all", *figure))
 
 	lib := techlib.Default14nm()
 	opts := core.CharacterizeOptions{Scale: *scale, Workers: *workers}
@@ -55,7 +49,7 @@ func main() {
 	if want("2a") || want("2b") || want("2c") || want("2d") {
 		char, err := core.CharacterizeEval(lib, *design, opts)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		fmt.Printf("Characterization of %s (%d cells, work scale %.0fx)\n\n",
 			char.Design, char.Cells, char.WorkScale)
@@ -83,7 +77,7 @@ func main() {
 		for _, name := range designs.EvalDesignNames() {
 			curve, err := core.RoutingSpeedupCurve(lib, name, 8, opts)
 			if err != nil {
-				fail(err)
+				cli.Fail(prog, err)
 			}
 			fmt.Printf("%-12s", name)
 			for _, s := range curve {
@@ -106,16 +100,11 @@ func printMetric(char *core.DesignCharacterization, title string, metric func(co
 		for _, v := range char.VCPUs {
 			p, err := char.Profile(k, v)
 			if err != nil {
-				fail(err)
+				cli.Fail(prog, err)
 			}
 			fmt.Printf("%9.2f", metric(p))
 		}
 		fmt.Println()
 	}
 	fmt.Println(strings.Repeat("-", 50))
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "characterize:", err)
-	os.Exit(1)
 }

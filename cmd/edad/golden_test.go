@@ -128,13 +128,18 @@ func TestBadArgumentsRefused(t *testing.T) {
 	// memory memoizing revocations), a trace longer than
 	// serve.MaxTraceJobs (a billion once died allocating it) and a
 	// non-finite -rate or -burst (NaN once failed mid-replay) are
-	// refused the same way.
+	// refused the same way. So are a negative or NaN -spot (which
+	// replayed without spot capacity) and a -hazard-rate without -spot
+	// (which printed hazards over a fleet with nothing to revoke).
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-hazard-rate", "1e8", "MaxHazardPerHour"},
 		{"-trace-jobs", "1000000000", "MaxTraceJobs"},
 		{"-rate", "NaN", "rate NaN is not finite"},
 		{"-rate", "Inf", "rate +Inf is not finite"},
 		{"-burst", "NaN", "burstiness NaN is not finite"},
+		{"-spot", "-0.3", "finite and not negative"},
+		{"-spot", "NaN", "finite and not negative"},
+		{"-hazard-rate", "12", "needs -spot"},
 	} {
 		msg := clitest.RunFail(t, bin, "-replay", tc.flag, tc.value, "-designs", "aes", "-scale", "0.02")
 		if !strings.Contains(msg, tc.want) {

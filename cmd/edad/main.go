@@ -27,117 +27,97 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
-	"edacloud/internal/designs"
 	"edacloud/internal/mckp"
 	"edacloud/internal/serve"
 	"edacloud/internal/techlib"
 )
 
-func main() {
-	listen := flag.String("listen", "", "address to serve the HTTP API on (daemon mode)")
-	replay := flag.Bool("replay", false, "replay a generated trace and compare rolling-horizon against the independent baseline")
-	designList := flag.String("designs", "ibex,aes", "comma-separated designs to characterize into job templates")
-	scale := flag.Float64("scale", 0.03, "design scale factor for characterization")
-	fleetSpec := flag.String("fleet", "gp.1x=1,gp.2x=1,gp.4x=1,gp.8x=1,mem.1x=1,mem.2x=1,mem.4x=1,mem.8x=1",
+const prog = "edad"
+
+// The flags are package state: main checks them, and the replay
+// reads them where it needs them.
+var (
+	listen     = flag.String("listen", "", "address to serve the HTTP API on (daemon mode)")
+	replay     = flag.Bool("replay", false, "replay a generated trace and compare rolling-horizon against the independent baseline")
+	designList = flag.String("designs", "ibex,aes", "comma-separated designs to characterize into job templates")
+	scale      = flag.Float64("scale", 0.03, "design scale factor for characterization")
+	fleetSpec  = flag.String("fleet", "gp.1x=1,gp.2x=1,gp.4x=1,gp.8x=1,mem.1x=1,mem.2x=1,mem.4x=1,mem.8x=1",
 		"serving fleet as name=count,...")
-	tenantSpec := flag.String("tenants", "acme=3,blue=1", "tenants as name=weight,...")
-	traceSeed := flag.Int64("trace-seed", 1, "trace generator seed for -replay")
-	traceJobs := flag.Int("trace-jobs", 24, "trace length for -replay")
-	rate := flag.Float64("rate", 0.02, "mean arrival rate (jobs/simulated second) for -replay")
-	burst := flag.Float64("burst", 0.3, "arrival burstiness in [0,1) for -replay")
-	slack := flag.Float64("slack", 0, "deadline slack as a multiple of the template's slowest plan (0 = deadline-free)")
-	workers := flag.Int("workers", 0, "bound for characterization and re-plan fan-out (0 = all cores; results identical)")
-	spot := flag.Float64("spot", 0, "spot discount in (0,1): extends the catalog with preemptible twins the fleet spec may name (e.g. gp.2x.spot)")
-	hazardRate := flag.Float64("hazard-rate", 0, "spot revocation rate in events/hour: risk-adjusts admission and arms the fleet's revocation model")
-	hazardSeed := flag.Int64("hazard-seed", 1, "seed for the fleet's revocation timelines (with -hazard-rate)")
-	useCache := flag.Bool("cache", false, "enable the fleet-wide artifact cache: templates carry their chain keys, so jobs sharing a flow prefix are planned as cache hits")
+	tenantSpec = flag.String("tenants", "acme=3,blue=1", "tenants as name=weight,...")
+	traceSeed  = flag.Int64("trace-seed", 1, "trace generator seed for -replay")
+	traceJobs  = flag.Int("trace-jobs", 24, "trace length for -replay")
+	rate       = flag.Float64("rate", 0.02, "mean arrival rate (jobs/simulated second) for -replay")
+	burst      = flag.Float64("burst", 0.3, "arrival burstiness in [0,1) for -replay")
+	slack      = flag.Float64("slack", 0, "deadline slack as a multiple of the template's slowest plan (0 = deadline-free)")
+	workers    = flag.Int("workers", 0, "bound for characterization and re-plan fan-out (0 = all cores; results identical)")
+	spot       = flag.Float64("spot", 0, "spot discount in (0,1): extends the catalog with preemptible twins the fleet spec may name (e.g. gp.2x.spot)")
+	hazardRate = flag.Float64("hazard-rate", 0, "spot revocation rate in events/hour: risk-adjusts admission and arms the fleet's revocation model")
+	hazardSeed = flag.Int64("hazard-seed", 1, "seed for the fleet's revocation timelines (with -hazard-rate)")
+	useCache   = flag.Bool("cache", false, "enable the fleet-wide artifact cache: templates carry their chain keys, so jobs sharing a flow prefix are planned as cache hits")
+)
+
+func main() {
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("edad: unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	if err := designs.CheckScale(*scale); err != nil {
-		fail(fmt.Errorf("edad: -scale: %w", err))
-	}
-	if !(*slack >= 0) || math.IsInf(*slack, 0) {
-		fail(fmt.Errorf("edad: -slack %v: the deadline multiple must be finite and not negative (0 = deadline-free)", *slack))
-	}
-	if !(*hazardRate >= 0) || math.IsInf(*hazardRate, 0) {
-		fail(fmt.Errorf("edad: -hazard-rate %v: the revocation rate must be finite and not negative (0 = no revocations)", *hazardRate))
-	}
-	if *hazardRate > cloud.MaxHazardPerHour {
-		fail(fmt.Errorf("edad: -hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
-	}
+	var traceErr error
 	if *replay {
 		if err := (serve.TraceConfig{Jobs: *traceJobs, RatePerSec: *rate, Burstiness: *burst}).Check(); err != nil {
-			fail(fmt.Errorf("edad: -trace-jobs %d -rate %v -burst %v: %w", *traceJobs, *rate, *burst, err))
+			traceErr = fmt.Errorf("-trace-jobs %d -rate %v -burst %v: %w", *traceJobs, *rate, *burst, err)
 		}
 	}
+	cli.Check(prog,
+		cli.NoArgs(flag.Args()),
+		cli.Count("workers", *workers),
+		cli.Scale("scale", *scale),
+		cli.NonNegative("slack", *slack),
+		cli.NonNegative("spot", *spot),
+		cli.HazardRate(*hazardRate),
+		cli.Refuse(*hazardRate > 0 && *spot == 0, "-hazard-rate %v needs -spot: without spot twins the fleet has nothing to revoke", *hazardRate),
+		traceErr,
+		cli.Refuse(*listen == "" && !*replay, "pass -listen for daemon mode or -replay for trace replay"),
+	)
 
-	if *listen == "" && !*replay {
-		fail(fmt.Errorf("edad: pass -listen for daemon mode or -replay for trace replay"))
-	}
-
-	catalog := cloud.DefaultCatalog()
+	catalog, hazards := cloud.DefaultCatalog(), map[string]float64(nil)
 	if *spot > 0 {
 		var err error
-		if catalog, err = catalog.WithSpot(*spot); err != nil {
-			fail(err)
+		if catalog, hazards, err = cli.SpotCatalog(catalog, *spot, *hazardRate); err != nil {
+			cli.Fail(prog, err)
 		}
 	}
-	var hazards map[string]float64
-	if *hazardRate > 0 {
-		hazards = cloud.UniformSpotHazards(catalog, *hazardRate)
+	fleet, err := cloud.ParseFleetSpec(catalog, *fleetSpec)
+	if err != nil {
+		cli.Fail(prog, err)
 	}
-	armFleet := func(spec string) *cloud.Fleet {
-		f, err := cloud.ParseFleetSpec(catalog, spec)
-		if err != nil {
-			fail(err)
-		}
-		if hazards != nil {
-			f.Revocation = cloud.NewRevocationModel(*hazardSeed, hazards)
-		}
-		return f
-	}
-	fleet := armFleet(*fleetSpec)
+	cli.Arm(fleet, *hazardSeed, hazards)
 	tenants, err := parseTenants(*tenantSpec)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
-	designs := strings.Split(*designList, ",")
-	templates, err := buildTemplates(catalog, fleet, designs, *scale, *workers, *useCache)
+	templates, err := buildTemplates(catalog, fleet, strings.Split(*designList, ","), *scale, *workers, *useCache)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
+	cfg := serve.Config{Fleet: fleet, Tenants: tenants, Templates: templates, Workers: *workers, Hazards: hazards}
 	if *replay {
-		runReplay(fleet, tenants, templates, replayParams{
-			seed: *traceSeed, jobs: *traceJobs, rate: *rate, burst: *burst,
-			slack: *slack, workers: *workers,
-			fleetSpec: *fleetSpec, designs: designs,
-			hazards: hazards, hazardRate: *hazardRate, hazardSeed: *hazardSeed,
-			spot: *spot, cache: *useCache, armFleet: armFleet,
-		})
+		runReplay(cfg)
 		return
 	}
 
-	srv, err := serve.NewServer(serve.Config{
-		Fleet: fleet, Tenants: tenants, Templates: templates, Workers: *workers,
-		Hazards: hazards,
-	})
+	srv, err := serve.NewServer(cfg)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	fmt.Printf("edad: serving %d templates to %d tenants on %s\n", len(templates), len(tenants), *listen)
-	fail(http.ListenAndServe(*listen, srv.Handler()))
+	cli.Fail(prog, http.ListenAndServe(*listen, srv.Handler()))
 }
 
 // parseTenants parses "name=weight,name=weight".
@@ -146,11 +126,11 @@ func parseTenants(spec string) ([]serve.Tenant, error) {
 	for _, part := range strings.Split(spec, ",") {
 		name, weight, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return nil, fmt.Errorf("edad: tenant %q is not name=weight", part)
+			return nil, fmt.Errorf("tenant %q is not name=weight", part)
 		}
 		w, err := strconv.ParseFloat(weight, 64)
 		if err != nil {
-			return nil, fmt.Errorf("edad: tenant %q weight: %v", name, err)
+			return nil, fmt.Errorf("tenant %q weight: %v", name, err)
 		}
 		out = append(out, serve.Tenant{Name: name, Weight: w})
 	}
@@ -160,115 +140,87 @@ func parseTenants(spec string) ([]serve.Tenant, error) {
 // buildTemplates characterizes each design and converts its deployment
 // problem into a serving template, keeping only the machine choices
 // the serving fleet actually offers.
-func buildTemplates(catalog *cloud.Catalog, fleet *cloud.Fleet, designs []string, scale float64, workers int, useCache bool) ([]serve.Template, error) {
+func buildTemplates(catalog *cloud.Catalog, fleet *cloud.Fleet, names []string, scale float64, workers int, useCache bool) ([]serve.Template, error) {
 	lib := techlib.Default14nm()
 	opts := core.CharacterizeOptions{Scale: scale, Workers: workers}
-	var out []serve.Template
-	for _, d := range designs {
-		d = strings.TrimSpace(d)
-		char, err := core.CharacterizeEval(lib, d, opts)
+	ds, err := cli.Designs(lib, names, opts, catalog)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]serve.Template, len(ds))
+	for i, d := range ds {
+		prob, err := d.Probs[0].Restrict(fleet)
 		if err != nil {
 			return nil, err
 		}
-		prob, err := core.BuildDeploymentProblem(char, catalog)
-		if err == nil {
-			prob, err = prob.Restrict(fleet)
-		}
-		if err != nil {
-			return nil, err
-		}
-		tpl := serve.Template{Name: d, Kinds: core.JobKinds(), Classes: prob.Classes}
+		out[i] = serve.Template{Name: d.Name, Kinds: core.JobKinds(), Classes: prob.Classes}
 		if useCache {
-			sk, err := core.CacheChain(lib, d, opts)
+			sk, err := core.CacheChain(lib, d.Name, opts)
 			if err != nil {
 				return nil, err
 			}
 			for _, s := range sk {
-				tpl.Chain = append(tpl.Chain, s.Key)
+				out[i].Chain = append(out[i].Chain, s.Key)
 			}
 		}
-		out = append(out, tpl)
 	}
 	return out, nil
 }
 
-type replayParams struct {
-	seed        int64
-	jobs        int
-	rate, burst float64
-	slack       float64
-	workers     int
-	fleetSpec   string
-	designs     []string
-	hazards     map[string]float64
-	hazardRate  float64
-	hazardSeed  int64
-	spot        float64
-	cache       bool
-	// armFleet builds a fresh fleet from a spec with the replay's
-	// revocation model attached — both engines must face identical
-	// revocation timelines.
-	armFleet func(string) *cloud.Fleet
-}
-
 // runReplay generates the trace, replays it under both engines over
-// identical fleets, and prints the comparison.
-func runReplay(fleet *cloud.Fleet, tenants []serve.Tenant, templates []serve.Template, p replayParams) {
+// identical fleets, and prints the comparison. The independent engine
+// runs on a clone of cfg's fleet armed like it, so both face identical
+// revocation timelines.
+func runReplay(cfg serve.Config) {
 	// Deadline slack is denominated in each template's slowest solo
 	// runtime, so one -slack value works across designs and scales.
 	slackSec := 0.0
-	if p.slack > 0 {
+	if *slack > 0 {
 		worst := 0
-		for _, tpl := range templates {
+		for _, tpl := range cfg.Templates {
 			worst = max(worst, mckp.MaxTotalTime(tpl.Classes))
 		}
-		slackSec = p.slack * float64(worst)
+		slackSec = *slack * float64(worst)
 	}
 
 	var tnames, dnames []string
-	for _, t := range tenants {
+	for _, t := range cfg.Tenants {
 		tnames = append(tnames, t.Name)
 	}
-	for _, tpl := range templates {
+	for _, tpl := range cfg.Templates {
 		dnames = append(dnames, tpl.Name)
 	}
 	trace, err := serve.TraceGen(serve.TraceConfig{
-		Seed: p.seed, Jobs: p.jobs, RatePerSec: p.rate, Burstiness: p.burst,
+		Seed: *traceSeed, Jobs: *traceJobs, RatePerSec: *rate, Burstiness: *burst,
 		SlackSec: slackSec, Tenants: tnames, Templates: dnames,
 	})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Printf("edad replay: %d jobs, seed %d, rate %.3g/s, burstiness %.2f, slack %.0fs\n",
-		p.jobs, p.seed, p.rate, p.burst, slackSec)
-	fmt.Printf("fleet: %s\n", p.fleetSpec)
-	if p.spot > 0 {
-		fmt.Printf("spot: %.0f%% discount\n", 100*p.spot)
+		*traceJobs, *traceSeed, *rate, *burst, slackSec)
+	fmt.Printf("fleet: %s\n", *fleetSpec)
+	if *spot > 0 {
+		fmt.Printf("spot: %.0f%% discount\n", *spot*100)
 	}
-	if p.hazardRate > 0 {
-		fmt.Printf("hazards: %.3g revocations/h on spot capacity, seed %d\n", p.hazardRate, p.hazardSeed)
+	if *hazardRate > 0 {
+		fmt.Printf("hazards: %.3g revocations/h on spot capacity, seed %d\n", *hazardRate, *hazardSeed)
 	}
-	if p.cache {
+	if *useCache {
 		fmt.Printf("artifact cache: enabled (templates carry chain keys)\n")
 	}
 	fmt.Printf("tenants: %s\n", strings.Join(tnames, ", "))
 	fmt.Printf("templates: %s\n\n", strings.Join(dnames, ", "))
 
-	_, rolling, err := serve.Replay(serve.Config{
-		Fleet: fleet, Tenants: tenants, Templates: templates, Workers: p.workers,
-		Hazards: p.hazards,
-	}, trace)
+	_, rolling, err := serve.Replay(cfg, trace)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
-	_, indep, err := serve.Replay(serve.Config{
-		Fleet: p.armFleet(p.fleetSpec), Tenants: tenants, Templates: templates, Workers: p.workers,
-		Hazards:     p.hazards,
-		Independent: true,
-	}, trace)
+	cfg.Fleet, cfg.Independent = cli.Arm(cfg.Fleet.Clone(), *hazardSeed, cfg.Hazards), true
+	_, indep, err := serve.Replay(cfg, trace)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Printf("rolling-horizon:\n%s\n", indent(rolling.String()))
@@ -332,9 +284,4 @@ func indent(s string) string {
 		lines[i] = "  " + lines[i]
 	}
 	return strings.Join(lines, "\n") + "\n"
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

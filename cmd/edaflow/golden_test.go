@@ -104,7 +104,8 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // nothing on stdout. -hier ignores -batch, so it still runs. The same
 // holds for a VM below one vCPU, a clock period that is not positive
 // and finite, and a negative or non-finite -hazard-rate, -deadline,
-// -minbill or -escalate-after (each of which used to run to exit 0). A
+// -minbill or -escalate-after (each of which used to run to exit 0), and
+// a negative -workers (which silently meant all cores). A
 // -hazard-rate above cloud.MaxHazardPerHour (1e8/h once exhausted
 // memory) is refused the same way, as are a -hier-grain below 1 (which
 // silently fell back to the partitioner's default) and, under -policy
@@ -134,6 +135,7 @@ func TestBatchBelowOneRefused(t *testing.T) {
 		{"-deadline", "NaN", "finite and not negative"},
 		{"-minbill", "-60", "finite and not negative"},
 		{"-escalate-after", "-1", "must not be negative"},
+		{"-workers", "-3", "must not be negative"},
 	} {
 		msg := clitest.RunFail(t, bin, "-design", "ibex", "-scale", "0.02",
 			"-fleet", "mem.4x.spot=1,mem.4x=1", "-instance", "mem.4x.spot", "-spot", tc.flag, tc.value)

@@ -24,7 +24,7 @@
 // are stitched back into one equivalence-checked graph — design-level
 // parallelism for million-gate designs.
 //
-// -spot prices revocable twins of every catalog type at a 30%
+// -spot prices revocable twins of every catalog type at a 70%
 // discount and arms a seeded revocation injector over the fleet's
 // spot instances: revoked stages lose only the work since their last
 // stage-boundary checkpoint, re-enter the queue with backoff, and can
@@ -37,11 +37,12 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
+	"slices"
 	"strings"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/cache"
+	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
 	"edacloud/internal/designs"
@@ -54,65 +55,66 @@ import (
 	"edacloud/internal/techlib"
 )
 
+const prog = "edaflow"
+
+// The flags are package state: main checks them, and the batch modes
+// read them where they need them.
+var (
+	design        = flag.String("design", "", "evaluation design name (dyn_node..sparc_core)")
+	bench         = flag.String("bench", "", "benchmark name (adder..voter); alternative to -design")
+	scale         = flag.Float64("scale", 0.05, "design scale factor")
+	recipeName    = flag.String("recipe", "resyn2", "synthesis recipe (raw, b, rw, rf, resyn, resyn2, compress, deep)")
+	vcpus         = flag.Int("vcpus", 4, "VM vCPU count for the performance profile")
+	registers     = flag.Bool("registers", false, "register all primary outputs behind DFFs")
+	clock         = flag.Float64("clock", 1.0, "clock period for STA (ns)")
+	stages        = flag.String("stages", "", "comma-separated partial flow (e.g. synthesis,sta); empty runs the full flow")
+	workers       = flag.Int("workers", 0, "worker-pool bound for every stage (0 = all cores; results identical)")
+	fleetSpec     = flag.String("fleet", "", "schedule a batch over this bounded fleet (name=count,...) instead of one local run")
+	batch         = flag.Int("batch", 4, "number of flow copies in the -fleet batch")
+	instName      = flag.String("instance", "mem.4x", "instance type each batch job nominally rents (single policy)")
+	policyName    = flag.String("policy", "single", "fleet placement policy: single (job keeps one machine), firstfit (greedy any-machine, per stage), or plan (co-optimized stage plans, the remaining stages re-planned in-table when queueing eats a job's slack; needs -design)")
+	minBill       = flag.Float64("minbill", 0, "minimum billing granularity in seconds (0 = pure per-second)")
+	deadlineSec   = flag.Float64("deadline", 0, "per-job completion deadline in simulated seconds (0 = none)")
+	spot          = flag.Bool("spot", false, "price revocable spot twins of every type at a 70% discount and arm the revocation injector")
+	hazardSeed    = flag.Int64("hazard-seed", 1, "revocation timeline seed for -spot")
+	hazardRate    = flag.Float64("hazard-rate", 60, "revocations per spot-instance-hour for -spot")
+	escalateAfter = flag.Int("escalate-after", 0, "escalate a stage to the on-demand counterpart after this many revocations (0 = never)")
+	useCache      = flag.Bool("cache", false, "attach a content-addressed artifact store across the -fleet batch: identical stage work dedups to cache hits (plan policy also plans against predicted hits)")
+	hier          = flag.Bool("hier", false, "hierarchical -fleet mode: schedule the design's cone partitions as the batch jobs instead of -batch copies, then stitch the optimized sub-designs back together (-batch is ignored)")
+	hierGrain     = flag.Int("hier-grain", 2000, "target AND nodes per sub-design in -hier mode")
+)
+
 func main() {
-	design := flag.String("design", "", "evaluation design name (dyn_node..sparc_core)")
-	bench := flag.String("bench", "", "benchmark name (adder..voter); alternative to -design")
-	scale := flag.Float64("scale", 0.05, "design scale factor")
-	recipeName := flag.String("recipe", "resyn2", "synthesis recipe (raw, b, rw, rf, resyn, resyn2, compress, deep)")
-	vcpus := flag.Int("vcpus", 4, "VM vCPU count for the performance profile")
-	registers := flag.Bool("registers", false, "register all primary outputs behind DFFs")
-	clock := flag.Float64("clock", 1.0, "clock period for STA (ns)")
-	stages := flag.String("stages", "", "comma-separated partial flow (e.g. synthesis,sta); empty runs the full flow")
-	workers := flag.Int("workers", 0, "worker-pool bound for every stage (0 = all cores; results identical)")
-	fleetSpec := flag.String("fleet", "", "schedule a batch over this bounded fleet (name=count,...) instead of one local run")
-	batch := flag.Int("batch", 4, "number of flow copies in the -fleet batch")
-	instName := flag.String("instance", "mem.4x", "instance type each batch job nominally rents (single policy)")
-	policyName := flag.String("policy", "single", "fleet placement policy: single (job keeps one machine), firstfit (greedy any-machine, per stage), or plan (co-optimized stage plans, the remaining stages re-planned in-table when queueing eats a job's slack; needs -design)")
-	minBill := flag.Float64("minbill", 0, "minimum billing granularity in seconds (0 = pure per-second)")
-	deadlineSec := flag.Float64("deadline", 0, "per-job completion deadline in simulated seconds (0 = none)")
-	spot := flag.Bool("spot", false, "price revocable spot twins of every type at a 30% discount and arm the revocation injector")
-	hazardSeed := flag.Int64("hazard-seed", 1, "revocation timeline seed for -spot")
-	hazardRate := flag.Float64("hazard-rate", 60, "revocations per spot-instance-hour for -spot")
-	escalateAfter := flag.Int("escalate-after", 0, "escalate a stage to the on-demand counterpart after this many revocations (0 = never)")
-	useCache := flag.Bool("cache", false, "attach a content-addressed artifact store across the -fleet batch: identical stage work dedups to cache hits (plan policy also plans against predicted hits)")
-	hier := flag.Bool("hier", false, "hierarchical -fleet mode: schedule the design's cone partitions as the batch jobs instead of -batch copies, then stitch the optimized sub-designs back together (-batch is ignored)")
-	hierGrain := flag.Int("hier-grain", 2000, "target AND nodes per sub-design in -hier mode")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	if *fleetSpec != "" && !*hier && *batch < 1 {
-		fail(fmt.Errorf("-batch %d: a -fleet batch needs at least 1 copy", *batch))
-	}
-	if *vcpus < 1 {
-		fail(fmt.Errorf("-vcpus %d: a VM needs at least 1 vCPU", *vcpus))
-	}
-	if !(*clock > 0) || math.IsInf(*clock, 0) {
-		fail(fmt.Errorf("-clock %v: the clock period must be positive and finite", *clock))
-	}
-	if *escalateAfter < 0 {
-		fail(fmt.Errorf("-escalate-after %d: must not be negative (0 = never)", *escalateAfter))
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"hazard-rate", *hazardRate}, {"deadline", *deadlineSec}, {"minbill", *minBill}} {
-		if !(f.v >= 0) || math.IsInf(f.v, 0) {
-			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
-		}
-	}
-	if *hierGrain < 1 {
-		fail(fmt.Errorf("-hier-grain %d: a sub-design needs at least 1 AND node", *hierGrain))
-	}
-	// The plan path solves in whole seconds: a fractional deadline would
-	// truncate (0.5 to no deadline at all); from 2^53 on a float skips
-	// whole seconds, and further up the knapsack's int overflows.
-	if *policyName == "plan" && (*deadlineSec != math.Trunc(*deadlineSec) || *deadlineSec >= 1<<53) {
-		fail(fmt.Errorf("-deadline %v: -policy plan needs a whole number of seconds below 2^53", *deadlineSec))
-	}
-	if *hazardRate > cloud.MaxHazardPerHour {
-		fail(fmt.Errorf("-hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
-	}
+	plan := *fleetSpec != "" && *policyName == "plan"
+	cli.Check(prog,
+		cli.NoArgs(flag.Args()),
+		cli.Count("workers", *workers),
+		cli.Refuse(*fleetSpec != "" && !*hier && *batch < 1, "-batch %d: a -fleet batch needs at least 1 copy", *batch),
+		cli.Refuse(*vcpus < 1, "-vcpus %d: a VM needs at least 1 vCPU", *vcpus),
+		cli.Positive("clock", *clock),
+		cli.Count("escalate-after", *escalateAfter),
+		cli.HazardRate(*hazardRate),
+		cli.NonNegative("deadline", *deadlineSec),
+		cli.NonNegative("minbill", *minBill),
+		cli.Refuse(*hierGrain < 1, "-hier-grain %d: a sub-design needs at least 1 AND node", *hierGrain),
+		// The plan path solves in whole seconds: a fractional deadline
+		// would truncate (0.5 to no deadline at all); from 2^53 on a
+		// float skips whole seconds, and further up the knapsack's int
+		// overflows.
+		cli.Refuse(*policyName == "plan" && (*deadlineSec != math.Trunc(*deadlineSec) || *deadlineSec >= 1<<53),
+			"-deadline %v: -policy plan needs a whole number of seconds below 2^53", *deadlineSec),
+		cli.Refuse(*fleetSpec == "" && *spot, "-spot needs -fleet: revocations only exist in the fleet simulation"),
+		cli.Refuse(*fleetSpec == "" && *useCache, "-cache needs -fleet: the artifact store dedups across a batch"),
+		cli.Refuse(*fleetSpec == "" && *hier, "-hier needs -fleet: sub-designs are scheduled as fleet jobs"),
+		// The plan path executes through core.ExecuteBatchPlan, which
+		// always runs the full default flow at the default clock: flags
+		// it would silently drop are refused instead.
+		cli.Refuse(plan && (*stages != "" || *registers || *clock != 1.0), "-policy plan runs the full default flow; -stages, -registers and -clock do not apply"),
+		cli.Refuse(plan && *hier, "-hier applies to the single and firstfit policies; plan solves per-design choice tables, not sub-design splits"),
+		cli.Refuse(plan && *spot, "-spot applies to the single and firstfit policies; use optimize -spot for risk-adjusted planning"),
+		cli.Refuse(plan && *design == "", "-policy plan needs -design (it characterizes the design to build choice tables)"),
+	)
 
 	var g *aig.Graph
 	var err error
@@ -125,11 +127,11 @@ func main() {
 		g, err = designs.EvalDesign("ibex", *scale)
 	}
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	recipe, err := synth.RecipeByName(*recipeName)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Printf("Design %s: %v\n\n", g.Name, g.Stats())
@@ -138,25 +140,8 @@ func main() {
 	stageList := partialStages(*stages, recipe, *registers, *clock)
 
 	if *fleetSpec != "" {
-		runFleetBatch(g, lib, recipe, stageList, batchConfig{
-			fleetSpec: *fleetSpec, batch: *batch, instance: *instName,
-			policy: *policyName, minBill: *minBill, deadline: *deadlineSec,
-			workers: *workers, registers: *registers, clock: *clock,
-			design: *design, scale: *scale,
-			spot: *spot, hazardSeed: *hazardSeed, hazardRate: *hazardRate,
-			escalateAfter: *escalateAfter, cache: *useCache,
-			hier: *hier, hierGrain: *hierGrain,
-		})
+		runFleetBatch(g, lib, recipe, stageList)
 		return
-	}
-	if *spot {
-		fail(fmt.Errorf("-spot needs -fleet: revocations only exist in the fleet simulation"))
-	}
-	if *useCache {
-		fail(fmt.Errorf("-cache needs -fleet: the artifact store dedups across a batch"))
-	}
-	if *hier {
-		fail(fmt.Errorf("-hier needs -fleet: sub-designs are scheduled as fleet jobs"))
 	}
 
 	estCells := flow.EstimateCells(g.NumAnds())
@@ -185,7 +170,7 @@ func main() {
 
 	rc, err := flow.NewPipeline(opts...).Run(g, lib)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Println()
@@ -221,108 +206,76 @@ func main() {
 	}
 }
 
-// batchConfig carries the -fleet batch mode's knobs.
-type batchConfig struct {
-	fleetSpec string
-	batch     int
-	instance  string
-	policy    string
-	minBill   float64
-	deadline  float64
-	workers   int
-	registers bool
-	clock     float64
-	// design and scale identify the evaluation design for the plan
-	// policy, which must re-characterize it to build choice tables.
-	design string
-	scale  float64
-	// spot arms the preemptible-fleet mode: discounted revocable twins
-	// in the catalog plus a seeded revocation injector over the fleet.
-	spot          bool
-	hazardSeed    int64
-	hazardRate    float64
-	escalateAfter int
-	// cache attaches a content-addressed artifact store to the batch:
-	// copies of the same flow dedup to cache hits after the first.
-	cache bool
-	// hier schedules the design's cone partitions (of roughly hierGrain
-	// AND nodes each) as the batch jobs instead of batch copies, then
-	// stitches the optimized sub-designs back together.
-	hier      bool
-	hierGrain int
-}
-
 // runFleetBatch schedules copies of the configured flow over a bounded
 // fleet — the paper's batch-deployment scenario — and prints the
 // contended schedule plus the fleet's utilization/cost ledger. The
 // plan policy first co-optimizes the copies' stage plans against the
 // fleet (core.OptimizeBatch) and re-plans a queue-starved job's
 // remaining stages within their choice tables at placement time.
-func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stageList []flow.Stage, cfg batchConfig) {
+func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stageList []flow.Stage) {
 	catalog := cloud.DefaultCatalog()
-	if cfg.spot {
-		var err error
-		if catalog, err = catalog.WithSpot(0.7); err != nil {
-			fail(err)
-		}
-	}
-	if cfg.minBill > 0 {
-		catalog = catalog.WithMinBill(cfg.minBill)
-	}
-	fleet, err := cloud.ParseFleetSpec(catalog, cfg.fleetSpec)
-	if err != nil {
-		fail(err)
-	}
+	var hazards map[string]float64
 	var retry flow.RetryPolicy
-	if cfg.spot {
-		fleet.Revocation = cloud.NewRevocationModel(cfg.hazardSeed,
-			cloud.UniformSpotHazards(catalog, cfg.hazardRate))
-		retry = flow.RetryPolicy{MaxAttempts: 50, BackoffSec: 30, EscalateAfter: cfg.escalateAfter}
+	if *spot {
+		var err error
+		if catalog, hazards, err = cli.SpotCatalog(catalog, cli.SpotDiscount, *hazardRate); err != nil {
+			cli.Fail(prog, err)
+		}
+		retry = flow.RetryPolicy{MaxAttempts: 50, BackoffSec: 30, EscalateAfter: *escalateAfter}
 	}
+	if *minBill > 0 {
+		catalog = catalog.WithMinBill(*minBill)
+	}
+	fleet, err := cloud.ParseFleetSpec(catalog, *fleetSpec)
+	if err != nil {
+		cli.Fail(prog, err)
+	}
+	cli.Arm(fleet, *hazardSeed, hazards)
 	var store *cache.Store
-	if cfg.cache {
+	if *useCache {
 		store = cache.New(0)
 	}
 
 	var sched *flow.Schedule
 	var hb *flow.HierarchicalBatch
-	perJobDeadlines := cfg.deadline > 0
-	switch cfg.policy {
+	perJobDeadlines := *deadlineSec > 0
+	switch *policyName {
 	case "single", "firstfit":
-		inst, err := catalog.ByName(cfg.instance)
+		inst, err := catalog.ByName(*instName)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		policy := flow.Policy(flow.SingleInstance{})
-		if cfg.policy == "firstfit" {
+		if *policyName == "firstfit" {
 			policy = flow.FirstFit{}
 		}
 		opts := []flow.Option{
 			flow.WithRecipe(recipe),
-			flow.WithRegisterOutputs(cfg.registers),
-			flow.WithClockPeriodNs(cfg.clock),
+			flow.WithRegisterOutputs(*registers),
+			flow.WithClockPeriodNs(*clock),
 		}
 		if stageList != nil {
 			opts = append(opts, flow.WithStages(stageList...))
 		}
+		job := flow.Job{
+			Design:      g,
+			Lib:         lib,
+			Options:     opts,
+			Instance:    inst,
+			DeadlineSec: *deadlineSec,
+			Retry:       retry,
+			// Extrapolate the reduced-scale simulation to full-flow
+			// magnitudes (the dataset generator's representative factor).
+			WorkScale: 2e4,
+		}
 		var jobs []flow.Job
-		if cfg.hier {
-			hb, err = flow.Hierarchical(flow.Job{
-				Design:      g,
-				Lib:         lib,
-				Options:     opts,
-				Instance:    inst,
-				DeadlineSec: cfg.deadline,
-				Retry:       retry,
-				// Extrapolate the reduced-scale simulation to full-flow
-				// magnitudes (the dataset generator's representative factor).
-				WorkScale: 2e4,
-			}, cfg.hierGrain)
+		if *hier {
+			hb, err = flow.Hierarchical(job, *hierGrain)
 			if err != nil {
-				fail(err)
+				cli.Fail(prog, err)
 			}
 			jobs = hb.Jobs
-			fmt.Printf("Hierarchical split: %d sub-designs (grain %d ANDs)\n", len(hb.Subs), cfg.hierGrain)
+			fmt.Printf("Hierarchical split: %d sub-designs (grain %d ANDs)\n", len(hb.Subs), *hierGrain)
 			fmt.Printf("%-12s %9s %9s %9s %9s\n", "sub", "ands", "inputs", "outputs", "exports")
 			for pi, sub := range hb.Subs {
 				fmt.Printf("%-12s %9d %9d %9d %9d\n", hb.Jobs[pi].Name,
@@ -330,50 +283,28 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 			}
 			fmt.Println()
 		} else {
-			for i := 0; i < cfg.batch; i++ {
-				jobs = append(jobs, flow.Job{
-					Name:        fmt.Sprintf("%s#%d", g.Name, i),
-					Design:      g,
-					Lib:         lib,
-					Options:     opts,
-					Instance:    inst,
-					DeadlineSec: cfg.deadline,
-					Retry:       retry,
-					// Extrapolate the reduced-scale simulation to full-flow
-					// magnitudes (the dataset generator's representative factor).
-					WorkScale: 2e4,
-				})
+			for i := 0; i < *batch; i++ {
+				job.Name = fmt.Sprintf("%s#%d", g.Name, i)
+				jobs = append(jobs, job)
 			}
 		}
-		if sched, err = (&flow.Scheduler{Workers: cfg.workers, Fleet: fleet, Policy: policy, Cache: store}).Run(nil, jobs); err != nil {
-			fail(err)
+		if sched, err = (&flow.Scheduler{Workers: *workers, Fleet: fleet, Policy: policy, Cache: store}).Run(nil, jobs); err != nil {
+			cli.Fail(prog, err)
 		}
 	case "plan":
-		// The plan path executes through core.ExecuteBatchPlan,
-		// which always runs the full default flow at the default clock:
-		// flags it would silently drop are rejected instead.
-		if stageList != nil || cfg.registers || cfg.clock != 1.0 {
-			fail(fmt.Errorf("-policy plan runs the full default flow; -stages, -registers and -clock do not apply"))
-		}
-		if cfg.hier {
-			fail(fmt.Errorf("-hier applies to the single and firstfit policies; plan solves per-design choice tables, not sub-design splits"))
-		}
-		if cfg.spot {
-			fail(fmt.Errorf("-spot applies to the single and firstfit policies; use optimize -spot for risk-adjusted planning"))
-		}
-		sched = runPlanBatch(lib, catalog, fleet, recipe, cfg, store)
+		sched = runPlanBatch(lib, catalog, fleet, recipe, store)
 		perJobDeadlines = true
 	default:
-		fail(fmt.Errorf("unknown policy %q (want single, firstfit or plan)", cfg.policy))
+		cli.Fail(prog, fmt.Errorf("unknown policy %q (want single, firstfit or plan)", *policyName))
 	}
 
-	batchDesc := fmt.Sprintf("%d x %s", cfg.batch, g.Name)
+	batchDesc := fmt.Sprintf("%d x %s", *batch, g.Name)
 	if hb != nil {
 		batchDesc = fmt.Sprintf("%s split into %d sub-designs", g.Name, len(hb.Jobs))
 	}
-	if cfg.spot {
+	if *spot {
 		fmt.Printf("Fleet batch: %s on %s (policy %s, hazard %.0f/h, seed %d)\n\n",
-			batchDesc, fleet, sched.Policy, cfg.hazardRate, cfg.hazardSeed)
+			batchDesc, fleet, sched.Policy, *hazardRate, *hazardSeed)
 		fmt.Printf("%-12s %9s %9s %9s %9s %10s %6s %9s %9s\n",
 			"job", "start", "busy", "wait", "finish", "cost ($)", "revs", "lost", "deadline")
 	} else {
@@ -383,7 +314,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 	}
 	for _, j := range sched.Jobs {
 		if j.Err != nil {
-			fail(j.Err)
+			cli.Fail(prog, j.Err)
 		}
 		status := "met"
 		if !j.DeadlineMet {
@@ -392,7 +323,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 		if !perJobDeadlines {
 			status = "-"
 		}
-		if cfg.spot {
+		if *spot {
 			fmt.Printf("%-12s %8.0fs %8.0fs %8.0fs %8.0fs %10.4f %6d %8.0fs %9s\n",
 				j.Name, j.StartSec, j.Seconds, j.WaitSec, j.FinishSec, j.CostUSD,
 				j.Revocations, j.RetriedSec, status)
@@ -401,7 +332,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 		fmt.Printf("%-12s %8.0fs %8.0fs %8.0fs %8.0fs %10.4f %9s\n",
 			j.Name, j.StartSec, j.Seconds, j.WaitSec, j.FinishSec, j.CostUSD, status)
 	}
-	if cfg.spot {
+	if *spot {
 		fmt.Printf("\n%-12s %-10s %-14s %7s %9s %9s %9s\n",
 			"job", "stage", "instance", "attempt", "start", "busy", "outcome")
 		for _, j := range sched.Jobs {
@@ -415,7 +346,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 			}
 		}
 	}
-	if cfg.policy == "plan" {
+	if *policyName == "plan" {
 		fmt.Printf("\n%-12s %-10s %-10s %9s %9s %9s\n",
 			"job", "stage", "instance", "start", "wait", "busy")
 		for _, j := range sched.Jobs {
@@ -429,7 +360,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 			}
 		}
 	}
-	if cfg.spot {
+	if *spot {
 		fmt.Printf("\nBatch: $%.4f, makespan %.0fs, %.0fs queued, %d revocations, %.0fs lost to preemption, fleet %.1f%% utilized\n\n",
 			sched.TotalCostUSD, sched.MakespanSec, sched.TotalWaitSec,
 			sched.Revocations, sched.RetriedSec, sched.UtilizationPct)
@@ -450,7 +381,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 	if hb != nil {
 		stitched, err := hb.Stitch(sched.Jobs)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		equiv := "equivalent"
 		if !aig.SimEquiv(g, stitched, 1, 16) {
@@ -465,39 +396,21 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 // under flow.PlanPolicy — each job carrying its choice table so a
 // queue-starved job's remaining stages are re-planned at placement
 // time. The fleet is mutated with the run's leases for the ledger.
-func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fleet, recipe synth.Recipe, cfg batchConfig, store *cache.Store) *flow.Schedule {
-	if cfg.design == "" {
-		fail(fmt.Errorf("-policy plan needs -design (it characterizes the design to build choice tables)"))
-	}
-	charOpts := core.CharacterizeOptions{Scale: cfg.scale, Recipe: recipe, Workers: cfg.workers}
-	char, err := core.CharacterizeEval(lib, cfg.design, charOpts)
+func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fleet, recipe synth.Recipe, store *cache.Store) *flow.Schedule {
+	charOpts := core.CharacterizeOptions{Scale: *scale, Recipe: recipe, Workers: *workers}
+	ds, err := cli.Designs(lib, slices.Repeat([]string{*design}, *batch), charOpts, catalog)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
-	prob, err := core.BuildDeploymentProblem(char, catalog)
-	if err != nil {
-		fail(err)
-	}
-	specs := make([]core.BatchJobSpec, cfg.batch)
+	specs := cli.BatchSpecs(ds, 0)
 	for i := range specs {
-		specs[i] = core.BatchJobSpec{
-			Name: fmt.Sprintf("%s#%d", cfg.design, i),
-			Char: char, Prob: prob, DeadlineSec: int(cfg.deadline),
-		}
+		specs[i].DeadlineSec = int(*deadlineSec)
 	}
-	if cfg.deadline <= 0 {
+	if *deadlineSec <= 0 {
 		// Default deadlines: 1.3x each copy's independently optimal
-		// serial runtime — met alone on an idle fleet, eroded by
-		// queueing in the contended batch.
-		ibp, err := core.IndependentBatchPlan(specs, fleet)
-		if err != nil {
-			fail(err)
-		}
-		if !ibp.Feasible {
-			fail(fmt.Errorf("no feasible plan on fleet %s", fleet))
-		}
-		for i := range specs {
-			specs[i].DeadlineSec = int(1.3 * float64(ibp.Plans[i].TotalTime))
+		// serial runtime.
+		if _, err := core.SlackDeadlines(specs, fleet, 1.3); err != nil {
+			cli.Fail(prog, err)
 		}
 	}
 	if store != nil {
@@ -505,15 +418,15 @@ func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fle
 		// batch) will serve, so the joint solve can spend each copy's
 		// deadline budget on the stages it actually computes.
 		if err := core.PredictCacheHits(store, lib, specs, charOpts); err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 	}
 	bp, err := core.OptimizeBatchOpts(specs, fleet, core.BatchOptions{Cache: store})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	if !bp.Feasible {
-		fail(fmt.Errorf("batch infeasible: a copy cannot meet its own deadline alone"))
+		cli.Fail(prog, fmt.Errorf("batch infeasible: a copy cannot meet its own deadline alone"))
 	}
 	fmt.Printf("Co-optimized plans (method %s):\n", bp.Selection.Method)
 	for i := range specs {
@@ -522,7 +435,7 @@ func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fle
 	fmt.Println()
 	sched, err := core.ExecuteBatchPlan(lib, specs, bp, charOpts, fleet, true)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	return sched
 }
@@ -545,13 +458,8 @@ func partialStages(spec string, recipe synth.Recipe, registers bool, clock float
 		case "sta":
 			out = append(out, flow.STA(sta.Options{ClockPeriodNs: clock}))
 		default:
-			fail(fmt.Errorf("unknown stage %q (want synthesis, placement, routing, sta)", name))
+			cli.Fail(prog, fmt.Errorf("unknown stage %q (want synthesis, placement, routing, sta)", name))
 		}
 	}
 	return out
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "edaflow:", err)
-	os.Exit(1)
 }

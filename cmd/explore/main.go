@@ -17,17 +17,18 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"edacloud/internal/cache"
+	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
-	"edacloud/internal/designs"
 	"edacloud/internal/dse"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
+
+const prog = "explore"
 
 func main() {
 	design := flag.String("design", "dyn_node", "evaluation design to explore")
@@ -44,37 +45,24 @@ func main() {
 	trainScale := flag.Float64("train-scale", 0.05, "predictor training-set scale")
 	epochs := flag.Int("epochs", 5, "predictor training epochs")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"scale", *scale}, {"train-scale", *trainScale}} {
-		if err := designs.CheckScale(f.v); err != nil {
-			fail(fmt.Errorf("-%s: %w", f.name, err))
-		}
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"rounds", *rounds}, {"population", *population}, {"eta", *eta}, {"max-passes", *maxPasses}} {
-		if f.v < 0 {
-			fail(fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
-		}
-	}
-	if !(*budget >= 0) {
-		fail(fmt.Errorf("-budget %v: must not be negative (0 = unlimited)", *budget))
-	}
-	if *epochs < 1 {
-		fail(fmt.Errorf("-epochs %d: need at least 1", *epochs))
-	}
+	cli.Check(prog,
+		cli.NoArgs(flag.Args()),
+		cli.Count("workers", *workers),
+		cli.Scale("scale", *scale),
+		cli.Scale("train-scale", *trainScale),
+		cli.Count("rounds", *rounds),
+		cli.Count("population", *population),
+		cli.Count("eta", *eta),
+		cli.Count("max-passes", *maxPasses),
+		cli.Refuse(!(*budget >= 0), "-budget %v: must not be negative (0 = unlimited)", *budget),
+		cli.Refuse(*epochs < 1, "-epochs %d: need at least 1", *epochs),
+	)
 
 	lib := techlib.Default14nm()
 	catalog := cloud.DefaultCatalog()
 	fleet, err := cloud.ParseFleetSpec(catalog, *fleetSpec)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Printf("DSE autopilot: %s at scale %g on fleet %s\n", *design, *scale, *fleetSpec)
@@ -87,14 +75,14 @@ func main() {
 		Workers:    *workers,
 	})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	pred, _, err := core.TrainPredictor(ds, gcn.Config{
 		Hidden1: 8, Hidden2: 6, FCHidden: 6, LR: 3e-3, Epochs: *epochs,
 		Workers: *workers,
 	}, 0.34, 7)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	var store *cache.Store
@@ -125,7 +113,7 @@ func main() {
 		Store:      store,
 	})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	prev := 0.0
@@ -148,9 +136,4 @@ func main() {
 			tr.Recipe.Name, tr.ClockPeriodNs, tr.SlackFactor,
 			tr.Full.QoR, tr.Full.CostUSD, tr.Full.RuntimeSec)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "explore:", err)
-	os.Exit(1)
 }

@@ -88,7 +88,8 @@ func TestCacheOutsideBatchRefused(t *testing.T) {
 // 0 planned deadline-free) is refused too, and so are a negative
 // -deadline (which planned for the default midway deadline) and a
 // negative or non-finite -minbill or -hazard-rate, a -hazard-rate above
-// cloud.MaxHazardPerHour (1e8/h once exhausted memory) and a negative
+// cloud.MaxHazardPerHour (1e8/h once exhausted memory), a negative
+// -workers (which silently meant all cores) and a negative
 // or malformed -table1 -deadlines entry (once refused only after the
 // stage table printed) — all before any characterization, with nothing
 // on stdout.
@@ -112,6 +113,7 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-spot", "-hazard-rate", "1e9", "MaxHazardPerHour"},
 		{"-table1", "-deadlines", "-5", "must not be negative"},
 		{"-table1", "-deadlines", "10,abc", "bad deadline"},
+		{"-batch", "-workers", "-3", "must not be negative"},
 	} {
 		msg := clitest.RunFail(t, bin, tc.mode, tc.flag, tc.value, "-designs", "dyn_node", "-design", "dyn_node", "-scale", "0.02")
 		if !strings.Contains(msg, tc.want) {

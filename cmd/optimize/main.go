@@ -32,19 +32,19 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
-	"os"
 	"strconv"
 	"strings"
 
 	"edacloud/internal/cache"
+	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
-	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 	"edacloud/internal/techlib"
 )
+
+const prog = "optimize"
 
 func main() {
 	design := flag.String("design", "sparc_core", "design for Table I / plan execution")
@@ -65,34 +65,18 @@ func main() {
 	useCache := flag.Bool("cache", false, "attach an artifact store to -batch: repeated stage work is planned as cache hits and the joint plan is compared against the cache-blind one")
 	workers := flag.Int("workers", 0, "bound for the characterization fan-out and kernel pools (0 = all cores; results identical)")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	if err := designs.CheckScale(*scale); err != nil {
-		fail(fmt.Errorf("-scale: %w", err))
-	}
-	if !(*slack > 0) || math.IsInf(*slack, 0) {
-		fail(fmt.Errorf("-slack %v: the deadline multiple must be positive and finite", *slack))
-	}
-	if *deadline < 0 {
-		fail(fmt.Errorf("-deadline %d: must not be negative (0 = midway between fastest and cheapest)", *deadline))
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"minbill", *minBill}, {"hazard-rate", *hazardRate}} {
-		if !(f.v >= 0) || math.IsInf(f.v, 0) {
-			fail(fmt.Errorf("-%s %v: must be finite and not negative", f.name, f.v))
-		}
-	}
-	if *hazardRate > cloud.MaxHazardPerHour {
-		fail(fmt.Errorf("-hazard-rate %v: above cloud.MaxHazardPerHour (%d/h, one revocation per second of spot time)", *hazardRate, cloud.MaxHazardPerHour))
-	}
+	cli.Check(prog,
+		cli.NoArgs(flag.Args()),
+		cli.Count("workers", *workers),
+		cli.Scale("scale", *scale),
+		cli.Positive("slack", *slack),
+		cli.Count("deadline", *deadline),
+		cli.NonNegative("minbill", *minBill),
+		cli.HazardRate(*hazardRate),
+		cli.Refuse(*useCache && !*batch, "-cache applies to -batch (the store dedups across a batch of flows)"),
+	)
 	deadlines := parseDeadlines(*deadlineList)
 
-	if *useCache && !*batch {
-		fail(fmt.Errorf("-cache applies to -batch (the store dedups across a batch of flows)"))
-	}
 	if !*table1 && !*figure6 && !*execute && !*batch && !*spot {
 		*table1 = true
 		*figure6 = true
@@ -122,7 +106,11 @@ func main() {
 	}
 
 	if *table1 {
-		_, prob := buildProblem(lib, catalog, *design, opts)
+		ds, err := cli.Designs(lib, []string{*design}, opts, catalog)
+		if err != nil {
+			cli.Fail(prog, err)
+		}
+		prob := ds[0].Probs[0]
 		fmt.Printf("Table I: minimizing deployment cost for %s under runtime constraints\n\n", *design)
 		printStageTable(prob)
 
@@ -139,7 +127,7 @@ func main() {
 		}
 		rows, err := prob.TableI(deadlines)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		fmt.Printf("\n%-12s %-52s %10s %10s\n", "constraint", "selection", "total time", "cost ($)")
 		for _, r := range rows {
@@ -157,33 +145,23 @@ func main() {
 		fmt.Printf("%-12s %12s %12s %12s %10s %12s\n",
 			"design", "over ($)", "opt ($)", "under ($)", "saving", "opt overhead")
 		var totalSaving float64
-		designsList := []string{"sparc_core", "coyote", "ariane", "swerv"}
-		for _, d := range designsList {
-			_, prob := buildProblem(lib, catalog, d, opts)
-			cmp, err := core.CompareProvisioning(prob, *slack)
+		ds, err := cli.Designs(lib, []string{"sparc_core", "coyote", "ariane", "swerv"}, opts, catalog)
+		if err != nil {
+			cli.Fail(prog, err)
+		}
+		for _, d := range ds {
+			cmp, err := core.CompareProvisioning(d.Probs[0], *slack)
 			if err != nil {
-				fail(err)
+				cli.Fail(prog, err)
 			}
 			fmt.Printf("%-12s %12.4f %12.4f %12.4f %9.1f%% %11.1f%%\n",
-				d, cmp.Over.TotalCost, cmp.Opt.TotalCost, cmp.Under.TotalCost,
+				d.Name, cmp.Over.TotalCost, cmp.Opt.TotalCost, cmp.Under.TotalCost,
 				cmp.SavingVsOverPct, cmp.OverheadVsBestPct)
 			totalSaving += cmp.SavingVsOverPct
 		}
 		fmt.Printf("\nAverage saving vs over-provisioning: %.2f%% (paper: 35.29%%)\n",
-			totalSaving/float64(len(designsList)))
+			totalSaving/float64(len(ds)))
 	}
-}
-
-func buildProblem(lib *techlib.Library, catalog *cloud.Catalog, design string, opts core.CharacterizeOptions) (*core.DesignCharacterization, *core.DeploymentProblem) {
-	char, err := core.CharacterizeEval(lib, design, opts)
-	if err != nil {
-		fail(err)
-	}
-	prob, err := core.BuildDeploymentProblem(char, catalog)
-	if err != nil {
-		fail(err)
-	}
-	return char, prob
 }
 
 // executePlan is the run-the-plan mode: optimize a deployment under
@@ -191,30 +169,34 @@ func buildProblem(lib *techlib.Library, catalog *cloud.Catalog, design string, o
 // flow.PlanPolicy, validating the knapsack's per-stage predictions
 // against the simulated schedule.
 func executePlan(lib *techlib.Library, catalog *cloud.Catalog, design string, opts core.CharacterizeOptions, deadline int, fleetSpec string) {
-	char, prob := buildProblem(lib, catalog, design, opts)
+	ds, err := cli.Designs(lib, []string{design}, opts, catalog)
+	if err != nil {
+		cli.Fail(prog, err)
+	}
+	char, prob := ds[0].Char, ds[0].Probs[0]
 	if deadline <= 0 {
 		deadline = (prob.MinTime() + prob.UnderProvision().TotalTime) / 2
 	}
 	plan, err := prob.Optimize(deadline)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	if !plan.Feasible {
-		fail(fmt.Errorf("deadline %ds below the fastest achievable %ds", deadline, prob.MinTime()))
+		cli.Fail(prog, fmt.Errorf("deadline %ds below the fastest achievable %ds", deadline, prob.MinTime()))
 	}
 	var fleet *cloud.Fleet
 	if fleetSpec != "" {
 		if fleet, err = cloud.ParseFleetSpec(catalog, fleetSpec); err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 	}
 	sched, err := core.ExecutePlan(lib, char, plan, opts, fleet)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	j := sched.Jobs[0]
 	if j.Err != nil {
-		fail(j.Err)
+		cli.Fail(prog, j.Err)
 	}
 
 	fmt.Printf("Plan execution: %s under a %ds deadline (policy %s, fleet %s)\n\n",
@@ -224,7 +206,7 @@ func executePlan(lib *techlib.Library, catalog *cloud.Catalog, design string, op
 	for _, st := range j.Stages {
 		pick, err := plan.Pick(st.Kind)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		fmt.Printf("%-12s %-10s %11.1fs %11.1fs %14.4f %14.4f\n",
 			st.Kind, st.Instance, pick.Seconds, st.Seconds, pick.Cost, st.CostUSD)
@@ -246,54 +228,32 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 	}
 	fleet, err := cloud.ParseFleetSpec(catalog, fleetSpec)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
-	// Characterize each distinct design once; repeats share the table.
-	chars := map[string]*core.DesignCharacterization{}
-	probs := map[string]*core.DeploymentProblem{}
-	var specs []core.BatchJobSpec
-	for i, name := range names {
-		name = strings.TrimSpace(name)
-		if chars[name] == nil {
-			char, prob := buildProblem(lib, catalog, name, opts)
-			chars[name], probs[name] = char, prob
-		}
-		specs = append(specs, core.BatchJobSpec{
-			Name: fmt.Sprintf("%s#%d", name, i),
-			Char: chars[name],
-			Prob: probs[name],
-		})
-	}
-	// Deadlines: slack x each job's independently optimal serial time —
-	// met alone on an idle fleet, contended in the batch.
-	ibp, err := core.IndependentBatchPlan(specs, fleet)
+	ds, err := cli.Designs(lib, names, opts, catalog)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
-	if !ibp.Feasible {
-		fail(fmt.Errorf("independent plans infeasible on fleet %s", fleet))
-	}
-	for i := range specs {
-		specs[i].DeadlineSec = int(slack * float64(ibp.Plans[i].TotalTime))
-	}
-	if ibp, err = core.IndependentBatchPlan(specs, fleet); err != nil {
-		fail(err)
+	specs := cli.BatchSpecs(ds, 0)
+	ibp, err := core.SlackDeadlines(specs, fleet, slack)
+	if err != nil {
+		cli.Fail(prog, err)
 	}
 	if store != nil {
 		// Predict which stages the store (empty here, so only earlier
 		// jobs in this batch) will serve, and keep a cache-blind copy of
 		// the specs so the two joint plans can be priced side by side.
 		if err := core.PredictCacheHits(store, lib, specs, opts); err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 	}
 	bp, err := core.OptimizeBatchOpts(specs, fleet, core.BatchOptions{Cache: store})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	if !bp.Feasible {
-		fail(fmt.Errorf("batch infeasible: a job cannot meet its own deadline alone"))
+		cli.Fail(prog, fmt.Errorf("batch infeasible: a job cannot meet its own deadline alone"))
 	}
 
 	fmt.Printf("Batch co-optimization: %d jobs on fleet %s (deadline slack %.2fx, method %s)\n\n",
@@ -307,7 +267,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 
 	sched, err := core.ExecuteBatchPlan(lib, specs, bp, opts, fleet.Clone(), false)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	fmt.Printf("\nPredicted schedule under contention (verified against the fleet simulation):\n\n")
 	fmt.Printf("%-12s %9s %9s %9s %10s %9s %9s\n",
@@ -316,7 +276,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 	for i, f := range bp.Forecast.Jobs {
 		j := sched.Jobs[i]
 		if j.Err != nil {
-			fail(j.Err)
+			cli.Fail(prog, j.Err)
 		}
 		match := "match"
 		if j.StartSec != f.StartSec || j.FinishSec != f.FinishSec ||
@@ -331,7 +291,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 			f.Name, f.StartSec, f.WaitSec, f.FinishSec, f.CostUSD, status, match)
 	}
 	if !exact {
-		fail(fmt.Errorf("forecast diverged from the fleet simulation"))
+		cli.Fail(prog, fmt.Errorf("forecast diverged from the fleet simulation"))
 	}
 	fmt.Printf("\nBatch: $%.4f, makespan %.0fs, %.0fs queued, %d deadline(s) missed, fleet %.1f%% utilized\n",
 		sched.TotalCostUSD, sched.MakespanSec, sched.TotalWaitSec,
@@ -339,7 +299,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 
 	if store != nil {
 		if sched.CacheHits != bp.Forecast.CacheHits {
-			fail(fmt.Errorf("execution billed %d cache hits, forecast predicted %d", sched.CacheHits, bp.Forecast.CacheHits))
+			cli.Fail(prog, fmt.Errorf("execution billed %d cache hits, forecast predicted %d", sched.CacheHits, bp.Forecast.CacheHits))
 		}
 		// Price the cache-aware joint plan against the cache-blind one
 		// under the same predicted hits: both batches would execute over
@@ -352,7 +312,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 		}
 		blind, err := core.OptimizeBatch(blindSpecs, fleet)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		st := store.Stats()
 		fmt.Printf("\nArtifact cache: %d hits billed (as forecast), %d misses, %d entries live (%d bytes)\n",
@@ -370,11 +330,11 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 	// their choice tables, so queue-starved ones are re-planned).
 	static, err := core.ExecuteBatchPlan(lib, specs, ibp, opts, fleet.Clone(), false)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	adaptive, err := core.ExecuteBatchPlan(lib, specs, ibp, opts, fleet.Clone(), true)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	fmt.Printf("\n%-34s %10s %10s %10s %8s\n", "execution", "cost ($)", "makespan", "queued", "missed")
 	rows := []struct {
@@ -406,9 +366,9 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 // serial plan, so the on-demand execution always meets them; the
 // interesting question is what the two spot strategies pay and miss.
 func spotCompare(lib *techlib.Library, catalog *cloud.Catalog, names []string, opts core.CharacterizeOptions, slack float64, fleetSpec string, seed int64, rate float64) {
-	spotCat, err := catalog.WithSpot(0.7)
+	spotCat, hazards, err := cli.SpotCatalog(catalog, cli.SpotDiscount, rate)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	if fleetSpec == "" {
 		// Two machines per type: the on-demand strategy fits the batch
@@ -418,55 +378,24 @@ func spotCompare(lib *techlib.Library, catalog *cloud.Catalog, names []string, o
 	}
 	fleet, err := cloud.ParseFleetSpec(spotCat, fleetSpec)
 	if err != nil {
-		fail(err)
-	}
-	// Planning sees an unarmed fleet — the naive strategy's whole
-	// mistake is trusting nominal spot prices. Executions run on armed
-	// clones sharing one seeded model, so all three strategies face
-	// identical per-instance revocation timelines.
-	hazards := cloud.UniformSpotHazards(spotCat, rate)
-	execFleet := func() *cloud.Fleet {
-		f := fleet.Clone()
-		f.Revocation = cloud.NewRevocationModel(seed, hazards)
-		return f
+		cli.Fail(prog, err)
 	}
 	retry := flow.RetryPolicy{MaxAttempts: 200, BackoffSec: 15}
 
-	// Characterize each distinct design once; build both the on-demand
-	// deployment problem and its spot-extended twin.
-	chars := map[string]*core.DesignCharacterization{}
-	odProbs := map[string]*core.DeploymentProblem{}
-	spotProbs := map[string]*core.DeploymentProblem{}
-	var odSpecs, spotSpecs []core.BatchJobSpec
-	for i, name := range names {
-		name = strings.TrimSpace(name)
-		if chars[name] == nil {
-			char, err := core.CharacterizeEval(lib, name, opts)
-			if err != nil {
-				fail(err)
-			}
-			odProb, err := core.BuildDeploymentProblem(char, catalog)
-			if err != nil {
-				fail(err)
-			}
-			spotProb, err := core.BuildDeploymentProblem(char, spotCat)
-			if err != nil {
-				fail(err)
-			}
-			chars[name], odProbs[name], spotProbs[name] = char, odProb, spotProb
-		}
-		cheapest, err := odProbs[name].Optimize(odProbs[name].UnderProvision().TotalTime)
+	// Each design's on-demand deployment problem and its spot-extended
+	// twin share one deadline: slack x the cheapest on-demand plan.
+	ds, err := cli.Designs(lib, names, opts, catalog, spotCat)
+	if err != nil {
+		cli.Fail(prog, err)
+	}
+	odSpecs, spotSpecs := cli.BatchSpecs(ds, 0), cli.BatchSpecs(ds, 1)
+	for i, d := range ds {
+		cheapest, err := d.Probs[0].Optimize(d.Probs[0].UnderProvision().TotalTime)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
-		deadline := int(slack * float64(cheapest.TotalTime))
-		jobName := fmt.Sprintf("%s#%d", name, i)
-		odSpecs = append(odSpecs, core.BatchJobSpec{
-			Name: jobName, Char: chars[name], Prob: odProbs[name], DeadlineSec: deadline,
-		})
-		spotSpecs = append(spotSpecs, core.BatchJobSpec{
-			Name: jobName, Char: chars[name], Prob: spotProbs[name], DeadlineSec: deadline,
-		})
+		odSpecs[i].DeadlineSec = int(slack * float64(cheapest.TotalTime))
+		spotSpecs[i].DeadlineSec = odSpecs[i].DeadlineSec
 	}
 
 	type strategy struct {
@@ -487,24 +416,28 @@ func spotCompare(lib *techlib.Library, catalog *cloud.Catalog, names []string, o
 	for _, s := range strategies {
 		bp, err := core.OptimizeBatchOpts(s.specs, fleet, s.opts)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		if !bp.Feasible {
-			fail(fmt.Errorf("%s: batch infeasible", s.name))
+			cli.Fail(prog, fmt.Errorf("%s: batch infeasible", s.name))
 		}
 		fmt.Printf("%s plans:\n", s.name)
 		for i, spec := range s.specs {
 			fmt.Printf("  %-12s deadline %5ds  %s\n", spec.Name, spec.DeadlineSec, picksString(bp.Plans[i]))
 		}
-		sched, err := core.ExecuteBatchPlan(lib, s.specs, bp, opts, execFleet(), false)
+		// Planning sees the unarmed fleet: the naive strategy's whole
+		// mistake is trusting nominal spot prices. Each execution runs on
+		// a clone armed with the same seed, so all three strategies face
+		// identical per-instance revocation timelines.
+		sched, err := core.ExecuteBatchPlan(lib, s.specs, bp, opts, cli.Arm(fleet.Clone(), seed, hazards), false)
 		if err != nil {
-			fail(err)
+			cli.Fail(prog, err)
 		}
 		// A job revoked past its attempt cap is a legitimate outcome of
 		// the naive gamble — reported, not fatal. Anything else is a bug.
 		for _, j := range sched.Jobs {
 			if j.Err != nil && !strings.Contains(j.Err.Error(), "revoked on attempt") {
-				fail(j.Err)
+				cli.Fail(prog, j.Err)
 			}
 		}
 		scheds = append(scheds, sched)
@@ -611,17 +544,12 @@ func parseDeadlines(s string) []int {
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			fail(fmt.Errorf("bad deadline %q: %w", f, err))
+			cli.Fail(prog, fmt.Errorf("bad deadline %q: %w", f, err))
 		}
 		if v < 0 {
-			fail(fmt.Errorf("-deadlines: deadline %d must not be negative", v))
+			cli.Fail(prog, fmt.Errorf("-deadlines: deadline %d must not be negative", v))
 		}
 		out = append(out, v)
 	}
 	return out
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "optimize:", err)
-	os.Exit(1)
 }

@@ -16,15 +16,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"edacloud/internal/cli"
 	"edacloud/internal/core"
-	"edacloud/internal/designs"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
+
+const prog = "predict"
 
 func main() {
 	scale := flag.Float64("scale", 0.06, "benchmark scale factor")
@@ -40,21 +41,14 @@ func main() {
 	bins := flag.Int("bins", 12, "error histogram bins")
 	workers := flag.Int("workers", 0, "bound for the per-(benchmark, recipe) flow fan-out and for predictor training (0 = all cores; output identical)")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every option is a -flag", flag.Arg(0)))
-	}
-	if err := designs.CheckScale(*scale); err != nil {
-		fail(fmt.Errorf("-scale: %w", err))
-	}
-	if *recipes < 1 {
-		fail(fmt.Errorf("-recipes %d: need at least 1", *recipes))
-	}
-	if *epochs < 1 {
-		fail(fmt.Errorf("-epochs %d: need at least 1", *epochs))
-	}
-	if !(*testFrac >= 0 && *testFrac < 1) {
-		fail(fmt.Errorf("-test %v: the held-out fraction must lie in [0, 1)", *testFrac))
-	}
+	cli.Check(prog,
+		cli.NoArgs(flag.Args()),
+		cli.Count("workers", *workers),
+		cli.Scale("scale", *scale),
+		cli.Refuse(*recipes < 1, "-recipes %d: need at least 1", *recipes),
+		cli.Refuse(*epochs < 1, "-epochs %d: need at least 1", *epochs),
+		cli.Refuse(!(*testFrac >= 0 && *testFrac < 1), "-test %v: the held-out fraction must lie in [0, 1)", *testFrac),
+	)
 
 	cfg := gcn.Config{
 		Hidden1: *hidden1, Hidden2: *hidden2, FCHidden: *fcHidden,
@@ -62,7 +56,7 @@ func main() {
 		Workers: *workers,
 	}
 	if err := cfg.Check(); err != nil {
-		fail(fmt.Errorf("-hidden1 %d -hidden2 %d -fc %d -lr %v: %w", *hidden1, *hidden2, *fcHidden, *lr, err))
+		cli.Fail(prog, fmt.Errorf("-hidden1 %d -hidden2 %d -fc %d -lr %v: %w", *hidden1, *hidden2, *fcHidden, *lr, err))
 	}
 
 	lib := techlib.Default14nm()
@@ -81,14 +75,14 @@ func main() {
 		Workers:    *workers,
 	})
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 	fmt.Printf("Dataset: %d netlists, %d runtime labels\n\n", ds.NumNetlists(), ds.NumLabels())
 
 	fmt.Printf("Training per-application GCNs (%d epochs)...\n", *epochs)
 	_, eval, err := core.TrainPredictor(ds, cfg, *testFrac, *seed)
 	if err != nil {
-		fail(err)
+		cli.Fail(prog, err)
 	}
 
 	fmt.Println("\nFigure 5: runtime prediction error on unseen designs")
@@ -125,9 +119,4 @@ func benchNames(n int) []string {
 		n = 2
 	}
 	return all[:n]
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "predict:", err)
-	os.Exit(1)
 }

@@ -260,14 +260,8 @@ func main() {
 	// the shadow prices say the queue would eat the slack, and jobs that
 	// carry their choice tables are re-planned at placement time to
 	// recover what static plans lose.
-	ibp, err := core.IndependentBatchPlan(specs, shared)
+	ibp, err := core.SlackDeadlines(specs, shared, 1.3)
 	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range specs {
-		specs[i].DeadlineSec = int(1.3 * float64(ibp.Plans[i].TotalTime))
-	}
-	if ibp, err = core.IndependentBatchPlan(specs, shared); err != nil {
 		log.Fatal(err)
 	}
 	static, err := core.ExecuteBatchPlan(lib, specs, ibp, charOpts, shared.Clone(), false)

@@ -312,6 +312,25 @@ func IndependentBatchPlan(specs []BatchJobSpec, fleet *cloud.Fleet) (*BatchPlan,
 	return bp, nil
 }
 
+// SlackDeadlines sets each spec's deadline to ⌊slack × the serial time
+// of its IndependentBatchPlan plan⌋ (the cheapest plan when the spec
+// has no deadline yet): a deadline the job meets alone on an idle fleet
+// and that queueing erodes in the contended batch. It returns
+// IndependentBatchPlan re-solved under those deadlines.
+func SlackDeadlines(specs []BatchJobSpec, fleet *cloud.Fleet, slack float64) (*BatchPlan, error) {
+	ibp, err := IndependentBatchPlan(specs, fleet)
+	if err != nil {
+		return nil, err
+	}
+	if !ibp.Feasible {
+		return nil, fmt.Errorf("core: independent plans infeasible on fleet %s", fleet)
+	}
+	for i := range specs {
+		specs[i].DeadlineSec = int(slack * float64(ibp.Plans[i].TotalTime))
+	}
+	return IndependentBatchPlan(specs, fleet)
+}
+
 // ExecuteBatchPlan replays a batch plan on the fleet scheduler: every
 // job's flow regenerated at the characterization's scale, each stage
 // placed on its plan-chosen instance type under flow.PlanPolicy. With

@@ -137,16 +137,18 @@ func TestReplanRecoversSlack(t *testing.T) {
 	}
 	// Derive deadlines from an uncontended forecast: each job gets 1.3x
 	// its own independent serial runtime — met alone, blown in a queue.
-	ibp, err := IndependentBatchPlan(specs, fleet)
+	free, err := IndependentBatchPlan(specs, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range specs {
-		specs[i].DeadlineSec = int(1.3 * float64(ibp.Plans[i].TotalTime))
-	}
-	ibp, err = IndependentBatchPlan(specs, fleet)
+	ibp, err := SlackDeadlines(specs, fleet, 1.3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		if want := int(1.3 * float64(free.Plans[i].TotalTime)); spec.DeadlineSec != want {
+			t.Fatalf("%s: SlackDeadlines set %ds, want 1.3 x %ds = %ds", spec.Name, spec.DeadlineSec, free.Plans[i].TotalTime, want)
+		}
 	}
 	if !ibp.Feasible {
 		t.Fatal("independent plans infeasible under their own deadlines")
