@@ -26,8 +26,6 @@ import (
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
-	"edacloud/internal/ints"
-	"edacloud/internal/mat"
 	"edacloud/internal/mckp"
 	"edacloud/internal/par"
 	"edacloud/internal/place"
@@ -267,7 +265,7 @@ func BenchmarkAblationMCKPGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var dpWins, ties int
 		var worstGapPct float64
-		for d := minTime; d <= under.TotalTime; d += ints.Max((under.TotalTime-minTime)/16, 1) {
+		for d := minTime; d <= under.TotalTime; d += max((under.TotalTime-minTime)/16, 1) {
 			dp, err := prob.Optimize(d)
 			if err != nil {
 				b.Fatal(err)
@@ -374,35 +372,6 @@ func BenchmarkAblationGCNCapacity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMapObjective compares delay- and area-oriented
-// technology mapping on three benchmarks: the area objective trades
-// critical-path arrival for smaller netlists.
-func BenchmarkAblationMapObjective(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if i == 0 {
-			fmt.Printf("\nAblation mapping objective (area um^2 / levels):")
-		}
-		for _, bench := range []string{"adder", "cavlc", "mem_ctrl"} {
-			g := designs.MustBenchmark(bench, 0.15)
-			d, err := synth.MapToCellsObjective(g, benchLib, false, synth.MapDelay, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := synth.MapToCellsObjective(g, benchLib, false, synth.MapArea, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				ds, as := d.Stats(), a.Stats()
-				fmt.Printf("  %s: delay %.0f/%d, area %.0f/%d", bench, ds.Area, ds.Levels, as.Area, as.Levels)
-			}
-		}
-		if i == 0 {
-			fmt.Println()
-		}
-	}
-}
-
 // BenchmarkMCKPSolver measures the raw pseudo-polynomial DP on the
 // paper's own Table I numbers.
 func BenchmarkMCKPSolver(b *testing.B) {
@@ -426,162 +395,6 @@ func BenchmarkMCKPSolver(b *testing.B) {
 		if err != nil || !sel.Feasible {
 			b.Fatal("paper instance must be feasible at 10000s")
 		}
-	}
-}
-
-// --- Parallel execution engine: serial vs multicore wall-clock ---
-
-// reportParSpeedup prints and records the serial/parallel wall-clock
-// ratio of one kernel. On a single-core machine the ratio is ~1 by
-// construction; the >=2x targets apply at 4+ cores.
-func reportParSpeedup(b *testing.B, first bool, name string, serial, parallel time.Duration) {
-	ratio := serial.Seconds() / parallel.Seconds()
-	b.ReportMetric(ratio, "x-speedup")
-	if first {
-		fmt.Printf("\nParSpeedup %-16s cores=%d serial=%v parallel=%v speedup=%.2fx\n",
-			name, runtime.GOMAXPROCS(0), serial.Round(time.Millisecond), parallel.Round(time.Millisecond), ratio)
-	}
-}
-
-// benchParGraph builds one synthetic layered-DAG GCN sample.
-func benchParGraph(rng *rand.Rand, nodes, inDim int) *gcn.Graph {
-	x := mat.New(nodes, inDim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	predStart := make([]int32, nodes+1)
-	var pred []int32
-	for v := 0; v < nodes; v++ {
-		predStart[v] = int32(len(pred))
-		for e := 0; e < rng.Intn(3) && v > 0; e++ {
-			pred = append(pred, int32(rng.Intn(v)))
-		}
-	}
-	predStart[nodes] = int32(len(pred))
-	return &gcn.Graph{X: x, PredStart: predStart, Pred: pred}
-}
-
-// BenchmarkParSpeedupGCNTrain measures real wall-clock GCN training
-// at 1 worker vs the full GOMAXPROCS pool. Training loss is
-// bit-identical in both runs (see gcn's determinism test); target
-// >=2x on 4+ cores.
-func BenchmarkParSpeedupGCNTrain(b *testing.B) {
-	const inDim = 16
-	train := func(workers int) time.Duration {
-		rng := rand.New(rand.NewSource(42))
-		var samples []gcn.Sample
-		for s := 0; s < 4; s++ {
-			samples = append(samples, gcn.Sample{
-				Name:    "bench",
-				G:       benchParGraph(rng, 2000, inDim),
-				Targets: []float64{1, 0.6, 0.4, 0.3},
-			})
-		}
-		m := gcn.NewModel(gcn.Config{Hidden1: 128, Hidden2: 64, FCHidden: 32, Epochs: 3, LR: 1e-3, Workers: workers}, inDim)
-		start := time.Now()
-		if _, err := m.Train(samples); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial := train(1)
-		parallel := train(0)
-		reportParSpeedup(b, i == 0, "gcn-train", serial, parallel)
-	}
-}
-
-// BenchmarkParSpeedupCharacterize measures one characterization at 1
-// worker vs the full pool. Since one flow run profiles all four VM
-// configurations there is no per-configuration fan-out left to spread:
-// only the kernel pools inside the flow scale, so expect the ratio of a
-// single instrumented flow (about 1.3 busy cores), not 4x. Profiles are
-// identical in both runs (see core's determinism test).
-func BenchmarkParSpeedupCharacterize(b *testing.B) {
-	run := func(workers int) time.Duration {
-		start := time.Now()
-		_, err := core.CharacterizeEval(benchLib, "dyn_node",
-			core.CharacterizeOptions{Scale: benchScale, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial := run(1)
-		parallel := run(0)
-		reportParSpeedup(b, i == 0, "characterize", serial, parallel)
-	}
-}
-
-// BenchmarkParSpeedupMatMul measures the raw dense matmul kernel.
-func BenchmarkParSpeedupMatMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	mk := func(r, c int) *mat.Dense {
-		m := mat.New(r, c)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	x := mk(512, 512)
-	y := mk(512, 512)
-	out := mat.New(512, 512)
-	run := func(p *par.Pool) time.Duration {
-		start := time.Now()
-		for rep := 0; rep < 4; rep++ {
-			mat.MulPool(p, x, y, out)
-		}
-		return time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial := run(par.Fixed(1))
-		parallel := run(par.Default())
-		reportParSpeedup(b, i == 0, "matmul-512", serial, parallel)
-	}
-}
-
-// BenchmarkParSpeedupSynthesize measures the full synthesis job
-// (recipe passes + mapping over level-parallel cut enumeration).
-func BenchmarkParSpeedupSynthesize(b *testing.B) {
-	g := designs.MustEvalDesign("jpeg", benchScale)
-	recipe, _ := synth.RecipeByName("resyn2")
-	run := func(workers int) time.Duration {
-		start := time.Now()
-		if _, err := synth.Synthesize(g.Clone(), benchLib, synth.Options{Recipe: recipe, StageConfig: par.StageConfig{Workers: workers}}); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial := run(1)
-		parallel := run(0)
-		reportParSpeedup(b, i == 0, "synthesize", serial, parallel)
-	}
-}
-
-// BenchmarkParSpeedupRewrite measures the cone-parallel rewrite pass
-// alone — the last serial hot kernel of the flow before PR 5: the AIG
-// partitions into independent cone groups, each resynthesized against
-// a private strash shard, merged in deterministic partition order.
-// Results are bit-identical at every worker count (see synth's
-// determinism test); target >=2x on 4+ cores.
-func BenchmarkParSpeedupRewrite(b *testing.B) {
-	g := designs.MustEvalDesign("jpeg", benchScale)
-	if parts := g.PartitionCones(synth.PartitionGrain).NumParts(); parts < 4 {
-		b.Fatalf("design spans only %d partitions", parts)
-	}
-	run := func(workers int) time.Duration {
-		start := time.Now()
-		if _, err := synth.RunPass(g, synth.PassRewrite, nil, workers); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial := run(1)
-		parallel := run(0)
-		reportParSpeedup(b, i == 0, "rewrite", serial, parallel)
 	}
 }
 

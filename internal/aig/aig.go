@@ -14,7 +14,6 @@ package aig
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Lit is an AIG literal: 2*variable + complement bit.
@@ -51,9 +50,6 @@ func (l Lit) NotIf(c bool) Lit {
 	}
 	return l
 }
-
-// Reg returns the uncomplemented (regular) version of the literal.
-func (l Lit) Reg() Lit { return l &^ 1 }
 
 func (l Lit) String() string {
 	if l.IsNeg() {
@@ -283,9 +279,6 @@ func (g *Graph) Xor(a, b Lit) Lit {
 	return g.Or(g.And(a, b.Not()), g.And(a.Not(), b))
 }
 
-// Xnor returns a literal computing NOT(a XOR b).
-func (g *Graph) Xnor(a, b Lit) Lit { return g.Xor(a, b).Not() }
-
 // Mux returns a literal computing (sel ? t : e).
 func (g *Graph) Mux(sel, t, e Lit) Lit {
 	return g.Or(g.And(sel, t), g.And(sel.Not(), e))
@@ -401,12 +394,9 @@ func (s Stats) String() string {
 	return fmt.Sprintf("i/o=%d/%d ands=%d depth=%d", s.Inputs, s.Outputs, s.Ands, s.Depth)
 }
 
-// MarkCone sets mark[v] for every variable in the transitive fanin cone
-// of root (including root itself).
-func (g *Graph) MarkCone(root Lit, mark []bool) { g.markCone(root, mark, nil) }
-
-// markCone is MarkCone on the caller's DFS stack, returned empty for
-// the next root.
+// markCone sets mark[v] for every variable in the transitive fanin
+// cone of root (including root itself), on the caller's DFS stack,
+// which it returns empty for the next root.
 func (g *Graph) markCone(root Lit, mark []bool, stack []int) []int {
 	stack = append(stack, root.Var())
 	for len(stack) > 0 {
@@ -421,20 +411,6 @@ func (g *Graph) markCone(root Lit, mark []bool, stack []int) []int {
 		}
 	}
 	return stack
-}
-
-// ConeSize returns the number of AND nodes in the transitive fanin cone
-// of the given literal.
-func (g *Graph) ConeSize(root Lit) int {
-	mark := make([]bool, len(g.nodes))
-	g.MarkCone(root, mark)
-	count := 0
-	for v, m := range mark {
-		if m && g.nodes[v].kind == kindAnd {
-			count++
-		}
-	}
-	return count
 }
 
 // Sweep returns a copy of the graph containing only nodes reachable from
@@ -504,27 +480,3 @@ func (g *Graph) InputVars() []int { return append([]int(nil), g.inputs...) }
 
 // Outputs returns the primary output literals in order.
 func (g *Graph) Outputs() []Lit { return append([]Lit(nil), g.outputs...) }
-
-// LevelHistogram returns a map from logic level to the number of AND
-// nodes at that level; useful as a structural feature.
-func (g *Graph) LevelHistogram() map[int]int {
-	lv := g.Levels()
-	h := make(map[int]int)
-	for v := 1; v < len(g.nodes); v++ {
-		if g.nodes[v].kind == kindAnd {
-			h[int(lv[v])]++
-		}
-	}
-	return h
-}
-
-// SortedLevels returns the distinct logic levels of AND nodes ascending.
-func (g *Graph) SortedLevels() []int {
-	h := g.LevelHistogram()
-	out := make([]int, 0, len(h))
-	for l := range h {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -23,9 +23,6 @@ func TestLitBasics(t *testing.T) {
 	if l.NotIf(false) != l || l.NotIf(true) != l.Not() {
 		t.Fatal("NotIf misbehaves")
 	}
-	if l.Not().Reg() != l {
-		t.Fatal("Reg should strip complement")
-	}
 	if False.Not() != True || True.Not() != False {
 		t.Fatal("constant literals are not complements")
 	}
@@ -80,7 +77,6 @@ func TestXorMuxTruthTables(t *testing.T) {
 	b := g.AddInput("b")
 	s := g.AddInput("s")
 	g.AddOutput(g.Xor(a, b), "xor")
-	g.AddOutput(g.Xnor(a, b), "xnor")
 	g.AddOutput(g.Mux(s, a, b), "mux")
 	g.AddOutput(g.Maj(a, b, s), "maj")
 
@@ -104,13 +100,10 @@ func TestXorMuxTruthTables(t *testing.T) {
 	if got, want := out[0]&mask, (wa^wb)&mask; got != want {
 		t.Errorf("xor: got %08b want %08b", got, want)
 	}
-	if got, want := out[1]&mask, (^(wa ^ wb))&mask; got != want {
-		t.Errorf("xnor: got %08b want %08b", got, want)
-	}
-	if got, want := out[2]&mask, ((ws&wa)|(^ws&wb))&mask; got != want {
+	if got, want := out[1]&mask, ((ws&wa)|(^ws&wb))&mask; got != want {
 		t.Errorf("mux: got %08b want %08b", got, want)
 	}
-	if got, want := out[3]&mask, ((wa&wb)|(wa&ws)|(wb&ws))&mask; got != want {
+	if got, want := out[2]&mask, ((wa&wb)|(wa&ws)|(wb&ws))&mask; got != want {
 		t.Errorf("maj: got %08b want %08b", got, want)
 	}
 }
@@ -153,13 +146,6 @@ func TestLevelsAndFanouts(t *testing.T) {
 	}
 	if fo[y.Var()] != 1 {
 		t.Fatalf("fanout(y) = %d, want 1 (the output)", fo[y.Var()])
-	}
-	h := g.LevelHistogram()
-	if h[1] != 1 || h[2] != 1 {
-		t.Fatalf("level histogram = %v", h)
-	}
-	if sl := g.SortedLevels(); len(sl) != 2 || sl[0] != 1 || sl[1] != 2 {
-		t.Fatalf("sorted levels = %v", sl)
 	}
 }
 
@@ -476,27 +462,6 @@ func TestQuickSweepPreservesFunction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConeSize(t *testing.T) {
-	g := New("cone")
-	a := g.AddInput("a")
-	b := g.AddInput("b")
-	c := g.AddInput("c")
-	x := g.And(a, b)
-	y := g.And(x, c)
-	z := g.And(a, c) // outside y's cone? a and c are shared inputs, but z is a distinct AND
-	g.AddOutput(y, "y")
-	g.AddOutput(z, "z")
-	if got := g.ConeSize(y); got != 2 {
-		t.Fatalf("ConeSize(y) = %d, want 2", got)
-	}
-	if got := g.ConeSize(z); got != 1 {
-		t.Fatalf("ConeSize(z) = %d, want 1", got)
-	}
-	if got := g.ConeSize(a); got != 0 {
-		t.Fatalf("ConeSize(input) = %d, want 0", got)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestPartitionConesCoversReachableAnds(t *testing.T) {
 	}
 	reach := make([]bool, g.NumVars())
 	for _, o := range g.Outputs() {
-		g.MarkCone(o, reach)
+		g.markCone(o, reach, nil)
 	}
 	seen := make([]int32, g.NumVars())
 	for i := range seen {

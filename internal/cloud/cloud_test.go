@@ -12,18 +12,16 @@ func TestDefaultCatalogShape(t *testing.T) {
 		t.Fatalf("catalog has %d types, want 12", len(c.Types))
 	}
 	for _, f := range []Family{GeneralPurpose, MemoryOptimized, ComputeOptimized} {
-		sizes := c.Sizes(f)
-		if len(sizes) != 4 {
-			t.Fatalf("%v: %d sizes", f, len(sizes))
-		}
-		for i, it := range sizes {
-			want := 1 << i
-			if it.VCPUs != want {
-				t.Errorf("%v size %d: vCPUs %d, want %d", f, i, it.VCPUs, want)
+		var sizes []InstanceType
+		for i := 0; i < 4; i++ {
+			it, err := c.Size(f, 1<<i)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if it.PricePerHour <= 0 || it.MemGiB <= 0 {
 				t.Errorf("%s: non-positive price or memory", it.Name)
 			}
+			sizes = append(sizes, it)
 		}
 		// Prices strictly increase with size within a family.
 		for i := 1; i < len(sizes); i++ {

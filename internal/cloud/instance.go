@@ -134,22 +134,6 @@ func (c *Catalog) ByName(name string) (InstanceType, error) {
 	return InstanceType{}, fmt.Errorf("cloud: no instance type %q", name)
 }
 
-// Sizes returns the instance types of one family ordered by vCPUs.
-func (c *Catalog) Sizes(f Family) []InstanceType {
-	var out []InstanceType
-	for _, it := range c.Types {
-		if it.Family == f {
-			out = append(out, it)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].VCPUs < out[j-1].VCPUs; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // WithMinBill returns a copy of the catalog whose every instance type
 // bills with the given minimum granularity (seconds). The default
 // catalog bills purely per second so the paper's Table I calibration
@@ -167,11 +151,12 @@ func (c *Catalog) WithMinBill(seconds float64) *Catalog {
 // variant of every on-demand type: "<name>.spot", the same hardware at
 // the given fractional discount (0.7 means 70% off on-demand), marked
 // Revocable and pointing back at its OnDemand counterpart. Variants
-// are appended after the originals, so family/size lookups (Size,
-// Sizes first-match behavior) and every existing name keep resolving
-// to on-demand capacity; spot is only ever an explicit opt-in.
+// are appended after the originals, so Size's first match and every
+// existing name keep resolving to on-demand capacity; spot is only
+// ever an explicit opt-in. A discount outside (0,1), NaN included, is
+// refused.
 func (c *Catalog) WithSpot(discount float64) (*Catalog, error) {
-	if discount <= 0 || discount >= 1 {
+	if !(discount > 0 && discount < 1) {
 		return nil, fmt.Errorf("cloud: spot discount %g outside (0,1)", discount)
 	}
 	out := &Catalog{Types: append([]InstanceType(nil), c.Types...)}

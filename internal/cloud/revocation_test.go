@@ -49,11 +49,10 @@ func TestWithSpotCatalogShape(t *testing.T) {
 	if it.Name != "gp.4x" {
 		t.Fatalf("Size resolved to %q, want the on-demand gp.4x", it.Name)
 	}
-	if _, err := c.WithSpot(0); err == nil {
-		t.Fatal("discount 0 accepted")
-	}
-	if _, err := c.WithSpot(1); err == nil {
-		t.Fatal("discount 1 accepted")
+	for _, discount := range []float64{0, 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := c.WithSpot(discount); err == nil {
+			t.Errorf("discount %g accepted", discount)
+		}
 	}
 	// Spot-of-spot must not appear on a second application.
 	c2, err := c.WithSpot(0.5)

@@ -76,7 +76,7 @@ func sameSpotSchedule(t *testing.T, seed int64, workers int, got, want *flow.Sch
 					seed, workers, w.Name, s, g.Stages[s], w.Stages[s])
 			}
 		}
-		if g.Run.NetlistHash() != w.Run.NetlistHash() || g.Run.TimingHash() != w.Run.TimingHash() {
+		if g.Run.NetlistHash() != w.Run.NetlistHash() || g.Run.Timing.Fingerprint() != w.Run.Timing.Fingerprint() {
 			t.Fatalf("seed %d workers=%d: job %s artifacts diverged", seed, workers, w.Name)
 		}
 	}

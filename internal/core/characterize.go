@@ -8,7 +8,6 @@ import (
 	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
-	"edacloud/internal/ints"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 	"edacloud/internal/place"
@@ -55,10 +54,6 @@ func (o CharacterizeOptions) withDefaults() CharacterizeOptions {
 	return o
 }
 
-// EstimateCells predicts mapped instance count from AIG size (the
-// mapper covers roughly two AND nodes per cell).
-func EstimateCells(ands int) int { return flow.EstimateCells(ands) }
-
 // workScaleFor extrapolates simulated runtime to the full-size design.
 // EDA runtimes grow superlinearly in instance count (longer routes,
 // more solver iterations), hence the 1.15 exponent, and a reduced-
@@ -67,7 +62,7 @@ func EstimateCells(ands int) int { return flow.EstimateCells(ands) }
 // effort factor. Both only rescale absolute seconds; per-configuration
 // ratios, which every experiment's shape rests on, are untouched.
 func workScaleFor(targetInstances, cells int) float64 {
-	ratio := float64(targetInstances) / float64(ints.Max(cells, 1))
+	ratio := float64(targetInstances) / float64(max(cells, 1))
 	if ratio < 1 {
 		ratio = 1
 	}
@@ -127,7 +122,7 @@ func machineFor(vcpus int, avx bool, interference, workScale float64) perf.Machi
 // of a stage's report as a VM of one of those sizes profiles it.
 func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers int, vcpus []int) (*flow.RunContext, func(JobKind, int) *perf.Report, error) {
 	probes := map[JobKind]*perf.Probe{}
-	estCells := EstimateCells(g.NumAnds())
+	estCells := flow.EstimateCells(g.NumAnds())
 	rc, err := flow.NewPipeline(
 		flow.WithRecipe(recipe),
 		flow.WithWorkers(workers),

@@ -48,7 +48,7 @@ func TestProbeStreamIndependentOfVCPUs(t *testing.T) {
 }
 
 func vcpuBlind(t *testing.T, g *aig.Graph, recipe synth.Recipe) {
-	estCells := EstimateCells(g.NumAnds())
+	estCells := flow.EstimateCells(g.NumAnds())
 	var want *flow.RunContext
 	for _, v := range []int{1, 2, 4, 8} {
 		rc, err := flow.NewPipeline(
@@ -83,7 +83,7 @@ func vcpuBlind(t *testing.T, g *aig.Graph, recipe synth.Recipe) {
 // cell count.
 func refProfile(t *testing.T, g *aig.Graph, recipe synth.Recipe, vcpus []int) ([]map[JobKind]*perf.Report, int) {
 	t.Helper()
-	estCells := EstimateCells(g.NumAnds())
+	estCells := flow.EstimateCells(g.NumAnds())
 	var reports []map[JobKind]*perf.Report
 	cells := 0
 	for _, v := range vcpus {

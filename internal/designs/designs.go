@@ -43,11 +43,6 @@ func BenchmarkNames() []string {
 	return names
 }
 
-// ArithmeticNames returns the arithmetic benchmark subset.
-func ArithmeticNames() []string {
-	return []string{"adder", "bar", "div", "hyp", "log2", "max", "multiplier", "sin", "sqrt", "square"}
-}
-
 // Benchmark generates the named benchmark at the given scale (1 =
 // EPFL-suite-like size). The graph is swept of dead logic before
 // return, so its size statistics are meaningful.

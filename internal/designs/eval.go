@@ -3,7 +3,6 @@ package designs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"edacloud/internal/aig"
 )
@@ -212,13 +211,4 @@ func appendGraph(g *aig.Graph, sub *aig.Graph, inMap []aig.Lit) []aig.Lit {
 		outs[i] = old2new[o.Var()].NotIf(o.IsNeg())
 	}
 	return outs
-}
-
-// SortedEvalTargets returns design names ordered by target instance
-// count ascending (already the storage order; exported for callers
-// that need the guarantee).
-func SortedEvalTargets() []EvalSpec {
-	specs := append([]EvalSpec(nil), evalSpecs...)
-	sort.Slice(specs, func(i, j int) bool { return specs[i].TargetInstances < specs[j].TargetInstances })
-	return specs
 }

@@ -26,8 +26,8 @@ var updateCacheGoldens = flag.Bool("update", false, "rewrite the cache hash gold
 // hashes — the identity the bit-identical acceptance checks compare.
 func artifactHashes(rc *RunContext) [5]uint64 {
 	return [5]uint64{
-		rc.OptimizedHash(), rc.NetlistHash(), rc.PlacementHash(),
-		rc.RoutingHash(), rc.TimingHash(),
+		rc.Optimized.Fingerprint(), rc.NetlistHash(), rc.Placement.Fingerprint(),
+		rc.Routing.Fingerprint(), rc.Timing.Fingerprint(),
 	}
 }
 
@@ -259,7 +259,7 @@ func TestCanonicalHashStability(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("%s design %#016x", name, rc.DesignHash()))
 		lines = append(lines, fmt.Sprintf("%s lib %#016x", name, rc.LibHash()))
 		lines = append(lines, fmt.Sprintf("%s netlist %#016x", name, rc.NetlistHash()))
-		lines = append(lines, fmt.Sprintf("%s timing %#016x", name, rc.TimingHash()))
+		lines = append(lines, fmt.Sprintf("%s timing %#016x", name, rc.Timing.Fingerprint()))
 		for _, sk := range p.CacheKeys(g, lib) {
 			lines = append(lines, fmt.Sprintf("%s chain.%s %#016x", name, sk.Kind, uint64(sk.Key)))
 		}
@@ -317,7 +317,7 @@ func TestRoutingIndependentOfProbeAndWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, mode, err)
 			}
-			hash, keys := rc.RoutingHash(), p.CacheKeys(g, lib)
+			hash, keys := rc.Routing.Fingerprint(), p.CacheKeys(g, lib)
 			if mode == "workers 1" {
 				wantHash, wantKeys = hash, keys
 				continue

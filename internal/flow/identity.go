@@ -59,24 +59,9 @@ func (rc *RunContext) slotHash(s slot) uint64 {
 	return rc.ids.slot[s].of(a)
 }
 
-// OptimizedHash is the content hash of the post-recipe AIG; 0 when
-// synthesis has not run.
-func (rc *RunContext) OptimizedHash() uint64 { return rc.slotHash(slotOptimized) }
-
 // NetlistHash is the content hash of the mapped netlist; 0 before
 // synthesis.
 func (rc *RunContext) NetlistHash() uint64 { return rc.slotHash(slotNetlist) }
-
-// PlacementHash is the content hash of the placement; 0 before
-// placement (the "no placement" marker zero-wire-load STA keys on).
-func (rc *RunContext) PlacementHash() uint64 { return rc.slotHash(slotPlacement) }
-
-// RoutingHash is the content hash of the routing result; 0 before
-// routing.
-func (rc *RunContext) RoutingHash() uint64 { return rc.slotHash(slotRouting) }
-
-// TimingHash is the content hash of the STA result; 0 before sta.
-func (rc *RunContext) TimingHash() uint64 { return rc.slotHash(slotTiming) }
 
 // inputAnchor is the content hash of the direct inputs stage kind k
 // reads from the context — the root a key chain anchors on and the

@@ -56,9 +56,8 @@ func (s builtin) Run(rc *RunContext) error {
 }
 
 // Synthesis returns the built-in synthesis stage. The passed options
-// carry the stage-specific knobs (recipe, output registering, mapping
-// objective); Workers and Probe are resolved from the pipeline unless
-// set explicitly here.
+// carry the stage-specific knobs (recipe, output registering); Workers
+// and Probe are resolved from the pipeline unless set explicitly here.
 func Synthesis(opts synth.Options) Stage {
 	h := hash.New()
 	h.Str(opts.Recipe.Name)
@@ -71,7 +70,9 @@ func Synthesis(opts synth.Options) Stage {
 	} else {
 		h.Int(0)
 	}
-	h.Int(int(opts.Objective))
+	// The mapping objective every program left at 0: hashing that zero
+	// keeps the pinned chain keys.
+	h.Int(0)
 	return builtin{JobSynthesis, opts.StageConfig, uint64(h), "synth/1",
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts

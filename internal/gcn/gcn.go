@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"edacloud/internal/ints"
 	"edacloud/internal/mat"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
@@ -182,7 +181,7 @@ func (g *Graph) aggregate(p *par.Pool, h, out *mat.Dense) {
 
 // aggGrain chunks the aggregation sweep to roughly 32k element-ops.
 func aggGrain(cols int) int {
-	return ints.Max(1, (32<<10)/ints.Max(cols, 1))
+	return max(1, (32<<10)/max(cols, 1))
 }
 
 // aggregateBack propagates gradients through the aggregation: for each
@@ -372,7 +371,7 @@ func (m *Model) forward(g *Graph, ar *arena, train bool) forwardState {
 	// augmented with an explicit log-node-count feature, which is what
 	// lets the head extrapolate runtime to unseen design sizes.
 	pooledSum := mat.SumRows(st.h2, ar.mat(1, m.Cfg.Hidden2))
-	pooledSum.Scale(1 / float64(ints.Max(n, 1)))
+	pooledSum.Scale(1 / float64(max(n, 1)))
 	st.pooled = ar.mat(1, m.Cfg.Hidden2+1)
 	copy(st.pooled.Data, pooledSum.Data)
 	st.pooled.Data[m.Cfg.Hidden2] = math.Log1p(float64(n))
@@ -453,7 +452,7 @@ func (m *Model) backward(st forwardState, target []float64, gr *grads, ar *arena
 	// backpropagated).
 	n := st.h2.Rows
 	dH2 := ar.mat(n, m.Cfg.Hidden2)
-	inv := 1 / float64(ints.Max(n, 1))
+	inv := 1 / float64(max(n, 1))
 	for i := 0; i < n; i++ {
 		row := dH2.Row(i)
 		for j := 0; j < m.Cfg.Hidden2; j++ {

@@ -3,21 +3,6 @@
 // core, gcn and place.
 package ints
 
-// Max returns the larger of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Abs returns the absolute value of v.
 func Abs(v int) int {
 	if v < 0 {

@@ -5,19 +5,19 @@
 //
 // # Kernels
 //
-// The three products are register-blocked, not reassociated. Mul and
-// MulATB gather the non-zero coefficients of up to gatherWidth
+// The three products are register-blocked, not reassociated. MulPool
+// and MulATBPool gather the non-zero coefficients of up to gatherWidth
 // consecutive terms of an out row into a stack buffer and then add four
 // scaled b rows per pass over the out row, so out is loaded and stored
-// once per four terms instead of once per term; MulATB also walks its
-// operands in tiles of gatherWidth rows, so the b tile every out row
-// reads stays in L1. MulABT runs four dot products at a time.
+// once per four terms instead of once per term; MulATBPool also walks
+// its operands in tiles of gatherWidth rows, so the b tile every out
+// row reads stays in L1. MulABTPool runs four dot products at a time.
 //
 // The contract all of them keep, and kernels_ref_test.go checks bit for
 // bit against the plain triple loops: every out element receives its
 // terms one at a time, in ascending order of the summed index, each
 // product rounded before it is added; and a zero coefficient of a (in
-// Mul and MulATB) is skipped, never multiplied, so an Inf or NaN in b
+// MulPool and MulATBPool) is skipped, never multiplied, so an Inf or NaN in b
 // under a zero stays ignored. Loop nests, blocking and the worker count
 // are free; the order of terms per element is not.
 package mat
@@ -110,11 +110,8 @@ func rowGrain(rows, flopsPerRow int) int {
 	return g
 }
 
-// Mul computes out = a * b, allocating out when nil is passed.
-func Mul(a, b, out *Dense) *Dense { return MulPool(par.Default(), a, b, out) }
-
-// MulPool is Mul on an explicit worker pool. Rows of out are
-// partitioned across workers; each row's accumulation order matches
+// MulPool computes out = a * b on the pool p, allocating out when nil
+// is passed. Rows of out are partitioned across workers; each row's accumulation order matches
 // the serial kernel exactly, so the result is bit-identical for any
 // pool size.
 func MulPool(p *par.Pool, a, b, out *Dense) *Dense {
@@ -133,9 +130,9 @@ func MulPool(p *par.Pool, a, b, out *Dense) *Dense {
 	return out
 }
 
-// gatherWidth is how many consecutive terms of an out row the Mul and
-// MulATB kernels gather before applying them, and the height of
-// MulATB's row tiles.
+// gatherWidth is how many consecutive terms of an out row the MulPool
+// and MulATBPool kernels gather before applying them, and the height of
+// MulATBPool's row tiles.
 const gatherWidth = 64
 
 // terms is the gather buffer: the non-zero coefficients of one segment
@@ -196,11 +193,8 @@ func mulRows(a, b, out *Dense, lo, hi int) {
 	}
 }
 
-// MulATB computes out = aᵀ * b (for weight gradients).
-func MulATB(a, b, out *Dense) *Dense { return MulATBPool(par.Default(), a, b, out) }
-
-// MulATBPool is MulATB on an explicit worker pool, partitioned over
-// rows of out (columns of a). Each (i, j) accumulates over a's rows
+// MulATBPool computes out = aᵀ * b (for weight gradients) on the pool
+// p, partitioned over rows of out (columns of a). Each (i, j) accumulates over a's rows
 // in ascending order exactly as the serial kernel does, so results
 // are bit-identical for any pool size.
 func MulATBPool(p *par.Pool, a, b, out *Dense) *Dense {
@@ -243,11 +237,8 @@ func mulATBRows(a, b, out *Dense, lo, hi int) {
 	}
 }
 
-// MulABT computes out = a * bᵀ (for input gradients).
-func MulABT(a, b, out *Dense) *Dense { return MulABTPool(par.Default(), a, b, out) }
-
-// MulABTPool is MulABT on an explicit worker pool, partitioned over
-// rows of out (rows of a); dot products keep their serial order, so
+// MulABTPool computes out = a * bᵀ (for input gradients) on the pool
+// p, partitioned over rows of out (rows of a); dot products keep their serial order, so
 // results are bit-identical for any pool size.
 func MulABTPool(p *par.Pool, a, b, out *Dense) *Dense {
 	if a.Cols != b.Cols {
@@ -372,13 +363,4 @@ func SumRows(m, out *Dense) *Dense {
 		}
 	}
 	return out
-}
-
-// Frob returns the Frobenius norm.
-func (m *Dense) Frob() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

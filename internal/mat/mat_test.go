@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"edacloud/internal/par"
 )
 
 func TestNewAndAccessors(t *testing.T) {
@@ -48,7 +50,7 @@ func TestFromRowsValidation(t *testing.T) {
 func TestMulKnownProduct(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b, nil)
+	c := MulPool(par.Fixed(0), a, b, nil)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -63,12 +65,12 @@ func TestMulShapePanics(t *testing.T) {
 	a := New(2, 3)
 	b := New(2, 3)
 	for _, fn := range []func(){
-		func() { Mul(a, b, nil) },               // 3 != 2
-		func() { Mul(a, New(3, 2), New(1, 1)) }, // bad out shape
+		func() { MulPool(par.Fixed(0), a, b, nil) },               // 3 != 2
+		func() { MulPool(par.Fixed(0), a, New(3, 2), New(1, 1)) }, // bad out shape
 		func() { AddInPlace(a, New(3, 2)) },
 		func() { MulElem(a, New(3, 2)) },
-		func() { MulATB(a, New(3, 3), nil) },
-		func() { MulABT(a, New(3, 4), nil) },
+		func() { MulATBPool(par.Fixed(0), a, New(3, 3), nil) },
+		func() { MulABTPool(par.Fixed(0), a, New(3, 4), nil) },
 	} {
 		func() {
 			defer func() {
@@ -99,15 +101,15 @@ func transposeNaive(a *Dense) *Dense {
 	return out
 }
 
-// Property: MulATB(a,b) == Mul(aᵀ, b) and MulABT(a,b) == Mul(a, bᵀ).
+// Property: MulATBPool(a,b) == MulPool(aᵀ, b) and MulABTPool(a,b) == MulPool(a, bᵀ).
 func TestQuickTransposedProducts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k, n := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1
 		a := randDense(rng, m, k)
 		b := randDense(rng, m, n)
-		atb := MulATB(a, b, nil)
-		ref := Mul(transposeNaive(a), b, nil)
+		atb := MulATBPool(par.Fixed(0), a, b, nil)
+		ref := MulPool(par.Fixed(0), transposeNaive(a), b, nil)
 		for i := range atb.Data {
 			if math.Abs(atb.Data[i]-ref.Data[i]) > 1e-9 {
 				return false
@@ -115,8 +117,8 @@ func TestQuickTransposedProducts(t *testing.T) {
 		}
 		c := randDense(rng, k, n)
 		d := randDense(rng, m, n)
-		abt := MulABT(d, c, nil) // d: m x n, c: k x n -> m x k
-		ref2 := Mul(d, transposeNaive(c), nil)
+		abt := MulABTPool(par.Fixed(0), d, c, nil) // d: m x n, c: k x n -> m x k
+		ref2 := MulPool(par.Fixed(0), d, transposeNaive(c), nil)
 		for i := range abt.Data {
 			if math.Abs(abt.Data[i]-ref2.Data[i]) > 1e-9 {
 				return false
@@ -155,9 +157,6 @@ func TestSumRowsAndScale(t *testing.T) {
 	s.Scale(0.5)
 	if s.At(0, 0) != 4.5 {
 		t.Fatal("Scale broken")
-	}
-	if math.Abs(m.Frob()-math.Sqrt(1+4+9+16+25+36)) > 1e-12 {
-		t.Fatal("Frob broken")
 	}
 }
 

@@ -10,9 +10,9 @@
 //
 // A Pool owns a fixed set of long-lived worker goroutines and is
 // reusable across any number of parallel regions, so per-call
-// goroutine churn is zero. Default returns the process-wide
-// GOMAXPROCS-sized pool; Fixed(n) returns a cached pool of exactly n
-// workers (used by tests and by callers honoring a Workers option).
+// goroutine churn is zero. Fixed(n) returns the process-wide cached
+// pool of exactly n workers (n <= 0 means GOMAXPROCS); every engine
+// resolves its Workers option through it.
 // Pools never block the caller on a saturated pool: when every worker
 // is busy (nested parallelism), the submitting goroutine simply keeps
 // the work and runs it inline, so parallel regions degrade gracefully
@@ -53,26 +53,11 @@ import (
 const ProbeShards = 8
 
 // Pool is a reusable bounded worker pool. The zero value is not
-// usable; construct with NewPool, Fixed or Default. A nil *Pool is
-// valid everywhere and runs serially.
+// usable; obtain one from Fixed. A nil *Pool is valid everywhere and
+// runs serially.
 type Pool struct {
 	workers int
 	tasks   chan func()
-}
-
-// NewPool starts a pool of n workers; n <= 0 means GOMAXPROCS.
-// Callers that create ad-hoc pools should Close them; the pools
-// returned by Default and Fixed live for the process and must not be
-// closed.
-func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{workers: n, tasks: make(chan func())}
-	for i := 0; i < n; i++ {
-		go p.work()
-	}
-	return p
 }
 
 func (p *Pool) work() {
@@ -80,9 +65,6 @@ func (p *Pool) work() {
 		fn()
 	}
 }
-
-// Close stops the pool's workers once queued work finishes.
-func (p *Pool) Close() { close(p.tasks) }
 
 // Workers returns the pool's worker count (1 for a nil pool).
 func (p *Pool) Workers() int {
@@ -97,9 +79,6 @@ var (
 	pools   = map[int]*Pool{}
 )
 
-// Default returns the shared GOMAXPROCS-sized pool.
-func Default() *Pool { return Fixed(0) }
-
 // Fixed returns the shared pool with exactly n workers (n <= 0 means
 // GOMAXPROCS). Pools are created on first use and cached for the
 // process lifetime, so engines can resolve a Workers option to a pool
@@ -112,7 +91,10 @@ func Fixed(n int) *Pool {
 	defer poolsMu.Unlock()
 	p := pools[n]
 	if p == nil {
-		p = NewPool(n)
+		p = &Pool{workers: n, tasks: make(chan func())}
+		for i := 0; i < n; i++ {
+			go p.work()
+		}
 		pools[n] = p
 	}
 	return p

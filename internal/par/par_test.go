@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -186,20 +187,10 @@ func TestFixedPoolsAreCached(t *testing.T) {
 	if Fixed(3) != Fixed(3) {
 		t.Fatal("Fixed(3) not cached")
 	}
-	if Default() != Fixed(0) {
-		t.Fatal("Default is not the GOMAXPROCS pool")
+	if Fixed(0) != Fixed(runtime.GOMAXPROCS(0)) {
+		t.Fatal("Fixed(0) is not the GOMAXPROCS pool")
 	}
 	if Fixed(5).Workers() != 5 {
 		t.Fatalf("Workers = %d", Fixed(5).Workers())
-	}
-}
-
-func TestNewPoolClose(t *testing.T) {
-	p := NewPool(3)
-	var n atomic.Int64
-	p.For(30, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
-	p.Close()
-	if n.Load() != 30 {
-		t.Fatalf("covered %d of 30", n.Load())
 	}
 }

@@ -70,12 +70,6 @@ func (m Machine) WithoutAVX() Machine {
 	return m
 }
 
-// WithInterference returns the model with the given co-tenant slowdown.
-func (m Machine) WithInterference(f float64) Machine {
-	m.Interference = f
-	return m
-}
-
 // PhaseCycles returns the virtual cycle cost of one phase on this
 // machine, after parallel scaling.
 func (m Machine) PhaseCycles(p Phase) float64 {

@@ -350,7 +350,9 @@ func TestMachineAVXHelpsFPWork(t *testing.T) {
 func TestMachineInterferenceAndWorkScale(t *testing.T) {
 	ph := Phase{C: Counters{Instrs: 1e9}, ParallelFraction: 0, Chunks: 1}
 	base := Xeon14(1).PhaseSeconds(ph)
-	slow := Xeon14(1).WithInterference(0.5).PhaseSeconds(ph)
+	shared := Xeon14(1)
+	shared.Interference = 0.5
+	slow := shared.PhaseSeconds(ph)
 	if math.Abs(slow-1.5*base)/base > 1e-9 {
 		t.Fatalf("interference: %g vs %g", slow, 1.5*base)
 	}

@@ -20,7 +20,6 @@ import (
 	"slices"
 
 	"edacloud/internal/hash"
-	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
@@ -219,7 +218,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 
 	routeAll()
 	pf := 0.88 + 0.11*res.TileLocalFraction
-	report.AddPhase(probe.TakePhase("route-initial", pf, ints.Max(res.BusyTiles, 1)))
+	report.AddPhase(probe.TakePhase("route-initial", pf, max(res.BusyTiles, 1)))
 
 	// Negotiated congestion: raise history on overused edges, rip up
 	// offenders, reroute.
@@ -268,7 +267,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 	// Modelled rip-up rounds stay region-parallel but synchronize on the shared
 	// congestion history between rounds; scaling is somewhat poorer
 	// than the initial pass.
-	report.AddPhase(probe.TakePhase("rip-up-reroute", 0.60+0.35*res.TileLocalFraction, ints.Max(res.BusyTiles/2, 1)))
+	report.AddPhase(probe.TakePhase("rip-up-reroute", 0.60+0.35*res.TileLocalFraction, max(res.BusyTiles/2, 1)))
 
 	// Refinement: with congestion negotiated, reroute every connection
 	// once against the final cost landscape (the wire/timing cleanup
@@ -278,7 +277,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 		g.unroute(&conns[i])
 	}
 	routeAll()
-	report.AddPhase(probe.TakePhase("refine", pf, ints.Max(res.BusyTiles, 1)))
+	report.AddPhase(probe.TakePhase("refine", pf, max(res.BusyTiles, 1)))
 
 	for i := range conns {
 		if conns[i].path == nil && !(conns[i].sx == conns[i].tx && conns[i].sy == conns[i].ty) {

@@ -372,7 +372,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 	reverse(res.CriticalPath)
 
 	res.LevelWidths = levelWidths(levels)
-	report.AddPhase(probe.TakePhase("required-slack", 0.5, ints.Max(len(endpoints)/16, 1)))
+	report.AddPhase(probe.TakePhase("required-slack", 0.5, max(len(endpoints)/16, 1)))
 	return res, report, nil
 }
 

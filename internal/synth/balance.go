@@ -18,21 +18,16 @@ import (
 	"edacloud/internal/perf"
 )
 
-// Balance rebuilds every maximal AND-tree as a depth-balanced tree,
-// pairing the shallowest operands first (Huffman order). It preserves
-// function and typically reduces depth at equal or smaller size.
+// balancePool rebuilds every maximal AND-tree as a depth-balanced
+// tree, pairing the shallowest operands first (Huffman order), on the
+// given worker pool, and reports the pass's parallel structure. It
+// preserves function and typically reduces depth at equal or smaller
+// size.
 //
 // Multi-cone graphs balance cone-parallel over a partitioned strash:
 // each partition rebuilds its owned trees into a private shard graph,
 // estimating foreign-leaf depths from the source graph's levels, and
 // the shards merge in deterministic partition order (see rewrite.go).
-func Balance(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := balancePool(g, probe, par.Default(), new(runScratch))
-	return ng
-}
-
-// balancePool is Balance with an explicit worker pool, also reporting
-// the pass's parallel structure.
 func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	cp := partitionAccounted(g, probe)
 	if cp.NumParts() <= 1 {

@@ -114,7 +114,7 @@ func (ce *cutEnum) run() {
 		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, enumChunk)
 		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
 			ce.parInstrs += ce.probe.Instrs() - before
-			ce.parChunks = ints.Max(ce.parChunks, chunks)
+			ce.parChunks = max(ce.parChunks, chunks)
 		}
 	}
 }
@@ -152,7 +152,7 @@ func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 	}
 	// Fewest leaves first, merge order within one leaf count: what a
 	// stable sort by leaf count followed by truncation would keep.
-	keep := ints.Min(cands, ce.maxCuts)
+	keep := min(cands, ce.maxCuts)
 	out := sh.cuts.take(keep + 1)[:0]
 	for n := 1; n <= k && len(out) < keep; n++ {
 		for i := 0; i < cands && len(out) < keep; i++ {
@@ -273,9 +273,9 @@ func (s *slab[T]) take(n int) []T {
 		if s.used == len(s.chunks) {
 			size := slabMinChunk
 			if last := len(s.chunks) - 1; last >= 0 {
-				size = ints.Min(2*len(s.chunks[last]), slabMaxChunk)
+				size = min(2*len(s.chunks[last]), slabMaxChunk)
 			}
-			s.chunks = append(s.chunks, make([]T, ints.Max(size, n)))
+			s.chunks = append(s.chunks, make([]T, max(size, n)))
 		}
 		s.free = s.chunks[s.used]
 		s.used++

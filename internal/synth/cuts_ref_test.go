@@ -52,7 +52,7 @@ func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool)
 		})
 		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
 			ce.parInstrs += ce.probe.Counters().Instrs - before
-			ce.parChunks = ints.Max(ce.parChunks, chunks)
+			ce.parChunks = max(ce.parChunks, chunks)
 		}
 	}
 	return ce
@@ -244,7 +244,7 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 					for i := range rs.shards {
 						if sh := &rs.shards[i].cut; len(sh.size) < most || len(sh.cand) < most*cfg.k {
 							t.Fatalf("%s: shard %d has room for %d candidates of %d leaves, needs %d of %d",
-								where(), i, len(sh.size), len(sh.cand)/ints.Max(len(sh.size), 1), most, cfg.k)
+								where(), i, len(sh.size), len(sh.cand)/max(len(sh.size), 1), most, cfg.k)
 						}
 					}
 				}

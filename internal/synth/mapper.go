@@ -25,17 +25,6 @@ const (
 	nominalPinCap = 0.0012 // pF per fanout pin
 )
 
-// MapObjective selects the technology mapper's cost function.
-type MapObjective int
-
-// Mapping objectives: delay-oriented covering minimizes worst arrival
-// (the default, matching timing-driven flows); area-oriented covering
-// minimizes area flow with arrival as tie-break.
-const (
-	MapDelay MapObjective = iota
-	MapArea
-)
-
 // nodeImpl is the chosen realization of one (node, polarity) pair.
 type nodeImpl struct {
 	valid   bool
@@ -44,17 +33,13 @@ type nodeImpl struct {
 	cut     Cut
 	polMask uint8 // bit i set: leaf i is consumed complemented
 	arrival float64
-	// areaFlow estimates the per-use area of this realization
-	// (cell area plus fanout-shared leaf area flows).
-	areaFlow float64
 }
 
 // Mapper holds mapping state for one run.
 type mapper struct {
-	g         *aig.Graph
-	lib       *techlib.Library
-	probe     *perf.Probe
-	objective MapObjective
+	g     *aig.Graph
+	lib   *techlib.Library
+	probe *perf.Probe
 
 	inv    *techlib.Cell
 	impls  [2][]nodeImpl // [polarity][var]; polarity 0 = positive
@@ -63,28 +48,23 @@ type mapper struct {
 	tts    *ttScratch
 }
 
-// MapToCells covers the AIG with standard cells from lib and returns
-// the mapped netlist. When registerOutputs is set, every primary
-// output is registered behind a DFF clocked by an added "clk" input.
+// MapToCells covers the AIG with standard cells from lib, minimizing
+// the worst arrival time, and returns the mapped netlist. When
+// registerOutputs is set, every primary output is registered behind a
+// DFF clocked by an added "clk" input.
 func MapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, probe *perf.Probe) (*netlist.Netlist, error) {
-	return MapToCellsObjective(g, lib, registerOutputs, MapDelay, probe)
-}
-
-// MapToCellsObjective is MapToCells with an explicit covering
-// objective.
-func MapToCellsObjective(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe) (*netlist.Netlist, error) {
-	return mapToCells(g, lib, registerOutputs, obj, probe, par.Default(), new(runScratch))
+	return mapToCells(g, lib, registerOutputs, probe, par.Fixed(0), new(runScratch))
 }
 
 // mapToCells is the shared mapping path with an explicit worker pool
 // (used by cut enumeration; covering itself is sequential) and the
 // run's scratch: the cut storage and shard 0's truth-table memo.
-func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, obj MapObjective, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*netlist.Netlist, error) {
+func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*netlist.Netlist, error) {
 	inv := lib.Cell("INV_X1")
 	if inv == nil {
 		return nil, fmt.Errorf("synth: library %s lacks an INV_X1 cell", lib.Name)
 	}
-	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, objective: obj, tts: &rs.shards[0].tts}
+	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, tts: &rs.shards[0].tts}
 	m.cuts = newCutEnum(g, 3, 8, probe, pool, rs)
 	m.fanout = g.FanoutCounts()
 	nv := g.NumVars()
@@ -116,23 +96,6 @@ func (m *mapper) arrivalOf(v int, neg bool) float64 {
 	return other.arrival + m.invDelay()
 }
 
-// areaFlowOf returns the area flow of (var, polarity), adding an
-// inverter when the polarity must be derived.
-func (m *mapper) areaFlowOf(v int, neg bool) float64 {
-	pol := 0
-	if neg {
-		pol = 1
-	}
-	if m.impls[pol][v].valid {
-		return m.impls[pol][v].areaFlow
-	}
-	other := m.impls[1-pol][v]
-	if !other.valid {
-		return 0
-	}
-	return other.areaFlow + m.inv.Area
-}
-
 // computeImpls fills impls in topological order.
 func (m *mapper) computeImpls() {
 	g := m.g
@@ -154,7 +117,7 @@ func (m *mapper) computeImpls() {
 
 // mapNode computes the best positive and negative implementations of v.
 func (m *mapper) mapNode(v int) {
-	bestCost := [2]float64{1e30, 1e30}
+	bestArr := [2]float64{1e30, 1e30}
 	var best [2]nodeImpl
 
 	load := nominalPinCap * float64(m.fanout[v])
@@ -192,30 +155,16 @@ func (m *mapper) mapNode(v int) {
 					m.probe.Ops(20)
 					m.probe.FPScalar(8) // table interpolation
 					arr := m.matchArrival(match, cut, pm, load)
-					af := match.Cell.Area
-					for i, leaf := range cut.Leaves {
-						leafShare := float64(m.fanout[leaf])
-						if leafShare < 1 {
-							leafShare = 1
-						}
-						af += m.areaFlowOf(int(leaf), pm>>uint(i)&1 == 1) / leafShare
-					}
-					cost := arr
-					if m.objective == MapArea {
-						// Area flow first, arrival as a mild tie-break.
-						cost = af + arr*1e-3
-					}
-					better := cost < bestCost[pol]
+					better := arr < bestArr[pol]
 					m.probe.Branch(brMapChoice, better)
 					if better {
-						bestCost[pol] = cost
+						bestArr[pol] = arr
 						best[pol] = nodeImpl{
-							valid:    true,
-							match:    match,
-							cut:      cut,
-							polMask:  pm,
-							arrival:  arr,
-							areaFlow: af,
+							valid:   true,
+							match:   match,
+							cut:     cut,
+							polMask: pm,
+							arrival: arr,
 						}
 					}
 				}
@@ -233,10 +182,9 @@ func (m *mapper) mapNode(v int) {
 			continue
 		}
 		best[pol] = nodeImpl{
-			valid:    true,
-			fromInv:  true,
-			arrival:  best[1-pol].arrival + m.invDelay(),
-			areaFlow: best[1-pol].areaFlow + m.inv.Area,
+			valid:   true,
+			fromInv: true,
+			arrival: best[1-pol].arrival + m.invDelay(),
 		}
 	}
 	m.impls[0][v] = best[0]

@@ -65,38 +65,48 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 // TestPassesDeterministicAcrossWorkers: the cone-parallel
 // rewrite/refactor/balance must emit bit-identical graphs — and,
 // because partitions are statically assigned to probe shards,
-// identical simulated counters — at 1, 2 and 8 workers. The design is
-// large enough to split into many partitions, so the partitioned path
-// (private shard strash tables + ordered merge) is what's under test.
+// identical simulated counters — at 1, 2 and 8 workers. Each design is
+// large enough to split into several partitions, so the partitioned
+// path (private shard strash tables + ordered merge) is what's under
+// test; jpeg at 0.025 is the scale the root benchmarks run it at.
 func TestPassesDeterministicAcrossWorkers(t *testing.T) {
-	g := designs.MustEvalDesign("ibex", 0.03)
-	if parts := g.PartitionCones(PartitionGrain).NumParts(); parts < 2 {
-		t.Fatalf("precondition: design should span multiple partitions, got %d", parts)
-	}
-	for _, pass := range []PassKind{PassBalance, PassRewrite, PassRefactor} {
-		run := func(workers int) ([]byte, perf.Counters) {
-			probe := perf.NewProbe(perf.DefaultProbeConfig())
-			ng, err := RunPass(g, pass, probe, workers)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", pass, workers, err)
-			}
-			if !aig.SimEquiv(g, ng, 321, 12) {
-				t.Fatalf("%v workers=%d: changed function", pass, workers)
-			}
-			var buf bytes.Buffer
-			if err := ng.WriteASCII(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes(), probe.Counters()
+	for _, tc := range []struct {
+		design   string
+		scale    float64
+		minParts int
+	}{
+		{"ibex", 0.03, 2},
+		{"jpeg", 0.025, 4},
+	} {
+		g := designs.MustEvalDesign(tc.design, tc.scale)
+		if parts := g.PartitionCones(PartitionGrain).NumParts(); parts < tc.minParts {
+			t.Fatalf("precondition: %s@%g spans %d partitions, want >= %d", tc.design, tc.scale, parts, tc.minParts)
 		}
-		wantGraph, wantCounters := run(1)
-		for _, w := range []int{2, 8} {
-			gotGraph, gotCounters := run(w)
-			if !bytes.Equal(gotGraph, wantGraph) {
-				t.Fatalf("%v: workers=%d graph differs from serial", pass, w)
+		for _, pass := range []PassKind{PassBalance, PassRewrite, PassRefactor} {
+			run := func(workers int) ([]byte, perf.Counters) {
+				probe := perf.NewProbe(perf.DefaultProbeConfig())
+				ng, err := RunPass(g, pass, probe, workers)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", tc.design, pass, workers, err)
+				}
+				if !aig.SimEquiv(g, ng, 321, 12) {
+					t.Fatalf("%s %v workers=%d: changed function", tc.design, pass, workers)
+				}
+				var buf bytes.Buffer
+				if err := ng.WriteASCII(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes(), probe.Counters()
 			}
-			if gotCounters != wantCounters {
-				t.Fatalf("%v: workers=%d counters %+v, want %+v", pass, w, gotCounters, wantCounters)
+			wantGraph, wantCounters := run(1)
+			for _, w := range []int{2, 8} {
+				gotGraph, gotCounters := run(w)
+				if !bytes.Equal(gotGraph, wantGraph) {
+					t.Fatalf("%s %v: workers=%d graph differs from serial", tc.design, pass, w)
+				}
+				if gotCounters != wantCounters {
+					t.Fatalf("%s %v: workers=%d counters %+v, want %+v", tc.design, pass, w, gotCounters, wantCounters)
+				}
 			}
 		}
 	}

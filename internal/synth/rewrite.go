@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/ints"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
@@ -16,36 +15,23 @@ import (
 // pool size.
 const PartitionGrain = 96
 
-// Rewrite performs cut-based resubstitution: every node's 4-feasible
-// cuts are evaluated as truth tables, an irredundant sum-of-products
-// implementation is rebuilt over the cut leaves in the output graph,
-// and the cheapest realization (measured in actually-added nodes,
-// strashing included) wins. Dead logic left behind by replaced
-// realizations is swept at the end.
+// rewritePool performs cut-based resubstitution on the given worker
+// pool and reports the pass's parallel structure: every node's
+// 4-feasible cuts are evaluated as truth tables, an irredundant
+// sum-of-products implementation is rebuilt over the cut leaves in the
+// output graph, and the cheapest realization (measured in
+// actually-added nodes, strashing included) wins. Dead logic left
+// behind by replaced realizations is swept at the end.
 //
 // Multi-cone graphs are rebuilt cone-parallel over a partitioned
 // strash: see rebuildWithCuts.
-func Rewrite(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := rewritePool(g, probe, par.Default(), new(runScratch))
-	return ng
-}
-
-// rewritePool is Rewrite with an explicit worker pool, also reporting
-// the pass's parallel structure.
 func rewritePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	return rebuildWithCuts(g, probe, pool, rs, 4, 6, 2, brRewriteGain)
 }
 
-// Refactor is Rewrite with one large cut per node (up to 6 leaves),
-// the classical coarse-grained companion pass: it collapses bigger
-// cones and resynthesizes them from their ISOP factorization.
-func Refactor(g *aig.Graph, probe *perf.Probe) *aig.Graph {
-	ng, _ := refactorPool(g, probe, par.Default(), new(runScratch))
-	return ng
-}
-
-// refactorPool is Refactor with an explicit worker pool, also
-// reporting the pass's parallel structure.
+// refactorPool is rewritePool with one large cut per node (up to 6
+// leaves), the classical coarse-grained companion pass: it collapses
+// bigger cones and resynthesizes them from their ISOP factorization.
 func refactorPool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	return rebuildWithCuts(g, probe, pool, rs, 6, 4, 1, brRefactorGain)
 }
@@ -53,7 +39,7 @@ func refactorPool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratc
 // passStats describes the parallel structure of one executed pass: the
 // number of independent work units its widest parallel region offered
 // (cone partitions or cut-sweep chunks, whichever is larger) and how
-// many instructions it retired inside parallel regions. Optimize feeds
+// many instructions it retired inside parallel regions. optimize feeds
 // both into the phase record so the machine model's Amdahl scaling
 // reflects the measured split.
 type passStats struct {
@@ -84,7 +70,7 @@ func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScr
 	// so its chunk count keeps the measured fraction scalable instead
 	// of being zeroed by chunks=1.
 	cp := partitionAccounted(g, probe)
-	chunks := ints.Max(cp.NumParts(), cuts.parChunks)
+	chunks := max(cp.NumParts(), cuts.parChunks)
 	if cp.NumParts() <= 1 {
 		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, rs), passStats{chunks: chunks, parallelInstrs: parInstrs}
 	}

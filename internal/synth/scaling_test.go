@@ -13,14 +13,17 @@ import (
 
 // passAllocBytes reports the heap bytes one run of pass allocates on a
 // fresh clone of g, with the clone's own cost subtracted out.
-func passAllocBytes(t *testing.T, g *aig.Graph, pass func(*aig.Graph, *perf.Probe) *aig.Graph) uint64 {
+func passAllocBytes(t *testing.T, g *aig.Graph, pass PassKind) uint64 {
 	t.Helper()
 	c := g.Clone()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	out := pass(c, nil)
+	out, err := RunPass(c, pass, nil, 0)
 	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.NumOutputs() != g.NumOutputs() {
 		t.Fatal("pass dropped outputs")
 	}
@@ -42,20 +45,13 @@ func TestPartitionedPassAllocScaling(t *testing.T) {
 	if varsRatio < 5 {
 		t.Fatalf("size step too small to discriminate: vars ratio %.1f", varsRatio)
 	}
-	for _, tc := range []struct {
-		name string
-		pass func(*aig.Graph, *perf.Probe) *aig.Graph
-	}{
-		{"rewrite", Rewrite},
-		{"refactor", Refactor},
-		{"balance", Balance},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			smallBytes := passAllocBytes(t, small, tc.pass)
-			largeBytes := passAllocBytes(t, large, tc.pass)
+	for _, pass := range []PassKind{PassRewrite, PassRefactor, PassBalance} {
+		t.Run(pass.String(), func(t *testing.T) {
+			smallBytes := passAllocBytes(t, small, pass)
+			largeBytes := passAllocBytes(t, large, pass)
 			allocRatio := float64(largeBytes) / float64(smallBytes)
 			t.Logf("%s: %d -> %d bytes (%.1fx for a %.1fx size step)",
-				tc.name, smallBytes, largeBytes, allocRatio, varsRatio)
+				pass, smallBytes, largeBytes, allocRatio, varsRatio)
 			if allocRatio > 3*varsRatio {
 				t.Fatalf("allocation grows super-linearly: %.1fx bytes for %.1fx vars (limit %.1fx) — per-partition scratch is dense again?",
 					allocRatio, varsRatio, 3*varsRatio)

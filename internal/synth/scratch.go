@@ -18,7 +18,7 @@ import (
 // run keeps the per-variable cut-list array, one shard graph per
 // partition slot and one temporary graph that the shards merge into
 // (or the single-cone paths build). All of it belongs to a runScratch
-// that one Synthesize, Optimize or RunPass call makes and hands down to
+// that one Synthesize, RunPass or MapToCells call makes and hands down to
 // every pass and the mapper: a run allocates its scratch, its cut
 // storage and its pass graphs when the first pass that needs them
 // grows them, not once per pass, and each partition retains only its

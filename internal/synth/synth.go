@@ -97,15 +97,10 @@ func RunPass(g *aig.Graph, p PassKind, probe *perf.Probe, workers int) (*aig.Gra
 	return ng, err
 }
 
-// Optimize applies a recipe to the AIG, recording one perf phase per
-// pass into report when probe and report are non-nil.
-func Optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report) (*aig.Graph, error) {
-	return optimize(g, recipe, probe, report, par.Default(), new(runScratch))
-}
-
-// optimize is Optimize with an explicit worker pool for the passes'
-// cut enumeration and cone-parallel rebuilds, and the scratch every
-// pass of the recipe reuses.
+// optimize applies a recipe to the AIG, recording one perf phase per
+// pass into report when probe and report are non-nil. pool runs the
+// passes' cut enumeration and cone-parallel rebuilds, and rs is the
+// scratch every pass of the recipe reuses.
 func optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report, pool *par.Pool, rs *runScratch) (*aig.Graph, error) {
 	cur := g
 	for _, p := range recipe.Passes {
@@ -131,8 +126,6 @@ type Options struct {
 	Recipe Recipe
 	// RegisterOutputs inserts a DFF behind every primary output.
 	RegisterOutputs bool
-	// Objective selects delay- (default) or area-oriented mapping.
-	Objective MapObjective
 	// StageConfig supplies the shared execution knobs: Workers bounds
 	// the worker pool for the recipe passes' and the mapper's
 	// intra-level cut enumeration (0 means GOMAXPROCS; results are
@@ -164,7 +157,7 @@ func Synthesize(g *aig.Graph, lib *techlib.Library, opts Options) (*Result, erro
 		return nil, err
 	}
 	rs.releaseForMapping()
-	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, opts.Objective, probe, pool, rs)
+	nl, err := mapToCells(opt, lib, opts.RegisterOutputs, probe, pool, rs)
 	if err != nil {
 		return nil, err
 	}

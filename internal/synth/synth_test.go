@@ -153,25 +153,33 @@ func TestCutTTMatchesSimulation(t *testing.T) {
 
 // --- optimization passes ---
 
-func passPreserves(t *testing.T, name string, pass func(*aig.Graph, *perf.Probe) *aig.Graph) {
+// mustPass runs one pass on the GOMAXPROCS pool.
+func mustPass(t *testing.T, g *aig.Graph, pass PassKind) *aig.Graph {
+	t.Helper()
+	ng, err := RunPass(g, pass, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ng
+}
+
+func passPreserves(t *testing.T, pass PassKind) {
 	t.Helper()
 	for _, bench := range []string{"adder", "bar", "cavlc", "int2float", "priority"} {
 		g := designs.MustBenchmark(bench, 0.12)
-		opt := pass(g, nil)
+		opt := mustPass(t, g, pass)
 		if !aig.Equivalent(g, opt, 1234, 16) {
-			t.Fatalf("%s changed function of %s", name, bench)
+			t.Fatalf("%s changed function of %s", pass, bench)
 		}
 		if opt.NumInputs() != g.NumInputs() || opt.NumOutputs() != g.NumOutputs() {
-			t.Fatalf("%s changed I/O of %s", name, bench)
+			t.Fatalf("%s changed I/O of %s", pass, bench)
 		}
 	}
 }
 
-func TestBalancePreservesFunction(t *testing.T) { passPreserves(t, "balance", Balance) }
-func TestRewritePreservesFunction(t *testing.T) { passPreserves(t, "rewrite", Rewrite) }
-func TestRefactorPreservesFunction(t *testing.T) {
-	passPreserves(t, "refactor", Refactor)
-}
+func TestBalancePreservesFunction(t *testing.T)  { passPreserves(t, PassBalance) }
+func TestRewritePreservesFunction(t *testing.T)  { passPreserves(t, PassRewrite) }
+func TestRefactorPreservesFunction(t *testing.T) { passPreserves(t, PassRefactor) }
 
 func TestBalanceReducesRippleDepth(t *testing.T) {
 	// A long AND chain must become a balanced tree.
@@ -184,7 +192,7 @@ func TestBalanceReducesRippleDepth(t *testing.T) {
 	if d := g.Depth(); d != 63 {
 		t.Fatalf("precondition: chain depth %d", d)
 	}
-	b := Balance(g, nil)
+	b := mustPass(t, g, PassBalance)
 	if d := b.Depth(); d != 6 {
 		t.Fatalf("balanced depth = %d, want 6", d)
 	}
@@ -199,7 +207,7 @@ func TestRewriteShrinksRedundantLogic(t *testing.T) {
 	a := g.AddInput("a")
 	b := g.AddInput("b")
 	g.AddOutput(g.Or(g.And(a, b), g.And(a, b.Not())), "f")
-	rw := Rewrite(g, nil)
+	rw := mustPass(t, g, PassRewrite)
 	if rw.NumAnds() >= g.NumAnds() {
 		t.Fatalf("rewrite did not shrink: %d -> %d ands", g.NumAnds(), rw.NumAnds())
 	}
@@ -224,8 +232,9 @@ func TestQuickPassesPreserveRandomGraphs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			g.AddOutput(lits[len(lits)-1-i], "")
 		}
-		for _, pass := range []func(*aig.Graph, *perf.Probe) *aig.Graph{Balance, Rewrite, Refactor} {
-			if !aig.Equivalent(g, pass(g, nil), seed, 8) {
+		for _, pass := range []PassKind{PassBalance, PassRewrite, PassRefactor} {
+			ng, err := RunPass(g, pass, nil, 0)
+			if err != nil || !aig.Equivalent(g, ng, seed, 8) {
 				return false
 			}
 		}
@@ -393,10 +402,11 @@ func TestRecipesProduceDistinctStructures(t *testing.T) {
 	g := designs.MustBenchmark("int2float", 0.25)
 	sizes := map[int]bool{}
 	for _, r := range StandardRecipes {
-		opt, err := Optimize(g, r, nil, nil)
+		res, err := Synthesize(g, lib, Options{Recipe: r})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
+		opt := res.Optimized
 		if !aig.Equivalent(g, opt, 77, 8) {
 			t.Fatalf("recipe %s changed function", r.Name)
 		}
@@ -585,60 +595,5 @@ func TestMapperRejectsBadLibrary(t *testing.T) {
 	g := designs.MustBenchmark("adder", 0.05)
 	if _, err := MapToCells(g, empty, false, nil); err == nil {
 		t.Fatal("mapping against empty library should fail")
-	}
-}
-
-func TestAreaMappingSavesArea(t *testing.T) {
-	for _, bench := range []string{"int2float", "cavlc", "adder"} {
-		g := designs.MustBenchmark(bench, 0.2)
-		delayNL, err := MapToCellsObjective(g, lib, false, MapDelay, nil)
-		if err != nil {
-			t.Fatalf("%s delay map: %v", bench, err)
-		}
-		areaNL, err := MapToCellsObjective(g, lib, false, MapArea, nil)
-		if err != nil {
-			t.Fatalf("%s area map: %v", bench, err)
-		}
-		if err := areaNL.Check(); err != nil {
-			t.Fatalf("%s: area-mapped netlist invalid: %v", bench, err)
-		}
-		if areaNL.Area() > delayNL.Area()*1.001 {
-			t.Errorf("%s: area mapping (%.1f) larger than delay mapping (%.1f)",
-				bench, areaNL.Area(), delayNL.Area())
-		}
-	}
-}
-
-func TestAreaMappingPreservesFunction(t *testing.T) {
-	g := designs.MustBenchmark("adder", 0.0625)
-	nl, err := MapToCellsObjective(g, lib, false, MapArea, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := aig.NewSimulator(g)
-	rng := rand.New(rand.NewSource(17))
-	w := g.NumInputs() / 2
-	for trial := 0; trial < 20; trial++ {
-		a := uint64(rng.Intn(1 << uint(w)))
-		b := uint64(rng.Intn(1 << uint(w)))
-		inWords := make([]uint64, g.NumInputs())
-		inNames := map[string]bool{}
-		for i := 0; i < w; i++ {
-			if a>>uint(i)&1 == 1 {
-				inWords[i] = ^uint64(0)
-				inNames[g.InputName(i)] = true
-			}
-			if b>>uint(i)&1 == 1 {
-				inWords[w+i] = ^uint64(0)
-				inNames[g.InputName(w+i)] = true
-			}
-		}
-		want := sim.Run(inWords)
-		got := netlistEval(t, nl, inNames)
-		for i := 0; i < g.NumOutputs(); i++ {
-			if got[g.OutputName(i)] != (want[i]&1 == 1) {
-				t.Fatalf("area-mapped function differs at output %d", i)
-			}
-		}
 	}
 }
