@@ -66,7 +66,7 @@ func printMetricTable(char *core.DesignCharacterization, title string, metric fu
 		fmt.Printf("%9dv", v)
 	}
 	fmt.Println()
-	for _, k := range core.JobKinds() {
+	for _, k := range flow.JobKinds() {
 		fmt.Printf("%-12s", k)
 		for _, v := range char.VCPUs {
 			p, _ := char.Profile(k, v)
@@ -158,7 +158,7 @@ func BenchmarkFigure5(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("\nFigure 5: prediction error on unseen designs (%d netlists, %d labels)\n",
 				ds.NumNetlists(), ds.NumLabels())
-			for _, k := range core.JobKinds() {
+			for _, k := range flow.JobKinds() {
 				je := eval.PerJob[k]
 				edges, counts := je.Histogram(8)
 				fmt.Printf("%-12s avg |err| %.1f%%  histogram:", k, je.AvgAbsPctErr)
@@ -195,7 +195,7 @@ func BenchmarkTableI(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("\nTable I: %s stage runtimes/costs and optimal selections\n", char.Design)
 			for si, stage := range prob.Stages {
-				fmt.Printf("%-12s (%s)", core.JobKinds()[si], stage[0].Instance.Family)
+				fmt.Printf("%-12s (%s)", flow.JobKinds()[si], stage[0].Instance.Family)
 				for _, c := range stage {
 					fmt.Printf("  %4.0fs/$%.4f", c.Seconds, c.Cost)
 				}
@@ -363,7 +363,7 @@ func BenchmarkAblationGCNCapacity(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				fmt.Printf("  h=%d: %.1f%%", h, eval.PerJob[core.JobPlacement].AvgAbsPctErr)
+				fmt.Printf("  h=%d: %.1f%%", h, eval.PerJob[flow.JobPlacement].AvgAbsPctErr)
 			}
 		}
 		if i == 0 {

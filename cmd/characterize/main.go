@@ -19,6 +19,7 @@ import (
 	"edacloud/internal/cli"
 	"edacloud/internal/core"
 	"edacloud/internal/designs"
+	"edacloud/internal/flow"
 	"edacloud/internal/techlib"
 )
 
@@ -95,7 +96,7 @@ func printMetric(char *core.DesignCharacterization, title string, metric func(co
 		fmt.Printf("%8dv", v)
 	}
 	fmt.Println()
-	for _, k := range core.JobKinds() {
+	for _, k := range flow.JobKinds() {
 		fmt.Printf("%-12s", k)
 		for _, v := range char.VCPUs {
 			p, err := char.Profile(k, v)

@@ -36,6 +36,7 @@ import (
 	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 	"edacloud/internal/serve"
 	"edacloud/internal/techlib"
@@ -153,7 +154,7 @@ func buildTemplates(catalog *cloud.Catalog, fleet *cloud.Fleet, names []string, 
 		if err != nil {
 			return nil, err
 		}
-		out[i] = serve.Template{Name: d.Name, Kinds: core.JobKinds(), Classes: prob.Classes}
+		out[i] = serve.Template{Name: d.Name, Kinds: flow.JobKinds(), Classes: prob.Classes}
 		if useCache {
 			sk, err := core.CacheChain(lib, d.Name, opts)
 			if err != nil {

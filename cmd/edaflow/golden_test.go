@@ -111,6 +111,8 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // silently fell back to the partitioner's default) and, under -policy
 // plan, a -deadline that is not a whole number of seconds below 2^53
 // (0.5 truncated to no deadline; 1e300 died after characterization).
+// An unknown -stages name or -policy is refused before the design is
+// built too (both used to print the design's stats first).
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -162,6 +164,8 @@ func TestBatchBelowOneRefused(t *testing.T) {
 		{[]string{"-policy", "firstfit", "-hier", "-hier-grain", "-5"}, "at least 1 AND node"},
 		{[]string{"-policy", "plan", "-deadline", "0.5"}, "whole number of seconds"},
 		{[]string{"-policy", "plan", "-deadline", "1e300"}, "whole number of seconds"},
+		{[]string{"-stages", "synthesis,bogus"}, `unknown stage "bogus"`},
+		{[]string{"-policy", "bogus"}, `unknown policy "bogus"`},
 	} {
 		args := append([]string{"-design", "ibex", "-scale", "0.02", "-fleet", "gp.1x=1,mem.1x=1"}, tc.args...)
 		msg := clitest.RunFail(t, bin, args...)

@@ -48,9 +48,6 @@ import (
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/perf"
-	"edacloud/internal/place"
-	"edacloud/internal/route"
-	"edacloud/internal/sta"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
 )
@@ -87,8 +84,18 @@ var (
 func main() {
 	flag.Parse()
 	plan := *fleetSpec != "" && *policyName == "plan"
+	recipe, recipeErr := synth.RecipeByName(*recipeName)
+	flowOpts, stagesErr := pickStages(*stages, []flow.Option{
+		flow.WithRecipe(recipe),
+		flow.WithRegisterOutputs(*registers),
+		flow.WithClockPeriodNs(*clock),
+	})
 	cli.Check(prog,
 		cli.NoArgs(flag.Args()),
+		recipeErr,
+		stagesErr,
+		cli.Refuse(!slices.Contains([]string{"single", "firstfit", "plan"}, *policyName),
+			"unknown policy %q (want single, firstfit or plan)", *policyName),
 		cli.Count("workers", *workers),
 		cli.Refuse(*fleetSpec != "" && !*hier && *batch < 1, "-batch %d: a -fleet batch needs at least 1 copy", *batch),
 		cli.Refuse(*vcpus < 1, "-vcpus %d: a VM needs at least 1 vCPU", *vcpus),
@@ -129,26 +136,18 @@ func main() {
 	if err != nil {
 		cli.Fail(prog, err)
 	}
-	recipe, err := synth.RecipeByName(*recipeName)
-	if err != nil {
-		cli.Fail(prog, err)
-	}
 
 	fmt.Printf("Design %s: %v\n\n", g.Name, g.Stats())
 
 	lib := techlib.Default14nm()
-	stageList := partialStages(*stages, recipe, *registers, *clock)
 
 	if *fleetSpec != "" {
-		runFleetBatch(g, lib, recipe, stageList)
+		runFleetBatch(g, lib, recipe, flowOpts)
 		return
 	}
 
 	estCells := flow.EstimateCells(g.NumAnds())
-	opts := []flow.Option{
-		flow.WithRecipe(recipe),
-		flow.WithRegisterOutputs(*registers),
-		flow.WithClockPeriodNs(*clock),
+	opts := append(flowOpts,
 		flow.WithWorkers(*workers),
 		flow.WithNewProbe(func(flow.JobKind) *perf.Probe {
 			return flow.NewJobProbe(*vcpus, estCells)
@@ -163,10 +162,7 @@ func main() {
 				}
 			}
 		}),
-	}
-	if stageList != nil {
-		opts = append(opts, flow.WithStages(stageList...))
-	}
+	)
 
 	rc, err := flow.NewPipeline(opts...).Run(g, lib)
 	if err != nil {
@@ -212,7 +208,8 @@ func main() {
 // plan policy first co-optimizes the copies' stage plans against the
 // fleet (core.OptimizeBatch) and re-plans a queue-starved job's
 // remaining stages within their choice tables at placement time.
-func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stageList []flow.Stage) {
+// flowOpts shape each copy's pipeline under the other two policies.
+func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flowOpts []flow.Option) {
 	catalog := cloud.DefaultCatalog()
 	var hazards map[string]float64
 	var retry flow.RetryPolicy
@@ -249,18 +246,10 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 		if *policyName == "firstfit" {
 			policy = flow.FirstFit{}
 		}
-		opts := []flow.Option{
-			flow.WithRecipe(recipe),
-			flow.WithRegisterOutputs(*registers),
-			flow.WithClockPeriodNs(*clock),
-		}
-		if stageList != nil {
-			opts = append(opts, flow.WithStages(stageList...))
-		}
 		job := flow.Job{
 			Design:      g,
 			Lib:         lib,
-			Options:     opts,
+			Options:     flowOpts,
 			Instance:    inst,
 			DeadlineSec: *deadlineSec,
 			Retry:       retry,
@@ -294,8 +283,6 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, stag
 	case "plan":
 		sched = runPlanBatch(lib, catalog, fleet, recipe, store)
 		perJobDeadlines = true
-	default:
-		cli.Fail(prog, fmt.Errorf("unknown policy %q (want single, firstfit or plan)", *policyName))
 	}
 
 	batchDesc := fmt.Sprintf("%d x %s", *batch, g.Name)
@@ -440,26 +427,21 @@ func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fle
 	return sched
 }
 
-// partialStages translates the -stages flag into a stage list; nil
-// means the full default flow.
-func partialStages(spec string, recipe synth.Recipe, registers bool, clock float64) []flow.Stage {
+// pickStages returns opts with the -stages flag's partial flow: the
+// named stages of the full flow opts build, in the order the flag lists
+// them. An empty flag leaves the full flow.
+func pickStages(spec string, opts []flow.Option) ([]flow.Option, error) {
 	if spec == "" {
-		return nil
+		return opts, nil
 	}
-	var out []flow.Stage
+	full := flow.NewPipeline(opts...).Stages()
+	var picked []flow.Stage
 	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(name) {
-		case "synthesis":
-			out = append(out, flow.Synthesis(synth.Options{Recipe: recipe, RegisterOutputs: registers}))
-		case "placement":
-			out = append(out, flow.Placement(place.Options{}))
-		case "routing":
-			out = append(out, flow.Routing(route.Options{}))
-		case "sta":
-			out = append(out, flow.STA(sta.Options{ClockPeriodNs: clock}))
-		default:
-			cli.Fail(prog, fmt.Errorf("unknown stage %q (want synthesis, placement, routing, sta)", name))
+		i := slices.IndexFunc(full, func(s flow.Stage) bool { return s.Name() == strings.TrimSpace(name) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown stage %q (want one of %v)", name, flow.JobKinds())
 		}
+		picked = append(picked, full[i])
 	}
-	return out
+	return append(opts, flow.WithStages(picked...)), nil
 }

@@ -495,7 +495,7 @@ func printStageTable(prob *core.DeploymentProblem) {
 	}
 	fmt.Println()
 	for i, stage := range prob.Stages {
-		k := core.JobKinds()[i]
+		k := flow.JobKinds()[i]
 		fmt.Printf("%-12s %-18s", k, stage[0].Instance.Family)
 		for _, c := range stage {
 			fmt.Printf("%10.0fs", c.Seconds)

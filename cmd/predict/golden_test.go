@@ -37,6 +37,7 @@ func TestPredictGolden(t *testing.T) {
 }
 
 // TestBadArgumentsRefused: a recipe or epoch count below one, a
+// benchmark count below two (which silently ran on two), a
 // held-out fraction outside [0, 1), a -scale outside (0,
 // designs.MaxScale], a negative layer width (which panicked in mat) and
 // a negative or non-finite -lr are refused before the dataset is built
@@ -46,6 +47,8 @@ func TestBadArgumentsRefused(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-recipes", "-1", "need at least 1"},
 		{"-recipes", "0", "need at least 1"},
+		{"-benchmarks", "1", "needs at least 2"},
+		{"-benchmarks", "-3", "needs at least 2"},
 		{"-epochs", "-1", "need at least 1"},
 		{"-epochs", "0", "need at least 1"},
 		{"-test", "1.5", "must lie in [0, 1)"},

@@ -20,6 +20,7 @@ import (
 
 	"edacloud/internal/cli"
 	"edacloud/internal/core"
+	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -46,6 +47,7 @@ func main() {
 		cli.Count("workers", *workers),
 		cli.Scale("scale", *scale),
 		cli.Refuse(*recipes < 1, "-recipes %d: need at least 1", *recipes),
+		cli.Refuse(*benchmarks < 2, "-benchmarks %d: a design-disjoint split needs at least 2", *benchmarks),
 		cli.Refuse(*epochs < 1, "-epochs %d: need at least 1", *epochs),
 		cli.Refuse(!(*testFrac >= 0 && *testFrac < 1), "-test %v: the held-out fraction must lie in [0, 1)", *testFrac),
 	)
@@ -86,7 +88,7 @@ func main() {
 	}
 
 	fmt.Println("\nFigure 5: runtime prediction error on unseen designs")
-	for _, k := range core.JobKinds() {
+	for _, k := range flow.JobKinds() {
 		je := eval.PerJob[k]
 		fmt.Printf("\n%s: avg |error| = %.1f%% over %d test netlists\n",
 			k, je.AvgAbsPctErr, len(je.Records))
@@ -107,16 +109,11 @@ func main() {
 	}
 }
 
+// benchNames returns the first n benchmarks, all 18 when n is larger.
 func benchNames(n int) []string {
 	all := []string{
 		"adder", "bar", "div", "hyp", "log2", "max", "multiplier", "sin", "sqrt", "square",
 		"arbiter", "cavlc", "dec", "i2c", "int2float", "mem_ctrl", "priority", "voter",
 	}
-	if n > len(all) {
-		n = len(all)
-	}
-	if n < 2 {
-		n = 2
-	}
-	return all[:n]
+	return all[:min(n, len(all))]
 }

@@ -94,7 +94,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		p, err := char.Profile(core.JobRouting, 8)
+		p, err := char.Profile(flow.JobRouting, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		templates = append(templates, serve.Template{Name: spec.Name, Kinds: core.JobKinds(), Classes: prob.Classes})
+		templates = append(templates, serve.Template{Name: spec.Name, Kinds: flow.JobKinds(), Classes: prob.Classes})
 	}
 	serveFleet, err := cloud.ParseFleetSpec(catalog, "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1")
 	if err != nil {

@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("characterized %s: %d cells\n\n", char.Design, char.Cells)
-	for _, k := range core.JobKinds() {
+	for _, k := range flow.JobKinds() {
 		p1, _ := char.Profile(k, 1)
 		p8, _ := char.Profile(k, 8)
 		fmt.Printf("  %-10s  %7.0fs at 1 vCPU, %7.0fs at 8 vCPUs (%.1fx), cache miss %.0f%%\n",

@@ -43,7 +43,7 @@ func CacheChain(lib *techlib.Library, design string, opts CharacterizeOptions) (
 
 // PredictCacheHits fills each spec's CacheHits with the stages the
 // store will serve as hits when the batch executes, in class order (the
-// planning pipeline runs its stages in JobKinds order): entries already in
+// planning pipeline runs its stages in flow.JobKinds order): entries already in
 // the store, plus within-batch dedup — a stage an earlier job of the
 // same batch computes is a billed hit for every later job sharing the
 // chain prefix. The store is not touched. opts must carry the same

@@ -7,6 +7,7 @@ import (
 
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
+	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 )
 
@@ -21,11 +22,11 @@ func TestPredictCacheHitsWithinBatchDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		if len(spec.CacheHits) != len(JobKinds()) {
-			t.Fatalf("job %d: %d hit flags for %d stages", i, len(spec.CacheHits), len(JobKinds()))
+		if len(spec.CacheHits) != len(flow.JobKinds()) {
+			t.Fatalf("job %d: %d hit flags for %d stages", i, len(spec.CacheHits), len(flow.JobKinds()))
 		}
 	}
-	for l, k := range JobKinds() {
+	for l, k := range flow.JobKinds() {
 		if specs[0].CacheHits[l] {
 			t.Fatalf("first aes predicted a hit on %s against an empty store", k)
 		}

@@ -71,7 +71,7 @@ func workScaleFor(targetInstances, cells int) float64 {
 
 // JobProfile is the characterization of one job under one VM config.
 type JobProfile struct {
-	Kind          JobKind
+	Kind          flow.JobKind
 	VCPUs         int
 	Report        *perf.Report
 	Counters      perf.Counters
@@ -95,7 +95,7 @@ type DesignCharacterization struct {
 }
 
 // Profile returns the profile of a job at a vCPU count.
-func (d *DesignCharacterization) Profile(k JobKind, vcpus int) (JobProfile, error) {
+func (d *DesignCharacterization) Profile(k flow.JobKind, vcpus int) (JobProfile, error) {
 	for vi, v := range d.VCPUs {
 		if v == vcpus {
 			return d.Profiles[vi][int(k)], nil
@@ -120,13 +120,13 @@ func machineFor(vcpus int, avx bool, interference, workScale float64) perf.Machi
 // sweepFlow runs the flow once under probes that model a VM of every
 // size in vcpus (flow.NewSweepProbe) and returns the run and a reader
 // of a stage's report as a VM of one of those sizes profiles it.
-func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers int, vcpus []int) (*flow.RunContext, func(JobKind, int) *perf.Report, error) {
-	probes := map[JobKind]*perf.Probe{}
+func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers int, vcpus []int) (*flow.RunContext, func(flow.JobKind, int) *perf.Report, error) {
+	probes := map[flow.JobKind]*perf.Probe{}
 	estCells := flow.EstimateCells(g.NumAnds())
 	rc, err := flow.NewPipeline(
 		flow.WithRecipe(recipe),
 		flow.WithWorkers(workers),
-		flow.WithNewProbe(func(k JobKind) *perf.Probe {
+		flow.WithNewProbe(func(k flow.JobKind) *perf.Probe {
 			probes[k] = flow.NewSweepProbe(estCells, vcpus...)
 			return probes[k]
 		}),
@@ -134,7 +134,7 @@ func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers 
 	if err != nil {
 		return nil, nil, err
 	}
-	return rc, func(k JobKind, v int) *perf.Report { return probes[k].ReportFor(rc.Reports[k], v) }, nil
+	return rc, func(k flow.JobKind, v int) *perf.Report { return probes[k].ReportFor(rc.Reports[k], v) }, nil
 }
 
 // CharacterizeEval profiles all four jobs of a named evaluation design
@@ -162,14 +162,14 @@ func CharacterizeEval(lib *techlib.Library, designName string, opts Characterize
 	}
 	out := &DesignCharacterization{Design: designName, VCPUs: opts.VCPUs, Cells: rc.Netlist.NumCells()}
 	out.WorkScale = workScaleFor(spec.TargetInstances, out.Cells)
-	base := make([]float64, len(JobKinds()))
+	base := make([]float64, len(flow.JobKinds()))
 	for vi, v := range rows {
 		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
 		if err != nil {
 			return nil, err
 		}
 		var row []JobProfile
-		for _, k := range JobKinds() {
+		for _, k := range flow.JobKinds() {
 			report := reportAt(k, v)
 			c := report.Total()
 			secs := machineFor(v, true, interference, out.WorkScale).Seconds(report)

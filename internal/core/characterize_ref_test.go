@@ -53,7 +53,7 @@ func vcpuBlind(t *testing.T, g *aig.Graph, recipe synth.Recipe) {
 	for _, v := range []int{1, 2, 4, 8} {
 		rc, err := flow.NewPipeline(
 			flow.WithRecipe(recipe),
-			flow.WithNewProbe(func(JobKind) *perf.Probe { return flow.NewJobProbe(v, estCells) }),
+			flow.WithNewProbe(func(flow.JobKind) *perf.Probe { return flow.NewJobProbe(v, estCells) }),
 		).Run(g.Clone(), lib)
 		if err != nil {
 			t.Fatalf("%s at %d vCPUs: %v", recipe.Name, v, err)
@@ -62,7 +62,7 @@ func vcpuBlind(t *testing.T, g *aig.Graph, recipe synth.Recipe) {
 			want = rc
 			continue
 		}
-		for _, k := range JobKinds() {
+		for _, k := range flow.JobKinds() {
 			got, ref := rc.Reports[k].Phases, want.Reports[k].Phases
 			if len(got) != len(ref) {
 				t.Fatalf("%s %v at %d vCPUs: %d phases, 1 vCPU has %d", recipe.Name, k, v, len(got), len(ref))
@@ -81,15 +81,15 @@ func vcpuBlind(t *testing.T, g *aig.Graph, recipe synth.Recipe) {
 // every VM size: the whole flow once per vCPU count, each under a probe
 // of that size alone. It returns reports[vi][kind] and the netlist's
 // cell count.
-func refProfile(t *testing.T, g *aig.Graph, recipe synth.Recipe, vcpus []int) ([]map[JobKind]*perf.Report, int) {
+func refProfile(t *testing.T, g *aig.Graph, recipe synth.Recipe, vcpus []int) ([]map[flow.JobKind]*perf.Report, int) {
 	t.Helper()
 	estCells := flow.EstimateCells(g.NumAnds())
-	var reports []map[JobKind]*perf.Report
+	var reports []map[flow.JobKind]*perf.Report
 	cells := 0
 	for _, v := range vcpus {
 		rc, err := flow.NewPipeline(
 			flow.WithRecipe(recipe),
-			flow.WithNewProbe(func(JobKind) *perf.Probe { return flow.NewJobProbe(v, estCells) }),
+			flow.WithNewProbe(func(flow.JobKind) *perf.Probe { return flow.NewJobProbe(v, estCells) }),
 		).Run(g.Clone(), lib)
 		if err != nil {
 			t.Fatal(err)
@@ -108,14 +108,14 @@ func refCharacterizeEval(t *testing.T, design string, opts CharacterizeOptions) 
 	spec, _ := designs.EvalInfo(design)
 	reports, cells := refProfile(t, g, opts.Recipe, opts.VCPUs)
 	out := &DesignCharacterization{Design: design, VCPUs: opts.VCPUs, Cells: cells, WorkScale: workScaleFor(spec.TargetInstances, cells)}
-	base := make([]float64, len(JobKinds()))
+	base := make([]float64, len(flow.JobKinds()))
 	for vi, v := range opts.VCPUs {
 		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var row []JobProfile
-		for _, k := range JobKinds() {
+		for _, k := range flow.JobKinds() {
 			report := reports[vi][k]
 			c := report.Total()
 			secs := machineFor(v, true, interference, out.WorkScale).Seconds(report)
@@ -188,12 +188,12 @@ func TestSpeedupBaseWithoutOneVCPU(t *testing.T) {
 func TestBuildDatasetMatchesPerVCPURuns(t *testing.T) {
 	opts := DatasetOptions{Benchmarks: []string{"adder", "dec"}, Recipes: synth.StandardRecipes[4:6], Scale: 0.06}
 	vcpus := []int{1, 2, 4, 8}
-	want := map[JobKind][][]float64{}
+	want := map[flow.JobKind][][]float64{}
 	for _, bench := range opts.Benchmarks {
 		for ri, recipe := range opts.Recipes {
 			reports, _ := refProfile(t, designs.MustBenchmark(bench, opts.Scale), recipe, vcpus)
-			for _, k := range JobKinds() {
-				if k == JobSynthesis && ri > 0 {
+			for _, k := range flow.JobKinds() {
+				if k == flow.JobSynthesis && ri > 0 {
 					continue
 				}
 				var secs []float64
@@ -210,7 +210,7 @@ func TestBuildDatasetMatchesPerVCPURuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range JobKinds() {
+		for _, k := range flow.JobKinds() {
 			var got [][]float64
 			for _, s := range ds.Jobs[k] {
 				got = append(got, s.Runtimes)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edacloud/internal/cloud"
+	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -47,10 +48,10 @@ func TestCharacterizeProfilesEveryJobAndVCPU(t *testing.T) {
 			}
 		}
 	}
-	if _, err := char.Profile(JobRouting, 4); err != nil {
+	if _, err := char.Profile(flow.JobRouting, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := char.Profile(JobRouting, 3); err == nil {
+	if _, err := char.Profile(flow.JobRouting, 3); err == nil {
 		t.Fatal("absent vCPU count accepted")
 	}
 }
@@ -61,7 +62,7 @@ func TestCharacterizeProfilesEveryJobAndVCPU(t *testing.T) {
 // leads vector-FP share with STA second.
 func TestFigure2Shape(t *testing.T) {
 	char := characterized(t, "jpeg")
-	get := func(k JobKind, v int) JobProfile {
+	get := func(k flow.JobKind, v int) JobProfile {
 		p, err := char.Profile(k, v)
 		if err != nil {
 			t.Fatal(err)
@@ -69,15 +70,15 @@ func TestFigure2Shape(t *testing.T) {
 		return p
 	}
 	// Fig. 2a: routing's branch-miss rate tops every other job at 1 vCPU.
-	rb := get(JobRouting, 1).BranchMissPct
-	for _, k := range []JobKind{JobSynthesis, JobPlacement, JobSTA} {
+	rb := get(flow.JobRouting, 1).BranchMissPct
+	for _, k := range []flow.JobKind{flow.JobSynthesis, flow.JobPlacement, flow.JobSTA} {
 		if ob := get(k, 1).BranchMissPct; ob >= rb {
 			t.Errorf("Fig2a: %v branch miss %.2f%% >= routing %.2f%%", k, ob, rb)
 		}
 	}
 	// Fig. 2b: placement and routing miss more than synthesis and STA.
-	for _, hot := range []JobKind{JobPlacement, JobRouting} {
-		for _, cold := range []JobKind{JobSynthesis, JobSTA} {
+	for _, hot := range []flow.JobKind{flow.JobPlacement, flow.JobRouting} {
+		for _, cold := range []flow.JobKind{flow.JobSynthesis, flow.JobSTA} {
 			if get(hot, 1).CacheMissPct <= get(cold, 1).CacheMissPct {
 				t.Errorf("Fig2b: %v cache miss %.1f%% <= %v %.1f%%",
 					hot, get(hot, 1).CacheMissPct, cold, get(cold, 1).CacheMissPct)
@@ -86,27 +87,27 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	// Fig. 2c: placement has the largest AVX share; STA beats synthesis
 	// and routing.
-	pf := get(JobPlacement, 1).FPVectorPct
-	sf := get(JobSTA, 1).FPVectorPct
-	for _, k := range []JobKind{JobSynthesis, JobRouting, JobSTA} {
+	pf := get(flow.JobPlacement, 1).FPVectorPct
+	sf := get(flow.JobSTA, 1).FPVectorPct
+	for _, k := range []flow.JobKind{flow.JobSynthesis, flow.JobRouting, flow.JobSTA} {
 		if of := get(k, 1).FPVectorPct; of >= pf {
 			t.Errorf("Fig2c: %v FP share %.1f%% >= placement %.1f%%", k, of, pf)
 		}
 	}
-	for _, k := range []JobKind{JobSynthesis, JobRouting} {
+	for _, k := range []flow.JobKind{flow.JobSynthesis, flow.JobRouting} {
 		if of := get(k, 1).FPVectorPct; of >= sf {
 			t.Errorf("Fig2c: %v FP share %.1f%% >= STA %.1f%%", k, of, sf)
 		}
 	}
 	// Fig. 2d: routing is the longest job serially and scales best.
-	rt1 := get(JobRouting, 1).Seconds
-	for _, k := range []JobKind{JobSynthesis, JobPlacement, JobSTA} {
+	rt1 := get(flow.JobRouting, 1).Seconds
+	for _, k := range []flow.JobKind{flow.JobSynthesis, flow.JobPlacement, flow.JobSTA} {
 		if get(k, 1).Seconds >= rt1 {
 			t.Errorf("Fig2d: %v serial runtime >= routing", k)
 		}
 	}
-	rSpeed := rt1 / get(JobRouting, 8).Seconds
-	for _, k := range []JobKind{JobSynthesis, JobPlacement, JobSTA} {
+	rSpeed := rt1 / get(flow.JobRouting, 8).Seconds
+	for _, k := range []flow.JobKind{flow.JobSynthesis, flow.JobPlacement, flow.JobSTA} {
 		sp := get(k, 1).Seconds / get(k, 8).Seconds
 		if sp >= rSpeed {
 			t.Errorf("Fig2d: %v speedup %.2f >= routing %.2f", k, sp, rSpeed)
@@ -152,8 +153,8 @@ func TestMultiTenancySlowsJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, _ := idle.Profile(JobRouting, 8)
-	pl, _ := loaded.Profile(JobRouting, 8)
+	pi, _ := idle.Profile(flow.JobRouting, 8)
+	pl, _ := loaded.Profile(flow.JobRouting, 8)
 	if pl.Seconds <= pi.Seconds {
 		t.Fatalf("co-tenants did not slow the job: %g vs %g", pl.Seconds, pi.Seconds)
 	}
@@ -170,10 +171,10 @@ func TestDeploymentProblemAndTableI(t *testing.T) {
 		t.Fatalf("classes = %d", len(prob.Classes))
 	}
 	// Family recommendations must hold.
-	if prob.Stages[int(JobSynthesis)][0].Instance.Family != cloud.GeneralPurpose {
+	if prob.Stages[int(flow.JobSynthesis)][0].Instance.Family != cloud.GeneralPurpose {
 		t.Error("synthesis not on general-purpose")
 	}
-	if prob.Stages[int(JobRouting)][0].Instance.Family != cloud.MemoryOptimized {
+	if prob.Stages[int(flow.JobRouting)][0].Instance.Family != cloud.MemoryOptimized {
 		t.Error("routing not on memory-optimized")
 	}
 
@@ -268,7 +269,7 @@ func TestDatasetAndPredictor(t *testing.T) {
 		t.Fatalf("labels = %d", ds.NumLabels())
 	}
 	// Runtimes must decrease (weakly) with vCPUs for every sample.
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		for _, s := range ds.Jobs[k] {
 			for i := 1; i < len(s.Runtimes); i++ {
 				if s.Runtimes[i] > s.Runtimes[i-1]*1.001 {
@@ -278,7 +279,7 @@ func TestDatasetAndPredictor(t *testing.T) {
 		}
 	}
 
-	train, test := ds.SplitByDesign(JobPlacement, 0.2, 3)
+	train, test := ds.SplitByDesign(flow.JobPlacement, 0.2, 3)
 	if len(train) == 0 || len(test) == 0 {
 		t.Fatal("empty split")
 	}
@@ -297,7 +298,7 @@ func TestDatasetAndPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		je := eval.PerJob[k]
 		if je == nil || len(je.Records) == 0 {
 			t.Fatalf("%v: no eval records", k)
@@ -318,8 +319,8 @@ func TestDatasetAndPredictor(t *testing.T) {
 		}
 	}
 	// Prediction plumbing.
-	g := ds.Jobs[JobRouting][0].Graph
-	rt, err := pred.PredictRuntimes(JobRouting, g)
+	g := ds.Jobs[flow.JobRouting][0].Graph
+	rt, err := pred.PredictRuntimes(flow.JobRouting, g)
 	if err != nil || len(rt) != 4 {
 		t.Fatalf("PredictRuntimes: %v %v", rt, err)
 	}
@@ -328,19 +329,19 @@ func TestDatasetAndPredictor(t *testing.T) {
 			t.Fatalf("negative/NaN predicted runtime %v", rt)
 		}
 	}
-	if _, err := pred.PredictRuntimes(JobKind(99), g); err == nil {
+	if _, err := pred.PredictRuntimes(flow.JobKind(99), g); err == nil {
 		t.Fatal("unknown job accepted")
 	}
 }
 
 func TestJobKindStringsAndFamilies(t *testing.T) {
-	if JobSynthesis.String() != "synthesis" || JobSTA.String() != "sta" || JobKind(9).String() == "" {
+	if flow.JobSynthesis.String() != "synthesis" || flow.JobSTA.String() != "sta" || flow.JobKind(9).String() == "" {
 		t.Fatal("job names wrong")
 	}
-	if RecommendedFamily(JobSynthesis) != cloud.GeneralPurpose ||
-		RecommendedFamily(JobPlacement) != cloud.MemoryOptimized ||
-		RecommendedFamily(JobRouting) != cloud.MemoryOptimized ||
-		RecommendedFamily(JobSTA) != cloud.GeneralPurpose {
+	if RecommendedFamily(flow.JobSynthesis) != cloud.GeneralPurpose ||
+		RecommendedFamily(flow.JobPlacement) != cloud.MemoryOptimized ||
+		RecommendedFamily(flow.JobRouting) != cloud.MemoryOptimized ||
+		RecommendedFamily(flow.JobSTA) != cloud.GeneralPurpose {
 		t.Fatal("family recommendations do not match the paper")
 	}
 }

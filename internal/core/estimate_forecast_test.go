@@ -26,7 +26,7 @@ func TestBatchEstimateMatchesForecast(t *testing.T) {
 	}
 	capacity := batchCapacity(fleet)
 	labels := []string{"gp.1x", "gp.4x", "mem.2x", "mem.8x"}
-	kinds := JobKinds()
+	kinds := flow.JobKinds()
 
 	totalWait := 0
 	for seed := int64(0); seed < 250; seed++ {

@@ -13,7 +13,7 @@ import (
 // StageChoice is one (stage, instance) runtime/cost point — one cell
 // of the paper's Table I.
 type StageChoice struct {
-	Job      JobKind
+	Job      flow.JobKind
 	Instance cloud.InstanceType
 	Seconds  float64
 	Cost     float64
@@ -37,7 +37,7 @@ type DeploymentProblem struct {
 // Plan is an optimized deployment: one instance per stage.
 type Plan struct {
 	Feasible  bool
-	Picks     []StageChoice // aligned with JobKinds()
+	Picks     []StageChoice // aligned with flow.JobKinds()
 	TotalTime int
 	TotalCost float64
 }
@@ -57,7 +57,7 @@ func (p *Plan) String() string {
 }
 
 // Pick returns the plan's choice for one stage.
-func (p *Plan) Pick(k JobKind) (StageChoice, error) {
+func (p *Plan) Pick(k flow.JobKind) (StageChoice, error) {
 	for _, pick := range p.Picks {
 		if pick.Job == k {
 			return pick, nil

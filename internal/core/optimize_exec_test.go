@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edacloud/internal/cloud"
+	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 )
 
@@ -90,7 +91,7 @@ func TestPlanExportAndFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sp) != len(JobKinds()) {
+	if len(sp) != len(flow.JobKinds()) {
 		t.Fatalf("stage plan covers %d kinds", len(sp))
 	}
 	sel, err := mckp.SolveMinCost(prob.Classes, prob.UnderProvision().TotalTime)
@@ -103,7 +104,7 @@ func TestPlanExportAndFleet(t *testing.T) {
 	}
 	for i, j := range sel.Pick {
 		cl := prob.Classes[i]
-		if cl.Name != JobKinds()[i].String() {
+		if cl.Name != flow.JobKinds()[i].String() {
 			t.Fatalf("class %q out of order", cl.Name)
 		}
 		if cl.Items[j].Label != cheap.Picks[i].Instance.Name {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"edacloud/internal/flow"
 	"edacloud/internal/synth"
 )
 
@@ -61,7 +62,7 @@ func TestBuildDatasetDeterministicAcrossWorkers(t *testing.T) {
 	want := run(1)
 	for _, w := range []int{2, 8} {
 		got := run(w)
-		for _, k := range JobKinds() {
+		for _, k := range flow.JobKinds() {
 			if len(got.Jobs[k]) != len(want.Jobs[k]) {
 				t.Fatalf("workers=%d: %v has %d samples, want %d", w, k, len(got.Jobs[k]), len(want.Jobs[k]))
 			}

@@ -8,6 +8,7 @@ import (
 
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
+	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
@@ -68,13 +69,13 @@ type LabeledGraph struct {
 
 // Dataset carries per-job samples.
 type Dataset struct {
-	Jobs    map[JobKind][]LabeledGraph
+	Jobs    map[flow.JobKind][]LabeledGraph
 	VCPUs   []int
 	Designs []string
 }
 
 // NumNetlists returns the number of distinct netlist variants.
-func (d *Dataset) NumNetlists() int { return len(d.Jobs[JobPlacement]) }
+func (d *Dataset) NumNetlists() int { return len(d.Jobs[flow.JobPlacement]) }
 
 // NumLabels returns the total number of runtime labels.
 func (d *Dataset) NumLabels() int {
@@ -101,7 +102,7 @@ func (d *Dataset) NumLabels() int {
 func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 	opts = opts.withDefaults()
 	ds := &Dataset{
-		Jobs:    map[JobKind][]LabeledGraph{},
+		Jobs:    map[flow.JobKind][]LabeledGraph{},
 		VCPUs:   opts.VCPUs,
 		Designs: opts.Benchmarks,
 	}
@@ -117,7 +118,7 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 		// builds inputAIG.
 		inputAIG *gcn.Graph
 		nlGraph  *gcn.Graph
-		runtimes map[JobKind][]float64
+		runtimes map[flow.JobKind][]float64
 		err      error
 	}
 	benchGraphs := make([]*aig.Graph, len(opts.Benchmarks))
@@ -136,7 +137,7 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 		// Clone per unit: the AIG memoizes levels/fanouts lazily, so
 		// concurrent units must not share one graph.
 		g := benchGraphs[u/nRecipes].Clone()
-		out := unitOut{runtimes: map[JobKind][]float64{}}
+		out := unitOut{runtimes: map[flow.JobKind][]float64{}}
 		if ri == 0 {
 			out.inputAIG = gcn.FromStarGraph(netlist.AIGGraph(g))
 		}
@@ -151,7 +152,7 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 			// are invariant to it, but log-space training and the
 			// Fig. 5 histogram operate on paper-like seconds.
 			m := machineFor(v, true, 0, datasetWorkScale)
-			for _, k := range JobKinds() {
+			for _, k := range flow.JobKinds() {
 				out.runtimes[k] = append(out.runtimes[k], m.Seconds(reportAt(k, v)))
 			}
 		}
@@ -163,8 +164,8 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 			if unit.err != nil {
 				return nil, unit.err
 			}
-			for _, k := range JobKinds() {
-				if k == JobSynthesis {
+			for _, k := range flow.JobKinds() {
+				if k == flow.JobSynthesis {
 					if ri == 0 {
 						ds.Jobs[k] = append(ds.Jobs[k], LabeledGraph{
 							Design:   bench,
@@ -189,7 +190,7 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 
 // SplitByDesign partitions sample indices so that test samples come
 // from designs never seen in training (the paper's split discipline).
-func (d *Dataset) SplitByDesign(k JobKind, testFrac float64, seed int64) (train, test []LabeledGraph) {
+func (d *Dataset) SplitByDesign(k flow.JobKind, testFrac float64, seed int64) (train, test []LabeledGraph) {
 	names := append([]string(nil), d.Designs...)
 	sort.Strings(names)
 	rng := rand.New(rand.NewSource(seed))
@@ -215,8 +216,8 @@ func (d *Dataset) SplitByDesign(k JobKind, testFrac float64, seed int64) (train,
 // Predictor bundles one trained GCN per application, as the paper
 // trains each application's model separately.
 type Predictor struct {
-	Models  map[JobKind]*gcn.Model
-	Scalers map[JobKind]*gcn.TargetScaler
+	Models  map[flow.JobKind]*gcn.Model
+	Scalers map[flow.JobKind]*gcn.TargetScaler
 	VCPUs   []int
 }
 
@@ -285,7 +286,7 @@ func (e *JobEval) Histogram(bins int) (edges []float64, counts []int) {
 
 // PredictionEval is the Fig. 5 result set.
 type PredictionEval struct {
-	PerJob map[JobKind]*JobEval
+	PerJob map[flow.JobKind]*JobEval
 }
 
 // TrainPredictor trains per-application models on a design-disjoint
@@ -313,7 +314,7 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 		eval   *JobEval
 		err    error
 	}
-	kinds := JobKinds()
+	kinds := flow.JobKinds()
 	results := par.Map(par.Fixed(cfg.Workers), len(kinds), func(i int) trained {
 		k := kinds[i]
 		train, test := ds.SplitByDesign(k, testFrac, seed)
@@ -364,11 +365,11 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 	})
 
 	pred := &Predictor{
-		Models:  map[JobKind]*gcn.Model{},
-		Scalers: map[JobKind]*gcn.TargetScaler{},
+		Models:  map[flow.JobKind]*gcn.Model{},
+		Scalers: map[flow.JobKind]*gcn.TargetScaler{},
 		VCPUs:   ds.VCPUs,
 	}
-	eval := &PredictionEval{PerJob: map[JobKind]*JobEval{}}
+	eval := &PredictionEval{PerJob: map[flow.JobKind]*JobEval{}}
 	for i, k := range kinds {
 		r := results[i]
 		if r.err != nil {
@@ -383,7 +384,7 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 
 // PredictRuntimes returns predicted per-configuration runtimes in
 // seconds for a graph under the given application's model.
-func (p *Predictor) PredictRuntimes(k JobKind, g *gcn.Graph) ([]float64, error) {
+func (p *Predictor) PredictRuntimes(k flow.JobKind, g *gcn.Graph) ([]float64, error) {
 	model := p.Models[k]
 	if model == nil {
 		return nil, fmt.Errorf("core: no model for %v", k)
@@ -396,7 +397,7 @@ func (p *Predictor) PredictRuntimes(k JobKind, g *gcn.Graph) ([]float64, error) 
 // worker pool (gcn.Model.PredictBatch). Results are in input order and
 // bit-identical to per-graph PredictRuntimes calls at any worker
 // count.
-func (p *Predictor) PredictRuntimesBatch(k JobKind, graphs []*gcn.Graph) ([][]float64, error) {
+func (p *Predictor) PredictRuntimesBatch(k flow.JobKind, graphs []*gcn.Graph) ([][]float64, error) {
 	model := p.Models[k]
 	if model == nil {
 		return nil, fmt.Errorf("core: no model for %v", k)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/mat"
 	"edacloud/internal/synth"
@@ -23,7 +24,7 @@ func predictorBits(p *Predictor) []uint64 {
 			out = append(out, math.Float64bits(x))
 		}
 	}
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		m, s := p.Models[k], p.Scalers[k]
 		for _, d := range []*mat.Dense{m.W1, m.B1, m.W2, m.B2, m.FW, m.FBias, m.OW, m.OBias} {
 			out = append(out, uint64(d.Rows), uint64(d.Cols))
@@ -78,9 +79,9 @@ func TestTrainPredictorDeterministicAcrossWorkers(t *testing.T) {
 	// A kind with nothing to train on fails the call with that kind's
 	// message — the first in kind order when several fail — however many
 	// models were training next to it.
-	broken := &Dataset{Jobs: map[JobKind][]LabeledGraph{}, VCPUs: ds.VCPUs, Designs: ds.Designs}
-	broken.Jobs[JobSynthesis] = ds.Jobs[JobSynthesis]
-	broken.Jobs[JobPlacement] = ds.Jobs[JobPlacement]
+	broken := &Dataset{Jobs: map[flow.JobKind][]LabeledGraph{}, VCPUs: ds.VCPUs, Designs: ds.Designs}
+	broken.Jobs[flow.JobSynthesis] = ds.Jobs[flow.JobSynthesis]
+	broken.Jobs[flow.JobPlacement] = ds.Jobs[flow.JobPlacement]
 	for _, workers := range []int{1, 8} {
 		cfg.Workers = workers
 		_, _, err := TrainPredictor(broken, cfg, 0.34, 2)
@@ -94,7 +95,7 @@ func TestTrainPredictorDeterministicAcrossWorkers(t *testing.T) {
 // negative or non-finite learning rate is refused before any model is
 // built (a negative width used to panic in mat).
 func TestTrainPredictorRejectsBadConfig(t *testing.T) {
-	ds := &Dataset{Jobs: map[JobKind][]LabeledGraph{}, VCPUs: []int{1}, Designs: []string{"a", "b"}}
+	ds := &Dataset{Jobs: map[flow.JobKind][]LabeledGraph{}, VCPUs: []int{1}, Designs: []string{"a", "b"}}
 	for _, cfg := range []gcn.Config{
 		{Hidden1: -1}, {Hidden2: -2}, {FCHidden: -3},
 		{LR: -1}, {LR: math.NaN()}, {LR: math.Inf(1)},
@@ -136,7 +137,7 @@ func TestHistogramSkipsNonFiniteErrors(t *testing.T) {
 // [0, 1) is an error, not a slice-bounds panic inside a training worker.
 func TestTrainPredictorRejectsTestFraction(t *testing.T) {
 	ds := &Dataset{
-		Jobs:    map[JobKind][]LabeledGraph{},
+		Jobs:    map[flow.JobKind][]LabeledGraph{},
 		VCPUs:   []int{1},
 		Designs: []string{"a", "b", "c"},
 	}

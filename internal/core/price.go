@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"edacloud/internal/cloud"
+	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 )
 
@@ -20,7 +21,7 @@ import (
 // AVX in the catalog, so each runtime is re-derived from the profiled
 // event counts on the machine the stage would actually rent.
 func BuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog) (*DeploymentProblem, error) {
-	return priceStages(char.Design, char.VCPUs, catalog, func(k JobKind, vi int, it cloud.InstanceType) float64 {
+	return priceStages(char.Design, char.VCPUs, catalog, func(k flow.JobKind, vi int, it cloud.InstanceType) float64 {
 		return machineFor(it.VCPUs, it.AVX, 0, char.WorkScale).Seconds(char.Profiles[vi][int(k)].Report)
 	})
 }
@@ -31,13 +32,13 @@ func BuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog
 // calculator -> optimization). Predictions are floored at one second:
 // the GCN extrapolates and must not emit non-positive runtimes into a
 // DP over integral seconds.
-func BuildPredictedDeploymentProblem(design string, vcpus []int, runtimes map[JobKind][]float64, catalog *cloud.Catalog) (*DeploymentProblem, error) {
-	for _, k := range JobKinds() {
+func BuildPredictedDeploymentProblem(design string, vcpus []int, runtimes map[flow.JobKind][]float64, catalog *cloud.Catalog) (*DeploymentProblem, error) {
+	for _, k := range flow.JobKinds() {
 		if len(runtimes[k]) != len(vcpus) {
 			return nil, fmt.Errorf("core: %v prediction width %d, want %d", k, len(runtimes[k]), len(vcpus))
 		}
 	}
-	return priceStages(design, vcpus, catalog, func(k JobKind, vi int, _ cloud.InstanceType) float64 {
+	return priceStages(design, vcpus, catalog, func(k flow.JobKind, vi int, _ cloud.InstanceType) float64 {
 		return max(runtimes[k][vi], 1)
 	})
 }
@@ -48,9 +49,9 @@ func BuildPredictedDeploymentProblem(design string, vcpus []int, runtimes map[Jo
 // Catalogs extended with spot pricing (Catalog.WithSpot) expose a
 // discounted revocable twin per type; it shares the hardware, so the
 // runtime carries over and only the bill drops.
-func priceStages(design string, vcpus []int, catalog *cloud.Catalog, seconds func(k JobKind, vi int, it cloud.InstanceType) float64) (*DeploymentProblem, error) {
-	stages := make([][]StageChoice, len(JobKinds()))
-	for l, k := range JobKinds() {
+func priceStages(design string, vcpus []int, catalog *cloud.Catalog, seconds func(k flow.JobKind, vi int, it cloud.InstanceType) float64) (*DeploymentProblem, error) {
+	stages := make([][]StageChoice, len(flow.JobKinds()))
+	for l, k := range flow.JobKinds() {
 		for vi, v := range vcpus {
 			it, err := catalog.Size(RecommendedFamily(k), v)
 			if err != nil {
@@ -66,14 +67,26 @@ func priceStages(design string, vcpus []int, catalog *cloud.Catalog, seconds fun
 	return newProblem(design, stages), nil
 }
 
+// RecommendedFamily returns the paper's instance-family recommendation
+// (Sec. III.A takeaways): synthesis and STA on general-purpose VMs,
+// placement and routing on memory-optimized VMs.
+func RecommendedFamily(k flow.JobKind) cloud.Family {
+	switch k {
+	case flow.JobPlacement, flow.JobRouting:
+		return cloud.MemoryOptimized
+	default:
+		return cloud.GeneralPurpose
+	}
+}
+
 // newProblem is the only constructor of a DeploymentProblem: it
 // derives the knapsack classes from the stage table (one class per
-// job in JobKinds order, one item per choice, runtime rounded up to
+// job in flow.JobKinds order, one item per choice, runtime rounded up to
 // whole seconds), so the two views cannot drift apart.
 func newProblem(design string, stages [][]StageChoice) *DeploymentProblem {
 	prob := &DeploymentProblem{Design: design, Stages: stages, Classes: make([]mckp.Class, len(stages))}
 	for l, stage := range stages {
-		cl := mckp.Class{Name: JobKinds()[l].String(), Items: make([]mckp.Item, len(stage))}
+		cl := mckp.Class{Name: flow.JobKinds()[l].String(), Items: make([]mckp.Item, len(stage))}
 		for j, c := range stage {
 			cl.Items[j] = mckp.Item{Label: c.Instance.Name, TimeSec: int(math.Ceil(c.Seconds)), Cost: c.Cost}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
+	"edacloud/internal/flow"
 	"edacloud/internal/mckp"
 )
 
@@ -19,7 +20,7 @@ import (
 // refBuildDeploymentProblem is the measured-runtime pricing loop.
 func refBuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog) (*DeploymentProblem, error) {
 	prob := &DeploymentProblem{Design: char.Design}
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		fam := RecommendedFamily(k)
 		var choices []StageChoice
 		cl := mckp.Class{Name: k.String()}
@@ -48,9 +49,9 @@ func refBuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Cata
 
 // refBuildPredicted is the predicted-runtime pricing loop of the old
 // BuildPredictedDeploymentProblem, after its predictor call.
-func refBuildPredicted(design string, vcpus []int, runtimes map[JobKind][]float64, catalog *cloud.Catalog) (*DeploymentProblem, error) {
+func refBuildPredicted(design string, vcpus []int, runtimes map[flow.JobKind][]float64, catalog *cloud.Catalog) (*DeploymentProblem, error) {
 	prob := &DeploymentProblem{Design: design}
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		fam := RecommendedFamily(k)
 		rts := runtimes[k]
 		if len(rts) != len(vcpus) {
@@ -79,9 +80,9 @@ func refBuildPredicted(design string, vcpus []int, runtimes map[JobKind][]float6
 
 // refPredictedClasses is the DSE cheap rung's own copy of the
 // predicted pricing, which built classes only.
-func refPredictedClasses(vcpus []int, seconds map[JobKind][]float64, catalog *cloud.Catalog) ([]mckp.Class, error) {
+func refPredictedClasses(vcpus []int, seconds map[flow.JobKind][]float64, catalog *cloud.Catalog) ([]mckp.Class, error) {
 	var classes []mckp.Class
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		secs := seconds[k]
 		cl := mckp.Class{Name: k.String()}
 		fam := RecommendedFamily(k)
@@ -311,8 +312,8 @@ func TestPricingMatchesReferencePredicted(t *testing.T) {
 	special := []float64{0, 0.25, 0.999, 1, 1.0000001, -3, 1e9, 1e15, math.MaxFloat64}
 	catalogs := priceCatalogs(t)
 	for seed := 0; seed < 240; seed++ {
-		runtimes := map[JobKind][]float64{}
-		for _, k := range JobKinds() {
+		runtimes := map[flow.JobKind][]float64{}
+		for _, k := range flow.JobKinds() {
 			for range vcpus {
 				var v float64
 				switch rng.Intn(4) {
@@ -350,7 +351,7 @@ func TestPricingMatchesReferencePredicted(t *testing.T) {
 			}
 		}
 	}
-	short := map[JobKind][]float64{JobSynthesis: {1, 2, 3, 4}}
+	short := map[flow.JobKind][]float64{flow.JobSynthesis: {1, 2, 3, 4}}
 	_, werr := refBuildPredicted("pred", vcpus, short, catalogs["default"])
 	_, gerr := BuildPredictedDeploymentProblem("pred", vcpus, short, catalogs["default"])
 	if werr == nil || gerr == nil || werr.Error() != gerr.Error() {

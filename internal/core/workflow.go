@@ -1,3 +1,13 @@
+// Package core implements the paper's end-to-end workflow (its
+// Fig. 1): characterize the four EDA applications under different VM
+// configurations, predict per-configuration runtimes for unseen
+// designs with the GCN model, and optimize cloud deployments with the
+// multi-choice knapsack solver so deadlines are met at minimum cost.
+//
+// Flow execution itself lives in internal/flow (Stage/Pipeline/
+// Scheduler), which also declares the four stage kinds (flow.JobKind);
+// this package layers the characterization, prediction and
+// optimization experiments on top.
 package core
 
 import (
@@ -15,6 +25,10 @@ import (
 // (Sec. III.B) feed the deployment optimizer (Sec. III.C) directly, so
 // a new design can be planned without profiling it first — the entire
 // point of training the predictor.
+
+// JobKinds forwards to flow.JobKinds. It stays only because the bench
+// module calls it; everything else says flow.JobKinds.
+func JobKinds() []flow.JobKind { return flow.JobKinds() }
 
 // DesignGraphs carries the two model inputs for one design: the AIG
 // for the synthesis model and the mapped netlist's star graph for the
@@ -43,11 +57,11 @@ func GraphsForDesign(g *aig.Graph, lib *techlib.Library) (*DesignGraphs, error) 
 
 // PredictFlowRuntimes returns the predicted per-vCPU runtimes of all
 // four jobs for a design, in seconds.
-func (p *Predictor) PredictFlowRuntimes(dg *DesignGraphs) (map[JobKind][]float64, error) {
-	out := map[JobKind][]float64{}
-	for _, k := range JobKinds() {
+func (p *Predictor) PredictFlowRuntimes(dg *DesignGraphs) (map[flow.JobKind][]float64, error) {
+	out := map[flow.JobKind][]float64{}
+	for _, k := range flow.JobKinds() {
 		g := dg.Netlist
-		if k == JobSynthesis {
+		if k == flow.JobSynthesis {
 			g = dg.AIG
 		}
 		if g == nil {

@@ -5,6 +5,7 @@ import (
 
 	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
+	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
 )
@@ -38,7 +39,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range JobKinds() {
+	for _, k := range flow.JobKinds() {
 		if len(runtimes[k]) != 4 {
 			t.Fatalf("%v: %d predictions", k, len(runtimes[k]))
 		}
@@ -58,8 +59,8 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 	// The instance families must still follow the characterization
 	// recommendations.
-	if prob.Stages[int(JobSynthesis)][0].Instance.Family != cloud.GeneralPurpose ||
-		prob.Stages[int(JobPlacement)][0].Instance.Family != cloud.MemoryOptimized {
+	if prob.Stages[int(flow.JobSynthesis)][0].Instance.Family != cloud.GeneralPurpose ||
+		prob.Stages[int(flow.JobPlacement)][0].Instance.Family != cloud.MemoryOptimized {
 		t.Fatal("family recommendations lost in prediction path")
 	}
 

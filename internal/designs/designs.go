@@ -96,9 +96,6 @@ type MillionSpec struct {
 // ID returns the family member's stable identifier, e.g. "adder.x100".
 func (s MillionSpec) ID() string { return fmt.Sprintf("%s.x%g", s.Name, s.Scale) }
 
-// Build generates the member's graph.
-func (s MillionSpec) Build() *aig.Graph { return MustBenchmark(s.Name, s.Scale) }
-
 // MillionFamily returns the million-gate benchmark family in ascending
 // size order, from ~141k to ~1.4M AND nodes. The members are chosen
 // from generators whose size scales linearly with width and whose

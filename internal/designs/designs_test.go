@@ -455,7 +455,7 @@ func TestMillionFamilySpecs(t *testing.T) {
 			t.Fatalf("family not ascending at %s", s.ID())
 		}
 	}
-	g := fam[0].Build()
+	g := MustBenchmark(fam[0].Name, fam[0].Scale)
 	ratio := float64(g.NumAnds()) / float64(fam[0].ApproxAnds)
 	if ratio < 0.7 || ratio > 1.3 {
 		t.Fatalf("%s realized %d ands, spec says ~%d", fam[0].ID(), g.NumAnds(), fam[0].ApproxAnds)

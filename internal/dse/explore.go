@@ -355,7 +355,7 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 			graphs = append(graphs, gcn.FromStarGraph(jr.Run.Netlist.StarGraph()))
 		}
 	}
-	for _, k := range core.JobKinds() {
+	for _, k := range flow.JobKinds() {
 		if k == flow.JobSynthesis {
 			continue
 		}

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"fmt"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/netlist"
@@ -11,9 +12,10 @@ import (
 )
 
 // This file is the flow's one artifact model: which typed artifacts a
-// run carries, and which of them each stage kind reads and writes.
-// Prerequisite checks, cache-key anchors and the cache payload's
-// capture, install and size all iterate the two tables below; nothing
+// run carries, and what each stage kind is — its name, its engine's
+// revision tag and which artifacts it reads and writes. Kind names,
+// prerequisite checks, cache-key anchors and the cache payload's
+// capture, install and size all read the two tables below; nothing
 // else switches on the four kinds.
 
 // Artifacts is the set of typed artifacts the stages hand to each
@@ -82,8 +84,43 @@ var slots = [numSlots]slotDef{
 	slotTiming:    slotOf(func(a *Artifacts) **sta.Result { return &a.Timing }),
 }
 
-// kindDecl declares the slots one stage kind reads and writes.
+// JobKind identifies one of the four characterized EDA applications.
+// The kinds table below declares each one.
+type JobKind int
+
+// The four applications of the paper's characterization, in flow
+// order.
+const (
+	JobSynthesis JobKind = iota
+	JobPlacement
+	JobRouting
+	JobSTA
+)
+
+// JobKinds lists all four in flow order.
+func JobKinds() []JobKind {
+	ks := make([]JobKind, len(kinds))
+	for i := range ks {
+		ks[i] = JobKind(i)
+	}
+	return ks
+}
+
+func (k JobKind) String() string {
+	if k >= 0 && int(k) < len(kinds) {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("job(%d)", int(k))
+}
+
+// kindDecl declares one stage kind: its name, its engine's revision
+// tag and the slots it reads and writes.
 type kindDecl struct {
+	// name is the kind's String and its built-in stage's Name.
+	name string
+	// engine is the built-in stage's EngineVersion, part of every chain
+	// key: bump it when the engine's output changes.
+	engine string
 	// needs must be filled before the stage can run; a kind that needs
 	// nothing is the flow's root and reads the run's Design and Lib.
 	needs []slot
@@ -99,11 +136,13 @@ type kindDecl struct {
 const missingNetlist = "no netlist in context (run a synthesis stage first)"
 
 var kinds = [...]kindDecl{
-	JobSynthesis: {makes: []slot{slotOptimized, slotNetlist}},
-	JobPlacement: {needs: []slot{slotNetlist}, makes: []slot{slotPlacement}, missing: missingNetlist},
-	JobRouting: {needs: []slot{slotNetlist, slotPlacement}, makes: []slot{slotRouting},
+	JobSynthesis: {name: "synthesis", engine: "synth/1", makes: []slot{slotOptimized, slotNetlist}},
+	JobPlacement: {name: "placement", engine: "place/1", needs: []slot{slotNetlist}, makes: []slot{slotPlacement},
+		missing: missingNetlist},
+	JobRouting: {name: "routing", engine: "route/1", needs: []slot{slotNetlist, slotPlacement}, makes: []slot{slotRouting},
 		missing: "no placed netlist in context (run synthesis and placement first)"},
-	JobSTA: {needs: []slot{slotNetlist}, optional: []slot{slotPlacement}, makes: []slot{slotTiming}, missing: missingNetlist},
+	JobSTA: {name: "sta", engine: "sta/1", needs: []slot{slotNetlist}, optional: []slot{slotPlacement}, makes: []slot{slotTiming},
+		missing: missingNetlist},
 }
 
 // has reports whether every listed slot is filled.

@@ -19,10 +19,11 @@ func filled(a *Artifacts) []slot {
 }
 
 // TestKindDeclarations runs the default flow stage by stage and holds
-// every JobKind to its row of the kinds table: the stage fills exactly
-// its makes slots, refuses to run (with the long-standing error text)
-// while a needs slot is empty, tolerates an empty optional slot, and
-// inputAnchor is defined exactly when the needs are met.
+// every JobKind to its row of the kinds table: the default flow lists
+// the kinds in JobKinds order under the row's name, and each stage
+// fills exactly its makes slots, refuses to run (with the long-standing
+// error text) while a needs slot is empty, tolerates an empty optional
+// slot, and has an inputAnchor exactly when the needs are met.
 func TestKindDeclarations(t *testing.T) {
 	wantErr := map[JobKind]string{
 		JobPlacement: "no netlist in context (run a synthesis stage first)",
@@ -33,6 +34,14 @@ func TestKindDeclarations(t *testing.T) {
 	stages := pipe.Stages()
 	if len(stages) != len(kinds) {
 		t.Fatalf("default flow has %d stages, kinds table %d rows", len(stages), len(kinds))
+	}
+	for i, k := range JobKinds() {
+		if s := stages[i]; s.Kind() != k || s.Name() != kinds[k].name || k.String() != kinds[k].name {
+			t.Errorf("stage %d: kind %v named %q, want kind %d named %q", i, s.Kind(), s.Name(), k, kinds[k].name)
+		}
+	}
+	if got := JobKind(len(kinds)).String(); got != "job(4)" {
+		t.Errorf("out-of-range kind prints %q, want job(4)", got)
 	}
 	full := pipe.NewRunContext(designs.MustEvalDesign("dyn_node", testScale), lib)
 	for _, s := range stages {

@@ -8,7 +8,11 @@
 // # Stages and pipelines
 //
 // A Stage wraps one engine behind a uniform interface: Name, the
-// JobKind it implements, and Run against a RunContext. The RunContext
+// JobKind it implements, and Run against a RunContext. What a kind is
+// — its name, its place in flow order, its engine's revision tag and
+// the artifacts it reads and writes — is declared once, in the kinds
+// table of artifacts.go; JobKind.String, JobKinds and the built-in
+// stages' Name and EngineVersion read it. The RunContext
 // is the typed artifact store a flow threads through its stages — the
 // optimized AIG, mapped netlist, placement, routing and timing results,
 // plus one perf.Report per stage — together with the design, the cell
@@ -58,42 +62,7 @@
 // granularity.
 package flow
 
-import (
-	"fmt"
-
-	"edacloud/internal/par"
-)
-
-// JobKind identifies one of the four characterized EDA applications.
-type JobKind int
-
-// The four applications of the paper's characterization, in flow
-// order.
-const (
-	JobSynthesis JobKind = iota
-	JobPlacement
-	JobRouting
-	JobSTA
-)
-
-// JobKinds lists all four in flow order.
-func JobKinds() []JobKind {
-	return []JobKind{JobSynthesis, JobPlacement, JobRouting, JobSTA}
-}
-
-func (k JobKind) String() string {
-	switch k {
-	case JobSynthesis:
-		return "synthesis"
-	case JobPlacement:
-		return "placement"
-	case JobRouting:
-		return "routing"
-	case JobSTA:
-		return "sta"
-	}
-	return fmt.Sprintf("job(%d)", int(k))
-}
+import "edacloud/internal/par"
 
 // StageConfig is the uniform per-stage execution configuration every
 // engine accepts: the worker-pool bound and the performance probe. It

@@ -24,24 +24,24 @@ type Stage interface {
 	Run(rc *RunContext) error
 }
 
-// builtin is one of the four built-in stages. Everything that differs
-// between them is declared once, in the stage's constructor: the
-// options fingerprint and engine version the cache keys on, and the
-// engine call that fills the kind's `makes` slots.
+// builtin is one of the four built-in stages. Its name and engine
+// version are its kind's row of the kinds table; everything else that
+// differs between them is declared once, in the stage's constructor:
+// the options fingerprint the cache keys on and the engine call that
+// fills the kind's `makes` slots.
 type builtin struct {
 	kind JobKind
 	// own is the StageConfig the stage was constructed with; its
 	// non-zero fields win over the pipeline's.
-	own     StageConfig
-	optsFP  uint64
-	version string
-	run     func(rc *RunContext, sc StageConfig) (*perf.Report, error)
+	own    StageConfig
+	optsFP uint64
+	run    func(rc *RunContext, sc StageConfig) (*perf.Report, error)
 }
 
-func (s builtin) Name() string               { return s.kind.String() }
+func (s builtin) Name() string               { return kinds[s.kind].name }
 func (s builtin) Kind() JobKind              { return s.kind }
 func (s builtin) OptionsFingerprint() uint64 { return s.optsFP }
-func (s builtin) EngineVersion() string      { return s.version }
+func (s builtin) EngineVersion() string      { return kinds[s.kind].engine }
 
 func (s builtin) Run(rc *RunContext) error {
 	if err := rc.require(s.kind); err != nil {
@@ -73,7 +73,7 @@ func Synthesis(opts synth.Options) Stage {
 	// The mapping objective every program left at 0: hashing that zero
 	// keeps the pinned chain keys.
 	h.Int(0)
-	return builtin{JobSynthesis, opts.StageConfig, uint64(h), "synth/1",
+	return builtin{JobSynthesis, opts.StageConfig, uint64(h),
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
 			o.StageConfig = sc
@@ -96,7 +96,7 @@ func Placement(opts place.Options) Stage {
 	h.Int(0)
 	h.Int(0)
 	h.Int(0)
-	return builtin{JobPlacement, opts.StageConfig, uint64(h), "place/1",
+	return builtin{JobPlacement, opts.StageConfig, uint64(h),
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
 			o.StageConfig = sc
@@ -124,7 +124,7 @@ func Routing(opts route.Options) Stage {
 	fold.Word(uint64(h))
 	fold.Int(0)
 	fold.Int(1)
-	return builtin{JobRouting, opts.StageConfig, uint64(fold), "route/1",
+	return builtin{JobRouting, opts.StageConfig, uint64(fold),
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
 			o.StageConfig = sc
@@ -148,7 +148,7 @@ func STA(opts sta.Options) Stage {
 	h.F64(0)
 	h.F64(0)
 	h.F64(opts.HoldTimeNs)
-	return builtin{JobSTA, opts.StageConfig, uint64(h), "sta/1",
+	return builtin{JobSTA, opts.StageConfig, uint64(h),
 		func(rc *RunContext, sc StageConfig) (*perf.Report, error) {
 			o := opts
 			o.StageConfig = sc

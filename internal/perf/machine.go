@@ -1,7 +1,5 @@
 package perf
 
-import "math"
-
 // Machine is a cycle-level model of one VM configuration. It converts
 // the event counts of a profiled Phase into virtual runtime, applying:
 //
@@ -134,17 +132,4 @@ func (m Machine) Seconds(r *Report) float64 {
 		t += m.PhaseSeconds(p)
 	}
 	return t
-}
-
-// Speedup returns the runtime ratio between this machine at 1 vCPU and
-// at its configured vCPU count for the given report.
-func (m Machine) Speedup(r *Report) float64 {
-	one := m
-	one.VCPUs = 1
-	base := one.Seconds(r)
-	now := m.Seconds(r)
-	if now <= 0 {
-		return math.Inf(1)
-	}
-	return base / now
 }

@@ -366,13 +366,8 @@ func TestMachineInterferenceAndWorkScale(t *testing.T) {
 func TestMachineSpeedupAndSeconds(t *testing.T) {
 	r := &Report{Job: "test"}
 	r.AddPhase(Phase{C: Counters{Instrs: 1e9}, ParallelFraction: 0.95, Chunks: 1024})
-	m := Xeon14(8)
-	sp := m.Speedup(r)
-	if sp < 3 || sp > 8 {
+	if sp := Xeon14(1).Seconds(r) / Xeon14(8).Seconds(r); !(sp >= 3 && sp <= 8) {
 		t.Fatalf("8-vCPU speedup of 95%%-parallel job = %.2f, want 3..8 (Amdahl)", sp)
-	}
-	if Xeon14(1).Speedup(r) != 1 {
-		t.Fatal("1-vCPU speedup != 1")
 	}
 }
 

@@ -545,20 +545,26 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 			p.miss++
 		}
 		p.sumFinish += res.FinishSec
-		tail := make([]PlannedStage, len(res.Stages))
-		for s, st := range res.Stages {
-			tail[s] = PlannedStage{
-				Kind: st.Kind, Type: st.Type.Name,
-				StartSec: st.StartSec, EndSec: st.StartSec + st.Seconds,
-				CostUSD: st.CostUSD, Cached: st.Cached,
-			}
-		}
-		p.tails[a.id] = tail
+		p.tails[a.id] = plannedStages(res.Stages)
 		p.kept[a.id] = a.kept
 	}
 	p.cost = snap.TotalCostUSD()
 	p.prices = sel.FinalPrices
 	return p, nil
+}
+
+// plannedStages converts a forecast job's stages into the plan a job
+// status reports.
+func plannedStages(stages []flow.StageResult) []PlannedStage {
+	out := make([]PlannedStage, len(stages))
+	for i, st := range stages {
+		out[i] = PlannedStage{
+			Kind: st.Kind, Type: st.Type.Name,
+			StartSec: st.StartSec, EndSec: st.StartSec + st.Seconds,
+			CostUSD: st.CostUSD, Cached: st.Cached,
+		}
+	}
+	return out
 }
 
 // adopt installs a candidate plan as the engine state.
@@ -671,13 +677,7 @@ func (e *Engine) admitIndependent(r *record) {
 	}
 	e.fleet = snap
 	r.status.Status = StatusAdmitted
-	for _, st := range res.Stages {
-		r.status.Stages = append(r.status.Stages, PlannedStage{
-			Kind: st.Kind, Type: st.Type.Name,
-			StartSec: st.StartSec, EndSec: st.StartSec + st.Seconds,
-			CostUSD: st.CostUSD,
-		})
-	}
+	r.status.Stages = plannedStages(res.Stages)
 	r.status.CostUSD = stageCost(r.status.Stages)
 	if r.status.DeadlineSec > 0 {
 		r.status.PromisedSec = res.FinishSec
