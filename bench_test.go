@@ -251,51 +251,6 @@ func BenchmarkFigure6(b *testing.B) {
 
 // --- Ablations: design choices beyond the paper's headline results ---
 
-// BenchmarkAblationMCKPGreedy quantifies the value of the exact DP over
-// the greedy upgrade heuristic across a deadline sweep.
-func BenchmarkAblationMCKPGreedy(b *testing.B) {
-	char := characterizeOnce(b)
-	prob, err := core.BuildDeploymentProblem(char, cloud.DefaultCatalog())
-	if err != nil {
-		b.Fatal(err)
-	}
-	minTime := prob.MinTime()
-	under := prob.UnderProvision()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var dpWins, ties int
-		var worstGapPct float64
-		for d := minTime; d <= under.TotalTime; d += max((under.TotalTime-minTime)/16, 1) {
-			dp, err := prob.Optimize(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gr, err := prob.OptimizeGreedy(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !dp.Feasible {
-				continue
-			}
-			if !gr.Feasible || gr.TotalCost > dp.TotalCost+1e-9 {
-				dpWins++
-				if gr.Feasible {
-					gap := 100 * (gr.TotalCost - dp.TotalCost) / dp.TotalCost
-					if gap > worstGapPct {
-						worstGapPct = gap
-					}
-				}
-			} else {
-				ties++
-			}
-		}
-		if i == 0 {
-			fmt.Printf("\nAblation MCKP: optimal DP strictly cheaper on %d of %d deadlines (worst greedy gap %.1f%%)\n",
-				dpWins, dpWins+ties, worstGapPct)
-		}
-	}
-}
-
 // BenchmarkAblationCacheConfig shows placement and routing miss rates
 // under growing LLC capacity — the evidence behind the paper's
 // memory-optimized-instance recommendation.

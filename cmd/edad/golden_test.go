@@ -146,6 +146,21 @@ func TestBadArgumentsRefused(t *testing.T) {
 			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
 		}
 	}
+	// A tenant weight that is not finite and positive, a tenant named
+	// twice and a design named twice are refused before any template
+	// is characterized (serve.New refused them after the replay header).
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-tenants", "acme=0", "finite positive weight"},
+		{"-tenants", "acme=NaN", "finite positive weight"},
+		{"-tenants", "acme=-1", "finite positive weight"},
+		{"-tenants", "acme=1,acme=2", `"acme" declared twice`},
+		{"-designs", "ibex,ibex", `"ibex" is named twice`},
+	} {
+		msg := clitest.RunFail(t, bin, "-replay", "-designs", "aes", "-scale", "0.02", tc.flag, tc.value)
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s: stderr %q does not name the rule", tc.flag, tc.value, msg)
+		}
+	}
 	// A -scale that is not finite, not positive or above
 	// designs.MaxScale is refused before any template is characterized.
 	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1", "0", "1e9"} {

@@ -74,6 +74,9 @@ func main() {
 			traceErr = fmt.Errorf("-trace-jobs %d -rate %v -burst %v: %w", *traceJobs, *rate, *burst, err)
 		}
 	}
+	tenants, tenantErr := parseTenants(*tenantSpec)
+	names := strings.Split(*designList, ",")
+	dup := repeated(names)
 	cli.Check(prog,
 		cli.NoArgs(flag.Args()),
 		cli.Count("workers", *workers),
@@ -83,6 +86,8 @@ func main() {
 		cli.HazardRate(*hazardRate),
 		cli.Refuse(*hazardRate > 0 && *spot == 0, "-hazard-rate %v needs -spot: without spot twins the fleet has nothing to revoke", *hazardRate),
 		traceErr,
+		tenantErr,
+		cli.Refuse(dup != "", "-designs: %q is named twice (each design is one job template)", dup),
 		cli.Refuse(*listen == "" && !*replay, "pass -listen for daemon mode or -replay for trace replay"),
 	)
 
@@ -98,11 +103,7 @@ func main() {
 		cli.Fail(prog, err)
 	}
 	cli.Arm(fleet, *hazardSeed, hazards)
-	tenants, err := parseTenants(*tenantSpec)
-	if err != nil {
-		cli.Fail(prog, err)
-	}
-	templates, err := buildTemplates(catalog, fleet, strings.Split(*designList, ","), *scale, *workers, *useCache)
+	templates, err := buildTemplates(catalog, fleet, names, *scale, *workers, *useCache)
 	if err != nil {
 		cli.Fail(prog, err)
 	}
@@ -121,7 +122,8 @@ func main() {
 	cli.Fail(prog, http.ListenAndServe(*listen, srv.Handler()))
 }
 
-// parseTenants parses "name=weight,name=weight".
+// parseTenants parses "name=weight,name=weight" and refuses a list
+// serve.CheckTenants refuses.
 func parseTenants(spec string) ([]serve.Tenant, error) {
 	var out []serve.Tenant
 	for _, part := range strings.Split(spec, ",") {
@@ -135,7 +137,23 @@ func parseTenants(spec string) ([]serve.Tenant, error) {
 		}
 		out = append(out, serve.Tenant{Name: name, Weight: w})
 	}
+	if err := serve.CheckTenants(out); err != nil {
+		return nil, fmt.Errorf("-tenants %s: %w", spec, err)
+	}
 	return out, nil
+}
+
+// repeated returns the first name, trimmed, that names lists twice, or
+// "" when none repeats.
+func repeated(names []string) string {
+	seen := map[string]bool{}
+	for _, n := range names {
+		if n = strings.TrimSpace(n); seen[n] {
+			return n
+		}
+		seen[n] = true
+	}
+	return ""
 }
 
 // buildTemplates characterizes each design and converts its deployment

@@ -408,7 +408,7 @@ func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fle
 			cli.Fail(prog, err)
 		}
 	}
-	bp, err := core.OptimizeBatchOpts(specs, fleet, core.BatchOptions{Cache: store})
+	bp, err := core.OptimizeBatch(specs, fleet, core.BatchOptions{Cache: store})
 	if err != nil {
 		cli.Fail(prog, err)
 	}

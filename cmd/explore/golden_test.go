@@ -50,9 +50,10 @@ func TestExploreCacheGolden(t *testing.T) {
 
 // TestBadArgumentsRefused: a negative -max-passes (which panicked in
 // the sampler), -population, -eta, -rounds or -budget, an -epochs
-// below one, and a -scale or -train-scale outside (0,
-// designs.MaxScale], are refused by name before the predictor trains —
-// exit 1, nothing on stdout.
+// below one, a -scale or -train-scale outside (0, designs.MaxScale]
+// and an unknown -design (which the explorer refused only after
+// training) are refused by name before the predictor trains — exit 1,
+// nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ flag, value, want string }{
@@ -71,6 +72,7 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-train-scale", "NaN", "outside (0, 1000]"},
 		{"-train-scale", "-1", "outside (0, 1000]"},
 		{"-train-scale", "1e9", "outside (0, 1000]"},
+		{"-design", "nope", `unknown evaluation design "nope"`},
 	} {
 		msg := clitest.RunFail(t, bin, "-design", "dyn_node", tc.flag, tc.value)
 		if !strings.Contains(msg, tc.want) {

@@ -22,6 +22,7 @@ import (
 	"edacloud/internal/cli"
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
+	"edacloud/internal/designs"
 	"edacloud/internal/dse"
 	"edacloud/internal/gcn"
 	"edacloud/internal/synth"
@@ -45,8 +46,10 @@ func main() {
 	trainScale := flag.Float64("train-scale", 0.05, "predictor training-set scale")
 	epochs := flag.Int("epochs", 5, "predictor training epochs")
 	flag.Parse()
+	_, designErr := designs.EvalInfo(*design)
 	cli.Check(prog,
 		cli.NoArgs(flag.Args()),
+		designErr,
 		cli.Count("workers", *workers),
 		cli.Scale("scale", *scale),
 		cli.Scale("train-scale", *trainScale),

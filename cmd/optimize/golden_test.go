@@ -91,8 +91,9 @@ func TestCacheOutsideBatchRefused(t *testing.T) {
 // cloud.MaxHazardPerHour (1e8/h once exhausted memory), a negative
 // -workers (which silently meant all cores) and a negative
 // or malformed -table1 -deadlines entry (once refused only after the
-// stage table printed) — all before any characterization, with nothing
-// on stdout.
+// stage table printed) and, whenever Figure 6 runs, a -slack below 1
+// (once refused only after the Figure 6 header, or all of Table I,
+// printed) — all before any characterization, with nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	msg := clitest.RunFail(t, bin, "-batch", "3", "-slack", "1.5", "-designs", "dyn_node", "-scale", "0.02")
@@ -114,11 +115,19 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-table1", "-deadlines", "-5", "must not be negative"},
 		{"-table1", "-deadlines", "10,abc", "bad deadline"},
 		{"-batch", "-workers", "-3", "must not be negative"},
+		{"-figure6", "-slack", "0.5", "every Figure 6 plan infeasible"},
+		{"-table1", "-figure6", "-slack=0.99", "every Figure 6 plan infeasible"},
 	} {
 		msg := clitest.RunFail(t, bin, tc.mode, tc.flag, tc.value, "-designs", "dyn_node", "-design", "dyn_node", "-scale", "0.02")
 		if !strings.Contains(msg, tc.want) {
 			t.Errorf("%s %s %s: stderr %q does not name the rule", tc.mode, tc.flag, tc.value, msg)
 		}
+	}
+	// The default run is Table I then Figure 6, so a Figure 6 slack
+	// below 1 is refused before Table I prints.
+	msg = clitest.RunFail(t, bin, "-slack", "0.5", "-design", "dyn_node", "-scale", "0.02")
+	if !strings.Contains(msg, "every Figure 6 plan infeasible") {
+		t.Errorf("default run -slack 0.5: stderr %q does not name the rule", msg)
 	}
 	// A -scale that is not finite, not positive or above
 	// designs.MaxScale is refused the same way.

@@ -65,6 +65,10 @@ func main() {
 	useCache := flag.Bool("cache", false, "attach an artifact store to -batch: repeated stage work is planned as cache hits and the joint plan is compared against the cache-blind one")
 	workers := flag.Int("workers", 0, "bound for the characterization fan-out and kernel pools (0 = all cores; results identical)")
 	flag.Parse()
+	if !*table1 && !*figure6 && !*execute && !*batch && !*spot {
+		*table1 = true
+		*figure6 = true
+	}
 	cli.Check(prog,
 		cli.NoArgs(flag.Args()),
 		cli.Count("workers", *workers),
@@ -74,13 +78,9 @@ func main() {
 		cli.NonNegative("minbill", *minBill),
 		cli.HazardRate(*hazardRate),
 		cli.Refuse(*useCache && !*batch, "-cache applies to -batch (the store dedups across a batch of flows)"),
+		cli.Refuse(*figure6 && *slack < 1, "-slack %v: below 1 makes every Figure 6 plan infeasible", *slack),
 	)
 	deadlines := parseDeadlines(*deadlineList)
-
-	if !*table1 && !*figure6 && !*execute && !*batch && !*spot {
-		*table1 = true
-		*figure6 = true
-	}
 
 	lib := techlib.Default14nm()
 	catalog := cloud.DefaultCatalog()
@@ -248,7 +248,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 			cli.Fail(prog, err)
 		}
 	}
-	bp, err := core.OptimizeBatchOpts(specs, fleet, core.BatchOptions{Cache: store})
+	bp, err := core.OptimizeBatch(specs, fleet, core.BatchOptions{Cache: store})
 	if err != nil {
 		cli.Fail(prog, err)
 	}
@@ -310,7 +310,7 @@ func batchOptimize(lib *techlib.Library, catalog *cloud.Catalog, names []string,
 		for i := range blindSpecs {
 			blindSpecs[i].CacheHits = nil
 		}
-		blind, err := core.OptimizeBatch(blindSpecs, fleet)
+		blind, err := core.OptimizeBatch(blindSpecs, fleet, core.BatchOptions{})
 		if err != nil {
 			cli.Fail(prog, err)
 		}
@@ -414,7 +414,7 @@ func spotCompare(lib *techlib.Library, catalog *cloud.Catalog, names []string, o
 
 	var scheds []*flow.Schedule
 	for _, s := range strategies {
-		bp, err := core.OptimizeBatchOpts(s.specs, fleet, s.opts)
+		bp, err := core.OptimizeBatch(s.specs, fleet, s.opts)
 		if err != nil {
 			cli.Fail(prog, err)
 		}

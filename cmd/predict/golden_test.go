@@ -40,8 +40,9 @@ func TestPredictGolden(t *testing.T) {
 // benchmark count below two (which silently ran on two), a
 // held-out fraction outside [0, 1), a -scale outside (0,
 // designs.MaxScale], a negative layer width (which panicked in mat) and
-// a negative or non-finite -lr are refused before the dataset is built
-// — exit 1, nothing on stdout.
+// a negative or non-finite -lr and a histogram bin count below one
+// (which printed no histograms) are refused before the dataset is
+// built — exit 1, nothing on stdout.
 func TestBadArgumentsRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ flag, value, want string }{
@@ -65,6 +66,8 @@ func TestBadArgumentsRefused(t *testing.T) {
 		{"-lr", "NaN", "finite and not negative"},
 		{"-lr", "Inf", "finite and not negative"},
 		{"-lr", "-1", "finite and not negative"},
+		{"-bins", "0", "need at least 1"},
+		{"-bins", "-4", "need at least 1"},
 	} {
 		msg := clitest.RunFail(t, bin, "-benchmarks", "2", "-scale", "0.02", tc.flag, tc.value)
 		if !strings.Contains(msg, tc.want) {

@@ -50,6 +50,7 @@ func main() {
 		cli.Refuse(*benchmarks < 2, "-benchmarks %d: a design-disjoint split needs at least 2", *benchmarks),
 		cli.Refuse(*epochs < 1, "-epochs %d: need at least 1", *epochs),
 		cli.Refuse(!(*testFrac >= 0 && *testFrac < 1), "-test %v: the held-out fraction must lie in [0, 1)", *testFrac),
+		cli.Refuse(*bins < 1, "-bins %d: need at least 1", *bins),
 	)
 
 	cfg := gcn.Config{

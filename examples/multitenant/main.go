@@ -211,7 +211,7 @@ func main() {
 	// than the four independently optimized plans executed back to back
 	// on the same fleet — the independent solution is always one of its
 	// candidates.
-	bp, err := core.OptimizeBatch(specs, shared)
+	bp, err := core.OptimizeBatch(specs, shared, core.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if bp, err = core.OptimizeBatch(specs, shared); err != nil {
+	if bp, err = core.OptimizeBatch(specs, shared, core.BatchOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	coopt, err := core.ExecuteBatchPlan(lib, specs, bp, charOpts, shared.Clone(), false)

@@ -166,7 +166,7 @@ func TestSweepRemovesDanglingNodes(t *testing.T) {
 	if sw.NumInputs() != 2 || sw.NumOutputs() != 1 {
 		t.Fatalf("sweep changed I/O: %v", sw.Stats())
 	}
-	if !Equivalent(g, sw, 1, 8) {
+	if !SimEquiv(g, sw, 1, 8) {
 		t.Fatal("sweep changed function")
 	}
 }
@@ -181,7 +181,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if g.NumOutputs() != 1 {
 		t.Fatal("clone mutation leaked into original outputs")
 	}
-	if !Equivalent(g, g.Clone(), 7, 4) {
+	if !SimEquiv(g, g.Clone(), 7, 4) {
 		t.Fatal("clone not equivalent to original")
 	}
 }
@@ -358,7 +358,7 @@ func TestAigerRoundTrip(t *testing.T) {
 	if h.NumInputs() != g.NumInputs() || h.NumOutputs() != g.NumOutputs() {
 		t.Fatalf("I/O mismatch after round trip: %v vs %v", h.Stats(), g.Stats())
 	}
-	if !Equivalent(g, h, 99, 16) {
+	if !SimEquiv(g, h, 99, 16) {
 		t.Fatal("round trip changed function")
 	}
 }
@@ -382,7 +382,7 @@ func TestAigerRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestSignatureDetectsDifference(t *testing.T) {
+func TestSimEquivDetectsDifference(t *testing.T) {
 	g := New("and")
 	a := g.AddInput("a")
 	b := g.AddInput("b")
@@ -393,15 +393,15 @@ func TestSignatureDetectsDifference(t *testing.T) {
 	b2 := h.AddInput("b")
 	h.AddOutput(h.Or(a2, b2), "f")
 
-	if Equivalent(g, h, 3, 4) {
+	if SimEquiv(g, h, 3, 4) {
 		t.Fatal("AND and OR reported equivalent")
 	}
-	if !Equivalent(g, g, 3, 4) {
+	if !SimEquiv(g, g, 3, 4) {
 		t.Fatal("graph not equivalent to itself")
 	}
 	one := New("one")
 	one.AddInput("a")
-	if Equivalent(g, one, 3, 4) {
+	if SimEquiv(g, one, 3, 4) {
 		t.Fatal("graphs with different I/O reported equivalent")
 	}
 }
@@ -458,7 +458,7 @@ func TestQuickSweepPreservesFunction(t *testing.T) {
 			g.AddOutput(lits[rng.Intn(len(lits))], "")
 		}
 		sw, _ := g.Sweep()
-		return Equivalent(g, sw, seed^0x5a5a, 8) && sw.NumAnds() <= g.NumAnds()
+		return SimEquiv(g, sw, seed^0x5a5a, 8) && sw.NumAnds() <= g.NumAnds()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

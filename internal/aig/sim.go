@@ -1,10 +1,8 @@
 package aig
 
-import "math/rand"
-
 // Simulator evaluates an AIG on 64 input patterns at once using
-// bit-parallel word simulation. It is used for equivalence spot-checks
-// between optimization passes and for computing structural signatures.
+// bit-parallel word simulation. SimEquiv co-simulates two graphs on it
+// to spot-check equivalence between optimization passes.
 type Simulator struct {
 	g     *Graph
 	words []uint64 // one 64-pattern word per variable
@@ -65,45 +63,4 @@ func (s *Simulator) Run(inputs []uint64) []uint64 {
 		out[i] = x
 	}
 	return out
-}
-
-// Signature returns a functional fingerprint of the graph: the output
-// words produced by `rounds` rounds of seeded random simulation, XOR
-// accumulated per output. Two equivalent graphs with identical I/O order
-// always produce identical signatures; differing signatures prove the
-// graphs differ.
-func Signature(g *Graph, seed int64, rounds int) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	sim := NewSimulator(g)
-	in := make([]uint64, g.NumInputs())
-	sig := make([]uint64, g.NumOutputs())
-	for r := 0; r < rounds; r++ {
-		for i := range in {
-			in[i] = rng.Uint64()
-		}
-		out := sim.Run(in)
-		for i, w := range out {
-			// Rotate before mixing so pattern order matters.
-			sig[i] = (sig[i]<<1 | sig[i]>>63) ^ w
-		}
-	}
-	return sig
-}
-
-// Equivalent reports whether a and b are indistinguishable under
-// `rounds` rounds of seeded random simulation. It can produce false
-// positives (claims of equivalence) with probability vanishing in
-// rounds, but never false negatives.
-func Equivalent(a, b *Graph, seed int64, rounds int) bool {
-	if a.NumInputs() != b.NumInputs() || a.NumOutputs() != b.NumOutputs() {
-		return false
-	}
-	sa := Signature(a, seed, rounds)
-	sb := Signature(b, seed, rounds)
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
 }

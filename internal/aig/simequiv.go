@@ -14,12 +14,11 @@ import "math/rand"
 //     64-pattern word, so the answer is exact, not probabilistic.
 //
 // Otherwise the graphs are co-simulated on `rounds` words of 64 seeded
-// random patterns each and any differing output word refutes. Like
-// Equivalent, a "true" from the random path can be a false positive
-// with probability vanishing in rounds; "false" is always a proof of
-// difference. Unlike Equivalent's rotate-XOR signatures, SimEquiv
-// compares raw output words round by round, so a refutation needs no
-// accumulation and the first differing pattern word stops the run.
+// random patterns each and any differing output word refutes. A "true"
+// from the random path can be a false positive with probability
+// vanishing in rounds; "false" is always a proof of difference. Output
+// words are compared raw, round by round, so the first differing
+// pattern word stops the run.
 func SimEquiv(a, b *Graph, seed int64, rounds int) bool {
 	if a.NumInputs() != b.NumInputs() || a.NumOutputs() != b.NumOutputs() {
 		return false

@@ -278,18 +278,6 @@ func (f *Fleet) Utilization(horizonSec float64) float64 {
 	return busy / (horizonSec * float64(len(f.Instances)))
 }
 
-// Reset clears every timeline and ledger, returning the fleet to an
-// unused state so it can back another schedule.
-func (f *Fleet) Reset() {
-	for _, inst := range f.Instances {
-		inst.FreeAtSec = 0
-		inst.BusySec = 0
-		inst.CostUSD = 0
-		inst.Leases = nil
-		inst.settledFree, inst.settledBusy, inst.settledCost = 0, 0, 0
-	}
-}
-
 // LedgerRow is one line of the fleet's utilization/cost summary.
 type LedgerRow struct {
 	ID      string

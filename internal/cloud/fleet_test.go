@@ -170,10 +170,6 @@ func TestBookAndLedger(t *testing.T) {
 	if len(rows) != 3 || rows[0].Leases != 1 || rows[1].Leases != 0 || rows[2].BusySec != 200 {
 		t.Fatalf("ledger %+v", rows)
 	}
-	f.Reset()
-	if f.TotalCostUSD() != 0 || f.HorizonSec() != 0 || len(f.Instances[0].Leases) != 0 {
-		t.Fatal("Reset left state behind")
-	}
 }
 
 func TestExtendRebillsWholeLease(t *testing.T) {

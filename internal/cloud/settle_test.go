@@ -162,8 +162,4 @@ func TestSettleKeepsZeroLengthLeaseAtClock(t *testing.T) {
 	if inst.FreeAtSec != 50 || inst.BusySec != 50 || inst.CostUSD != inst.Type.Cost(50) {
 		t.Fatalf("ledger after release: %+v", inst)
 	}
-	f.Reset()
-	if inst.settledFree != 0 || inst.settledBusy != 0 || inst.settledCost != 0 {
-		t.Fatalf("Reset kept the carries: %+v", inst)
-	}
 }

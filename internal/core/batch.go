@@ -36,7 +36,7 @@ type BatchJobSpec struct {
 	DeadlineSec int
 	// CacheHits marks, in class order, the stages PredictCacheHits
 	// expects the artifact cache to serve when the batch executes (store
-	// contents plus within-batch dedup). OptimizeBatchOpts collapses
+	// contents plus within-batch dedup). OptimizeBatch collapses
 	// these stages to the cache-probe constant before solving. Nil or
 	// all-false is the cache-blind path, bit-identical to no prediction.
 	CacheHits []bool
@@ -219,18 +219,13 @@ func validateBatchSpecs(specs []BatchJobSpec, fleet *cloud.Fleet) error {
 // selection solved by mckp.BatchOptimize (shadow prices on contended
 // types over the per-job DP, round-robin repair as the fallback
 // bound), and the resulting plans forecast exactly on a clone of the
-// fleet. The fleet itself is not mutated.
-func OptimizeBatch(specs []BatchJobSpec, fleet *cloud.Fleet) (*BatchPlan, error) {
-	return OptimizeBatchOpts(specs, fleet, BatchOptions{})
-}
-
-// OptimizeBatchOpts is OptimizeBatch with explicit BatchOptions: the
-// joint selection solves over risk-adjusted choice tables when hazards
-// are given (spot items priced at their expected truncated-attempt
-// cost and wall clock), and the forecast replays the options' retry
-// policy on the fleet clone. TotalCost is then the expected bill under
-// revocations, not the nominal one.
-func OptimizeBatchOpts(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptions) (*BatchPlan, error) {
+// fleet. The fleet itself is not mutated. With hazards in opts the
+// joint selection solves over risk-adjusted choice tables (spot items
+// priced at their expected truncated-attempt cost and wall clock), and
+// the forecast replays the options' retry policy on the fleet clone;
+// TotalCost is then the expected bill under revocations, not the
+// nominal one. The zero BatchOptions is the plain, fault-free plan.
+func OptimizeBatch(specs []BatchJobSpec, fleet *cloud.Fleet, opts BatchOptions) (*BatchPlan, error) {
 	if err := validateBatchSpecs(specs, fleet); err != nil {
 		return nil, err
 	}
@@ -339,7 +334,7 @@ func SlackDeadlines(specs []BatchJobSpec, fleet *cloud.Fleet, slack float64) (*B
 // without them the plan runs verbatim and the schedule must match the
 // plan's Forecast exactly. opts must carry the same Scale/Recipe the
 // characterizations ran with. The given fleet is mutated with the
-// run's leases; Reset or Clone it between runs.
+// run's leases; pass each run its own Clone.
 func ExecuteBatchPlan(lib *techlib.Library, specs []BatchJobSpec, bp *BatchPlan, opts CharacterizeOptions, fleet *cloud.Fleet, adaptive bool) (*flow.Schedule, error) {
 	if err := validateBatchSpecs(specs, fleet); err != nil {
 		return nil, err

@@ -55,7 +55,7 @@ func TestBatchPlanExecutionMatchesPrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bp, err := OptimizeBatch(specs, fleet)
+	bp, err := OptimizeBatch(specs, fleet, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestReplanRecoversSlack(t *testing.T) {
 	}
 	// And the co-optimizer, given the same deadlines, should produce a
 	// batch whose predicted misses do not exceed the static execution's.
-	bp, err := OptimizeBatch(specs, fleet)
+	bp, err := OptimizeBatch(specs, fleet, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

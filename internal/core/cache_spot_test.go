@@ -158,11 +158,11 @@ func TestCacheSpotProperty(t *testing.T) {
 		riskOpts := BatchOptions{Hazards: mckp.Hazards(hazards), Retry: retry}
 		awareOpts := riskOpts
 		awareOpts.Cache = store
-		aware, err := OptimizeBatchOpts(planSpecs, ample, awareOpts)
+		aware, err := OptimizeBatch(planSpecs, ample, awareOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blind, err := OptimizeBatchOpts(blindSpecs, ample, riskOpts)
+		blind, err := OptimizeBatch(blindSpecs, ample, riskOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestCacheSpotProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		execOpts := awareOpts
-		bp, err := OptimizeBatchOpts(specs, spotFleet, execOpts)
+		bp, err := OptimizeBatch(specs, spotFleet, execOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestCacheAwareForecastMatchesExecution(t *testing.T) {
 	if err := PredictCacheHits(store, lib, specs, charOpts); err != nil {
 		t.Fatal(err)
 	}
-	bp, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Cache: store})
+	bp, err := OptimizeBatch(specs, fleet, BatchOptions{Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestCacheAwarePlansNeverCostMore(t *testing.T) {
 			blindSpecs[i].CacheHits = nil
 		}
 
-		aware, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Cache: store})
+		aware, err := OptimizeBatch(specs, fleet, BatchOptions{Cache: store})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blind, err := OptimizeBatchOpts(blindSpecs, fleet, BatchOptions{})
+		blind, err := OptimizeBatch(blindSpecs, fleet, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,15 +151,6 @@ func (prob *DeploymentProblem) Optimize(deadlineSec int) (*Plan, error) {
 	return planFromSelection(prob, sel), nil
 }
 
-// OptimizeGreedy runs the heuristic baseline (ablation).
-func (prob *DeploymentProblem) OptimizeGreedy(deadlineSec int) (*Plan, error) {
-	sel, err := mckp.SolveGreedy(prob.Classes, deadlineSec)
-	if err != nil {
-		return nil, err
-	}
-	return planFromSelection(prob, sel), nil
-}
-
 // OverProvision runs every stage at the largest configuration (the
 // paper's Fig. 6 "over-provision" bar: all stages on 8 vCPUs).
 func (prob *DeploymentProblem) OverProvision() *Plan {

@@ -80,28 +80,6 @@ func TestSpotProblemShape(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsBatchIdentical: OptimizeBatchOpts with the zero
-// BatchOptions is OptimizeBatch, bit for bit — the whole spot layer is
-// inert until asked for.
-func TestZeroOptionsBatchIdentical(t *testing.T) {
-	specs := contendedBatchSpecs(t, []string{"dyn_node", "aes"}, nil)
-	fleet, err := cloud.ParseFleetSpec(cloud.DefaultCatalog(), "gp.2x=1,mem.2x=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := OptimizeBatch(specs, fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := OptimizeBatchOpts(specs, fleet, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("zero options changed the batch plan")
-	}
-}
-
 // TestSpotBatchForecastMatchesExecutionUnderRevocation is the
 // tentpole's parity contract extended to faults: on a spot fleet with
 // a seeded revocation model, the co-optimizer's forecast — replaying
@@ -121,7 +99,7 @@ func TestSpotBatchForecastMatchesExecutionUnderRevocation(t *testing.T) {
 		Hazards: mckp.Hazards(cloud.UniformSpotHazards(catalog, 60)),
 		Retry:   flow.RetryPolicy{MaxAttempts: 50, BackoffSec: 15},
 	}
-	bp, err := OptimizeBatchOpts(specs, fleet, opts)
+	bp, err := OptimizeBatch(specs, fleet, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +185,7 @@ func TestRiskAdjustedBatchBeatsNaiveSpot(t *testing.T) {
 	}
 
 	// The naive planner sees nominal spot prices and no hazards.
-	naive, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Retry: retry})
+	naive, err := OptimizeBatch(specs, fleet, BatchOptions{Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +204,7 @@ func TestRiskAdjustedBatchBeatsNaiveSpot(t *testing.T) {
 		t.Fatal("naive planner bought no spot capacity; discount scenario broken")
 	}
 
-	risk, err := OptimizeBatchOpts(specs, fleet, BatchOptions{
+	risk, err := OptimizeBatch(specs, fleet, BatchOptions{
 		Hazards: mckp.Hazards(hazards), Retry: retry,
 	})
 	if err != nil {
@@ -279,7 +257,7 @@ func TestBatchHitOnHazardStageIsProbePriced(t *testing.T) {
 		hz[strings.TrimSuffix(label, ".spot")] = 6
 	}
 	opts := BatchOptions{Hazards: hz, Retry: flow.RetryPolicy{MaxAttempts: 50, BackoffSec: 15}}
-	bp, err := OptimizeBatchOpts(specs, fleet, opts)
+	bp, err := OptimizeBatch(specs, fleet, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +310,7 @@ func TestBatchHazardsValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if _, err := OptimizeBatchOpts(specs, fleet, BatchOptions{Hazards: mckp.Hazards{"gp.2x.spot": rate}}); err == nil {
+		if _, err := OptimizeBatch(specs, fleet, BatchOptions{Hazards: mckp.Hazards{"gp.2x.spot": rate}}); err == nil {
 			t.Fatalf("hazard rate %g accepted", rate)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/gcn"
+	"edacloud/internal/netlist"
 	"edacloud/internal/synth"
 )
 
@@ -29,17 +30,29 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A design the predictor has never seen in any form.
+	// A design the predictor has never seen in any form. Its two model
+	// inputs are built the way dse's cheap rung builds them: the input
+	// AIG for synthesis, the mapped netlist of a synthesis-only flow for
+	// the physical-design stages.
 	g := designs.MustBenchmark("i2c", 0.06)
-	dg, err := GraphsForDesign(g, lib)
+	rc, err := flow.NewPipeline(flow.WithStages(flow.Synthesis(synth.Options{}))).Run(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtimes, err := pred.PredictFlowRuntimes(dg)
-	if err != nil {
-		t.Fatal(err)
+	aigGraph := gcn.FromStarGraph(netlist.AIGGraph(g))
+	netGraph := gcn.FromStarGraph(rc.Netlist.StarGraph())
+	if aigGraph.X.Rows == 0 || netGraph.X.Rows < g.NumInputs()+g.NumOutputs() {
+		t.Fatalf("model inputs too small: AIG %d rows, netlist %d rows", aigGraph.X.Rows, netGraph.X.Rows)
 	}
+	runtimes := map[flow.JobKind][]float64{}
 	for _, k := range flow.JobKinds() {
+		in := netGraph
+		if k == flow.JobSynthesis {
+			in = aigGraph
+		}
+		if runtimes[k], err = pred.PredictRuntimes(k, in); err != nil {
+			t.Fatal(err)
+		}
 		if len(runtimes[k]) != 4 {
 			t.Fatalf("%v: %d predictions", k, len(runtimes[k]))
 		}
@@ -50,7 +63,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		}
 	}
 
-	prob, err := BuildPredictedDeploymentProblem(dg.Name, pred.VCPUs, runtimes, cloud.DefaultCatalog())
+	prob, err := BuildPredictedDeploymentProblem(g.Name, pred.VCPUs, runtimes, cloud.DefaultCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,33 +100,8 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 }
 
-func TestGraphsForDesignShape(t *testing.T) {
-	g := designs.MustBenchmark("dec", 0.3)
-	dg, err := GraphsForDesign(g, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dg.AIG == nil || dg.Netlist == nil || dg.Name != "dec" {
-		t.Fatalf("graphs incomplete: %+v", dg)
-	}
-	if dg.AIG.X.Rows == 0 || dg.Netlist.X.Rows == 0 {
-		t.Fatal("empty graphs")
-	}
-	// The netlist graph includes cells plus I/O pseudo-nodes; the AIG
-	// graph includes AND nodes plus outputs. Both should be larger than
-	// the raw I/O count.
-	if dg.Netlist.X.Rows < g.NumInputs()+g.NumOutputs() {
-		t.Fatal("netlist graph suspiciously small")
-	}
-}
-
 func TestPredictedProblemRejectsBadInputs(t *testing.T) {
-	pred := &Predictor{VCPUs: []int{1, 2, 4, 8}}
-	dg := &DesignGraphs{Name: "x"}
-	if _, err := pred.PredictFlowRuntimes(dg); err == nil {
-		t.Fatal("missing graphs accepted")
-	}
-	if _, err := BuildPredictedDeploymentProblem(dg.Name, pred.VCPUs, nil, cloud.DefaultCatalog()); err == nil {
+	if _, err := BuildPredictedDeploymentProblem("x", []int{1, 2, 4, 8}, nil, cloud.DefaultCatalog()); err == nil {
 		t.Fatal("missing predictions accepted")
 	}
 }

@@ -526,7 +526,7 @@ func solveWithRelax(prob *core.DeploymentProblem, deadline int) (*core.Plan, int
 // carry no hit predictions — so warm and blind explorations price and
 // execute identical plans.
 func solveBatchWithRelax(specs []core.BatchJobSpec, fleet *cloud.Fleet, opts core.BatchOptions) (*core.BatchPlan, error) {
-	bp, err := core.OptimizeBatchOpts(specs, fleet, opts)
+	bp, err := core.OptimizeBatch(specs, fleet, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +534,7 @@ func solveBatchWithRelax(specs []core.BatchJobSpec, fleet *cloud.Fleet, opts cor
 		for i := range specs {
 			specs[i].DeadlineSec *= 2
 		}
-		if bp, err = core.OptimizeBatchOpts(specs, fleet, opts); err != nil {
+		if bp, err = core.OptimizeBatch(specs, fleet, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -542,7 +542,7 @@ func solveBatchWithRelax(specs []core.BatchJobSpec, fleet *cloud.Fleet, opts cor
 		for i := range specs {
 			specs[i].DeadlineSec = 0
 		}
-		if bp, err = core.OptimizeBatchOpts(specs, fleet, opts); err != nil {
+		if bp, err = core.OptimizeBatch(specs, fleet, opts); err != nil {
 			return nil, err
 		}
 		if !bp.Feasible {

@@ -43,7 +43,7 @@ func TestKindDeclarations(t *testing.T) {
 	if got := JobKind(len(kinds)).String(); got != "job(4)" {
 		t.Errorf("out-of-range kind prints %q, want job(4)", got)
 	}
-	full := pipe.NewRunContext(designs.MustEvalDesign("dyn_node", testScale), lib)
+	full := pipe.newRunContext(designs.MustEvalDesign("dyn_node", testScale), lib)
 	for _, s := range stages {
 		k := s.Kind()
 		d := kinds[k]
@@ -68,7 +68,7 @@ func TestKindDeclarations(t *testing.T) {
 	// without returns a context holding the full run's artifacts minus
 	// one slot.
 	without := func(sl slot) *RunContext {
-		rc := pipe.NewRunContext(full.Design, lib)
+		rc := pipe.newRunContext(full.Design, lib)
 		rc.Artifacts = full.Artifacts
 		slots[sl].copy(&rc.Artifacts, &Artifacts{})
 		return rc
@@ -99,7 +99,7 @@ func TestKindDeclarations(t *testing.T) {
 	}
 
 	// The root kind reads the run's inputs instead of artifacts.
-	noDesign := pipe.NewRunContext(nil, lib)
+	noDesign := pipe.newRunContext(nil, lib)
 	if _, ok := noDesign.inputAnchor(JobSynthesis); ok {
 		t.Error("synthesis anchor defined without a design")
 	}

@@ -125,7 +125,7 @@ type StageKey struct {
 // uncacheable stage get key 0 (at execution time they may still
 // re-anchor on live artifacts, but a plan must assume a miss).
 func (p *Pipeline) CacheKeys(g *aig.Graph, lib *techlib.Library) []StageKey {
-	rc := p.NewRunContext(g, lib)
+	rc := p.newRunContext(g, lib)
 	out := make([]StageKey, 0, len(p.stages))
 	var chain cache.Key
 	for _, s := range p.stages {

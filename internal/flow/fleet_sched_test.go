@@ -228,6 +228,7 @@ func TestFleetSchedulerErrors(t *testing.T) {
 	wrongFleet := good           // plan wants cpu.8x, fleet below has none for it? (it does; see bad job)
 
 	fleet := boundedFleet(t, "cpu.8x=1")
+	idle := fleet.Clone()
 	sched, err := (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), []Job{good, noPlan, wrongFleet})
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +248,7 @@ func TestFleetSchedulerErrors(t *testing.T) {
 		bad.Plan[k] = cpu8
 	}
 	bad.Plan[JobRouting] = gp1
-	fleet.Reset()
-	sched, err = (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), []Job{bad})
+	sched, err = (&Scheduler{Fleet: idle, Policy: PlanPolicy{}}).Run(context.Background(), []Job{bad})
 	if err != nil {
 		t.Fatal(err)
 	}

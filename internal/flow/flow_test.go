@@ -126,9 +126,9 @@ func TestPartialFlowAndResume(t *testing.T) {
 		Routing(route.Options{}),
 		STA(sta.Options{}),
 	))
-	rc2 := pd.NewRunContext(rc.Design, lib)
+	rc2 := pd.newRunContext(rc.Design, lib)
 	rc2.Optimized, rc2.Netlist = rc.Optimized, rc.Netlist
-	if err := pd.RunOn(rc2); err != nil {
+	if err := pd.run(rc2); err != nil {
 		t.Fatal(err)
 	}
 

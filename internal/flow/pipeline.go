@@ -143,11 +143,9 @@ func NewPipeline(opts ...Option) *Pipeline {
 // Stages returns the pipeline's stage sequence.
 func (p *Pipeline) Stages() []Stage { return append([]Stage(nil), p.stages...) }
 
-// NewRunContext prepares a fresh artifact store bound to this
-// pipeline's configuration, without running anything. Callers can seed
-// it with pre-existing artifacts before RunOn — resuming a flow from a
-// saved netlist, for example.
-func (p *Pipeline) NewRunContext(g *aig.Graph, lib *techlib.Library) *RunContext {
+// newRunContext prepares a fresh artifact store bound to this
+// pipeline's configuration, without running anything.
+func (p *Pipeline) newRunContext(g *aig.Graph, lib *techlib.Library) *RunContext {
 	return &RunContext{
 		Ctx:     p.cfg.ctx,
 		Design:  g,
@@ -157,20 +155,17 @@ func (p *Pipeline) NewRunContext(g *aig.Graph, lib *techlib.Library) *RunContext
 	}
 }
 
-// Run executes the pipeline on a design and returns the RunContext
-// holding every artifact produced. On error the context is returned
-// too, with the artifacts of the stages that completed.
+// Run executes the pipeline's stages in order on a design, checking
+// the context for cancellation at every stage boundary, and returns
+// the RunContext holding every artifact produced. Inside a Scheduler
+// with a Cache, each cacheable stage is first looked up by its chain
+// key and a verified hit adopts the stored artifacts instead of
+// running the engine. On error the context is returned too, with the
+// artifacts of the stages that completed.
 func (p *Pipeline) Run(g *aig.Graph, lib *techlib.Library) (*RunContext, error) {
-	rc := p.NewRunContext(g, lib)
-	return rc, p.RunOn(rc)
+	rc := p.newRunContext(g, lib)
+	return rc, p.run(rc)
 }
-
-// RunOn executes the pipeline's stages in order against an existing
-// RunContext, checking the context for cancellation at every stage
-// boundary. Inside a Scheduler with a Cache, each cacheable stage is
-// first looked up by its chain key and a verified hit adopts the
-// stored artifacts instead of running the engine.
-func (p *Pipeline) RunOn(rc *RunContext) error { return p.run(rc) }
 
 // run is the pipeline's one stage loop.
 func (p *Pipeline) run(rc *RunContext) error {

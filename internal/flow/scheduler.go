@@ -176,7 +176,7 @@ type Scheduler struct {
 	// Fleet is the bounded instance pool jobs contend for. nil builds a
 	// dedicated pool with one instance per job (each job's own
 	// Instance), which never queues. A caller-supplied fleet is mutated
-	// with the schedule's leases; Reset it before reuse.
+	// with the schedule's leases; pass each run its own Clone.
 	Fleet *cloud.Fleet
 	// Policy decides which instance type each stage queues for; nil
 	// means SingleInstance. Stage-level policies (ReInstance true)

@@ -6,8 +6,7 @@
 // Two exact pseudo-polynomial dynamic programs are provided — the
 // paper's literal objective (maximize the sum of reciprocal prices via
 // the Dudzinski–Walukiewicz recurrence) and the operationally intended
-// objective (minimize total dollars) — plus a greedy upgrade heuristic
-// used as an ablation baseline. Runtimes are integral seconds, an
+// objective (minimize total dollars). Runtimes are integral seconds, an
 // assumption the paper justifies by per-second cloud billing.
 package mckp
 
@@ -183,63 +182,6 @@ func solveDP(classes []Class, deadline int, value func(Item) float64) (Selection
 	return sel, best
 }
 
-// SolveGreedy is the upgrade heuristic baseline: start from the
-// cheapest item per class, then while the deadline is violated, apply
-// the upgrade with the best time-saved-per-extra-dollar ratio. It is
-// not optimal — bench_test.go's ablation quantifies the gap.
-func SolveGreedy(classes []Class, deadline int) (Selection, error) {
-	if err := validate(classes, deadline); err != nil {
-		return Selection{}, err
-	}
-	n := len(classes)
-	pick := make([]int, n)
-	for l, cl := range classes {
-		pick[l] = Cheapest(cl)
-	}
-	total := func() (int, float64) {
-		t, p := 0, 0.0
-		for l, j := range pick {
-			t += classes[l].Items[j].TimeSec
-			p += classes[l].Items[j].Cost
-		}
-		return t, p
-	}
-	for {
-		t, _ := total()
-		if t <= deadline {
-			break
-		}
-		bestL, bestJ := -1, -1
-		bestRatio := math.Inf(-1)
-		for l := 0; l < n; l++ {
-			curIt := classes[l].Items[pick[l]]
-			for j, it := range classes[l].Items {
-				saved := curIt.TimeSec - it.TimeSec
-				if saved <= 0 {
-					continue
-				}
-				extra := it.Cost - curIt.Cost
-				var ratio float64
-				if extra <= 0 {
-					ratio = math.Inf(1) // free speedup
-				} else {
-					ratio = float64(saved) / extra
-				}
-				if ratio > bestRatio {
-					bestRatio = ratio
-					bestL, bestJ = l, j
-				}
-			}
-		}
-		if bestL < 0 {
-			return Selection{Feasible: false}, nil // no upgrades left
-		}
-		pick[bestL] = bestJ
-	}
-	t, p := total()
-	return Selection{Feasible: true, Pick: pick, TotalTime: t, TotalCost: p}, nil
-}
-
 // FixedProvision returns the selection that uses item index j in every
 // class (the paper's over-provisioning j=fastest and under-provisioning
 // j=cheapest baselines in Fig. 6), ignoring any deadline.
@@ -265,17 +207,6 @@ func Fastest(cl Class) int {
 	best := 0
 	for j, it := range cl.Items {
 		if it.TimeSec < cl.Items[best].TimeSec {
-			best = j
-		}
-	}
-	return best
-}
-
-// Cheapest returns the index of the minimum-cost item of a class.
-func Cheapest(cl Class) int {
-	best := 0
-	for j, it := range cl.Items {
-		if it.Cost < cl.Items[best].Cost {
 			best = j
 		}
 	}

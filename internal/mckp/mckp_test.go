@@ -77,8 +77,8 @@ func TestPaperTableIConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cl := range classes {
-		if sel.Pick[i] != Cheapest(cl) {
-			t.Fatalf("class %s: picked %d at the slowest plan's budget, want the cheapest %d", cl.Name, sel.Pick[i], Cheapest(cl))
+		if sel.Pick[i] != cheapest(cl) {
+			t.Fatalf("class %s: picked %d at the slowest plan's budget, want the cheapest %d", cl.Name, sel.Pick[i], cheapest(cl))
 		}
 	}
 }
@@ -123,9 +123,17 @@ func TestValidation(t *testing.T) {
 	if _, err := SolvePaper(nil, 10); err == nil {
 		t.Fatal("paper solver skipped validation")
 	}
-	if _, err := SolveGreedy(nil, 10); err == nil {
-		t.Fatal("greedy skipped validation")
+}
+
+// cheapest returns the index of the minimum-cost item of a class.
+func cheapest(cl Class) int {
+	best := 0
+	for j, it := range cl.Items {
+		if it.Cost < cl.Items[best].Cost {
+			best = j
+		}
 	}
+	return best
 }
 
 // bruteForce enumerates all selections to find the true min cost.
@@ -187,41 +195,8 @@ func TestQuickDPOptimal(t *testing.T) {
 	}
 }
 
-// Property: greedy is never cheaper than the optimal DP.
-func TestQuickGreedyNeverBeatsDP(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		classes := make([]Class, 3)
-		for l := range classes {
-			for j := 0; j < 4; j++ {
-				classes[l].Items = append(classes[l].Items, Item{
-					TimeSec: 10 + rng.Intn(100),
-					Cost:    0.5 + float64(rng.Intn(50))/10,
-				})
-			}
-		}
-		deadline := 60 + rng.Intn(250)
-		dp, err1 := SolveMinCost(classes, deadline)
-		gr, err2 := SolveGreedy(classes, deadline)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if !dp.Feasible {
-			// If the optimal DP finds nothing, greedy must not either.
-			return !gr.Feasible
-		}
-		if !gr.Feasible {
-			return true // greedy may fail where DP succeeds
-		}
-		return gr.TotalCost >= dp.TotalCost-1e-9 && gr.TotalTime <= deadline
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the DP's min cost lower-bounds every feasible plan — the
-// greedy heuristic's and any randomly sampled selection's.
+// Property: the DP's min cost lower-bounds every randomly sampled
+// feasible selection.
 func TestQuickDPLowerBoundsSampledPlans(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -240,13 +215,6 @@ func TestQuickDPLowerBoundsSampledPlans(t *testing.T) {
 		dp, err := SolveMinCost(classes, deadline)
 		if err != nil {
 			return false
-		}
-		gr, err := SolveGreedy(classes, deadline)
-		if err != nil {
-			return false
-		}
-		if gr.Feasible && dp.Feasible && gr.TotalCost < dp.TotalCost-1e-9 {
-			return false // greedy beat the "optimal" DP
 		}
 		// Sample random selections; every feasible one must cost at
 		// least the DP optimum, and if any is feasible the DP must be.
@@ -280,7 +248,7 @@ func TestZeroDeadlineNonzeroTimes(t *testing.T) {
 		{Name: "b", Items: []Item{{TimeSec: 0, Cost: 1}}},
 	}
 	for name, solve := range map[string]func([]Class, int) (Selection, error){
-		"dp": SolveMinCost, "paper": SolvePaper, "greedy": SolveGreedy,
+		"dp": SolveMinCost, "paper": SolvePaper,
 	} {
 		sel, err := solve(classes, 0)
 		if err != nil {
@@ -298,7 +266,7 @@ func TestEmptyClassAmongNonEmpty(t *testing.T) {
 		{Name: "empty"},
 	}
 	for name, solve := range map[string]func([]Class, int) (Selection, error){
-		"dp": SolveMinCost, "paper": SolvePaper, "greedy": SolveGreedy,
+		"dp": SolveMinCost, "paper": SolvePaper,
 	} {
 		if _, err := solve(classes, 10); err == nil {
 			t.Fatalf("%s: empty class among non-empty ones accepted", name)
@@ -312,7 +280,7 @@ func TestFixedProvisionBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	under, err := FixedProvision(classes, Cheapest)
+	under, err := FixedProvision(classes, cheapest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +352,7 @@ func TestFarDeadlinePicksCheapest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheapest, err := FixedProvision(classes, Cheapest)
+	cheapest, err := FixedProvision(classes, cheapest)
 	if err != nil {
 		t.Fatal(err)
 	}

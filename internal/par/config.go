@@ -16,6 +16,3 @@ type StageConfig struct {
 	// uninstrumented.
 	Probe *perf.Probe
 }
-
-// Pool resolves the configured worker bound to a shared pool.
-func (c StageConfig) Pool() *Pool { return Fixed(c.Workers) }

@@ -169,22 +169,17 @@ type TenantStat struct {
 	CostUSD   float64 `json:"cost_usd"`
 }
 
-// validate checks a config's fleet, tenants and templates against each
-// other: every tenant named once with a finite positive weight (and a
-// finite weight sum — a NaN or infinite weight turns the quota caps
-// into NaN, which never binds), every template stage shaped
-// consistently, every choice-table label resolvable to a fleet
-// instance type.
-func (cfg *Config) validate() error {
-	if cfg.Fleet == nil || len(cfg.Fleet.Instances) == 0 {
-		return fmt.Errorf("serve: config needs a non-empty fleet")
-	}
-	if len(cfg.Tenants) == 0 {
+// CheckTenants refuses a tenant list New would refuse: it must name
+// every tenant once with a finite positive weight, and the weights
+// must have a finite sum — a NaN or infinite weight turns the quota
+// caps into NaN, which never binds.
+func CheckTenants(tenants []Tenant) error {
+	if len(tenants) == 0 {
 		return fmt.Errorf("serve: config needs at least one tenant")
 	}
 	seen := map[string]bool{}
 	var weightSum float64
-	for _, t := range cfg.Tenants {
+	for _, t := range tenants {
 		if t.Name == "" || !(t.Weight > 0) || math.IsInf(t.Weight, 1) {
 			return fmt.Errorf("serve: tenant %+v needs a name and a finite positive weight", t)
 		}
@@ -196,6 +191,20 @@ func (cfg *Config) validate() error {
 	}
 	if math.IsInf(weightSum, 1) {
 		return fmt.Errorf("serve: tenant weights overflow when summed")
+	}
+	return nil
+}
+
+// validate checks a config's fleet, tenants and templates against each
+// other: the tenants as CheckTenants does, every template named once
+// with its stages shaped consistently, every choice-table label
+// resolvable to a fleet instance type.
+func (cfg *Config) validate() error {
+	if cfg.Fleet == nil || len(cfg.Fleet.Instances) == 0 {
+		return fmt.Errorf("serve: config needs a non-empty fleet")
+	}
+	if err := CheckTenants(cfg.Tenants); err != nil {
+		return err
 	}
 	if len(cfg.Templates) == 0 {
 		return fmt.Errorf("serve: config needs at least one template")

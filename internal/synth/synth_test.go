@@ -168,7 +168,7 @@ func passPreserves(t *testing.T, pass PassKind) {
 	for _, bench := range []string{"adder", "bar", "cavlc", "int2float", "priority"} {
 		g := designs.MustBenchmark(bench, 0.12)
 		opt := mustPass(t, g, pass)
-		if !aig.Equivalent(g, opt, 1234, 16) {
+		if !aig.SimEquiv(g, opt, 1234, 16) {
 			t.Fatalf("%s changed function of %s", pass, bench)
 		}
 		if opt.NumInputs() != g.NumInputs() || opt.NumOutputs() != g.NumOutputs() {
@@ -196,7 +196,7 @@ func TestBalanceReducesRippleDepth(t *testing.T) {
 	if d := b.Depth(); d != 6 {
 		t.Fatalf("balanced depth = %d, want 6", d)
 	}
-	if !aig.Equivalent(g, b, 5, 8) {
+	if !aig.SimEquiv(g, b, 5, 8) {
 		t.Fatal("balance broke the chain function")
 	}
 }
@@ -211,7 +211,7 @@ func TestRewriteShrinksRedundantLogic(t *testing.T) {
 	if rw.NumAnds() >= g.NumAnds() {
 		t.Fatalf("rewrite did not shrink: %d -> %d ands", g.NumAnds(), rw.NumAnds())
 	}
-	if !aig.Equivalent(g, rw, 9, 8) {
+	if !aig.SimEquiv(g, rw, 9, 8) {
 		t.Fatal("rewrite changed function")
 	}
 }
@@ -234,7 +234,7 @@ func TestQuickPassesPreserveRandomGraphs(t *testing.T) {
 		}
 		for _, pass := range []PassKind{PassBalance, PassRewrite, PassRefactor} {
 			ng, err := RunPass(g, pass, nil, 0)
-			if err != nil || !aig.Equivalent(g, ng, seed, 8) {
+			if err != nil || !aig.SimEquiv(g, ng, seed, 8) {
 				return false
 			}
 		}
@@ -407,7 +407,7 @@ func TestRecipesProduceDistinctStructures(t *testing.T) {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		opt := res.Optimized
-		if !aig.Equivalent(g, opt, 77, 8) {
+		if !aig.SimEquiv(g, opt, 77, 8) {
 			t.Fatalf("recipe %s changed function", r.Name)
 		}
 		sizes[opt.NumAnds()] = true
