@@ -107,11 +107,14 @@ func JobKinds() []JobKind {
 }
 
 func (k JobKind) String() string {
-	if k >= 0 && int(k) < len(kinds) {
+	if k.valid() {
 		return kinds[k].name
 	}
 	return fmt.Sprintf("job(%d)", int(k))
 }
+
+// valid reports whether k is one of JobKinds.
+func (k JobKind) valid() bool { return k >= 0 && int(k) < len(kinds) }
 
 // kindDecl declares one stage kind: its name, its engine's revision
 // tag and the slots it reads and writes.
@@ -132,6 +135,9 @@ type kindDecl struct {
 	// missing is the stage's error while a needs slot is empty.
 	missing string
 }
+
+// numKinds sizes the per-kind tables the scheduler indexes by JobKind.
+const numKinds = len(kinds)
 
 const missingNetlist = "no netlist in context (run a synthesis stage first)"
 

@@ -188,8 +188,7 @@ func (p *Pipeline) recordComputed(rc *RunContext, s Stage, key cache.Key) {
 // stages, plus computed stages whose key an earlier job of the same
 // batch already put (within-batch dedup — the work was done once, the
 // later job is billed a probe).
-func replayAccounting(store *cache.Store, rc *RunContext) map[JobKind]bool {
-	hits := map[JobKind]bool{}
+func replayAccounting(store *cache.Store, rc *RunContext) (hits [numKinds]bool) {
 	for _, step := range rc.cacheSteps {
 		if step.entry == nil {
 			// Adopted during the frozen phase; nothing evicts mid-batch,

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 
 	"edacloud/internal/cloud"
 )
@@ -65,37 +66,35 @@ func Forecast(fleet *cloud.Fleet, jobs []ForecastJob) (*Schedule, error) {
 // Forecast exactly.
 func ForecastGated(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule, error) {
 	fjobs := make([]Job, len(jobs))
+	pjobs := make([]preparedJob, len(jobs))
 	prepared := make([]*preparedJob, len(jobs))
 	for i, fj := range jobs {
 		if fj.ReadySec < 0 {
 			return nil, fmt.Errorf("flow: forecast job %q has negative ready time", fj.Name)
 		}
 		fjobs[i] = Job{Name: fj.Name, DeadlineSec: fj.DeadlineSec, Retry: fj.Retry}
-		p := &preparedJob{
-			res:      JobResult{Name: fj.Name},
-			requests: map[JobKind]cloud.InstanceType{},
-			seconds:  map[JobKind]float64{},
-			readySec: fj.ReadySec,
-		}
+		p := &pjobs[i]
+		p.res.Name = fj.Name
+		p.forecast = true
+		p.readySec = fj.ReadySec
+		p.kinds = make([]JobKind, 0, len(fj.Stages))
 		for _, st := range fj.Stages {
+			if !st.Kind.valid() {
+				return nil, fmt.Errorf("flow: forecast job %q stage %s is not one of JobKinds", fj.Name, st.Kind)
+			}
 			if st.Type.Name == "" && !st.Cached {
 				return nil, fmt.Errorf("flow: forecast job %q stage %s requests no instance type", fj.Name, st.Kind)
 			}
 			if st.Seconds < 0 {
 				return nil, fmt.Errorf("flow: forecast job %q stage %s has negative runtime", fj.Name, st.Kind)
 			}
-			if _, dup := p.requests[st.Kind]; dup {
+			if slices.Contains(p.kinds, st.Kind) {
 				return nil, fmt.Errorf("flow: forecast job %q repeats stage %s", fj.Name, st.Kind)
 			}
 			p.kinds = append(p.kinds, st.Kind)
 			p.requests[st.Kind] = st.Type
 			p.seconds[st.Kind] = st.Seconds
-			if st.Cached {
-				if p.cached == nil {
-					p.cached = map[JobKind]bool{}
-				}
-				p.cached[st.Kind] = true
-			}
+			p.cached[st.Kind] = st.Cached
 		}
 		prepared[i] = p
 	}

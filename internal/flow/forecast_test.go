@@ -171,3 +171,21 @@ func TestForecastGatedDefersStages(t *testing.T) {
 		}
 	}
 }
+
+// TestForecastRefusesUnknownKind: a forecast stage whose kind is not
+// one of JobKinds is an error, not an index past the per-kind tables.
+func TestForecastRefusesUnknownKind(t *testing.T) {
+	gp, err := cloud.DefaultCatalog().ByName("gp.2x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := cloud.NewFleet(cloud.FleetEntry{Type: gp, Count: 1})
+	for _, k := range []JobKind{JobKind(numKinds), 9, -1} {
+		jobs := []ForecastJob{{Name: "x", Stages: []ForecastStage{
+			{Kind: JobSynthesis, Type: gp, Seconds: 1}, {Kind: k, Type: gp, Seconds: 1},
+		}}}
+		if _, err := ForecastGated(fleet.Clone(), jobs, nil); err == nil {
+			t.Errorf("kind %d accepted", int(k))
+		}
+	}
+}

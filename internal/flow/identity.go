@@ -71,7 +71,7 @@ func (rc *RunContext) NetlistHash() uint64 { return rc.slotHash(slotNetlist) }
 // own hash; several are folded in declaration order, an empty optional
 // slot contributing its 0.
 func (rc *RunContext) inputAnchor(k JobKind) (uint64, bool) {
-	if k < 0 || int(k) >= len(kinds) || !rc.has(kinds[k].needs) {
+	if !k.valid() || !rc.has(kinds[k].needs) {
 		return 0, false
 	}
 	d := &kinds[k]

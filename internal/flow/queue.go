@@ -42,19 +42,30 @@ type runner struct {
 	// leases collects (instance, lease) refs for exact final billing.
 	leases [][2]int
 	// attempts and revs count per-stage-index runs and revocations —
-	// the retry policy's attempt cap and escalation trigger.
-	attempts []int
-	revs     []int
+	// the retry policy's attempt cap and escalation trigger. A job runs
+	// each kind at most once, so it has at most numKinds stages.
+	attempts [numKinds]int
+	revs     [numKinds]int
 	// override re-targets stages to the instance types replanRequest
 	// jointly re-picked when queue wait ate the job's slack; nil until
-	// the first re-plan. Overrides take precedence over the prepared
-	// requests but deliberately do not replace them, so stageSeconds
-	// still prices an overridden stage off the job's choice table.
-	override map[JobKind]cloud.InstanceType
+	// the first re-plan, which starts it as a copy of the prepared
+	// requests. Overrides take precedence over the prepared requests
+	// but deliberately do not replace them, so stageSeconds still
+	// prices an overridden stage off the job's choice table.
+	override *[numKinds]cloud.InstanceType
 
 	started  bool
 	startSec float64
 	waitSec  float64
+}
+
+// request is the instance type stage k queues for: the re-planned
+// one once a re-plan ran, else the prepared request.
+func (r *runner) request(k JobKind) cloud.InstanceType {
+	if r.override != nil {
+		return r.override[k]
+	}
+	return r.p.requests[k]
 }
 
 // placement is the outcome of one placeNext call.
@@ -93,7 +104,8 @@ type Gate interface {
 // in the placement fields of each preparedJob's result. A nil gate
 // admits everything.
 func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*preparedJob, pinned bool, gate Gate) {
-	var queue []*runner
+	runners := make([]runner, 0, len(prepared))
+	queue := make([]*runner, 0, len(prepared))
 	for i := range prepared {
 		if prepared[i].res.Err != nil {
 			continue
@@ -102,14 +114,12 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 			finalize(&prepared[i].res, &jobs[i], fleet, nil)
 			continue
 		}
-		n := len(prepared[i].kinds)
-		r := &runner{
+		runners = append(runners, runner{
 			p: prepared[i], job: &jobs[i], held: -1, pinned: -1,
 			ready:      prepared[i].readySec,
 			reinstance: policy.ReInstance(),
-			attempts:   make([]int, n),
-			revs:       make([]int, n),
-		}
+		})
+		r := &runners[len(runners)-1]
 		if pinned {
 			r.pinned = i
 		}
@@ -176,10 +186,7 @@ func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 		r.stage++
 		return stagePlaced
 	}
-	req := r.p.requests[k]
-	if o, ok := r.override[k]; ok {
-		req = o
-	}
+	req := r.request(k)
 	retry := r.job.Retry.withDefaults()
 
 	// Escalation: after enough revocations of this stage, request the
@@ -359,19 +366,13 @@ func replanRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.Insta
 		return planned
 	}
 	rest := r.p.kinds[r.stage+1:]
-	curReq := func(kk JobKind) cloud.InstanceType {
-		if o, ok := r.override[kk]; ok {
-			return o
-		}
-		return r.p.requests[kk]
-	}
 
 	// The current picks stand while they still project to meet the
 	// deadline — the knapsack already made them cost-optimal.
 	if _, start, err := fleet.Acquire(planned.Name, r.ready); err == nil {
 		finish := start + r.p.stageSeconds(job, k, planned)
 		for _, kk := range rest {
-			finish += r.p.stageSeconds(job, kk, curReq(kk))
+			finish += r.p.stageSeconds(job, kk, r.request(kk))
 		}
 		if finish <= job.DeadlineSec {
 			return planned
@@ -398,7 +399,7 @@ func replanRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.Insta
 	tails := make([][]replanOption, len(rest))
 	combos := len(heads)
 	for i, kk := range rest {
-		tails[i] = replanOptions(fleet, r, kk, curReq(kk))
+		tails[i] = replanOptions(fleet, r, kk, r.request(kk))
 		combos *= len(tails[i])
 	}
 	if combos > 1<<16 {
@@ -455,7 +456,8 @@ func replanRequest(fleet *cloud.Fleet, r *runner, k JobKind, planned cloud.Insta
 		}
 	}
 	if r.override == nil {
-		r.override = map[JobKind]cloud.InstanceType{}
+		requests := r.p.requests
+		r.override = &requests
 	}
 	for i, kk := range rest {
 		r.override[kk] = bestTail[i].t

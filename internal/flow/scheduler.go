@@ -196,14 +196,16 @@ type Scheduler struct {
 // artifacts and reports plus the policy's per-stage instance requests,
 // ready for the placement simulation.
 type preparedJob struct {
-	res      JobResult
-	kinds    []JobKind
-	requests map[JobKind]cloud.InstanceType
-	// seconds, when non-nil, fixes each stage's simulated runtime
-	// directly instead of replaying a probed report through the placed
-	// machine's model — the forecast path (see Forecast), which has
-	// predictions but no executed pipeline.
-	seconds map[JobKind]float64
+	res   JobResult
+	kinds []JobKind
+	// requests holds the policy's instance request for each stage kind.
+	requests [numKinds]cloud.InstanceType
+	// seconds, when forecast is set, fixes each stage's simulated
+	// runtime directly instead of replaying a probed report through the
+	// placed machine's model — the forecast path (see Forecast), which
+	// has predictions but no executed pipeline.
+	seconds  [numKinds]float64
+	forecast bool
 	// readySec is the earliest simulated time the job's first stage may
 	// start — the arrival time of a job entering a rolling-horizon
 	// forecast (ForecastJob.ReadySec). Zero for batch runs.
@@ -212,7 +214,7 @@ type preparedJob struct {
 	// (adopted, or deduped against an earlier job of the same batch):
 	// they run for the probe constant and book no lease unless the job
 	// holds its machine.
-	cached map[JobKind]bool
+	cached [numKinds]bool
 }
 
 // stageSeconds predicts stage k's runtime on instance type it. Order
@@ -228,10 +230,10 @@ func (p *preparedJob) stageSeconds(job *Job, k JobKind, it cloud.InstanceType) f
 	if p.cached[k] {
 		return cache.ProbeSeconds
 	}
-	if p.seconds != nil {
+	if p.forecast {
 		return p.seconds[k]
 	}
-	if req, ok := p.requests[k]; ok && req.Name == it.Name {
+	if p.requests[k].Name == it.Name {
 		return jobMachine(job, it).Seconds(p.res.Run.Reports[k])
 	}
 	if opt, ok := job.Choices.Option(k, it.Name); ok {
@@ -344,7 +346,6 @@ func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *
 	}
 
 	estCells := EstimateCells(job.Design.NumAnds())
-	p.requests = map[JobKind]cloud.InstanceType{}
 	opts := []Option{
 		WithContext(ctx),
 		WithNewProbe(func(k JobKind) *perf.Probe {
@@ -360,12 +361,19 @@ func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *
 	// The pipeline's stage list determines which stages will run;
 	// resolve the policy's per-stage instance requests before running
 	// so each stage's probe is sized to the machine it is destined for
-	// (the probe factory above reads the map lazily).
+	// (the probe factory above reads the table lazily). Only the kinds
+	// of JobKinds have a row in it.
+	var chosen [numKinds]bool
 	for _, st := range pipe.Stages() {
 		k := st.Kind()
-		if _, ok := p.requests[k]; ok {
+		if !k.valid() {
+			p.res.Err = fmt.Errorf("flow: job %q stage %q has kind %d, not one of JobKinds", job.Name, st.Name(), int(k))
+			return p
+		}
+		if chosen[k] {
 			continue
 		}
+		chosen[k] = true
 		it, err := policy.Choose(job, k)
 		if err != nil {
 			p.res.Err = err

@@ -201,3 +201,25 @@ func TestSchedulerFailures(t *testing.T) {
 		t.Fatalf("cancelled jobs not failed: %+v", sched)
 	}
 }
+
+// oddStage is a custom stage whose kind is not one of JobKinds.
+type oddStage struct{}
+
+func (oddStage) Name() string          { return "odd" }
+func (oddStage) Kind() JobKind         { return JobKind(numKinds) }
+func (oddStage) Run(*RunContext) error { return nil }
+
+// TestSchedulerRefusesUnknownStageKind: the scheduler keeps one
+// request per kind of JobKinds, so a job with a stage of any other
+// kind fails before its pipeline runs.
+func TestSchedulerRefusesUnknownStageKind(t *testing.T) {
+	job := batchJobs(t)[0]
+	job.Options = []Option{WithStages(Synthesis(synth.Options{}), oddStage{})}
+	sched, err := (&Scheduler{}).Run(context.Background(), []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Failed != 1 || sched.Jobs[0].Err == nil || sched.Jobs[0].Run != nil {
+		t.Fatalf("job with an unknown stage kind: failed=%d err=%v", sched.Failed, sched.Jobs[0].Err)
+	}
+}

@@ -102,6 +102,12 @@ type BatchState struct {
 	// Workers bounds how many per-job DP solves run concurrently per
 	// round; 0 means GOMAXPROCS. Results are identical for every value.
 	Workers int
+	// Scratch, when non-nil, is where the per-job DP solves build their
+	// tables, kept from this call to the next; nil gives each call its
+	// own. It changes no result. One goroutine owns a Scratch, as one
+	// owns the serve.Engine that keeps it: two calls must not share one
+	// at the same time.
+	Scratch *Scratch
 }
 
 // batchValidate checks the batch inputs: non-empty jobs and capacity,
@@ -158,8 +164,9 @@ func effectiveDeadline(job BatchJob) int {
 // pricedSolve runs one job's min-cost DP with each item's cost raised
 // by the shadow price of its label times its runtime — congestion
 // rendered as money — and returns picks plus true (unpriced) totals:
-// the priced costs only steer the picks.
-func pricedSolve(job BatchJob, prices map[string]float64) (Selection, error) {
+// the priced costs only steer the picks. The DP's tables are built in
+// sc (nil: fresh storage).
+func pricedSolve(job BatchJob, prices map[string]float64, sc *dpScratch) (Selection, error) {
 	var negative error
 	sel, _ := solveDP(job.Classes, effectiveDeadline(job), func(it Item) float64 {
 		cost := it.Cost
@@ -170,7 +177,7 @@ func pricedSolve(job BatchJob, prices map[string]float64) (Selection, error) {
 			negative = fmt.Errorf("mckp: job %q item %q has negative priced cost %g", job.Name, it.Label, cost)
 		}
 		return -cost
-	})
+	}, sc)
 	if negative != nil {
 		return Selection{}, negative
 	}
@@ -392,6 +399,13 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	}
 
 	pool := par.Fixed(st.Workers)
+	scratch := st.Scratch
+	if scratch == nil {
+		scratch = &Scratch{}
+	}
+	// Job i's solves all run in slots[i], and a round's solves run one
+	// per job, so no two goroutines share a slot.
+	slots := scratch.jobSlots(len(jobs))
 	type solved struct {
 		sel Selection
 		err error
@@ -400,7 +414,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		c := &candidate{method: method, prices: prices, round: round,
 			picks: make([][]int, len(jobs)), sels: make([]Selection, len(jobs))}
 		results := par.Map(pool, len(jobs), func(i int) solved {
-			sel, err := pricedSolve(jobs[i], prices)
+			sel, err := pricedSolve(jobs[i], prices, &slots[i])
 			return solved{sel, err}
 		})
 		for i, r := range results {

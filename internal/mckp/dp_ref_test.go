@@ -151,7 +151,7 @@ func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices m
 		t.Fatalf("SolvePaper(%+v, %d): %s", classes, deadline, diff)
 	}
 	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
-	if got, err = pricedSolve(job, prices); err != nil {
+	if got, err = pricedSolve(job, prices, nil); err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameBits(got, refPricedSolve(job, prices)); diff != "" {
@@ -215,7 +215,7 @@ func TestStepDPMatchesReference(t *testing.T) {
 // validation of the priced table always refused it.
 func TestPricedSolveRefusesNegativePricedCost(t *testing.T) {
 	job := BatchJob{Name: "j", Classes: []Class{{Name: "s", Items: []Item{{Label: "a", TimeSec: 10, Cost: 1}}}}}
-	if _, err := pricedSolve(job, map[string]float64{"a": -1}); err == nil {
+	if _, err := pricedSolve(job, map[string]float64{"a": -1}, nil); err == nil {
 		t.Fatal("negative priced cost accepted")
 	}
 }
@@ -252,8 +252,49 @@ func decodeTable(data []byte) ([]Class, int, map[string]float64, bool) {
 	return classes, deadline, prices, true
 }
 
+// checkScratchAgainstReference solves one table twice through one
+// dpScratch, after a table of a different size has left its storage
+// in it, through the priced solve and the paper objective, and fails
+// on any bit of difference from the dense reference.
+func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, prices map[string]float64) {
+	t.Helper()
+	var sc dpScratch
+	// The other table: twice as many classes, one item fewer in the
+	// first when it has more than one, at twice the budget.
+	other := append(append([]Class(nil), classes...), classes...)
+	if n := len(other[0].Items); n > 1 {
+		other[0].Items = other[0].Items[:n-1]
+	}
+	solveDP(other, 2*deadline, func(it Item) float64 { return -it.Cost }, &sc)
+	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
+	wantPriced, wantPaper := refPricedSolve(job, prices), refSolvePaper(classes, deadline)
+	paper := func(it Item) float64 {
+		if it.Cost <= 0 {
+			return math.Inf(1)
+		}
+		return 1 / it.Cost
+	}
+	for pass := 1; pass <= 2; pass++ {
+		got, err := pricedSolve(job, prices, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameBits(got, wantPriced); diff != "" {
+			t.Fatalf("pricedSolve(%+v, %v) at deadline %d, pass %d through one scratch: %s", classes, prices, deadline, pass, diff)
+		}
+		got, best := solveDP(classes, deadline, paper, &sc)
+		if got.Feasible {
+			got.Objective = best
+		}
+		if diff := sameBits(got, wantPaper); diff != "" {
+			t.Fatalf("paper objective on %+v at deadline %d, pass %d through one scratch: %s", classes, deadline, pass, diff)
+		}
+	}
+}
+
 // FuzzSolveMatchesReference checks the step DP against the dense
-// reference on fuzzer-built tables. Run it with
+// reference on fuzzer-built tables, with fresh storage and through one
+// reused scratch. Run it with
 //
 //	go test -run '^$' -fuzz FuzzSolveMatchesReference -fuzztime 15s ./internal/mckp
 //
@@ -267,5 +308,6 @@ func FuzzSolveMatchesReference(f *testing.F) {
 			return
 		}
 		checkAgainstReference(t, classes, deadline, prices)
+		checkScratchAgainstReference(t, classes, deadline, prices)
 	})
 }

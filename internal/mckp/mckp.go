@@ -73,7 +73,7 @@ func SolvePaper(classes []Class, deadline int) (Selection, error) {
 		}
 		return 1 / it.Cost
 	}
-	sel, best := solveDP(classes, deadline, score)
+	sel, best := solveDP(classes, deadline, score, nil)
 	if sel.Feasible {
 		sel.Objective = best
 	}
@@ -87,7 +87,7 @@ func SolveMinCost(classes []Class, deadline int) (Selection, error) {
 	if err := validate(classes, deadline); err != nil {
 		return Selection{}, err
 	}
-	sel, _ := solveDP(classes, deadline, func(it Item) float64 { return -it.Cost })
+	sel, _ := solveDP(classes, deadline, func(it Item) float64 { return -it.Cost }, nil)
 	return sel, nil
 }
 
@@ -111,23 +111,26 @@ type step struct {
 // in item order with the first strictly greater winning, that a dense
 // row over every second would give it: the picks and totals match that
 // row's to the bit, while work is O(items × steps) and memory does not
-// grow with the deadline. It returns the selection and its value.
-func solveDP(classes []Class, deadline int, value func(Item) float64) (Selection, float64) {
+// grow with the deadline. The tables are built in sc, which a nil sc
+// leaves to fresh storage. It returns the selection and its value.
+func solveDP(classes []Class, deadline int, value func(Item) float64, sc *dpScratch) (Selection, float64) {
+	if sc == nil {
+		sc = &dpScratch{}
+	}
 	negInf := math.Inf(-1)
+	sc.reset(len(classes))
 	// steps[off[l]:off[l+1]] is z_l; z_0 is 0 at every budget.
-	steps := append(make([]step, 0, 8*(len(classes)+1)), step{start: 0, val: 0, pick: -1})
-	off := append(make([]int, 0, len(classes)+2), 0, 1)
-	var vals []float64
-	var seen []int
+	steps := append(sc.steps, step{start: 0, val: 0, pick: -1})
+	off := append(sc.off, 0, 1)
 	for _, cl := range classes {
 		prev := steps[off[len(off)-2]:off[len(off)-1]]
-		vals = vals[:0]
-		for _, it := range cl.Items {
-			vals = append(vals, value(it))
-		}
+		sc.items(len(cl.Items))
 		// seen[j] counts prev's steps starting at or below c - t_j: item j
 		// reads prev's step seen[j]-1 at budget c (none while it is 0).
-		seen = append(seen[:0], make([]int, len(vals))...)
+		vals, seen := sc.vals, sc.seen
+		for j, it := range cl.Items {
+			vals[j] = value(it)
+		}
 		// c visits 0 and each budget at which some item reads a new step
 		// of prev, in order; nextC is -1 once none is left within deadline.
 		for c := 0; c >= 0; {
@@ -159,6 +162,7 @@ func solveDP(classes []Class, deadline int, value func(Item) float64) (Selection
 		}
 		off = append(off, len(steps))
 	}
+	sc.steps, sc.off = steps, off
 	// The optimum sits at the full budget: the last layer's last step.
 	best := steps[len(steps)-1].val
 	if math.IsInf(best, -1) {

@@ -68,6 +68,10 @@ type Engine struct {
 	// hit, or a re-plan could break an admission promise).
 	seen map[cache.Key]int
 
+	// scratch is the joint solve's per-job DP storage, kept from one
+	// re-plan to the next.
+	scratch mckp.Scratch
+
 	// Replans counts re-optimizations run; Adopted counts those whose
 	// plan replaced the incumbent; Released totals leases released.
 	Replans, Adopted, Released int
@@ -504,6 +508,7 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 		Prices:    e.prices,
 		Rounds:    rounds,
 		Workers:   e.cfg.Workers,
+		Scratch:   &e.scratch,
 	})
 	if err != nil {
 		return nil, err

@@ -30,6 +30,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edacloud/internal/cache"
 	"edacloud/internal/cloud"
@@ -197,7 +198,8 @@ func CheckTenants(tenants []Tenant) error {
 
 // validate checks a config's fleet, tenants and templates against each
 // other: the tenants as CheckTenants does, every template named once
-// with its stages shaped consistently, every choice-table label
+// with its stages shaped consistently and each of flow.JobKinds at most
+// once, every choice-table label
 // resolvable to a fleet instance type.
 func (cfg *Config) validate() error {
 	if cfg.Fleet == nil || len(cfg.Fleet.Instances) == 0 {
@@ -220,6 +222,15 @@ func (cfg *Config) validate() error {
 		names[tpl.Name] = true
 		if len(tpl.Kinds) == 0 || len(tpl.Kinds) != len(tpl.Classes) {
 			return fmt.Errorf("serve: template %q needs aligned stages and classes", tpl.Name)
+		}
+		// A job's stages are placed by kind, each kind once.
+		for l, k := range tpl.Kinds {
+			if !slices.Contains(flow.JobKinds(), k) {
+				return fmt.Errorf("serve: template %q stage %d is %s, not one of flow.JobKinds", tpl.Name, l, k)
+			}
+			if slices.Contains(tpl.Kinds[:l], k) {
+				return fmt.Errorf("serve: template %q repeats stage %s", tpl.Name, k)
+			}
 		}
 		if len(tpl.Chain) != 0 && len(tpl.Chain) != len(tpl.Kinds) {
 			return fmt.Errorf("serve: template %q chain has %d keys for %d stages", tpl.Name, len(tpl.Chain), len(tpl.Kinds))

@@ -633,3 +633,29 @@ func TestTraceGen(t *testing.T) {
 		t.Fatalf("a trace of MaxTraceJobs refused: %v", err)
 	}
 }
+
+// TestTemplateRepeatedKindRefused: a template that names one stage
+// kind twice is refused by New. Accepted, every job submitted on it
+// would be rejected with no error, since the placement engine runs
+// each kind of a job once.
+func TestTemplateRepeatedKindRefused(t *testing.T) {
+	cfg := testConfig(t)
+	tpl := &cfg.Templates[0]
+	tpl.Kinds = []flow.JobKind{flow.JobSynthesis, flow.JobSynthesis}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "repeats stage synthesis") {
+		t.Fatalf("template repeating a kind: err = %v", err)
+	}
+}
+
+// TestTemplateUnknownKindRefused: a template naming a kind outside
+// flow.JobKinds is refused by New, whichever side of the table it
+// falls on.
+func TestTemplateUnknownKindRefused(t *testing.T) {
+	for _, k := range []flow.JobKind{flow.JobKind(len(flow.JobKinds())), 9, -1} {
+		cfg := testConfig(t)
+		cfg.Templates[0].Kinds = []flow.JobKind{flow.JobSynthesis, k}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "not one of flow.JobKinds") {
+			t.Errorf("kind %d: err = %v", int(k), err)
+		}
+	}
+}
