@@ -76,6 +76,18 @@ func TestBadArgumentsRefused(t *testing.T) {
 	}
 }
 
+// TestNothingHeldOut: -test 0 trains on every design and says there is
+// nothing to score, instead of an error of 0 % over zero netlists (it
+// used to hold one design out anyway).
+func TestNothingHeldOut(t *testing.T) {
+	bin := clitest.Build(t, "")
+	out := clitest.Run(t, bin, "-benchmarks", "2", "-recipes", "1", "-scale", "0.02", "-epochs", "1",
+		"-hidden1", "4", "-hidden2", "4", "-fc", "4", "-test", "0")
+	if strings.Contains(out, "avg |error|") || strings.Count(out, "no test netlists: -test 0 holds no design out") != 4 {
+		t.Fatalf("-test 0 output does not say that nothing is held out:\n%s", out)
+	}
+}
+
 // TestStrayArgumentRefused: an argument that is not a flag ends flag
 // parsing, which would drop every flag after it; it is refused by name
 // before the dataset is built.

@@ -91,6 +91,10 @@ func main() {
 	fmt.Println("\nFigure 5: runtime prediction error on unseen designs")
 	for _, k := range flow.JobKinds() {
 		je := eval.PerJob[k]
+		if len(je.Records) == 0 {
+			fmt.Printf("\n%s: no test netlists: -test %v holds no design out\n", k, *testFrac)
+			continue
+		}
 		fmt.Printf("\n%s: avg |error| = %.1f%% over %d test netlists\n",
 			k, je.AvgAbsPctErr, len(je.Records))
 		edges, counts := je.Histogram(*bins)

@@ -190,13 +190,15 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 
 // SplitByDesign partitions sample indices so that test samples come
 // from designs never seen in training (the paper's split discipline).
+// Any testFrac above zero holds at least one design out when there are
+// two or more; zero holds none.
 func (d *Dataset) SplitByDesign(k flow.JobKind, testFrac float64, seed int64) (train, test []LabeledGraph) {
 	names := append([]string(nil), d.Designs...)
 	sort.Strings(names)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	nTest := int(float64(len(names)) * testFrac)
-	if nTest < 1 && len(names) > 1 {
+	if nTest < 1 && len(names) > 1 && testFrac > 0 {
 		nTest = 1
 	}
 	testSet := map[string]bool{}
@@ -293,10 +295,12 @@ type PredictionEval struct {
 // split and evaluates them on the held-out designs.
 //
 // The models train side by side on the cfg.Workers pool, the shape of
-// BuildDataset's fan-out: each has its own split, scaler, seed and
-// training arena, and the *gcn.Graph values that placement, routing and
-// STA samples share are only read (their lazy successor layout is
-// sync.Once-guarded). The kernels inside each model use the same pool
+// BuildDataset's fan-out: each has its own split, scaler and seed, and
+// the *gcn.Graph values that placement, routing and STA samples share
+// are only read (their lazy successor layout is sync.Once-guarded). The
+// four share one gcn.SlabPool: the slabs their training runs size serve
+// every later prediction of any of them, and the pool goes when the
+// Predictor does. The kernels inside each model use the same pool
 // and run inline when the models already fill it. Results, and the
 // first error, are taken in kind order after the barrier, so the
 // predictor is identical for any worker count. testFrac, the held-out
@@ -315,6 +319,7 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 		err    error
 	}
 	kinds := flow.JobKinds()
+	slabs := gcn.NewSlabPool()
 	results := par.Map(par.Fixed(cfg.Workers), len(kinds), func(i int) trained {
 		k := kinds[i]
 		train, test := ds.SplitByDesign(k, testFrac, seed)
@@ -337,7 +342,7 @@ func TrainPredictor(ds *Dataset, cfg gcn.Config, testFrac float64, seed int64) (
 		jobCfg := cfg
 		jobCfg.Outputs = len(ds.VCPUs)
 		jobCfg.Seed = seed + int64(k)
-		model := gcn.NewModel(jobCfg, netlist.FeatureDim)
+		model := slabs.NewModel(jobCfg, netlist.FeatureDim)
 		if _, err := model.Train(samples); err != nil {
 			return trained{err: err}
 		}

@@ -148,3 +148,23 @@ func TestTrainPredictorRejectsTestFraction(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitByDesignZeroHoldsNoneOut: a held-out fraction of zero keeps
+// every design in training (it used to hold one out like any fraction
+// too small to round to a design), while any fraction above zero still
+// holds at least one out.
+func TestSplitByDesignZeroHoldsNoneOut(t *testing.T) {
+	ds := &Dataset{Jobs: map[flow.JobKind][]LabeledGraph{}, VCPUs: []int{1}, Designs: []string{"a", "b", "c"}}
+	for _, d := range ds.Designs {
+		ds.Jobs[flow.JobPlacement] = append(ds.Jobs[flow.JobPlacement], LabeledGraph{Design: d, Variant: "r0"})
+	}
+	for _, tc := range []struct {
+		frac      float64
+		wantTrain int
+	}{{0, 3}, {0.1, 2}, {0.34, 2}, {0.7, 1}} {
+		train, test := ds.SplitByDesign(flow.JobPlacement, tc.frac, 1)
+		if len(train) != tc.wantTrain || len(test) != 3-tc.wantTrain {
+			t.Errorf("fraction %v: %d train, %d test; want %d and %d", tc.frac, len(train), len(test), tc.wantTrain, 3-tc.wantTrain)
+		}
+	}
+}

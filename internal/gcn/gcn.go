@@ -42,7 +42,8 @@ type Config struct {
 }
 
 // Check refuses settings no model can train with: a negative layer
-// width, or a learning rate that is negative or not finite.
+// width or epoch count, or a learning rate that is negative or not
+// finite.
 func (c Config) Check() error {
 	for _, w := range []struct {
 		name string
@@ -51,6 +52,9 @@ func (c Config) Check() error {
 		if w.v < 0 {
 			return fmt.Errorf("gcn: %s %d: a layer width must not be negative", w.name, w.v)
 		}
+	}
+	if c.Epochs < 0 {
+		return fmt.Errorf("gcn: Epochs %d: the epoch count must not be negative", c.Epochs)
 	}
 	if !(c.LR >= 0) || math.IsInf(c.LR, 0) {
 		return fmt.Errorf("gcn: LR %v: the learning rate must be finite and not negative", c.LR)
@@ -160,23 +164,29 @@ func FromStarGraph(g *netlist.Graph) *Graph {
 // to a serial sweep.
 func (g *Graph) aggregate(p *par.Pool, h, out *mat.Dense) {
 	out.Zero()
-	n := h.Rows
-	p.For(n, aggGrain(h.Cols), func(vlo, vhi int) {
-		for v := vlo; v < vhi; v++ {
-			lo, hi := g.PredStart[v], g.PredStart[v+1]
-			if lo == hi {
-				continue
-			}
-			oRow := out.Row(v)
-			inv := 1 / float64(hi-lo)
-			for _, u := range g.Pred[lo:hi] {
-				uRow := h.Row(int(u))
-				for j, uv := range uRow {
-					oRow[j] += uv * inv
-				}
+	if p.Workers() > 1 {
+		p.For(h.Rows, aggGrain(h.Cols), func(lo, hi int) { g.aggregateRows(h, out, lo, hi) })
+	} else {
+		g.aggregateRows(h, out, 0, h.Rows)
+	}
+}
+
+// aggregateRows computes rows [vlo, vhi) of aggregate's out.
+func (g *Graph) aggregateRows(h, out *mat.Dense, vlo, vhi int) {
+	for v := vlo; v < vhi; v++ {
+		lo, hi := g.PredStart[v], g.PredStart[v+1]
+		if lo == hi {
+			continue
+		}
+		oRow := out.Row(v)
+		inv := 1 / float64(hi-lo)
+		for _, u := range g.Pred[lo:hi] {
+			uRow := h.Row(int(u))
+			for j, uv := range uRow {
+				oRow[j] += uv * inv
 			}
 		}
-	})
+	}
 }
 
 // aggGrain chunks the aggregation sweep to roughly 32k element-ops.
@@ -223,12 +233,20 @@ type Model struct {
 	FW, FBias *mat.Dense
 	OW, OBias *mat.Dense
 
-	adam *adamState
-	pool *par.Pool
+	adam  *adamState
+	pool  *par.Pool
+	slabs *SlabPool
 }
 
-// NewModel initializes a model for the given input feature width.
+// NewModel initializes a model for the given input feature width, with
+// a slab pool of its own.
 func NewModel(cfg Config, inDim int) *Model {
+	return NewSlabPool().NewModel(cfg, inDim)
+}
+
+// NewModel initializes a model for the given input feature width that
+// takes its working memory from sp.
+func (sp *SlabPool) NewModel(cfg Config, inDim int) *Model {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	m := &Model{
@@ -250,6 +268,7 @@ func NewModel(cfg Config, inDim int) *Model {
 	}
 	m.adam = newAdamState(m.params())
 	m.pool = par.Fixed(cfg.Workers)
+	m.slabs = sp
 	return m
 }
 
@@ -259,16 +278,14 @@ func (m *Model) params() []*mat.Dense {
 
 // arena is the bump allocator one Train or Predict call carves its
 // per-sample matrices from: activations, masks, temporaries and
-// gradient products. reset rewinds it for the next sample, so a
-// training run allocates a slab the size of its largest sample once
-// instead of a dozen n x hidden matrices per step — at ~200 nodes that
-// garbage, not the arithmetic, was most of the cost of training.
+// gradient products. fit sizes it for a sample before the call's first
+// step and reset rewinds it for the next, so a training run allocates
+// nothing per step — at ~200 nodes a dozen fresh n x hidden matrices
+// per step, not the arithmetic, was most of the cost of training.
 //
-// It is a local of the call that owns it, never a field of Model and
-// never a sync.Pool: PredictBatch runs forward concurrently on one
-// model, so shared scratch would need a lock or per-goroutine state,
-// and a local needs neither. A nil *arena allocates every matrix
-// afresh, which is the reference the arena is tested against.
+// A call takes its arena from its model's SlabPool and gives it back on
+// return, never shares it while it runs. A nil *arena allocates every
+// matrix afresh, which is the reference the arena is tested against.
 type arena struct {
 	buf  []float64
 	off  int // floats of buf handed out since reset
@@ -280,8 +297,8 @@ type arena struct {
 // mat returns a rows x cols matrix whose contents are unspecified:
 // every caller overwrites all of it (the mat kernels zero their out,
 // aggregate zeroes its own, ReLU fills its mask). A request the slab
-// cannot hold is served from the heap for this step; reset then grows
-// the slab to what the step turned out to need.
+// cannot hold — fit was given too small a size — is served from the
+// heap.
 func (ar *arena) mat(rows, cols int) *mat.Dense {
 	if ar == nil {
 		return mat.New(rows, cols)
@@ -306,16 +323,58 @@ func (ar *arena) mat(rows, cols int) *mat.Dense {
 	return d
 }
 
-// reset invalidates every matrix handed out and grows the slab to what
-// the step before it needed.
+// reset invalidates every matrix handed out.
 func (ar *arena) reset() {
 	if ar == nil {
 		return
 	}
-	if ar.need > len(ar.buf) {
-		ar.buf = make([]float64, ar.need)
-	}
 	ar.off, ar.need, ar.nhdr = 0, 0, 0
+}
+
+// fit grows the slab to hold floats, if it is short, and rewinds it.
+func (ar *arena) fit(floats int) {
+	if ar == nil {
+		return
+	}
+	if floats > len(ar.buf) {
+		ar.buf = make([]float64, floats)
+	}
+	ar.reset()
+}
+
+// SlabPool is the working memory the models of one trained predictor
+// share: arenas no Train or Predict call holds at the moment. A call
+// takes one, fits it to its graph and gives it back on return, so a
+// slab outlives the call that grew it — the slabs a training run sized
+// for its largest sample serve every later prediction of every model on
+// the pool. Calls may run concurrently; each holds its own arena. The
+// pool lives as long as the models that hold it.
+type SlabPool struct {
+	mu   sync.Mutex
+	free []*arena
+}
+
+// NewSlabPool returns an empty pool.
+func NewSlabPool() *SlabPool { return &SlabPool{} }
+
+// take hands out an arena no other call holds.
+func (sp *SlabPool) take() *arena {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	n := len(sp.free)
+	if n == 0 {
+		return &arena{}
+	}
+	ar := sp.free[n-1]
+	sp.free = sp.free[:n-1]
+	return ar
+}
+
+// give returns an arena taken from the pool.
+func (sp *SlabPool) give(ar *arena) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, ar)
+	sp.mu.Unlock()
 }
 
 // forwardState caches activations for backprop.
@@ -332,10 +391,22 @@ type forwardState struct {
 }
 
 // forwardFloats is what forward carves from its arena for an n-node
-// graph without masks — the slab Predict allocates.
+// graph without masks — the slab Predict needs.
 func (m *Model) forwardFloats(n int) int {
 	c := m.Cfg
-	return n*(m.InDim+3*c.Hidden1+2*c.Hidden2) + 2*c.Hidden2 + 1 + c.FCHidden + c.Outputs
+	return n*(m.InDim+2*c.Hidden1+c.Hidden2) + 2*c.Hidden2 + 1 + c.FCHidden + c.Outputs
+}
+
+// trainFloats is what one training step carves for an n-node graph:
+// forward with its three masks, then backward's temporaries (dH2,
+// dAgg2, dH1 and the head's) and its gradient products — the slab Train
+// sizes for its largest sample.
+func (m *Model) trainFloats(n int) int {
+	c := m.Cfg
+	masks := n*(c.Hidden1+c.Hidden2) + c.FCHidden
+	back := n*(2*c.Hidden1+c.Hidden2) + 2*m.InDim*c.Hidden1 + 2*c.Hidden1*c.Hidden2 +
+		(c.Hidden2+1)*(c.FCHidden+1) + c.FCHidden*(c.Outputs+1) + c.Outputs
+	return m.forwardFloats(n) + masks + back
 }
 
 // forward runs the network on one graph, carving every matrix from ar.
@@ -353,15 +424,13 @@ func (m *Model) forward(g *Graph, ar *arena, train bool) forwardState {
 
 	st.agg1 = ar.mat(n, m.InDim)
 	g.aggregate(m.pool, g.X, st.agg1)
-	st.h1 = mat.MulPool(m.pool, st.agg1, m.W1, ar.mat(n, m.Cfg.Hidden1))
-	mat.AddInPlace(st.h1, mat.MulPool(m.pool, g.X, m.B1, ar.mat(n, m.Cfg.Hidden1)))
+	st.h1 = mat.MulAddPool(m.pool, st.agg1, m.W1, g.X, m.B1, ar.mat(n, m.Cfg.Hidden1))
 	st.mask1 = mask(n, m.Cfg.Hidden1)
 	mat.ReLU(st.h1, st.mask1)
 
 	st.agg2 = ar.mat(n, m.Cfg.Hidden1)
 	g.aggregate(m.pool, st.h1, st.agg2)
-	st.h2 = mat.MulPool(m.pool, st.agg2, m.W2, ar.mat(n, m.Cfg.Hidden2))
-	mat.AddInPlace(st.h2, mat.MulPool(m.pool, st.h1, m.B2, ar.mat(n, m.Cfg.Hidden2)))
+	st.h2 = mat.MulAddPool(m.pool, st.agg2, m.W2, st.h1, m.B2, ar.mat(n, m.Cfg.Hidden2))
 	st.mask2 = mask(n, m.Cfg.Hidden2)
 	mat.ReLU(st.h2, st.mask2)
 
@@ -387,10 +456,12 @@ func (m *Model) forward(g *Graph, ar *arena, train bool) forwardState {
 }
 
 // Predict returns the raw (normalized-space) model outputs for a graph.
-// Its activations come from one slab sized for the graph and dropped
-// on return.
+// Its activations come from a slab of the model's pool, grown to the
+// graph if it is short and given back on return.
 func (m *Model) Predict(g *Graph) []float64 {
-	ar := &arena{buf: make([]float64, m.forwardFloats(g.X.Rows))}
+	ar := m.slabs.take()
+	defer m.slabs.give(ar)
+	ar.fit(m.forwardFloats(g.X.Rows))
 	st := m.forward(g, ar, false)
 	out := make([]float64, m.Cfg.Outputs)
 	copy(out, st.out.Data)
@@ -491,19 +562,27 @@ type TrainStats struct {
 }
 
 // Train fits the model to the samples with per-sample (stochastic)
-// Adam updates, shuffling each epoch. The run owns one arena, rewound
-// per step, and one gradient set, zeroed per step; what a step
-// allocates does not grow with the graph.
+// Adam updates, shuffling each epoch. The run holds one arena of the
+// model's pool, sized for its largest sample before the first step and
+// rewound per step, and one gradient set, zeroed per step; a step
+// allocates no matrix.
 func (m *Model) Train(samples []Sample) (TrainStats, error) {
-	return m.train(samples, &arena{})
+	ar := m.slabs.take()
+	defer m.slabs.give(ar)
+	return m.train(samples, ar)
 }
 
 // train is Train on the given arena; nil allocates every matrix afresh.
 func (m *Model) train(samples []Sample, ar *arena) (TrainStats, error) {
+	if err := m.Cfg.Check(); err != nil {
+		return TrainStats{}, err
+	}
 	if len(samples) == 0 {
 		return TrainStats{}, fmt.Errorf("gcn: no training samples")
 	}
+	largest := 0
 	for _, s := range samples {
+		largest = max(largest, s.G.X.Rows)
 		if len(s.Targets) != m.Cfg.Outputs {
 			return TrainStats{}, fmt.Errorf("gcn: sample %q has %d targets, model wants %d",
 				s.Name, len(s.Targets), m.Cfg.Outputs)
@@ -518,6 +597,7 @@ func (m *Model) train(samples []Sample, ar *arena) (TrainStats, error) {
 	for i := range order {
 		order[i] = i
 	}
+	ar.fit(m.trainFloats(largest))
 	stats := TrainStats{Epochs: m.Cfg.Epochs}
 	gr := m.newGrads()
 	params, gradList := m.params(), gr.list()

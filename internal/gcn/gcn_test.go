@@ -182,6 +182,13 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := m.Train([]Sample{{G: bad, Targets: []float64{1, 2, 3, 4}}}); err == nil {
 		t.Fatal("wrong feature width accepted")
 	}
+	// A negative epoch count trained nothing and reported success.
+	cfg := tinyConfig()
+	cfg.Epochs = -3
+	stats, err := NewModel(cfg, netlist.FeatureDim).Train([]Sample{{G: g, Targets: []float64{1, 2, 3, 4}}})
+	if err == nil {
+		t.Fatalf("Epochs -3 accepted: %+v", stats)
+	}
 }
 
 func TestPredictDeterministic(t *testing.T) {
@@ -247,6 +254,7 @@ func TestConfigCheck(t *testing.T) {
 	for _, c := range []Config{
 		{Hidden1: -1}, {Hidden2: -1}, {FCHidden: -3}, {Outputs: -4},
 		{LR: -1}, {LR: math.NaN()}, {LR: math.Inf(1)}, {LR: math.Inf(-1)},
+		{Epochs: -3}, {Epochs: -1},
 	} {
 		if err := c.Check(); err == nil {
 			t.Errorf("%+v accepted", c)

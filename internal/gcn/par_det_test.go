@@ -191,8 +191,8 @@ func TestPredictSlabIsRightSized(t *testing.T) {
 // in the first epoch), at GOMAXPROCS 1, 2 and 8, with the collector off
 // so that it does not empty the runtime's own caches mid-count. All
 // that is left is the closures par.For hands to the workers it recruits
-// for some twenty kernel calls: 0.1 KB in 3 mallocs per step on one
-// worker, 1.4 KB in 53 on two, 1.7 KB in 95 on eight — plus, on eight,
+// for some twenty kernel calls: 0.1 KB in 1 malloc per step on one
+// worker, 1.2 KB in 43 on two, 2.1 KB in 81 on eight — plus, on eight,
 // up to 1.5 KB per step of thread start-up whenever the runtime first
 // needs its new Ps inside the longer run. The budgets are 25 % over
 // that; before the arena a step on these graphs allocated ≈ 930 KB, and

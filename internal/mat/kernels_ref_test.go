@@ -197,3 +197,56 @@ func TestPooledKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMulAddMatchesReference: the fused kernel against what it
+// replaces — MulPool of each product, then AddInPlace — on hostile
+// operands, over the whole row range and a split one, and through
+// MulAddPool at 1, 2 and 8 workers into a dirty out. One shape in three
+// is wider than the stack buffer, so a row's second product takes more
+// than one column block.
+func TestMulAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	wide := 0
+	const shapes = 60
+	for s := 0; s < shapes; s++ {
+		m, k1, k2, n := kernelDim(rng), kernelDim(rng), kernelDim(rng), kernelDim(rng)
+		if s%3 == 0 {
+			n = sumWidth - 3 + rng.Intn(sumWidth+8)
+		}
+		if n > sumWidth {
+			wide++
+		}
+		if s%10 == 0 {
+			m = 150 + rng.Intn(120) // over the parallel threshold
+		}
+		nonFinite := s%2 == 0
+		a, b := hostileDense(rng, m, k1, nonFinite), hostileDense(rng, k1, n, nonFinite)
+		c, d := hostileDense(rng, m, k2, nonFinite), hostileDense(rng, k2, n, nonFinite)
+		name := fmt.Sprintf("m=%d k1=%d k2=%d n=%d", m, k1, k2, n)
+
+		want := MulPool(nil, a, b, nil)
+		AddInPlace(want, MulPool(nil, c, d, nil))
+
+		got := New(m, n)
+		mulAddRows(a, b, c, d, got, 0, m)
+		sameBits(t, "mulAddRows "+name, got, want)
+
+		c1, c2 := rng.Intn(m+1), rng.Intn(m+1)
+		if c1 > c2 {
+			c1, c2 = c2, c1
+		}
+		split := New(m, n)
+		mulAddRows(a, b, c, d, split, c2, m)
+		mulAddRows(a, b, c, d, split, 0, c1)
+		mulAddRows(a, b, c, d, split, c1, c2)
+		sameBits(t, "mulAddRows split "+name, split, want)
+
+		for _, w := range []int{1, 2, 8} {
+			got := MulAddPool(par.Fixed(w), a, b, c, d, hostileDense(rng, m, n, true))
+			sameBits(t, fmt.Sprintf("MulAddPool workers=%d %s", w, name), got, want)
+		}
+	}
+	if wide < shapes/4 {
+		t.Fatalf("shape generator too tame: %d of %d shapes wider than %d", wide, shapes, sumWidth)
+	}
+}

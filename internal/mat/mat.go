@@ -12,6 +12,10 @@
 // once per four terms instead of once per term; MulATBPool also walks
 // its operands in tiles of gatherWidth rows, so the b tile every out
 // row reads stays in L1. MulABTPool runs four dot products at a time.
+// MulAddPool is two MulPool products and their sum in one pass: the
+// second product of each out row goes through a stack buffer, one
+// block of sumWidth columns at a time, so it needs no matrix of its
+// own.
 //
 // The contract all of them keep, and kernels_ref_test.go checks bit for
 // bit against the plain triple loops: every out element receives its
@@ -144,17 +148,18 @@ type terms struct {
 	row  [gatherWidth]int32
 }
 
-// addTo adds coef[t] * b.Row(row[t]) to o for t = 0..n-1: four rows per
-// pass, each element still taking its terms one by one in that order.
-func (ts *terms) addTo(o []float64, b *Dense) {
+// addTo adds coef[t] * b.Row(row[t])[j0:j0+len(o)] to o for
+// t = 0..n-1: four rows per pass, each element still taking its terms
+// one by one in that order.
+func (ts *terms) addTo(o []float64, b *Dense, j0 int) {
 	t := 0
 	for ; t+4 <= ts.n; t += 4 {
 		c0, c1, c2, c3 := ts.coef[t], ts.coef[t+1], ts.coef[t+2], ts.coef[t+3]
 		// Pre-cut to len(o): the inner loop carries no bounds check.
-		b0 := b.Row(int(ts.row[t]))[:len(o)]
-		b1 := b.Row(int(ts.row[t+1]))[:len(o)]
-		b2 := b.Row(int(ts.row[t+2]))[:len(o)]
-		b3 := b.Row(int(ts.row[t+3]))[:len(o)]
+		b0 := b.Row(int(ts.row[t]))[j0 : j0+len(o)]
+		b1 := b.Row(int(ts.row[t+1]))[j0 : j0+len(o)]
+		b2 := b.Row(int(ts.row[t+2]))[j0 : j0+len(o)]
+		b3 := b.Row(int(ts.row[t+3]))[j0 : j0+len(o)]
 		for j, v := range o {
 			v += c0 * b0[j]
 			v += c1 * b1[j]
@@ -165,30 +170,78 @@ func (ts *terms) addTo(o []float64, b *Dense) {
 	}
 	for ; t < ts.n; t++ {
 		c := ts.coef[t]
-		bRow := b.Row(int(ts.row[t]))[:len(o)]
+		bRow := b.Row(int(ts.row[t]))[j0 : j0+len(o)]
 		for j := range o {
 			o[j] += c * bRow[j]
 		}
 	}
 }
 
-// mulRows computes rows [lo, hi) of out = a * b: out row i is the sum
-// over k, ascending, of a[i][k] * b row k, zero a[i][k] skipped.
+// mulRow adds columns [j0, j0+len(o)) of aRow * b to o: the sum over
+// k, ascending, of aRow[k] * b row k, zero aRow[k] skipped.
+func (ts *terms) mulRow(aRow []float64, b *Dense, o []float64, j0 int) {
+	for k0 := 0; k0 < len(aRow); k0 += gatherWidth {
+		ts.n = 0
+		for k, aik := range aRow[k0:min(k0+gatherWidth, len(aRow))] {
+			if aik == 0 {
+				continue
+			}
+			ts.coef[ts.n], ts.row[ts.n] = aik, int32(k0+k)
+			ts.n++
+		}
+		ts.addTo(o, b, j0)
+	}
+}
+
+// mulRows computes rows [lo, hi) of out = a * b.
 func mulRows(a, b, out *Dense, lo, hi int) {
 	var ts terms
 	for i := lo; i < hi; i++ {
+		ts.mulRow(a.Row(i), b, out.Row(i), 0)
+	}
+}
+
+// MulAddPool computes out = a * b + c * d on the pool p, allocating out
+// when nil is passed. Every element is what MulPool(a, b), MulPool(c,
+// d) and AddInPlace give it — the two ordered sums, then one add — bit
+// for bit, at any pool size.
+func MulAddPool(p *par.Pool, a, b, c, d, out *Dense) *Dense {
+	if a.Cols != b.Rows || c.Cols != d.Rows || a.Rows != c.Rows || b.Cols != d.Cols {
+		panic(fmt.Sprintf("mat: MulAdd shape mismatch %dx%d * %dx%d + %dx%d * %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols, d.Rows, d.Cols))
+	}
+	out = prep(out, a.Rows, b.Cols)
+	flopsPerRow := (a.Cols + c.Cols) * b.Cols
+	if p.Workers() > 1 && a.Rows*flopsPerRow >= parFlops {
+		p.For(a.Rows, rowGrain(a.Rows, flopsPerRow), func(lo, hi int) {
+			mulAddRows(a, b, c, d, out, lo, hi)
+		})
+	} else {
+		mulAddRows(a, b, c, d, out, 0, a.Rows)
+	}
+	return out
+}
+
+// sumWidth is how many columns of MulAddPool's second product one
+// stack buffer holds.
+const sumWidth = 256
+
+// mulAddRows computes rows [lo, hi) of out = a * b + c * d: the first
+// product straight into the out row, the second a block of columns at
+// a time into a zeroed stack buffer that is then added to it.
+func mulAddRows(a, b, c, d, out *Dense, lo, hi int) {
+	var ts terms
+	var sum [sumWidth]float64
+	for i := lo; i < hi; i++ {
 		oRow := out.Row(i)
-		aRow := a.Row(i)
-		for k0 := 0; k0 < len(aRow); k0 += gatherWidth {
-			ts.n = 0
-			for k, aik := range aRow[k0:min(k0+gatherWidth, len(aRow))] {
-				if aik == 0 {
-					continue
-				}
-				ts.coef[ts.n], ts.row[ts.n] = aik, int32(k0+k)
-				ts.n++
+		ts.mulRow(a.Row(i), b, oRow, 0)
+		for j0 := 0; j0 < len(oRow); j0 += sumWidth {
+			s := sum[:min(sumWidth, len(oRow)-j0)]
+			clear(s)
+			ts.mulRow(c.Row(i), d, s, j0)
+			for j, v := range s {
+				oRow[j0+j] += v
 			}
-			ts.addTo(oRow, b)
 		}
 	}
 }
@@ -232,7 +285,7 @@ func mulATBRows(a, b, out *Dense, lo, hi int) {
 				ts.coef[ts.n], ts.row[ts.n] = av, int32(r)
 				ts.n++
 			}
-			ts.addTo(out.Row(i), b)
+			ts.addTo(out.Row(i), b, 0)
 		}
 	}
 }

@@ -285,3 +285,74 @@ func TestDroppedProbeLeavesNoGoroutine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// fuzzConfig draws a probe geometry from fuzz bytes: lines of 16 to
+// 128 bytes, an L1 of 1 to 8 ways over 1 to 40 sets and an LLC slice
+// of 1 to 16 ways over 1 to 64 sets (set counts that are not a power of
+// two round down), a 1- to 14-bit predictor, and the VM sizes to model
+// as a bit set over 1..8 slices (none set: one slice).
+func fuzzConfig(line, l1Sets, l1Ways, llcSets, llcWays, predBits, slices uint8) (ProbeConfig, []int) {
+	lineBytes := 16 << (line % 4)
+	l1W, llcW := 1+int(l1Ways%8), 1+int(llcWays%16)
+	cfg := ProbeConfig{
+		L1Bytes: (1 + int(l1Sets%40)) * l1W * lineBytes, L1Ways: l1W,
+		LLCBytes: (1 + int(llcSets%64)) * llcW * lineBytes, LLCWays: llcW,
+		LineBytes: lineBytes, PredictorBits: 1 + uint(predBits%14),
+	}
+	var sizes []int
+	for i := 0; i < 8; i++ {
+		if slices&(1<<i) != 0 {
+			sizes = append(sizes, i+1)
+		}
+	}
+	if sizes == nil {
+		sizes = []int{1}
+	}
+	return cfg.WithLLCSlices(sizes...), sizes
+}
+
+// FuzzReplayMatchesReference: over fuzzed geometries, hot-window sizes,
+// VM-size sets and stream lengths, a seeded stream of every event kind,
+// with sync points and shard regions at random offsets (so the batches
+// split anywhere), reads from the batching probe exactly as it reads
+// from the probe that simulated each event as it came — every Counters
+// read and, per VM size, every phase. The geometry's L1 and LLC caches
+// also match the rank-array LRU reference access for access on the
+// stream's addresses. Seed corpus in testdata/fuzz; CI fuzzes it for a
+// few seconds per run.
+func FuzzReplayMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(15), uint8(1), uint8(3), uint8(3), uint8(5), uint8(0x8b), uint16(2<<10), uint16(batchLen+1))
+	f.Fuzz(func(t *testing.T, seed int64, line, l1Sets, l1Ways, llcSets, llcWays, predBits, slices uint8, hot, words uint16) {
+		cfg, sizes := fuzzConfig(line, l1Sets, l1Ways, llcSets, llcWays, predBits, slices)
+		lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+		n := int(words) % (3*batchLen + 11)
+		probe := NewProbe(cfg)
+		probe.HotBytes = uint64(hot)
+		phases, reads, _ := replayStream(t, probe, seed, lineShift, n)
+		report := &Report{Job: "fuzz", Phases: phases}
+		for i, k := range sizes {
+			refCfg := cfg
+			refCfg.LLCSlices, refCfg.LLCBytes = nil, k*cfg.LLCBytes
+			ref := newRefProbe(refCfg)
+			ref.HotBytes = probe.HotBytes
+			want, wantReads, _ := replayStream(t, ref, seed, lineShift, n)
+			if got := probe.ReportFor(report, k).Phases; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v, %d words, seed %d: %d-slice phases differ from the reference\n got %+v\nwant %+v", cfg, n, seed, k, got, want)
+			}
+			if i == 0 && !reflect.DeepEqual(reads, wantReads) {
+				t.Fatalf("%+v, %d words, seed %d: Counters reads differ from the reference\n got %+v\nwant %+v", cfg, n, seed, reads, wantReads)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		for _, geo := range [][2]int{{cfg.L1Bytes, cfg.L1Ways}, {sizes[len(sizes)-1] * cfg.LLCBytes, cfg.LLCWays}} {
+			c, ref := NewCache(geo[0], geo[1], cfg.LineBytes), newRefCache(geo[0], geo[1], cfg.LineBytes)
+			for i := 0; i < n; i++ {
+				a := addr(rng)
+				if got, want := c.Access(a), ref.Access(a); got != want {
+					t.Fatalf("%d B %d-way cache, access %d at %#x: hit=%v, reference hit=%v", geo[0], geo[1], i, a, got, want)
+				}
+			}
+		}
+	})
+}
