@@ -14,6 +14,7 @@ package aig
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Lit is an AIG literal: 2*variable + complement bit.
@@ -132,10 +133,14 @@ func (g *Graph) Reset(name string, inputs, ands int) {
 	}
 	g.nodes = g.nodes[:1]
 	g.nodes[0] = node{kind: kindConst}
-	g.inputs = g.inputs[:0]
-	g.outputs = g.outputs[:0]
 	clear(g.inNames)
 	clear(g.outNames)
+	if cap(g.inputs) < inputs {
+		g.inputs = make([]int, 0, inputs)
+		g.inNames = make([]string, 0, inputs)
+	}
+	g.inputs = g.inputs[:0]
+	g.outputs = g.outputs[:0]
 	g.inNames = g.inNames[:0]
 	g.outNames = g.outNames[:0]
 	clear(g.strash)
@@ -178,6 +183,12 @@ func (g *Graph) AddOutput(l Lit, name string) {
 
 // Output returns the literal of the i-th primary output.
 func (g *Graph) Output(i int) Lit { return g.outputs[i] }
+
+// reserveOutputs makes room for n more primary outputs.
+func (g *Graph) reserveOutputs(n int) {
+	g.outputs = slices.Grow(g.outputs, n)
+	g.outNames = slices.Grow(g.outNames, n)
+}
 
 // OutputName returns the name of the i-th primary output.
 func (g *Graph) OutputName(i int) string { return g.outNames[i] }
@@ -394,42 +405,41 @@ func (s Stats) String() string {
 	return fmt.Sprintf("i/o=%d/%d ands=%d depth=%d", s.Inputs, s.Outputs, s.Ands, s.Depth)
 }
 
-// markCone sets mark[v] for every variable in the transitive fanin
-// cone of root (including root itself), on the caller's DFS stack,
-// which it returns empty for the next root.
-func (g *Graph) markCone(root Lit, mark []bool, stack []int) []int {
-	stack = append(stack, root.Var())
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if mark[v] {
-			continue
-		}
-		mark[v] = true
-		if n := &g.nodes[v]; n.kind == kindAnd {
-			stack = append(stack, n.fan0.Var(), n.fan1.Var())
-		}
-	}
-	return stack
-}
-
 // Sweep returns a copy of the graph containing only nodes reachable from
 // a primary output, along with a map from old variable to new literal.
 // Input and output order and names are preserved.
-func (g *Graph) Sweep() (*Graph, []Lit) {
-	mark := make([]bool, len(g.nodes))
-	var stack []int
+func (g *Graph) Sweep() (*Graph, []Lit) { return g.SweepInto(nil, nil) }
+
+// SweepInto is Sweep building its copy in dst, which it Resets first,
+// and its variable map in old2new's storage when that is large enough;
+// a nil dst means a fresh graph and a nil old2new a fresh map. dst must
+// not be g.
+func (g *Graph) SweepInto(dst *Graph, old2new []Lit) (*Graph, []Lit) {
+	if dst == g {
+		panic("aig: SweepInto its own receiver")
+	}
+	old2new = slices.Grow(old2new[:0], len(g.nodes))[:len(g.nodes)]
+	clear(old2new)
+	// Mark the output cones in the map itself: a reached variable reads
+	// True until it gets its new literal. Fanins precede their fanouts,
+	// so one descending pass reaches every node of every cone.
 	for _, o := range g.outputs {
-		stack = g.markCone(o, mark, stack)
+		old2new[o.Var()] = True
 	}
 	kept := 0
-	for v, m := range mark {
-		if m && g.nodes[v].kind == kindAnd {
+	for v := len(g.nodes) - 1; v > 0; v-- {
+		if n := &g.nodes[v]; n.kind == kindAnd && old2new[v] != False {
 			kept++
+			old2new[n.fan0.Var()] = True
+			old2new[n.fan1.Var()] = True
 		}
 	}
-	ng := NewSized(g.Name, len(g.inputs), kept)
-	old2new := make([]Lit, len(g.nodes))
+	ng := dst
+	if ng == nil {
+		ng = NewSized(g.Name, len(g.inputs), kept)
+	} else {
+		ng.Reset(g.Name, len(g.inputs), kept)
+	}
 	old2new[0] = False
 	// Inputs are kept even when dangling so that I/O signatures match.
 	for i, v := range g.inputs {
@@ -437,13 +447,14 @@ func (g *Graph) Sweep() (*Graph, []Lit) {
 	}
 	for v := 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
-		if n.kind != kindAnd || !mark[v] {
+		if n.kind != kindAnd || old2new[v] == False {
 			continue
 		}
 		f0 := old2new[n.fan0.Var()].NotIf(n.fan0.IsNeg())
 		f1 := old2new[n.fan1.Var()].NotIf(n.fan1.IsNeg())
 		old2new[v] = ng.And(f0, f1)
 	}
+	ng.reserveOutputs(len(g.outputs))
 	for i, o := range g.outputs {
 		ng.AddOutput(old2new[o.Var()].NotIf(o.IsNeg()), g.outNames[i])
 	}

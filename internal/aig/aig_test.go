@@ -311,6 +311,50 @@ func TestSweepNeverReturnsReceiver(t *testing.T) {
 	}
 }
 
+// TestSweepIntoMatchesSweep: sweeping into a recycled graph and map —
+// left over from a larger or a smaller sweep — gives Sweep's graph and
+// variable map, and sweeping into the receiver is refused.
+func TestSweepIntoMatchesSweep(t *testing.T) {
+	dst, buf := New("stale"), []Lit(nil)
+	for i, sz := range []int{400, 60, 900} {
+		g := New("src")
+		buildRandom(g, int64(i), 8, sz)
+		for j := 0; j < 5; j++ {
+			g.AddInput("late") // an input after the ANDs, and dangling
+		}
+		want, wantMap := g.Sweep()
+		got, gotMap := g.SweepInto(dst, buf)
+		if got != dst {
+			t.Fatal("SweepInto did not build in its destination")
+		}
+		if got.Fingerprint() != want.Fingerprint() || got.Name != want.Name || !slices.Equal(gotMap, wantMap) {
+			t.Fatalf("sweep %d: recycled result differs from Sweep's", i)
+		}
+		if want.NumAnds() >= g.NumAnds() {
+			t.Fatalf("sweep %d: nothing was dead (%d ANDs)", i, g.NumAnds())
+		}
+		kept := 0
+		for v, r := range reachable(g) {
+			if g.IsAnd(v) && r {
+				kept++
+			}
+			if g.IsAnd(v) && r == (wantMap[v] == False) {
+				t.Fatalf("sweep %d: AND %d reachable %v but mapped to %v", i, v, r, wantMap[v])
+			}
+		}
+		if kept != want.NumAnds() {
+			t.Fatalf("sweep %d: kept %d ANDs, %d reachable", i, want.NumAnds(), kept)
+		}
+		buf = gotMap
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SweepInto its own receiver did not panic")
+		}
+	}()
+	dst.SweepInto(dst, nil)
+}
+
 func TestAdderFunctional(t *testing.T) {
 	const width = 8
 	g := buildAdder(t, width)

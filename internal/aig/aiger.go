@@ -66,11 +66,13 @@ func (g *Graph) WriteASCII(w io.Writer) error {
 	return bw.Flush()
 }
 
-// The most of the reader's variable map and output list that the
+// The most of the reader's variable map, output list and graph that the
 // header alone may size.
 const (
 	maxDenseVars       = 1 << 20
 	maxReservedOutputs = 1 << 16
+	maxReservedInputs  = 1 << 16
+	maxReservedAnds    = 1 << 18
 )
 
 // varMap maps the variables of the file being read to the graph's
@@ -164,7 +166,8 @@ func atoi(b []byte) (int, bool) {
 // ReadASCII parses an ASCII AIGER (aag) stream produced by WriteASCII or
 // any conforming tool. Latch declarations are rejected. The returned
 // graph is re-hashed, so structurally duplicate ANDs in the input are
-// merged. Memory follows what is read, not the header's counts.
+// merged. The header's counts set the graph's reservation, up to fixed
+// caps; beyond those, memory follows what is read.
 func ReadASCII(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -191,7 +194,7 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("aig: header claims %d vars for %d inputs + %d ands", maxVar, nIn, nAnd)
 	}
 
-	g := New("")
+	g := NewSized("", min(nIn, maxReservedInputs), min(nAnd, maxReservedAnds))
 	old2new := newVarMap(maxVar)
 
 	// readLit parses a file literal: 2*variable + complement bit.
@@ -280,6 +283,7 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		}
 		old2new.set(lhs>>1, g.And(old2new.lit(a), old2new.lit(b)))
 	}
+	g.reserveOutputs(len(outLits))
 	for _, n := range outLits {
 		g.AddOutput(old2new.lit(n), "")
 	}

@@ -41,6 +41,12 @@ type ConePartitioning struct {
 	// Owner maps each variable to the partition owning it, or -1 for
 	// inputs, the constant node and dangling logic.
 	Owner []int32
+
+	// outs and nodes back every partition's Outputs and Nodes, and
+	// stack is the cone walk's; PartitionConesInto reuses all three.
+	outs  []int
+	nodes []int32
+	stack []int
 }
 
 // NumParts returns the number of partitions.
@@ -52,58 +58,63 @@ func (cp *ConePartitioning) NumParts() int { return len(cp.Parts) }
 // produce the same partitioning. Dangling AND nodes (unreachable from
 // every output) are owned by no partition.
 func (g *Graph) PartitionCones(grain int) *ConePartitioning {
+	return g.PartitionConesInto(new(ConePartitioning), grain)
+}
+
+// PartitionConesInto is PartitionCones building the partitioning in cp,
+// whose storage it reuses: a caller that partitions one graph after
+// another allocates only when a graph outgrows every earlier one. Every
+// slice of cp's previous partitioning is overwritten.
+func (g *Graph) PartitionConesInto(cp *ConePartitioning, grain int) *ConePartitioning {
 	if grain <= 0 {
 		grain = 256
 	}
-	owner := make([]int32, len(g.nodes))
-	for i := range owner {
-		owner[i] = -1
+	cp.Owner = slices.Grow(cp.Owner[:0], len(g.nodes))[:len(g.nodes)]
+	for i := range cp.Owner {
+		cp.Owner[i] = -1
 	}
-	cp := &ConePartitioning{Owner: owner}
+	cp.Parts = cp.Parts[:0]
 	if len(g.outputs) == 0 {
 		return cp
 	}
 
 	// Mark each output's cone in output order; a node joins the
-	// partition current when it is first reached. Partitions close once
-	// they own at least grain AND nodes, so partition sizes track the
-	// *incremental* cone sizes — the actual resynthesis work — rather
-	// than raw (overlapping) cone sizes.
-	seen := make([]bool, len(g.nodes))
-	seen[0] = true
-	cur := ConePartition{}
-	curAnds := 0
-	var stack []int
+	// partition current when it is first reached (its owner is still
+	// -1). Partitions close once they own at least grain AND nodes, so
+	// partition sizes track the *incremental* cone sizes — the actual
+	// resynthesis work — rather than raw (overlapping) cone sizes. Every
+	// partition's outputs and nodes are consecutive runs of two shared
+	// arrays, each sized once.
+	owner := cp.Owner
+	outs := slices.Grow(cp.outs[:0], len(g.outputs))[:len(g.outputs)]
+	nodes := slices.Grow(cp.nodes[:0], g.NumAnds())
+	stack := cp.stack
+	first, firstNode := 0, 0 // the current partition's first output and node
 	for oi, o := range g.outputs {
-		cur.Outputs = append(cur.Outputs, oi)
+		outs[oi] = oi
 		stack = append(stack[:0], o.Var())
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
 			n := &g.nodes[v]
-			if n.kind != kindAnd {
+			if n.kind != kindAnd || owner[v] >= 0 {
 				continue
 			}
 			owner[v] = int32(len(cp.Parts))
-			cur.Nodes = append(cur.Nodes, int32(v))
-			curAnds++
+			nodes = append(nodes, int32(v))
 			stack = append(stack, n.fan0.Var(), n.fan1.Var())
 		}
-		if curAnds >= grain {
-			slices.Sort(cur.Nodes)
-			cp.Parts = append(cp.Parts, cur)
-			cur = ConePartition{}
-			curAnds = 0
+		if len(nodes)-firstNode >= grain || oi == len(g.outputs)-1 {
+			part := ConePartition{
+				Outputs: outs[first : oi+1 : oi+1],
+				Nodes:   nodes[firstNode:len(nodes):len(nodes)],
+			}
+			slices.Sort(part.Nodes)
+			cp.Parts = append(cp.Parts, part)
+			first, firstNode = oi+1, len(nodes)
 		}
 	}
-	if len(cur.Outputs) > 0 {
-		slices.Sort(cur.Nodes)
-		cp.Parts = append(cp.Parts, cur)
-	}
+	cp.outs, cp.nodes, cp.stack = outs, nodes, stack
 	return cp
 }
 

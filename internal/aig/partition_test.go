@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,10 +36,7 @@ func TestPartitionConesCoversReachableAnds(t *testing.T) {
 	if cp.NumParts() < 2 {
 		t.Fatalf("expected multiple partitions, got %d", cp.NumParts())
 	}
-	reach := make([]bool, g.NumVars())
-	for _, o := range g.Outputs() {
-		g.markCone(o, reach, nil)
-	}
+	reach := reachable(g)
 	seen := make([]int32, g.NumVars())
 	for i := range seen {
 		seen[i] = -1
@@ -133,6 +131,33 @@ func TestPartitionGrainControlsCount(t *testing.T) {
 
 // TestAppendIdentityMerge: appending a graph onto a fresh graph with
 // identity input mapping reproduces the function.
+// TestPartitionConesIntoMatchesFresh: a partitioning rebuilt in the
+// storage of an earlier one — of a larger graph, a smaller one or one
+// with no outputs — equals a fresh PartitionCones, and its partitions
+// own exactly their own runs of the shared arrays.
+func TestPartitionConesIntoMatchesFresh(t *testing.T) {
+	empty := New("empty")
+	empty.AddInput("a")
+	graphs := []*Graph{randGraph(3, 10, 900, 30), randGraph(4, 6, 200, 9), empty, randGraph(5, 12, 1500, 40)}
+	cp := new(ConePartitioning)
+	for i, g := range graphs {
+		got := g.PartitionConesInto(cp, 40)
+		want := g.PartitionCones(40)
+		if got.NumParts() != want.NumParts() || !slices.Equal(got.Owner, want.Owner) {
+			t.Fatalf("graph %d: %d parts, fresh %d (or owners differ)", i, got.NumParts(), want.NumParts())
+		}
+		for pi := range want.Parts {
+			gp, wp := got.Parts[pi], want.Parts[pi]
+			if !slices.Equal(gp.Outputs, wp.Outputs) || !slices.Equal(gp.Nodes, wp.Nodes) {
+				t.Fatalf("graph %d partition %d differs from fresh", i, pi)
+			}
+			if cap(gp.Outputs) != len(gp.Outputs) || cap(gp.Nodes) != len(gp.Nodes) {
+				t.Fatalf("graph %d partition %d can append into its neighbour", i, pi)
+			}
+		}
+	}
+}
+
 func TestAppendIdentityMerge(t *testing.T) {
 	g := randGraph(21, 7, 120, 6)
 	ng := New(g.Name)
@@ -200,4 +225,27 @@ func TestAppendFoldsMappedConstants(t *testing.T) {
 		}
 	}()
 	ng.Append(s, []Lit{a})
+}
+
+// reachable marks every variable in the transitive fanin cone of some
+// primary output, by depth-first search from each output.
+func reachable(g *Graph) []bool {
+	mark := make([]bool, g.NumVars())
+	var stack []int
+	for _, o := range g.Outputs() {
+		stack = append(stack, o.Var())
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if mark[v] {
+				continue
+			}
+			mark[v] = true
+			if g.IsAnd(v) {
+				f0, f1 := g.Fanins(v)
+				stack = append(stack, f0.Var(), f1.Var())
+			}
+		}
+	}
+	return mark
 }

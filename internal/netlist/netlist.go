@@ -61,11 +61,37 @@ type Netlist struct {
 	Nets  []Net
 	PIs   []Port
 	POs   []Port
+
+	// pins backs every cell's Ins: AddCell appends a cell's inputs here
+	// and hands the cell a full slice expression of them, so the cell
+	// owns exactly its own pins and no per-cell copy is made.
+	pins []NetID
+}
+
+// Size is the room a netlist reserves for what it is about to hold.
+type Size struct {
+	PIs, POs, Nets, Cells int
+	// Pins is the summed input-pin count of the cells.
+	Pins int
 }
 
 // New returns an empty netlist bound to the given library.
-func New(name string, lib *techlib.Library) *Netlist {
-	return &Netlist{Name: name, Lib: lib}
+func New(name string, lib *techlib.Library) *Netlist { return NewSized(name, lib, Size{}) }
+
+// NewSized is New with room reserved for the given numbers of ports,
+// nets, cells and input pins. The reservation is a hint, not a limit:
+// a caller that knows the netlist it is about to build (the mapper,
+// after planning its cover) builds it without regrowing any array.
+func NewSized(name string, lib *techlib.Library, s Size) *Netlist {
+	return &Netlist{
+		Name:  name,
+		Lib:   lib,
+		Cells: make([]Cell, 0, s.Cells),
+		Nets:  make([]Net, 0, s.Nets),
+		PIs:   make([]Port, 0, s.PIs),
+		POs:   make([]Port, 0, s.POs),
+		pins:  make([]NetID, 0, s.Pins),
+	}
 }
 
 // AddNet creates a new undriven net and returns its identifier.
@@ -92,22 +118,23 @@ func (n *Netlist) AddPO(name string, net NetID) {
 
 // AddCell instantiates a cell of the given type. The input slice length
 // must match the cell's pin count; out may be NoNet for sink-only
-// pseudo-cells. Connectivity (net sink/driver lists) is updated.
+// pseudo-cells. Connectivity (net sink/driver lists) is updated. A
+// refused cell leaves the netlist as it was: every connection is
+// checked before anything is added.
 func (n *Netlist) AddCell(name string, typ *techlib.Cell, ins []NetID, out NetID) (CellID, error) {
 	if len(ins) != typ.NumInputs() {
 		return NoCell, fmt.Errorf("netlist: cell %s of type %s: %d connections for %d pins",
 			name, typ.Name, len(ins), typ.NumInputs())
 	}
-	id := CellID(len(n.Cells))
-	c := Cell{Name: name, Type: typ, Ins: append([]NetID(nil), ins...), Out: out}
-	n.Cells = append(n.Cells, c)
 	for pin, net := range ins {
-		if net == NoNet {
-			continue
+		if net != NoNet && (net < 0 || int(net) >= len(n.Nets)) {
+			return NoCell, fmt.Errorf("netlist: cell %s pin %d: net %d out of range", name, pin, net)
 		}
-		n.Nets[net].Sinks = append(n.Nets[net].Sinks, PinRef{Cell: id, Pin: int32(pin)})
 	}
 	if out != NoNet {
+		if out < 0 || int(out) >= len(n.Nets) {
+			return NoCell, fmt.Errorf("netlist: cell %s: output net %d out of range", name, out)
+		}
 		if d := n.Nets[out].Driver; d != NoCell {
 			return NoCell, fmt.Errorf("netlist: net %s already driven by cell %s",
 				n.Nets[out].Name, n.Cells[d].Name)
@@ -115,6 +142,18 @@ func (n *Netlist) AddCell(name string, typ *techlib.Cell, ins []NetID, out NetID
 		if n.Nets[out].DriverPI >= 0 {
 			return NoCell, fmt.Errorf("netlist: net %s already driven by a primary input", n.Nets[out].Name)
 		}
+	}
+	id := CellID(len(n.Cells))
+	start := len(n.pins)
+	n.pins = append(n.pins, ins...)
+	n.Cells = append(n.Cells, Cell{Name: name, Type: typ, Ins: n.pins[start:len(n.pins):len(n.pins)], Out: out})
+	for pin, net := range ins {
+		if net == NoNet {
+			continue
+		}
+		n.Nets[net].Sinks = append(n.Nets[net].Sinks, PinRef{Cell: id, Pin: int32(pin)})
+	}
+	if out != NoNet {
 		n.Nets[out].Driver = id
 	}
 	return id, nil

@@ -63,17 +63,48 @@ func TestAddCellRejectsBadPinCount(t *testing.T) {
 	}
 }
 
+// TestAddCellRejectsDoubleDriver: a refused cell — a second driver on a
+// driven net, a driver on a PI net, a connection to a net that does not
+// exist — leaves the netlist exactly as it was: no cell, no sink, no
+// driver, and Check still holds.
 func TestAddCellRejectsDoubleDriver(t *testing.T) {
-	n := New("dd", lib)
-	a := n.AddPI("a")
-	o := n.AddNet("o")
-	n.MustAddCell("inv1", lib.MustCell("INV_X1"), []NetID{a}, o)
-	if _, err := n.AddCell("inv2", lib.MustCell("INV_X1"), []NetID{a}, o); err == nil {
-		t.Fatal("expected double-driver error")
-	}
-	// Driving a PI net is also a double drive.
-	if _, err := n.AddCell("inv3", lib.MustCell("INV_X1"), []NetID{o}, a); err == nil {
-		t.Fatal("expected PI-drive error")
+	inv := lib.MustCell("INV_X1")
+	nand := lib.MustCell("NAND2_X1")
+	for _, tc := range []struct {
+		name string
+		typ  *techlib.Cell
+		ins  func(a, o NetID) []NetID
+		out  func(a, o NetID) NetID
+	}{
+		{"double driver", inv, func(a, o NetID) []NetID { return []NetID{a} }, func(a, o NetID) NetID { return o }},
+		{"PI driver", inv, func(a, o NetID) []NetID { return []NetID{o} }, func(a, o NetID) NetID { return a }},
+		{"double driver after a good pin", nand, func(a, o NetID) []NetID { return []NetID{a, o} }, func(a, o NetID) NetID { return o }},
+		{"input out of range", nand, func(a, o NetID) []NetID { return []NetID{a, o + 5} }, func(a, o NetID) NetID { return NoNet }},
+		{"negative input", inv, func(a, o NetID) []NetID { return []NetID{-7} }, func(a, o NetID) NetID { return NoNet }},
+		{"output out of range", inv, func(a, o NetID) []NetID { return []NetID{a} }, func(a, o NetID) NetID { return o + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New("dd", lib)
+			a := n.AddPI("a")
+			o := n.AddNet("o")
+			n.MustAddCell("inv1", inv, []NetID{a}, o)
+			n.AddPO("y", o)
+			fp, cells := n.Fingerprint(), n.NumCells()
+			sinks := []int{len(n.Nets[a].Sinks), len(n.Nets[o].Sinks)}
+			if _, err := n.AddCell("bad", tc.typ, tc.ins(a, o), tc.out(a, o)); err == nil {
+				t.Fatal("AddCell accepted the cell")
+			}
+			if n.NumCells() != cells || len(n.Nets[a].Sinks) != sinks[0] || len(n.Nets[o].Sinks) != sinks[1] {
+				t.Fatalf("refusal changed the netlist: %d cells (was %d), sinks %d/%d (were %v)",
+					n.NumCells(), cells, len(n.Nets[a].Sinks), len(n.Nets[o].Sinks), sinks)
+			}
+			if n.Fingerprint() != fp {
+				t.Fatal("refusal changed the fingerprint")
+			}
+			if err := n.Check(); err != nil {
+				t.Fatalf("Check after a refusal: %v", err)
+			}
+		})
 	}
 }
 

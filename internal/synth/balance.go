@@ -29,7 +29,7 @@ import (
 // estimating foreign-leaf depths from the source graph's levels, and
 // the shards merge in deterministic partition order (see rewrite.go).
 func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
-	cp := partitionAccounted(g, probe)
+	cp := partitionAccounted(g, probe, rs)
 	if cp.NumParts() <= 1 {
 		return balanceSerial(g, probe, rs), passStats{chunks: 1}
 	}
@@ -72,7 +72,7 @@ func balanceSerial(g *aig.Graph, probe *perf.Probe, rs *runScratch) *aig.Graph {
 	for i, o := range g.Outputs() {
 		ng.AddOutput(o2n.get(o.Var()).NotIf(o.IsNeg()), g.OutputName(i))
 	}
-	return sweepAccounted(ng, g.Name, probe)
+	return sweepAccounted(ng, g.Name, probe, rs)
 }
 
 // balancePartition rebalances the AND-trees owned by partition pi into

@@ -25,14 +25,15 @@ const (
 	nominalPinCap = 0.0012 // pF per fanout pin
 )
 
-// nodeImpl is the chosen realization of one (node, polarity) pair.
+// nodeImpl is the chosen realization of one (node, polarity) pair. The
+// byte-wide fields come last so that the record packs into 48 bytes.
 type nodeImpl struct {
-	valid   bool
-	fromInv bool           // realized as inverter of the opposite polarity
 	match   *techlib.Match // an entry of the library's match index
 	cut     Cut
-	polMask uint8 // bit i set: leaf i is consumed complemented
 	arrival float64
+	valid   bool
+	fromInv bool  // realized as inverter of the opposite polarity
+	polMask uint8 // bit i set: leaf i is consumed complemented
 }
 
 // Mapper holds mapping state for one run.
@@ -218,21 +219,68 @@ func flipVar(tt uint64, i int) uint64 {
 	return (tt&m)>>s | (tt&^m)<<s
 }
 
-// extract instantiates the chosen cover from the primary outputs.
-func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
-	g := m.g
-	nl := netlist.New(g.Name, m.lib)
+// cover is the mapper's plan of the netlist it emits: the cells the
+// chosen cover creates, in creation order, their input nets (each
+// cell's in pin order, concatenated) and the net each primary output
+// reads. The netlist's nets are the primary inputs, then clk when the
+// outputs are registered, then one per cell, so cell i will drive net
+// base+i and the plan names every net before the netlist exists.
+type cover struct {
+	base  int
+	cells []*techlib.Cell
+	pins  []netlist.NetID
+	pos   []netlist.NetID
+}
 
-	piNet := make([]netlist.NetID, g.NumVars()) // by input variable
-	for i, v := range g.InputVars() {
-		name := g.InputName(i)
-		if name == "" {
-			name = fmt.Sprintf("pi%d", i)
-		}
-		piNet[v] = nl.AddPI(name)
+// add records a cell of type typ on the given inputs and returns the
+// net it will drive.
+func (c *cover) add(typ *techlib.Cell, ins ...netlist.NetID) netlist.NetID {
+	c.cells = append(c.cells, typ)
+	c.pins = append(c.pins, ins...)
+	return netlist.NetID(c.base + len(c.cells) - 1)
+}
+
+// extract instantiates the chosen cover from the primary outputs in two
+// steps: plan walks the cover and records the cells it needs, and build
+// creates exactly those, in a netlist reserved at its final size.
+func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
+	c, err := m.plan(registerOutputs)
+	if err != nil {
+		return nil, err
+	}
+	return m.build(c, registerOutputs), nil
+}
+
+// plan walks the chosen cover depth-first from the primary outputs,
+// recording every cell the netlist needs in the order build creates
+// them: const tie cells when a constant is first read, an inverter
+// where no inverting match exists, and a DFF behind each registered
+// output.
+func (m *mapper) plan(registerOutputs bool) (*cover, error) {
+	g := m.g
+	inputs := g.InputVars()
+	// A cover has about one cell per AND node (0.6 to 1.8 on the
+	// benchmark designs) and two to three pins per cell: reserving
+	// that much spares the plan most of its regrowth.
+	hint := g.NumAnds() + g.NumOutputs() + 4
+	c := &cover{
+		base:  len(inputs),
+		cells: make([]*techlib.Cell, 0, hint),
+		pins:  make([]netlist.NetID, 0, 5*hint/2),
+		pos:   make([]netlist.NetID, g.NumOutputs()),
+	}
+	var clkNet netlist.NetID = netlist.NoNet
+	if registerOutputs {
+		clkNet = netlist.NetID(c.base)
+		c.base++
 	}
 
-	// memo[pol][v] is the net emitted for (v, polarity), NoNet until
+	piNet := make([]netlist.NetID, g.NumVars()) // by input variable; PI i is net i
+	for i, v := range inputs {
+		piNet[v] = netlist.NetID(i)
+	}
+
+	// memo[pol][v] is the net planned for (v, polarity), NoNet until
 	// then.
 	var memo [2][]netlist.NetID
 	for pol := range memo {
@@ -241,20 +289,8 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 			memo[pol][v] = netlist.NoNet
 		}
 	}
-	cellCount := 0
-	// name holds the n%d and u%d names as they are built, so each costs
-	// the one allocation of its string.
-	var name []byte
-	newCell := func(typ *techlib.Cell, ins []netlist.NetID) netlist.NetID {
-		name = strconv.AppendInt(append(name[:0], 'n'), int64(nl.NumNets()), 10)
-		out := nl.AddNet(string(name))
-		name = strconv.AppendInt(append(name[:0], 'u'), int64(cellCount), 10)
-		nl.MustAddCell(string(name), typ, ins, out)
-		cellCount++
-		return out
-	}
 
-	// constNet lazily builds constant-0/1 nets from the first PI:
+	// makeConst lazily ties constant-0/1 nets to the first PI:
 	// AND2(a, !a) = 0, OR2(a, !a) = 1.
 	var constNets [2]netlist.NetID
 	constNets[0], constNets[1] = netlist.NoNet, netlist.NoNet
@@ -266,11 +302,11 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 		if constNets[idx] != netlist.NoNet {
 			return constNets[idx], nil
 		}
-		if len(g.InputVars()) == 0 {
+		if len(inputs) == 0 {
 			return netlist.NoNet, fmt.Errorf("synth: cannot tie constants in a design with no inputs")
 		}
-		a := piNet[g.InputVars()[0]]
-		an := newCell(m.inv, []netlist.NetID{a})
+		a := piNet[inputs[0]]
+		an := c.add(m.inv, a)
 		typ := m.lib.Cell("AND2_X1")
 		if one {
 			typ = m.lib.Cell("OR2_X1")
@@ -278,12 +314,12 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 		if typ == nil {
 			return netlist.NoNet, fmt.Errorf("synth: library lacks AND2/OR2 tie cells")
 		}
-		constNets[idx] = newCell(typ, []netlist.NetID{a, an})
+		constNets[idx] = c.add(typ, a, an)
 		return constNets[idx], nil
 	}
 
-	var emit func(v int, neg bool) (netlist.NetID, error)
-	emit = func(v int, neg bool) (netlist.NetID, error) {
+	var visit func(v int, neg bool) (netlist.NetID, error)
+	visit = func(v int, neg bool) (netlist.NetID, error) {
 		if v == 0 {
 			return makeConst(neg) // constant node: False, so neg means 1
 		}
@@ -301,7 +337,7 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 			if !neg {
 				net = piNet[v]
 			} else {
-				net = newCell(m.inv, []netlist.NetID{piNet[v]})
+				net = c.add(m.inv, piNet[v])
 			}
 			memo[pol][v] = net
 			return net, nil
@@ -311,52 +347,87 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 			return netlist.NoNet, fmt.Errorf("synth: node %d has no %v implementation", v, neg)
 		}
 		if impl.fromInv {
-			src, err := emit(v, !neg)
+			src, err := visit(v, !neg)
 			if err != nil {
 				return netlist.NoNet, err
 			}
-			net = newCell(m.inv, []netlist.NetID{src})
+			net = c.add(m.inv, src)
 			memo[pol][v] = net
 			return net, nil
 		}
-		ins := make([]netlist.NetID, impl.match.Cell.NumInputs())
+		// A match has one input per cut leaf, and mapNode keeps cuts of
+		// at most three leaves.
+		var ins [3]netlist.NetID
 		for i, leaf := range impl.cut.Leaves {
 			leafNeg := impl.polMask>>uint(i)&1 == 1
-			src, err := emit(int(leaf), leafNeg)
+			src, err := visit(int(leaf), leafNeg)
 			if err != nil {
 				return netlist.NoNet, err
 			}
 			ins[impl.match.Perm[i]] = src
 		}
-		net = newCell(impl.match.Cell, ins)
+		net = c.add(impl.match.Cell, ins[:impl.match.Cell.NumInputs()]...)
 		memo[pol][v] = net
 		return net, nil
 	}
 
-	var clkNet netlist.NetID = netlist.NoNet
 	dff := m.lib.Cell("DFF_X1")
-	if registerOutputs {
-		if dff == nil {
-			return nil, fmt.Errorf("synth: library lacks DFF_X1 for registered outputs")
-		}
-		clkNet = nl.AddPI("clk")
+	if registerOutputs && dff == nil {
+		return nil, fmt.Errorf("synth: library lacks DFF_X1 for registered outputs")
 	}
-
 	for i, o := range g.Outputs() {
-		net, err := emit(o.Var(), o.IsNeg())
+		net, err := visit(o.Var(), o.IsNeg())
 		if err != nil {
 			return nil, err
 		}
+		if registerOutputs {
+			net = c.add(dff, net, clkNet)
+		}
+		c.pos[i] = net
+	}
+	return c, nil
+}
+
+// build creates the planned netlist: the ports and the cells in the
+// plan's order, so that every ID, every n%d/u%d name and the
+// fingerprint are those of creating each cell as the walk reached it.
+func (m *mapper) build(c *cover, registerOutputs bool) *netlist.Netlist {
+	g := m.g
+	nl := netlist.NewSized(g.Name, m.lib, netlist.Size{
+		PIs:   c.base,
+		POs:   len(c.pos),
+		Nets:  c.base + len(c.cells),
+		Cells: len(c.cells),
+		Pins:  len(c.pins),
+	})
+	for i := range g.NumInputs() {
+		name := g.InputName(i)
+		if name == "" {
+			name = fmt.Sprintf("pi%d", i)
+		}
+		nl.AddPI(name)
+	}
+	if registerOutputs {
+		nl.AddPI("clk")
+	}
+	// name holds the n%d and u%d names as they are built, so each costs
+	// the one allocation of its string.
+	var name []byte
+	pins := c.pins
+	for i, typ := range c.cells {
+		name = strconv.AppendInt(append(name[:0], 'n'), int64(nl.NumNets()), 10)
+		out := nl.AddNet(string(name))
+		name = strconv.AppendInt(append(name[:0], 'u'), int64(i), 10)
+		k := typ.NumInputs()
+		nl.MustAddCell(string(name), typ, pins[:k], out)
+		pins = pins[k:]
+	}
+	for i, net := range c.pos {
 		name := g.OutputName(i)
 		if name == "" {
 			name = fmt.Sprintf("po%d", i)
 		}
-		if registerOutputs {
-			q := newCell(dff, []netlist.NetID{net, clkNet})
-			nl.AddPO(name, q)
-		} else {
-			nl.AddPO(name, net)
-		}
+		nl.AddPO(name, net)
 	}
-	return nl, nil
+	return nl
 }

@@ -69,7 +69,7 @@ func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScr
 	// (single-partition) path the cut sweep is the only parallel work,
 	// so its chunk count keeps the measured fraction scalable instead
 	// of being zeroed by chunks=1.
-	cp := partitionAccounted(g, probe)
+	cp := partitionAccounted(g, probe, rs)
 	chunks := max(cp.NumParts(), cuts.parChunks)
 	if cp.NumParts() <= 1 {
 		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, rs), passStats{chunks: chunks, parallelInstrs: parInstrs}
@@ -104,14 +104,15 @@ func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts in
 	for i, o := range g.Outputs() {
 		ng.AddOutput(sc.o2n.get(o.Var()).NotIf(o.IsNeg()), g.OutputName(i))
 	}
-	return sweepAccounted(ng, g.Name, probe)
+	return sweepAccounted(ng, g.Name, probe, rs)
 }
 
-// partitionAccounted partitions the cones, charging the serial DFS
-// marking sweep to the probe.
-func partitionAccounted(g *aig.Graph, probe *perf.Probe) *aig.ConePartitioning {
+// partitionAccounted partitions the cones into the run's partitioning,
+// charging the serial DFS marking sweep to the probe. The result is
+// valid until the next pass partitions.
+func partitionAccounted(g *aig.Graph, probe *perf.Probe, rs *runScratch) *aig.ConePartitioning {
 	probe.Ops(6 * g.NumVars())
-	return g.PartitionCones(PartitionGrain)
+	return g.PartitionConesInto(&rs.cones, PartitionGrain)
 }
 
 // shardBuild is one partition's resynthesis product: the private shard
@@ -238,17 +239,20 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 	for i, o := range g.Outputs() {
 		ng.AddOutput(final[o.Var()].NotIf(o.IsNeg()), g.OutputName(i))
 	}
-	return sweepAccounted(ng, g.Name, probe)
+	return sweepAccounted(ng, g.Name, probe, rs)
 }
 
 // sweepAccounted runs the final dead-node sweep, charging its serial
 // full-graph copy to the probe: one node record touch and a handful of
-// bookkeeping instructions per variable. Sweep always returns a fresh
-// graph, so the run's temporary never escapes the pass.
-func sweepAccounted(ng *aig.Graph, name string, probe *perf.Probe) *aig.Graph {
+// bookkeeping instructions per variable. The copy goes to the run's
+// rs.dst — a run-owned pass graph when a later pass of the recipe reads
+// it, a fresh graph otherwise — so the run's temporary never escapes
+// the pass, and neither does a run-owned graph escape the run.
+func sweepAccounted(ng *aig.Graph, name string, probe *perf.Probe, rs *runScratch) *aig.Graph {
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)
-	swept, _ := ng.Sweep()
+	swept, old2new := ng.SweepInto(rs.dst, rs.sweepMap)
+	rs.sweepMap = old2new
 	swept.Name = name
 	return swept
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -60,20 +61,21 @@ func TestPartitionedPassAllocScaling(t *testing.T) {
 	}
 }
 
-// TestSynthesizeAllocBudget pins the allocation-free kernels and the
-// run-owned pass memory: a whole instrumented run (resyn2 + map) of
-// adder.x10 measures about 2.8 KB and 8.5 mallocs per input AND node,
-// and must stay within a quarter above that. One make per cut, per
-// merge or per rebuilt node costs tens of mallocs per AND, and cut
-// storage and pass graphs made once per pass again take the run back
-// above 4.4 KB, so either fails here instead of waiting for the
-// benchmark. Both figures
-// are deterministic up to the runtime's own bookkeeping (the race
-// detector adds about 5 %).
+// TestSynthesizeAllocBudget pins the allocation-free kernels, the
+// run-owned pass memory and the mapper's sized netlist: a whole
+// instrumented run (resyn2 + map) of adder.x10 measures about 1.84 KB
+// and 5.5 mallocs per input AND node, and must stay within a quarter
+// above that. One make per cut, per merge or per rebuilt node costs
+// tens of mallocs per AND; cut storage and pass graphs made once per
+// pass again take the run back above 2.7 KB, and so does a mapper that
+// grows its netlist by append instead of reserving it from its plan,
+// so any of these fails here instead of waiting for the benchmark.
+// Both figures are deterministic up to the runtime's own bookkeeping
+// (the race detector adds about 5 %).
 func TestSynthesizeAllocBudget(t *testing.T) {
 	const (
-		maxBytesPerAnd   = 3490
-		maxMallocsPerAnd = 11
+		maxBytesPerAnd   = 2300
+		maxMallocsPerAnd = 7
 	)
 	lib := techlib.Default14nm()
 	g := designs.MustBenchmark("adder", 10)
@@ -102,5 +104,35 @@ func TestSynthesizeAllocBudget(t *testing.T) {
 	}
 	if mallocsPerAnd > maxMallocsPerAnd {
 		t.Errorf("%.1f mallocs per input AND, budget %d", mallocsPerAnd, maxMallocsPerAnd)
+	}
+}
+
+// TestReadASCIIAllocBudget: reading a well-formed AIGER file reserves
+// the graph from its header, so the node array and the hash table are
+// allocated once instead of regrowing. adder.x10's file reads in about
+// 63 bytes per AND (120 when the graph grew as it read); the budget is
+// a quarter above that.
+func TestReadASCIIAllocBudget(t *testing.T) {
+	const maxBytesPerAnd = 79
+	g := designs.MustBenchmark("adder", 10)
+	var buf bytes.Buffer
+	if err := g.WriteASCII(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h, err := aig.ReadASCII(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Fingerprint() != g.Fingerprint() {
+		t.Fatal("the read graph differs from the written one")
+	}
+	bytesPerAnd := float64(after.TotalAlloc-before.TotalAlloc) / float64(h.NumAnds())
+	t.Logf("adder.x10 (%d ANDs, %d-byte file): %.1f bytes per AND", h.NumAnds(), buf.Len(), bytesPerAnd)
+	if bytesPerAnd > maxBytesPerAnd {
+		t.Errorf("%.1f bytes per AND, budget %d", bytesPerAnd, maxBytesPerAnd)
 	}
 }

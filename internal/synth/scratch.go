@@ -22,11 +22,16 @@ import (
 // every pass and the mapper: a run allocates its scratch, its cut
 // storage and its pass graphs when the first pass that needs them
 // grows them, not once per pass, and each partition retains only its
-// own compact result. Only the passes' outputs are fresh graphs: a
-// pass returns Sweep's copy of its temporary, never the temporary. The
-// scratch is a value the call owns, not a sync.Pool or a package
-// variable: the collector empties a pool when it likes, which would
-// make a run's allocation depend on when it ran.
+// own compact result. A pass sweeps its temporary into another graph:
+// for every pass but the recipe's last, one of the run's two pass
+// graphs, taken in turn so that a pass never writes the graph it
+// reads, with the sweep's variable map and the pass's cone
+// partitioning in the run's storage too. Only the recipe's result (and
+// RunPass's single pass) is a fresh graph, so neither the caller's
+// input nor the returned graph is ever recycled. The scratch is a
+// value the call owns, not a sync.Pool or a package variable: the
+// collector empties a pool when it likes, which would make a run's
+// allocation depend on when it ran.
 
 // epochStamps is the shared epoch-stamping core: a var-indexed
 // membership set whose reset is O(1) (bump the epoch) instead of O(n)
@@ -114,10 +119,19 @@ type runScratch struct {
 	cuts [][]Cut
 	// parts holds one recycled shard graph per partition slot and tmp
 	// the graph the shards merge into or a single-cone pass builds.
-	// Both die with the pass that built them: the pass result is
-	// Sweep's copy of tmp.
+	// Both die with the pass that built them: the pass result is a
+	// swept copy of tmp.
 	parts []*aig.Graph
 	tmp   *aig.Graph
+	// passes are the two graphs a recipe's intermediate results
+	// alternate between, and dst is where the pass in hand sweeps its
+	// result: one of passes, or nil for a fresh graph.
+	passes [2]*aig.Graph
+	dst    *aig.Graph
+	// sweepMap is the storage of every pass's sweep variable map, and
+	// cones that of every pass's cone partitioning.
+	sweepMap []aig.Lit
+	cones    aig.ConePartitioning
 }
 
 // tmpGraph empties the run's temporary graph for a graph of the given
@@ -131,19 +145,28 @@ func (rs *runScratch) tmpGraph(name string, inputs, ands int) *aig.Graph {
 	return rs.tmp
 }
 
-// releaseForMapping drops everything the mapper does not read — the
-// pass graphs and the shards' rebuild maps — and keeps the cut storage
-// and shard 0's truth-table memo, so that the mapper's allocations do
-// not pile onto the recipe's at the run's peak heap.
-func (rs *runScratch) releaseForMapping() {
-	rs.parts, rs.tmp = nil, nil
-	for i := range rs.shards {
-		keep := shardScratch{cut: rs.shards[i].cut}
-		if i == 0 {
-			keep.tts = rs.shards[0].tts
-		}
-		rs.shards[i] = keep
+// passGraph returns the run-owned graph the i-th pass of a recipe
+// sweeps its result into when a later pass reads it. Consecutive passes
+// get different graphs, so a pass never writes the graph it reads.
+func (rs *runScratch) passGraph(i int) *aig.Graph {
+	if rs.passes[i%2] == nil {
+		rs.passes[i%2] = aig.NewSized("", 0, 0)
 	}
+	return rs.passes[i%2]
+}
+
+// releaseForMapping drops everything the mapper does not read — the
+// pass graphs, the sweep map, the partitioning and the shards' rebuild
+// maps — and keeps the cut storage and shard 0's truth-table memo, so
+// that the mapper's allocations do not pile onto the recipe's at the
+// run's peak heap.
+func (rs *runScratch) releaseForMapping() {
+	keep := runScratch{cuts: rs.cuts}
+	for i := range rs.shards {
+		keep.shards[i].cut = rs.shards[i].cut
+	}
+	keep.shards[0].tts = rs.shards[0].tts
+	*rs = keep
 }
 
 // forPartitions runs build over every cone partition inside an

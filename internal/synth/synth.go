@@ -100,10 +100,17 @@ func RunPass(g *aig.Graph, p PassKind, probe *perf.Probe, workers int) (*aig.Gra
 // optimize applies a recipe to the AIG, recording one perf phase per
 // pass into report when probe and report are non-nil. pool runs the
 // passes' cut enumeration and cone-parallel rebuilds, and rs is the
-// scratch every pass of the recipe reuses.
+// scratch every pass of the recipe reuses. Every pass but the last
+// sweeps its result into one of the run's two pass graphs, which the
+// next pass reads; only the recipe's result is a fresh graph, so
+// neither g nor the result is ever recycled.
 func optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report, pool *par.Pool, rs *runScratch) (*aig.Graph, error) {
 	cur := g
-	for _, p := range recipe.Passes {
+	for i, p := range recipe.Passes {
+		rs.dst = nil
+		if i < len(recipe.Passes)-1 {
+			rs.dst = rs.passGraph(i)
+		}
 		next, stats, err := runPass(cur, p, probe, pool, rs)
 		if err != nil {
 			return nil, err
