@@ -108,7 +108,7 @@ func Adjust(classes []Class, hits []bool, hz Hazards, backoffSec float64) []Clas
 			case rate > 0 && it.TimeSec > 0:
 				t := float64(it.TimeSec)
 				busy := ExpectedBusySec(t, rate)
-				it.TimeSec = int(math.Ceil(busy + (ExpectedAttempts(t, rate)-1)*backoffSec))
+				it.TimeSec = int(math.Ceil(busy + float64((ExpectedAttempts(t, rate)-1)*backoffSec)))
 				it.Cost = it.Cost / t * busy
 			}
 			items[j] = it

@@ -2,7 +2,9 @@ package mckp
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"edacloud/internal/par"
@@ -99,14 +101,12 @@ type BatchState struct {
 	// Rounds bounds the price-adjustment iterations; 0 means the
 	// default 8. Warm-started re-solves typically pass 1 or 2.
 	Rounds int
-	// Workers bounds how many per-job DP solves run concurrently per
-	// round; 0 means GOMAXPROCS. Results are identical for every value.
+	// Workers bounds how many DP tables a round builds concurrently; 0
+	// means GOMAXPROCS. Results are identical for every value.
 	Workers int
-	// Scratch, when non-nil, is where the per-job DP solves build their
-	// tables, kept from this call to the next; nil gives each call its
-	// own. It changes no result. One goroutine owns a Scratch, as one
-	// owns the serve.Engine that keeps it: two calls must not share one
-	// at the same time.
+	// Scratch, when non-nil, keeps the per-job DP tables from this call
+	// to the next (nil: each call its own); it changes no result. Two
+	// calls must not share one at the same time.
 	Scratch *Scratch
 }
 
@@ -152,44 +152,9 @@ func batchValidate(jobs []BatchJob, capacity Capacity) error {
 // — the slowest possible plan, which every selection fits under.
 func effectiveDeadline(job BatchJob) int {
 	if job.DeadlineSec > 0 {
-		budget := job.DeadlineSec - job.ReadySec
-		if budget < 0 {
-			budget = 0
-		}
-		return budget
+		return max(job.DeadlineSec-job.ReadySec, 0)
 	}
 	return MaxTotalTime(job.Classes)
-}
-
-// pricedSolve runs one job's min-cost DP with each item's cost raised
-// by the shadow price of its label times its runtime — congestion
-// rendered as money — and returns picks plus true (unpriced) totals:
-// the priced costs only steer the picks. The DP's tables are built in
-// sc (nil: fresh storage).
-func pricedSolve(job BatchJob, prices map[string]float64, sc *dpScratch) (Selection, error) {
-	var negative error
-	sel, _ := solveDP(job.Classes, effectiveDeadline(job), func(it Item) float64 {
-		cost := it.Cost
-		if len(prices) > 0 {
-			cost += prices[it.Label] * float64(it.TimeSec)
-		}
-		if cost < 0 && negative == nil {
-			negative = fmt.Errorf("mckp: job %q item %q has negative priced cost %g", job.Name, it.Label, cost)
-		}
-		return -cost
-	}, sc)
-	if negative != nil {
-		return Selection{}, negative
-	}
-	if sel.Feasible {
-		// True totals, summed in class order (solveDP sums in reverse).
-		sel.TotalTime, sel.TotalCost = 0, 0
-		for l, j := range sel.Pick {
-			sel.TotalTime += job.Classes[l].Items[j].TimeSec
-			sel.TotalCost += job.Classes[l].Items[j].Cost
-		}
-	}
-	return sel, nil
 }
 
 // candidate is one joint plan under evaluation.
@@ -202,7 +167,6 @@ type candidate struct {
 	span   int
 	missed int
 	prices map[string]float64
-	round  int
 }
 
 // score orders candidates: fewest missed deadlines, then cheapest,
@@ -221,12 +185,11 @@ func (c *candidate) better(o *candidate) bool {
 // est's busy and wait then hold the candidate's per-label totals.
 func (c *candidate) evaluate(est *estimator) {
 	jobs := est.jobs
-	ests, span := est.estimate(c.picks)
-	c.ests, c.span = ests, span
+	c.ests, c.span = est.estimate(c.picks)
 	c.cost, c.missed = 0, 0
 	for i, sel := range c.sels {
 		c.cost += sel.TotalCost
-		met := jobs[i].DeadlineSec <= 0 || ests[i].FinishSec <= jobs[i].DeadlineSec
+		met := jobs[i].DeadlineSec <= 0 || c.ests[i].FinishSec <= jobs[i].DeadlineSec
 		c.ests[i].DeadlineMet = met
 		if !met {
 			c.missed++
@@ -274,13 +237,8 @@ func newEstimator(jobs []BatchJob, capacity Capacity, freeAt map[string][]int) *
 	e.seed = make([]int, e.offset[len(e.labels)])
 	for k, label := range e.labels {
 		pool := e.seed[e.offset[k]:e.offset[k+1]]
-		for i, t := range freeAt[label] {
-			if i >= len(pool) {
-				break
-			}
-			if t > 0 {
-				pool[i] = t
-			}
+		for i, t := range freeAt[label][:min(len(freeAt[label]), len(pool))] {
+			pool[i] = max(t, 0)
 		}
 	}
 	e.stageAt = make([]int, len(jobs)+1)
@@ -391,11 +349,23 @@ func BatchOptimize(jobs []BatchJob, capacity Capacity) (BatchSelection, error) {
 // machine pools, the previous event's shadow prices seed the Lagrangian
 // loop, and the round budget shrinks because consecutive events see
 // nearly the same congestion. The zero state reproduces BatchOptimize
-// exactly; per-job DP solves within a round fan out across
-// st.Workers with results identical for any worker count.
+// exactly; a round's table builds fan out across st.Workers with
+// results identical for any worker count.
 func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (BatchSelection, error) {
 	if err := batchValidate(jobs, capacity); err != nil {
 		return BatchSelection{}, err
+	}
+
+	// A NaN, infinite or negative warm price would ride into every later
+	// price vector; it is refused, naming the least such label.
+	bad, found := "", false
+	for label, p := range st.Prices {
+		if !(p >= 0 && p <= math.MaxFloat64) && (!found || label < bad) {
+			bad, found = label, true
+		}
+	}
+	if found {
+		return BatchSelection{}, fmt.Errorf("mckp: warm price %g for label %q", st.Prices[bad], bad)
 	}
 
 	pool := par.Fixed(st.Workers)
@@ -403,29 +373,16 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	if scratch == nil {
 		scratch = &Scratch{}
 	}
-	// Job i's solves all run in slots[i], and a round's solves run one
-	// per job, so no two goroutines share a slot.
-	slots := scratch.jobSlots(len(jobs))
-	type solved struct {
-		sel Selection
-		err error
-	}
-	solve := func(method string, prices map[string]float64, round int) (*candidate, error) {
-		c := &candidate{method: method, prices: prices, round: round,
-			picks: make([][]int, len(jobs)), sels: make([]Selection, len(jobs))}
-		results := par.Map(pool, len(jobs), func(i int) solved {
-			sel, err := pricedSolve(jobs[i], prices, &slots[i])
-			return solved{sel, err}
-		})
-		for i, r := range results {
-			if r.err != nil {
-				return nil, r.err
-			}
-			if !r.sel.Feasible {
-				return nil, nil // this pricing starves a job; skip the candidate
-			}
-			c.sels[i] = r.sel
-			c.picks[i] = r.sel.Pick
+	scratch.begin()
+	est := newEstimator(jobs, capacity, st.FreeAtSec)
+	solve := func(method string, prices map[string]float64) (*candidate, error) {
+		sels, err := scratch.solve(pool, est, prices)
+		if sels == nil || err != nil {
+			return nil, err // no error: this pricing starves a job; skip the candidate
+		}
+		c := &candidate{method: method, prices: prices, picks: make([][]int, len(jobs)), sels: sels}
+		for i, sel := range sels {
+			c.picks[i] = sel.Pick
 		}
 		return c, nil
 	}
@@ -433,14 +390,13 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// Candidate zero: every job independently optimal, prices all zero.
 	// If any job cannot meet its own deadline even alone and uncontended
 	// the batch is infeasible.
-	base, err := solve("independent", nil, 0)
+	base, err := solve("independent", map[string]float64{})
 	if err != nil {
 		return BatchSelection{}, err
 	}
 	if base == nil {
 		return BatchSelection{Feasible: false, Jobs: make([]Selection, len(jobs))}, nil
 	}
-	est := newEstimator(jobs, capacity, st.FreeAtSec)
 	base.evaluate(est)
 	bestCand := base
 
@@ -467,10 +423,8 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	if len(st.Prices) > 0 && unit > 0 {
 		// Warm start: re-solve under the previous event's prices before
 		// adjusting, so one round suffices when congestion is unchanged.
-		for label, p := range st.Prices {
-			prices[label] = p
-		}
-		warm, err := solve("warm", prices, 0)
+		prices = maps.Clone(st.Prices)
+		warm, err := solve("warm", prices)
 		if err != nil {
 			return BatchSelection{}, err
 		}
@@ -493,7 +447,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 			// Damped update: half the old price plus the fresh congestion
 			// signal, so prices both rise under sustained queueing and
 			// decay once jobs have moved away.
-			next[label] = 0.5*prices[label] + unit*congestion
+			next[label] = float64(0.5*prices[label]) + float64(unit*congestion)
 			if next[label] > 1e-12 {
 				congested = true
 			}
@@ -503,7 +457,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		if !congested {
 			break
 		}
-		cand, err := solve("priced", prices, round)
+		cand, err := solve("priced", prices)
 		if err != nil {
 			return BatchSelection{}, err
 		}
@@ -526,26 +480,18 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		bestCand = repaired
 	}
 
-	out := BatchSelection{
-		Feasible:    true,
-		Jobs:        bestCand.sels,
-		TotalCost:   bestCand.cost,
-		MakespanSec: bestCand.span,
-		Estimates:   bestCand.ests,
-		Prices:      bestCand.prices,
-		Rounds:      roundsRun,
-		Method:      bestCand.method,
-		FinalPrices: prices,
-	}
-	if out.Prices == nil {
-		out.Prices = map[string]float64{}
-	}
-	for _, est := range out.Estimates {
-		if !est.DeadlineMet {
-			out.MissedDeadlines++
-		}
-	}
-	return out, nil
+	return BatchSelection{
+		Feasible:        true,
+		Jobs:            bestCand.sels,
+		TotalCost:       bestCand.cost,
+		MakespanSec:     bestCand.span,
+		Estimates:       bestCand.ests,
+		Prices:          bestCand.prices,
+		Rounds:          roundsRun,
+		Method:          bestCand.method,
+		FinalPrices:     prices,
+		MissedDeadlines: bestCand.missed, // every candidate is evaluated
+	}, nil
 }
 
 // repairMisses is the greedy round-robin re-planner: starting from a
@@ -560,15 +506,10 @@ func repairMisses(est *estimator, start *candidate) *candidate {
 	jobs := est.jobs
 	first := *start
 	first.method = "round-robin"
+	first.picks, first.sels = slices.Clone(start.picks), slices.Clone(start.sels)
 	cur := &first
 
-	budget := 0
-	for _, job := range jobs {
-		for _, cl := range job.Classes {
-			budget += len(cl.Items)
-		}
-	}
-	for step := 0; step < budget && cur.missed > 0; step++ {
+	for step := 0; step < len(est.label) && cur.missed > 0; step++ {
 		// The worst offender: largest finish-past-deadline overrun, ties
 		// toward the earlier job.
 		worst, overrun := -1, 0
@@ -583,33 +524,32 @@ func repairMisses(est *estimator, start *candidate) *candidate {
 		if worst < 0 {
 			break
 		}
+		// Trials re-pick job worst in cur's own slices; a new best is copied.
 		var bestMove *candidate
-		try := func(picks []int) {
-			sel := retotal(jobs[worst], picks)
-			if sel.TotalTime > effectiveDeadline(jobs[worst]) {
-				return // busy time alone already blows the budget
-			}
-			trial := &candidate{method: "round-robin", prices: cur.prices, round: cur.round,
-				picks: append([][]int(nil), cur.picks...), sels: append([]Selection(nil), cur.sels...)}
-			trial.picks[worst], trial.sels[worst] = sel.Pick, sel
-			trial.evaluate(est)
-			if trial.missed < cur.missed ||
-				(trial.missed == cur.missed && trial.ests[worst].FinishSec < cur.ests[worst].FinishSec) {
-				if bestMove == nil || trial.better(bestMove) {
-					bestMove = trial
-				}
-			}
-		}
+		trial, own := *cur, cur.sels[worst]
 		for l := range jobs[worst].Classes {
 			for j := range jobs[worst].Classes[l].Items {
-				if j == cur.picks[worst][l] {
+				if j == own.Pick[l] {
 					continue
 				}
-				picks := append([]int(nil), cur.picks[worst]...)
+				picks := append([]int(nil), own.Pick...)
 				picks[l] = j
-				try(picks)
+				sel := retotal(jobs[worst], picks)
+				if sel.TotalTime > effectiveDeadline(jobs[worst]) {
+					continue // busy time alone already blows the budget
+				}
+				trial.picks[worst], trial.sels[worst] = sel.Pick, sel
+				trial.evaluate(est)
+				if (trial.missed < cur.missed ||
+					(trial.missed == cur.missed && trial.ests[worst].FinishSec < cur.ests[worst].FinishSec)) &&
+					(bestMove == nil || trial.better(bestMove)) {
+					move := trial
+					move.picks, move.sels = slices.Clone(trial.picks), slices.Clone(trial.sels)
+					bestMove = &move
+				}
 			}
 		}
+		cur.picks[worst], cur.sels[worst] = own.Pick, own
 		if bestMove == nil {
 			break
 		}

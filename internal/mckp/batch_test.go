@@ -3,6 +3,7 @@ package mckp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -344,5 +345,30 @@ func TestBatchWarmPricesCarry(t *testing.T) {
 		if warm.TotalCost > cold.TotalCost+1e-9 {
 			t.Fatalf("seed %d: warm cost %g exceeds cold %g", seed, warm.TotalCost, cold.TotalCost)
 		}
+	}
+}
+
+// TestBatchRefusesBadWarmPrices: a warm price that is NaN, infinite or
+// negative is an error naming the least such label, whatever else the
+// vector holds. Accepted, a NaN rode the damped update into
+// FinalPrices, and a caller feeding those back banned its label from
+// every later priced solve.
+func TestBatchRefusesBadWarmPrices(t *testing.T) {
+	capacity := Capacity{"a": 1, "b": 1, "c": 1}
+	jobs := []BatchJob{
+		{Name: "x", DeadlineSec: 100, Classes: []Class{{Name: "s", Items: []Item{{Label: "a", TimeSec: 30, Cost: 1}, {Label: "b", TimeSec: 20, Cost: 2}}}}},
+		{Name: "y", DeadlineSec: 100, Classes: []Class{{Name: "s", Items: []Item{{Label: "a", TimeSec: 30, Cost: 1}, {Label: "c", TimeSec: 25, Cost: 2}}}}},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		for _, rounds := range []int{1, 8} {
+			st := BatchState{Prices: map[string]float64{"a": 0.01, "c": bad, "b": bad}, Rounds: rounds}
+			_, err := BatchOptimizeState(jobs, capacity, st)
+			if err == nil || !strings.Contains(err.Error(), `label "b"`) {
+				t.Errorf("warm price %g, %d rounds: got error %v, want one naming label \"b\"", bad, rounds, err)
+			}
+		}
+	}
+	if _, err := BatchOptimizeState(jobs, capacity, BatchState{Prices: map[string]float64{"a": 0, "b": math.MaxFloat64}}); err != nil {
+		t.Errorf("zero and the largest finite warm price refused: %v", err)
 	}
 }

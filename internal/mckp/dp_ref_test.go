@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The dense DP and the copying priced solve as they were before the
 // DP kept only each layer's steps: one row entry per second of budget,
-// and every class copied to add the shadow price. They define what
-// solveDP, SolveMinCost, SolvePaper and pricedSolve must produce, bit
-// for bit — every pick, and every total summed in the same order.
+// and every class copied to add the shadow price. They define what a
+// table's build and read, SolveMinCost, SolvePaper and a batch round's
+// priced solve must produce, bit for bit — every pick, and every total
+// summed in the same order.
 
 func refSolveDP(classes []Class, deadline int, value func(Item) float64, minCost bool) Selection {
 	n := len(classes)
@@ -151,12 +153,23 @@ func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices m
 		t.Fatalf("SolvePaper(%+v, %d): %s", classes, deadline, diff)
 	}
 	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
-	if got, err = pricedSolve(job, prices, nil); err != nil {
+	if got, err = solvePriced(job, prices, &Scratch{}); err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameBits(got, refPricedSolve(job, prices)); diff != "" {
-		t.Fatalf("pricedSolve(%+v, %v) at deadline %d: %s", classes, prices, deadline, diff)
+		t.Fatalf("priced solve of %+v under %v at deadline %d: %s", classes, prices, deadline, diff)
 	}
+}
+
+// solvePriced runs one job's priced solve as a call's round through s.
+func solvePriced(job BatchJob, prices map[string]float64, s *Scratch) (Selection, error) {
+	jobs := []BatchJob{job}
+	s.begin()
+	sels, err := s.solve(nil, newEstimator(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices)
+	if sels == nil || err != nil {
+		return Selection{}, err
+	}
+	return sels[0], nil
 }
 
 var refLabels = []string{"a", "b", "c"}
@@ -215,7 +228,7 @@ func TestStepDPMatchesReference(t *testing.T) {
 // validation of the priced table always refused it.
 func TestPricedSolveRefusesNegativePricedCost(t *testing.T) {
 	job := BatchJob{Name: "j", Classes: []Class{{Name: "s", Items: []Item{{Label: "a", TimeSec: 10, Cost: 1}}}}}
-	if _, err := pricedSolve(job, map[string]float64{"a": -1}, nil); err == nil {
+	if _, err := solvePriced(job, map[string]float64{"a": -1}, &Scratch{}); err == nil {
 		t.Fatal("negative priced cost accepted")
 	}
 }
@@ -253,19 +266,32 @@ func decodeTable(data []byte) ([]Class, int, map[string]float64, bool) {
 }
 
 // checkScratchAgainstReference solves one table twice through one
-// dpScratch, after a table of a different size has left its storage
-// in it, through the priced solve and the paper objective, and fails
-// on any bit of difference from the dense reference.
+// Scratch and one table, after a table of a different size has left its
+// storage in them, through the priced solve and the paper objective,
+// and fails on any bit of difference from the dense reference. The
+// Scratch's first pass builds in the recycled storage of that table,
+// and its second reads the table the first pass built.
 func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, prices map[string]float64) {
 	t.Helper()
-	var sc dpScratch
+	var (
+		s  Scratch
+		tb table
+	)
 	// The other table: twice as many classes, one item fewer in the
 	// first when it has more than one, at twice the budget.
 	other := append(append([]Class(nil), classes...), classes...)
 	if n := len(other[0].Items); n > 1 {
 		other[0].Items = other[0].Items[:n-1]
 	}
-	solveDP(other, 2*deadline, func(it Item) float64 { return -it.Cost }, &sc)
+	minCost := func(it Item) float64 { return -it.Cost }
+	tb.solve(other, 2*deadline, minCost)
+	// A call that reads only the other table's first class leaves the
+	// other table unread, so the next call recycles it.
+	for _, o := range [][]Class{other, other[:1]} {
+		if _, err := solvePriced(BatchJob{Name: "o", Classes: o, DeadlineSec: 2 * deadline}, prices, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
 	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
 	wantPriced, wantPaper := refPricedSolve(job, prices), refSolvePaper(classes, deadline)
 	paper := func(it Item) float64 {
@@ -275,26 +301,62 @@ func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, p
 		return 1 / it.Cost
 	}
 	for pass := 1; pass <= 2; pass++ {
-		got, err := pricedSolve(job, prices, &sc)
+		spare, builds := len(s.spare), s.builds
+		got, err := solvePriced(job, prices, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := sameBits(got, wantPriced); diff != "" {
-			t.Fatalf("pricedSolve(%+v, %v) at deadline %d, pass %d through one scratch: %s", classes, prices, deadline, pass, diff)
+			t.Fatalf("priced solve of %+v under %v at deadline %d, pass %d through one scratch: %s", classes, prices, deadline, pass, diff)
 		}
-		got, best := solveDP(classes, deadline, paper, &sc)
+		if pass == 2 && s.builds != builds {
+			t.Fatalf("pass 2 of %+v built a table where it could read pass 1's", classes)
+		}
+		if pass == 1 && s.builds > builds && len(s.spare) > spare {
+			t.Fatalf("pass 1 of %+v built in fresh storage where it could recycle the other table's", classes)
+		}
+		got, best, err := tb.solve(classes, deadline, paper)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got.Feasible {
 			got.Objective = best
 		}
 		if diff := sameBits(got, wantPaper); diff != "" {
-			t.Fatalf("paper objective on %+v at deadline %d, pass %d through one scratch: %s", classes, deadline, pass, diff)
+			t.Fatalf("paper objective on %+v at deadline %d, pass %d through one table: %s", classes, deadline, pass, diff)
+		}
+	}
+	checkBudgetReads(t, classes, deadline, &tb)
+}
+
+// checkBudgetReads builds the min-cost table once at deadline in tb and
+// reads smaller budgets off it — none, one second short of the fastest
+// plan, the fastest plan, half, one second short and all of the
+// deadline — and fails unless each read picks exactly what a fresh
+// SolveMinCost to that budget picks, feasibility included.
+func checkBudgetReads(t *testing.T, classes []Class, deadline int, tb *table) {
+	t.Helper()
+	tb.solve(classes, deadline, func(it Item) float64 { return -it.Cost })
+	fastest := MinTotalTime(classes)
+	for _, b := range []int{0, fastest - 1, fastest, deadline / 2, deadline - 1, deadline} {
+		if b < 0 || b > deadline {
+			continue
+		}
+		want, err := SolveMinCost(classes, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := make([]int, len(classes))
+		if ok := tb.at(b, pick); ok != want.Feasible || (ok && !slices.Equal(pick, want.Pick)) {
+			t.Fatalf("%+v built to %d, read at %d: feasible %v picks %v; a solve to %d: %+v", classes, deadline, b, ok, pick, b, want)
 		}
 	}
 }
 
 // FuzzSolveMatchesReference checks the step DP against the dense
 // reference on fuzzer-built tables, with fresh storage and through one
-// reused scratch. Run it with
+// reused scratch, and a table built once against fresh solves to
+// smaller budgets. Run it with
 //
 //	go test -run '^$' -fuzz FuzzSolveMatchesReference -fuzztime 15s ./internal/mckp
 //

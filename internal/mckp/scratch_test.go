@@ -9,7 +9,12 @@ import (
 // TestScratchReuseMatchesFresh: one Scratch kept across 60 seeded
 // re-solves, whose job, class and item counts grow and shrink from one
 // batch to the next, gives exactly the selection a call with no
-// Scratch gives, at 1, 2 and 8 workers.
+// Scratch gives, at 1, 2 and 8 workers. So does one kept over seeded
+// call sequences the way an engine makes them: budgets shrink as every
+// job's ReadySec advances, some jobs repeat another's classes at a
+// different budget in the same call, each call's warm prices are the
+// last call's FinalPrices, and one call's price change forces tables
+// to be rebuilt.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var kept Scratch
@@ -19,7 +24,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			jobs, capacity, freeAt := randomStateBatch(rng)
 			if seed%3 == 0 {
 				// Every third batch is three times as wide, so the kept
-				// slots see a larger batch after smaller ones and the
+				// tables see a larger batch after smaller ones and the
 				// reverse.
 				jobs = append(append(append([]BatchJob(nil), jobs...), jobs...), jobs...)
 			}
@@ -45,20 +50,122 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			}
 		}
 		if len(sizes) < 6 {
-			t.Fatalf("only %d batch sizes; the kept slots never grew and shrank", len(sizes))
+			t.Fatalf("only %d batch sizes; the kept tables never grew and shrank", len(sizes))
 		}
+		rebuilt := 0
+		for seed := int64(100); seed < 140; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			jobs, capacity, freeAt := randomStateBatch(rng)
+			for _, job := range jobs[:len(jobs)/2+1] {
+				job.Name += "'"
+				if job.DeadlineSec > 0 {
+					job.DeadlineSec += 1 + rng.Intn(30)
+				}
+				jobs = append(jobs, job)
+			}
+			var (
+				kept   Scratch
+				prices map[string]float64
+			)
+			for call := 0; call < 6; call++ {
+				if call == 3 && prices != nil {
+					changed := map[string]float64{}
+					for l := range capacity {
+						changed[l] = 0.01 + prices[l]/2
+					}
+					prices = changed
+				}
+				st := BatchState{FreeAtSec: freeAt, Prices: prices, Rounds: 1 + rng.Intn(2), Workers: workers}
+				want, err := BatchOptimizeState(jobs, capacity, st)
+				if err != nil {
+					t.Fatalf("seed %d call %d: %v", seed, call, err)
+				}
+				st.Scratch = &kept
+				before := kept.builds
+				got, err := BatchOptimizeState(jobs, capacity, st)
+				if err != nil {
+					t.Fatalf("seed %d call %d, kept scratch: %v", seed, call, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d seed %d call %d: kept scratch gives\n%+v\nfresh storage gives\n%+v", workers, seed, call, got, want)
+				}
+				if call == 3 && got.Feasible && prices != nil {
+					if kept.builds == before {
+						t.Fatalf("seed %d call %d: changed warm prices rebuilt no table", seed, call)
+					}
+					rebuilt++
+				}
+				prices = got.FinalPrices
+				for i := range jobs {
+					jobs[i].ReadySec += rng.Intn(8)
+				}
+			}
+		}
+		if rebuilt < 10 {
+			t.Fatalf("only %d sequences changed their warm prices on a feasible call", rebuilt)
+		}
+	}
+}
+
+// TestSmallerBudgetsBuildNoTables: a call that repeats the previous one
+// with every job ready later, so every budget is smaller, reads every
+// table off the kept Scratch and builds none — the fleet never queues,
+// so each price round repeats the previous call's prices — and still
+// gives exactly what a call with no Scratch gives.
+func TestSmallerBudgetsBuildNoTables(t *testing.T) {
+	capacity := Capacity{"gp.2x": 8, "mem.4x": 8}
+	jobs := make([]BatchJob, 6)
+	for i := range jobs {
+		jobs[i] = BatchJob{Name: string(rune('a' + i)), DeadlineSec: 400 + 10*i}
+		for l := 0; l < 3; l++ {
+			cl := Class{Name: string(rune('A' + l))}
+			for j := 0; j < 3; j++ {
+				label := []string{"gp.2x", "mem.4x"}[(i+j)%2]
+				cl.Items = append(cl.Items, Item{Label: label, TimeSec: 20 + 25*j + i%3, Cost: float64(9-3*j) / 10})
+			}
+			jobs[i].Classes = append(jobs[i].Classes, cl)
+		}
+	}
+	st := BatchState{Prices: map[string]float64{"gp.2x": 0.002, "mem.4x": 0.001}, Rounds: 3, Scratch: &Scratch{}}
+	if _, err := BatchOptimizeState(jobs, capacity, st); err != nil {
+		t.Fatal(err)
+	}
+	built := st.Scratch.builds
+	if built == 0 {
+		t.Fatal("the first call built no table")
+	}
+	for i := range jobs {
+		jobs[i].ReadySec += 7 + i
+	}
+	got, err := BatchOptimizeState(jobs, capacity, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Scratch.builds - built; n != 0 {
+		t.Errorf("the repeat call at smaller budgets built %d tables, want 0", n)
+	}
+	st.Scratch = nil
+	want, err := BatchOptimizeState(jobs, capacity, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tables read off the kept scratch give\n%+v\nfresh storage gives\n%+v", got, want)
+	}
+	if got.Rounds != 3 {
+		t.Fatalf("the repeat call ran %d price rounds, want 3: the priced tables were never read", got.Rounds)
 	}
 }
 
 // TestWarmResolveKeepsDPStorage is the guard that a kept Scratch
 // carries the DP tables from one re-solve to the next: a warm
-// re-solve of a fixed 24-job, 4-stage batch allocates its results,
-// the estimator and the fan-out, and none of the DP tables. The
-// budget is the 143 allocations measured, plus 25 %; the same call
-// with no Scratch makes 245 (each job's tables once per call), and
-// each solve building its own tables made 719.
+// re-solve of a fixed 24-job, 4-stage batch allocates its results and
+// the estimator, and none of the DP tables, which it reads off the
+// ones the previous call built. The budget is the 136 allocations
+// measured, plus 25 %; the same call with no Scratch makes 673 (every
+// table built afresh).
 func TestWarmResolveKeepsDPStorage(t *testing.T) {
-	const budget = 178
+	const budget = 170
 	labels := []string{"gp.2x", "mem.4x", "cpu.8x"}
 	capacity := Capacity{"gp.2x": 2, "mem.4x": 3, "cpu.8x": 1}
 	jobs := make([]BatchJob, 24)
@@ -82,7 +189,7 @@ func TestWarmResolveKeepsDPStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm() // grow the slots once
+	warm() // build the tables once
 	kept := testing.AllocsPerRun(20, warm)
 	st.Scratch = nil
 	fresh := testing.AllocsPerRun(20, warm)

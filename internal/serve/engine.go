@@ -68,8 +68,8 @@ type Engine struct {
 	// hit, or a re-plan could break an admission promise).
 	seen map[cache.Key]int
 
-	// scratch is the joint solve's per-job DP storage, kept from one
-	// re-plan to the next.
+	// scratch holds the joint solve's DP tables: a re-plan reads the
+	// ones the last re-plan used wherever they reach a job's budget.
 	scratch mckp.Scratch
 
 	// Replans counts re-optimizations run; Adopted counts those whose

@@ -101,7 +101,7 @@ func TraceGen(cfg TraceConfig) ([]TraceJob, error) {
 			ArrivalSec: arrival,
 		}
 		if cfg.SlackSec > 0 {
-			j.DeadlineSec = arrival + math.Ceil(cfg.SlackSec*(0.5+rng.Float64()))
+			j.DeadlineSec = arrival + math.Ceil(cfg.SlackSec*(0.5+float64(rng.Float64())))
 		}
 		if last := math.Max(arrival, j.DeadlineSec); !(last < maxClockSec) {
 			return nil, fmt.Errorf("serve: trace job %q reaches %g s, past the engine's 2^53 s clock", j.Name, last)
