@@ -108,7 +108,7 @@ func (h Host) Schedule(groups []CGroup) ([]Allocation, error) {
 		var used float64
 		next := active[:0]
 		for _, s := range active {
-			grant := fill * s.weight
+			grant := float64(fill * s.weight)
 			s.got += grant
 			used += grant
 			if s.cap-s.got > 1e-12 {

@@ -355,17 +355,30 @@ func (f *Fleet) Clone() *Fleet {
 // adopts or discards the whole fleet state atomically. The revocation model is shared, not
 // copied, for the same reason Clone shares it: its timelines are a pure
 // function of (seed, instance ID).
-func (f *Fleet) Snapshot() *Fleet {
-	out := &Fleet{
-		Instances:  make([]*FleetInstance, len(f.Instances)),
-		Revocation: f.Revocation,
+func (f *Fleet) Snapshot() *Fleet { return f.SnapshotInto(nil) }
+
+// SnapshotInto makes dst the deep copy Snapshot returns, in dst's own
+// instances and lease storage, and returns it; a nil dst is a new
+// fleet. dst must not be f or share an instance with it. A serving
+// layer alternates two fleets, so a re-plan's trial booking copies the
+// live tail into storage the previous trial left.
+func (f *Fleet) SnapshotInto(dst *Fleet) *Fleet {
+	if dst == nil {
+		dst = &Fleet{}
 	}
+	dst.Revocation = f.Revocation
+	dst.Instances = slices.Grow(dst.Instances[:0], len(f.Instances))[:len(f.Instances)]
 	for i, inst := range f.Instances {
-		cp := *inst
-		cp.Leases = append([]Lease(nil), inst.Leases...)
-		out.Instances[i] = &cp
+		cp := dst.Instances[i]
+		if cp == nil {
+			cp = &FleetInstance{}
+			dst.Instances[i] = cp
+		}
+		leases := cp.Leases[:0]
+		*cp = *inst
+		cp.Leases = append(leases, inst.Leases...)
 	}
-	return out
+	return dst
 }
 
 // ReleaseFrom cancels every lease that has not started by tSec —

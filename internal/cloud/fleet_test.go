@@ -3,6 +3,8 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -316,6 +318,73 @@ func TestSnapshotDeepCopiesLeases(t *testing.T) {
 	f.Book(0, "d", "sta", 100, 10)
 	if len(snap.Instances[0].Leases) != 1 {
 		t.Fatal("booking the original disturbed the snapshot")
+	}
+}
+
+// sameFleet fails unless got is want instance for instance: the same
+// IDs, types, ledgers, settled carries and leases, in order, and the
+// same revocation model.
+func sameFleet(t *testing.T, what string, got, want *Fleet) {
+	t.Helper()
+	if len(got.Instances) != len(want.Instances) || got.Revocation != want.Revocation {
+		t.Fatalf("%s: %d instances (revocation %p), want %d (%p)", what,
+			len(got.Instances), got.Revocation, len(want.Instances), want.Revocation)
+	}
+	for i, g := range got.Instances {
+		w := want.Instances[i]
+		gc, wc := *g, *w
+		gc.Leases, wc.Leases = nil, nil
+		if !reflect.DeepEqual(gc, wc) || !slices.Equal(g.Leases, w.Leases) {
+			t.Fatalf("%s: instance %d = %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// TestSnapshotIntoMatchesSnapshot: SnapshotInto a fleet with more
+// instances and leases than the source, and into one with fewer, gives
+// exactly what Snapshot gives — settled carries and a revocation model
+// included — and booking, extending, releasing or settling the result
+// never touches the source.
+func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
+	c := spotCatalog(t)
+	src, err := ParseFleetSpec(c, "gp.4x=1,gp.4x.spot=2,mem.8x=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Revocation = NewRevocationModel(3, UniformSpotHazards(c, 20))
+	for i := range src.Instances {
+		for j := 0; j < 3+i; j++ {
+			src.Book(i, "j"+strconv.Itoa(j), "synthesis", src.Instances[i].FreeAtSec+5, 40)
+		}
+	}
+	src.Settle(60)
+	big, err := ParseFleetSpec(c, "gp.8x=3,mem.1x=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range big.Instances {
+		for j := 0; j < 12; j++ {
+			big.Book(i, "x", "placement", float64(100*j), 50)
+		}
+	}
+	small, err := ParseFleetSpec(c, "gp.1x=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Book(0, "y", "routing", 0, 10)
+	for _, dst := range []*Fleet{big, small, {}, nil} {
+		want := src.Snapshot()
+		got := src.SnapshotInto(dst)
+		if dst != nil && got != dst {
+			t.Fatal("SnapshotInto returned a fleet other than dst")
+		}
+		sameFleet(t, "snapshot", got, want)
+		got.Book(0, "z", "sta", got.Instances[0].FreeAtSec, 30)
+		got.Extend(0, "sta", 10)
+		got.Book(3, "z", "sta", 1000, 30)
+		got.ReleaseFrom(100)
+		got.Settle(500)
+		sameFleet(t, "source after mutating the snapshot", src, want)
 	}
 }
 

@@ -117,7 +117,7 @@ func DefaultCatalog() *Catalog {
 				MemGiB:       f.memPer * float64(v),
 				AVX:          f.avx,
 				LLCSliceMiB:  f.llcMiB,
-				PricePerHour: f.base + f.perVCPU*float64(v),
+				PricePerHour: f.base + float64(f.perVCPU*float64(v)),
 			})
 		}
 	}

@@ -63,21 +63,45 @@ func Forecast(fleet *cloud.Fleet, jobs []ForecastJob) (*Schedule, error) {
 // which may defer it (see Gate). This is the serving layer's booking
 // path — a rolling-horizon re-plan replayed onto the live fleet under
 // per-tenant quotas. A nil gate admits everything, reproducing
-// Forecast exactly.
+// Forecast exactly. It is a call on a fresh Forecaster.
 func ForecastGated(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule, error) {
-	fjobs := make([]Job, len(jobs))
-	pjobs := make([]preparedJob, len(jobs))
-	prepared := make([]*preparedJob, len(jobs))
+	return new(Forecaster).Forecast(fleet, jobs, gate)
+}
+
+// Forecaster runs forecasts in storage it keeps from one call to the
+// next: the prepared jobs, the placement runners and queue, each job's
+// stage results and the Schedule. A rolling-horizon re-planner keeps
+// one for its lifetime; the zero value is ready, and a fresh one per
+// call is ForecastGated. Not safe for concurrent use.
+type Forecaster struct {
+	jobs     []Job
+	pjobs    []preparedJob
+	prepared []*preparedJob
+	runners  []runner
+	queue    []*runner
+	sched    Schedule
+}
+
+// Forecast is ForecastGated in the Forecaster's storage. The returned
+// Schedule, its jobs and their stages are the Forecaster's until the
+// next call, so a caller that keeps them copies them out first.
+func (f *Forecaster) Forecast(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule, error) {
+	n := len(jobs)
+	f.jobs = slices.Grow(f.jobs[:0], n)[:n]
+	f.pjobs = slices.Grow(f.pjobs[:0], n)[:n]
+	f.prepared = slices.Grow(f.prepared[:0], n)[:n]
 	for i, fj := range jobs {
 		if fj.ReadySec < 0 {
 			return nil, fmt.Errorf("flow: forecast job %q has negative ready time", fj.Name)
 		}
-		fjobs[i] = Job{Name: fj.Name, DeadlineSec: fj.DeadlineSec, Retry: fj.Retry}
-		p := &pjobs[i]
-		p.res.Name = fj.Name
-		p.forecast = true
-		p.readySec = fj.ReadySec
-		p.kinds = make([]JobKind, 0, len(fj.Stages))
+		f.jobs[i] = Job{Name: fj.Name, DeadlineSec: fj.DeadlineSec, Retry: fj.Retry}
+		p := &f.pjobs[i]
+		*p = preparedJob{
+			res:      JobResult{Name: fj.Name, Stages: slices.Grow(p.res.Stages[:0], len(fj.Stages))},
+			kinds:    slices.Grow(p.kinds[:0], len(fj.Stages)),
+			forecast: true,
+			readySec: fj.ReadySec,
+		}
 		for _, st := range fj.Stages {
 			if !st.Kind.valid() {
 				return nil, fmt.Errorf("flow: forecast job %q stage %s is not one of JobKinds", fj.Name, st.Kind)
@@ -96,13 +120,14 @@ func ForecastGated(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule
 			p.seconds[st.Kind] = st.Seconds
 			p.cached[st.Kind] = st.Cached
 		}
-		prepared[i] = p
+		f.prepared[i] = p
 	}
-	simulate(fleet, PlanPolicy{}, fjobs, prepared, false, gate)
-	for i := range prepared {
-		if err := prepared[i].res.Err; err != nil {
+	f.runners, f.queue = slices.Grow(f.runners[:0], n), slices.Grow(f.queue[:0], n)
+	simulate(fleet, PlanPolicy{}, f.jobs, f.prepared, false, gate, f.runners, f.queue)
+	for i := range f.prepared {
+		if err := f.prepared[i].res.Err; err != nil {
 			return nil, fmt.Errorf("flow: forecast job %q: %w", jobs[i].Name, err)
 		}
 	}
-	return buildSchedule("forecast", fleet, prepared), nil
+	return buildSchedule(&f.sched, "forecast", fleet, f.prepared), nil
 }

@@ -1,7 +1,12 @@
 package flow
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"edacloud/internal/cloud"
@@ -187,5 +192,101 @@ func TestForecastRefusesUnknownKind(t *testing.T) {
 		if _, err := ForecastGated(fleet.Clone(), jobs, nil); err == nil {
 			t.Errorf("kind %d accepted", int(k))
 		}
+	}
+}
+
+// overlapGate admits at most two overlapping bookings per job-name
+// parity and defers the rest to the earliest end among them: a
+// stateful gate like a tenant quota, so a forecast's deferrals depend
+// on every booking before them.
+type overlapGate struct {
+	booked [2][][2]float64
+}
+
+func (g *overlapGate) Admit(job *Job, k JobKind, it cloud.InstanceType, startSec, durSec float64) (float64, bool) {
+	group := &g.booked[len(job.Name)%2]
+	end := startSec + durSec
+	overlaps, until := 0, math.Inf(1)
+	for _, iv := range *group {
+		if iv[0] < end && iv[1] > startSec {
+			overlaps++
+			until = min(until, iv[1])
+		}
+	}
+	if overlaps >= 2 {
+		return until, false
+	}
+	*group = append(*group, [2]float64{startSec, end})
+	return 0, true
+}
+
+// TestForecasterReuseMatchesFresh: one Forecaster kept over 72 seeded
+// batches, whose job and stage counts grow and shrink from one batch to
+// the next, gated and ungated, on a fleet with spot revocations and
+// committed leases, gives exactly the schedule — every job, stage,
+// lease and ledger — and the error a fresh ForecastGated gives.
+func TestForecasterReuseMatchesFresh(t *testing.T) {
+	base := spotTestFleet(t, "gp.2x=2,gp.2x.spot=2,mem.4x=1,mem.4x.spot=1", 5, 2)
+	for i := range base.Instances {
+		base.Book(i, "committed", "synthesis", 0, float64(50*i))
+	}
+	var types []cloud.InstanceType
+	for _, inst := range base.Instances {
+		types = append(types, inst.Type)
+	}
+	var kept Forecaster
+	sizes, failed, revoked := map[int]bool{}, 0, 0
+	for seed := int64(0); seed < 72; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(6)
+		if seed%3 == 0 {
+			n *= 4
+		}
+		sizes[n] = true
+		jobs := make([]ForecastJob, n)
+		for i := range jobs {
+			fj := ForecastJob{
+				Name:     strings.Repeat("j", 1+i%3) + strconv.Itoa(i),
+				ReadySec: float64(rng.Intn(400)),
+				Retry:    RetryPolicy{MaxAttempts: 2 + rng.Intn(4), BackoffSec: float64(rng.Intn(30)), EscalateAfter: rng.Intn(3)},
+			}
+			if rng.Intn(3) == 0 {
+				fj.DeadlineSec = fj.ReadySec + float64(500+rng.Intn(2000))
+			}
+			for _, k := range JobKinds() {
+				if rng.Intn(4) == 0 && len(fj.Stages) > 0 {
+					continue
+				}
+				fj.Stages = append(fj.Stages, ForecastStage{
+					Kind: k, Type: types[rng.Intn(len(types))],
+					Seconds: float64(100 + rng.Intn(900)), Cached: rng.Intn(6) == 0,
+				})
+			}
+			jobs[i] = fj
+		}
+		gated := seed%2 == 0
+		gate := func() Gate {
+			if gated {
+				return &overlapGate{}
+			}
+			return nil
+		}
+		want, wantErr := ForecastGated(base.Snapshot(), jobs, gate())
+		got, gotErr := kept.Forecast(base.Snapshot(), jobs, gate())
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("seed %d: kept Forecaster error %v, fresh %v", seed, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			failed++
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (gated %v): kept Forecaster gives\n%+v\nfresh gives\n%+v", seed, gated, got, want)
+		}
+		revoked += want.Revocations
+	}
+	if len(sizes) < 6 || failed == 0 || failed > 36 || revoked == 0 {
+		t.Fatalf("%d batch sizes, %d of 72 batches failed, %d revocations: the seeds no longer cover growing, shrinking, failing and revoked batches",
+			len(sizes), failed, revoked)
 	}
 }

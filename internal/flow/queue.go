@@ -102,10 +102,10 @@ type Gate interface {
 
 // simulate places every prepared job's stages onto the fleet and fills
 // in the placement fields of each preparedJob's result. A nil gate
-// admits everything.
-func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*preparedJob, pinned bool, gate Gate) {
-	runners := make([]runner, 0, len(prepared))
-	queue := make([]*runner, 0, len(prepared))
+// admits everything. runners and queue are empty with room for every
+// job; a runner's lease list reuses the one the slot last held.
+func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*preparedJob, pinned bool, gate Gate,
+	runners []runner, queue []*runner) {
 	for i := range prepared {
 		if prepared[i].res.Err != nil {
 			continue
@@ -114,12 +114,14 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 			finalize(&prepared[i].res, &jobs[i], fleet, nil)
 			continue
 		}
-		runners = append(runners, runner{
+		runners = runners[:len(runners)+1]
+		r := &runners[len(runners)-1]
+		*r = runner{
 			p: prepared[i], job: &jobs[i], held: -1, pinned: -1,
 			ready:      prepared[i].readySec,
 			reinstance: policy.ReInstance(),
-		})
-		r := &runners[len(runners)-1]
+			leases:     r.leases[:0],
+		}
 		if pinned {
 			r.pinned = i
 		}

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/cache"
@@ -291,16 +292,17 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) (*Schedule, error) {
 	// i is pinned to instance i, reproducing the historical
 	// one-job-one-instance schedule exactly.
 	pinned := s.Fleet == nil
-	simulate(fleet, policy, jobs, prepared, pinned, nil)
+	simulate(fleet, policy, jobs, prepared, pinned, nil,
+		make([]runner, 0, len(prepared)), make([]*runner, 0, len(prepared)))
 
-	return buildSchedule(policy.Name(), fleet, prepared), ctx.Err()
+	return buildSchedule(&Schedule{}, policy.Name(), fleet, prepared), ctx.Err()
 }
 
-// buildSchedule folds the placed jobs into the aggregate Schedule, in
-// job order so every float sum is identical for any worker count. It
-// serves both real runs and forecasts.
-func buildSchedule(policyName string, fleet *cloud.Fleet, prepared []*preparedJob) *Schedule {
-	sched := &Schedule{Policy: policyName, Fleet: fleet}
+// buildSchedule folds the placed jobs into sched, reusing its Jobs
+// storage, in job order so every float sum is identical for any worker
+// count. It serves both real runs and forecasts.
+func buildSchedule(sched *Schedule, policyName string, fleet *cloud.Fleet, prepared []*preparedJob) *Schedule {
+	*sched = Schedule{Policy: policyName, Fleet: fleet, Jobs: slices.Grow(sched.Jobs[:0], len(prepared))}
 	for i := range prepared {
 		r := &prepared[i].res
 		sched.Jobs = append(sched.Jobs, *r)

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"edacloud/internal/par"
 )
@@ -198,14 +197,15 @@ func (c *candidate) evaluate(est *estimator) {
 }
 
 // estimator predicts the schedule a set of picks implies on the shared
-// fleet. BatchOptimizeState builds one per solve: the capacity labels
-// interned in sorted order, every item's label index and runtime in
-// flat slices, and the machine pools seeded once from the committed
-// free times, so an evaluation neither hashes a label nor allocates
-// beyond the estimates it returns.
+// fleet. BatchOptimizeState resets the one its Scratch keeps at every
+// call: the capacity labels interned in sorted order, every item's
+// label index and runtime in flat slices, and the machine pools seeded
+// once from the committed free times, so an evaluation neither hashes a
+// label nor allocates beyond the estimates it returns.
 type estimator struct {
 	jobs   []BatchJob
 	labels []string
+	index  map[string]int
 	// Job i's stages are stageAt[i]..stageAt[i+1]-1; stage s's items
 	// start at itemAt[s] in label (interned label index) and time.
 	stageAt, itemAt []int
@@ -218,55 +218,58 @@ type estimator struct {
 	free, busy, wait, ready, stage, queue []int
 }
 
-// newEstimator interns the batch's labels and seeds the machine pools
-// from the capacity profile, pre-loaded with any committed free-at
-// times (nil freeAt means every machine free at 0). The jobs must have
-// passed batchValidate.
-func newEstimator(jobs []BatchJob, capacity Capacity, freeAt map[string][]int) *estimator {
-	e := &estimator{jobs: jobs, labels: make([]string, 0, len(capacity))}
+// sized returns s with n zero elements, in s's storage when it fits.
+func sized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// reset makes e the estimator of jobs: it interns the batch's labels
+// and seeds the machine pools from the capacity profile, pre-loaded
+// with any committed free-at times (nil freeAt means every machine free
+// at 0), all in e's own storage. The jobs must have passed
+// batchValidate.
+func (e *estimator) reset(jobs []BatchJob, capacity Capacity, freeAt map[string][]int) *estimator {
+	e.jobs, e.labels = jobs, e.labels[:0]
 	for label := range capacity {
 		e.labels = append(e.labels, label)
 	}
-	sort.Strings(e.labels)
-	index := make(map[string]int, len(e.labels))
-	e.offset = make([]int, len(e.labels)+1)
+	slices.Sort(e.labels)
+	if e.index == nil {
+		e.index = make(map[string]int, len(e.labels))
+	}
+	clear(e.index)
+	e.offset = sized(e.offset, len(e.labels)+1)
 	for k, label := range e.labels {
-		index[label] = k
+		e.index[label] = k
 		e.offset[k+1] = e.offset[k] + capacity[label]
 	}
-	e.seed = make([]int, e.offset[len(e.labels)])
+	e.seed = sized(e.seed, e.offset[len(e.labels)])
 	for k, label := range e.labels {
 		pool := e.seed[e.offset[k]:e.offset[k+1]]
 		for i, t := range freeAt[label][:min(len(freeAt[label]), len(pool))] {
 			pool[i] = max(t, 0)
 		}
 	}
-	e.stageAt = make([]int, len(jobs)+1)
-	items := 0
+	e.stageAt = sized(e.stageAt, len(jobs)+1)
+	e.itemAt, e.label, e.time = e.itemAt[:0], e.label[:0], e.time[:0]
 	for i, job := range jobs {
 		e.stageAt[i+1] = e.stageAt[i] + len(job.Classes)
 		for _, cl := range job.Classes {
-			items += len(cl.Items)
-		}
-	}
-	e.itemAt = make([]int, 0, e.stageAt[len(jobs)])
-	e.label = make([]int, 0, items)
-	e.time = make([]int, 0, items)
-	for _, job := range jobs {
-		for _, cl := range job.Classes {
 			e.itemAt = append(e.itemAt, len(e.label))
 			for _, it := range cl.Items {
-				e.label = append(e.label, index[it.Label])
+				e.label = append(e.label, e.index[it.Label])
 				e.time = append(e.time, it.TimeSec)
 			}
 		}
 	}
-	e.free = make([]int, len(e.seed))
-	e.busy = make([]int, len(e.labels))
-	e.wait = make([]int, len(e.labels))
-	e.ready = make([]int, len(jobs))
-	e.stage = make([]int, len(jobs))
-	e.queue = make([]int, 0, len(jobs))
+	e.free = sized(e.free, len(e.seed))
+	e.busy = sized(e.busy, len(e.labels))
+	e.wait = sized(e.wait, len(e.labels))
+	e.ready = sized(e.ready, len(jobs))
+	e.stage = sized(e.stage, len(jobs))
+	e.queue = slices.Grow(e.queue[:0], len(jobs))
 	return e
 }
 
@@ -374,7 +377,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		scratch = &Scratch{}
 	}
 	scratch.begin()
-	est := newEstimator(jobs, capacity, st.FreeAtSec)
+	est := scratch.est.reset(jobs, capacity, st.FreeAtSec)
 	solve := func(method string, prices map[string]float64) (*candidate, error) {
 		sels, err := scratch.solve(pool, est, prices)
 		if sels == nil || err != nil {

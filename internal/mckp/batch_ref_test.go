@@ -113,7 +113,7 @@ func TestBatchEstimateMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		jobs, capacity, freeAt := randomStateBatch(rng)
-		est := newEstimator(jobs, capacity, freeAt)
+		est := new(estimator).reset(jobs, capacity, freeAt)
 		for trial := 0; trial < 3; trial++ {
 			picks := make([][]int, len(jobs))
 			for i, job := range jobs {
@@ -181,7 +181,7 @@ func TestBatchEstimateAllocs(t *testing.T) {
 			picks[i] = append(picks[i], (i+l)%3)
 		}
 	}
-	est := newEstimator(jobs, capacity, map[string][]int{"mem.4x": {30, 0, 12}})
+	est := new(estimator).reset(jobs, capacity, map[string][]int{"mem.4x": {30, 0, 12}})
 	if got := testing.AllocsPerRun(100, func() { est.estimate(picks) }); got > 1 {
 		t.Fatalf("estimate allocates %.0f times per evaluation, want at most 1", got)
 	}

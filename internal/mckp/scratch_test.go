@@ -3,6 +3,7 @@ package mckp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +23,10 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		for seed := int64(0); seed < 60; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			jobs, capacity, freeAt := randomStateBatch(rng)
+			if seed%10 == 9 {
+				// Wide enough that a round's missing tables fan out.
+				jobs = wideBatch(rng, capacity)
+			}
 			if seed%3 == 0 {
 				// Every third batch is three times as wide, so the kept
 				// tables see a larger batch after smaller ones and the
@@ -107,6 +112,37 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// wideBatch is twelve deadline-free jobs of four classes, each with
+// eight items of distinct times on the capacity's labels: their tables
+// hold more than parCells DP cells, so a round building them fans out.
+func wideBatch(rng *rand.Rand, capacity Capacity) []BatchJob {
+	var labels []string
+	for l := range capacity {
+		labels = append(labels, l)
+	}
+	slices.Sort(labels)
+	jobs := make([]BatchJob, 12)
+	cells := 0
+	for i := range jobs {
+		jobs[i] = BatchJob{Name: "w" + string(rune('a'+i)), ReadySec: rng.Intn(50)}
+		for l := 0; l < 4; l++ {
+			cl := Class{Name: string(rune('A' + l))}
+			for j := 0; j < 8; j++ {
+				cl.Items = append(cl.Items, Item{
+					Label: labels[rng.Intn(len(labels))], TimeSec: 50 + 40*j + rng.Intn(40), Cost: float64(rng.Intn(400)+1) / 100,
+				})
+			}
+			jobs[i].Classes = append(jobs[i].Classes, cl)
+		}
+		key := appendKey(nil, jobs[i].Classes, func(it Item) float64 { return -it.Cost })
+		cells += (&table{key: key}).cells(effectiveDeadline(jobs[i]))
+	}
+	if cells < parCells {
+		panic("wideBatch: too few DP cells to fan out")
+	}
+	return jobs
+}
+
 // TestSmallerBudgetsBuildNoTables: a call that repeats the previous one
 // with every job ready later, so every budget is smaller, reads every
 // table off the kept Scratch and builds none — the fleet never queues,
@@ -158,14 +194,14 @@ func TestSmallerBudgetsBuildNoTables(t *testing.T) {
 }
 
 // TestWarmResolveKeepsDPStorage is the guard that a kept Scratch
-// carries the DP tables from one re-solve to the next: a warm
-// re-solve of a fixed 24-job, 4-stage batch allocates its results and
-// the estimator, and none of the DP tables, which it reads off the
-// ones the previous call built. The budget is the 136 allocations
-// measured, plus 25 %; the same call with no Scratch makes 673 (every
-// table built afresh).
+// carries the DP tables and the estimator from one re-solve to the
+// next: a warm re-solve of a fixed 24-job, 4-stage batch allocates its
+// results, and none of the DP tables, which it reads off the ones the
+// previous call built. The budget is the 26 allocations measured, plus
+// 25 %; an estimator built per call made 136, and the same call with no
+// Scratch makes 605 (every table built afresh).
 func TestWarmResolveKeepsDPStorage(t *testing.T) {
-	const budget = 170
+	const budget = 32
 	labels := []string{"gp.2x", "mem.4x", "cpu.8x"}
 	capacity := Capacity{"gp.2x": 2, "mem.4x": 3, "cpu.8x": 1}
 	jobs := make([]BatchJob, 24)

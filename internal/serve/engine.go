@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -19,10 +20,10 @@ import (
 // future bookings of every in-flight job — and an archive of the leases
 // the fleet settled as the clock passed their end, so an event's work
 // follows the live tail, not the trace's length. At each event the
-// uncommitted tail is released (Fleet.Snapshot + ReleaseFrom), all
+// uncommitted tail is released (Fleet.SnapshotInto + ReleaseFrom), all
 // remaining stages are re-solved jointly (mckp.BatchOptimizeState,
 // warm-started), replayed through the placement engine under the
-// tenant quota gate (flow.ForecastGated), and the re-plan is adopted
+// tenant quota gate (flow.Forecaster), and the re-plan is adopted
 // only if it is strictly better than the incumbent — so the promise
 // made at admission (the forecast finish of every admitted job) only
 // ever improves. Everything is a pure function of the submission
@@ -36,6 +37,8 @@ const warmRounds = 2
 // record is one submitted job's full state.
 type record struct {
 	status JobStatus
+	// key is the job's lease and forecast name, jobKey of its ID.
+	key string
 	// tpl is the job's (risk-adjusted) template.
 	tpl Template
 	// emittedStarts/emittedEnds count the progress events already
@@ -68,9 +71,22 @@ type Engine struct {
 	// hit, or a re-plan could break an admission promise).
 	seen map[cache.Key]int
 
-	// scratch holds the joint solve's DP tables: a re-plan reads the
-	// ones the last re-plan used wherever they reach a job's budget.
-	scratch mckp.Scratch
+	// The re-plan's working storage, kept from one decision to the next.
+	// spare is the fleet a re-plan trial-books, swapped with fleet on
+	// adoption; scratch keeps the joint solve's DP tables, which a
+	// re-plan reads wherever they reach a job's budget, and its
+	// estimator. cand, the candidate plan, holds until the next re-plan.
+	spare      *cloud.Fleet
+	scratch    mckp.Scratch
+	forecaster flow.Forecaster
+	gate       quotaGate
+	cand       plan
+	capacity   mckp.Capacity
+	freeAt     map[string][]int
+	bjobs      []mckp.BatchJob
+	fjobs      []flow.ForecastJob
+	fstages    []flow.ForecastStage
+	tailHits   [][]bool
 
 	// Replans counts re-optimizations run; Adopted counts those whose
 	// plan replaced the incumbent; Released totals leases released.
@@ -94,6 +110,13 @@ func New(cfg Config) (*Engine, error) {
 		settled:   make([][]cloud.Lease, len(cfg.Fleet.Instances)),
 		prices:    map[string]float64{},
 		seen:      map[cache.Key]int{},
+		spare:     &cloud.Fleet{},
+		capacity:  mckp.Capacity{},
+		freeAt:    map[string][]int{},
+	}
+	e.gate = quotaGate{caps: e.caps, tenantOf: e.tenantOf}
+	for _, inst := range cfg.Fleet.Instances {
+		e.capacity[inst.Type.Name]++
 	}
 	for _, t := range cfg.Tenants {
 		e.tenants[t.Name] = t
@@ -211,6 +234,7 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 			ID: len(e.jobs), Name: req.Name, Tenant: req.Tenant, Template: req.Template,
 			ArrivalSec: req.ArrivalSec, DeadlineSec: req.DeadlineSec,
 		},
+		key: jobKey(len(e.jobs)),
 		tpl: tpl,
 	}
 	e.jobs = append(e.jobs, r)
@@ -356,18 +380,28 @@ func (e *Engine) setNow(t float64) {
 func (e *Engine) Drain() { e.AdvanceTo(math.Inf(1)) }
 
 // plan is one candidate engine state produced by replan: the trial
-// fleet with the re-booked tail, the per-job re-planned stage tails,
-// and the score the adoption rule compares.
+// fleet with the re-booked tail, the re-planned jobs with their
+// forecast stage tails, and the score the adoption rule compares.
 type plan struct {
 	fleet     *cloud.Fleet
 	miss      int
 	cost      float64
 	sumFinish float64
-	// tails maps job id to its re-planned remaining stages; kept counts
-	// the committed prefix the tail appends to.
-	tails  map[int][]PlannedStage
-	kept   map[int]int
-	prices map[string]float64
+	// active lists the re-planned jobs; results[n] is active[n]'s
+	// forecast, whose stages replace its plan past the committed prefix.
+	active  []activeJob
+	results []flow.JobResult
+	prices  map[string]float64
+}
+
+// activeJob is one job a re-plan re-solves: kept counts its committed
+// stages, ready is the second its tail may start and eff its binding
+// deadline — the admission promise, or the user deadline.
+type activeJob struct {
+	r     *record
+	kept  int
+	ready int
+	eff   float64
 }
 
 // committedStages counts the prefix of stages already started by now —
@@ -418,23 +452,17 @@ func deadlineInt(deadline float64) int { return int(math.Floor(deadline + 1e-9))
 // uncommitted tail, re-solve every remaining stage jointly (the extra
 // job, when non-nil, rides along as the arrival under admission test),
 // and replay the picks through the gated placement engine. A nil plan
-// with nil error means the joint solve was infeasible.
+// with nil error means the joint solve was infeasible. The plan and
+// its trial fleet live in the engine's kept storage until the next
+// re-plan.
 func (e *Engine) replan(extra *record) (*plan, error) {
 	e.Replans++
-	snap := e.fleet.Snapshot()
+	snap := e.fleet.SnapshotInto(e.spare)
 	e.Released += snap.ReleaseFrom(e.now)
 
-	type entry struct {
-		id    int
-		r     *record
-		kept  int
-		ready int
-		eff   float64 // binding deadline: the admission promise, or the user deadline
-	}
-	var active []entry
-	p := &plan{fleet: snap, tails: map[int][]PlannedStage{}, kept: map[int]int{}}
-	consider := e.jobs
-	for i, r := range consider {
+	p := &e.cand
+	*p = plan{fleet: snap, active: p.active[:0]}
+	for _, r := range e.jobs {
 		if r.status.Status != StatusAdmitted && !(extra != nil && r == extra) {
 			continue
 		}
@@ -463,48 +491,52 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 		if r.status.Status == StatusAdmitted && r.status.PromisedSec > 0 {
 			eff = r.status.PromisedSec
 		}
-		active = append(active, entry{id: i, r: r, kept: kept, ready: readyInt(ready), eff: eff})
+		p.active = append(p.active, activeJob{r: r, kept: kept, ready: readyInt(ready), eff: eff})
 	}
+	active := p.active
 	if len(active) == 0 {
 		p.cost = snap.TotalCostUSD()
 		p.prices = e.prices
 		return p, nil
 	}
 
-	capacity := mckp.Capacity{}
-	freeAt := map[string][]int{}
+	for label, ts := range e.freeAt {
+		e.freeAt[label] = ts[:0]
+	}
 	for _, inst := range snap.Instances {
 		label := inst.Type.Name
-		capacity[label]++
-		freeAt[label] = append(freeAt[label], readyInt(inst.FreeAtSec))
+		e.freeAt[label] = append(e.freeAt[label], readyInt(inst.FreeAtSec))
 	}
-	bjobs := make([]mckp.BatchJob, len(active))
-	tailHits := make([][]bool, len(active))
+	e.bjobs = slices.Grow(e.bjobs[:0], len(active))[:len(active)]
+	e.tailHits = slices.Grow(e.tailHits[:0], len(active))[:len(active)]
+	stages := 0
 	for n, a := range active {
 		deadline := deadlineInt(a.eff)
+		e.tailHits[n] = nil
 		if hits := e.chainHits(a.r); hits != nil {
-			tailHits[n] = hits[a.kept:]
+			e.tailHits[n] = hits[a.kept:]
 		}
-		classes := mckp.Adjust(a.r.tpl.Classes[a.kept:], tailHits[n], nil, 0)
+		classes := mckp.Adjust(a.r.tpl.Classes[a.kept:], e.tailHits[n], nil, 0)
 		if deadline > 0 && a.ready+mckp.MinTotalTime(classes) > deadline {
 			// Doomed under any picks: solve it deadline-free so the batch
 			// stays feasible; the forecast below will count the miss and the
 			// adoption rule (or admission) will refuse the plan.
 			deadline = 0
 		}
-		bjobs[n] = mckp.BatchJob{
-			Name:        jobKey(a.id),
+		e.bjobs[n] = mckp.BatchJob{
+			Name:        a.r.key,
 			Classes:     classes,
 			DeadlineSec: deadline,
 			ReadySec:    a.ready,
 		}
+		stages += len(classes)
 	}
 	rounds := warmRounds
 	if len(e.prices) == 0 {
 		rounds = 0 // first solve is cold: use the optimizer's full budget
 	}
-	sel, err := mckp.BatchOptimizeState(bjobs, capacity, mckp.BatchState{
-		FreeAtSec: freeAt,
+	sel, err := mckp.BatchOptimizeState(e.bjobs, e.capacity, mckp.BatchState{
+		FreeAtSec: e.freeAt,
 		Prices:    e.prices,
 		Rounds:    rounds,
 		Workers:   e.cfg.Workers,
@@ -517,30 +549,33 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 		return nil, nil
 	}
 
-	fjobs := make([]flow.ForecastJob, len(active))
+	// Every job's stages are cut from one backing array sized up front,
+	// so no append moves the ones cut before.
+	e.fjobs = slices.Grow(e.fjobs[:0], len(active))[:len(active)]
+	e.fstages = slices.Grow(e.fstages[:0], stages)
 	for n, a := range active {
-		fj := flow.ForecastJob{
-			Name:        jobKey(a.id),
-			DeadlineSec: a.eff,
-			ReadySec:    float64(a.ready),
-		}
+		from := len(e.fstages)
 		for l, pick := range sel.Jobs[n].Pick {
-			it := bjobs[n].Classes[l].Items[pick]
+			it := e.bjobs[n].Classes[l].Items[pick]
 			typ, ok := snap.TypeByName(it.Label)
 			if !ok {
 				return nil, fmt.Errorf("serve: plan names instance type %q absent from the fleet", it.Label)
 			}
-			fj.Stages = append(fj.Stages, flow.ForecastStage{
+			e.fstages = append(e.fstages, flow.ForecastStage{
 				Kind:    a.r.tpl.Kinds[a.kept+l],
 				Type:    typ,
 				Seconds: float64(it.TimeSec),
-				Cached:  l < len(tailHits[n]) && tailHits[n][l],
+				Cached:  l < len(e.tailHits[n]) && e.tailHits[n][l],
 			})
 		}
-		fjobs[n] = fj
+		e.fjobs[n] = flow.ForecastJob{
+			Name:        a.r.key,
+			DeadlineSec: a.eff,
+			ReadySec:    float64(a.ready),
+			Stages:      e.fstages[from:len(e.fstages):len(e.fstages)],
+		}
 	}
-	gate := newQuotaGate(snap, e.caps, e.tenantOf)
-	sched, err := flow.ForecastGated(snap, fjobs, gate)
+	sched, err := e.forecaster.Forecast(snap, e.fjobs, e.gate.reset(snap))
 	if err != nil {
 		return nil, err
 	}
@@ -550,38 +585,39 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 			p.miss++
 		}
 		p.sumFinish += res.FinishSec
-		p.tails[a.id] = plannedStages(res.Stages)
-		p.kept[a.id] = a.kept
 	}
+	p.results = sched.Jobs
 	p.cost = snap.TotalCostUSD()
 	p.prices = sel.FinalPrices
 	return p, nil
 }
 
-// plannedStages converts a forecast job's stages into the plan a job
-// status reports.
-func plannedStages(stages []flow.StageResult) []PlannedStage {
-	out := make([]PlannedStage, len(stages))
-	for i, st := range stages {
-		out[i] = PlannedStage{
+// plannedStages appends a forecast job's stages to dst as the plan a
+// job status reports.
+func plannedStages(dst []PlannedStage, stages []flow.StageResult) []PlannedStage {
+	dst = slices.Grow(dst, len(stages))
+	for _, st := range stages {
+		dst = append(dst, PlannedStage{
 			Kind: st.Kind, Type: st.Type.Name,
 			StartSec: st.StartSec, EndSec: st.StartSec + st.Seconds,
 			CostUSD: st.CostUSD, Cached: st.Cached,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
-// adopt installs a candidate plan as the engine state.
+// adopt installs a candidate plan as the engine state. Each re-planned
+// job's stages are copied into a new array past its committed prefix,
+// so a status handed out earlier keeps the plan it reported.
 func (e *Engine) adopt(p *plan) {
 	e.Adopted++
-	e.fleet = p.fleet
+	e.fleet, e.spare = p.fleet, e.fleet
 	if p.prices != nil {
 		e.prices = p.prices
 	}
-	for id, tail := range p.tails {
-		r := e.jobs[id]
-		r.status.Stages = append(r.status.Stages[:p.kept[id]:p.kept[id]], tail...)
+	for n, a := range p.active {
+		r := a.r
+		r.status.Stages = plannedStages(r.status.Stages[:a.kept:a.kept], p.results[n].Stages)
 		r.status.CostUSD = stageCost(r.status.Stages)
 	}
 }
@@ -654,21 +690,22 @@ func (e *Engine) admitIndependent(r *record) {
 		r.status.Reason = "no feasible solo plan"
 		return
 	}
-	fj := flow.ForecastJob{
-		Name:        jobKey(r.status.ID),
-		DeadlineSec: r.status.DeadlineSec,
-		ReadySec:    float64(ready),
-	}
+	e.fstages = e.fstages[:0]
 	for l, pick := range sel.Pick {
 		it := r.tpl.Classes[l].Items[pick]
 		typ, _ := e.fleet.TypeByName(it.Label)
-		fj.Stages = append(fj.Stages, flow.ForecastStage{
+		e.fstages = append(e.fstages, flow.ForecastStage{
 			Kind: r.tpl.Kinds[l], Type: typ, Seconds: float64(it.TimeSec),
 		})
 	}
-	snap := e.fleet.Snapshot()
-	gate := newQuotaGate(snap, e.caps, e.tenantOf)
-	sched, err := flow.ForecastGated(snap, []flow.ForecastJob{fj}, gate)
+	e.fjobs = append(e.fjobs[:0], flow.ForecastJob{
+		Name:        r.key,
+		DeadlineSec: r.status.DeadlineSec,
+		ReadySec:    float64(ready),
+		Stages:      e.fstages,
+	})
+	snap := e.fleet.SnapshotInto(e.spare)
+	sched, err := e.forecaster.Forecast(snap, e.fjobs, e.gate.reset(snap))
 	if err != nil {
 		r.status.Status = StatusRejected
 		r.status.Reason = err.Error()
@@ -680,9 +717,9 @@ func (e *Engine) admitIndependent(r *record) {
 		r.status.Reason = "deadline unattainable behind existing reservations"
 		return
 	}
-	e.fleet = snap
+	e.fleet, e.spare = snap, e.fleet
 	r.status.Status = StatusAdmitted
-	r.status.Stages = plannedStages(res.Stages)
+	r.status.Stages = plannedStages(nil, res.Stages)
 	r.status.CostUSD = stageCost(r.status.Stages)
 	if r.status.DeadlineSec > 0 {
 		r.status.PromisedSec = res.FinishSec

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -44,12 +45,32 @@ func NewServer(cfg Config) (*Server, error) {
 // Engine exposes the wrapped engine for in-process drivers.
 func (s *Server) Engine() *Engine { return s.eng }
 
+// jsonBuf is one response's encoding storage: an indenting encoder
+// and the buffer it writes into. Pooled, so the buffer and the
+// encoder's own indent buffer are reused from response to response.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := &jsonBuf{}
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// writeJSON sends v, indented, with the status code, in one write. An
+// encoding error sends the status with an empty body; a write error
+// means the client has gone, and the status is already sent.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	defer jsonBufs.Put(b)
+	b.buf.Reset()
+	_ = b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b.buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

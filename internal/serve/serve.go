@@ -7,7 +7,7 @@
 //
 // The moving parts are the seams the lower layers already expose:
 //
-//   - cloud.Fleet.Snapshot + ReleaseFrom give the commit/release
+//   - cloud.Fleet.SnapshotInto + ReleaseFrom give the commit/release
 //     discipline — leases that have started stand (a booked stage runs
 //     to its checkpoint), everything later is released and re-booked.
 //     Fleet.Settle moves leases the clock has passed out of the live
@@ -17,7 +17,7 @@
 //     against the remaining capacity, warm-started from the previous
 //     event's shadow prices so consecutive events converge in a round
 //     or two.
-//   - flow.ForecastGated replays the picks through the scheduler's own
+//   - a flow.Forecaster replays the picks through the scheduler's own
 //     placement engine under a per-tenant quota Gate, producing the
 //     exact lease timeline the fleet will carry.
 //

@@ -34,6 +34,9 @@ type quotaGate struct {
 	// intervals accumulates counted leases per tenant: the committed
 	// leases it was seeded with plus every booking admitted since.
 	intervals map[string][]quotaInterval
+	// overlapping is Admit's list of the tenant's leases overlapping a
+	// booking.
+	overlapping []quotaInterval
 }
 
 // quotaCaps derives the per-tenant concurrent spend caps: the fleet's
@@ -53,14 +56,20 @@ func quotaCaps(fleet *cloud.Fleet, tenants []Tenant) map[string]float64 {
 	return caps
 }
 
-// newQuotaGate builds a gate seeded with the fleet's existing leases —
-// the committed work that already counts against each tenant's quota
-// when a re-plan's forecast starts booking.
-func newQuotaGate(fleet *cloud.Fleet, caps map[string]float64, tenantOf func(string) string) *quotaGate {
-	g := &quotaGate{caps: caps, tenantOf: tenantOf, intervals: map[string][]quotaInterval{}}
+// reset seeds the gate with the fleet's existing leases — the
+// committed work that already counts against each tenant's quota when
+// a re-plan's forecast starts booking — in the interval lists the last
+// re-plan left, and returns it.
+func (g *quotaGate) reset(fleet *cloud.Fleet) *quotaGate {
+	if g.intervals == nil {
+		g.intervals = map[string][]quotaInterval{}
+	}
+	for tn, ivs := range g.intervals {
+		g.intervals[tn] = ivs[:0]
+	}
 	for _, inst := range fleet.Instances {
 		for _, l := range inst.Leases {
-			tn := tenantOf(l.Job)
+			tn := g.tenantOf(l.Job)
 			if tn == "" {
 				continue
 			}
@@ -85,12 +94,13 @@ func (g *quotaGate) Admit(job *flow.Job, k flow.JobKind, it cloud.InstanceType, 
 	}
 	endSec := startSec + durSec
 	rate := it.PricePerHour / 3600
-	var overlapping []quotaInterval
+	overlapping := g.overlapping[:0]
 	for _, iv := range g.intervals[tn] {
 		if iv.startSec < endSec && iv.endSec > startSec {
 			overlapping = append(overlapping, iv)
 		}
 	}
+	g.overlapping = overlapping
 	if len(overlapping) == 0 {
 		g.intervals[tn] = append(g.intervals[tn], quotaInterval{startSec, endSec, rate})
 		return 0, true

@@ -34,7 +34,7 @@ func TestQuotaGateAdmit(t *testing.T) {
 
 	// Cap affords one and a half gp.2x machines concurrently.
 	caps := map[string]float64{"a": 1.5 * rate, "b": 1.5 * rate}
-	g := newQuotaGate(fleet, caps, lookup)
+	g := (&quotaGate{caps: caps, tenantOf: lookup}).reset(fleet)
 	job := func(name string) *flow.Job { return &flow.Job{Name: name} }
 
 	// First lease: over half the cap, admitted on the floor.
@@ -76,7 +76,7 @@ func TestQuotaGateSeededFromFleet(t *testing.T) {
 		}
 		return ""
 	}
-	g := newQuotaGate(fleet, map[string]float64{"a": 1.5 * rate}, lookup)
+	g := (&quotaGate{caps: map[string]float64{"a": 1.5 * rate}, tenantOf: lookup}).reset(fleet)
 	// A concurrent second lease busts the cap because of the seed.
 	if until, ok := g.Admit(&flow.Job{Name: "j1"}, flow.JobSynthesis, gp, 50, 100); ok || until != 200 {
 		t.Fatalf("seeded lease ignored: ok=%v until=%g", ok, until)
