@@ -217,7 +217,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 	}
 
 	routeAll()
-	pf := 0.88 + 0.11*res.TileLocalFraction
+	pf := 0.88 + float64(0.11*res.TileLocalFraction)
 	report.AddPhase(probe.TakePhase("route-initial", pf, max(res.BusyTiles, 1)))
 
 	// Negotiated congestion: raise history on overused edges, rip up
@@ -267,7 +267,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 	// Modelled rip-up rounds stay region-parallel but synchronize on the shared
 	// congestion history between rounds; scaling is somewhat poorer
 	// than the initial pass.
-	report.AddPhase(probe.TakePhase("rip-up-reroute", 0.60+0.35*res.TileLocalFraction, max(res.BusyTiles/2, 1)))
+	report.AddPhase(probe.TakePhase("rip-up-reroute", 0.60+float64(0.35*res.TileLocalFraction), max(res.BusyTiles/2, 1)))
 
 	// Refinement: with congestion negotiated, reroute every connection
 	// once against the final cost landscape (the wire/timing cleanup
@@ -473,7 +473,7 @@ func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch
 		probe.Branch(brCapacityCheck, over)
 		cost := 1.0 + g.history[e]
 		if over {
-			cost += 4 * float64(u-int32(g.cap)+1)
+			cost += float64(4 * float64(u-int32(g.cap)+1))
 		}
 		return cost
 	}

@@ -151,7 +151,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 			probe.LoadHot(rgNetLoad, uint64(s.Cell))
 			probe.LoopBranches(2)
 		}
-		c += float64(len(net.POs)) * 0.002 // output pad load
+		c += float64(float64(len(net.POs)) * 0.002) // output pad load
 		load[id] = c
 	}
 	if pl != nil {
@@ -408,7 +408,7 @@ func addWireLoads(nl *netlist.Netlist, pl *place.Placement, load []float64, capP
 			n++
 		}
 		if n > 0 {
-			load[id] += ((maxX - minX) + (maxY - minY)) * capPerUm
+			load[id] += float64(((maxX - minX) + (maxY - minY)) * capPerUm)
 			probe.FPVector(4)
 		}
 	}
@@ -478,7 +478,7 @@ func staParallelFraction(levels []int32) float64 {
 	}
 	avg := float64(total) / float64(len(widths))
 	// Map average width to a fraction in [0.35, 0.7].
-	f := 0.35 + 0.35*(avg/(avg+32))
+	f := 0.35 + float64(0.35*(avg/(avg+32)))
 	return f
 }
 

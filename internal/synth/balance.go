@@ -24,15 +24,14 @@ import (
 // preserves function and typically reduces depth at equal or smaller
 // size.
 //
-// Multi-cone graphs balance cone-parallel over a partitioned strash:
-// each partition rebuilds its owned trees into a private shard graph,
+// The graph balances cone-parallel over a partitioned strash: each
+// partition rebuilds its owned trees into a private shard graph,
 // estimating foreign-leaf depths from the source graph's levels, and
 // the shards merge in deterministic partition order (see rewrite.go).
+// A graph whose outputs form one cone group is a single partition,
+// whose shard is the result.
 func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	cp := partitionAccounted(g, probe, rs)
-	if cp.NumParts() <= 1 {
-		return balanceSerial(g, probe, rs), passStats{chunks: 1}
-	}
 	// Freeze the lazily memoized fanout counts and levels before the
 	// parallel region; workers read them concurrently.
 	fanout := g.FanoutCounts()
@@ -41,38 +40,10 @@ func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch
 	shards, parInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 		return balancePartition(g, cp, pi, fanout, srcLv, sc, sg, probe)
 	})
-
 	ng := mergeShards(g, cp, shards, probe, rs)
-	return ng, passStats{chunks: cp.NumParts(), parallelInstrs: parInstrs}
-}
-
-// balanceSerial is the single-cone path: one output graph, one strash
-// table, exact incremental levels for every operand. It stays separate
-// because the partitioned path would charge the probe a merge replay a
-// single partition never does (+41-46 % instructions, same graph). It
-// builds into the run's temporary graph and returns its swept copy.
-func balanceSerial(g *aig.Graph, probe *perf.Probe, rs *runScratch) *aig.Graph {
-	ng := rs.tmpGraph(g.Name, g.NumInputs(), g.NumAnds())
-	sc := &rs.shards[0]
-	o2n := &sc.o2n
-	o2n.reset(g.NumVars())
-	o2n.set(0, aig.False)
-	// Incrementally tracked levels of the new graph's variables. Seed
-	// with the inputs only and let append grow it: balancing shrinks or
-	// preserves size, so reserving g.NumVars() up front over-commits.
-	lvl := make([]int32, 1, g.NumInputs()+1)
-	for i, v := range g.InputVars() {
-		o2n.set(v, ng.AddInput(g.InputName(i)))
-		lvl = append(lvl, 0)
-	}
-	bb := &balancer{g: g, ng: ng, sc: sc, lvl: lvl, fanout: g.FanoutCounts()}
-	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
-		bb.balanceNode(v, probe)
-	})
-	for i, o := range g.Outputs() {
-		ng.AddOutput(o2n.get(o.Var()).NotIf(o.IsNeg()), g.OutputName(i))
-	}
-	return sweepAccounted(ng, g.Name, probe, rs)
+	// A graph with no outputs has no partition but is still one unit of
+	// work.
+	return ng, passStats{chunks: max(1, cp.NumParts()), parallelInstrs: parInstrs}
 }
 
 // balancePartition rebalances the AND-trees owned by partition pi into
@@ -80,13 +51,14 @@ func balanceSerial(g *aig.Graph, probe *perf.Probe, rs *runScratch) *aig.Graph {
 // direct fanins of owned nodes: a single-fanout child of an owned node
 // is reachable solely through it and is therefore owned too) become
 // placeholder inputs whose level is taken from the source graph — the
-// best available estimate of their merged depth.
+// best available estimate of their merged depth. The primary inputs of
+// a graph's only partition keep level 0.
 func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, srcLv []int32, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 	part := cp.Parts[pi]
 	leafVars := beginShard(g, cp, pi, nil, 0, 0, sc, sg)
-	lvl := make([]int32, 1, len(part.Nodes)+len(leafVars)+1)
-	for _, lv := range leafVars {
-		lvl = append(lvl, srcLv[lv])
+	lvl := make([]int32, 1+sg.NumInputs(), 1+sg.NumInputs()+len(part.Nodes))
+	for i, lv := range leafVars {
+		lvl[1+i] = srcLv[lv]
 	}
 	bb := &balancer{g: g, ng: sg, sc: sc, lvl: lvl, fanout: fanout}
 	for _, v := range part.Nodes {
@@ -95,9 +67,9 @@ func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, sr
 	return shardBuild{sg: sg, leafVars: leafVars, owned: ownedLits(cp, pi, &sc.o2n)}
 }
 
-// balancer carries the shared state of one balance target (the whole
-// graph on the serial path, one shard on the partitioned path). sc
-// holds the old-to-new literal map and the per-node leaf lists.
+// balancer carries the shared state of one partition's balancing into
+// its shard graph. sc holds the old-to-new literal map and the per-node
+// leaf lists.
 type balancer struct {
 	g, ng  *aig.Graph
 	sc     *shardScratch

@@ -23,8 +23,8 @@ const PartitionGrain = 96
 // actually-added nodes, strashing included) wins. Dead logic left
 // behind by replaced realizations is swept at the end.
 //
-// Multi-cone graphs are rebuilt cone-parallel over a partitioned
-// strash: see rebuildWithCuts.
+// The graph is rebuilt cone-parallel over a partitioned strash: see
+// rebuildWithCuts.
 func rewritePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
 	return rebuildWithCuts(g, probe, pool, rs, 4, 6, 2, brRewriteGain)
 }
@@ -51,60 +51,29 @@ type passStats struct {
 // non-trivial cuts of size <= k per node and keeping the cheapest
 // realization.
 //
-// Graphs whose outputs partition into more than one cone group are
-// rebuilt cone-parallel: each partition resynthesizes its owned nodes
-// into a private shard graph with its own structural hash table,
-// referencing foreign nodes (owned by lower partitions) through
+// The graph is rebuilt cone-parallel: each partition resynthesizes its
+// owned nodes into a private shard graph with its own structural hash
+// table, referencing foreign nodes (owned by lower partitions) through
 // placeholder inputs; the shards then merge into the output graph in
 // ascending partition order, so the result is bit-identical for every
-// worker count. The partitioned path may differ structurally from the
-// single-strash serial path (each shard measures realization cost
-// against its own table), but never functionally.
+// worker count. A graph whose outputs form one cone group is a single
+// partition, whose shard is the result (see mergeShards). Each shard
+// measures realization cost against its own table, so the partitioning
+// may change the result's structure, but never its function.
 func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch, k, maxCuts, tryCuts int, brSite uint64) (*aig.Graph, passStats) {
 	cuts := newCutEnum(g, k, maxCuts, probe, pool, rs)
-	parInstrs := cuts.parInstrs
-
-	// The phase's chunk bound covers both parallel regions: the cut
-	// sweep's widest level and the partition rebuilds. On the serial
-	// (single-partition) path the cut sweep is the only parallel work,
-	// so its chunk count keeps the measured fraction scalable instead
-	// of being zeroed by chunks=1.
 	cp := partitionAccounted(g, probe, rs)
-	chunks := max(cp.NumParts(), cuts.parChunks)
-	if cp.NumParts() <= 1 {
-		return rebuildSerial(g, probe, cuts, k, tryCuts, brSite, rs), passStats{chunks: chunks, parallelInstrs: parInstrs}
-	}
-
 	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 		return rebuildPartition(g, cp, pi, cuts, k, tryCuts, brSite, sc, sg, probe)
 	})
-	parInstrs += rebuildInstrs
-
 	ng := mergeShards(g, cp, shards, probe, rs)
-	return ng, passStats{chunks: chunks, parallelInstrs: parInstrs}
-}
 
-// rebuildSerial is the single-cone path: one output graph, one strash
-// table, nodes visited in global topological order. It stays separate
-// because the partitioned path would charge the probe a merge replay a
-// single partition never does (+0.2-1 % instructions, same graph). It
-// builds into the run's temporary graph and returns its swept copy.
-func rebuildSerial(g *aig.Graph, probe *perf.Probe, cuts *cutEnum, k, tryCuts int, brSite uint64, rs *runScratch) *aig.Graph {
-	ng := rs.tmpGraph(g.Name, g.NumInputs(), g.NumAnds())
-	sc := &rs.shards[0]
-	sc.o2n.reset(g.NumVars())
-	sc.o2n.set(0, aig.False)
-	for i, v := range g.InputVars() {
-		sc.o2n.set(v, ng.AddInput(g.InputName(i)))
-	}
-	rb := &rebuilder{g: g, ng: ng, sc: sc, cuts: cuts, k: k, tryCuts: tryCuts, brSite: brSite}
-	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
-		rb.rebuildNode(v, f0, f1, probe)
-	})
-	for i, o := range g.Outputs() {
-		ng.AddOutput(sc.o2n.get(o.Var()).NotIf(o.IsNeg()), g.OutputName(i))
-	}
-	return sweepAccounted(ng, g.Name, probe, rs)
+	// The phase's chunk bound covers both parallel regions: the cut
+	// sweep's widest level and the partition rebuilds. A single
+	// partition is no parallel region, so there the cut sweep's chunk
+	// count keeps the measured fraction scalable instead of being zeroed
+	// by chunks=1.
+	return ng, passStats{chunks: max(cp.NumParts(), cuts.parChunks), parallelInstrs: cuts.parInstrs + rebuildInstrs}
 }
 
 // partitionAccounted partitions the cones into the run's partitioning,
@@ -199,15 +168,27 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 // which shard. The serial merge cost is recorded on the parent probe —
 // it is the non-scaling portion of a cone-parallel pass. The shards
 // merge into the run's temporary graph; the pass gets its swept copy.
+// A lone shard is the whole graph over the primary inputs themselves
+// (see beginShard), so it is the result as it stands: nothing is
+// appended and no strash traffic is replayed.
 func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, probe *perf.Probe, rs *runScratch) *aig.Graph {
+	final := make([]aig.Lit, g.NumVars())
+	final[0] = aig.False
+	if len(shards) == 1 {
+		for i, v := range g.InputVars() {
+			final[v] = shards[0].sg.Input(i)
+		}
+		for i, v := range cp.Parts[0].Nodes {
+			final[v] = shards[0].owned[i]
+		}
+		return sweepAccounted(g, shards[0].sg, final, probe, rs)
+	}
 	// Room for every shard node: the merge can only deduplicate.
 	ands := 0
 	for pi := range shards {
 		ands += shards[pi].sg.NumAnds()
 	}
 	ng := rs.tmpGraph(g.Name, g.NumInputs(), ands)
-	final := make([]aig.Lit, g.NumVars())
-	final[0] = aig.False
 	for i, v := range g.InputVars() {
 		final[v] = ng.AddInput(g.InputName(i))
 	}
@@ -236,30 +217,32 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 			final[v] = m[sl.Var()].NotIf(sl.IsNeg())
 		}
 	}
+	return sweepAccounted(g, ng, final, probe, rs)
+}
+
+// sweepAccounted gives ng g's outputs, reading each through final (the
+// literal in ng of every variable of g), and runs the final dead-node
+// sweep, charging its serial full-graph copy to the probe: one node
+// record touch and a handful of bookkeeping instructions per variable.
+// The copy goes to the run's rs.dst — a run-owned pass graph when a
+// later pass of the recipe reads it, a fresh graph otherwise — so
+// neither the run's temporary nor a shard graph escapes the pass, and
+// neither does a run-owned graph escape the run.
+func sweepAccounted(g, ng *aig.Graph, final []aig.Lit, probe *perf.Probe, rs *runScratch) *aig.Graph {
 	for i, o := range g.Outputs() {
 		ng.AddOutput(final[o.Var()].NotIf(o.IsNeg()), g.OutputName(i))
 	}
-	return sweepAccounted(ng, g.Name, probe, rs)
-}
-
-// sweepAccounted runs the final dead-node sweep, charging its serial
-// full-graph copy to the probe: one node record touch and a handful of
-// bookkeeping instructions per variable. The copy goes to the run's
-// rs.dst — a run-owned pass graph when a later pass of the recipe reads
-// it, a fresh graph otherwise — so the run's temporary never escapes
-// the pass, and neither does a run-owned graph escape the run.
-func sweepAccounted(ng *aig.Graph, name string, probe *perf.Probe, rs *runScratch) *aig.Graph {
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)
 	swept, old2new := ng.SweepInto(rs.dst, rs.sweepMap)
 	rs.sweepMap = old2new
-	swept.Name = name
+	swept.Name = g.Name
 	return swept
 }
 
-// rebuilder carries the shared state of one rebuild target (the whole
-// graph on the serial path, one shard on the partitioned path). sc
-// holds the old-to-new literal map and every per-node temporary.
+// rebuilder carries the shared state of one partition's rebuild into
+// its shard graph. sc holds the old-to-new literal map and every
+// per-node temporary.
 type rebuilder struct {
 	g, ng   *aig.Graph
 	sc      *shardScratch

@@ -16,8 +16,8 @@ import (
 // partitions. Each probe shard also keeps its cut-enumeration storage
 // (the candidate buffer and the slabs the cut lists live in), and the
 // run keeps the per-variable cut-list array, one shard graph per
-// partition slot and one temporary graph that the shards merge into
-// (or the single-cone paths build). All of it belongs to a runScratch
+// partition slot and one temporary graph that the shards of a
+// multi-partition pass merge into. All of it belongs to a runScratch
 // that one Synthesize, RunPass or MapToCells call makes and hands down to
 // every pass and the mapper: a run allocates its scratch, its cut
 // storage and its pass graphs when the first pass that needs them
@@ -110,17 +110,17 @@ type shardScratch struct {
 
 // runScratch is the scratch of one synthesis run: one shardScratch per
 // probe shard, the cut lists of the enumeration in hand, and the pass
-// graphs. Serial code — the single-cone paths, the merge and the
-// mapper — uses shard 0's.
+// graphs. Serial code — a graph's only partition, which runs inline,
+// and the mapper — uses shard 0's.
 type runScratch struct {
 	shards [par.ProbeShards]shardScratch
 	// cuts is the per-variable cut-list array; each enumeration
 	// reslices it (see newCutEnum).
 	cuts [][]Cut
 	// parts holds one recycled shard graph per partition slot and tmp
-	// the graph the shards merge into or a single-cone pass builds.
-	// Both die with the pass that built them: the pass result is a
-	// swept copy of tmp.
+	// the graph the shards of several partitions merge into. Both die
+	// with the pass that built them: the pass result is a swept copy of
+	// tmp, or of a graph's only shard.
 	parts []*aig.Graph
 	tmp   *aig.Graph
 	// passes are the two graphs a recipe's intermediate results
@@ -188,23 +188,38 @@ func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, bui
 			shards[pi] = build(pi, sc, rs.parts[pi], probe)
 		}
 	})
+	if n <= 1 {
+		// ForProbe runs a single partition inline on the parent probe:
+		// that is serial work, not a parallel region.
+		return shards, 0
+	}
 	return shards, probe.Instrs() - instrsBefore
 }
 
 // beginShard starts partition pi's private shard graph in sg, the
-// partition's recycled slot: it collects the foreign-leaf set, empties
-// sg, resets the shard's literal map and maps the constant and the
-// placeholder inputs (ascending original-variable order). The graph is
-// sized for the leaves and, per owned node, its structural copy plus
-// one realization per cut tried (the losing realizations stay in the
-// shard as dead nodes until the final sweep).
+// partition's recycled slot: it empties sg, resets the shard's literal
+// map, maps the constant and returns the foreign-leaf set, which it
+// maps to placeholder inputs (ascending original-variable order). The
+// only partition of a graph has no foreign leaves: its shard maps the
+// primary inputs themselves, in order and by name, so that it is the
+// pass's result as built. The graph is sized for the inputs and, per
+// owned node, its structural copy plus one realization per cut tried
+// (the losing realizations stay in the shard as dead nodes until the
+// final sweep).
 // The caller rebuilds the partition's owned nodes through sc.o2n and
 // then compacts the result with ownedLits.
 func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, sc *shardScratch, sg *aig.Graph) []int32 {
-	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, &sc.mark)
-	sg.Reset(g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 	sc.o2n.reset(g.NumVars())
 	sc.o2n.set(0, aig.False)
+	if cp.NumParts() == 1 {
+		sg.Reset(g.Name, g.NumInputs(), (1+tryCuts)*len(cp.Parts[pi].Nodes))
+		for i, v := range g.InputVars() {
+			sc.o2n.set(v, sg.AddInput(g.InputName(i)))
+		}
+		return nil
+	}
+	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, &sc.mark)
+	sg.Reset(g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 	for _, lv := range leafVars {
 		sc.o2n.set(int(lv), sg.AddInput(""))
 	}

@@ -290,8 +290,9 @@ func randAIG(seed int64, inputs, andsPerOutput, outputs int) *aig.Graph {
 // property behind the parallel rewrite: for seeded random AIGs and
 // every standard recipe, each pass's output is SimEquiv to its input.
 // This catches miscompiles the bit-identity determinism tests cannot —
-// the partitioned path is allowed to differ *structurally* from the
-// single-strash serial path, but never *functionally*.
+// each partition's shard measures realization cost against its own
+// strash table, so the partitioning may change a pass's structure, but
+// never its function.
 func TestRecipePassesSimEquivOnRandomAIGs(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randAIG(seed, 12, 70, 8)
@@ -347,15 +348,22 @@ func TestUsableCutGuard(t *testing.T) {
 
 // TestRebuildSkipsSelfCuts injects cut lists containing only each
 // node's trivial self cut — the case the dead guard was meant for. The
-// rebuild must skip them all (a self cut would read old2new[v] before
-// it is written) and fall back to the structural copy.
+// rebuild of the whole graph as one partition must skip them all (a
+// self cut would read old2new[v] before it is written) and fall back to
+// the structural copy.
 func TestRebuildSkipsSelfCuts(t *testing.T) {
 	g := designs.MustBenchmark("int2float", 0.12)
 	ce := &cutEnum{g: g, k: 4, maxCuts: 1, cuts: make([][]Cut, g.NumVars())}
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
 		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
 	})
-	ng := rebuildSerial(g, nil, ce, 4, 2, brRewriteGain, new(runScratch))
+	cp := g.PartitionCones(g.NumAnds() + 1)
+	if cp.NumParts() != 1 {
+		t.Fatalf("precondition: %d partitions, want 1", cp.NumParts())
+	}
+	rs := new(runScratch)
+	sb := rebuildPartition(g, cp, 0, ce, 4, 2, brRewriteGain, &rs.shards[0], aig.New(""), nil)
+	ng := mergeShards(g, cp, []shardBuild{sb}, nil, rs)
 	if !aig.SimEquiv(g, ng, 7, 12) {
 		t.Fatal("self-cut-only rebuild changed function")
 	}
