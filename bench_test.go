@@ -353,9 +353,19 @@ func BenchmarkMCKPSolver(b *testing.B) {
 	}
 }
 
+// anyMachinePlan is the greedy first-fit placement as job data: every
+// stage queues for the zero type, i.e. whichever instance frees first.
+func anyMachinePlan() flow.StagePlan {
+	plan := flow.StagePlan{}
+	for _, k := range flow.JobKinds() {
+		plan[k] = cloud.InstanceType{}
+	}
+	return plan
+}
+
 // BenchmarkFleetThroughput is the smoke benchmark of the fleet
 // scheduler: a batch of flows contending for a bounded instance pool
-// under the greedy first-fit policy, stages placed one machine at a
+// on any-machine plans (greedy first fit), stages placed one machine at a
 // time. It prints jobs/sec, the simulated fleet utilization and the
 // core count so CI runs are self-describing; placements are identical
 // for any worker count (see flow's fleet determinism test).
@@ -370,7 +380,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		g := designs.MustEvalDesign(name, benchScale)
 		jobs = append(jobs, flow.Job{
 			Name: fmt.Sprintf("%s#%d", name, i), Design: g, Lib: benchLib,
-			Instance: nominal, WorkScale: 2e4,
+			Instance: nominal, Plan: anyMachinePlan(), WorkScale: 2e4,
 		})
 	}
 	for i := 0; i < b.N; i++ {
@@ -378,7 +388,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sched := &flow.Scheduler{Fleet: fleet, Policy: flow.FirstFit{}}
+		sched := &flow.Scheduler{Fleet: fleet}
 		start := time.Now()
 		res, err := sched.Run(context.Background(), jobs)
 		if err != nil {
@@ -423,7 +433,7 @@ func BenchmarkSpotRecovery(b *testing.B) {
 		g := designs.MustEvalDesign(name, benchScale)
 		jobs = append(jobs, flow.Job{
 			Name: fmt.Sprintf("%s#%d", name, i), Design: g, Lib: benchLib,
-			Instance: spot, WorkScale: 2e4, Retry: retry,
+			Instance: spot, Plan: anyMachinePlan(), WorkScale: 2e4, Retry: retry,
 		})
 	}
 	for i := 0; i < b.N; i++ {
@@ -432,7 +442,7 @@ func BenchmarkSpotRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		fleet.Revocation = cloud.NewRevocationModel(17, cloud.UniformSpotHazards(catalog, 12))
-		sched := &flow.Scheduler{Fleet: fleet, Policy: flow.FirstFit{}}
+		sched := &flow.Scheduler{Fleet: fleet}
 		start := time.Now()
 		res, err := sched.Run(context.Background(), jobs)
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,7 +113,10 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // plan, a -deadline that is not a whole number of seconds below 2^53
 // (0.5 truncated to no deadline; 1e300 died after characterization).
 // An unknown -stages name or -policy is refused before the design is
-// built too (both used to print the design's stats first).
+// built too (both used to print the design's stats first). Without
+// -fleet, -policy firstfit or plan, -deadline, -minbill and
+// -escalate-after are refused by name (each used to run the local flow
+// to exit 0 and ignore the flag).
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -157,17 +161,23 @@ func TestBatchBelowOneRefused(t *testing.T) {
 			}
 		}
 	}
+	fleet := []string{"-fleet", "gp.1x=1,mem.1x=1"}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-policy", "firstfit", "-hier", "-hier-grain", "-5"}, "at least 1 AND node"},
-		{[]string{"-policy", "plan", "-deadline", "0.5"}, "whole number of seconds"},
-		{[]string{"-policy", "plan", "-deadline", "1e300"}, "whole number of seconds"},
-		{[]string{"-stages", "synthesis,bogus"}, `unknown stage "bogus"`},
-		{[]string{"-policy", "bogus"}, `unknown policy "bogus"`},
+		{slices.Concat(fleet, []string{"-policy", "firstfit", "-hier", "-hier-grain", "-5"}), "at least 1 AND node"},
+		{slices.Concat(fleet, []string{"-policy", "plan", "-deadline", "0.5"}), "whole number of seconds"},
+		{slices.Concat(fleet, []string{"-policy", "plan", "-deadline", "1e300"}), "whole number of seconds"},
+		{slices.Concat(fleet, []string{"-stages", "synthesis,bogus"}), `unknown stage "bogus"`},
+		{slices.Concat(fleet, []string{"-policy", "bogus"}), `unknown policy "bogus"`},
+		{[]string{"-stages", "synthesis", "-policy", "firstfit"}, "-policy firstfit needs -fleet"},
+		{[]string{"-stages", "synthesis", "-policy", "plan"}, "-policy plan needs -fleet"},
+		{[]string{"-stages", "synthesis", "-deadline", "5"}, "-deadline needs -fleet"},
+		{[]string{"-stages", "synthesis", "-minbill", "60"}, "-minbill needs -fleet"},
+		{[]string{"-stages", "synthesis", "-escalate-after", "2"}, "-escalate-after needs -fleet"},
 	} {
-		args := append([]string{"-design", "ibex", "-scale", "0.02", "-fleet", "gp.1x=1,mem.1x=1"}, tc.args...)
+		args := append([]string{"-design", "ibex", "-scale", "0.02"}, tc.args...)
 		msg := clitest.RunFail(t, bin, args...)
 		if !strings.Contains(msg, tc.want) {
 			t.Errorf("%v: stderr %q does not name the rule", tc.args, msg)

@@ -68,7 +68,7 @@ var (
 	workers       = flag.Int("workers", 0, "worker-pool bound for every stage (0 = all cores; results identical)")
 	fleetSpec     = flag.String("fleet", "", "schedule a batch over this bounded fleet (name=count,...) instead of one local run")
 	batch         = flag.Int("batch", 4, "number of flow copies in the -fleet batch")
-	instName      = flag.String("instance", "mem.4x", "instance type each batch job nominally rents (single policy)")
+	instName      = flag.String("instance", "mem.4x", "instance type each -fleet batch job rents under -policy single; firstfit jobs size their probes from it")
 	policyName    = flag.String("policy", "single", "fleet placement policy: single (job keeps one machine), firstfit (greedy any-machine, per stage), or plan (co-optimized stage plans, the remaining stages re-planned in-table when queueing eats a job's slack; needs -design)")
 	minBill       = flag.Float64("minbill", 0, "minimum billing granularity in seconds (0 = pure per-second)")
 	deadlineSec   = flag.Float64("deadline", 0, "per-job completion deadline in simulated seconds (0 = none)")
@@ -114,6 +114,10 @@ func main() {
 		cli.Refuse(*fleetSpec == "" && *spot, "-spot needs -fleet: revocations only exist in the fleet simulation"),
 		cli.Refuse(*fleetSpec == "" && *useCache, "-cache needs -fleet: the artifact store dedups across a batch"),
 		cli.Refuse(*fleetSpec == "" && *hier, "-hier needs -fleet: sub-designs are scheduled as fleet jobs"),
+		cli.Refuse(*fleetSpec == "" && *policyName != "single", "-policy %s needs -fleet: placement policies only exist in the fleet simulation", *policyName),
+		cli.Refuse(*fleetSpec == "" && *deadlineSec != 0, "-deadline needs -fleet: deadlines are checked against the fleet schedule"),
+		cli.Refuse(*fleetSpec == "" && *minBill != 0, "-minbill needs -fleet: only fleet leases are billed"),
+		cli.Refuse(*fleetSpec == "" && *escalateAfter != 0, "-escalate-after needs -fleet: only revoked fleet stages escalate"),
 		// The plan path executes through core.ExecuteBatchPlan, which
 		// always runs the full default flow at the default clock: flags
 		// it would silently drop are refused instead.
@@ -242,10 +246,6 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flow
 		if err != nil {
 			cli.Fail(prog, err)
 		}
-		policy := flow.Policy(flow.SingleInstance{})
-		if *policyName == "firstfit" {
-			policy = flow.FirstFit{}
-		}
 		job := flow.Job{
 			Design:      g,
 			Lib:         lib,
@@ -256,6 +256,14 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flow
 			// Extrapolate the reduced-scale simulation to full-flow
 			// magnitudes (the dataset generator's representative factor).
 			WorkScale: 2e4,
+		}
+		if *policyName == "firstfit" {
+			// Every stage queues for the zero type: whichever instance
+			// frees first.
+			job.Plan = flow.StagePlan{}
+			for _, k := range flow.JobKinds() {
+				job.Plan[k] = cloud.InstanceType{}
+			}
 		}
 		var jobs []flow.Job
 		if *hier {
@@ -277,7 +285,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flow
 				jobs = append(jobs, job)
 			}
 		}
-		if sched, err = (&flow.Scheduler{Workers: *workers, Fleet: fleet, Policy: policy, Cache: store}).Run(nil, jobs); err != nil {
+		if sched, err = (&flow.Scheduler{Workers: *workers, Fleet: fleet, Cache: store}).Run(nil, jobs); err != nil {
 			cli.Fail(prog, err)
 		}
 	case "plan":
@@ -285,17 +293,18 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flow
 		perJobDeadlines = true
 	}
 
+	label := map[string]string{"single": "single-instance", "firstfit": "first-fit", "plan": "plan"}[*policyName]
 	batchDesc := fmt.Sprintf("%d x %s", *batch, g.Name)
 	if hb != nil {
 		batchDesc = fmt.Sprintf("%s split into %d sub-designs", g.Name, len(hb.Jobs))
 	}
 	if *spot {
 		fmt.Printf("Fleet batch: %s on %s (policy %s, hazard %.0f/h, seed %d)\n\n",
-			batchDesc, fleet, sched.Policy, *hazardRate, *hazardSeed)
+			batchDesc, fleet, label, *hazardRate, *hazardSeed)
 		fmt.Printf("%-12s %9s %9s %9s %9s %10s %6s %9s %9s\n",
 			"job", "start", "busy", "wait", "finish", "cost ($)", "revs", "lost", "deadline")
 	} else {
-		fmt.Printf("Fleet batch: %s on %s (policy %s)\n\n", batchDesc, fleet, sched.Policy)
+		fmt.Printf("Fleet batch: %s on %s (policy %s)\n\n", batchDesc, fleet, label)
 		fmt.Printf("%-12s %9s %9s %9s %9s %10s %9s\n",
 			"job", "start", "busy", "wait", "finish", "cost ($)", "deadline")
 	}
@@ -380,7 +389,7 @@ func runFleetBatch(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, flow
 
 // runPlanBatch characterizes the design, co-optimizes the batch's
 // stage plans against the fleet, prints them, and executes the batch
-// under flow.PlanPolicy — each job carrying its choice table so a
+// on those plans — each job carrying its choice table so a
 // queue-starved job's remaining stages are re-planned at placement
 // time. The fleet is mutated with the run's leases for the ledger.
 func runPlanBatch(lib *techlib.Library, catalog *cloud.Catalog, fleet *cloud.Fleet, recipe synth.Recipe, store *cache.Store) *flow.Schedule {

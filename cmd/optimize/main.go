@@ -165,8 +165,8 @@ func main() {
 }
 
 // executePlan is the run-the-plan mode: optimize a deployment under
-// the deadline, then execute it stage by stage over a fleet with
-// flow.PlanPolicy, validating the knapsack's per-stage predictions
+// the deadline, then execute it stage by stage over a fleet as the
+// job's flow.Job.Plan, validating the knapsack's per-stage predictions
 // against the simulated schedule.
 func executePlan(lib *techlib.Library, catalog *cloud.Catalog, design string, opts core.CharacterizeOptions, deadline int, fleetSpec string) {
 	ds, err := cli.Designs(lib, []string{design}, opts, catalog)
@@ -199,8 +199,8 @@ func executePlan(lib *techlib.Library, catalog *cloud.Catalog, design string, op
 		cli.Fail(prog, j.Err)
 	}
 
-	fmt.Printf("Plan execution: %s under a %ds deadline (policy %s, fleet %s)\n\n",
-		design, deadline, sched.Policy, sched.Fleet)
+	fmt.Printf("Plan execution: %s under a %ds deadline (policy plan, fleet %s)\n\n",
+		design, deadline, sched.Fleet)
 	fmt.Printf("%-12s %-10s %12s %12s %14s %14s\n",
 		"stage", "instance", "predicted", "simulated", "pred cost ($)", "sim cost ($)")
 	for _, st := range j.Stages {

@@ -162,7 +162,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err = (&flow.Scheduler{Fleet: bounded, Policy: flow.SingleInstance{}}).Run(context.Background(), jobs)
+	sched, err = (&flow.Scheduler{Fleet: bounded}).Run(context.Background(), jobs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,8 +105,8 @@ type BatchPlan struct {
 	// Forecast is the exact contention-aware prediction: the flow
 	// scheduler's placement engine replayed over the plans' predicted
 	// stage runtimes on a clone of the fleet. Its per-job start, wait
-	// and finish times and bills are what a real PlanPolicy execution
-	// reproduces.
+	// and finish times and bills are what a real execution of the
+	// plans reproduces.
 	Forecast *flow.Schedule
 	// TotalCost sums the plans' predicted bills (queueing never changes
 	// a per-second bill).
@@ -142,8 +142,8 @@ func (prob *DeploymentProblem) Restrict(fleet *cloud.Fleet) (*DeploymentProblem,
 }
 
 // StageChoices exports the problem's choice tables in the flow
-// scheduler's executable form — the table flow.PlanPolicy re-plans a
-// deadlined job from at placement time.
+// scheduler's executable form — the table the scheduler re-plans a
+// planned, deadlined job from at placement time.
 func (prob *DeploymentProblem) StageChoices() flow.StageChoices {
 	out := flow.StageChoices{}
 	for _, stage := range prob.Stages {
@@ -327,10 +327,11 @@ func SlackDeadlines(specs []BatchJobSpec, fleet *cloud.Fleet, slack float64) (*B
 }
 
 // ExecuteBatchPlan replays a batch plan on the fleet scheduler: every
-// job's flow regenerated at the characterization's scale, each stage
-// placed on its plan-chosen instance type under flow.PlanPolicy. With
-// adaptive true the jobs carry their choice tables, so the scheduler
-// re-plans a job's remaining stages when queueing eats its slack;
+// job's flow regenerated at the characterization's scale and carrying
+// its plan as flow.Job.Plan, so each stage is placed on its
+// plan-chosen instance type. With adaptive true the jobs carry their
+// choice tables, so the scheduler re-plans a job's remaining stages
+// when queueing eats its slack;
 // without them the plan runs verbatim and the schedule must match the
 // plan's Forecast exactly. opts must carry the same Scale/Recipe the
 // characterizations ran with. The given fleet is mutated with the
@@ -373,6 +374,6 @@ func ExecuteBatchPlan(lib *techlib.Library, specs []BatchJobSpec, bp *BatchPlan,
 			jobs[i].Choices = bp.Problems[i].StageChoices()
 		}
 	}
-	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Policy: flow.PlanPolicy{}, Cache: bp.Options.Cache}
+	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Cache: bp.Options.Cache}
 	return sched.Run(nil, jobs)
 }

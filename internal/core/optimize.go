@@ -66,8 +66,8 @@ func (p *Plan) Pick(k flow.JobKind) (StageChoice, error) {
 	return StageChoice{}, fmt.Errorf("core: plan has no pick for stage %s", k)
 }
 
-// StagePlan converts the plan into the executable form the flow
-// scheduler's PlanPolicy consumes: one instance type per stage.
+// StagePlan converts the plan into the executable form a flow job
+// carries as its Job.Plan: one instance type per stage.
 func (p *Plan) StagePlan() (flow.StagePlan, error) {
 	if !p.Feasible {
 		return nil, fmt.Errorf("core: infeasible plan has no stage assignment")
@@ -119,7 +119,7 @@ func ExecutePlan(lib *techlib.Library, char *DesignCharacterization, plan *Plan,
 	if err != nil {
 		return nil, err
 	}
-	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet, Policy: flow.PlanPolicy{}}
+	sched := &flow.Scheduler{Workers: opts.Workers, Fleet: fleet}
 	return sched.Run(nil, []flow.Job{{
 		Name:      char.Design,
 		Design:    g,

@@ -329,7 +329,6 @@ func (e *explorer) cheapRung(round int, trials []*Trial) error {
 	sched := &flow.Scheduler{
 		Workers: e.cfg.Workers,
 		Fleet:   e.cfg.Fleet.Clone(),
-		Policy:  flow.PlanPolicy{},
 		Cache:   e.cfg.Store,
 	}
 	run, err := sched.Run(nil, jobs)

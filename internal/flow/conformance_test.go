@@ -10,21 +10,23 @@ import (
 	"edacloud/internal/designs"
 )
 
-// This file is the policy conformance suite: table-driven invariants
-// every flow.Policy must satisfy, run through one shared harness so a
-// future policy gets coverage by adding a single table entry. The
-// invariants are the scheduler's load-bearing promises — a fleet
-// instance never runs two leases at once, jobs are served FIFO within
-// an instance type, the fleet ledger and the per-job bills agree, and
-// the schedule is bit-identical at any worker count.
+// This file is the placement conformance suite: table-driven
+// invariants every batch must satisfy whatever its jobs' data asks for
+// — held machines (no Plan), any-machine plans (zero types), typed and
+// re-planned plans, and a mix of all three on one fleet — run through
+// one shared harness so a new configuration gets coverage by adding a
+// single table entry. The invariants are the scheduler's load-bearing
+// promises — each job is placed as its data says, a fleet instance
+// never runs two leases at once, jobs are served FIFO within an
+// instance type, the fleet ledger and the per-job bills agree, and the
+// schedule is bit-identical at any worker count.
 
-// conformanceCase is one policy under test: how to build its jobs and
+// conformanceCase is one batch under test: how to build its jobs and
 // the fleet they contend for. Spot cases additionally seed a
 // deterministic revocation model and a retry policy, and run the
 // checkpoint/escalation invariants on top of the shared ones.
 type conformanceCase struct {
 	name      string
-	policy    Policy
 	fleetSpec string
 	minBill   float64
 	// spot builds the fleet on a spot-discounted catalog and arms the
@@ -41,7 +43,7 @@ type conformanceCase struct {
 }
 
 // conformancePlan builds the shared stage plan and choice table the
-// plan-driven policies run under: cheap planned types with faster
+// planned jobs run under: cheap planned types with faster
 // upgrade candidates, deliberately contended on a small fleet.
 func conformancePlan(t *testing.T) (StagePlan, StageChoices) {
 	t.Helper()
@@ -109,10 +111,14 @@ func conformanceCases() []conformanceCase {
 		}
 		return jobs
 	}
+	anyJobs := func(t *testing.T) []Job {
+		return withPlan(fleetJobs(t, 5), anyMachinePlan())
+	}
 	hierJobs := func(t *testing.T) []Job {
 		hb, err := Hierarchical(Job{
 			Design:    designs.MustEvalDesign("aes", testScale),
 			Lib:       lib,
+			Plan:      anyMachinePlan(),
 			WorkScale: 2e4,
 		}, 500)
 		if err != nil {
@@ -120,37 +126,47 @@ func conformanceCases() []conformanceCase {
 		}
 		return hb.Jobs
 	}
+	// mixedJobs puts all three placement modes on one fleet: held
+	// mem.4x jobs, any-machine jobs and deadline-pressed planned jobs
+	// that re-plan, in interleaved job order.
+	mixedJobs := func(t *testing.T) []Job {
+		held, planned := singleJobs(t), planJobs(120)(t)
+		anyMachine := withPlan(fleetJobs(t, 2), anyMachinePlan())
+		return []Job{held[0], anyMachine[0], planned[0], held[1], anyMachine[1], planned[1]}
+	}
 	return []conformanceCase{
-		{name: "single-instance", policy: SingleInstance{}, fleetSpec: "mem.4x=2", jobs: singleJobs},
+		{name: "single-instance", fleetSpec: "mem.4x=2", jobs: singleJobs},
 		// Hierarchical batches are plain jobs — one huge design's cone
 		// partitions contending for the fleet must satisfy every
 		// scheduler invariant unchanged.
-		{name: "hierarchical-first-fit", policy: FirstFit{}, fleetSpec: "gp.4x=1,mem.4x=1,cpu.2x=1", jobs: hierJobs},
-		{name: "single-instance-minbill", policy: SingleInstance{}, fleetSpec: "mem.4x=2", minBill: 60, jobs: singleJobs},
-		{name: "first-fit", policy: FirstFit{}, fleetSpec: "gp.4x=1,mem.4x=1,cpu.2x=1", jobs: func(t *testing.T) []Job {
-			return fleetJobs(t, 5)
-		}},
-		{name: "plan", policy: PlanPolicy{}, fleetSpec: "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1", jobs: planJobs(0)},
+		{name: "hierarchical-first-fit", fleetSpec: "gp.4x=1,mem.4x=1,cpu.2x=1", jobs: hierJobs},
+		{name: "single-instance-minbill", fleetSpec: "mem.4x=2", minBill: 60, jobs: singleJobs},
+		{name: "first-fit", fleetSpec: "gp.4x=1,mem.4x=1,cpu.2x=1", jobs: anyJobs},
+		{name: "plan", fleetSpec: "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1", jobs: planJobs(0)},
 		// A tight deadline on jobs that carry their choice tables forces
 		// the placement-time re-plan (current + remaining stages together),
 		// so the invariants cover off-plan execution, not just plan replay.
-		{name: "adaptive", policy: PlanPolicy{}, fleetSpec: "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1", jobs: planJobs(120)},
+		{name: "adaptive", fleetSpec: "gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1", jobs: planJobs(120)},
+		// Held, any-machine and re-planning jobs contend for one fleet:
+		// any-machine stages take the typed jobs' instances and the
+		// typed jobs queue behind them.
+		{name: "mixed", fleetSpec: "mem.4x=1,gp.1x=1,gp.8x=1,mem.1x=1,mem.8x=1", jobs: mixedJobs},
 		// Spot cases: the same invariants must survive seeded
 		// revocations, plus the checkpoint-recovery and escalation ones.
-		{name: "spot-first-fit", policy: FirstFit{}, spot: true,
+		{name: "spot-first-fit", spot: true,
 			fleetSpec:  "gp.4x.spot=1,mem.4x.spot=1,cpu.2x.spot=1",
 			hazardSeed: 7, hazardRate: 30,
 			retry: RetryPolicy{MaxAttempts: 200, BackoffSec: 20},
-			jobs:  func(t *testing.T) []Job { return fleetJobs(t, 5) }},
-		{name: "spot-single-instance", policy: SingleInstance{}, spot: true,
+			jobs:  anyJobs},
+		{name: "spot-single-instance", spot: true,
 			fleetSpec:  "mem.4x.spot=2",
 			hazardSeed: 11, hazardRate: 30,
 			retry: RetryPolicy{MaxAttempts: 200, BackoffSec: 20},
 			jobs:  spotSingleJobs},
 		// Escalation is type-driven (the request's spot type names its
-		// on-demand counterpart), so it needs a typed policy: jobs pinned
-		// to mem.4x.spot with one mem.4x machine to escalate onto.
-		{name: "spot-escalation", policy: SingleInstance{}, spot: true,
+		// on-demand counterpart), so it needs typed requests: jobs held
+		// on mem.4x.spot with one mem.4x machine to escalate onto.
+		{name: "spot-escalation", spot: true,
 			fleetSpec:  "mem.4x.spot=2,mem.4x=1",
 			hazardSeed: 11, hazardRate: 60,
 			retry:          RetryPolicy{MaxAttempts: 10, BackoffSec: 10, EscalateAfter: 1},
@@ -159,8 +175,8 @@ func conformanceCases() []conformanceCase {
 	}
 }
 
-// TestPolicyConformance runs every policy through the shared invariant
-// harness.
+// TestPolicyConformance runs every placement configuration through the
+// shared invariant harness.
 func TestPolicyConformance(t *testing.T) {
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,7 +204,7 @@ func TestPolicyConformance(t *testing.T) {
 
 			run := func(workers int) *Schedule {
 				f := fleet.Clone()
-				sched, err := (&Scheduler{Workers: workers, Fleet: f, Policy: tc.policy}).Run(context.Background(), jobs)
+				sched, err := (&Scheduler{Workers: workers, Fleet: f}).Run(context.Background(), jobs)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -201,8 +217,9 @@ func TestPolicyConformance(t *testing.T) {
 			}
 
 			want := run(1)
+			checkPlacementRule(t, want, jobs)
 			checkNoLeaseOverlap(t, want)
-			checkFIFOReadyOrder(t, want, tc.policy)
+			checkFIFOReadyOrder(t, want, jobs)
 			checkLedgerConsistency(t, want)
 			checkIdenticalSchedules(t, want, run)
 			if tc.hazardRate > 0 {
@@ -336,11 +353,42 @@ func checkNoLeaseOverlap(t *testing.T, sched *Schedule) {
 	}
 }
 
+// checkPlacementRule: each job is placed as its data says. A job
+// without a Plan runs every stage on its Instance type (or that type's
+// on-demand counterpart once escalated) and stays on one machine until
+// a revocation takes it away. A planned stage runs on its plan entry,
+// the entry's on-demand counterpart or a re-plan pick from the job's
+// choice table; a zero entry runs anywhere.
+func checkPlacementRule(t *testing.T, sched *Schedule, jobs []Job) {
+	t.Helper()
+	for i, j := range sched.Jobs {
+		job := &jobs[i]
+		for s, st := range j.Stages {
+			if len(job.Plan) == 0 {
+				if st.Type.Name != job.Instance.Name && st.Type.Name != job.Instance.OnDemand {
+					t.Fatalf("held job %s ran %s on %s, not its instance %s", j.Name, st.Kind, st.Type.Name, job.Instance.Name)
+				}
+				if s > 0 && !j.Stages[s-1].Revoked && st.Instance != j.Stages[s-1].Instance {
+					t.Fatalf("held job %s moved from %s to %s at %s", j.Name, j.Stages[s-1].Instance, st.Instance, st.Kind)
+				}
+				continue
+			}
+			want := job.Plan[st.Kind]
+			if want.Name == "" || st.Type.Name == want.Name || st.Type.Name == want.OnDemand {
+				continue
+			}
+			if _, ok := job.Choices.Option(st.Kind, st.Type.Name); !ok {
+				t.Fatalf("planned job %s ran %s on %s: neither its plan entry %s nor a choice", j.Name, st.Kind, st.Type.Name, want.Name)
+			}
+		}
+	}
+}
+
 // checkFIFOReadyOrder: among placements queueing for the same instance
-// type (or for any machine, under an untyped policy), a stage that
-// became ready strictly earlier never starts later. Holding policies
-// acquire once per job, so only their first stage is an acquisition.
-func checkFIFOReadyOrder(t *testing.T, sched *Schedule, policy Policy) {
+// type (or for any machine, for a zero plan entry), a stage that became
+// ready strictly earlier never starts later. A job without a Plan
+// acquires once, so only its first stage is an acquisition.
+func checkFIFOReadyOrder(t *testing.T, sched *Schedule, jobs []Job) {
 	t.Helper()
 	type acquisition struct {
 		job, stage string
@@ -349,17 +397,14 @@ func checkFIFOReadyOrder(t *testing.T, sched *Schedule, policy Policy) {
 		start      float64
 	}
 	var acqs []acquisition
-	untyped := false
-	if _, ok := policy.(FirstFit); ok {
-		untyped = true
-	}
-	for _, j := range sched.Jobs {
+	for i, j := range sched.Jobs {
+		held := len(jobs[i].Plan) == 0
 		for s, st := range j.Stages {
-			if !policy.ReInstance() && s > 0 {
+			if held && s > 0 {
 				continue // held machine: no queueing after the first stage
 			}
 			key := st.Type.Name
-			if untyped {
+			if !held && jobs[i].Plan[st.Kind].Name == "" {
 				key = ""
 			}
 			acqs = append(acqs, acquisition{
@@ -469,7 +514,7 @@ func TestAdaptiveConformanceUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := tc.jobs(t)
-	sched, err := (&Scheduler{Fleet: fleet, Policy: tc.policy}).Run(context.Background(), jobs)
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edacloud/internal/cloud"
@@ -17,6 +18,24 @@ func boundedFleet(t *testing.T, spec string) *cloud.Fleet {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// anyMachinePlan is the greedy first-fit baseline as job data: every
+// stage asks for the zero type, i.e. whichever instance frees first.
+func anyMachinePlan() StagePlan {
+	plan := StagePlan{}
+	for _, k := range JobKinds() {
+		plan[k] = cloud.InstanceType{}
+	}
+	return plan
+}
+
+// withPlan gives every job the plan and returns the jobs.
+func withPlan(jobs []Job, plan StagePlan) []Job {
+	for i := range jobs {
+		jobs[i].Plan = plan
+	}
+	return jobs
 }
 
 func fleetJobs(t *testing.T, n int) []Job {
@@ -36,14 +55,14 @@ func fleetJobs(t *testing.T, n int) []Job {
 }
 
 // TestFleetSchedulerDeterministicAcrossWorkers: with jobs contending
-// for a bounded fleet under the greedy first-fit policy, every
+// for a bounded fleet on any-machine plans (greedy first fit), every
 // placement — stage instances, start times, waits, bills — must be
 // bit-identical at any worker count.
 func TestFleetSchedulerDeterministicAcrossWorkers(t *testing.T) {
-	jobs := fleetJobs(t, 5)
+	jobs := withPlan(fleetJobs(t, 5), anyMachinePlan())
 	run := func(workers int) *Schedule {
 		fleet := boundedFleet(t, "gp.4x=1,mem.8x=1,cpu.2x=1")
-		sched, err := (&Scheduler{Workers: workers, Fleet: fleet, Policy: FirstFit{}}).Run(context.Background(), jobs)
+		sched, err := (&Scheduler{Workers: workers, Fleet: fleet}).Run(context.Background(), jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -104,7 +123,7 @@ func TestBoundedFleetQueueingFIFO(t *testing.T) {
 		jobs[i].Instance = inst
 	}
 	fleet := cloud.NewFleet(cloud.FleetEntry{Type: inst, Count: 1})
-	sched, err := (&Scheduler{Fleet: fleet, Policy: SingleInstance{}}).Run(context.Background(), jobs)
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +181,7 @@ func TestPlanPolicyReInstancesBetweenStages(t *testing.T) {
 	job := fleetJobs(t, 1)[0]
 	job.Plan = plan
 	fleet := boundedFleet(t, "gp.1x,gp.2x,mem.4x,mem.8x")
-	sched, err := (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), []Job{job})
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), []Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +225,10 @@ func TestPlanPolicyReInstancesBetweenStages(t *testing.T) {
 	}
 }
 
-// TestFleetSchedulerErrors: stage-level policies demand a fleet,
-// missing plan entries and unsatisfiable instance requests fail the
-// job (not the batch), and the failure bookkeeping holds.
+// TestFleetSchedulerErrors: a plan missing an entry for a stage that
+// runs and an unsatisfiable instance request fail the job (not the
+// batch), and the failure bookkeeping holds.
 func TestFleetSchedulerErrors(t *testing.T) {
-	if _, err := (&Scheduler{Policy: PlanPolicy{}}).Run(context.Background(), fleetJobs(t, 1)); err == nil {
-		t.Fatal("plan policy without a fleet accepted")
-	}
-
 	catalog := cloud.DefaultCatalog()
 	cpu8, err := catalog.ByName("cpu.8x")
 	if err != nil {
@@ -224,17 +239,25 @@ func TestFleetSchedulerErrors(t *testing.T) {
 	for _, k := range JobKinds() {
 		good.Plan[k] = cpu8
 	}
-	noPlan := fleetJobs(t, 1)[0] // no Plan: PlanPolicy must reject it
-	wrongFleet := good           // plan wants cpu.8x, fleet below has none for it? (it does; see bad job)
+	partial := fleetJobs(t, 1)[0]
+	partial.Plan = StagePlan{}
+	for k, it := range good.Plan {
+		if k != JobRouting {
+			partial.Plan[k] = it
+		}
+	}
 
 	fleet := boundedFleet(t, "cpu.8x=1")
 	idle := fleet.Clone()
-	sched, err := (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), []Job{good, noPlan, wrongFleet})
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), []Job{good, partial, good})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sched.Failed != 1 || sched.Jobs[1].Err == nil || sched.Jobs[0].Err != nil || sched.Jobs[2].Err != nil {
 		t.Fatalf("failure bookkeeping wrong: failed=%d", sched.Failed)
+	}
+	if msg := sched.Jobs[1].Err.Error(); !strings.Contains(msg, "no plan entry for stage "+JobRouting.String()) {
+		t.Fatalf("partial plan failed with %q, want the missing routing entry named", msg)
 	}
 
 	// A plan naming a type absent from the fleet fails at placement.
@@ -248,11 +271,33 @@ func TestFleetSchedulerErrors(t *testing.T) {
 		bad.Plan[k] = cpu8
 	}
 	bad.Plan[JobRouting] = gp1
-	sched, err = (&Scheduler{Fleet: idle, Policy: PlanPolicy{}}).Run(context.Background(), []Job{bad})
+	sched, err = (&Scheduler{Fleet: idle}).Run(context.Background(), []Job{bad})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sched.Failed != 1 || sched.Jobs[0].Err == nil {
 		t.Fatalf("unsatisfiable request not failed: %+v", sched.Jobs[0].Err)
+	}
+}
+
+// TestNilFleetRefusesPlannedJob: the pool a nil Fleet builds holds one
+// machine per job for the whole flow, so a batch in which one job
+// carries a Plan — and would re-instance between stages — is refused
+// before any pipeline runs, naming the job. The same batch without the
+// plan runs.
+func TestNilFleetRefusesPlannedJob(t *testing.T) {
+	jobs := fleetJobs(t, 2)
+	jobs[1].Plan = anyMachinePlan()
+	if _, err := (&Scheduler{}).Run(context.Background(), jobs); err == nil ||
+		!strings.Contains(err.Error(), jobs[1].Name) {
+		t.Fatalf("nil fleet with a planned job: err %v, want a refusal naming %q", err, jobs[1].Name)
+	}
+	jobs[1].Plan = nil
+	sched, err := (&Scheduler{}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Failed != 0 {
+		t.Fatalf("%d held jobs failed on the dedicated pool", sched.Failed)
 	}
 }

@@ -48,14 +48,15 @@
 // simulated start times, waits, bills and deadline outcomes are
 // deterministic for any worker count.
 //
-// A Policy decides which instance type each stage queues for:
-// SingleInstance reproduces the historical one-job-one-VM schedule
-// (the default, with a dedicated per-job fleet when Scheduler.Fleet is
-// nil), PlanPolicy executes a deployment optimizer's per-stage machine
-// selection (each job's StagePlan, re-instancing between stages, and
-// re-planning the remaining stages of a job that carries a choice
-// table once queue wait has eaten its deadline slack), and FirstFit is
-// the greedy any-machine baseline. Simulated stage
+// The job's own data decides how it is placed. A job without a Plan
+// holds its Instance under one lease for the whole flow — the
+// historical one-job-one-VM schedule, on a dedicated per-job fleet
+// when Scheduler.Fleet is nil. A job with a Plan executes a deployment
+// optimizer's per-stage machine selection: it re-instances between
+// stages, stage k queueing for Plan[k] (a zero type for any machine,
+// the greedy first-fit baseline), and a job that also carries a choice
+// table and a deadline has its remaining stages re-planned once queue
+// wait has eaten its slack. Simulated stage
 // runtimes come from replaying the flow's perf.Reports through the
 // granted instance's machine model; bills come from the fleet's lease
 // ledger under per-second pricing with optional minimum billing

@@ -13,8 +13,8 @@ import (
 // engine (the same simulate loop, the same fleet Acquire/Book
 // arithmetic, the same FIFO tie-breaks) without running any pipeline.
 // Because the event loop is shared code — not a reimplementation — a
-// forecast agrees bit-for-bit with the schedule a real PlanPolicy run
-// produces whenever the predicted stage runtimes match the executed
+// forecast agrees bit-for-bit with the schedule a real run of planned
+// jobs produces whenever the predicted stage runtimes match the executed
 // ones, which is exactly what TestBatchPlanExecutionMatchesPrediction
 // pins down.
 
@@ -50,7 +50,7 @@ type ForecastJob struct {
 // Forecast replays the fleet scheduler's stage-level placement
 // discipline over predicted stage runtimes: jobs queue FIFO by ready
 // time, each stage takes the earliest-free instance of its requested
-// type (one lease per stage, as under PlanPolicy), and bills follow
+// type (one lease per stage, as for a planned job), and bills follow
 // the fleet's lease ledger. The fleet is mutated with the forecast's
 // leases — pass a cloud.Fleet.Clone to keep the real one pristine.
 // The returned Schedule carries no artifacts (JobResult.Run is nil).
@@ -123,11 +123,11 @@ func (f *Forecaster) Forecast(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate)
 		f.prepared[i] = p
 	}
 	f.runners, f.queue = slices.Grow(f.runners[:0], n), slices.Grow(f.queue[:0], n)
-	simulate(fleet, PlanPolicy{}, f.jobs, f.prepared, false, gate, f.runners, f.queue)
+	simulate(fleet, f.jobs, f.prepared, false, gate, f.runners, f.queue)
 	for i := range f.prepared {
 		if err := f.prepared[i].res.Err; err != nil {
 			return nil, fmt.Errorf("flow: forecast job %q: %w", jobs[i].Name, err)
 		}
 	}
-	return buildSchedule(&f.sched, "forecast", fleet, f.prepared), nil
+	return buildSchedule(&f.sched, fleet, f.prepared), nil
 }

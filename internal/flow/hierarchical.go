@@ -10,9 +10,10 @@ import (
 // sub-design jobs — the hierarchical flow mode that lets a
 // million-gate design exploit design-level parallelism on a bounded
 // fleet instead of saturating one machine. Each cone partition of the
-// parent becomes a standalone aig.SubDesign wrapped in a plain Job, so
-// every scheduler policy, the forecast machinery and the conformance
-// invariants apply to hierarchical batches unchanged.
+// parent becomes a standalone aig.SubDesign wrapped in a plain Job (a
+// copy of the base job, Plan included), so every placement mode, the
+// forecast machinery and the conformance invariants apply to
+// hierarchical batches unchanged.
 type HierarchicalBatch struct {
 	// Design is the parent graph the batch was split from.
 	Design *aig.Graph

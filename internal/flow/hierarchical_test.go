@@ -60,13 +60,14 @@ func TestHierarchicalSplitShape(t *testing.T) {
 // must be bit-identical at workers 1, 2 and 8.
 func TestHierarchicalStitchEquivalent(t *testing.T) {
 	base := hierBase(t)
+	base.Plan = anyMachinePlan()
 	hb, err := Hierarchical(base, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(workers int) *aig.Graph {
 		fleet := boundedFleet(t, "gp.4x=1,mem.8x=1")
-		sched, err := (&Scheduler{Workers: workers, Fleet: fleet, Policy: FirstFit{}}).Run(context.Background(), hb.Jobs)
+		sched, err := (&Scheduler{Workers: workers, Fleet: fleet}).Run(context.Background(), hb.Jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -130,7 +131,7 @@ func TestHierarchicalForecastExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet := boundedFleet(t, "gp.4x=2")
-	sched, err := (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), hb.Jobs)
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), hb.Jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,16 +29,13 @@ type runner struct {
 	stage int
 	// ready is the simulated time the next stage may start.
 	ready float64
-	// held is the fleet instance a non-re-instancing job keeps across
+	// held is the fleet instance a holding job (p.hold) keeps across
 	// stages; -1 before the first acquisition (and after a revocation,
 	// which takes the machine away).
 	held int
 	// pinned forces the first acquisition onto one instance (the
 	// dedicated compatibility fleet); -1 means queue normally.
 	pinned int
-	// reinstance is the job's placement mode, the policy's ReInstance:
-	// true releases the machine between stages.
-	reinstance bool
 	// leases collects (instance, lease) refs for exact final billing.
 	leases [][2]int
 	// attempts and revs count per-stage-index runs and revocations —
@@ -104,7 +101,7 @@ type Gate interface {
 // in the placement fields of each preparedJob's result. A nil gate
 // admits everything. runners and queue are empty with room for every
 // job; a runner's lease list reuses the one the slot last held.
-func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*preparedJob, pinned bool, gate Gate,
+func simulate(fleet *cloud.Fleet, jobs []Job, prepared []*preparedJob, pinned bool, gate Gate,
 	runners []runner, queue []*runner) {
 	for i := range prepared {
 		if prepared[i].res.Err != nil {
@@ -118,9 +115,8 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 		r := &runners[len(runners)-1]
 		*r = runner{
 			p: prepared[i], job: &jobs[i], held: -1, pinned: -1,
-			ready:      prepared[i].readySec,
-			reinstance: policy.ReInstance(),
-			leases:     r.leases[:0],
+			ready:  prepared[i].readySec,
+			leases: r.leases[:0],
 		}
 		if pinned {
 			r.pinned = i
@@ -145,7 +141,7 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 		// remaining stages now keeps the fleet timeline conflict-free.
 		// A revocation breaks the streak — the machine is gone and the
 		// job re-queues FIFO like everyone else.
-		for out == stagePlaced && !r.reinstance && r.stage < len(r.p.kinds) {
+		for out == stagePlaced && r.p.hold && r.stage < len(r.p.kinds) {
 			out = placeNext(fleet, r, gate)
 		}
 		if out == stageFailed || r.stage == len(r.p.kinds) {
@@ -156,11 +152,11 @@ func simulate(fleet *cloud.Fleet, policy Policy, jobs []Job, prepared []*prepare
 }
 
 // placeNext places runner r's next stage on the fleet. A held instance
-// (non-re-instancing policy) extends its existing lease; a
-// re-instancing job queues afresh for every stage. A lease the fleet
-// truncated at a revocation produces stageRevoked: the attempt's
-// survived time is recorded as lost work and the stage re-enters the
-// queue under the job's RetryPolicy.
+// (a job without a Plan) extends its existing lease; a planned job
+// queues afresh for every stage. A lease the fleet truncated at a
+// revocation produces stageRevoked: the attempt's survived time is
+// recorded as lost work and the stage re-enters the queue under the
+// job's RetryPolicy.
 func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 	k := r.p.kinds[r.stage]
 	// A cached stage on a job not holding a machine books no lease at
@@ -212,7 +208,7 @@ func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 			start = r.ready
 		}
 	default:
-		if r.reinstance && req.Name != "" {
+		if !r.p.hold && req.Name != "" {
 			req = replanRequest(fleet, r, k, req)
 		}
 		var err error
@@ -241,7 +237,7 @@ func placeNext(fleet *cloud.Fleet, r *runner, gate Gate) placement {
 		li = fleet.Book(instIdx, r.job.Name, k.String(), start, dur)
 		r.leases = append(r.leases, [2]int{instIdx, li})
 		cost = fleet.Lease(instIdx, li).CostUSD
-		if !r.reinstance {
+		if r.p.hold {
 			r.held = instIdx
 		}
 	}
@@ -346,11 +342,11 @@ func replanOptions(fleet *cloud.Fleet, r *runner, kk JobKind, req cloud.Instance
 	return opts
 }
 
-// replanRequest is the placement-time correction of a plan-executing
-// job that carries a choice table and a deadline (placeNext calls it
-// for every re-instancing stage queueing for a named type; a job
-// without either executes its plan verbatim, which is what keeps
-// Forecast == execution). The planned pick stands while its projected
+// replanRequest is the placement-time correction of a planned job that
+// carries a choice table and a deadline (placeNext calls it for every
+// planned stage queueing for a named type; a job without either
+// executes its plan verbatim, which is what keeps Forecast ==
+// execution). The planned pick stands while its projected
 // finish still meets the deadline; once queue wait has eaten the slack
 // the current AND remaining stages are re-planned jointly — the choice
 // tables' cross product is enumerated for the cheapest combination

@@ -37,7 +37,7 @@ func newReplanScenario(t *testing.T) replanScenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := (&Scheduler{Fleet: probeFleet, Policy: PlanPolicy{}}).Run(context.Background(), probeJobs)
+	probe, err := (&Scheduler{Fleet: probeFleet}).Run(context.Background(), probeJobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func (sc replanScenario) run(t *testing.T, choices StageChoices) JobResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := (&Scheduler{Fleet: fleet, Policy: PlanPolicy{}}).Run(context.Background(), jobs)
+	sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +156,22 @@ func TestReplanTableBeyondBoundKeepsPlan(t *testing.T) {
 	}
 }
 
-// TestOnlyPlanExecutionIsReplanned: FirstFit and SingleInstance jobs
-// may carry Choices — the placement engine prices off-probe types from
-// it — but they are never re-planned: an unmeetable deadline leaves
-// every placement exactly where it is without one.
+// TestOnlyPlanExecutionIsReplanned: any-machine and held jobs may
+// carry Choices — the placement engine prices off-probe types from it
+// — but they are never re-planned: an unmeetable deadline leaves every
+// placement exactly where it is without one.
 func TestOnlyPlanExecutionIsReplanned(t *testing.T) {
 	_, choices := conformancePlan(t)
 	gp1, err := cloud.DefaultCatalog().ByName("gp.1x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []Policy{FirstFit{}, SingleInstance{}} {
+	for _, tc := range []struct {
+		name string
+		plan StagePlan
+	}{{"any-machine", anyMachinePlan()}, {"held", nil}} {
 		run := func(deadline float64) *Schedule {
-			jobs := fleetJobs(t, 3)
+			jobs := withPlan(fleetJobs(t, 3), tc.plan)
 			for i := range jobs {
 				jobs[i].Instance = gp1
 				jobs[i].Choices = choices
@@ -178,7 +181,7 @@ func TestOnlyPlanExecutionIsReplanned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched, err := (&Scheduler{Fleet: fleet, Policy: policy}).Run(context.Background(), jobs)
+			sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,15 +189,15 @@ func TestOnlyPlanExecutionIsReplanned(t *testing.T) {
 		}
 		free, pressed := run(0), run(1)
 		if pressed.DeadlinesMissed != len(pressed.Jobs) {
-			t.Fatalf("%s: a 1 s deadline was met; the case exerts no pressure", policy.Name())
+			t.Fatalf("%s: a 1 s deadline was met; the case exerts no pressure", tc.name)
 		}
 		for i := range free.Jobs {
 			if free.Jobs[i].Err != nil || pressed.Jobs[i].Err != nil {
-				t.Fatalf("%s: job %d: %v / %v", policy.Name(), i, free.Jobs[i].Err, pressed.Jobs[i].Err)
+				t.Fatalf("%s: job %d: %v / %v", tc.name, i, free.Jobs[i].Err, pressed.Jobs[i].Err)
 			}
 			if !reflect.DeepEqual(free.Jobs[i].Stages, pressed.Jobs[i].Stages) {
 				t.Fatalf("%s: job %d placed differently under a deadline:\n%+v\n%+v",
-					policy.Name(), i, free.Jobs[i].Stages, pressed.Jobs[i].Stages)
+					tc.name, i, free.Jobs[i].Stages, pressed.Jobs[i].Stages)
 			}
 		}
 	}

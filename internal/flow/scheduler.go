@@ -14,10 +14,10 @@ import (
 )
 
 // Job is one flow to run against the scheduler's fleet — the unit of
-// the paper's deployment problem. Under the default SingleInstance
-// policy the job rents its Instance for the whole flow; under a
-// stage-level policy each stage queues for its own machine. The zero
-// Instance is a free single-vCPU machine, useful in tests.
+// the paper's deployment problem. A job without a Plan rents its
+// Instance for the whole flow; a job with one queues for a machine per
+// stage. The zero Instance is a free single-vCPU machine, useful in
+// tests.
 type Job struct {
 	// Name labels the job in results and fleet leases.
 	Name string
@@ -30,20 +30,22 @@ type Job struct {
 	// shared context and an instance-sized probe factory, so options
 	// here override both (e.g. WithStages for a partial flow).
 	Options []Option
-	// Instance is the VM the job rents under the SingleInstance policy
-	// (and the probe-sizing fallback when a policy requests "any"
+	// Instance is the VM a job without a Plan rents for its whole flow
+	// (and the probe-sizing fallback for a plan entry that asks for any
 	// machine): its vCPU count and AVX capability drive the simulated
 	// runtime, its price the bill.
 	Instance cloud.InstanceType
-	// Plan maps stages to instance types for the PlanPolicy — the
-	// executable form of a deployment optimizer plan.
+	// Plan maps stages to instance types — the executable form of a
+	// deployment optimizer plan. A job with one releases its machine
+	// between stages; every stage that runs needs an entry.
 	Plan StagePlan
 	// Choices is the optimizer's per-stage choice table in executable
 	// form: the candidate instance types with their predicted runtimes.
-	// Together with DeadlineSec it is what lets PlanPolicy re-plan the
-	// job's remaining stages once queue wait has eaten its slack; under
-	// any policy the placement engine reads it for the runtime of a
-	// stage placed on a type other than the one its probe was sized for.
+	// Together with DeadlineSec it is what lets a planned job's
+	// remaining stages be re-planned once queue wait has eaten its
+	// slack; for any job the placement engine reads it for the runtime
+	// of a stage placed on a type other than the one its probe was
+	// sized for.
 	Choices StageChoices
 	// DeadlineSec is the job's completion deadline in simulated
 	// seconds, measured against FinishSec (queueing included); 0 means
@@ -127,8 +129,6 @@ type JobResult struct {
 // order, so they are identical for any scheduler worker count.
 type Schedule struct {
 	Jobs []JobResult
-	// Policy names the placement policy the schedule ran under.
-	Policy string
 	// Fleet is the instance pool the schedule ran on — the internally
 	// built one-instance-per-job pool when Scheduler.Fleet was nil —
 	// with its lease timelines and cost ledger filled in.
@@ -168,21 +168,18 @@ type Schedule struct {
 // waits, costs and deadlines are deterministic for any worker count.
 //
 // The zero Scheduler reproduces the historical behavior: every job on
-// its own dedicated instance (an unbounded fleet) under the
-// SingleInstance policy.
+// its own dedicated instance (an unbounded fleet), held for the whole
+// flow. Each job's Plan, not the scheduler, decides how it is placed.
 type Scheduler struct {
 	// Workers bounds how many jobs run concurrently on the real host;
 	// 0 means GOMAXPROCS. Results are identical for every value.
 	Workers int
 	// Fleet is the bounded instance pool jobs contend for. nil builds a
 	// dedicated pool with one instance per job (each job's own
-	// Instance), which never queues. A caller-supplied fleet is mutated
-	// with the schedule's leases; pass each run its own Clone.
+	// Instance), which never queues; a batch with a planned job then
+	// fails. A caller-supplied fleet is mutated with the schedule's
+	// leases; pass each run its own Clone.
 	Fleet *cloud.Fleet
-	// Policy decides which instance type each stage queues for; nil
-	// means SingleInstance. Stage-level policies (ReInstance true)
-	// require an explicit Fleet.
-	Policy Policy
 	// Cache is the fleet-wide content-addressed artifact store. When
 	// set, pipelines look stages up under the frozen-store discipline
 	// (Peek only — race-free in the parallel phase) and the scheduler
@@ -194,13 +191,18 @@ type Scheduler struct {
 }
 
 // preparedJob is the phase-1 output for one job: its executed
-// artifacts and reports plus the policy's per-stage instance requests,
-// ready for the placement simulation.
+// artifacts and reports plus its per-stage instance requests, ready
+// for the placement simulation.
 type preparedJob struct {
 	res   JobResult
 	kinds []JobKind
-	// requests holds the policy's instance request for each stage kind.
+	// requests holds the instance request for each stage kind: the
+	// job's Instance when it holds, else its plan entry.
 	requests [numKinds]cloud.InstanceType
+	// hold marks a job without a Plan: it keeps one machine under one
+	// lease for its whole flow. Planned and forecast jobs leave it
+	// false and re-instance between stages.
+	hold bool
 	// seconds, when forecast is set, fixes each stage's simulated
 	// runtime directly instead of replaying a probed report through the
 	// placed machine's model — the forecast path (see Forecast), which
@@ -250,14 +252,12 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) (*Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	policy := s.Policy
-	if policy == nil {
-		policy = SingleInstance{}
-	}
 	fleet := s.Fleet
 	if fleet == nil {
-		if policy.ReInstance() {
-			return nil, fmt.Errorf("flow: policy %s re-instances between stages and needs an explicit Fleet", policy.Name())
+		for i := range jobs {
+			if len(jobs[i].Plan) > 0 {
+				return nil, fmt.Errorf("flow: job %q has a stage plan, re-instances between stages and needs an explicit Fleet", jobs[i].Name)
+			}
 		}
 		entries := make([]cloud.FleetEntry, len(jobs))
 		for i := range jobs {
@@ -271,7 +271,7 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) (*Schedule, error) {
 	// only Peek and record their lookups.
 	pool := par.Fixed(s.Workers)
 	prepared := par.Map(pool, len(jobs), func(i int) *preparedJob {
-		return prepare(ctx, &jobs[i], policy, s.Cache)
+		return prepare(ctx, &jobs[i], s.Cache)
 	})
 
 	// Settle the cache serially in job order: bill hits and misses,
@@ -292,17 +292,17 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) (*Schedule, error) {
 	// i is pinned to instance i, reproducing the historical
 	// one-job-one-instance schedule exactly.
 	pinned := s.Fleet == nil
-	simulate(fleet, policy, jobs, prepared, pinned, nil,
+	simulate(fleet, jobs, prepared, pinned, nil,
 		make([]runner, 0, len(prepared)), make([]*runner, 0, len(prepared)))
 
-	return buildSchedule(&Schedule{}, policy.Name(), fleet, prepared), ctx.Err()
+	return buildSchedule(&Schedule{}, fleet, prepared), ctx.Err()
 }
 
 // buildSchedule folds the placed jobs into sched, reusing its Jobs
 // storage, in job order so every float sum is identical for any worker
 // count. It serves both real runs and forecasts.
-func buildSchedule(sched *Schedule, policyName string, fleet *cloud.Fleet, prepared []*preparedJob) *Schedule {
-	*sched = Schedule{Policy: policyName, Fleet: fleet, Jobs: slices.Grow(sched.Jobs[:0], len(prepared))}
+func buildSchedule(sched *Schedule, fleet *cloud.Fleet, prepared []*preparedJob) *Schedule {
+	*sched = Schedule{Fleet: fleet, Jobs: slices.Grow(sched.Jobs[:0], len(prepared))}
 	for i := range prepared {
 		r := &prepared[i].res
 		sched.Jobs = append(sched.Jobs, *r)
@@ -331,13 +331,13 @@ func buildSchedule(sched *Schedule, policyName string, fleet *cloud.Fleet, prepa
 	return sched
 }
 
-// prepare runs one job's pipeline with per-stage probes sized to the
-// policy's requested instance types, and collects the stage kinds and
+// prepare runs one job's pipeline with per-stage probes sized to its
+// requested instance types, and collects the stage kinds and
 // requests the placement simulation needs. It performs no fleet
 // accounting — everything here is independent per job, which is what
 // lets phase 1 fan out across cores.
-func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *preparedJob {
-	p := &preparedJob{res: JobResult{Name: job.Name, Instance: job.Instance}}
+func prepare(ctx context.Context, job *Job, store *cache.Store) *preparedJob {
+	p := &preparedJob{res: JobResult{Name: job.Name, Instance: job.Instance}, hold: len(job.Plan) == 0}
 	if err := ctx.Err(); err != nil {
 		p.res.Err = err
 		return p
@@ -361,7 +361,7 @@ func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *
 	pipe := NewPipeline(opts...)
 
 	// The pipeline's stage list determines which stages will run;
-	// resolve the policy's per-stage instance requests before running
+	// resolve the per-stage instance requests before running
 	// so each stage's probe is sized to the machine it is destined for
 	// (the probe factory above reads the table lazily). Only the kinds
 	// of JobKinds have a row in it.
@@ -376,9 +376,13 @@ func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *
 			continue
 		}
 		chosen[k] = true
-		it, err := policy.Choose(job, k)
-		if err != nil {
-			p.res.Err = err
+		if p.hold {
+			p.requests[k] = job.Instance
+			continue
+		}
+		it, ok := job.Plan[k]
+		if !ok {
+			p.res.Err = fmt.Errorf("flow: job %q has no plan entry for stage %s", job.Name, k)
 			return p
 		}
 		p.requests[k] = it
@@ -401,8 +405,8 @@ func prepare(ctx context.Context, job *Job, policy Policy, store *cache.Store) *
 }
 
 // probeVCPUs sizes a stage's instrumentation: the requested instance's
-// vCPU count, falling back to the job's own instance (a policy that
-// requests "any" machine profiles at the job's nominal size) and then
+// vCPU count, falling back to the job's own instance (a plan entry
+// that asks for any machine profiles at the job's nominal size) and then
 // to a single vCPU.
 func probeVCPUs(job *Job, req cloud.InstanceType) int {
 	if req.VCPUs > 0 {

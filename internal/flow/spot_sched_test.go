@@ -56,13 +56,13 @@ func spotForecastJobs(t *testing.T, n int, typeName string, retry RetryPolicy) [
 // revocation model must reproduce the model-free schedule byte for
 // byte — jobs, stages, leases, aggregates.
 func TestZeroHazardScheduleByteIdentical(t *testing.T) {
-	jobs := fleetJobs(t, 4)
+	jobs := withPlan(fleetJobs(t, 4), anyMachinePlan())
 	run := func(zeroModel bool) *Schedule {
 		fleet := boundedFleet(t, "gp.4x=1,mem.8x=1,cpu.2x=1")
 		if zeroModel {
 			fleet.Revocation = cloud.NewRevocationModel(42, nil)
 		}
-		sched, err := (&Scheduler{Fleet: fleet, Policy: FirstFit{}}).Run(context.Background(), jobs)
+		sched, err := (&Scheduler{Fleet: fleet}).Run(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,14 +69,16 @@ func (m Machine) WithoutAVX() Machine {
 }
 
 // PhaseCycles returns the virtual cycle cost of one phase on this
-// machine, after parallel scaling.
+// machine, after parallel scaling. Each product that meets an add is
+// rounded by an explicit float64 conversion, so arm64 cannot fuse the
+// two and move a runtime off amd64's.
 func (m Machine) PhaseCycles(p Phase) float64 {
 	c := &p.C
 
 	instrs := float64(c.Instrs)
 	if m.AVX && m.AVXLanes > 1 {
 		// Vector FP retires in packed groups of AVXLanes.
-		instrs -= float64(c.FPVector) * (1 - 1/float64(m.AVXLanes))
+		instrs -= float64(float64(c.FPVector) * (1 - 1/float64(m.AVXLanes)))
 	}
 	compute := instrs / m.BaseIPC
 
@@ -92,24 +94,24 @@ func (m Machine) PhaseCycles(p Phase) float64 {
 		active = 1
 	}
 
-	effectiveLLCMisses := float64(c.LLCMisses) - m.PrefetchEff*float64(c.LLCPrefetched)
+	effectiveLLCMisses := float64(c.LLCMisses) - float64(m.PrefetchEff*float64(c.LLCPrefetched))
 	if effectiveLLCMisses < 0 {
 		effectiveLLCMisses = 0
 	}
-	stalls := float64(c.BranchMisses)*m.BranchPenalty +
-		float64(c.L1Misses)*m.L1MissPenalty +
-		effectiveLLCMisses*m.LLCMissPenalty
+	stalls := float64(float64(c.BranchMisses)*m.BranchPenalty) +
+		float64(float64(c.L1Misses)*m.L1MissPenalty) +
+		float64(effectiveLLCMisses*m.LLCMissPenalty)
 
 	total := compute + stalls
-	serial := total * (1 - p.ParallelFraction)
+	serial := float64(total * (1 - p.ParallelFraction))
 	parallel := total * p.ParallelFraction
 	if active > 1 {
 		// Concurrent execution pays a synchronization tax and shares
 		// memory bandwidth; both grow with active cores but stay well
 		// below the 1/active gain for realistic core counts.
 		parallel = parallel / float64(active) *
-			(1 + m.SyncTax*float64(active-1)) *
-			(1 + m.BWContention*float64(active-1))
+			(1 + float64(m.SyncTax*float64(active-1))) *
+			(1 + float64(m.BWContention*float64(active-1)))
 	}
 	return serial + parallel
 }
