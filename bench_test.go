@@ -123,7 +123,7 @@ func BenchmarkFigure3(b *testing.B) {
 			fmt.Println()
 		}
 		for _, name := range designs.EvalDesignNames() {
-			curve, err := core.RoutingSpeedupCurve(benchLib, name, 8, opts)
+			curve, err := core.RoutingSpeedupCurve(benchLib, name, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

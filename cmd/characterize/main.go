@@ -76,7 +76,7 @@ func main() {
 		}
 		fmt.Println()
 		for _, name := range designs.EvalDesignNames() {
-			curve, err := core.RoutingSpeedupCurve(lib, name, 8, opts)
+			curve, err := core.RoutingSpeedupCurve(lib, name, opts)
 			if err != nil {
 				cli.Fail(prog, err)
 			}

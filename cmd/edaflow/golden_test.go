@@ -116,7 +116,9 @@ func TestCacheFirstFitGolden(t *testing.T) {
 // built too (both used to print the design's stats first). Without
 // -fleet, -policy firstfit or plan, -deadline, -minbill and
 // -escalate-after are refused by name (each used to run the local flow
-// to exit 0 and ignore the flag).
+// to exit 0 and ignore the flag); so are -escalate-after, -hazard-seed
+// and -hazard-rate on a -fleet batch without -spot (each used to run
+// the batch to exit 0 and ignore the flag).
 func TestBatchBelowOneRefused(t *testing.T) {
 	bin := clitest.Build(t, "")
 	for _, tc := range []struct{ policy, batch string }{
@@ -162,6 +164,7 @@ func TestBatchBelowOneRefused(t *testing.T) {
 		}
 	}
 	fleet := []string{"-fleet", "gp.1x=1,mem.1x=1"}
+	spotless := []string{"-stages", "synthesis", "-fleet", "mem.4x=1", "-batch", "2"}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -176,6 +179,9 @@ func TestBatchBelowOneRefused(t *testing.T) {
 		{[]string{"-stages", "synthesis", "-deadline", "5"}, "-deadline needs -fleet"},
 		{[]string{"-stages", "synthesis", "-minbill", "60"}, "-minbill needs -fleet"},
 		{[]string{"-stages", "synthesis", "-escalate-after", "2"}, "-escalate-after needs -fleet"},
+		{slices.Concat(spotless, []string{"-escalate-after", "2"}), "-escalate-after needs -spot"},
+		{slices.Concat(spotless, []string{"-hazard-seed", "7"}), "-hazard-seed needs -spot"},
+		{slices.Concat(spotless, []string{"-hazard-rate", "500"}), "-hazard-rate needs -spot"},
 	} {
 		args := append([]string{"-design", "ibex", "-scale", "0.02"}, tc.args...)
 		msg := clitest.RunFail(t, bin, args...)

@@ -84,6 +84,11 @@ var (
 func main() {
 	flag.Parse()
 	plan := *fleetSpec != "" && *policyName == "plan"
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	needsSpot := func(name string) error {
+		return cli.Refuse(set[name] && !*spot, "-%s needs -spot: only spot instances are revoked", name)
+	}
 	recipe, recipeErr := synth.RecipeByName(*recipeName)
 	flowOpts, stagesErr := pickStages(*stages, []flow.Option{
 		flow.WithRecipe(recipe),
@@ -118,6 +123,9 @@ func main() {
 		cli.Refuse(*fleetSpec == "" && *deadlineSec != 0, "-deadline needs -fleet: deadlines are checked against the fleet schedule"),
 		cli.Refuse(*fleetSpec == "" && *minBill != 0, "-minbill needs -fleet: only fleet leases are billed"),
 		cli.Refuse(*fleetSpec == "" && *escalateAfter != 0, "-escalate-after needs -fleet: only revoked fleet stages escalate"),
+		needsSpot("escalate-after"),
+		needsSpot("hazard-seed"),
+		needsSpot("hazard-rate"),
 		// The plan path executes through core.ExecuteBatchPlan, which
 		// always runs the full default flow at the default clock: flags
 		// it would silently drop are refused instead.

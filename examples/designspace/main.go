@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("  %s\n", "recommended")
 
 	for _, name := range []string{"dyn_node", "ibex", "swerv", "sparc_core"} {
-		curve, err := core.RoutingSpeedupCurve(lib, name, 8, opts)
+		curve, err := core.RoutingSpeedupCurve(lib, name, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,22 +1,20 @@
-// Multi-tenant study: the paper characterizes EDA jobs inside Linux
-// control groups to emulate cloud multi-tenancy. Part one runs that
-// experiment with the cgroup scheduler model: one routing job confined
-// to a quota while noisy neighbours of growing demand share the
-// 14-core host, showing how interference stretches the job's runtime —
-// the risk the paper's VM recommendations guard against.
+// Multi-tenant study: the paper characterizes each EDA job confined to
+// a few vCPUs of one host; in the cloud, tenants rent such machines
+// side by side and share a fleet. This example follows that deployment
+// from a fixed batch to an online service.
 //
-// Part two runs the deployment the paper actually optimizes for: a
+// Part one runs the deployment the paper actually optimizes for: a
 // batch of independent design flows scheduled concurrently onto their
 // own cloud instances with flow.Scheduler, each with a deadline, the
 // batch accumulating a per-second bill.
 //
-// Part three bounds the fleet: the same four flows contend for two
+// Part two bounds the fleet: the same four flows contend for two
 // machines instead of renting four, so jobs queue, deadlines slip, and
 // the fleet ledger shows the cost/utilization trade the paper's
 // batch-deployment economics are about — here with AWS-style 60 s
 // minimum billing.
 //
-// Part four co-optimizes the batch: instead of each flow's knapsack
+// Part three co-optimizes the batch: instead of each flow's knapsack
 // picking its machines as if they appear on demand, core.OptimizeBatch
 // solves all four plans jointly against the bounded fleet's capacity
 // (shadow prices on contended instance types) and predicts the
@@ -27,18 +25,18 @@
 // with their choice tables) both pay for faster machines to recover
 // misses the static independent plans incur.
 //
-// Part five goes online: the same job shapes served by the edad
+// Part four goes online: the same job shapes served by the edad
 // serving engine (internal/serve) under Poisson arrivals — admission
 // control promises each deadlined job a finish time or rejects it,
 // every completion re-optimizes the uncommitted tail of the schedule,
 // and per-tenant weighted quotas meter concurrent spend.
 //
-// Part six adds the fleet-wide artifact cache: templates carry their
+// Part five adds the fleet-wide artifact cache: templates carry their
 // content-derived chain keys, so a job whose prefix another tenant
 // already computed is planned as cache hits — and a deadline that is
 // unattainable cold is admitted warm.
 //
-// Part seven lets a tenant spend its quota on search instead of a
+// Part six lets a tenant spend its quota on search instead of a
 // single fixed flow: a small DSE exploration (internal/dse) runs as a
 // workload on the tenant's bounded fleet slice, sampling recipes and
 // timing parameters, pruning with the GCN runtime predictor, and
@@ -69,49 +67,9 @@ import (
 
 func main() {
 	lib := techlib.Default14nm()
-	host := cloud.DefaultHost()
 
-	fmt.Printf("Host: %d cores, job: routing of ibex confined to 8 vCPUs\n\n", host.Cores)
-	fmt.Printf("%-22s %12s %12s %10s\n", "background", "CPU granted", "slowdown", "runtime")
-
-	for _, bg := range []struct {
-		name    string
-		tenants []cloud.CGroup
-	}{
-		{"idle host", nil},
-		{"1 tenant x 7 cores", []cloud.CGroup{{Name: "t1", DemandCores: 7}}},
-		{"2 tenants x 10 cores", []cloud.CGroup{
-			{Name: "t1", DemandCores: 10}, {Name: "t2", DemandCores: 10}}},
-		{"4 tenants x 14 cores", []cloud.CGroup{
-			{Name: "t1", DemandCores: 14}, {Name: "t2", DemandCores: 14},
-			{Name: "t3", DemandCores: 14}, {Name: "t4", DemandCores: 14}}},
-	} {
-		char, err := core.CharacterizeEval(lib, "ibex", core.CharacterizeOptions{
-			Scale:      0.03,
-			VCPUs:      []int{8},
-			Background: bg.tenants,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		p, err := char.Profile(flow.JobRouting, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		slow, err := host.Interference(8, bg.tenants)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-22s %11.2fc %11.0f%% %9.0fs\n",
-			bg.name, 8/(1+slow), 100*slow, p.Seconds)
-	}
-	fmt.Println("\nWeighted fair sharing (cpu.shares) splits the host; quotas cap the job.")
-	fmt.Println("Dedicated (single-tenant) instances avoid the stretch entirely.")
-
-	// Part two: four tenants' flows as one concurrently scheduled batch,
-	// each on its own rented instance. Dedicated VMs mean zero
-	// interference; the shared-host column above is what each tenant
-	// escapes by paying for isolation.
+	// Part one: four tenants' flows as one concurrently scheduled batch,
+	// each on its own rented instance.
 	catalog := cloud.DefaultCatalog()
 	inst, err := catalog.Size(cloud.MemoryOptimized, 8)
 	if err != nil {
@@ -140,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nScheduled batch: %d flows on dedicated %s instances\n\n", len(sched.Jobs), inst.Name)
+	fmt.Printf("Scheduled batch: %d flows on dedicated %s instances\n\n", len(sched.Jobs), inst.Name)
 	fmt.Printf("%-12s %10s %10s %10s\n", "design", "runtime", "cost ($)", "deadline")
 	for _, j := range sched.Jobs {
 		if j.Err != nil {
@@ -155,7 +113,7 @@ func main() {
 	fmt.Printf("\nBatch: $%.4f total, makespan %.0fs, %d deadline(s) missed\n",
 		sched.TotalCostUSD, sched.MakespanSec, sched.DeadlinesMissed)
 
-	// Part three: the same batch on a bounded fleet — two machines for
+	// Part two: the same batch on a bounded fleet — two machines for
 	// four flows, 60 s minimum billing. Jobs queue in order for the next
 	// free instance; waits count against each job's deadline.
 	bounded, err := cloud.ParseFleetSpec(catalog.WithMinBill(60), "mem.8x=2")
@@ -185,7 +143,7 @@ func main() {
 	fmt.Println("Half the machines stretch the makespan and the queue, not the busy time;")
 	fmt.Println("the 60 s billing floor makes the shortest flow cost more than its runtime.")
 
-	// Part four: co-optimize the batch against a bounded heterogeneous
+	// Part three: co-optimize the batch against a bounded heterogeneous
 	// fleet. Each flow is characterized, its per-stage choice table
 	// built, and the four knapsacks solved jointly under the fleet's
 	// capacity profile.
@@ -296,7 +254,7 @@ func main() {
 	fmt.Println("of time; adaptive execution makes the same trade reactively, re-planning a")
 	fmt.Println("job's remaining stages once the queue has already eaten its slack.")
 
-	// Part five: the serving layer. Parts two through four plan a batch
+	// Part four: the serving layer. Parts one through three plan a batch
 	// known up front; a real multi-tenant deployment sees jobs arrive
 	// online. The edad engine (internal/serve) admits each arrival only
 	// if a joint re-plan of everything in flight keeps every promise,
@@ -367,7 +325,7 @@ func main() {
 	fmt.Println("when every admitted job still meets the finish it was promised, and an")
 	fmt.Println("arrival that would break one is rejected at the door.")
 
-	// Part six: fleet-wide artifact dedup across tenants. Every stage of
+	// Part five: fleet-wide artifact dedup across tenants. Every stage of
 	// a flow has a content-derived chain key (core.CacheChain): the same
 	// design, recipe and tool version always hash to the same chain, no
 	// matter who submits it. Templates that carry their chains let the
@@ -451,7 +409,7 @@ func main() {
 	fmt.Println("between tenants: whoever computes a prefix first owns it, and every later")
 	fmt.Println("submission of the same work is planned around the artifacts it left behind.")
 
-	// Part seven: a tenant's quota spent on exploration. Instead of one
+	// Part six: a tenant's quota spent on exploration. Instead of one
 	// fixed flow, acme runs a small DSE search over recipes, clock
 	// periods and deadline slack on its bounded fleet slice. The cheap
 	// rung is GCN-pruned; survivors are scored by the real engines via

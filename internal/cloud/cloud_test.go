@@ -88,171 +88,3 @@ func TestQuickBillingMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestScheduleSingleTenant(t *testing.T) {
-	h := DefaultHost()
-	alloc, err := h.Schedule([]CGroup{{Name: "only", DemandCores: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alloc[0].Got-4) > 1e-9 || alloc[0].Throttle != 1 {
-		t.Fatalf("single tenant alloc = %+v", alloc[0])
-	}
-	if alloc[0].Slowdown() != 0 {
-		t.Fatalf("idle-host slowdown = %g", alloc[0].Slowdown())
-	}
-}
-
-func TestScheduleEqualSharesSplitEvenly(t *testing.T) {
-	h := Host{Cores: 8}
-	alloc, err := h.Schedule([]CGroup{
-		{Name: "a", DemandCores: 8},
-		{Name: "b", DemandCores: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alloc[0].Got-4) > 1e-9 || math.Abs(alloc[1].Got-4) > 1e-9 {
-		t.Fatalf("equal split failed: %+v", alloc)
-	}
-	if math.Abs(alloc[0].Slowdown()-1.0) > 1e-9 {
-		t.Fatalf("slowdown = %g, want 1 (runs at half speed)", alloc[0].Slowdown())
-	}
-}
-
-func TestScheduleSharesWeighting(t *testing.T) {
-	h := Host{Cores: 6}
-	alloc, err := h.Schedule([]CGroup{
-		{Name: "heavy", Shares: 2048, DemandCores: 6},
-		{Name: "light", Shares: 1024, DemandCores: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alloc[0].Got-4) > 1e-9 || math.Abs(alloc[1].Got-2) > 1e-9 {
-		t.Fatalf("2:1 shares split = %+v", alloc)
-	}
-}
-
-func TestScheduleQuotaCaps(t *testing.T) {
-	h := Host{Cores: 8}
-	alloc, err := h.Schedule([]CGroup{
-		{Name: "capped", QuotaCores: 2, DemandCores: 8},
-		{Name: "free", DemandCores: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alloc[0].Got-2) > 1e-9 {
-		t.Fatalf("quota not enforced: %+v", alloc[0])
-	}
-	// Freed capacity flows to the unconstrained tenant.
-	if math.Abs(alloc[1].Got-6) > 1e-9 {
-		t.Fatalf("spare capacity not redistributed: %+v", alloc[1])
-	}
-}
-
-func TestScheduleUnderloadedHostSatisfiesAll(t *testing.T) {
-	h := Host{Cores: 14}
-	alloc, err := h.Schedule([]CGroup{
-		{Name: "a", DemandCores: 3},
-		{Name: "b", DemandCores: 2},
-		{Name: "c", DemandCores: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range alloc {
-		if math.Abs(a.Got-a.Demand) > 1e-9 {
-			t.Fatalf("underloaded host throttled %s: %+v", a.Name, a)
-		}
-	}
-}
-
-func TestScheduleZeroDemandGroup(t *testing.T) {
-	h := Host{Cores: 4}
-	alloc, err := h.Schedule([]CGroup{
-		{Name: "idle", DemandCores: 0},
-		{Name: "busy", DemandCores: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc[0].Got != 0 || alloc[0].Slowdown() != 0 {
-		t.Fatalf("idle group alloc = %+v", alloc[0])
-	}
-	if math.Abs(alloc[1].Got-4) > 1e-9 {
-		t.Fatalf("busy group alloc = %+v", alloc[1])
-	}
-}
-
-func TestScheduleRejectsBadInput(t *testing.T) {
-	if _, err := (Host{Cores: 0}).Schedule(nil); err == nil {
-		t.Fatal("zero-core host accepted")
-	}
-	if _, err := DefaultHost().Schedule([]CGroup{{Name: "x", DemandCores: -1}}); err == nil {
-		t.Fatal("negative demand accepted")
-	}
-}
-
-// Property: allocations never exceed capacity, demand, or quota.
-func TestQuickScheduleInvariants(t *testing.T) {
-	h := Host{Cores: 14}
-	f := func(d1, d2, d3 uint8, q2 uint8) bool {
-		groups := []CGroup{
-			{Name: "a", DemandCores: float64(d1 % 20)},
-			{Name: "b", DemandCores: float64(d2 % 20), QuotaCores: float64(q2%8) + 0.5},
-			{Name: "c", DemandCores: float64(d3 % 20), Shares: 512},
-		}
-		alloc, err := h.Schedule(groups)
-		if err != nil {
-			return false
-		}
-		var total float64
-		for i, a := range alloc {
-			total += a.Got
-			if a.Got > a.Demand+1e-9 {
-				return false
-			}
-			if groups[i].QuotaCores > 0 && a.Got > groups[i].QuotaCores+1e-9 {
-				return false
-			}
-		}
-		return total <= float64(h.Cores)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterferenceGrowsWithBackgroundLoad(t *testing.T) {
-	h := DefaultHost()
-	idle, err := h.Interference(8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle != 0 {
-		t.Fatalf("idle interference = %g", idle)
-	}
-	busy, err := h.Interference(8, []CGroup{
-		{Name: "t1", DemandCores: 8},
-		{Name: "t2", DemandCores: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if busy <= 0 {
-		t.Fatalf("loaded-host interference = %g, want > 0", busy)
-	}
-	moreBusy, err := h.Interference(8, []CGroup{
-		{Name: "t1", DemandCores: 14},
-		{Name: "t2", DemandCores: 14},
-		{Name: "t3", DemandCores: 14},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moreBusy <= busy {
-		t.Fatalf("interference not increasing: %g then %g", busy, moreBusy)
-	}
-}

@@ -1,8 +1,9 @@
 // Package cloud models the cloud-provider substrate of the paper: a
 // catalog of VM instance types (general-purpose and memory-optimized
 // families at 1/2/4/8 vCPUs), an AWS-style per-second on-demand billing
-// model, and a Linux-cgroups-like fair-share CPU scheduler that
-// reproduces the multi-tenancy interference of shared hosts.
+// model, bounded fleets of rentable instances (fleet.go) and spot
+// revocations (revocation.go). An instance is a dedicated VM: its
+// runtime model (perf.Machine) has no co-tenants.
 package cloud
 
 import (

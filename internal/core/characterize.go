@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/par"
@@ -24,15 +24,10 @@ type CharacterizeOptions struct {
 	// — the quantity behind the paper's Fig. 2b — are preserved, and
 	// runtimes are extrapolated back through Machine.WorkScale.
 	Scale float64
-	// VCPUs lists the machine configurations; nil means {1,2,4,8}.
-	VCPUs []int
 	// Recipe is the synthesis script; zero value means raw mapping.
 	Recipe synth.Recipe
-	// Background simulates co-tenants on cloud.DefaultHost, the paper's
-	// 14-core Xeon; nil means an idle host.
-	Background []cloud.CGroup
-	// Workers bounds the worker pools inside the flow's kernels — there
-	// is one flow run, whatever VCPUs lists — so Workers: 1 is a true
+	// Workers bounds the worker pools inside the flow's kernels — one
+	// flow run models every size in vcpuGrid — so Workers: 1 is a true
 	// serial baseline; 0 means GOMAXPROCS. Results are identical for
 	// every value.
 	Workers int
@@ -48,11 +43,13 @@ func (o CharacterizeOptions) withDefaults() CharacterizeOptions {
 		// paper's Fig. 2d.
 		o.Recipe, _ = synth.RecipeByName("resyn2")
 	}
-	if o.VCPUs == nil {
-		o.VCPUs = []int{1, 2, 4, 8}
-	}
 	return o
 }
+
+// vcpuGrid is the paper's set of machine configurations: each job
+// confined to 1, 2, 4 and 8 vCPUs of one Xeon host. Speedups are
+// against its first entry, one vCPU.
+var vcpuGrid = []int{1, 2, 4, 8}
 
 // workScaleFor extrapolates simulated runtime to the full-size design.
 // EDA runtimes grow superlinearly in instance count (longer routes,
@@ -105,14 +102,12 @@ func (d *DesignCharacterization) Profile(k flow.JobKind, vcpus int) (JobProfile,
 }
 
 // machineFor builds the cycle model of a VM with the given vCPUs and
-// AVX availability, embedding the multi-tenant interference and the
-// design-size extrapolation factor.
-func machineFor(vcpus int, avx bool, interference, workScale float64) perf.Machine {
+// AVX availability, embedding the design-size extrapolation factor.
+func machineFor(vcpus int, avx bool, workScale float64) perf.Machine {
 	m := perf.Xeon14(vcpus)
 	if !avx {
 		m = m.WithoutAVX()
 	}
-	m.Interference = interference
 	m.WorkScale = workScale
 	return m
 }
@@ -138,7 +133,7 @@ func sweepFlow(g *aig.Graph, lib *techlib.Library, recipe synth.Recipe, workers 
 }
 
 // CharacterizeEval profiles all four jobs of a named evaluation design
-// under every configured vCPU count — the experiment behind the
+// at every vCPU count of vcpuGrid — the experiment behind the
 // paper's Fig. 2a-d. The paper ran each configuration on an instance
 // of its own, as real hardware demands; here a configuration is an LLC
 // capacity, so the flow runs once with a model of each (≈ 15 % more wall
@@ -153,26 +148,19 @@ func CharacterizeEval(lib *techlib.Library, designName string, opts Characterize
 	if err != nil {
 		return nil, err
 	}
-	// Row 0 is the 1-vCPU run every speedup is against; it is profiled
-	// whether or not the options list it and emits no profile itself.
-	rows := append([]int{1}, opts.VCPUs...)
-	rc, reportAt, err := sweepFlow(g, lib, opts.Recipe, opts.Workers, rows)
+	rc, reportAt, err := sweepFlow(g, lib, opts.Recipe, opts.Workers, vcpuGrid)
 	if err != nil {
 		return nil, err
 	}
-	out := &DesignCharacterization{Design: designName, VCPUs: opts.VCPUs, Cells: rc.Netlist.NumCells()}
+	out := &DesignCharacterization{Design: designName, VCPUs: slices.Clone(vcpuGrid), Cells: rc.Netlist.NumCells()}
 	out.WorkScale = workScaleFor(spec.TargetInstances, out.Cells)
 	base := make([]float64, len(flow.JobKinds()))
-	for vi, v := range rows {
-		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
-		if err != nil {
-			return nil, err
-		}
+	for vi, v := range vcpuGrid {
 		var row []JobProfile
 		for _, k := range flow.JobKinds() {
 			report := reportAt(k, v)
 			c := report.Total()
-			secs := machineFor(v, true, interference, out.WorkScale).Seconds(report)
+			secs := machineFor(v, true, out.WorkScale).Seconds(report)
 			if vi == 0 {
 				base[k] = secs
 			}
@@ -188,17 +176,16 @@ func CharacterizeEval(lib *techlib.Library, designName string, opts Characterize
 				FPVectorPct:   c.FPVectorPct(),
 			})
 		}
-		if vi > 0 {
-			out.Profiles = append(out.Profiles, row)
-		}
+		out.Profiles = append(out.Profiles, row)
 	}
 	return out, nil
 }
 
-// RoutingSpeedupCurve measures routing speedup across 1..maxVCPUs for
-// one design — one line of the paper's Fig. 3. Synthesis, placement
+// RoutingSpeedupCurve measures routing speedup at every vCPU count from
+// 1 to vcpuGrid's largest for one design — one line of the paper's
+// Fig. 3; curve[i] is the speedup at i+1 vCPUs. Synthesis, placement
 // and routing each run once; routing's probe models every size.
-func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, opts CharacterizeOptions) ([]float64, error) {
+func RoutingSpeedupCurve(lib *techlib.Library, designName string, opts CharacterizeOptions) ([]float64, error) {
 	opts = opts.withDefaults()
 	g, err := designs.EvalDesign(designName, opts.Scale)
 	if err != nil {
@@ -212,7 +199,7 @@ func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, 
 	if err != nil {
 		return nil, err
 	}
-	vcpus := make([]int, maxVCPUs)
+	vcpus := make([]int, vcpuGrid[len(vcpuGrid)-1])
 	for vi := range vcpus {
 		vcpus[vi] = vi + 1
 	}
@@ -221,14 +208,10 @@ func RoutingSpeedupCurve(lib *techlib.Library, designName string, maxVCPUs int, 
 	if err != nil {
 		return nil, err
 	}
-	curve := make([]float64, maxVCPUs)
+	curve := make([]float64, len(vcpus))
 	var base float64
 	for vi, v := range vcpus {
-		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
-		if err != nil {
-			return nil, err
-		}
-		secs := machineFor(v, true, interference, 1).Seconds(probe.ReportFor(report, v))
+		secs := machineFor(v, true, 1).Seconds(probe.ReportFor(report, v))
 		if vi == 0 {
 			base = secs
 		}

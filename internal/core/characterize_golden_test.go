@@ -31,7 +31,7 @@ func TestCharacterizeGolden(t *testing.T) {
 				fmt.Fprintf(&sb, "%s %v vcpus=%d seconds=%s speedup=%s\n", design, p.Kind, p.VCPUs, g(p.Seconds), g(p.Speedup))
 			}
 		}
-		curve, err := RoutingSpeedupCurve(lib, design, 8, opts)
+		curve, err := RoutingSpeedupCurve(lib, design, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

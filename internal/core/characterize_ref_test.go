@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/cloud"
 	"edacloud/internal/designs"
 	"edacloud/internal/flow"
 	"edacloud/internal/par"
@@ -100,25 +99,22 @@ func refProfile(t *testing.T, g *aig.Graph, recipe synth.Recipe, vcpus []int) ([
 }
 
 // refCharacterizeEval is CharacterizeEval over refProfile, arithmetic
-// unchanged (default host, no co-tenants).
+// unchanged.
 func refCharacterizeEval(t *testing.T, design string, opts CharacterizeOptions) *DesignCharacterization {
 	t.Helper()
 	opts = opts.withDefaults()
 	g := designs.MustEvalDesign(design, opts.Scale)
 	spec, _ := designs.EvalInfo(design)
-	reports, cells := refProfile(t, g, opts.Recipe, opts.VCPUs)
-	out := &DesignCharacterization{Design: design, VCPUs: opts.VCPUs, Cells: cells, WorkScale: workScaleFor(spec.TargetInstances, cells)}
+	vcpus := []int{1, 2, 4, 8}
+	reports, cells := refProfile(t, g, opts.Recipe, vcpus)
+	out := &DesignCharacterization{Design: design, VCPUs: vcpus, Cells: cells, WorkScale: workScaleFor(spec.TargetInstances, cells)}
 	base := make([]float64, len(flow.JobKinds()))
-	for vi, v := range opts.VCPUs {
-		interference, err := cloud.DefaultHost().Interference(float64(v), opts.Background)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for vi, v := range vcpus {
 		var row []JobProfile
 		for _, k := range flow.JobKinds() {
 			report := reports[vi][k]
 			c := report.Total()
-			secs := machineFor(v, true, interference, out.WorkScale).Seconds(report)
+			secs := machineFor(v, true, out.WorkScale).Seconds(report)
 			if v == 1 {
 				base[k] = secs
 			}
@@ -153,36 +149,6 @@ func TestCharacterizeMatchesPerVCPURuns(t *testing.T) {
 	}
 }
 
-// TestSpeedupBaseWithoutOneVCPU: Speedup is against the 1-vCPU run
-// whether or not the options list it (it used to read 0 unless VCPUs
-// started at 1).
-func TestSpeedupBaseWithoutOneVCPU(t *testing.T) {
-	run := func(vcpus ...int) *DesignCharacterization {
-		opts := charOpts
-		opts.VCPUs = vcpus
-		char, err := CharacterizeEval(lib, "dyn_node", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return char
-	}
-	with, without, unordered := run(1, 2, 4), run(2, 4), run(4, 1)
-	if len(without.Profiles) != 2 || !reflect.DeepEqual(without.VCPUs, []int{2, 4}) {
-		t.Fatalf("the base run leaked a profile row: %d rows for %v", len(without.Profiles), without.VCPUs)
-	}
-	if !reflect.DeepEqual(without.Profiles, with.Profiles[1:]) {
-		t.Fatalf("VCPUs {2,4} differ from rows 2 and 4 of {1,2,4}:\n got %+v\nwant %+v", without.Profiles, with.Profiles[1:])
-	}
-	if !reflect.DeepEqual(unordered.Profiles[0], with.Profiles[2]) {
-		t.Fatalf("VCPUs {4,1}: 4-vCPU row %+v, want %+v", unordered.Profiles[0], with.Profiles[2])
-	}
-	for _, p := range without.Profiles[1] {
-		if p.Speedup <= 1 {
-			t.Fatalf("%v at 4 vCPUs: speedup %g over one vCPU", p.Kind, p.Speedup)
-		}
-	}
-}
-
 // TestBuildDatasetMatchesPerVCPURuns: every runtime label is bitwise
 // the one the per-vCPU loop measured, for any worker count.
 func TestBuildDatasetMatchesPerVCPURuns(t *testing.T) {
@@ -198,7 +164,7 @@ func TestBuildDatasetMatchesPerVCPURuns(t *testing.T) {
 				}
 				var secs []float64
 				for vi, v := range vcpus {
-					secs = append(secs, machineFor(v, true, 0, datasetWorkScale).Seconds(reports[vi][k]))
+					secs = append(secs, machineFor(v, true, datasetWorkScale).Seconds(reports[vi][k]))
 				}
 				want[k] = append(want[k], secs)
 			}
@@ -243,15 +209,14 @@ func TestRoutingSpeedupCurveMatchesPerVCPURuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interference, _ := cloud.DefaultHost().Interference(float64(v), nil)
-		want = append(want, machineFor(v, true, interference, 1).Seconds(report))
+		want = append(want, machineFor(v, true, 1).Seconds(report))
 	}
 	for vi := len(want) - 1; vi >= 0; vi-- {
 		want[vi] = want[0] / want[vi]
 	}
 	for _, w := range []int{1, 2, 8} {
 		opts.Workers = w
-		got, err := RoutingSpeedupCurve(lib, "ibex", 8, opts)
+		got, err := RoutingSpeedupCurve(lib, "ibex", opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"edacloud/internal/aig"
@@ -28,8 +29,6 @@ type DatasetOptions struct {
 	Recipes []synth.Recipe
 	// Scale sizes the generated benchmarks; 0 means 0.08.
 	Scale float64
-	// VCPUs lists the labeled machine configurations; nil = {1,2,4,8}.
-	VCPUs []int
 	// Workers bounds the fan-out of per-(benchmark, recipe) flow runs
 	// across real cores and the worker pools inside each flow's
 	// kernels; 0 means GOMAXPROCS. The dataset is identical for every
@@ -51,9 +50,6 @@ func (o DatasetOptions) withDefaults() DatasetOptions {
 	}
 	if o.Scale == 0 {
 		o.Scale = 0.08
-	}
-	if o.VCPUs == nil {
-		o.VCPUs = []int{1, 2, 4, 8}
 	}
 	return o
 }
@@ -103,7 +99,7 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 	opts = opts.withDefaults()
 	ds := &Dataset{
 		Jobs:    map[flow.JobKind][]LabeledGraph{},
-		VCPUs:   opts.VCPUs,
+		VCPUs:   slices.Clone(vcpuGrid),
 		Designs: opts.Benchmarks,
 	}
 	nRecipes := len(opts.Recipes)
@@ -141,17 +137,17 @@ func BuildDataset(lib *techlib.Library, opts DatasetOptions) (*Dataset, error) {
 		if ri == 0 {
 			out.inputAIG = gcn.FromStarGraph(netlist.AIGGraph(g))
 		}
-		rc, reportAt, err := sweepFlow(g, lib, recipe, opts.Workers, opts.VCPUs)
+		rc, reportAt, err := sweepFlow(g, lib, recipe, opts.Workers, vcpuGrid)
 		if err != nil {
 			return unitOut{err: fmt.Errorf("core: dataset %s/%s: %w", bench, recipe.Name, err)}
 		}
 		out.nlGraph = gcn.FromStarGraph(rc.Netlist.StarGraph())
-		for _, v := range opts.VCPUs {
+		for _, v := range vcpuGrid {
 			// Labels are extrapolated to full-flow magnitudes with a
 			// fixed factor; relative (percentage) prediction errors
 			// are invariant to it, but log-space training and the
 			// Fig. 5 histogram operate on paper-like seconds.
-			m := machineFor(v, true, 0, datasetWorkScale)
+			m := machineFor(v, true, datasetWorkScale)
 			for _, k := range flow.JobKinds() {
 				out.runtimes[k] = append(out.runtimes[k], m.Seconds(reportAt(k, v)))
 			}

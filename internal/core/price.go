@@ -22,7 +22,7 @@ import (
 // event counts on the machine the stage would actually rent.
 func BuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Catalog) (*DeploymentProblem, error) {
 	return priceStages(char.Design, char.VCPUs, catalog, func(k flow.JobKind, vi int, it cloud.InstanceType) float64 {
-		return machineFor(it.VCPUs, it.AVX, 0, char.WorkScale).Seconds(char.Profiles[vi][int(k)].Report)
+		return machineFor(it.VCPUs, it.AVX, char.WorkScale).Seconds(char.Profiles[vi][int(k)].Report)
 	})
 }
 

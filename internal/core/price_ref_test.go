@@ -30,7 +30,7 @@ func refBuildDeploymentProblem(char *DesignCharacterization, catalog *cloud.Cata
 				return nil, err
 			}
 			prof := char.Profiles[vi][int(k)]
-			m := machineFor(v, it.AVX, 0, char.WorkScale)
+			m := machineFor(v, it.AVX, char.WorkScale)
 			secs := m.Seconds(prof.Report)
 			cost := it.Cost(secs)
 			choices = append(choices, StageChoice{Job: k, Instance: it, Seconds: secs, Cost: cost})

@@ -457,9 +457,17 @@ func (e *explorer) fullRung(round int, trials []*Trial) error {
 			ClockPeriodNs: t.ClockPeriodNs,
 		}
 	}
-	bp, err := solveBatchWithRelax(specs, e.cfg.Fleet, core.BatchOptions{Cache: e.cfg.Store})
+	// Every deadline is one solveWithRelax proved feasible on the same
+	// fleet-restricted table, and the joint solve is infeasible only
+	// when a job's own plan is, so an infeasible batch is a fault.
+	// Specs carry no hit predictions, so warm and blind explorations
+	// price and execute identical plans.
+	bp, err := core.OptimizeBatch(specs, e.cfg.Fleet, core.BatchOptions{Cache: e.cfg.Store})
 	if err != nil {
 		return err
+	}
+	if !bp.Feasible {
+		return fmt.Errorf("dse: promoted batch infeasible on the fleet at solo-feasible deadlines")
 	}
 	sched, err := core.ExecuteBatchPlan(e.cfg.Lib, specs, bp,
 		core.CharacterizeOptions{Scale: e.cfg.Scale, Workers: e.cfg.Workers},
@@ -516,37 +524,4 @@ func solveWithRelax(prob *core.DeploymentProblem, deadline int) (*core.Plan, int
 		return nil, 0, fmt.Errorf("dse: %s infeasible even at the under-provision horizon", prob.Design)
 	}
 	return plan, d, nil
-}
-
-// solveBatchWithRelax co-optimizes the promoted batch, doubling every
-// deadline up to three times on joint infeasibility (fleet contention
-// can starve deadlines that are feasible solo), then dropping to
-// deadline-free. Cache contents never influence the solve — specs
-// carry no hit predictions — so warm and blind explorations price and
-// execute identical plans.
-func solveBatchWithRelax(specs []core.BatchJobSpec, fleet *cloud.Fleet, opts core.BatchOptions) (*core.BatchPlan, error) {
-	bp, err := core.OptimizeBatch(specs, fleet, opts)
-	if err != nil {
-		return nil, err
-	}
-	for attempt := 0; !bp.Feasible && attempt < 3; attempt++ {
-		for i := range specs {
-			specs[i].DeadlineSec *= 2
-		}
-		if bp, err = core.OptimizeBatch(specs, fleet, opts); err != nil {
-			return nil, err
-		}
-	}
-	if !bp.Feasible {
-		for i := range specs {
-			specs[i].DeadlineSec = 0
-		}
-		if bp, err = core.OptimizeBatch(specs, fleet, opts); err != nil {
-			return nil, err
-		}
-		if !bp.Feasible {
-			return nil, fmt.Errorf("dse: deadline-free batch infeasible on the fleet")
-		}
-	}
-	return bp, nil
 }

@@ -11,8 +11,10 @@ package perf
 //   - Amdahl scaling of the parallel fraction over min(vCPUs, chunks)
 //     with a per-core synchronization tax,
 //   - memory-bandwidth contention that inflates DRAM latency as more
-//     vCPUs issue misses concurrently, and
-//   - a multi-tenancy interference factor from the cgroup scheduler.
+//     vCPUs issue misses concurrently.
+//
+// A VM of VCPUs vCPUs is those cores of one host with no co-tenants
+// competing for them, as in the paper's characterization.
 type Machine struct {
 	ClockGHz float64
 	BaseIPC  float64
@@ -33,9 +35,6 @@ type Machine struct {
 	// PrefetchEff is the fraction of sequential-sweep (LLCPrefetched)
 	// miss latency hidden by hardware stride prefetchers.
 	PrefetchEff float64
-	// Interference is the fractional slowdown from co-tenants sharing
-	// the host (0 = idle host), produced by the cloud scheduler model.
-	Interference float64
 	// WorkScale linearly scales the resulting runtime; characterization
 	// uses it to extrapolate a reduced-size simulation to full design
 	// size. 0 means 1.
@@ -117,14 +116,14 @@ func (m Machine) PhaseCycles(p Phase) float64 {
 }
 
 // PhaseSeconds converts PhaseCycles to wall-clock seconds including
-// tenancy interference and work scaling.
+// work scaling.
 func (m Machine) PhaseSeconds(p Phase) float64 {
 	scale := m.WorkScale
 	if scale == 0 {
 		scale = 1
 	}
 	secs := m.PhaseCycles(p) / (m.ClockGHz * 1e9)
-	return secs * (1 + m.Interference) * scale
+	return secs * scale
 }
 
 // Seconds returns the virtual runtime of a full report on this machine.

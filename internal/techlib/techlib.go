@@ -29,7 +29,10 @@ type Table struct {
 
 // Lookup returns the bilinear interpolation of the table at the given
 // slew and load, clamping to the table boundary outside the indexed
-// region (the standard EDA extrapolation-free convention).
+// region (the standard EDA extrapolation-free convention). Each product
+// that meets an add here and in the generator below is rounded by an
+// explicit float64 conversion, so arm64 cannot fuse the two and move a
+// delay or slew off amd64's.
 func (t *Table) Lookup(slew, load float64) float64 {
 	i0, i1, fi := bracket(t.Slews, slew)
 	j0, j1, fj := bracket(t.Loads, load)
@@ -37,7 +40,7 @@ func (t *Table) Lookup(slew, load float64) float64 {
 	v01 := t.Values[i0][j1]
 	v10 := t.Values[i1][j0]
 	v11 := t.Values[i1][j1]
-	return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
+	return float64(v00*(1-fi)*(1-fj)) + float64(v01*(1-fi)*fj) + float64(v10*fi*(1-fj)) + float64(v11*fi*fj)
 }
 
 // bracket finds indices i0<=i1 and fraction f such that x sits between
@@ -276,7 +279,7 @@ func genTable(base, kSlew, kLoad float64) Table {
 	for i, s := range slews {
 		vals[i] = make([]float64, len(loads))
 		for j, l := range loads {
-			vals[i][j] = base + kSlew*s + kLoad*l
+			vals[i][j] = base + float64(kSlew*s) + float64(kLoad*l)
 		}
 	}
 	return Table{Slews: slews, Loads: loads, Values: vals}
@@ -308,18 +311,19 @@ func buildCell(s cellSpec) *Cell {
 	for i := 0; i < s.nIns; i++ {
 		c.Inputs = append(c.Inputs, Pin{
 			Name: pinNames[i],
-			Cap:  0.0009 * s.drive * (1 + 0.1*float64(i)),
+			Cap:  0.0009 * s.drive * (1 + float64(0.1*float64(i))),
 		})
 	}
 	// Later pins are slightly slower arcs (series stack position).
 	for i := 0; i < s.nIns; i++ {
-		stack := 1 + 0.15*float64(i)
-		base := 0.010 * stack * (1 + 0.3*float64(s.nIns-1)) / math.Sqrt(s.drive)
+		stack := 1 + float64(0.15*float64(i))
+		base := 0.010 * stack * (1 + float64(0.3*float64(s.nIns-1))) / math.Sqrt(s.drive)
 		kLoad := 0.45 / s.drive
 		c.Arcs = append(c.Arcs, Arc{
 			From:  pinNames[i],
 			Delay: genTable(base, 0.25, kLoad),
-			Slew:  genTable(base*0.8, 0.15, kLoad*1.2),
+			// genTable inlines: base*0.8 would otherwise fuse into its add.
+			Slew: genTable(float64(base*0.8), 0.15, kLoad*1.2),
 		})
 	}
 	if s.seq {
