@@ -59,7 +59,7 @@ var (
 	rate       = flag.Float64("rate", 0.02, "mean arrival rate (jobs/simulated second) for -replay")
 	burst      = flag.Float64("burst", 0.3, "arrival burstiness in [0,1) for -replay")
 	slack      = flag.Float64("slack", 0, "deadline slack as a multiple of the template's slowest plan (0 = deadline-free)")
-	workers    = flag.Int("workers", 0, "bound for characterization and re-plan fan-out (0 = all cores; results identical)")
+	workers    = flag.Int("workers", 0, "bound for characterization fan-out (0 = all cores; results identical)")
 	spot       = flag.Float64("spot", 0, "spot discount in (0,1): extends the catalog with preemptible twins the fleet spec may name (e.g. gp.2x.spot)")
 	hazardRate = flag.Float64("hazard-rate", 0, "spot revocation rate in events/hour: risk-adjusts admission and arms the fleet's revocation model")
 	hazardSeed = flag.Int64("hazard-seed", 1, "seed for the fleet's revocation timelines (with -hazard-rate)")
@@ -108,7 +108,7 @@ func main() {
 		cli.Fail(prog, err)
 	}
 
-	cfg := serve.Config{Fleet: fleet, Tenants: tenants, Templates: templates, Workers: *workers, Hazards: hazards}
+	cfg := serve.Config{Fleet: fleet, Tenants: tenants, Templates: templates, Hazards: hazards}
 	if *replay {
 		runReplay(cfg)
 		return

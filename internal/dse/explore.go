@@ -441,10 +441,15 @@ func (e *explorer) fullRung(round int, trials []*Trial) error {
 		if err != nil {
 			return err
 		}
+		// Every slack factor is above 1, so the fastest plan meets the
+		// deadline and an infeasible solve is a fault.
 		deadline := int(math.Ceil(float64(restricted.MinTime()) * t.SlackFactor))
-		plan, deadline, err := solveWithRelax(restricted, deadline)
+		plan, err := restricted.Optimize(deadline)
 		if err != nil {
 			return err
+		}
+		if !plan.Feasible {
+			return fmt.Errorf("dse: %s infeasible at %d s, above its fastest plan", t.Recipe.Name, deadline)
 		}
 		t.Full.CostUSD = plan.TotalCost
 		t.Full.RuntimeSec = float64(plan.TotalTime)
@@ -457,7 +462,7 @@ func (e *explorer) fullRung(round int, trials []*Trial) error {
 			ClockPeriodNs: t.ClockPeriodNs,
 		}
 	}
-	// Every deadline is one solveWithRelax proved feasible on the same
+	// Every deadline is one its job's own plan meets on the same
 	// fleet-restricted table, and the joint solve is infeasible only
 	// when a job's own plan is, so an infeasible batch is a fault.
 	// Specs carry no hit predictions, so warm and blind explorations
@@ -497,31 +502,4 @@ func qor(cells int, wnsNs, clockNs float64) float64 {
 		q *= 1 - wnsNs/clockNs
 	}
 	return q
-}
-
-// solveWithRelax prices one trial's nominal plan, doubling an
-// infeasible deadline up to three times before falling back to the
-// always-feasible under-provision horizon. The relax sequence depends
-// only on the choice table, never on the cache.
-func solveWithRelax(prob *core.DeploymentProblem, deadline int) (*core.Plan, int, error) {
-	d := deadline
-	for attempt := 0; attempt < 3; attempt++ {
-		plan, err := prob.Optimize(d)
-		if err != nil {
-			return nil, 0, err
-		}
-		if plan.Feasible {
-			return plan, d, nil
-		}
-		d *= 2
-	}
-	d = prob.UnderProvision().TotalTime
-	plan, err := prob.Optimize(d)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !plan.Feasible {
-		return nil, 0, fmt.Errorf("dse: %s infeasible even at the under-provision horizon", prob.Design)
-	}
-	return plan, d, nil
 }

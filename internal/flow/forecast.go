@@ -55,24 +55,14 @@ type ForecastJob struct {
 // leases — pass a cloud.Fleet.Clone to keep the real one pristine.
 // The returned Schedule carries no artifacts (JobResult.Run is nil).
 func Forecast(fleet *cloud.Fleet, jobs []ForecastJob) (*Schedule, error) {
-	return ForecastGated(fleet, jobs, nil)
-}
-
-// ForecastGated is Forecast with an admission gate threaded into the
-// placement simulation: every stage booking first passes gate.Admit,
-// which may defer it (see Gate). This is the serving layer's booking
-// path — a rolling-horizon re-plan replayed onto the live fleet under
-// per-tenant quotas. A nil gate admits everything, reproducing
-// Forecast exactly. It is a call on a fresh Forecaster.
-func ForecastGated(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule, error) {
-	return new(Forecaster).Forecast(fleet, jobs, gate)
+	return new(Forecaster).Forecast(fleet, jobs, nil)
 }
 
 // Forecaster runs forecasts in storage it keeps from one call to the
 // next: the prepared jobs, the placement runners and queue, each job's
 // stage results and the Schedule. A rolling-horizon re-planner keeps
-// one for its lifetime; the zero value is ready, and a fresh one per
-// call is ForecastGated. Not safe for concurrent use.
+// one for its lifetime; the zero value is ready. Not safe for
+// concurrent use.
 type Forecaster struct {
 	jobs     []Job
 	pjobs    []preparedJob
@@ -82,9 +72,14 @@ type Forecaster struct {
 	sched    Schedule
 }
 
-// Forecast is ForecastGated in the Forecaster's storage. The returned
-// Schedule, its jobs and their stages are the Forecaster's until the
-// next call, so a caller that keeps them copies them out first.
+// Forecast is flow.Forecast run in the Forecaster's storage, with an
+// admission gate threaded into the placement simulation: every stage
+// booking first passes gate.Admit, which may defer it (see Gate).
+// This is the serving layer's booking path — a rolling-horizon re-plan
+// replayed onto the live fleet under per-tenant quotas. A nil gate
+// admits everything. The returned Schedule, its jobs and their stages
+// are the Forecaster's until the next call, so a caller that keeps
+// them copies them out first.
 func (f *Forecaster) Forecast(fleet *cloud.Fleet, jobs []ForecastJob, gate Gate) (*Schedule, error) {
 	n := len(jobs)
 	f.jobs = slices.Grow(f.jobs[:0], n)[:n]

@@ -136,9 +136,9 @@ func (g *deferGate) Admit(job *Job, k JobKind, it cloud.InstanceType, startSec, 
 	return 0, true
 }
 
-// TestForecastGatedDefersStages pins the Gate seam: a gate deferral
-// re-queues the stage (nothing booked) until the deferred ready time,
-// and a nil gate reproduces Forecast exactly.
+// TestForecastGatedDefersStages pins Forecaster.Forecast's Gate seam:
+// a gate deferral re-queues the stage (nothing booked) until the
+// deferred ready time.
 func TestForecastGatedDefersStages(t *testing.T) {
 	catalog := cloud.DefaultCatalog()
 	gp, err := catalog.ByName("gp.2x")
@@ -151,7 +151,7 @@ func TestForecastGatedDefersStages(t *testing.T) {
 	}
 	fleet := cloud.NewFleet(cloud.FleetEntry{Type: gp, Count: 2})
 	gate := &deferGate{job: "b", until: 300}
-	sched, err := ForecastGated(fleet, jobs, gate)
+	sched, err := new(Forecaster).Forecast(fleet, jobs, gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestForecastRefusesUnknownKind(t *testing.T) {
 		jobs := []ForecastJob{{Name: "x", Stages: []ForecastStage{
 			{Kind: JobSynthesis, Type: gp, Seconds: 1}, {Kind: k, Type: gp, Seconds: 1},
 		}}}
-		if _, err := ForecastGated(fleet.Clone(), jobs, nil); err == nil {
+		if _, err := new(Forecaster).Forecast(fleet.Clone(), jobs, nil); err == nil {
 			t.Errorf("kind %d accepted", int(k))
 		}
 	}
@@ -224,7 +224,7 @@ func (g *overlapGate) Admit(job *Job, k JobKind, it cloud.InstanceType, startSec
 // batches, whose job and stage counts grow and shrink from one batch to
 // the next, gated and ungated, on a fleet with spot revocations and
 // committed leases, gives exactly the schedule — every job, stage,
-// lease and ledger — and the error a fresh ForecastGated gives.
+// lease and ledger — and the error a fresh Forecaster gives.
 func TestForecasterReuseMatchesFresh(t *testing.T) {
 	base := spotTestFleet(t, "gp.2x=2,gp.2x.spot=2,mem.4x=1,mem.4x.spot=1", 5, 2)
 	for i := range base.Instances {
@@ -271,7 +271,7 @@ func TestForecasterReuseMatchesFresh(t *testing.T) {
 			}
 			return nil
 		}
-		want, wantErr := ForecastGated(base.Snapshot(), jobs, gate())
+		want, wantErr := new(Forecaster).Forecast(base.Snapshot(), jobs, gate())
 		got, gotErr := kept.Forecast(base.Snapshot(), jobs, gate())
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("seed %d: kept Forecaster error %v, fresh %v", seed, gotErr, wantErr)

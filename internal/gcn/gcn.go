@@ -183,7 +183,7 @@ func (g *Graph) aggregateRows(h, out *mat.Dense, vlo, vhi int) {
 		for _, u := range g.Pred[lo:hi] {
 			uRow := h.Row(int(u))
 			for j, uv := range uRow {
-				oRow[j] += uv * inv
+				oRow[j] += float64(uv * inv)
 			}
 		}
 	}
@@ -214,7 +214,7 @@ func (g *Graph) aggregateBack(p *par.Pool, dAgg, dH *mat.Dense) {
 				inv := 1 / float64(g.PredStart[v+1]-g.PredStart[v])
 				aRow := dAgg.Row(int(v))
 				for j, av := range aRow {
-					uRow[j] += av * inv
+					uRow[j] += float64(av * inv)
 				}
 			}
 		}
@@ -669,8 +669,8 @@ func (a *adamState) step(params, grads []*mat.Dense, lr float64) {
 		ve := a.vel[i]
 		for k := range p.Data {
 			gv := g.Data[k]
-			mo.Data[k] = adamBeta1*mo.Data[k] + (1-adamBeta1)*gv
-			ve.Data[k] = adamBeta2*ve.Data[k] + (1-adamBeta2)*gv*gv
+			mo.Data[k] = float64(adamBeta1*mo.Data[k]) + float64((1-adamBeta1)*gv)
+			ve.Data[k] = float64(adamBeta2*ve.Data[k]) + float64((1-adamBeta2)*gv*gv)
 			mHat := mo.Data[k] / bc1
 			vHat := ve.Data[k] / bc2
 			p.Data[k] -= lr * mHat / (math.Sqrt(vHat) + adamEps)
@@ -703,7 +703,7 @@ func FitScaler(targets [][]float64) *TargetScaler {
 	for _, t := range targets {
 		for j, v := range t {
 			d := math.Log1p(v) - sc.Mean[j]
-			sc.Std[j] += d * d
+			sc.Std[j] += float64(d * d)
 		}
 	}
 	for j := range sc.Std {
@@ -729,7 +729,7 @@ func (sc *TargetScaler) Transform(t []float64) []float64 {
 func (sc *TargetScaler) Invert(z []float64) []float64 {
 	out := make([]float64, len(z))
 	for j, v := range z {
-		out[j] = math.Expm1(v*sc.Std[j] + sc.Mean[j])
+		out[j] = math.Expm1(float64(v*sc.Std[j]) + sc.Mean[j])
 		if out[j] < 0 {
 			out[j] = 0
 		}

@@ -91,7 +91,7 @@ func (m *Dense) Zero() {
 func (m *Dense) Glorot(rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 }
 
@@ -161,10 +161,10 @@ func (ts *terms) addTo(o []float64, b *Dense, j0 int) {
 		b2 := b.Row(int(ts.row[t+2]))[j0 : j0+len(o)]
 		b3 := b.Row(int(ts.row[t+3]))[j0 : j0+len(o)]
 		for j, v := range o {
-			v += c0 * b0[j]
-			v += c1 * b1[j]
-			v += c2 * b2[j]
-			v += c3 * b3[j]
+			v += float64(c0 * b0[j])
+			v += float64(c1 * b1[j])
+			v += float64(c2 * b2[j])
+			v += float64(c3 * b3[j])
 			o[j] = v
 		}
 	}
@@ -172,7 +172,7 @@ func (ts *terms) addTo(o []float64, b *Dense, j0 int) {
 		c := ts.coef[t]
 		bRow := b.Row(int(ts.row[t]))[j0 : j0+len(o)]
 		for j := range o {
-			o[j] += c * bRow[j]
+			o[j] += float64(c * bRow[j])
 		}
 	}
 }
@@ -324,10 +324,10 @@ func mulABTRows(a, b, out *Dense, lo, hi int) {
 			b3 := b.Row(j + 3)[:len(aRow)]
 			var s0, s1, s2, s3 float64
 			for k, av := range aRow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			oRow[j], oRow[j+1], oRow[j+2], oRow[j+3] = s0, s1, s2, s3
 		}
@@ -335,7 +335,7 @@ func mulABTRows(a, b, out *Dense, lo, hi int) {
 			bRow := b.Row(j)[:len(aRow)]
 			var acc float64
 			for k, av := range aRow {
-				acc += av * bRow[k]
+				acc += float64(av * bRow[k])
 			}
 			oRow[j] = acc
 		}

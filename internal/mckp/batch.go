@@ -5,8 +5,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-
-	"edacloud/internal/par"
 )
 
 // This file is the batch-level formulation of the deployment problem:
@@ -100,9 +98,6 @@ type BatchState struct {
 	// Rounds bounds the price-adjustment iterations; 0 means the
 	// default 8. Warm-started re-solves typically pass 1 or 2.
 	Rounds int
-	// Workers bounds how many DP tables a round builds concurrently; 0
-	// means GOMAXPROCS. Results are identical for every value.
-	Workers int
 	// Scratch, when non-nil, keeps the per-job DP tables from this call
 	// to the next (nil: each call its own); it changes no result. Two
 	// calls must not share one at the same time.
@@ -352,8 +347,7 @@ func BatchOptimize(jobs []BatchJob, capacity Capacity) (BatchSelection, error) {
 // machine pools, the previous event's shadow prices seed the Lagrangian
 // loop, and the round budget shrinks because consecutive events see
 // nearly the same congestion. The zero state reproduces BatchOptimize
-// exactly; a round's table builds fan out across st.Workers with
-// results identical for any worker count.
+// exactly.
 func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (BatchSelection, error) {
 	if err := batchValidate(jobs, capacity); err != nil {
 		return BatchSelection{}, err
@@ -371,7 +365,6 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		return BatchSelection{}, fmt.Errorf("mckp: warm price %g for label %q", st.Prices[bad], bad)
 	}
 
-	pool := par.Fixed(st.Workers)
 	scratch := st.Scratch
 	if scratch == nil {
 		scratch = &Scratch{}
@@ -379,7 +372,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	scratch.begin()
 	est := scratch.est.reset(jobs, capacity, st.FreeAtSec)
 	solve := func(method string, prices map[string]float64) (*candidate, error) {
-		sels, err := scratch.solve(pool, est, prices)
+		sels, err := scratch.solve(est, prices)
 		if sels == nil || err != nil {
 			return nil, err // no error: this pricing starves a job; skip the candidate
 		}

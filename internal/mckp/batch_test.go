@@ -211,8 +211,7 @@ func TestBatchValidation(t *testing.T) {
 // TestBatchStateZeroValueMatchesBatchOptimize pins the warm-start
 // API's compatibility contract: BatchOptimizeState with a zero state
 // reproduces BatchOptimize exactly — same picks, totals, estimates,
-// method, rounds — over 25 seeded random batches, at several worker
-// counts.
+// method, rounds — over 25 seeded random batches.
 func TestBatchStateZeroValueMatchesBatchOptimize(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -221,21 +220,19 @@ func TestBatchStateZeroValueMatchesBatchOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := BatchOptimizeState(jobs, capacity, BatchState{Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if got.TotalCost != want.TotalCost || got.MakespanSec != want.MakespanSec ||
-				got.Method != want.Method || got.Rounds != want.Rounds ||
-				got.MissedDeadlines != want.MissedDeadlines {
-				t.Fatalf("seed %d workers %d: got %+v, want %+v", seed, workers, got, want)
-			}
-			for i := range want.Jobs {
-				for l, j := range want.Jobs[i].Pick {
-					if got.Jobs[i].Pick[l] != j {
-						t.Fatalf("seed %d workers %d: job %d pick diverges", seed, workers, i)
-					}
+		got, err := BatchOptimizeState(jobs, capacity, BatchState{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got.TotalCost != want.TotalCost || got.MakespanSec != want.MakespanSec ||
+			got.Method != want.Method || got.Rounds != want.Rounds ||
+			got.MissedDeadlines != want.MissedDeadlines {
+			t.Fatalf("seed %d: got %+v, want %+v", seed, got, want)
+		}
+		for i := range want.Jobs {
+			for l, j := range want.Jobs[i].Pick {
+				if got.Jobs[i].Pick[l] != j {
+					t.Fatalf("seed %d: job %d pick diverges", seed, i)
 				}
 			}
 		}

@@ -165,7 +165,7 @@ func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices m
 func solvePriced(job BatchJob, prices map[string]float64, s *Scratch) (Selection, error) {
 	jobs := []BatchJob{job}
 	s.begin()
-	sels, err := s.solve(nil, new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices)
+	sels, err := s.solve(new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices)
 	if sels == nil || err != nil {
 		return Selection{}, err
 	}

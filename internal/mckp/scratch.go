@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"edacloud/internal/par"
 )
 
 // table is one knapsack's layered step table. Its key holds, per class,
@@ -105,31 +103,6 @@ func (t *table) build(budget int) {
 	t.steps, t.off, t.budget = steps, off, budget
 }
 
-// parCells is the DP work, in cells, below which a round builds its
-// missing tables inline. Measured with go1.24 on a 2-core container:
-// rounds of 4-class, 8-item tables with random times built to a large
-// budget take about 19 ns per visited cell and 4 680 cells by the bound
-// of table.cells; fanned out over two workers, two tables (9 360) took
-// 12 % longer than inline, four (18 720) the same, and eight (37 440)
-// 22 % less. In serve-replay no round's bound reaches 1 400 cells, and
-// fanning its rounds out cost about 5 µs more than building them
-// inline.
-const parCells = 1 << 15
-
-// cells bounds the DP cells a build to budget visits: per layer, its
-// items times the steps the layer before can hold — at most one per
-// budget and the product of the earlier layers' item counts. It stops
-// counting at parCells, past which the bound only has to say so.
-func (t *table) cells(budget int) int {
-	cells, steps := 0, 1
-	for p := 0; p < len(t.key) && cells < parCells; p += 1 + 2*int(t.key[p]) {
-		n := int(t.key[p])
-		cells += n * steps
-		steps = min(steps*n, budget+1, parCells)
-	}
-	return cells
-}
-
 // at backtracks the selection at budget, at most the built one, into
 // pick: the last layer's step covering the budget, then in each layer
 // before it the step covering what the later picks leave. It reports
@@ -202,7 +175,7 @@ func (s *Scratch) begin() {
 // costs only steer the picks. The selections are nil when a job has no
 // feasible plan, which takes precedence over the error of a later job
 // with a negative priced cost.
-func (s *Scratch) solve(pool *par.Pool, est *estimator, prices map[string]float64) ([]Selection, error) {
+func (s *Scratch) solve(est *estimator, prices map[string]float64) ([]Selection, error) {
 	s.prices = s.prices[:0]
 	for _, label := range est.labels {
 		s.prices = append(s.prices, prices[label])
@@ -245,22 +218,10 @@ func (s *Scratch) solve(pool *par.Pool, est *estimator, prices map[string]float6
 		}
 		s.reads = append(s.reads, t)
 	}
-	// Only missing tables are built, and inline unless there are enough
-	// DP cells to pay for waking the pool.
-	cells := 0
+	// Only missing tables are built, each once, to the largest budget
+	// the round reads it at.
 	for _, t := range s.build {
-		cells += t.cells(t.want)
-	}
-	if cells < parCells {
-		for _, t := range s.build {
-			t.build(t.want)
-		}
-	} else {
-		pool.For(len(s.build), 1, func(lo, hi int) {
-			for _, t := range s.build[lo:hi] {
-				t.build(t.want)
-			}
-		})
+		t.build(t.want)
 	}
 	s.builds += len(s.build)
 	sels, picks := make([]Selection, len(s.reads)), make([]int, est.stageAt[len(s.reads)])

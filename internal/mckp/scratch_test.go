@@ -10,111 +10,109 @@ import (
 // TestScratchReuseMatchesFresh: one Scratch kept across 60 seeded
 // re-solves, whose job, class and item counts grow and shrink from one
 // batch to the next, gives exactly the selection a call with no
-// Scratch gives, at 1, 2 and 8 workers. So does one kept over seeded
-// call sequences the way an engine makes them: budgets shrink as every
+// Scratch gives. So does one kept over seeded call sequences the way
+// an engine makes them: budgets shrink as every
 // job's ReadySec advances, some jobs repeat another's classes at a
 // different budget in the same call, each call's warm prices are the
 // last call's FinalPrices, and one call's price change forces tables
 // to be rebuilt.
 func TestScratchReuseMatchesFresh(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		var kept Scratch
-		sizes := map[int]bool{}
-		for seed := int64(0); seed < 60; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			jobs, capacity, freeAt := randomStateBatch(rng)
-			if seed%10 == 9 {
-				// Wide enough that a round's missing tables fan out.
-				jobs = wideBatch(rng, capacity)
+	var kept Scratch
+	sizes := map[int]bool{}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		jobs, capacity, freeAt := randomStateBatch(rng)
+		if seed%10 == 9 {
+			// Twelve distinct 8-item tables in one round.
+			jobs = wideBatch(rng, capacity)
+		}
+		if seed%3 == 0 {
+			// Every third batch is three times as wide, so the kept
+			// tables see a larger batch after smaller ones and the
+			// reverse.
+			jobs = append(append(append([]BatchJob(nil), jobs...), jobs...), jobs...)
+		}
+		sizes[len(jobs)] = true
+		st := BatchState{FreeAtSec: freeAt, Rounds: rng.Intn(3)}
+		if rng.Intn(2) == 0 {
+			st.Prices = map[string]float64{}
+			for l := range capacity {
+				st.Prices[l] = rng.Float64() * 0.05
 			}
-			if seed%3 == 0 {
-				// Every third batch is three times as wide, so the kept
-				// tables see a larger batch after smaller ones and the
-				// reverse.
-				jobs = append(append(append([]BatchJob(nil), jobs...), jobs...), jobs...)
+		}
+		want, err := BatchOptimizeState(jobs, capacity, st)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		st.Scratch = &kept
+		got, err := BatchOptimizeState(jobs, capacity, st)
+		if err != nil {
+			t.Fatalf("seed %d, kept scratch: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: kept scratch gives\n%+v\nfresh storage gives\n%+v", seed, got, want)
+		}
+	}
+	if len(sizes) < 6 {
+		t.Fatalf("only %d batch sizes; the kept tables never grew and shrank", len(sizes))
+	}
+	rebuilt := 0
+	for seed := int64(100); seed < 140; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		jobs, capacity, freeAt := randomStateBatch(rng)
+		for _, job := range jobs[:len(jobs)/2+1] {
+			job.Name += "'"
+			if job.DeadlineSec > 0 {
+				job.DeadlineSec += 1 + rng.Intn(30)
 			}
-			sizes[len(jobs)] = true
-			st := BatchState{FreeAtSec: freeAt, Rounds: rng.Intn(3), Workers: workers}
-			if rng.Intn(2) == 0 {
-				st.Prices = map[string]float64{}
+			jobs = append(jobs, job)
+		}
+		var (
+			kept   Scratch
+			prices map[string]float64
+		)
+		for call := 0; call < 6; call++ {
+			if call == 3 && prices != nil {
+				changed := map[string]float64{}
 				for l := range capacity {
-					st.Prices[l] = rng.Float64() * 0.05
+					changed[l] = 0.01 + prices[l]/2
 				}
+				prices = changed
 			}
+			st := BatchState{FreeAtSec: freeAt, Prices: prices, Rounds: 1 + rng.Intn(2)}
 			want, err := BatchOptimizeState(jobs, capacity, st)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d call %d: %v", seed, call, err)
 			}
 			st.Scratch = &kept
+			before := kept.builds
 			got, err := BatchOptimizeState(jobs, capacity, st)
 			if err != nil {
-				t.Fatalf("seed %d, kept scratch: %v", seed, err)
+				t.Fatalf("seed %d call %d, kept scratch: %v", seed, call, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d seed %d: kept scratch gives\n%+v\nfresh storage gives\n%+v", workers, seed, got, want)
+				t.Fatalf("seed %d call %d: kept scratch gives\n%+v\nfresh storage gives\n%+v", seed, call, got, want)
+			}
+			if call == 3 && got.Feasible && prices != nil {
+				if kept.builds == before {
+					t.Fatalf("seed %d call %d: changed warm prices rebuilt no table", seed, call)
+				}
+				rebuilt++
+			}
+			prices = got.FinalPrices
+			for i := range jobs {
+				jobs[i].ReadySec += rng.Intn(8)
 			}
 		}
-		if len(sizes) < 6 {
-			t.Fatalf("only %d batch sizes; the kept tables never grew and shrank", len(sizes))
-		}
-		rebuilt := 0
-		for seed := int64(100); seed < 140; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			jobs, capacity, freeAt := randomStateBatch(rng)
-			for _, job := range jobs[:len(jobs)/2+1] {
-				job.Name += "'"
-				if job.DeadlineSec > 0 {
-					job.DeadlineSec += 1 + rng.Intn(30)
-				}
-				jobs = append(jobs, job)
-			}
-			var (
-				kept   Scratch
-				prices map[string]float64
-			)
-			for call := 0; call < 6; call++ {
-				if call == 3 && prices != nil {
-					changed := map[string]float64{}
-					for l := range capacity {
-						changed[l] = 0.01 + prices[l]/2
-					}
-					prices = changed
-				}
-				st := BatchState{FreeAtSec: freeAt, Prices: prices, Rounds: 1 + rng.Intn(2), Workers: workers}
-				want, err := BatchOptimizeState(jobs, capacity, st)
-				if err != nil {
-					t.Fatalf("seed %d call %d: %v", seed, call, err)
-				}
-				st.Scratch = &kept
-				before := kept.builds
-				got, err := BatchOptimizeState(jobs, capacity, st)
-				if err != nil {
-					t.Fatalf("seed %d call %d, kept scratch: %v", seed, call, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d seed %d call %d: kept scratch gives\n%+v\nfresh storage gives\n%+v", workers, seed, call, got, want)
-				}
-				if call == 3 && got.Feasible && prices != nil {
-					if kept.builds == before {
-						t.Fatalf("seed %d call %d: changed warm prices rebuilt no table", seed, call)
-					}
-					rebuilt++
-				}
-				prices = got.FinalPrices
-				for i := range jobs {
-					jobs[i].ReadySec += rng.Intn(8)
-				}
-			}
-		}
-		if rebuilt < 10 {
-			t.Fatalf("only %d sequences changed their warm prices on a feasible call", rebuilt)
-		}
+	}
+	if rebuilt < 10 {
+		t.Fatalf("only %d sequences changed their warm prices on a feasible call", rebuilt)
 	}
 }
 
 // wideBatch is twelve deadline-free jobs of four classes, each with
-// eight items of distinct times on the capacity's labels: their tables
-// hold more than parCells DP cells, so a round building them fans out.
+// eight items of distinct times on the capacity's labels: the widest
+// tables a round builds.
 func wideBatch(rng *rand.Rand, capacity Capacity) []BatchJob {
 	var labels []string
 	for l := range capacity {
@@ -122,7 +120,6 @@ func wideBatch(rng *rand.Rand, capacity Capacity) []BatchJob {
 	}
 	slices.Sort(labels)
 	jobs := make([]BatchJob, 12)
-	cells := 0
 	for i := range jobs {
 		jobs[i] = BatchJob{Name: "w" + string(rune('a'+i)), ReadySec: rng.Intn(50)}
 		for l := 0; l < 4; l++ {
@@ -134,11 +131,6 @@ func wideBatch(rng *rand.Rand, capacity Capacity) []BatchJob {
 			}
 			jobs[i].Classes = append(jobs[i].Classes, cl)
 		}
-		key := appendKey(nil, jobs[i].Classes, func(it Item) float64 { return -it.Cost })
-		cells += (&table{key: key}).cells(effectiveDeadline(jobs[i]))
-	}
-	if cells < parCells {
-		panic("wideBatch: too few DP cells to fan out")
 	}
 	return jobs
 }
@@ -219,7 +211,7 @@ func TestWarmResolveKeepsDPStorage(t *testing.T) {
 	if err != nil || !cold.Feasible {
 		t.Fatalf("cold solve: feasible=%v err=%v", cold.Feasible, err)
 	}
-	st := BatchState{Prices: cold.FinalPrices, Rounds: 2, Workers: 1, Scratch: &Scratch{}}
+	st := BatchState{Prices: cold.FinalPrices, Rounds: 2, Scratch: &Scratch{}}
 	warm := func() {
 		if _, err := BatchOptimizeState(jobs, capacity, st); err != nil {
 			t.Fatal(err)

@@ -209,8 +209,8 @@ func buildSystem(nl *netlist.Netlist, p *Placement, probe *perf.Probe) *system {
 
 	addFixed := func(i int, w, fx, fy float64) {
 		diag[i] += w
-		bx[i] += w * fx
-		by[i] += w * fy
+		bx[i] += float64(w * fx)
+		by[i] += float64(w * fy)
 	}
 
 	for id := range nl.Nets {
@@ -305,7 +305,7 @@ func (s *system) matVec(x, out []float64, probe *perf.Probe) {
 				// (it fits the LLC even at one slice on real design sizes);
 				// only the streamed operand arrays pay capacity misses.
 				probe.LoadHot(rgGather, uint64(j))
-				acc += s.val[k] * x[j]
+				acc += float64(s.val[k] * x[j])
 			}
 			out[i] = acc
 		}
@@ -329,7 +329,7 @@ func solveCG(s *system, x, b []float64, maxIter int, probe *perf.Probe) {
 		r[i] = b[i] - ap[i]
 		z[i] = r[i] / s.diag[i]
 		p[i] = z[i]
-		rz += r[i] * z[i]
+		rz += float64(r[i] * z[i])
 	}
 	probe.LoadRange(vecAddr(2, 0), 4*n, 8)
 	probe.FPVector(3 * n)
@@ -343,7 +343,7 @@ func solveCG(s *system, x, b []float64, maxIter int, probe *perf.Probe) {
 		s.matVec(p, ap, probe)
 		var pap float64
 		for i := 0; i < n; i++ {
-			pap += p[i] * ap[i]
+			pap += float64(p[i] * ap[i])
 		}
 		probe.LoadRange(vecAddr(3, 0), 2*n, 8)
 		probe.FPVector(2 * n)
@@ -354,10 +354,10 @@ func solveCG(s *system, x, b []float64, maxIter int, probe *perf.Probe) {
 		alpha := rz / pap
 		var rzNew float64
 		for i := 0; i < n; i++ {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
+			x[i] += float64(alpha * p[i])
+			r[i] -= float64(alpha * ap[i])
 			z[i] = r[i] / s.diag[i]
-			rzNew += r[i] * z[i]
+			rzNew += float64(r[i] * z[i])
 		}
 		probe.LoadRange(vecAddr(4, 0), 4*n, 8)
 		probe.FPVector(6 * n)
@@ -370,7 +370,7 @@ func solveCG(s *system, x, b []float64, maxIter int, probe *perf.Probe) {
 		beta := rzNew / rz
 		rz = rzNew
 		for i := 0; i < n; i++ {
-			p[i] = z[i] + beta*p[i]
+			p[i] = z[i] + float64(beta*p[i])
 		}
 		probe.LoadRange(vecAddr(5, 0), 2*n, 8)
 		probe.FPVector(2 * n)
@@ -395,8 +395,8 @@ func resolveWithAnchors(s *system, p *Placement, tx, ty []float64, alpha float64
 	copy(savedDiag, s.diag)
 	for i := 0; i < n; i++ {
 		s.diag[i] += alpha
-		bx[i] = s.bx[i] + alpha*tx[i]
-		by[i] = s.by[i] + alpha*ty[i]
+		bx[i] = s.bx[i] + float64(alpha*tx[i])
+		by[i] = s.by[i] + float64(alpha*ty[i])
 	}
 	probe.LoadRange(vecAddr(7, 0), 3*n, 8)
 	probe.FPVector(4 * n)
@@ -417,7 +417,7 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 
 	binW := p.DieW / float64(bins)
 	binH := p.DieH / float64(bins)
-	binCap := binW * binH // area capacity per bin
+	binCap := float64(binW * binH) // area capacity per bin
 	occ := make([]float64, bins*bins)
 	members := make([][]int32, bins*bins)
 
@@ -548,7 +548,7 @@ func legalize(nl *netlist.Netlist, p *Placement, probe *perf.Probe) {
 				continue
 			}
 			x := math.Min(math.Max(cursor[r], p.X[ci]), p.DieW-cellW)
-			cost := math.Abs(float64(r-wantRow))*p.RowHeight + math.Abs(x-p.X[ci])
+			cost := float64(math.Abs(float64(r-wantRow))*p.RowHeight) + math.Abs(x-p.X[ci])
 			better := cost < bestCost
 			probe.Branch(brLegalRow, better)
 			if better {

@@ -25,7 +25,6 @@ func TestReplayAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(t)
-	cfg.Workers = 1
 	var rep *Report
 	allocs := testing.AllocsPerRun(5, func() {
 		c := cfg
@@ -58,8 +57,8 @@ func rebuilt(t *testing.T, e *Engine) *Engine {
 // storage — trial fleet, DP tables, estimator, forecast, quota gate and
 // candidate plan — across an 80-job trace with cancels gives exactly
 // the report, job statuses, events, errors and full fleet timeline of
-// one rebuilt with fresh storage before every decision, at 1, 2 and 8
-// workers: rolling, with cache chains and hazards, and independent.
+// one rebuilt with fresh storage before every decision: rolling, with
+// cache chains and hazards, and independent.
 func TestKeptStorageMatchesRebuiltEngine(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -86,53 +85,50 @@ func TestKeptStorageMatchesRebuiltEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			run := func(rebuild bool) (*Report, *cloud.Fleet, []string) {
-				var log []string
-				cfg := mode.cfg(t)
-				cfg.Workers = workers
-				cfg.OnEvent = func(ev Event) { log = append(log, fmt.Sprintf("%+v", ev)) }
-				eng, err := New(cfg)
+		run := func(rebuild bool) (*Report, *cloud.Fleet, []string) {
+			var log []string
+			cfg := mode.cfg(t)
+			cfg.OnEvent = func(ev Event) { log = append(log, fmt.Sprintf("%+v", ev)) }
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if rebuild {
+					eng = rebuilt(t, eng)
+				}
+			}
+			for i, tj := range trace {
+				step()
+				st, err := eng.Submit(SubmitRequest{Tenant: tj.Tenant, Template: tj.Template, Name: tj.Name,
+					ArrivalSec: tj.ArrivalSec, DeadlineSec: tj.DeadlineSec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				step := func() {
-					if rebuild {
-						eng = rebuilt(t, eng)
-					}
-				}
-				for i, tj := range trace {
+				log = append(log, fmt.Sprintf("%+v", st))
+				if i%5 == 4 {
 					step()
-					st, err := eng.Submit(SubmitRequest{Tenant: tj.Tenant, Template: tj.Template, Name: tj.Name,
-						ArrivalSec: tj.ArrivalSec, DeadlineSec: tj.DeadlineSec})
-					if err != nil {
-						t.Fatal(err)
-					}
-					log = append(log, fmt.Sprintf("%+v", st))
-					if i%5 == 4 {
-						step()
-						log = append(log, fmt.Sprint(eng.Cancel(i-3, tj.ArrivalSec+1)))
-					}
-					if i%7 == 6 {
-						step()
-						log = append(log, fmt.Sprint(eng.Cancel(i, eng.Now())))
-					}
+					log = append(log, fmt.Sprint(eng.Cancel(i-3, tj.ArrivalSec+1)))
 				}
-				step()
-				eng.Drain()
-				return eng.Report(), eng.Fleet(), log
+				if i%7 == 6 {
+					step()
+					log = append(log, fmt.Sprint(eng.Cancel(i, eng.Now())))
+				}
 			}
-			want, wantFleet, wantLog := run(true)
-			got, gotFleet, gotLog := run(false)
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotLog, wantLog) {
-				t.Fatalf("%s, workers=%d: kept storage reports\n%s\nrebuilt engines report\n%s", mode.name, workers, got, want)
-			}
-			if !reflect.DeepEqual(gotFleet, wantFleet) {
-				t.Fatalf("%s, workers=%d: kept storage leaves another fleet timeline than rebuilt engines", mode.name, workers)
-			}
-			if want.Admitted == 0 || want.Canceled == 0 {
-				t.Fatalf("%s: degenerate trace: %s", mode.name, want)
-			}
+			step()
+			eng.Drain()
+			return eng.Report(), eng.Fleet(), log
+		}
+		want, wantFleet, wantLog := run(true)
+		got, gotFleet, gotLog := run(false)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotLog, wantLog) {
+			t.Fatalf("%s: kept storage reports\n%s\nrebuilt engines report\n%s", mode.name, got, want)
+		}
+		if !reflect.DeepEqual(gotFleet, wantFleet) {
+			t.Fatalf("%s: kept storage leaves another fleet timeline than rebuilt engines", mode.name)
+		}
+		if want.Admitted == 0 || want.Canceled == 0 {
+			t.Fatalf("%s: degenerate trace: %s", mode.name, want)
 		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 // only if it is strictly better than the incumbent — so the promise
 // made at admission (the forecast finish of every admitted job) only
 // ever improves. Everything is a pure function of the submission
-// sequence, so replays are byte-identical at any worker count.
+// sequence, so replays are byte-identical.
 
 // warmRounds bounds the warm re-solve's price-adjustment iterations at
 // each event (warm starts converge fast). The initial cold solve uses
@@ -539,7 +539,6 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 		FreeAtSec: e.freeAt,
 		Prices:    e.prices,
 		Rounds:    rounds,
-		Workers:   e.cfg.Workers,
 		Scratch:   &e.scratch,
 	})
 	if err != nil {

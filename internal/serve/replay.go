@@ -8,8 +8,7 @@ import (
 )
 
 // Report summarizes a replayed trace. Every field is a pure function
-// of the trace and config, so String() is byte-identical across runs
-// and worker counts.
+// of the trace and config, so String() is byte-identical across runs.
 type Report struct {
 	Jobs      int `json:"jobs"`
 	Admitted  int `json:"admitted"`

@@ -22,8 +22,8 @@
 //     exact lease timeline the fleet will carry.
 //
 // Everything runs in simulated time on a single goroutine, so a trace
-// replayed at any worker count yields byte-identical admission
-// decisions and schedules — the serving layer inherits the simulator's
+// replayed twice yields byte-identical admission decisions and
+// schedules — the serving layer inherits the simulator's
 // determinism instead of fighting it.
 package serve
 
@@ -84,9 +84,6 @@ type Config struct {
 	// expectation; a predicted cache hit is still priced at the probe
 	// constant. A NaN, infinite or negative rate is refused.
 	Hazards mckp.Hazards
-	// Workers bounds the per-job DP fan-out inside each re-solve; 0
-	// means all cores. Results are identical for every value.
-	Workers int
 	// Independent switches the engine to the per-arrival baseline: each
 	// job is planned solo (its own min-cost DP, congestion ignored) and
 	// booked after the existing reservations, with no re-planning at

@@ -8,7 +8,7 @@ import (
 // This file is the fairness half of admission control: a flow.Gate
 // that meters each tenant's concurrent fleet spend against its
 // weighted quota while every re-plan's forecast books leases. The gate
-// sees each stage booking before it lands (flow.ForecastGated), so a
+// sees each stage booking before it lands (flow.Forecaster.Forecast), so a
 // tenant flooding the queue defers its own stages past its quota
 // instead of crowding out the others — and the deferral is part of the
 // deterministic placement simulation, not a runtime race.
