@@ -151,9 +151,13 @@ func effectiveDeadline(job BatchJob) int {
 	return MaxTotalTime(job.Classes)
 }
 
-// candidate is one joint plan under evaluation.
+// candidate is one joint plan under evaluation. Its storage is the
+// Scratch's, lent from one candidate to the next: picks[i] and
+// sels[i].Pick are one slice, cut from pick, and ests holds its last
+// evaluation.
 type candidate struct {
 	method string
+	pick   []int
 	picks  [][]int
 	sels   []Selection
 	ests   []JobEstimate
@@ -161,6 +165,30 @@ type candidate struct {
 	span   int
 	missed int
 	prices map[string]float64
+}
+
+// copyFrom makes c a copy of o in c's own storage.
+func (c *candidate) copyFrom(o *candidate) {
+	pick, picks, sels, ests := c.pick, c.picks, c.sels, c.ests
+	*c = *o
+	c.pick = append(pick[:0], o.pick...)
+	c.sels = append(sels[:0], o.sels...)
+	c.ests = append(ests[:0], o.ests...)
+	cut(c.sels, c.pick)
+	c.picks = picks[:0]
+	for _, sel := range c.sels {
+		c.picks = append(c.picks, sel.Pick)
+	}
+}
+
+// cut points each sels[i].Pick, in order, at its own stretch of pick.
+func cut(sels []Selection, pick []int) {
+	at := 0
+	for i := range sels {
+		next := at + len(sels[i].Pick)
+		sels[i].Pick = pick[at:next:next]
+		at = next
+	}
 }
 
 // score orders candidates: fewest missed deadlines, then cheapest,
@@ -179,7 +207,7 @@ func (c *candidate) better(o *candidate) bool {
 // est's busy and wait then hold the candidate's per-label totals.
 func (c *candidate) evaluate(est *estimator) {
 	jobs := est.jobs
-	c.ests, c.span = est.estimate(c.picks)
+	c.ests, c.span = est.estimate(c.picks, c.ests)
 	c.cost, c.missed = 0, 0
 	for i, sel := range c.sels {
 		c.cost += sel.TotalCost
@@ -272,14 +300,15 @@ func (e *estimator) reset(jobs []BatchJob, capacity Capacity, freeAt map[string]
 // stages are the placement unit, jobs queue FIFO by ready time (ties
 // toward the earlier job), and each stage takes the earliest-free
 // machine of its label (ties toward the lower machine index). It
-// returns the per-job estimates and the makespan, and leaves per-label
-// busy and wait totals — the congestion signal the price loop feeds
-// on — in e.busy and e.wait.
-func (e *estimator) estimate(picks [][]int) (ests []JobEstimate, makespan int) {
+// returns the per-job estimates, in ests's storage when it fits, and
+// the makespan, and leaves per-label busy and wait totals — the
+// congestion signal the price loop feeds on — in e.busy and e.wait.
+func (e *estimator) estimate(picks [][]int, ests []JobEstimate) ([]JobEstimate, int) {
 	copy(e.free, e.seed)
 	clear(e.busy)
 	clear(e.wait)
-	ests = make([]JobEstimate, len(e.jobs))
+	ests = sized(ests, len(e.jobs))
+	makespan := 0
 	queue := e.queue[:0]
 	for i, job := range e.jobs {
 		queue = append(queue, i)
@@ -371,16 +400,24 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	}
 	scratch.begin()
 	est := scratch.est.reset(jobs, capacity, st.FreeAtSec)
+	// solve returns an evaluated candidate in storage the Scratch lends;
+	// keep holds the better of it and bestCand and lends the other's back.
 	solve := func(method string, prices map[string]float64) (*candidate, error) {
-		sels, err := scratch.solve(est, prices)
-		if sels == nil || err != nil {
+		c := scratch.take()
+		if ok, err := scratch.solve(est, prices, c); !ok || err != nil {
+			scratch.give(c)
 			return nil, err // no error: this pricing starves a job; skip the candidate
 		}
-		c := &candidate{method: method, prices: prices, picks: make([][]int, len(jobs)), sels: sels}
-		for i, sel := range sels {
-			c.picks[i] = sel.Pick
-		}
+		c.method, c.prices = method, prices
+		c.evaluate(est)
 		return c, nil
+	}
+	var bestCand *candidate
+	keep := func(c *candidate) {
+		if c.better(bestCand) {
+			c, bestCand = bestCand, c
+		}
+		scratch.give(c)
 	}
 
 	// Candidate zero: every job independently optimal, prices all zero.
@@ -393,8 +430,8 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	if base == nil {
 		return BatchSelection{Feasible: false, Jobs: make([]Selection, len(jobs))}, nil
 	}
-	base.evaluate(est)
-	bestCand := base
+	bestCand = base
+	defer func() { scratch.give(bestCand) }()
 
 	// Price loop: shadow prices start at zero (or the caller's warm
 	// vector) and chase congestion. The unit price is the batch's
@@ -425,10 +462,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 			return BatchSelection{}, err
 		}
 		if warm != nil {
-			warm.evaluate(est)
-			if warm.better(bestCand) {
-				bestCand = warm
-			}
+			keep(warm)
 		}
 	}
 	roundsRun := 0
@@ -460,10 +494,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		if cand == nil {
 			break // pricing made some job infeasible; stop escalating
 		}
-		cand.evaluate(est)
-		if cand.better(bestCand) {
-			bestCand = cand
-		}
+		keep(cand)
 	}
 
 	// Fallback bound: greedy round-robin repair of the best candidate.
@@ -471,17 +502,20 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// every single-stage re-pick, keeping the move that most improves
 	// (missed, job finish, cost). Bounded by the total item count so it
 	// always terminates.
-	repaired := repairMisses(est, bestCand)
-	if repaired != nil && repaired.better(bestCand) {
-		bestCand = repaired
+	if repaired := repairMisses(est, bestCand, scratch); repaired != nil {
+		keep(repaired)
 	}
 
+	// The selections and estimates are the only storage the call hands
+	// out: fresh, so the next call may lend the Scratch's again.
+	sels := slices.Clone(bestCand.sels)
+	cut(sels, slices.Clone(bestCand.pick))
 	return BatchSelection{
 		Feasible:        true,
-		Jobs:            bestCand.sels,
+		Jobs:            sels,
 		TotalCost:       bestCand.cost,
 		MakespanSec:     bestCand.span,
-		Estimates:       bestCand.ests,
+		Estimates:       slices.Clone(bestCand.ests),
 		Prices:          bestCand.prices,
 		Rounds:          roundsRun,
 		Method:          bestCand.method,
@@ -493,17 +527,17 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 // repairMisses is the greedy round-robin re-planner: starting from a
 // candidate, repeatedly re-pick one stage of the worst deadline-missing
 // job until no move improves the estimate. Returns nil when the start
-// already meets every deadline. Picks and Selections are never mutated
-// once built, so a trial shares every job's but the re-picked one's.
-func repairMisses(est *estimator, start *candidate) *candidate {
+// already meets every deadline. Every candidate it makes is lent by
+// scratch, and all but the one it returns are lent back.
+func repairMisses(est *estimator, start *candidate, scratch *Scratch) *candidate {
 	if start.missed == 0 {
 		return nil
 	}
 	jobs := est.jobs
-	first := *start
-	first.method = "round-robin"
-	first.picks, first.sels = slices.Clone(start.picks), slices.Clone(start.sels)
-	cur := &first
+	cur, trial := scratch.take(), scratch.take()
+	defer scratch.give(trial)
+	cur.copyFrom(start)
+	cur.method = "round-robin"
 
 	for step := 0; step < len(est.label) && cur.missed > 0; step++ {
 		// The worst offender: largest finish-past-deadline overrun, ties
@@ -520,35 +554,37 @@ func repairMisses(est *estimator, start *candidate) *candidate {
 		if worst < 0 {
 			break
 		}
-		// Trials re-pick job worst in cur's own slices; a new best is copied.
+		// Trials re-pick job worst in trial, a copy of cur; a new best is
+		// copied into bestMove.
 		var bestMove *candidate
-		trial, own := *cur, cur.sels[worst]
+		trial.copyFrom(cur)
+		own, picks := cur.picks[worst], trial.picks[worst]
 		for l := range jobs[worst].Classes {
 			for j := range jobs[worst].Classes[l].Items {
-				if j == own.Pick[l] {
+				if j == own[l] {
 					continue
 				}
-				picks := append([]int(nil), own.Pick...)
 				picks[l] = j
 				sel := retotal(jobs[worst], picks)
-				if sel.TotalTime > effectiveDeadline(jobs[worst]) {
-					continue // busy time alone already blows the budget
+				if sel.TotalTime <= effectiveDeadline(jobs[worst]) { // else busy time alone blows the budget
+					trial.sels[worst] = sel
+					trial.evaluate(est)
+					if (trial.missed < cur.missed ||
+						(trial.missed == cur.missed && trial.ests[worst].FinishSec < cur.ests[worst].FinishSec)) &&
+						(bestMove == nil || trial.better(bestMove)) {
+						if bestMove == nil {
+							bestMove = scratch.take()
+						}
+						bestMove.copyFrom(trial)
+					}
 				}
-				trial.picks[worst], trial.sels[worst] = sel.Pick, sel
-				trial.evaluate(est)
-				if (trial.missed < cur.missed ||
-					(trial.missed == cur.missed && trial.ests[worst].FinishSec < cur.ests[worst].FinishSec)) &&
-					(bestMove == nil || trial.better(bestMove)) {
-					move := trial
-					move.picks, move.sels = slices.Clone(trial.picks), slices.Clone(trial.sels)
-					bestMove = &move
-				}
+				picks[l] = own[l]
 			}
 		}
-		cur.picks[worst], cur.sels[worst] = own.Pick, own
 		if bestMove == nil {
 			break
 		}
+		scratch.give(cur)
 		cur = bestMove
 	}
 	return cur

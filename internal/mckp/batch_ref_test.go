@@ -122,7 +122,7 @@ func TestBatchEstimateMatchesReference(t *testing.T) {
 				}
 			}
 			wantEsts, wantSpan, wantBusy, wantWait, wantFree := refBatchEstimate(jobs, picks, capacity, freeAt)
-			gotEsts, gotSpan := est.estimate(picks)
+			gotEsts, gotSpan := est.estimate(picks, nil)
 			if gotSpan != wantSpan {
 				t.Fatalf("seed %d trial %d: makespan %d, reference %d", seed, trial, gotSpan, wantSpan)
 			}
@@ -162,9 +162,9 @@ func TestBatchEstimateMatchesReference(t *testing.T) {
 }
 
 // TestBatchEstimateAllocs is the guard that an evaluation stays off
-// the heap: estimating a fixed 24-job, 4-stage batch allocates only
-// the estimates it returns (the reference allocates its pools, maps
-// and runners every time).
+// the heap: estimating a fixed 24-job, 4-stage batch into the estimates
+// of the last evaluation allocates nothing (the reference allocates its
+// pools, maps and runners every time).
 func TestBatchEstimateAllocs(t *testing.T) {
 	labels := []string{"gp.2x", "mem.4x", "cpu.8x"}
 	capacity := Capacity{"gp.2x": 2, "mem.4x": 3, "cpu.8x": 1}
@@ -182,7 +182,8 @@ func TestBatchEstimateAllocs(t *testing.T) {
 		}
 	}
 	est := new(estimator).reset(jobs, capacity, map[string][]int{"mem.4x": {30, 0, 12}})
-	if got := testing.AllocsPerRun(100, func() { est.estimate(picks) }); got > 1 {
-		t.Fatalf("estimate allocates %.0f times per evaluation, want at most 1", got)
+	var ests []JobEstimate
+	if got := testing.AllocsPerRun(100, func() { ests, _ = est.estimate(picks, ests) }); got > 0 {
+		t.Fatalf("estimate allocates %.0f times per evaluation, want none", got)
 	}
 }

@@ -77,7 +77,7 @@ func TestQuickBatchCostNeverExceedsIndependent(t *testing.T) {
 		for i := range batch.Jobs {
 			batchPicks[i] = batch.Jobs[i].Pick
 		}
-		ests, span := new(estimator).reset(jobs, capacity, nil).estimate(batchPicks)
+		ests, span := new(estimator).reset(jobs, capacity, nil).estimate(batchPicks, nil)
 		if span != batch.MakespanSec {
 			t.Fatalf("seed %d: re-estimated makespan %d vs %d", seed, span, batch.MakespanSec)
 		}
@@ -127,7 +127,7 @@ func TestBatchSpreadsContendedDeadlines(t *testing.T) {
 	// The independent plans both pick "a": serialized, job 1 finishes at
 	// 20 and misses its 15 s deadline — the gap the batch closes.
 	indep := [][]int{{0}, {0}}
-	ests, span := new(estimator).reset(jobs, capacity, nil).estimate(indep)
+	ests, span := new(estimator).reset(jobs, capacity, nil).estimate(indep, nil)
 	if span != 20 || ests[1].FinishSec != 20 || ests[1].WaitSec != 10 {
 		t.Fatalf("independent estimate: span=%d ests=%+v", span, ests)
 	}

@@ -165,11 +165,11 @@ func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices m
 func solvePriced(job BatchJob, prices map[string]float64, s *Scratch) (Selection, error) {
 	jobs := []BatchJob{job}
 	s.begin()
-	sels, err := s.solve(new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices)
-	if sels == nil || err != nil {
+	var c candidate
+	if ok, err := s.solve(new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices, &c); !ok || err != nil {
 		return Selection{}, err
 	}
-	return sels[0], nil
+	return c.sels[0], nil
 }
 
 var refLabels = []string{"a", "b", "c"}

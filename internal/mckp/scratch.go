@@ -132,8 +132,10 @@ func (t *table) at(budget int, pick []int) bool {
 // items' times and priced values. One solved to a budget answers every
 // smaller budget, so a round builds one table per key, to the largest
 // budget its jobs read it at, and reads one the previous call used
-// wherever it reaches the job's budget. serve.Engine keeps one for its
-// lifetime; nil gives a call its own. A selection never points into it.
+// wherever it reaches the job's budget. It also lends the candidates'
+// storage, which a losing candidate hands on to the next. serve.Engine
+// keeps one for its lifetime; nil gives a call its own. A selection
+// never points into it.
 type Scratch struct {
 	call int
 	// tables were read by this call or the last, spare ones are recycled;
@@ -147,7 +149,21 @@ type Scratch struct {
 	reads, build []*table
 	builds       int // tables built over the Scratch's life
 	est          estimator
+	// cands are the candidates no one holds.
+	cands []*candidate
 }
+
+// take lends a candidate's storage; give hands it back.
+func (s *Scratch) take() *candidate {
+	if n := len(s.cands); n > 0 {
+		c := s.cands[n-1]
+		s.cands = s.cands[:n-1]
+		return c
+	}
+	return &candidate{}
+}
+
+func (s *Scratch) give(c *candidate) { s.cands = append(s.cands, c) }
 
 // begin starts a call, recycling the tables the previous one left unread.
 func (s *Scratch) begin() {
@@ -170,12 +186,12 @@ func (s *Scratch) begin() {
 }
 
 // solve runs one round's min-cost DP per job of est, each item's cost
-// raised by its label's shadow price times its runtime. It returns the
-// picks with true (unpriced) totals summed in class order: the priced
-// costs only steer the picks. The selections are nil when a job has no
-// feasible plan, which takes precedence over the error of a later job
-// with a negative priced cost.
-func (s *Scratch) solve(est *estimator, prices map[string]float64) ([]Selection, error) {
+// raised by its label's shadow price times its runtime. It puts the
+// picks in c, with true (unpriced) totals summed in class order: the
+// priced costs only steer the picks. It reports false when a job has
+// no feasible plan, which takes precedence over the error of a later
+// job with a negative priced cost.
+func (s *Scratch) solve(est *estimator, prices map[string]float64, c *candidate) (bool, error) {
 	s.prices = s.prices[:0]
 	for _, label := range est.labels {
 		s.prices = append(s.prices, prices[label])
@@ -224,14 +240,15 @@ func (s *Scratch) solve(est *estimator, prices map[string]float64) ([]Selection,
 		t.build(t.want)
 	}
 	s.builds += len(s.build)
-	sels, picks := make([]Selection, len(s.reads)), make([]int, est.stageAt[len(s.reads)])
+	c.sels, c.pick = sized(c.sels, len(s.reads)), sized(c.pick, est.stageAt[len(s.reads)])
+	c.picks = sized(c.picks, len(s.reads))
 	for i, t := range s.reads {
 		job := est.jobs[i]
-		pick := picks[est.stageAt[i]:est.stageAt[i+1]:est.stageAt[i+1]]
+		pick := c.pick[est.stageAt[i]:est.stageAt[i+1]:est.stageAt[i+1]]
 		if !t.at(effectiveDeadline(job), pick) {
-			return nil, nil
+			return false, nil
 		}
-		sels[i] = retotal(job, pick)
+		c.picks[i], c.sels[i] = pick, retotal(job, pick)
 	}
-	return sels, negative
+	return true, negative
 }

@@ -1,6 +1,7 @@
 package mckp
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -188,12 +189,13 @@ func TestSmallerBudgetsBuildNoTables(t *testing.T) {
 // TestWarmResolveKeepsDPStorage is the guard that a kept Scratch
 // carries the DP tables and the estimator from one re-solve to the
 // next: a warm re-solve of a fixed 24-job, 4-stage batch allocates its
-// results, and none of the DP tables, which it reads off the ones the
-// previous call built. The budget is the 26 allocations measured, plus
-// 25 %; an estimator built per call made 136, and the same call with no
-// Scratch makes 605 (every table built afresh).
+// results, and none of the DP tables or candidates, which it reads off
+// the ones the previous call built. The budget is the 11 allocations
+// measured, plus 25 %; candidates allocated per solve made 26, an
+// estimator built per call 136, and the same call with no Scratch makes
+// 601 (every table built afresh).
 func TestWarmResolveKeepsDPStorage(t *testing.T) {
-	const budget = 32
+	const budget = 14
 	labels := []string{"gp.2x", "mem.4x", "cpu.8x"}
 	capacity := Capacity{"gp.2x": 2, "mem.4x": 3, "cpu.8x": 1}
 	jobs := make([]BatchJob, 24)
@@ -227,5 +229,48 @@ func TestWarmResolveKeepsDPStorage(t *testing.T) {
 	}
 	if fresh <= budget {
 		t.Errorf("without a scratch the re-solve allocates only %.0f times, within the budget: the batch no longer exercises the DP tables", fresh)
+	}
+}
+
+// TestSelectionOutlivesScratchReuse: a selection a call returns is the
+// call's own storage. A second call on the same Scratch, over another
+// batch, reuses the storage the first call's candidates were made in,
+// and leaves every pick, selection, estimate and price of the first
+// call's result as it was — also when round-robin repair won it.
+func TestSelectionOutlivesScratchReuse(t *testing.T) {
+	var kept Scratch
+	checked, repaired := 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		jobs, capacity, freeAt := randomStateBatch(rand.New(rand.NewSource(seed)))
+		first, err := BatchOptimizeState(jobs, capacity, BatchState{FreeAtSec: freeAt, Rounds: int(seed % 3), Scratch: &kept})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !first.Feasible {
+			continue
+		}
+		want := first
+		want.Jobs = slices.Clone(first.Jobs)
+		for i := range want.Jobs {
+			want.Jobs[i].Pick = slices.Clone(first.Jobs[i].Pick)
+		}
+		want.Estimates = slices.Clone(first.Estimates)
+		want.Prices, want.FinalPrices = maps.Clone(first.Prices), maps.Clone(first.FinalPrices)
+
+		jobs, capacity, freeAt = randomStateBatch(rand.New(rand.NewSource(seed + 1000)))
+		if _, err := BatchOptimizeState(jobs, capacity, BatchState{FreeAtSec: freeAt, Scratch: &kept}); err != nil {
+			t.Fatalf("seed %d, second call: %v", seed, err)
+		}
+		if !reflect.DeepEqual(first, want) {
+			t.Fatalf("seed %d: a second call on the Scratch changed the first call's result to\n%+v\nfrom\n%+v", seed, first, want)
+		}
+		checked++
+		if first.Method == "round-robin" {
+			repaired++
+		}
+	}
+	t.Logf("%d feasible first calls, %d won by round-robin repair", checked, repaired)
+	if checked < 100 || repaired == 0 {
+		t.Fatalf("only %d feasible first calls, %d repaired: the check went untested", checked, repaired)
 	}
 }

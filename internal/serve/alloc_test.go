@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"edacloud/internal/cloud"
@@ -11,12 +12,13 @@ import (
 
 // TestReplayAllocBudget is the guard that a re-plan keeps its working
 // storage: replaying a fixed 60-job trace, New included, stays under a
-// per-decision allocation budget. The budget is the 50.4 allocations
-// measured, plus 25 %. A fleet snapshot, forecast, estimator and quota
-// gate built per re-plan made 199; per-kind maps in the forecast and DP
-// tables built per solve made 352.
+// per-decision allocation budget. The budget is the 29.3 allocations
+// measured, plus 25 %. Candidates and estimates allocated per solve
+// made 50.4; a fleet snapshot, forecast, estimator and quota gate built
+// per re-plan made 199; per-kind maps in the forecast and DP tables
+// built per solve made 352.
 func TestReplayAllocBudget(t *testing.T) {
-	const budget = 63
+	const budget = 37
 	trace, err := TraceGen(TraceConfig{
 		Seed: 7, Jobs: 60, RatePerSec: 0.02, Burstiness: 0.3, SlackSec: 2500,
 		Tenants: []string{"alpha", "beta"}, Templates: []string{"small", "big"},
@@ -40,8 +42,9 @@ func TestReplayAllocBudget(t *testing.T) {
 	}
 }
 
-// rebuilt returns a new engine holding e's state and none of its kept
-// re-plan storage.
+// rebuilt returns a new engine holding e's state — the jobs and the
+// lists of the admitted and the streaming ones among them included —
+// and none of its kept re-plan storage.
 func rebuilt(t *testing.T, e *Engine) *Engine {
 	t.Helper()
 	f, err := New(e.cfg)
@@ -49,6 +52,7 @@ func rebuilt(t *testing.T, e *Engine) *Engine {
 		t.Fatal(err)
 	}
 	f.fleet, f.settled, f.now, f.jobs, f.prices, f.seen = e.fleet, e.settled, e.now, e.jobs, e.prices, e.seen
+	f.admitted, f.streaming = e.admitted, e.streaming
 	f.Replans, f.Adopted, f.Released = e.Replans, e.Adopted, e.Released
 	return f
 }
@@ -129,6 +133,71 @@ func TestKeptStorageMatchesRebuiltEngine(t *testing.T) {
 		}
 		if want.Admitted == 0 || want.Canceled == 0 {
 			t.Fatalf("%s: degenerate trace: %s", mode.name, want)
+		}
+	}
+}
+
+// TestLiveListsMatchJobs: after every Submit, Cancel and Drain of a
+// 2 000-job trace, the engine's list of admitted jobs is exactly the
+// admitted jobs of its history, and its list of streaming jobs exactly
+// the jobs with events still to stream (none without an OnEvent), both
+// in ID order: rolling, independent, and rolling with no OnEvent.
+func TestLiveListsMatchJobs(t *testing.T) {
+	trace, err := TraceGen(TraceConfig{
+		Seed: 5, Jobs: 2000, RatePerSec: 0.02, Burstiness: 0.4, SlackSec: 2200,
+		Tenants: []string{"alpha", "beta"}, Templates: []string{"small", "big"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name                string
+		independent, silent bool
+	}{{"rolling", false, false}, {"independent", true, false}, {"rolling, no OnEvent", false, true}} {
+		cfg := testConfig(t)
+		cfg.Independent = mode.independent
+		events := 0
+		if !mode.silent {
+			cfg.OnEvent = func(Event) { events++ }
+		}
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(op string) {
+			t.Helper()
+			var admitted, streaming []*record
+			for _, r := range eng.jobs {
+				if r.status.Status == StatusAdmitted {
+					admitted = append(admitted, r)
+				}
+				if !mode.silent && r.status.Status != StatusRejected && !streamed(r) {
+					streaming = append(streaming, r)
+				}
+			}
+			if !slices.Equal(eng.admitted, admitted) || !slices.Equal(eng.streaming, streaming) {
+				t.Fatalf("%s: after %s the engine lists %d admitted and %d streaming jobs, its history %d and %d",
+					mode.name, op, len(eng.admitted), len(eng.streaming), len(admitted), len(streaming))
+			}
+		}
+		canceled := 0
+		for i, tj := range trace {
+			if _, err := eng.Submit(SubmitRequest{Tenant: tj.Tenant, Template: tj.Template, Name: tj.Name,
+				ArrivalSec: tj.ArrivalSec, DeadlineSec: tj.DeadlineSec}); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("submit %d", i))
+			if i%5 == 4 {
+				if eng.Cancel(i-3, eng.Now()) == nil {
+					canceled++
+				}
+				check(fmt.Sprintf("cancel %d", i-3))
+			}
+		}
+		eng.Drain()
+		check("drain")
+		if len(eng.admitted) != 0 || canceled == 0 || (events == 0) != mode.silent {
+			t.Fatalf("%s: %d admitted after the drain, %d canceled, %d events", mode.name, len(eng.admitted), canceled, events)
 		}
 	}
 }

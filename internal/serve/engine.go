@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"edacloud/internal/cache"
@@ -61,7 +61,11 @@ type Engine struct {
 	settled [][]cloud.Lease
 	now     float64
 	jobs    []*record
-	prices  map[string]float64
+	// admitted lists the admitted jobs, and streaming (kept only with an
+	// OnEvent) the jobs with events still to stream, both in ID order: a
+	// decision visits the live jobs, not the history.
+	admitted, streaming []*record
+	prices              map[string]float64
 
 	// seen maps each artifact chain key an admitted job will compute to
 	// the job that introduced it — the serving layer's fleet-wide dedup
@@ -87,6 +91,7 @@ type Engine struct {
 	fjobs      []flow.ForecastJob
 	fstages    []flow.ForecastStage
 	tailHits   [][]bool
+	pending    []pendingEvent
 
 	// Replans counts re-optimizations run; Adopted counts those whose
 	// plan replaced the incumbent; Released totals leases released.
@@ -269,7 +274,7 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 		return r.status, nil
 	}
 	e.adopt(cand)
-	r.status.Status = StatusAdmitted
+	e.admit(r)
 	e.registerChain(r)
 	// Only deadlined jobs get a binding promise: a deadline-free job
 	// asked for best effort, and pinning its first forecast would make
@@ -321,6 +326,10 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 	kept := committedStages(r.status.Stages, e.now)
 	r.status.Stages = append([]PlannedStage(nil), r.status.Stages[:kept]...)
 	r.status.Status = StatusCanceled
+	e.admitted = without(e.admitted, r)
+	if streamed(r) {
+		e.streaming = without(e.streaming, r)
+	}
 	r.status.CostUSD = stageCost(r.status.Stages)
 	if kept > 0 {
 		r.status.FinishSec = r.status.Stages[kept-1].EndSec
@@ -337,20 +346,18 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 // the last completion).
 func (e *Engine) AdvanceTo(tSec float64) {
 	for {
-		next, id := math.Inf(1), -1
-		for i, r := range e.jobs {
-			if r.status.Status != StatusAdmitted {
-				continue
-			}
+		next, at := math.Inf(1), -1
+		for i, r := range e.admitted {
 			if f := r.status.Stages[len(r.status.Stages)-1].EndSec; f < next {
-				next, id = f, i
+				next, at = f, i
 			}
 		}
-		if id < 0 || next > tSec {
+		if at < 0 || next > tSec {
 			break
 		}
 		e.setNow(next)
-		r := e.jobs[id]
+		r := e.admitted[at]
+		e.admitted = slices.Delete(e.admitted, at, at+1)
 		r.status.Status = StatusDone
 		r.status.FinishSec = next
 		r.status.CostUSD = stageCost(r.status.Stages)
@@ -378,6 +385,31 @@ func (e *Engine) setNow(t float64) {
 
 // Drain runs the engine to quiescence: every admitted job completes.
 func (e *Engine) Drain() { e.AdvanceTo(math.Inf(1)) }
+
+// admit marks r admitted. It is the newest job, so the lists stay in
+// ID order.
+func (e *Engine) admit(r *record) {
+	r.status.Status = StatusAdmitted
+	e.admitted = append(e.admitted, r)
+	if e.cfg.OnEvent != nil {
+		e.streaming = append(e.streaming, r)
+	}
+}
+
+// without removes r from list, which is in ID order.
+func without(list []*record, r *record) []*record {
+	i, ok := slices.BinarySearchFunc(list, r.status.ID, func(x *record, id int) int { return cmp.Compare(x.status.ID, id) })
+	if !ok {
+		return list
+	}
+	return slices.Delete(list, i, i+1)
+}
+
+// streamed reports whether every event of r's plan has been streamed.
+func streamed(r *record) bool {
+	n := len(r.status.Stages)
+	return r.emittedStarts >= n && r.emittedEnds >= n
+}
 
 // plan is one candidate engine state produced by replan: the trial
 // fleet with the re-booked tail, the re-planned jobs with their
@@ -462,9 +494,16 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 
 	p := &e.cand
 	*p = plan{fleet: snap, active: p.active[:0]}
-	for _, r := range e.jobs {
-		if r.status.Status != StatusAdmitted && !(extra != nil && r == extra) {
-			continue
+	// The admitted jobs, then the arrival under test, which has the
+	// highest ID: ID order.
+	n := len(e.admitted)
+	if extra != nil {
+		n++
+	}
+	for i := range n {
+		r := extra
+		if i < len(e.admitted) {
+			r = e.admitted[i]
 		}
 		kept := committedStages(r.status.Stages, e.now)
 		if r != extra && kept == len(r.status.Stages) {
@@ -652,10 +691,8 @@ func (e *Engine) reoptimize(cancel bool) {
 	}
 	curCost := e.fleet.TotalCostUSD()
 	curSum := 0.0
-	for _, r := range e.jobs {
-		if r.status.Status == StatusAdmitted {
-			curSum += r.status.Stages[len(r.status.Stages)-1].EndSec
-		}
+	for _, r := range e.admitted {
+		curSum += r.status.Stages[len(r.status.Stages)-1].EndSec
 	}
 	if cand.cost < curCost-1e-9 || (cand.cost < curCost+1e-9 && cand.sumFinish < curSum-1e-9) {
 		e.adopt(cand)
@@ -717,12 +754,21 @@ func (e *Engine) admitIndependent(r *record) {
 		return
 	}
 	e.fleet, e.spare = snap, e.fleet
-	r.status.Status = StatusAdmitted
+	e.admit(r)
 	r.status.Stages = plannedStages(nil, res.Stages)
 	r.status.CostUSD = stageCost(r.status.Stages)
 	if r.status.DeadlineSec > 0 {
 		r.status.PromisedSec = res.FinishSec
 	}
+}
+
+// pendingEvent is one progress event emitUpTo has yet to send: the
+// start or end of stage idx of job jobID, at simulated time at.
+type pendingEvent struct {
+	at    float64
+	end   bool
+	jobID int
+	idx   int
 }
 
 // emitUpTo streams the progress events that became fact by simulated
@@ -734,35 +780,28 @@ func (e *Engine) emitUpTo(t float64) {
 	if e.cfg.OnEvent == nil {
 		return
 	}
-	type pending struct {
-		at    float64
-		end   bool
-		jobID int
-		idx   int
-	}
-	var evs []pending
-	for i, r := range e.jobs {
-		switch r.status.Status {
-		case StatusAdmitted, StatusDone, StatusCanceled:
-		default:
-			continue
-		}
+	evs := e.pending[:0]
+	for _, r := range e.streaming {
 		stages := r.status.Stages
 		for idx := r.emittedStarts; idx < len(stages) && stages[idx].StartSec < t; idx++ {
-			evs = append(evs, pending{at: stages[idx].StartSec, jobID: i, idx: idx})
+			evs = append(evs, pendingEvent{at: stages[idx].StartSec, jobID: r.status.ID, idx: idx})
 		}
 		for idx := r.emittedEnds; idx < len(stages) && stages[idx].EndSec <= t; idx++ {
-			evs = append(evs, pending{at: stages[idx].EndSec, end: true, jobID: i, idx: idx})
+			evs = append(evs, pendingEvent{at: stages[idx].EndSec, end: true, jobID: r.status.ID, idx: idx})
 		}
 	}
-	sort.SliceStable(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
+	e.pending = evs
+	slices.SortStableFunc(evs, func(a, b pendingEvent) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		if evs[a].end != evs[b].end {
-			return evs[a].end // finishes before starts at the same instant
+		if a.end != b.end {
+			if a.end {
+				return -1 // finishes before starts at the same instant
+			}
+			return 1
 		}
-		return evs[a].jobID < evs[b].jobID
+		return cmp.Compare(a.jobID, b.jobID)
 	})
 	for _, ev := range evs {
 		r := e.jobs[ev.jobID]
@@ -784,6 +823,7 @@ func (e *Engine) emitUpTo(t float64) {
 			AtSec: ev.at, JobID: ev.jobID, Job: r.status.Name, Tenant: r.status.Tenant, Flow: fev,
 		})
 	}
+	e.streaming = slices.DeleteFunc(e.streaming, streamed)
 }
 
 // TenantStats summarizes every tenant's ledger, in config order.

@@ -17,18 +17,26 @@ import (
 // serializes every request — the engine itself is single-threaded by
 // design, which is what makes its decisions reproducible.
 type Server struct {
-	mu     sync.Mutex
-	eng    *Engine
-	events map[int][]Event
+	mu  sync.Mutex
+	eng *Engine
+	// events[id] is job id's event log.
+	events [][]Event
 }
 
 // NewServer builds a server over the config. The config's OnEvent (if
 // any) still fires; the server additionally records every event for
 // the per-job events endpoint.
 func NewServer(cfg Config) (*Server, error) {
-	s := &Server{events: map[int][]Event{}}
+	s := &Server{}
 	inner := cfg.OnEvent
 	cfg.OnEvent = func(ev Event) {
+		for len(s.events) <= ev.JobID {
+			s.events = append(s.events, nil)
+		}
+		if s.events[ev.JobID] == nil {
+			// A stage starts and finishes once.
+			s.events[ev.JobID] = make([]Event, 0, 2*ev.Flow.Total)
+		}
 		s.events[ev.JobID] = append(s.events[ev.JobID], ev)
 		if inner != nil {
 			inner(ev)
@@ -45,28 +53,40 @@ func NewServer(cfg Config) (*Server, error) {
 // Engine exposes the wrapped engine for in-process drivers.
 func (s *Server) Engine() *Engine { return s.eng }
 
-// jsonBuf is one response's encoding storage: an indenting encoder
-// and the buffer it writes into. Pooled, so the buffer and the
-// encoder's own indent buffer are reused from response to response.
+// jsonBuf is one response's encoding storage: an encoder and the
+// buffer it writes into, reused from response to response.
 type jsonBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
-var jsonBufs = sync.Pool{New: func() any {
-	b := &jsonBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	b.enc.SetIndent("", "  ")
-	return b
-}}
+// jsonBufs holds encoders for reuse by any request. It is a bounded
+// channel rather than a sync.Pool because a garbage collection empties
+// a pool, and a busy server collects every few milliseconds. Every
+// answer but a refused body is encoded under the server's mutex, so a
+// few encoders serve all the requests in flight; eight bounds what the
+// largest responses keep pinned.
+var jsonBufs = make(chan *jsonBuf, 8)
 
-// writeJSON sends v, indented, with the status code, in one write. An
-// encoding error sends the status with an empty body; a write error
-// means the client has gone, and the status is already sent.
+// writeJSON sends v as compact JSON and a newline, with the status
+// code, in one write. An encoding error sends the status with an empty
+// body; a write error means the client has gone, and the status is
+// already sent.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	b := jsonBufs.Get().(*jsonBuf)
-	defer jsonBufs.Put(b)
-	b.buf.Reset()
+	var b *jsonBuf
+	select {
+	case b = <-jsonBufs:
+		b.buf.Reset()
+	default:
+		b = &jsonBuf{}
+		b.enc = json.NewEncoder(&b.buf)
+	}
+	defer func() {
+		select {
+		case jsonBufs <- b:
+		default:
+		}
+	}()
 	_ = b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -194,7 +214,10 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		evs := s.events[id]
+		var evs []Event
+		if id < len(s.events) {
+			evs = s.events[id]
+		}
 		if evs == nil {
 			evs = []Event{}
 		}

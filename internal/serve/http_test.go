@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -211,13 +213,93 @@ func TestOutOfRangeTimesRefused(t *testing.T) {
 	}
 }
 
+// TestWireFormat pins what every endpoint sends: its body is its
+// json.Compact form and one newline — for answers and refusals alike —
+// and /v1/report decodes to exactly the engine's Report.
+func TestWireFormat(t *testing.T) {
+	s, err := NewServer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{"POST", "/v1/jobs", `{"tenant":"alpha","template":"small","name":"one","arrival_sec":0,"deadline_sec":2000}`, http.StatusCreated},
+		{"POST", "/v1/jobs", `{"tenant":"beta","template":"big","name":"two","arrival_sec":1,"deadline_sec":3000}`, http.StatusCreated},
+		{"POST", "/v1/jobs", `{"tenant":"beta","template":"big","name":"nope","arrival_sec":2,"deadline_sec":5}`, http.StatusConflict},
+		{"POST", "/v1/jobs", `{"tenant":"nobody","template":"small"}`, http.StatusBadRequest},
+		{"POST", "/v1/advance", `{"to_sec":150}`, http.StatusOK},
+		{"POST", "/v1/advance", `{"to_sec":1}`, http.StatusBadRequest},
+		{"GET", "/v1/jobs", "", http.StatusOK},
+		{"GET", "/v1/jobs/0", "", http.StatusOK},
+		{"GET", "/v1/jobs/99", "", http.StatusNotFound},
+		{"GET", "/v1/jobs/xx", "", http.StatusBadRequest},
+		{"GET", "/v1/jobs/0/events", "", http.StatusOK},
+		{"GET", "/v1/jobs/2/events", "", http.StatusOK},
+		{"POST", "/v1/jobs/1/cancel", "", http.StatusOK},
+		{"POST", "/v1/jobs/1/cancel", "", http.StatusConflict},
+		{"GET", "/v1/tenants", "", http.StatusOK},
+		{"POST", "/v1/advance", `{"drain":true}`, http.StatusOK},
+		{"GET", "/v1/report", "", http.StatusOK},
+	} {
+		rec := send(h, c.method, c.path, c.body)
+		if rec.Code != c.status {
+			t.Fatalf("%s %s %s: status %d, want %d: %s", c.method, c.path, c.body, rec.Code, c.status, rec.Body)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, rec.Body.Bytes()); err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		if got := rec.Body.String(); got != compact.String()+"\n" {
+			t.Fatalf("%s %s sends\n%s\nnot its compact form\n%s", c.method, c.path, got, compact.String())
+		}
+		if c.path != "/v1/report" {
+			continue
+		}
+		var got Report
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		want := s.Engine().Report()
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("/v1/report decodes to\n%s\nthe engine reports\n%s", &got, want)
+		}
+		if want.Completed != 1 || want.Canceled != 1 || want.Rejected != 1 || len(want.Statuses) != 3 {
+			t.Fatalf("degenerate report:\n%s", want)
+		}
+	}
+}
+
 // FuzzSubmitBody: whatever body reaches the submit handler, it never
-// panics and answers 201, 409 or 400; a 400 leaves the engine clock
-// where it was, no answer moves it to 2^53 s or past, and a drain
-// afterwards still succeeds.
+// panics and answers 201, 409 or 400, under fuzzBody's clock checks.
 func FuzzSubmitBody(f *testing.F) {
 	// The out-of-range and malformed seeds live in testdata/fuzz.
 	f.Add([]byte(`{"tenant":"alpha","template":"small","arrival_sec":20,"deadline_sec":2000}`))
+	fuzzBody(f, "/v1/jobs", http.StatusCreated, http.StatusConflict, http.StatusBadRequest)
+}
+
+// FuzzAdvanceBody: whatever body reaches the advance handler, it never
+// panics and answers 200 or 400, under fuzzBody's clock checks.
+func FuzzAdvanceBody(f *testing.F) {
+	f.Add([]byte(`{"to_sec":500}`))
+	fuzzBody(f, "/v1/advance", http.StatusOK, http.StatusBadRequest)
+}
+
+// FuzzCancelBody: whatever body reaches the cancel handler for the
+// admitted job 0, it never panics and answers 200, 409 or 400, under
+// fuzzBody's clock checks.
+func FuzzCancelBody(f *testing.F) {
+	f.Add([]byte(`{"at_sec":50}`))
+	fuzzBody(f, "/v1/jobs/0/cancel", http.StatusOK, http.StatusConflict, http.StatusBadRequest)
+}
+
+// fuzzBody fuzzes the body of one POST endpoint on a server whose job 0
+// was admitted at 10 s: the handler never panics and answers only one
+// of codes; a 400 leaves the engine clock where it was, no answer moves
+// it to 2^53 s or past, and a drain afterwards still succeeds.
+func fuzzBody(f *testing.F, path string, codes ...int) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s, err := NewServer(testConfig(t))
 		if err != nil {
@@ -227,15 +309,12 @@ func FuzzSubmitBody(f *testing.F) {
 		if rec := send(h, "POST", "/v1/jobs", `{"tenant":"alpha","template":"small","arrival_sec":10,"deadline_sec":2000}`); rec.Code != http.StatusCreated {
 			t.Fatalf("first submit: %d %s", rec.Code, rec.Body)
 		}
-		rec := send(h, "POST", "/v1/jobs", string(body))
-		switch rec.Code {
-		case http.StatusCreated, http.StatusConflict:
-		case http.StatusBadRequest:
-			if now := s.Engine().Now(); now != 10 {
-				t.Fatalf("400 for %q moved the clock to %g: %s", body, now, rec.Body)
-			}
-		default:
-			t.Fatalf("body %q: status %d %s", body, rec.Code, rec.Body)
+		rec := send(h, "POST", path, string(body))
+		if !slices.Contains(codes, rec.Code) {
+			t.Fatalf("body %q: status %d %s, want one of %v", body, rec.Code, rec.Body, codes)
+		}
+		if now := s.Engine().Now(); rec.Code == http.StatusBadRequest && now != 10 {
+			t.Fatalf("400 for %q moved the clock to %g: %s", body, now, rec.Body)
 		}
 		if now := s.Engine().Now(); now >= maxClockSec {
 			t.Fatalf("body %q moved the clock out of range, to %g", body, now)
