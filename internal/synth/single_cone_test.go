@@ -14,7 +14,7 @@ import (
 	"edacloud/internal/perf"
 )
 
-var updateSingleCone = flag.Bool("update", false, "rewrite testdata/single_cone.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 // TestSingleConeGolden pins what every pass reports on graphs whose
 // outputs partition into one cone: per pass of every standard recipe,
@@ -61,28 +61,42 @@ func TestSingleConeGolden(t *testing.T) {
 		return sb.String()
 	}
 	path := filepath.Join("testdata", "single_cone.golden")
-	if *updateSingleCone {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(report(1)), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *updateGolden {
+		writeGolden(t, path, report(1))
 		return
 	}
+	for _, w := range []int{1, 2, 8} {
+		checkGolden(t, path, fmt.Sprintf("workers=%d", w), report(w))
+	}
+}
+
+// writeGolden replaces the golden file at path with got.
+func writeGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden fails the test at the first line where got differs from
+// the golden file at path.
+func checkGolden(t *testing.T, path, what, got string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 8} {
-		if got := report(w); got != string(want) {
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for i := range min(len(gl), len(wl)) {
-				if gl[i] != wl[i] {
-					t.Fatalf("workers=%d: line %d\n got %s\nwant %s", w, i+1, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("workers=%d: %d lines, want %d", w, len(gl), len(wl))
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d\n got %s\nwant %s", what, i+1, gl[i], wl[i])
 		}
 	}
+	t.Fatalf("%s: %d lines, want %d", what, len(gl), len(wl))
 }
