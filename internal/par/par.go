@@ -42,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"edacloud/internal/ints"
 	"edacloud/internal/perf"
 )
 
@@ -111,7 +110,7 @@ func (p *Pool) trySubmit(fn func()) bool {
 	}
 }
 
-func chunkCount(n, grain int) int { return ints.CeilDiv(n, grain) }
+func chunkCount(n, grain int) int { return (n + grain - 1) / grain }
 
 // For runs fn over consecutive chunks [start, end) covering [0, n),
 // each at most grain long (grain <= 0 picks one aimed at ~4 chunks

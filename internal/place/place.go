@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"edacloud/internal/hash"
-	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
@@ -473,7 +472,7 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 		for ring := 1; ring < bins && excess > 0 && mi >= 0; ring++ {
 			for dy := -ring; dy <= ring && excess > 0 && mi >= 0; dy++ {
 				for dx := -ring; dx <= ring && excess > 0 && mi >= 0; dx++ {
-					if ints.Abs(dx) != ring && ints.Abs(dy) != ring {
+					if max(dx, -dx) != ring && max(dy, -dy) != ring {
 						continue
 					}
 					nx, ny := bx+dx, by+dy

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"edacloud/internal/hash"
-	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
@@ -425,7 +424,7 @@ const staGrain = 16
 const epGrain = 32
 
 // chunksOf mirrors par's chunk layout for sizing per-chunk partials.
-func chunksOf(n, grain int) int { return ints.CeilDiv(n, grain) }
+func chunksOf(n, grain int) int { return (n + grain - 1) / grain }
 
 // levelBuckets groups cells for the levelized sweep: bucket 0 holds
 // sequential cells, bucket l+1 the combinational cells at level l.

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"edacloud/internal/aig"
-	"edacloud/internal/ints"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
@@ -112,7 +111,7 @@ func (ce *cutEnum) run() {
 		}
 		before := ce.probe.Instrs()
 		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, enumChunk)
-		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
+		if chunks := (len(nodes) + cutGrain - 1) / cutGrain; chunks > 1 {
 			ce.parInstrs += ce.probe.Instrs() - before
 			ce.parChunks = max(ce.parChunks, chunks)
 		}

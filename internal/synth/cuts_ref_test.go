@@ -10,7 +10,6 @@ import (
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
 	"edacloud/internal/hash"
-	"edacloud/internal/ints"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
@@ -50,7 +49,7 @@ func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool)
 				refEnumNode(ce, int(v), probe)
 			}
 		})
-		if chunks := ints.CeilDiv(len(nodes), cutGrain); chunks > 1 {
+		if chunks := (len(nodes) + cutGrain - 1) / cutGrain; chunks > 1 {
 			ce.parInstrs += ce.probe.Counters().Instrs - before
 			ce.parChunks = max(ce.parChunks, chunks)
 		}
