@@ -93,12 +93,15 @@ type Graph struct {
 	// power-of-two array of AND variable indices (0 marks an empty slot:
 	// variable 0 is the constant, never an AND). A slot's key is the
 	// fanin pair already stored in nodes, so the table holds no keys of
-	// its own and is rebuilt from nodes when it grows. It is allocated by
-	// the first And that creates a node and kept at most half full.
-	strash []int32
+	// its own and is rebuilt from nodes when it grows: the first And that
+	// creates a node sizes it for reserve nodes, in the storage it has
+	// when that is large enough, and it is kept at most half full.
+	strash  []int32
+	reserve int // nodes the last NewSized or Reset made room for
 
-	levels     []int32 // memoized logic levels, nil when stale
-	fanoutSize []int32 // memoized fanout counts, nil when stale
+	// Memoized levels and fanout counts; a stale memo keeps its storage.
+	levels, fanoutSize []int32
+	levelsOK, fanoutOK bool
 }
 
 // New returns an empty graph containing only the constant node.
@@ -115,17 +118,19 @@ func NewSized(name string, inputs, ands int) *Graph {
 		nodes:   make([]node, 1, 1+inputs+ands),
 		inputs:  make([]int, 0, inputs),
 		inNames: make([]string, 0, inputs),
+		reserve: 1 + inputs + ands,
 	}
 	g.nodes[0] = node{kind: kindConst}
 	return g
 }
 
 // Reset empties the graph in place, as if it were NewSized(name, inputs,
-// ands), but keeps its node, port and strash arrays for reuse: a caller
-// that builds one short-lived graph after another allocates only when a
-// graph outgrows every earlier one. A graph rebuilt after Reset numbers
-// its variables, dedupes its ANDs and fingerprints exactly as a fresh
-// one does; only the hash table's slot positions may differ.
+// ands), but keeps its node, port, strash and memo arrays for reuse: a
+// caller that builds one short-lived graph after another allocates only
+// when a graph outgrows every earlier one, and clears only as much table
+// as the new reservation needs. A graph rebuilt after Reset numbers its
+// variables, dedupes its ANDs and fingerprints exactly as a fresh one
+// does; only the hash table's slot positions may differ.
 func (g *Graph) Reset(name string, inputs, ands int) {
 	g.Name = name
 	if cap(g.nodes) < 1+inputs+ands {
@@ -143,7 +148,8 @@ func (g *Graph) Reset(name string, inputs, ands int) {
 	g.outputs = g.outputs[:0]
 	g.inNames = g.inNames[:0]
 	g.outNames = g.outNames[:0]
-	clear(g.strash)
+	g.strash = g.strash[:0]
+	g.reserve = 1 + inputs + ands
 	g.invalidate()
 }
 
@@ -179,6 +185,7 @@ func (g *Graph) InputName(i int) string { return g.inNames[i] }
 func (g *Graph) AddOutput(l Lit, name string) {
 	g.outputs = append(g.outputs, l)
 	g.outNames = append(g.outNames, name)
+	g.fanoutOK = false
 }
 
 // Output returns the literal of the i-th primary output.
@@ -210,8 +217,17 @@ func (g *Graph) Fanins(v int) (Lit, Lit) {
 }
 
 func (g *Graph) invalidate() {
-	g.levels = nil
-	g.fanoutSize = nil
+	g.levelsOK = false
+	g.fanoutOK = false
+}
+
+// SwapStrash exchanges the storage of g's and h's hash tables, so that
+// graphs built one after another can share one table; h may be a zero
+// Graph that only holds the storage between them. Both tables are
+// emptied: each graph re-enters its nodes the next time it adds an AND,
+// so no result of either graph changes.
+func (g *Graph) SwapStrash(h *Graph) {
+	g.strash, h.strash = h.strash[:0], g.strash[:0]
 }
 
 // strashSlot returns the table slot holding the AND of the canonically
@@ -233,15 +249,20 @@ func (g *Graph) strashSlot(a, b Lit) int {
 	}
 }
 
-// growStrash sizes the table to at least twice the node array's
-// capacity — so it outlasts the reservation NewSized made — and
+// growStrash sizes the table to at least twice the reservation and the
+// node count, in its own storage when that is large enough, and
 // re-enters every AND node.
 func (g *Graph) growStrash() {
 	size := 16
-	for size < 2*cap(g.nodes) {
+	for size < 2*max(g.reserve, len(g.nodes)+1) {
 		size *= 2
 	}
-	g.strash = make([]int32, size)
+	if cap(g.strash) >= size {
+		g.strash = g.strash[:size]
+		clear(g.strash)
+	} else {
+		g.strash = make([]int32, size)
+	}
 	for v := range g.nodes {
 		if n := &g.nodes[v]; n.kind == kindAnd {
 			g.strash[g.strashSlot(n.fan0, n.fan1)] = int32(v)
@@ -327,12 +348,15 @@ func (g *Graph) OrN(ls []Lit) Lit {
 
 // Levels returns the logic level of every variable: inputs and the
 // constant are level 0 and an AND node is one more than its deepest
-// fanin. The result is memoized until the graph changes.
+// fanin. The result is memoized until the graph changes; the next call
+// then recomputes into the same storage, which only rewrites existing
+// levels after a Reset.
 func (g *Graph) Levels() []int32 {
-	if g.levels != nil {
+	if g.levelsOK {
 		return g.levels
 	}
-	lv := make([]int32, len(g.nodes))
+	lv := slices.Grow(g.levels[:0], len(g.nodes))[:len(g.nodes)]
+	clear(lv)
 	for v := 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
 		if n.kind != kindAnd {
@@ -345,7 +369,7 @@ func (g *Graph) Levels() []int32 {
 		}
 		lv[v] = l0 + 1
 	}
-	g.levels = lv
+	g.levels, g.levelsOK = lv, true
 	return lv
 }
 
@@ -362,12 +386,15 @@ func (g *Graph) Depth() int {
 }
 
 // FanoutCounts returns, for every variable, the number of fanout
-// references from AND nodes and primary outputs.
+// references from AND nodes and primary outputs. The result is memoized
+// until the graph changes; the next call then recomputes into the same
+// storage, so the old slice does not keep the old counts.
 func (g *Graph) FanoutCounts() []int32 {
-	if g.fanoutSize != nil {
+	if g.fanoutOK {
 		return g.fanoutSize
 	}
-	fo := make([]int32, len(g.nodes))
+	fo := slices.Grow(g.fanoutSize[:0], len(g.nodes))[:len(g.nodes)]
+	clear(fo)
 	for v := 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
 		if n.kind != kindAnd {
@@ -379,7 +406,7 @@ func (g *Graph) FanoutCounts() []int32 {
 	for _, o := range g.outputs {
 		fo[o.Var()]++
 	}
-	g.fanoutSize = fo
+	g.fanoutSize, g.fanoutOK = fo, true
 	return fo
 }
 
@@ -470,7 +497,6 @@ func (g *Graph) Clone() *Graph {
 		outputs:  append([]Lit(nil), g.outputs...),
 		inNames:  append([]string(nil), g.inNames...),
 		outNames: append([]string(nil), g.outNames...),
-		strash:   append([]int32(nil), g.strash...),
 	}
 	return ng
 }

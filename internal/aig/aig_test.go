@@ -147,6 +147,11 @@ func TestLevelsAndFanouts(t *testing.T) {
 	if fo[y.Var()] != 1 {
 		t.Fatalf("fanout(y) = %d, want 1 (the output)", fo[y.Var()])
 	}
+	// An output added after the counts were read is counted next time.
+	g.AddOutput(x, "x")
+	if fo := g.FanoutCounts(); fo[x.Var()] != 2 {
+		t.Fatalf("fanout(x) = %d after adding it as an output, want 2", fo[x.Var()])
+	}
 }
 
 func TestSweepRemovesDanglingNodes(t *testing.T) {
@@ -285,6 +290,71 @@ func TestResetMatchesNewSized(t *testing.T) {
 				t.Fatalf("%d ANDs for %d requests: nothing was deduped", g.NumAnds(), tc.ands)
 			}
 		})
+	}
+}
+
+// TestRebuildWithinReservationAllocatesNothing: a graph Reset and
+// rebuilt within its reservation reuses its node, port, hash-table and
+// memo storage, so the rebuild allocates nothing; nor do graphs that
+// take turns with one table's storage (SwapStrash), nor Append into a
+// caller's variable map.
+func TestRebuildWithinReservationAllocatesNothing(t *testing.T) {
+	const inputs, ands = 12, 3000
+	src := NewSized("src", inputs, ands)
+	buildRandom(src, 5, inputs, ands)
+	// rebuild replays src into g: the same inputs, ANDs and outputs.
+	rebuild := func(g *Graph) {
+		g.Reset("g", inputs, ands)
+		for i := range inputs {
+			g.AddInput(src.InputName(i))
+		}
+		src.TopoAnds(func(v int, f0, f1 Lit) { g.And(f0, f1) })
+		for i := range src.NumOutputs() {
+			g.AddOutput(src.Output(i), src.OutputName(i))
+		}
+		g.Levels()
+		g.FanoutCounts()
+	}
+	g := NewSized("g", 0, 0)
+	rebuild(g)
+	if allocs := testing.AllocsPerRun(10, func() { rebuild(g) }); allocs != 0 {
+		t.Errorf("a rebuild within the reservation allocated %.0f times", allocs)
+	}
+	if g.NumAnds() != src.NumAnds() || g.Depth() != src.Depth() {
+		t.Fatalf("rebuilt %d ANDs at depth %d, want %d at %d", g.NumAnds(), g.Depth(), src.NumAnds(), src.Depth())
+	}
+
+	var table Graph // holds the shared storage between builds
+	h1, h2 := NewSized("h1", 0, 0), NewSized("h2", 0, 0)
+	turns := func() {
+		h1.SwapStrash(&table)
+		rebuild(h1)
+		h1.SwapStrash(&table)
+		h2.SwapStrash(&table)
+		rebuild(h2)
+		h2.SwapStrash(&table)
+	}
+	turns()
+	if allocs := testing.AllocsPerRun(10, turns); allocs != 0 {
+		t.Errorf("two graphs sharing one table allocated %.0f times", allocs)
+	}
+
+	dst := NewSized("dst", inputs, ands)
+	inMap := make([]Lit, inputs)
+	var m []Lit
+	appendSrc := func() {
+		dst.Reset("dst", inputs, ands)
+		for i := range inMap {
+			inMap[i] = dst.AddInput("")
+		}
+		m = dst.Append(src, inMap, m)
+	}
+	appendSrc()
+	if allocs := testing.AllocsPerRun(10, appendSrc); allocs != 0 {
+		t.Errorf("Append into the caller's map allocated %.0f times", allocs)
+	}
+	if dst.NumAnds() != src.NumAnds() || m[src.Output(0).Var()] != src.Output(0)&^1 {
+		t.Fatalf("Append made %d ANDs, mapped output 0 to %v", dst.NumAnds(), m[src.Output(0).Var()])
 	}
 }
 

@@ -123,14 +123,16 @@ func (g *Graph) PartitionConesInto(cp *ConePartitioning, grain int) *ConePartiti
 // primary input is identified with inputMap[i] (a literal of g), which
 // is how a resynthesized partition shard rejoins the merged graph: the
 // shard's placeholder leaves map to the final literals of already
-// merged partitions. It returns a map from sub variable to g literal.
-// Sub's outputs are not copied; callers resolve them through the
-// returned map.
-func (g *Graph) Append(sub *Graph, inputMap []Lit) []Lit {
+// merged partitions. It returns a map from sub variable to g literal,
+// built in old2new's storage when that is large enough (nil means a
+// fresh map), so a caller appending one graph after another can keep
+// one map. Sub's outputs are not copied; callers resolve them through
+// the returned map.
+func (g *Graph) Append(sub *Graph, inputMap, old2new []Lit) []Lit {
 	if len(inputMap) != sub.NumInputs() {
 		panic("aig: Append input map length mismatch")
 	}
-	old2new := make([]Lit, len(sub.nodes))
+	old2new = slices.Grow(old2new[:0], len(sub.nodes))[:len(sub.nodes)]
 	old2new[0] = False
 	for i, v := range sub.inputs {
 		old2new[v] = inputMap[i]
@@ -272,13 +274,14 @@ func StitchSubDesigns(g *Graph, cp *ConePartitioning, subs []SubDesign) *Graph {
 		final[v] = ng.AddInput(g.InputName(i))
 	}
 	outLits := make([]Lit, len(g.outputs))
+	var inMap, m []Lit
 	for pi := range subs {
 		sub := &subs[pi]
-		inMap := make([]Lit, len(sub.Imports))
-		for i, u := range sub.Imports {
-			inMap[i] = final[u]
+		inMap = inMap[:0]
+		for _, u := range sub.Imports {
+			inMap = append(inMap, final[u])
 		}
-		m := ng.Append(sub.Graph, inMap)
+		m = ng.Append(sub.Graph, inMap, m)
 		souts := sub.Graph.Outputs()
 		if len(souts) != len(sub.Outputs)+len(sub.Exports) {
 			panic("aig: sub-design output arity mismatch")

@@ -165,7 +165,7 @@ func TestAppendIdentityMerge(t *testing.T) {
 	for i := 0; i < g.NumInputs(); i++ {
 		inMap[i] = ng.AddInput(g.InputName(i))
 	}
-	m := ng.Append(g, inMap)
+	m := ng.Append(g, inMap, nil)
 	for i, o := range g.Outputs() {
 		ng.AddOutput(m[o.Var()].NotIf(o.IsNeg()), g.OutputName(i))
 	}
@@ -192,8 +192,8 @@ func TestAppendDeduplicatesAcrossShards(t *testing.T) {
 	b := ng.AddInput("b")
 	m1 := mk()
 	m2 := mk()
-	l1 := ng.Append(m1, []Lit{a, b})[m1.Output(0).Var()]
-	l2 := ng.Append(m2, []Lit{a, b})[m2.Output(0).Var()]
+	l1 := ng.Append(m1, []Lit{a, b}, nil)[m1.Output(0).Var()]
+	l2 := ng.Append(m2, []Lit{a, b}, nil)[m2.Output(0).Var()]
 	if l1 != l2 {
 		t.Fatalf("identical shard nodes not deduped: %v vs %v", l1, l2)
 	}
@@ -212,7 +212,7 @@ func TestAppendFoldsMappedConstants(t *testing.T) {
 
 	ng := New("merged")
 	a := ng.AddInput("a")
-	m := ng.Append(s, []Lit{a, a.Not()})
+	m := ng.Append(s, []Lit{a, a.Not()}, nil)
 	if got := m[s.Output(0).Var()]; got != False {
 		t.Fatalf("AND(a, !a) after mapping = %v, want False", got)
 	}
@@ -224,7 +224,7 @@ func TestAppendFoldsMappedConstants(t *testing.T) {
 			t.Fatal("Append with short input map did not panic")
 		}
 	}()
-	ng.Append(s, []Lit{a})
+	ng.Append(s, []Lit{a}, nil)
 }
 
 // reachable marks every variable in the transitive fanin cone of some

@@ -56,7 +56,8 @@ func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch
 func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, srcLv []int32, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 	part := cp.Parts[pi]
 	leafVars := beginShard(g, cp, pi, nil, 0, 0, sc, sg)
-	lvl := make([]int32, 1+sg.NumInputs(), 1+sg.NumInputs()+len(part.Nodes))
+	lvl := slices.Grow(sc.lvl[:0], 1+sg.NumInputs()+len(part.Nodes))[:1+sg.NumInputs()]
+	clear(lvl)
 	for i, lv := range leafVars {
 		lvl[1+i] = srcLv[lv]
 	}
@@ -64,7 +65,8 @@ func balancePartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, fanout, sr
 	for _, v := range part.Nodes {
 		bb.balanceNode(int(v), probe)
 	}
-	return shardBuild{sg: sg, leafVars: leafVars, owned: ownedLits(cp, pi, &sc.o2n)}
+	sc.lvl = bb.lvl
+	return shardBuild{sg: sg, leafVars: leafVars, owned: ownedLits(cp, pi, sc)}
 }
 
 // balancer carries the shared state of one partition's balancing into

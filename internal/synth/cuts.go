@@ -73,12 +73,13 @@ func (ce *cutEnum) run() {
 	// Constant node and inputs have only the trivial cut.
 	sh := &ce.rs.shards[0].cut
 	ce.cuts[0] = append(sh.cuts.take(1)[:0], sh.trivialCut(0))
-	for _, v := range g.InputVars() {
+	for i := range g.NumInputs() {
+		v := g.Input(i).Var()
 		ce.cuts[v] = append(sh.cuts.take(1)[:0], sh.trivialCut(v))
 	}
 	// Bucket AND nodes by logic level, each bucket in topological
 	// (ascending-variable) order: a counting sort into one array, level
-	// l's nodes at order[start[l]:start[l+1]].
+	// l's nodes at order[start[l]:start[l+1]], in the run's storage.
 	levels := g.Levels()
 	var maxLv int32
 	for _, l := range levels {
@@ -86,13 +87,16 @@ func (ce *cutEnum) run() {
 			maxLv = l
 		}
 	}
-	start := make([]int32, maxLv+2)
+	rs := ce.rs
+	start := grow(&rs.levelStart, int(maxLv)+2)
+	clear(start)
 	g.TopoAnds(func(v int, f0, f1 aig.Lit) { start[levels[v]+1]++ })
 	for l := 1; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
-	order := make([]int32, g.NumAnds())
-	fill := append([]int32(nil), start...)
+	order := grow(&rs.levelOrder, g.NumAnds())
+	fill := grow(&rs.levelFill, len(start))
+	copy(fill, start)
 	g.TopoAnds(func(v int, f0, f1 aig.Lit) {
 		order[fill[levels[v]]] = int32(v)
 		fill[levels[v]]++
@@ -296,31 +300,59 @@ func sameLeaves(a, b []int32) bool {
 	return true
 }
 
-// ttScratch is a reusable truth-table memo keyed by node id, built on
-// the shared epoch-stamping core (scratch.go): reset is O(1), so the
-// innermost mapping loop neither allocates a map per cut nor clears an
-// array per call.
+// ttScratch is a reusable truth-table memo keyed by node id: an
+// open-addressed table, kept at most half full, whose slots carry the
+// epoch of the call that filled them (a 64-bit count never wraps).
+// reset is O(1), so the innermost mapping loop neither allocates nor
+// clears per call, and the table is sized by the largest cone one call
+// evaluates, not by the graph.
 type ttScratch struct {
-	tt []uint64
-	st epochStamps
+	slots []ttSlot
+	used  int    // slots of the current epoch
+	cur   uint64 // a slot of another epoch is empty
 }
 
-func (s *ttScratch) reset(nvars int) {
-	if s.st.reset(nvars) {
-		s.tt = make([]uint64, nvars)
+type ttSlot struct {
+	v         int
+	epoch, tt uint64
+}
+
+func (s *ttScratch) reset() {
+	if s.slots == nil {
+		s.slots = make([]ttSlot, 64)
+	}
+	s.used, s.cur = 0, s.cur+1
+}
+
+// slot returns v's slot, or the empty one where v belongs.
+func (s *ttScratch) slot(v int) *ttSlot {
+	for i := int(uint32(v) * 0x9E3779B9); ; i++ {
+		if sl := &s.slots[i&(len(s.slots)-1)]; sl.epoch != s.cur || sl.v == v {
+			return sl
+		}
 	}
 }
 
 func (s *ttScratch) get(v int) (uint64, bool) {
-	if s.st.has(v) {
-		return s.tt[v], true
-	}
-	return 0, false
+	sl := s.slot(v)
+	return sl.tt, sl.epoch == s.cur
 }
 
 func (s *ttScratch) set(v int, tt uint64) {
-	s.tt[v] = tt
-	s.st.stamp(v)
+	if 2*(s.used+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]ttSlot, 2*len(old))
+		for _, sl := range old {
+			if sl.epoch == s.cur {
+				*s.slot(sl.v) = sl
+			}
+		}
+	}
+	sl := s.slot(v)
+	if sl.epoch != s.cur {
+		s.used++
+	}
+	*sl = ttSlot{v: v, epoch: s.cur, tt: tt}
 }
 
 // cutTT computes the truth table of variable root over the cut leaves
@@ -329,7 +361,7 @@ func (s *ttScratch) set(v int, tt uint64) {
 // reusable memo scratch.
 func cutTT(g *aig.Graph, root int, leaves []int32, probe *perf.Probe, sc *ttScratch) uint64 {
 	n := len(leaves)
-	sc.reset(g.NumVars())
+	sc.reset()
 	sc.set(0, 0) // constant-false node
 	for i, l := range leaves {
 		sc.set(int(l), ttVar(i, n))

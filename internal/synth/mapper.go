@@ -103,7 +103,8 @@ func (m *mapper) computeImpls() {
 	// Constant node: both polarities free at time zero.
 	m.impls[0][0] = nodeImpl{valid: true}
 	m.impls[1][0] = nodeImpl{valid: true}
-	for _, v := range g.InputVars() {
+	for i := range g.NumInputs() {
+		v := g.Input(i).Var()
 		m.impls[0][v] = nodeImpl{valid: true}
 		// Negative polarity of an input is an inverter.
 		m.impls[1][v] = nodeImpl{valid: true, fromInv: true, arrival: m.invDelay()}
@@ -258,13 +259,12 @@ func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
 // output.
 func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 	g := m.g
-	inputs := g.InputVars()
 	// A cover has about one cell per AND node (0.6 to 1.8 on the
 	// benchmark designs) and two to three pins per cell: reserving
 	// that much spares the plan most of its regrowth.
 	hint := g.NumAnds() + g.NumOutputs() + 4
 	c := &cover{
-		base:  len(inputs),
+		base:  g.NumInputs(),
 		cells: make([]*techlib.Cell, 0, hint),
 		pins:  make([]netlist.NetID, 0, 5*hint/2),
 		pos:   make([]netlist.NetID, g.NumOutputs()),
@@ -276,8 +276,8 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 	}
 
 	piNet := make([]netlist.NetID, g.NumVars()) // by input variable; PI i is net i
-	for i, v := range inputs {
-		piNet[v] = netlist.NetID(i)
+	for i := range g.NumInputs() {
+		piNet[g.Input(i).Var()] = netlist.NetID(i)
 	}
 
 	// memo[pol][v] is the net planned for (v, polarity), NoNet until
@@ -302,10 +302,10 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 		if constNets[idx] != netlist.NoNet {
 			return constNets[idx], nil
 		}
-		if len(inputs) == 0 {
+		if g.NumInputs() == 0 {
 			return netlist.NoNet, fmt.Errorf("synth: cannot tie constants in a design with no inputs")
 		}
-		a := piNet[inputs[0]]
+		a := piNet[g.Input(0).Var()]
 		an := c.add(m.inv, a)
 		typ := m.lib.Cell("AND2_X1")
 		if one {
@@ -375,7 +375,8 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 	if registerOutputs && dff == nil {
 		return nil, fmt.Errorf("synth: library lacks DFF_X1 for registered outputs")
 	}
-	for i, o := range g.Outputs() {
+	for i := range g.NumOutputs() {
+		o := g.Output(i)
 		net, err := visit(o.Var(), o.IsNeg())
 		if err != nil {
 			return nil, err

@@ -111,7 +111,7 @@ func rebuildPartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutE
 		f0, f1 := g.Fanins(int(v))
 		rb.rebuildNode(int(v), f0, f1, probe)
 	}
-	return shardBuild{sg: sg, leafVars: leafVars, owned: ownedLits(cp, pi, &sc.o2n)}
+	return shardBuild{sg: sg, leafVars: leafVars, owned: ownedLits(cp, pi, sc)}
 }
 
 // partitionLeaves collects, in ascending order, every variable that
@@ -123,14 +123,15 @@ func rebuildPartition(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutE
 // build state — so the reference sets stay small. The constant node is
 // excluded — shards map it directly. Marked vars are gathered during
 // marking and sorted, so the cost scales with the partition's
-// reference set, not the whole graph; mark is the caller's pooled
-// epoch-stamped set, reset here in O(1).
-func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, mark *epochStamps) []int32 {
-	mark.reset(g.NumVars())
-	var out []int32
+// reference set, not the whole graph. A leaf is marked by mapping it
+// in the shard's literal map, which beginShard has just emptied and
+// then maps each leaf to its placeholder input. The sorted set is
+// carved from the shard's slab, where it stays until the merge.
+func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k, tryCuts int, sc *shardScratch) []int32 {
+	out := sc.foreign[:0]
 	foreign := func(u int) {
-		if u != 0 && cp.Owner[u] != int32(pi) && !mark.has(u) {
-			mark.stamp(u)
+		if u != 0 && cp.Owner[u] != int32(pi) && !sc.o2n.has(u) {
+			sc.o2n.set(u, aig.True)
 			out = append(out, int32(u))
 		}
 	}
@@ -156,7 +157,8 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 		}
 	}
 	slices.Sort(out)
-	return out
+	sc.foreign = out
+	return append(sc.leafVars.take(len(out))[:0], out...)
 }
 
 // mergeShards folds the partition shards into one output graph in
@@ -170,13 +172,16 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 // merge into the run's temporary graph; the pass gets its swept copy.
 // A lone shard is the whole graph over the primary inputs themselves
 // (see beginShard), so it is the result as it stands: nothing is
-// appended and no strash traffic is replayed.
+// appended and no strash traffic is replayed. Every map the merge
+// builds is the run's: final, each shard's input map and Append's.
 func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, probe *perf.Probe, rs *runScratch) *aig.Graph {
-	final := make([]aig.Lit, g.NumVars())
+	// Every entry the merge reads — the constant, the primary inputs and
+	// each partition's owned nodes — is written before it is read.
+	final := grow(&rs.final, g.NumVars())
 	final[0] = aig.False
 	if len(shards) == 1 {
-		for i, v := range g.InputVars() {
-			final[v] = shards[0].sg.Input(i)
+		for i := range g.NumInputs() {
+			final[g.Input(i).Var()] = shards[0].sg.Input(i)
 		}
 		for i, v := range cp.Parts[0].Nodes {
 			final[v] = shards[0].owned[i]
@@ -189,17 +194,19 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 		ands += shards[pi].sg.NumAnds()
 	}
 	ng := rs.tmpGraph(g.Name, g.NumInputs(), ands)
-	for i, v := range g.InputVars() {
-		final[v] = ng.AddInput(g.InputName(i))
+	ng.SwapStrash(&rs.shards[0].table)
+	for i := range g.NumInputs() {
+		final[g.Input(i).Var()] = ng.AddInput(g.InputName(i))
 	}
 	for pi := range shards {
 		sb := &shards[pi]
-		inMap := make([]aig.Lit, len(sb.leafVars))
+		inMap := grow(&rs.inMap, len(sb.leafVars))
 		for i, lv := range sb.leafVars {
 			inMap[i] = final[lv]
 		}
 		before := ng.NumVars()
-		m := ng.Append(sb.sg, inMap)
+		m := ng.Append(sb.sg, inMap, rs.appendMap)
+		rs.appendMap = m
 		// Replay the merge's strash traffic: every shard node probes the
 		// accumulated hash table with its mapped fanin pair, and the
 		// records the append actually created are compulsory misses.
@@ -217,6 +224,7 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 			final[v] = m[sl.Var()].NotIf(sl.IsNeg())
 		}
 	}
+	ng.SwapStrash(&rs.shards[0].table)
 	return sweepAccounted(g, ng, final, probe, rs)
 }
 
@@ -227,14 +235,20 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 // The copy goes to the run's rs.dst — a run-owned pass graph when a
 // later pass of the recipe reads it, a fresh graph otherwise — so
 // neither the run's temporary nor a shard graph escapes the pass, and
-// neither does a run-owned graph escape the run.
+// neither does a run-owned graph escape the run. The copy is built with
+// the run's serial hash table and leaves it behind: no later pass adds
+// to it, and a caller that adds to the result rebuilds its own.
 func sweepAccounted(g, ng *aig.Graph, final []aig.Lit, probe *perf.Probe, rs *runScratch) *aig.Graph {
-	for i, o := range g.Outputs() {
+	for i := range g.NumOutputs() {
+		o := g.Output(i)
 		ng.AddOutput(final[o.Var()].NotIf(o.IsNeg()), g.OutputName(i))
 	}
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)
-	swept, old2new := ng.SweepInto(rs.dst, rs.sweepMap)
+	dst := orNew(rs.dst)
+	dst.SwapStrash(&rs.shards[0].table)
+	swept, old2new := ng.SweepInto(dst, rs.sweepMap)
+	swept.SwapStrash(&rs.shards[0].table)
 	rs.sweepMap = old2new
 	swept.Name = g.Name
 	return swept

@@ -1,20 +1,22 @@
 package synth
 
 import (
+	"slices"
+
 	"edacloud/internal/aig"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
 
 // This file holds everything a synthesis pass allocates and then
-// drops. Every partition needs three var-indexed maps — the
-// original-variable -> shard-literal map, the foreign-leaf mark set and
-// the truth-table memo — and allocating them dense per partition made
-// total shard memory O(NumVars^2 / PartitionGrain): a latent quadratic
-// that only bites at million-gate scale. All three share one
-// epoch-stamped backing per probe shard, reset in O(1) between
-// partitions. Each probe shard also keeps its cut-enumeration storage
-// (the candidate buffer and the slabs the cut lists live in), and the
+// drops. Every partition needs a var-indexed original-variable ->
+// shard-literal map, which also marks its foreign leaves, and making it
+// dense per partition made total shard memory O(NumVars^2 /
+// PartitionGrain): a latent quadratic that only bites at million-gate
+// scale. It is one epoch-stamped array per probe shard, reset in O(1)
+// between partitions. Each probe shard also keeps its truth-table memo,
+// its cut-enumeration storage (the candidate buffer and the slabs the
+// cut lists live in), its hash table and its partitions' results, and the
 // run keeps the per-variable cut-list array, one shard graph per
 // partition slot and one temporary graph that the shards of a
 // multi-partition pass merge into. All of it belongs to a runScratch
@@ -33,54 +35,34 @@ import (
 // collector empties a pool when it likes, which would make a run's
 // allocation depend on when it ran.
 
-// epochStamps is the shared epoch-stamping core: a var-indexed
-// membership set whose reset is O(1) (bump the epoch) instead of O(n)
-// (clear the array). ttScratch, litMap and the leaf-mark set all build
-// on it.
-type epochStamps struct {
-	epoch []uint32
-	cur   uint32
-}
-
-// reset prepares the set for n variables and empties it, reporting
-// whether the backing array was (re)allocated so sibling value arrays
-// can grow in lockstep.
-func (s *epochStamps) reset(n int) (grown bool) {
-	if len(s.epoch) < n {
-		s.epoch = make([]uint32, n)
-		s.cur = 0
-		grown = true
-	}
-	s.cur++
-	if s.cur == 0 { // epoch counter wrapped: invalidate everything
-		for i := range s.epoch {
-			s.epoch[i] = 0
-		}
-		s.cur = 1
-	}
-	return grown
-}
-
-func (s *epochStamps) has(v int) bool { return s.epoch[v] == s.cur }
-func (s *epochStamps) stamp(v int)    { s.epoch[v] = s.cur }
-
 // litMap is an epoch-stamped variable -> literal map with the same
 // semantics as the dense zero-initialized arrays it replaces: absent
 // entries read as 0 (aig.False), which callers treat as "unmapped" for
-// any variable other than the constant.
+// any variable other than the constant. Its reset is O(1) (bump the
+// epoch) instead of O(n) (clear the array).
 type litMap struct {
-	val []aig.Lit
-	st  epochStamps
+	val   []aig.Lit
+	epoch []uint32 // val[v] is set when epoch[v] == cur
+	cur   uint32
 }
 
 func (m *litMap) reset(nvars int) {
-	if m.st.reset(nvars) {
+	if len(m.epoch) < nvars {
 		m.val = make([]aig.Lit, nvars)
+		m.epoch = make([]uint32, nvars)
+		m.cur = 0
+	}
+	m.cur++
+	if m.cur == 0 { // epoch counter wrapped: invalidate everything
+		clear(m.epoch)
+		m.cur = 1
 	}
 }
 
+func (m *litMap) has(v int) bool { return m.epoch[v] == m.cur }
+
 func (m *litMap) get(v int) aig.Lit {
-	if m.st.has(v) {
+	if m.has(v) {
 		return m.val[v]
 	}
 	return 0
@@ -88,22 +70,33 @@ func (m *litMap) get(v int) aig.Lit {
 
 func (m *litMap) set(v int, l aig.Lit) {
 	m.val[v] = l
-	m.st.stamp(v)
+	m.epoch[v] = m.cur
 }
 
 // shardScratch is one probe shard's scratch: the literal map, the
-// foreign-leaf mark set, the truth-table memo and the cut-enumeration
-// storage. forPartitions and the cut sweep hand each probe shard its
-// own instance, and since a shard's partitions (or cut chunks) run on a
-// single goroutine in ascending order, reuse is race-free and
-// deterministic.
+// truth-table memo, the cut-enumeration storage, the hash table its
+// partitions' shard graphs build with and their results. forPartitions
+// and the cut sweep hand each probe shard its own instance, and since a
+// shard's partitions (or cut chunks) run on a single goroutine in
+// ascending order, reuse is race-free and deterministic.
 type shardScratch struct {
-	o2n  litMap
-	mark epochStamps
-	tts  ttScratch
-	cut  cutShard
-	// Per-node temporaries of rebuildNode/buildCover (cubes, terms,
-	// lits) and balanceNode (leaves), kept for their capacity.
+	o2n litMap
+	tts ttScratch
+	cut cutShard
+	// table holds the storage of the shard's hash table between
+	// partitions: each shard graph borrows it while it is built
+	// (aig.Graph.SwapStrash), since the merge only reads its nodes.
+	// Shard 0's also serves the serial merge and sweep, outside any
+	// parallel region.
+	table aig.Graph
+	// leafVars and owned hold the partitions' results until the merge;
+	// forPartitions rewinds them each pass.
+	leafVars slab[int32]
+	owned    slab[aig.Lit]
+	// Per-partition and per-node temporaries of partitionLeaves
+	// (foreign), balancePartition (lvl), rebuildNode/buildCover (cubes,
+	// terms, lits) and balanceNode (leaves), kept for their capacity.
+	foreign, lvl        []int32
 	cubes               []cube
 	terms, lits, leaves []aig.Lit
 }
@@ -132,16 +125,35 @@ type runScratch struct {
 	// cones that of every pass's cone partitioning.
 	sweepMap []aig.Lit
 	cones    aig.ConePartitioning
+	// The merge's storage: the shard results, the source-variable map,
+	// one shard's input map and Append's variable map.
+	builds                  []shardBuild
+	final, inMap, appendMap []aig.Lit
+	// The cut sweep's level buckets (see cutEnum.run).
+	levelStart, levelOrder, levelFill []int32
+}
+
+// grow reslices *buf to n entries, reallocating only when its capacity
+// is short, and returns it; the entries are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// orNew returns g, or a new empty graph when g is nil: the run makes
+// each of its graphs on first use, and a result that leaves it anew.
+func orNew(g *aig.Graph) *aig.Graph {
+	if g == nil {
+		return aig.NewSized("", 0, 0)
+	}
+	return g
 }
 
 // tmpGraph empties the run's temporary graph for a graph of the given
-// size, making it on first use.
+// size.
 func (rs *runScratch) tmpGraph(name string, inputs, ands int) *aig.Graph {
-	if rs.tmp == nil {
-		rs.tmp = aig.NewSized(name, inputs, ands)
-	} else {
-		rs.tmp.Reset(name, inputs, ands)
-	}
+	rs.tmp = orNew(rs.tmp)
+	rs.tmp.Reset(name, inputs, ands)
 	return rs.tmp
 }
 
@@ -149,9 +161,7 @@ func (rs *runScratch) tmpGraph(name string, inputs, ands int) *aig.Graph {
 // sweeps its result into when a later pass reads it. Consecutive passes
 // get different graphs, so a pass never writes the graph it reads.
 func (rs *runScratch) passGraph(i int) *aig.Graph {
-	if rs.passes[i%2] == nil {
-		rs.passes[i%2] = aig.NewSized("", 0, 0)
-	}
+	rs.passes[i%2] = orNew(rs.passes[i%2])
 	return rs.passes[i%2]
 }
 
@@ -161,7 +171,7 @@ func (rs *runScratch) passGraph(i int) *aig.Graph {
 // that the mapper's allocations do not pile onto the recipe's at the
 // run's peak heap.
 func (rs *runScratch) releaseForMapping() {
-	keep := runScratch{cuts: rs.cuts}
+	keep := runScratch{cuts: rs.cuts, levelStart: rs.levelStart, levelOrder: rs.levelOrder, levelFill: rs.levelFill}
 	for i := range rs.shards {
 		keep.shards[i].cut = rs.shards[i].cut
 	}
@@ -180,12 +190,19 @@ func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, bui
 	for len(rs.parts) < n {
 		rs.parts = append(rs.parts, aig.NewSized("", 0, 0))
 	}
+	for i := range rs.shards {
+		rs.shards[i].leafVars.rewind()
+		rs.shards[i].owned.rewind()
+	}
 	instrsBefore := probe.Instrs()
-	shards := make([]shardBuild, n)
+	shards := grow(&rs.builds, n)
 	pool.ForProbe(probe, n, 1, func(lo, hi, shard int, probe *perf.Probe) {
 		sc := &rs.shards[shard]
 		for pi := lo; pi < hi; pi++ {
-			shards[pi] = build(pi, sc, rs.parts[pi], probe)
+			sg := rs.parts[pi]
+			sg.SwapStrash(&sc.table)
+			shards[pi] = build(pi, sc, sg, probe)
+			sg.SwapStrash(&sc.table)
 		}
 	})
 	if n <= 1 {
@@ -213,12 +230,12 @@ func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k
 	sc.o2n.set(0, aig.False)
 	if cp.NumParts() == 1 {
 		sg.Reset(g.Name, g.NumInputs(), (1+tryCuts)*len(cp.Parts[pi].Nodes))
-		for i, v := range g.InputVars() {
-			sc.o2n.set(v, sg.AddInput(g.InputName(i)))
+		for i := range g.NumInputs() {
+			sc.o2n.set(g.Input(i).Var(), sg.AddInput(g.InputName(i)))
 		}
 		return nil
 	}
-	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, &sc.mark)
+	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, sc)
 	sg.Reset(g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 	for _, lv := range leafVars {
 		sc.o2n.set(int(lv), sg.AddInput(""))
@@ -228,13 +245,13 @@ func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k
 
 // ownedLits compacts the shard's literal map into the only per-partition
 // state retained until the merge: the shard literal of each owned node,
-// parallel to cp.Parts[pi].Nodes. Its size is the partition's, not the
-// graph's.
-func ownedLits(cp *aig.ConePartitioning, pi int, o2n *litMap) []aig.Lit {
+// parallel to cp.Parts[pi].Nodes, carved from the shard's slab. Its
+// size is the partition's, not the graph's.
+func ownedLits(cp *aig.ConePartitioning, pi int, sc *shardScratch) []aig.Lit {
 	part := cp.Parts[pi]
-	out := make([]aig.Lit, len(part.Nodes))
+	out := sc.owned.take(len(part.Nodes))
 	for i, v := range part.Nodes {
-		out[i] = o2n.get(int(v))
+		out[i] = sc.o2n.get(int(v))
 	}
 	return out
 }
