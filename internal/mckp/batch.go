@@ -164,13 +164,17 @@ type candidate struct {
 	cost   float64
 	span   int
 	missed int
-	prices map[string]float64
+	// prices holds the price per estimator label the candidate was solved
+	// under (none for the independent plans); warm ones were the caller's.
+	prices []float64
+	warm   bool
 }
 
 // copyFrom makes c a copy of o in c's own storage.
 func (c *candidate) copyFrom(o *candidate) {
-	pick, picks, sels, ests := c.pick, c.picks, c.sels, c.ests
+	pick, picks, sels, ests, prices := c.pick, c.picks, c.sels, c.ests, c.prices
 	*c = *o
+	c.prices = append(prices[:0], o.prices...)
 	c.pick = append(pick[:0], o.pick...)
 	c.sels = append(sels[:0], o.sels...)
 	c.ests = append(ests[:0], o.ests...)
@@ -402,13 +406,14 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	est := scratch.est.reset(jobs, capacity, st.FreeAtSec)
 	// solve returns an evaluated candidate in storage the Scratch lends;
 	// keep holds the better of it and bestCand and lends the other's back.
-	solve := func(method string, prices map[string]float64) (*candidate, error) {
+	// prices holds one shadow price per estimator label, nil for none.
+	solve := func(method string, prices []float64) (*candidate, error) {
 		c := scratch.take()
 		if ok, err := scratch.solve(est, prices, c); !ok || err != nil {
 			scratch.give(c)
 			return nil, err // no error: this pricing starves a job; skip the candidate
 		}
-		c.method, c.prices = method, prices
+		c.method, c.prices, c.warm = method, append(c.prices[:0], prices...), method == "warm"
 		c.evaluate(est)
 		return c, nil
 	}
@@ -423,7 +428,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// Candidate zero: every job independently optimal, prices all zero.
 	// If any job cannot meet its own deadline even alone and uncontended
 	// the batch is infeasible.
-	base, err := solve("independent", map[string]float64{})
+	base, err := solve("independent", nil)
 	if err != nil {
 		return BatchSelection{}, err
 	}
@@ -439,7 +444,8 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	// its busy time roughly doubles in apparent cost — enough to push
 	// marginal jobs to their next-best type without drowning the true
 	// prices. Each round reads the busy and wait totals the last
-	// evaluated candidate left in est.
+	// evaluated candidate left in est, and updates the price vector, one
+	// entry per estimator label, in place.
 	var busyTotal int
 	for _, b := range est.busy {
 		busyTotal += b
@@ -452,11 +458,14 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	if rounds <= 0 {
 		rounds = 8
 	}
-	prices := map[string]float64{}
+	prices := sized(scratch.prices, len(est.labels))
+	scratch.prices = prices
 	if len(st.Prices) > 0 && unit > 0 {
 		// Warm start: re-solve under the previous event's prices before
 		// adjusting, so one round suffices when congestion is unchanged.
-		prices = maps.Clone(st.Prices)
+		for k, label := range est.labels {
+			prices[k] = st.Prices[label]
+		}
 		warm, err := solve("warm", prices)
 		if err != nil {
 			return BatchSelection{}, err
@@ -468,8 +477,7 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 	roundsRun := 0
 	for round := 1; round <= rounds && unit > 0; round++ {
 		congested := false
-		next := map[string]float64{}
-		for k, label := range est.labels {
+		for k := range prices {
 			congestion := 0.0
 			if est.busy[k] > 0 {
 				congestion = float64(est.wait[k]) / float64(est.busy[k])
@@ -477,12 +485,11 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 			// Damped update: half the old price plus the fresh congestion
 			// signal, so prices both rise under sustained queueing and
 			// decay once jobs have moved away.
-			next[label] = float64(0.5*prices[label]) + float64(unit*congestion)
-			if next[label] > 1e-12 {
+			prices[k] = float64(0.5*prices[k]) + float64(unit*congestion)
+			if prices[k] > 1e-12 {
 				congested = true
 			}
 		}
-		prices = next
 		roundsRun = round
 		if !congested {
 			break
@@ -506,20 +513,35 @@ func BatchOptimizeState(jobs []BatchJob, capacity Capacity, st BatchState) (Batc
 		keep(repaired)
 	}
 
-	// The selections and estimates are the only storage the call hands
-	// out: fresh, so the next call may lend the Scratch's again.
+	// The selections, estimates and price maps are the only storage the
+	// call hands out: fresh, so the next call may lend the Scratch's
+	// again. FinalPrices is empty when no round ran.
 	sels := slices.Clone(bestCand.sels)
 	cut(sels, slices.Clone(bestCand.pick))
+	priceMap := func(vec []float64) map[string]float64 {
+		m := make(map[string]float64, len(vec))
+		for k, p := range vec {
+			m[est.labels[k]] = p
+		}
+		return m
+	}
+	won := priceMap(bestCand.prices)
+	if bestCand.warm {
+		won = maps.Clone(st.Prices)
+	}
+	if roundsRun == 0 {
+		prices = nil
+	}
 	return BatchSelection{
 		Feasible:        true,
 		Jobs:            sels,
 		TotalCost:       bestCand.cost,
 		MakespanSec:     bestCand.span,
 		Estimates:       slices.Clone(bestCand.ests),
-		Prices:          bestCand.prices,
+		Prices:          won,
 		Rounds:          roundsRun,
 		Method:          bestCand.method,
-		FinalPrices:     prices,
+		FinalPrices:     priceMap(prices),
 		MissedDeadlines: bestCand.missed, // every candidate is evaluated
 	}, nil
 }

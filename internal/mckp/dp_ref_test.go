@@ -166,7 +166,12 @@ func solvePriced(job BatchJob, prices map[string]float64, s *Scratch) (Selection
 	jobs := []BatchJob{job}
 	s.begin()
 	var c candidate
-	if ok, err := s.solve(new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil), prices, &c); !ok || err != nil {
+	est := new(estimator).reset(jobs, Capacity{"a": 1, "b": 1, "c": 1}, nil)
+	vec := make([]float64, len(est.labels))
+	for k, label := range est.labels {
+		vec[k] = prices[label]
+	}
+	if ok, err := s.solve(est, vec, &c); !ok || err != nil {
 		return Selection{}, err
 	}
 	return c.sels[0], nil

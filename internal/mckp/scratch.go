@@ -142,8 +142,8 @@ type Scratch struct {
 	// index maps a key's hash to a table, which matches if its key does.
 	tables, spare []*table
 	index         map[uint64]*table
-	// A round's price per estimator label, the key looked up, the table
-	// each job reads and the tables it builds.
+	// The price loop's price per estimator label, the key looked up, the
+	// table each job reads and the tables it builds.
 	prices       []float64
 	key          []uint64
 	reads, build []*table
@@ -190,16 +190,17 @@ func (s *Scratch) begin() {
 // picks in c, with true (unpriced) totals summed in class order: the
 // priced costs only steer the picks. It reports false when a job has
 // no feasible plan, which takes precedence over the error of a later
-// job with a negative priced cost.
-func (s *Scratch) solve(est *estimator, prices map[string]float64, c *candidate) (bool, error) {
-	s.prices = s.prices[:0]
-	for _, label := range est.labels {
-		s.prices = append(s.prices, prices[label])
-	}
+// job with a negative priced cost. prices holds one price per
+// estimator label; nil prices every label at zero.
+func (s *Scratch) solve(est *estimator, prices []float64, c *candidate) (bool, error) {
 	var negative error
 	job, item := BatchJob{}, 0 // the job and estimator item being valued
 	value := func(it Item) float64 {
-		cost := it.Cost + float64(s.prices[est.label[item]]*float64(it.TimeSec))
+		price := 0.0
+		if prices != nil {
+			price = prices[est.label[item]]
+		}
+		cost := it.Cost + float64(price*float64(it.TimeSec))
 		if item++; cost < 0 && negative == nil {
 			negative = fmt.Errorf("mckp: job %q item %q has negative priced cost %g", job.Name, it.Label, cost)
 		}
