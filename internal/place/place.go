@@ -12,9 +12,10 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"edacloud/internal/hash"
 	"edacloud/internal/netlist"
@@ -117,7 +118,7 @@ func Place(nl *netlist.Netlist, opts Options) (*Placement, *perf.Report, error) 
 	}
 	placePads(nl, p)
 
-	sys := buildSystem(nl, p, probe)
+	sys := buildSystem(nl, p, bins, probe)
 	sys.pool = par.Fixed(opts.Workers)
 
 	// Initial positions: die center (CG starts from flat).
@@ -138,9 +139,8 @@ func Place(nl *netlist.Netlist, opts Options) (*Placement, *perf.Report, error) 
 	alpha := 0.05 * sys.avgDegree
 	var overflow float64
 	for it := 0; it < spreadIters; it++ {
-		var tx, ty []float64
-		tx, ty, overflow = spread(nl, p, bins, probe)
-		resolveWithAnchors(sys, p, tx, ty, alpha, cgIters, probe)
+		overflow = spread(sys, nl, p, bins, probe)
+		resolveWithAnchors(sys, p, alpha, cgIters, probe)
 		clampToDie(p)
 		alpha *= 4
 	}
@@ -182,7 +182,8 @@ func placePads(nl *netlist.Netlist, p *Placement) {
 
 // system is the quadratic placement system in CSR form: matrix A
 // (Laplacian plus pad diagonal), right-hand sides bx/by from pad
-// terms.
+// terms. It also owns the working storage of one Place call, allocated
+// once by buildSystem and reused by every solve and spreading round.
 type system struct {
 	n         int
 	rowStart  []int32
@@ -192,19 +193,47 @@ type system struct {
 	bx, by    []float64
 	avgDegree float64
 	pool      *par.Pool
+
+	r, z, p, ap []float64 // solveCG's residual, preconditioned residual, direction and A*p
+	ax, ay      []float64 // resolveWithAnchors' anchored right-hand sides
+	savedDiag   []float64 // the diagonal without anchors
+	tx, ty      []float64 // spread's per-cell targets
+	occ         []float64 // spread's per-bin occupied area
+	// spread's bin members: bin b holds members[binStart[b]:binStart[b+1]],
+	// in ascending cell order.
+	binStart, members []int32
+	over              []binLoad // spread's overfull bins
 }
 
-// buildSystem assembles the star-model quadratic system.
-func buildSystem(nl *netlist.Netlist, p *Placement, probe *perf.Probe) *system {
+// binLoad is an overfull spreading bin and its excess area.
+type binLoad struct {
+	idx  int
+	over float64
+}
+
+// buildSystem assembles the star-model quadratic system and allocates
+// the call's working storage for a bins x bins spreading grid.
+func buildSystem(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) *system {
 	n := nl.NumCells()
 	type entry struct {
 		i, j int32
 		w    float64
 	}
-	var edges []entry
-	diag := make([]float64, n)
-	bx := make([]float64, n)
-	by := make([]float64, n)
+	sinks := 0
+	for id := range nl.Nets {
+		if nl.Nets[id].Driver != netlist.NoCell {
+			sinks += len(nl.Nets[id].Sinks)
+		}
+	}
+	edges := make([]entry, 0, sinks)
+	// One slab holds every per-cell float vector and the bin occupancy.
+	slab := make([]float64, 12*n+bins*bins)
+	vec := func(k int) []float64 {
+		v := slab[:k:k]
+		slab = slab[k:]
+		return v
+	}
+	diag, bx, by := vec(n), vec(n), vec(n)
 
 	addFixed := func(i int, w, fx, fy float64) {
 		diag[i] += w
@@ -273,7 +302,7 @@ func buildSystem(nl *netlist.Netlist, p *Placement, probe *perf.Probe) *system {
 			by[i] = center * p.DieH / 2
 		}
 	}
-	return &system{
+	s := &system{
 		n:         n,
 		rowStart:  count,
 		colIdx:    colIdx,
@@ -282,7 +311,13 @@ func buildSystem(nl *netlist.Netlist, p *Placement, probe *perf.Probe) *system {
 		bx:        bx,
 		by:        by,
 		avgDegree: float64(len(edges)*2) / float64(n+1),
+		binStart:  make([]int32, bins*bins+1),
+		members:   make([]int32, n),
 	}
+	s.r, s.z, s.p, s.ap = vec(n), vec(n), vec(n), vec(n)
+	s.ax, s.ay, s.savedDiag = vec(n), vec(n), vec(n)
+	s.tx, s.ty, s.occ = vec(n), vec(n), vec(bins*bins)
+	return s
 }
 
 // matVecGrain is the per-chunk row count of the parallel matVec; a
@@ -314,13 +349,11 @@ func (s *system) matVec(x, out []float64, probe *perf.Probe) {
 }
 
 // solveCG solves A*x = b in place with Jacobi-preconditioned conjugate
-// gradients.
+// gradients. Every element of its work vectors is written before it
+// is read, so they carry nothing from one solve to the next.
 func solveCG(s *system, x, b []float64, maxIter int, probe *perf.Probe) {
 	n := s.n
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	r, z, p, ap := s.r, s.z, s.p, s.ap
 
 	s.matVec(x, ap, probe)
 	var rz float64
@@ -385,12 +418,10 @@ const (
 )
 
 // resolveWithAnchors re-solves the system with pseudo-net anchors
-// pulling each cell toward its spread target (tx, ty).
-func resolveWithAnchors(s *system, p *Placement, tx, ty []float64, alpha float64, iters int, probe *perf.Probe) {
+// pulling each cell toward its spread target (s.tx, s.ty).
+func resolveWithAnchors(s *system, p *Placement, alpha float64, iters int, probe *perf.Probe) {
 	n := s.n
-	bx := make([]float64, n)
-	by := make([]float64, n)
-	savedDiag := make([]float64, n)
+	bx, by, savedDiag, tx, ty := s.ax, s.ay, s.savedDiag, s.tx, s.ty
 	copy(savedDiag, s.diag)
 	for i := 0; i < n; i++ {
 		s.diag[i] += alpha
@@ -404,21 +435,20 @@ func resolveWithAnchors(s *system, p *Placement, tx, ty []float64, alpha float64
 	copy(s.diag, savedDiag)
 }
 
-// spread computes per-cell spreading targets by diffusing cells out of
-// overfull density bins, returning targets plus the residual overflow
-// fraction.
-func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]float64, []float64, float64) {
+// spread computes per-cell spreading targets into s.tx and s.ty by
+// diffusing cells out of overfull density bins, returning the residual
+// overflow fraction.
+func spread(s *system, nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) float64 {
 	n := len(p.X)
-	tx := make([]float64, n)
-	ty := make([]float64, n)
+	tx, ty, occ, binStart, members := s.tx, s.ty, s.occ, s.binStart, s.members
 	copy(tx, p.X)
 	copy(ty, p.Y)
+	clear(occ)
+	clear(binStart)
 
 	binW := p.DieW / float64(bins)
 	binH := p.DieH / float64(bins)
 	binCap := float64(binW * binH) // area capacity per bin
-	occ := make([]float64, bins*bins)
-	members := make([][]int32, bins*bins)
 
 	binOf := func(x, y float64) int {
 		bx := int(x / binW)
@@ -442,17 +472,26 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 		probe.LoopBranches(4)
 		b := binOf(p.X[i], p.Y[i])
 		occ[b] += nl.Cells[i].Type.Area
-		members[b] = append(members[b], int32(i))
+		binStart[b]++
 		probe.Store(vecAddr(9, b))
+	}
+	// Counting sort of the cells by bin: prefix sums leave binStart[b]
+	// at the end of bin b, and filling from the last cell down moves it
+	// to the start, each bin in ascending cell order.
+	var sum int32
+	for b := range binStart {
+		sum += binStart[b]
+		binStart[b] = sum
+	}
+	for i := n - 1; i >= 0; i-- {
+		b := binOf(p.X[i], p.Y[i])
+		binStart[b]--
+		members[binStart[b]] = int32(i)
 	}
 
 	// Move excess cells from overfull bins toward the nearest underfull
 	// bin center, worst bins first.
-	type binLoad struct {
-		idx  int
-		over float64
-	}
-	var over []binLoad
+	over := s.over[:0]
 	var totalArea float64
 	for b := range occ {
 		totalArea += occ[b]
@@ -461,17 +500,19 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 		}
 		probe.Branch(brBinOverfull, occ[b] > binCap)
 	}
-	sort.Slice(over, func(i, j int) bool { return over[i].over > over[j].over })
+	s.over = over
+	slices.SortFunc(over, func(a, b binLoad) int { return cmp.Compare(b.over, a.over) })
 
 	for _, bl := range over {
 		b := bl.idx
 		bx, by := b%bins, b/bins
 		// Find nearest underfull bins in a growing ring.
+		// The bin gives up its cells from the highest index down.
 		excess := bl.over
-		mi := len(members[b]) - 1
-		for ring := 1; ring < bins && excess > 0 && mi >= 0; ring++ {
-			for dy := -ring; dy <= ring && excess > 0 && mi >= 0; dy++ {
-				for dx := -ring; dx <= ring && excess > 0 && mi >= 0; dx++ {
+		lo, mi := binStart[b], binStart[b+1]-1
+		for ring := 1; ring < bins && excess > 0 && mi >= lo; ring++ {
+			for dy := -ring; dy <= ring && excess > 0 && mi >= lo; dy++ {
+				for dx := -ring; dx <= ring && excess > 0 && mi >= lo; dx++ {
 					if max(dx, -dx) != ring && max(dy, -dy) != ring {
 						continue
 					}
@@ -485,8 +526,8 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 						continue
 					}
 					room := binCap - occ[nb]
-					for room > 0 && excess > 0 && mi >= 0 {
-						ci := members[b][mi]
+					for room > 0 && excess > 0 && mi >= lo {
+						ci := members[mi]
 						mi--
 						a := nl.Cells[ci].Type.Area
 						tx[ci] = (float64(nx) + 0.5) * binW
@@ -513,7 +554,7 @@ func spread(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe) ([]f
 	if totalArea > 0 {
 		residual = totalOver / totalArea
 	}
-	return tx, ty, residual
+	return residual
 }
 
 // legalize snaps cells to rows with Tetris packing: cells sorted by x
@@ -530,7 +571,7 @@ func legalize(nl *netlist.Netlist, p *Placement, probe *perf.Probe) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return p.X[order[a]] < p.X[order[b]] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(p.X[a], p.X[b]) })
 	probe.Ops(n * 4) // sort cost proxy
 	probe.LoadRange(vecAddr(10, 0), n, 8)
 

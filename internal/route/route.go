@@ -71,7 +71,9 @@ func (r *Result) Fingerprint() uint64 {
 // byte-budgeted artifact cache accounts it in.
 func (r *Result) ApproxBytes() int64 { return 96 }
 
-// connection is one two-pin route: driver gcell to sink gcell.
+// connection is one two-pin route: driver gcell to sink gcell, never
+// within one gcell. Its path keeps its storage across rip-ups and
+// reroutes; an empty path is an unrouted connection.
 type connection struct {
 	sx, sy int16
 	tx, ty int16
@@ -280,7 +282,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 	report.AddPhase(probe.TakePhase("refine", pf, max(res.BusyTiles, 1)))
 
 	for i := range conns {
-		if conns[i].path == nil && !(conns[i].sx == conns[i].tx && conns[i].sy == conns[i].ty) {
+		if len(conns[i].path) == 0 {
 			res.FailedConnections++
 		}
 		res.Wirelength += len(conns[i].path)
@@ -290,7 +292,9 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 }
 
 // buildConnections decomposes every net into driver-to-sink two-pin
-// connections with tile assignment, on gcells of edge gcell um.
+// connections with tile assignment, on gcells of edge gcell um. A sink
+// in its tree neighbour's gcell needs no global routing and gets no
+// connection.
 func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell float64) []connection {
 	gcellOf := func(x, y float64) (int16, int16) {
 		gx := int16(x / gcell)
@@ -314,7 +318,15 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell f
 	}
 
 	type pt struct{ x, y int16 }
-	var conns []connection
+	terminals := 0
+	for id := range nl.Nets {
+		net := &nl.Nets[id]
+		if net.Driver != netlist.NoCell || net.DriverPI >= 0 {
+			terminals += len(net.Sinks) + len(net.POs)
+		}
+	}
+	conns := make([]connection, 0, terminals)
+	var sinks, tree []pt // reused across nets
 	for id := range nl.Nets {
 		net := &nl.Nets[id]
 		var root pt
@@ -326,7 +338,7 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell f
 		default:
 			continue
 		}
-		var sinks []pt
+		sinks = sinks[:0]
 		for _, s := range net.Sinks {
 			x, y := gcellOf(pl.X[s.Cell], pl.Y[s.Cell])
 			sinks = append(sinks, pt{x, y})
@@ -338,7 +350,7 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell f
 		// Prim-style topology: attach each remaining sink to its
 		// nearest already-connected terminal, approximating the Steiner
 		// tree a real global router builds instead of a driver star.
-		tree := []pt{root}
+		tree = append(tree[:0], root)
 		for len(sinks) > 0 {
 			bestS, bestT, bestD := -1, -1, 1<<30
 			for si, s := range sinks {
@@ -427,6 +439,7 @@ type searchScratch struct {
 	stamp    []uint32
 	epoch    uint32
 	frontier frontier
+	path     []int32 // the found path's edges, target to source
 }
 
 // begin starts a new search over n cells.
@@ -541,12 +554,12 @@ func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch
 		}
 	}
 	if !found {
-		c.path = nil
+		c.path = c.path[:0]
 		return
 	}
 	// Trace back the path, collecting edges and bumping usage. Every
 	// cell on it was reached by this search, so from is valid there.
-	var path []int32
+	path := s.path[:0]
 	cur := idx(c.tx, c.ty)
 	for s.from[cur] >= 0 {
 		prev := s.from[cur]
@@ -568,15 +581,23 @@ func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch
 		probe.StoreHot(rgGrid, uint64(e))
 		cur = prev
 	}
-	c.path = path
+	s.path = path
+	// The connection keeps exactly the path's length: its own storage
+	// when that holds it, else storage of that size.
+	if cap(c.path) < len(path) {
+		c.path = make([]int32, len(path))
+	}
+	c.path = c.path[:len(path)]
+	copy(c.path, path)
 }
 
-// unroute removes a connection's path from the grid usage.
+// unroute removes a connection's path from the grid usage, keeping its
+// storage for the next search.
 func (g *grid) unroute(c *connection) {
 	for _, e := range c.path {
 		g.usage[e]--
 	}
-	c.path = nil
+	c.path = c.path[:0]
 }
 
 // appendOverused appends the edges above capacity to out, in edge order.
