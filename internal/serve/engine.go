@@ -46,6 +46,14 @@ type record struct {
 	emittedStarts, emittedEnds int
 }
 
+// snapshot returns the job's status with stages of its own: adopting a
+// re-plan rewrites the engine's stages in place.
+func (r *record) snapshot() JobStatus {
+	st := r.status
+	st.Stages = slices.Clone(st.Stages)
+	return st
+}
+
 // Engine is the multi-tenant serving engine. Not safe for concurrent
 // use — the HTTP layer serializes access.
 type Engine struct {
@@ -210,26 +218,36 @@ type SubmitRequest struct {
 // every promised deadline under the tenant quotas. Rejection leaves
 // the engine's state untouched. The returned status is a snapshot.
 func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
+	r, err := e.submit(req)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return r.snapshot(), nil
+}
+
+// submit is Submit returning the job's record, whose status the engine
+// goes on rewriting.
+func (e *Engine) submit(req SubmitRequest) (*record, error) {
 	if _, ok := e.tenants[req.Tenant]; !ok {
-		return JobStatus{}, fmt.Errorf("serve: unknown tenant %q", req.Tenant)
+		return nil, fmt.Errorf("serve: unknown tenant %q", req.Tenant)
 	}
 	tpl, ok := e.templates[req.Template]
 	if !ok {
-		return JobStatus{}, fmt.Errorf("serve: unknown template %q", req.Template)
+		return nil, fmt.Errorf("serve: unknown template %q", req.Template)
 	}
 	err := checkTime("arrival", req.ArrivalSec)
 	if err == nil {
 		err = checkTime("deadline", req.DeadlineSec)
 	}
 	if err != nil {
-		return JobStatus{}, fmt.Errorf("serve: job %q: %w", req.Name, err)
+		return nil, fmt.Errorf("serve: job %q: %w", req.Name, err)
 	}
 	if req.ArrivalSec < e.now {
-		return JobStatus{}, fmt.Errorf("serve: job %q arrives at %g, before the engine clock %g",
+		return nil, fmt.Errorf("serve: job %q arrives at %g, before the engine clock %g",
 			req.Name, req.ArrivalSec, e.now)
 	}
 	if req.DeadlineSec != 0 && req.DeadlineSec <= req.ArrivalSec {
-		return JobStatus{}, fmt.Errorf("serve: job %q deadline %g precedes its arrival %g",
+		return nil, fmt.Errorf("serve: job %q deadline %g precedes its arrival %g",
 			req.Name, req.DeadlineSec, req.ArrivalSec)
 	}
 	e.AdvanceTo(req.ArrivalSec)
@@ -252,12 +270,12 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 		readyInt(req.ArrivalSec)+mckp.MinTotalTime(quickClasses) > deadline {
 		r.status.Status = StatusRejected
 		r.status.Reason = "deadline unattainable even uncontended"
-		return r.status, nil
+		return r, nil
 	}
 
 	if e.cfg.Independent {
 		e.admitIndependent(r)
-		return r.status, nil
+		return r, nil
 	}
 
 	cand, err := e.replan(r)
@@ -271,7 +289,7 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 		default:
 			r.status.Reason = "admission would break a promised deadline"
 		}
-		return r.status, nil
+		return r, nil
 	}
 	e.adopt(cand)
 	e.admit(r)
@@ -282,22 +300,42 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 	if r.status.DeadlineSec > 0 {
 		r.status.PromisedSec = r.status.Stages[len(r.status.Stages)-1].EndSec
 	}
-	return r.status, nil
+	return r, nil
 }
 
 // Status returns a snapshot of one job.
 func (e *Engine) Status(id int) (JobStatus, error) {
-	if id < 0 || id >= len(e.jobs) {
-		return JobStatus{}, fmt.Errorf("serve: no job %d", id)
+	r, err := e.job(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	return e.jobs[id].status, nil
+	return r.snapshot(), nil
 }
 
-// Jobs returns a snapshot of every job, in submission order.
+// job returns the record of job id.
+func (e *Engine) job(id int) (*record, error) {
+	if id < 0 || id >= len(e.jobs) {
+		return nil, fmt.Errorf("serve: no job %d", id)
+	}
+	return e.jobs[id], nil
+}
+
+// Jobs returns a snapshot of every job, in submission order. The
+// snapshots' stages share one new array.
 func (e *Engine) Jobs() []JobStatus {
+	n := 0
+	for _, r := range e.jobs {
+		n += len(r.status.Stages)
+	}
+	stages := make([]PlannedStage, 0, n)
 	out := make([]JobStatus, len(e.jobs))
 	for i, r := range e.jobs {
 		out[i] = r.status
+		if r.status.Stages != nil {
+			from := len(stages)
+			stages = append(stages, r.status.Stages...)
+			out[i].Stages = stages[from:len(stages):len(stages)]
+		}
 	}
 	return out
 }
@@ -307,14 +345,14 @@ func (e *Engine) Jobs() []JobStatus {
 // boundary and stays billed) and the remaining jobs re-plan over the
 // freed capacity.
 func (e *Engine) Cancel(id int, atSec float64) error {
-	if id < 0 || id >= len(e.jobs) {
-		return fmt.Errorf("serve: no job %d", id)
+	r, err := e.job(id)
+	if err != nil {
+		return err
 	}
 	if atSec < e.now {
 		return fmt.Errorf("serve: cancel at %g precedes the engine clock %g", atSec, e.now)
 	}
 	e.AdvanceTo(atSec)
-	r := e.jobs[id]
 	switch r.status.Status {
 	case StatusAdmitted:
 	case StatusDone:
@@ -324,7 +362,7 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 	}
 	// Truncate the plan to the committed prefix and settle the bill.
 	kept := committedStages(r.status.Stages, e.now)
-	r.status.Stages = append([]PlannedStage(nil), r.status.Stages[:kept]...)
+	r.status.Stages = r.status.Stages[:kept]
 	r.status.Status = StatusCanceled
 	e.admitted = without(e.admitted, r)
 	if streamed(r) {
@@ -645,8 +683,8 @@ func plannedStages(dst []PlannedStage, stages []flow.StageResult) []PlannedStage
 }
 
 // adopt installs a candidate plan as the engine state. Each re-planned
-// job's stages are copied into a new array past its committed prefix,
-// so a status handed out earlier keeps the plan it reported.
+// job's stages are rewritten in place past its committed prefix; a
+// status handed out earlier has its own copy (record.snapshot).
 func (e *Engine) adopt(p *plan) {
 	e.Adopted++
 	e.fleet, e.spare = p.fleet, e.fleet
@@ -655,7 +693,7 @@ func (e *Engine) adopt(p *plan) {
 	}
 	for n, a := range p.active {
 		r := a.r
-		r.status.Stages = plannedStages(r.status.Stages[:a.kept:a.kept], p.results[n].Stages)
+		r.status.Stages = plannedStages(r.status.Stages[:a.kept], p.results[n].Stages)
 		r.status.CostUSD = stageCost(r.status.Stages)
 	}
 }

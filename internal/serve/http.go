@@ -15,7 +15,9 @@ import (
 // /v1/advance endpoint moves the clock, so a driver (or the replay
 // CLI) fully controls when completions and re-plans happen. One mutex
 // serializes every request — the engine itself is single-threaded by
-// design, which is what makes its decisions reproducible.
+// design, which is what makes its decisions reproducible. A handler
+// encodes a job's status while it holds the mutex, so it sends the
+// engine's own status rather than a snapshot.
 type Server struct {
 	mu  sync.Mutex
 	eng *Engine
@@ -132,7 +134,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		st, err := s.eng.Submit(SubmitRequest{
+		job, err := s.eng.submit(SubmitRequest{
 			Tenant: req.Tenant, Template: req.Template, Name: req.Name,
 			ArrivalSec: req.ArrivalSec, DeadlineSec: req.DeadlineSec,
 		})
@@ -141,10 +143,10 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		code := http.StatusCreated
-		if st.Status == StatusRejected {
+		if job.status.Status == StatusRejected {
 			code = http.StatusConflict
 		}
-		writeJSON(w, code, st)
+		writeJSON(w, code, &job.status)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -161,12 +163,12 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		st, err := s.eng.Status(id)
+		job, err := s.eng.job(id)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, &job.status)
 	})
 
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
@@ -198,8 +200,8 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusConflict, err)
 			return
 		}
-		st, _ := s.eng.Status(id)
-		writeJSON(w, http.StatusOK, st)
+		job, _ := s.eng.job(id)
+		writeJSON(w, http.StatusOK, &job.status)
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -210,7 +212,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if _, err := s.eng.Status(id); err != nil {
+		if _, err := s.eng.job(id); err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
