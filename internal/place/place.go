@@ -194,14 +194,10 @@ type system struct {
 	avgDegree float64
 	pool      *par.Pool
 
-	r, z, p, ap []float64 // solveCG's residual, preconditioned residual, direction and A*p
-	ax, ay      []float64 // resolveWithAnchors' anchored right-hand sides
-	savedDiag   []float64 // the diagonal without anchors
-	tx, ty      []float64 // spread's per-cell targets
-	occ         []float64 // spread's per-bin occupied area
-	// spread's bin members: bin b holds members[binStart[b]:binStart[b+1]],
-	// in ascending cell order.
-	binStart, members []int32
+	r, z, p, ap       []float64 // solveCG's residual, preconditioned residual, direction and A*p
+	ax, ay, savedDiag []float64 // resolveWithAnchors' right-hand sides and unanchored diagonal
+	tx, ty, occ       []float64 // spread's per-cell targets and per-bin occupied area
+	binStart, members []int32   // spread's bin b holds members[binStart[b]:binStart[b+1]], ascending
 	over              []binLoad // spread's overfull bins
 }
 
@@ -451,20 +447,8 @@ func spread(s *system, nl *netlist.Netlist, p *Placement, bins int, probe *perf.
 	binCap := float64(binW * binH) // area capacity per bin
 
 	binOf := func(x, y float64) int {
-		bx := int(x / binW)
-		by := int(y / binH)
-		if bx < 0 {
-			bx = 0
-		}
-		if bx >= bins {
-			bx = bins - 1
-		}
-		if by < 0 {
-			by = 0
-		}
-		if by >= bins {
-			by = bins - 1
-		}
+		bx := min(max(int(x/binW), 0), bins-1)
+		by := min(max(int(y/binH), 0), bins-1)
 		return by*bins + bx
 	}
 	for i := 0; i < n; i++ {
@@ -506,8 +490,8 @@ func spread(s *system, nl *netlist.Netlist, p *Placement, bins int, probe *perf.
 	for _, bl := range over {
 		b := bl.idx
 		bx, by := b%bins, b/bins
-		// Find nearest underfull bins in a growing ring.
-		// The bin gives up its cells from the highest index down.
+		// Find nearest underfull bins in a growing ring. The bin gives
+		// up its cells from the highest index down.
 		excess := bl.over
 		lo, mi := binStart[b], binStart[b+1]-1
 		for ring := 1; ring < bins && excess > 0 && mi >= lo; ring++ {

@@ -161,15 +161,9 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 	report := &perf.Report{Job: "routing"}
 
 	g := &grid{
-		w:   int(pl.DieW/gcell) + 2,
-		h:   int(pl.DieH/gcell) + 2,
+		w:   max(int(pl.DieW/gcell)+2, 2),
+		h:   max(int(pl.DieH/gcell)+2, 2),
 		cap: capacity,
-	}
-	if g.w < 2 {
-		g.w = 2
-	}
-	if g.h < 2 {
-		g.h = 2
 	}
 	g.usage = make([]int32, g.numEdges())
 	g.history = make([]float64, g.numEdges())
@@ -292,9 +286,7 @@ func route(nl *netlist.Netlist, pl *place.Placement, probe *perf.Probe, gcell fl
 }
 
 // buildConnections decomposes every net into driver-to-sink two-pin
-// connections with tile assignment, on gcells of edge gcell um. A sink
-// in its tree neighbour's gcell needs no global routing and gets no
-// connection.
+// connections with tile assignment, on gcells of edge gcell um.
 func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell float64) []connection {
 	gcellOf := func(x, y float64) (int16, int16) {
 		gx := int16(x / gcell)
@@ -582,8 +574,8 @@ func routeConnection(g *grid, c *connection, probe *perf.Probe, s *searchScratch
 		cur = prev
 	}
 	s.path = path
-	// The connection keeps exactly the path's length: its own storage
-	// when that holds it, else storage of that size.
+	// The connection copies the path into its own storage when that
+	// holds it, else into new storage of exactly the path's length.
 	if cap(c.path) < len(path) {
 		c.path = make([]int32, len(path))
 	}

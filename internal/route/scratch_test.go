@@ -164,3 +164,37 @@ func TestRouteAllocsIndependentOfGrid(t *testing.T) {
 		}
 	})
 }
+
+// A connection keeps its path storage: unroute empties the path but
+// keeps its array, a reroute writes the same path back into it, and a
+// search that cannot reach its target leaves the path empty — the mark
+// Route counts as a failed connection.
+func TestPathStorageKeptAcrossReroute(t *testing.T) {
+	g := &grid{w: 24, h: 20, cap: 2}
+	g.usage = make([]int32, g.numEdges())
+	g.history = make([]float64, g.numEdges())
+	s := &searchScratch{}
+	c := connection{sx: 1, sy: 18, tx: 22, ty: 2}
+	routeConnection(g, &c, nil, s)
+	if len(c.path) == 0 || len(c.path) != cap(c.path) {
+		t.Fatalf("path of length %d in storage of %d; want a non-empty path in storage of exactly its length", len(c.path), cap(c.path))
+	}
+	want, storage := slices.Clone(c.path), &c.path[0]
+	g.unroute(&c)
+	if len(c.path) != 0 || cap(c.path) != len(want) {
+		t.Fatalf("unroute left a path of length %d and capacity %d, want 0 and %d", len(c.path), cap(c.path), len(want))
+	}
+	if slices.ContainsFunc(g.usage, func(u int32) bool { return u != 0 }) {
+		t.Fatal("unroute left edge usage behind")
+	}
+	routeConnection(g, &c, nil, s)
+	if !slices.Equal(c.path, want) || &c.path[0] != storage {
+		t.Fatalf("reroute found %v (same storage: %v), want %v in the kept storage", c.path, &c.path[0] == storage, want)
+	}
+	g.unroute(&c)
+	c.tx = int16(g.w) // off the grid: no search reaches it
+	routeConnection(g, &c, nil, s)
+	if len(c.path) != 0 || cap(c.path) != len(want) {
+		t.Fatalf("a failed search left a path of length %d and capacity %d, want 0 and %d", len(c.path), cap(c.path), len(want))
+	}
+}
