@@ -19,10 +19,10 @@ import (
 // not count.
 func TestRouteAllocBudget(t *testing.T) {
 	cases := []struct {
-		design             string
-		scale              float64
-		capacity, iters    int
-		maxBytes, maxAlloc float64
+		design               string
+		scale                float64
+		capacity, iters      int
+		maxBytes, maxMallocs float64
 	}{
 		{"mem_ctrl", 0.25, capacityFromDemand, maxIters, 135, 1.29},
 		{"priority", 0.2, 2, 4, 171, 1.64},
@@ -45,8 +45,8 @@ func TestRouteAllocBudget(t *testing.T) {
 		if bytesPer > tc.maxBytes {
 			t.Errorf("%s: %.0f bytes per connection, budget %g", tc.design, bytesPer, tc.maxBytes)
 		}
-		if mallocsPer > tc.maxAlloc {
-			t.Errorf("%s: %.3f mallocs per connection, budget %g", tc.design, mallocsPer, tc.maxAlloc)
+		if mallocsPer > tc.maxMallocs {
+			t.Errorf("%s: %.3f mallocs per connection, budget %g", tc.design, mallocsPer, tc.maxMallocs)
 		}
 	}
 }
