@@ -1,15 +1,30 @@
 package synth
 
 import (
+	"iter"
+
 	"edacloud/internal/aig"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 )
 
-// Cut is a k-feasible cut of an AIG node: a set of leaf variables such
-// that every path from the node to the inputs crosses a leaf.
-type Cut struct {
-	Leaves []int32 // sorted variable indices
+// cutList is the cut list of one AIG node packed into one slice: each
+// cut is its leaf count followed by its sorted leaf variables. A cut is
+// k-feasible: every path from the node to the inputs crosses a leaf.
+type cutList []int32
+
+// at returns the leaves of the cut at offset off.
+func (l cutList) at(off int) []int32 { return l[off+1 : off+1+int(l[off])] }
+
+// all yields each cut's offset and leaves, in list order.
+func (l cutList) all() iter.Seq2[int, []int32] {
+	return func(yield func(int, []int32) bool) {
+		for off := 0; off < len(l); off += 1 + int(l[off]) {
+			if !yield(off, l.at(off)) {
+				return
+			}
+		}
+	}
 }
 
 // cutEnum enumerates priority cuts: every node keeps at most maxCuts
@@ -25,7 +40,7 @@ type cutEnum struct {
 	maxCuts int
 	probe   *perf.Probe
 	pool    *par.Pool
-	cuts    [][]Cut
+	cuts    []cutList
 	// rs lends each probe shard its merge scratch and cut storage
 	// (rs.shards[i].cut). A shard's chunks run one at a time on one
 	// goroutine, so enumNode needs no lock and no allocation per node
@@ -53,7 +68,7 @@ const cutGrain = 32
 func newCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool, rs *runScratch) *cutEnum {
 	n := g.NumVars()
 	if cap(rs.cuts) < n {
-		rs.cuts = make([][]Cut, n)
+		rs.cuts = make([]cutList, n)
 	}
 	for i := range rs.shards {
 		rs.shards[i].cut.reset(k, maxCuts)
@@ -66,16 +81,16 @@ func newCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool,
 }
 
 // Cuts returns the cut list of variable v.
-func (ce *cutEnum) Cuts(v int) []Cut { return ce.cuts[v] }
+func (ce *cutEnum) Cuts(v int) cutList { return ce.cuts[v] }
 
 func (ce *cutEnum) run() {
 	g := ce.g
 	// Constant node and inputs have only the trivial cut.
 	sh := &ce.rs.shards[0].cut
-	ce.cuts[0] = append(sh.cuts.take(1)[:0], sh.trivialCut(0))
+	ce.cuts[0] = sh.trivialList(0)
 	for i := range g.NumInputs() {
 		v := g.Input(i).Var()
-		ce.cuts[v] = append(sh.cuts.take(1)[:0], sh.trivialCut(v))
+		ce.cuts[v] = sh.trivialList(v)
 	}
 	// Bucket AND nodes by logic level, each bucket in topological
 	// (ascending-variable) order: a counting sort into one array, level
@@ -135,11 +150,12 @@ func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 	k := ce.k
 	// Candidate i's leaves are sh.cand[i*k : i*k+sh.size[i]]. A failed
 	// or duplicate merge leaves its slot to the next pair.
-	cands := 0
-	for _, a := range c0 {
-		for _, b := range c1 {
+	cands, pairs := 0, 0
+	for _, a := range c0.all() {
+		for _, b := range c1.all() {
+			pairs++
 			leaves := sh.cand[cands*k : cands*k+k]
-			n, ok := mergeLeaves(leaves, a.Leaves, b.Leaves)
+			n, ok := mergeLeaves(leaves, a, b)
 			probe.Branch(brCutMerge, ok)
 			// Leaf-set union, dedup hashing and cut-list bookkeeping
 			// dominate enumeration cost.
@@ -156,19 +172,23 @@ func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 	// Fewest leaves first, merge order within one leaf count: what a
 	// stable sort by leaf count followed by truncation would keep.
 	keep := min(cands, ce.maxCuts)
-	out := sh.cuts.take(keep + 1)[:0]
-	for n := 1; n <= k && len(out) < keep; n++ {
-		for i := 0; i < cands && len(out) < keep; i++ {
+	picked, size := sh.picked[:0], 2
+	for n := 1; n <= k && len(picked) < keep; n++ {
+		for i := 0; i < cands && len(picked) < keep; i++ {
 			if sh.size[i] == n {
-				leaves := sh.leaves.take(n)
-				copy(leaves, sh.cand[i*k:])
-				out = append(out, Cut{Leaves: leaves})
+				picked = append(picked, i)
+				size += 1 + n
 			}
 		}
 	}
+	// The list is taken at its exact size, so every append fits.
+	list := sh.lists.take(size)[:0]
+	for _, i := range picked {
+		list = append(append(list, int32(sh.size[i])), sh.cand[i*k:i*k+sh.size[i]]...)
+	}
 	// Trivial cut last so matching prefers structural cuts.
-	ce.cuts[v] = append(out, sh.trivialCut(v))
-	probe.Ops(len(c0)*len(c1) + 4)
+	ce.cuts[v] = append(list, 1, int32(v))
+	probe.Ops(pairs + 4)
 }
 
 // mergeLeaves unions two sorted leaf sets into dst, returning the
@@ -207,31 +227,30 @@ func mergeLeaves(dst, a, b []int32) (int, bool) {
 // cutShard is one probe shard's enumeration state: the candidate cuts
 // of the node in hand, and the storage the finished cut lists live in.
 type cutShard struct {
-	cand []int32 // candidate leaf sets, k slots each
-	size []int   // leaf count per candidate
-	// Finished lists and their leaf sets are carved out of chunks, so a
-	// node costs no allocation of its own; the chunks belong to the run
-	// and are handed out again by every later enumeration.
-	cuts   slab[Cut]
-	leaves slab[int32]
+	cand   []int32 // candidate leaf sets, k slots each
+	size   []int   // leaf count per candidate
+	picked []int   // the kept candidates in list order, cap len(size)
+	// Finished lists are carved out of chunks, so a node costs no
+	// allocation of its own; the chunks belong to the run and are
+	// handed out again by every later enumeration.
+	lists slab[int32]
 }
 
 // reset prepares the shard for an enumeration of at most maxCuts cuts
 // of at most k leaves per node: it grows the candidate buffer when this
 // enumeration needs more room than every earlier one, and rewinds the
-// slabs.
+// slab.
 func (sh *cutShard) reset(k, maxCuts int) {
 	// A cut list holds at most maxCuts+1 cuts, so a node has at most
 	// that many squared candidates.
 	most := (maxCuts + 1) * (maxCuts + 1)
 	if len(sh.size) < most {
-		sh.size = make([]int, most)
+		sh.size, sh.picked = make([]int, most), make([]int, 0, most)
 	}
 	if len(sh.cand) < most*k {
 		sh.cand = make([]int32, most*k)
 	}
-	sh.cuts.rewind()
-	sh.leaves.rewind()
+	sh.lists.rewind()
 }
 
 // hasCandidate reports whether leaves equals one of the first n
@@ -246,11 +265,11 @@ func (sh *cutShard) hasCandidate(n, k int, leaves []int32) bool {
 	return false
 }
 
-// trivialCut returns the cut {v}.
-func (sh *cutShard) trivialCut(v int) Cut {
-	leaves := sh.leaves.take(1)
-	leaves[0] = int32(v)
-	return Cut{Leaves: leaves}
+// trivialList returns the list that holds only the cut {v}.
+func (sh *cutShard) trivialList(v int) cutList {
+	list := sh.lists.take(2)
+	list[0], list[1] = 1, int32(v)
+	return list
 }
 
 // slab hands out small slices carved from geometrically growing

@@ -18,15 +18,16 @@ import (
 // arena: level buckets grown by append, one allocation per merged leaf
 // set (failed merges included), a hash map per node to drop duplicates,
 // a reflection-driven stable sort, truncation, the trivial cut. It
-// shares only sameLeaves with cutEnum, and it is the algorithm every
-// committed golden and digest was first produced with, so do not "fix"
-// it: TestCutEnumMatchesReference requires cutEnum to reproduce its cut
-// lists and its probe counters exactly.
-func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool) *cutEnum {
-	ce := &cutEnum{g: g, k: k, maxCuts: maxCuts, probe: probe, pool: pool, cuts: make([][]Cut, g.NumVars())}
-	ce.cuts[0] = []Cut{{Leaves: []int32{0}}}
+// keeps each cut as its own leaf slice, shares only sameLeaves with
+// cutEnum, and it is the algorithm every committed golden and digest
+// was first produced with, so do not "fix" it:
+// TestCutEnumMatchesReference requires cutEnum to reproduce its cut
+// lists, packed, and its probe counters exactly.
+func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool) *refCuts {
+	ce := &refCuts{g: g, k: k, maxCuts: maxCuts, probe: probe, pool: pool, cuts: make([][][]int32, g.NumVars())}
+	ce.cuts[0] = [][]int32{{0}}
 	for _, v := range g.InputVars() {
-		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
+		ce.cuts[v] = [][]int32{{int32(v)}}
 	}
 	levels := g.Levels()
 	var maxLv int32
@@ -57,15 +58,41 @@ func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool)
 	return ce
 }
 
-func refEnumNode(ce *cutEnum, v int, probe *perf.Probe) {
+// refCuts is the reference enumeration's result: each variable's cuts
+// as separate leaf slices.
+type refCuts struct {
+	g         *aig.Graph
+	k         int
+	maxCuts   int
+	probe     *perf.Probe
+	pool      *par.Pool
+	cuts      [][][]int32
+	parInstrs uint64
+	parChunks int
+}
+
+// packed flattens the reference cut lists into cutEnum's layout: each
+// cut's leaf count, then its leaves.
+func (ce *refCuts) packed() []cutList {
+	out := make([]cutList, len(ce.cuts))
+	for v, cuts := range ce.cuts {
+		for _, leaves := range cuts {
+			out[v] = append(out[v], int32(len(leaves)))
+			out[v] = append(out[v], leaves...)
+		}
+	}
+	return out
+}
+
+func refEnumNode(ce *refCuts, v int, probe *perf.Probe) {
 	f0, f1 := ce.g.Fanins(v)
 	probe.LoadHot(rgCut, uint64(v))
 	c0 := ce.cuts[f0.Var()]
 	c1 := ce.cuts[f1.Var()]
-	var merged []Cut
+	var merged [][]int32
 	for _, a := range c0 {
 		for _, b := range c1 {
-			leaves, ok := refMergeLeaves(a.Leaves, b.Leaves, ce.k)
+			leaves, ok := refMergeLeaves(a, b, ce.k)
 			probe.Branch(brCutMerge, ok)
 			probe.Ops(240)
 			probe.LoopBranches(6)
@@ -73,17 +100,17 @@ func refEnumNode(ce *cutEnum, v int, probe *perf.Probe) {
 			if !ok {
 				continue
 			}
-			merged = append(merged, Cut{Leaves: leaves})
+			merged = append(merged, leaves)
 		}
 	}
 	merged = refDedupCuts(merged)
 	sort.SliceStable(merged, func(i, j int) bool {
-		return len(merged[i].Leaves) < len(merged[j].Leaves)
+		return len(merged[i]) < len(merged[j])
 	})
 	if len(merged) > ce.maxCuts {
 		merged = merged[:ce.maxCuts]
 	}
-	merged = append(merged, Cut{Leaves: []int32{int32(v)}})
+	merged = append(merged, []int32{int32(v)})
 	ce.cuts[v] = merged
 	probe.Ops(len(c0)*len(c1) + 4)
 }
@@ -131,12 +158,12 @@ func refLeafHash(leaves []int32) uint64 {
 	return uint64(h)
 }
 
-func refDedupCuts(cuts []Cut) []Cut {
+func refDedupCuts(cuts [][]int32) [][]int32 {
 	seen := make(map[uint64]int32, len(cuts))
 	out := cuts[:0]
 	for _, c := range cuts {
-		key := refLeafHash(c.Leaves)
-		if idx, ok := seen[key]; ok && sameLeaves(out[idx].Leaves, c.Leaves) {
+		key := refLeafHash(c)
+		if idx, ok := seen[key]; ok && sameLeaves(out[idx], c) {
 			continue
 		} else if !ok {
 			seen[key] = int32(len(out))
@@ -168,13 +195,15 @@ func TestCutEnumMatchesReference(t *testing.T) {
 				probe := perf.NewProbe(perf.DefaultProbeConfig())
 				got := newCutEnum(in.g, cfg.k, cfg.maxCuts, probe, par.Fixed(workers), new(runScratch))
 
-				if !reflect.DeepEqual(got.cuts, want.cuts) {
-					for v := range want.cuts {
-						if !reflect.DeepEqual(got.cuts[v], want.cuts[v]) {
+				if wantCuts := want.packed(); !reflect.DeepEqual(got.cuts, wantCuts) {
+					for v := range wantCuts {
+						if !reflect.DeepEqual(got.cuts[v], wantCuts[v]) {
 							t.Fatalf("%s k=%d maxCuts=%d workers=%d: node %d has cuts %v, reference %v",
-								in.name, cfg.k, cfg.maxCuts, workers, v, got.cuts[v], want.cuts[v])
+								in.name, cfg.k, cfg.maxCuts, workers, v, got.cuts[v], wantCuts[v])
 						}
 					}
+					t.Fatalf("%s k=%d maxCuts=%d workers=%d: %d cut lists, reference %d",
+						in.name, cfg.k, cfg.maxCuts, workers, len(got.cuts), len(wantCuts))
 				}
 				if g, w := probe.Counters(), refProbe.Counters(); g != w {
 					t.Fatalf("%s k=%d maxCuts=%d workers=%d: counters %+v, reference %+v",
@@ -209,7 +238,7 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 	sequence := []struct{ k, maxCuts int }{{4, 6}, {6, 4}, {3, 8}}
 	chunks := func(rs *runScratch) (n int) {
 		for i := range rs.shards {
-			n += len(rs.shards[i].cut.cuts.chunks) + len(rs.shards[i].cut.leaves.chunks)
+			n += len(rs.shards[i].cut.lists.chunks)
 		}
 		return n
 	}
@@ -229,7 +258,7 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 					where := func() string {
 						return fmt.Sprintf("round %d %s k=%d maxCuts=%d workers=%d", round, in.name, cfg.k, cfg.maxCuts, workers)
 					}
-					if !reflect.DeepEqual(got.cuts, ref.cuts) || !reflect.DeepEqual(got.cuts, fresh.cuts) {
+					if !reflect.DeepEqual(got.cuts, ref.packed()) || !reflect.DeepEqual(got.cuts, fresh.cuts) {
 						t.Fatalf("%s: cut lists differ from the reference or a fresh scratch", where())
 					}
 					if g, w, f := probe.Counters(), refProbe.Counters(), freshProbe.Counters(); g != w || g != f {
@@ -257,20 +286,34 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 	}
 }
 
-// TestCutListsDoNotAlias: cut lists and leaf sets are carved from shared
-// chunks, so each must be capped at its own length — an append by a
-// reader must reallocate, never overwrite the neighbouring cut.
+// TestCutListsDoNotAlias: cut lists are carved from shared chunks, so
+// each must be capped at its own length — an append by a reader must
+// reallocate, never overwrite the neighbouring node's list. Walking a
+// list must find whole cuts of 1..k strictly ascending leaves that end
+// exactly at the list's end, the last one the trivial cut {v}.
 func TestCutListsDoNotAlias(t *testing.T) {
+	const k = 4
 	g := designs.MustBenchmark("int2float", 1)
-	ce := newCutEnum(g, 4, 6, nil, nil, new(runScratch))
+	ce := newCutEnum(g, k, 6, nil, nil, new(runScratch))
 	for v, list := range ce.cuts {
 		if cap(list) != len(list) {
 			t.Fatalf("node %d: cut list has len %d, cap %d", v, len(list), cap(list))
 		}
-		for _, c := range list {
-			if cap(c.Leaves) != len(c.Leaves) {
-				t.Fatalf("node %d: leaf set has len %d, cap %d", v, len(c.Leaves), cap(c.Leaves))
+		last := -1
+		for off := 0; off < len(list); off += 1 + int(list[off]) {
+			n := int(list[off])
+			if n < 1 || n > k || off+1+n > len(list) {
+				t.Fatalf("node %d: cut at offset %d counts %d leaves in a list of %d", v, off, n, len(list))
 			}
+			for i := off + 2; i < off+1+n; i++ {
+				if list[i] <= list[i-1] {
+					t.Fatalf("node %d: cut at offset %d has leaves %v, not strictly ascending", v, off, list[off+1:off+1+n])
+				}
+			}
+			last = off
+		}
+		if last < 0 || last != len(list)-2 || list[last] != 1 || list[last+1] != int32(v) {
+			t.Fatalf("node %d: list %v does not end with the trivial cut {1, %d}", v, list, v)
 		}
 	}
 }

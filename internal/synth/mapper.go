@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/netlist"
@@ -26,14 +27,14 @@ const (
 )
 
 // nodeImpl is the chosen realization of one (node, polarity) pair. The
-// byte-wide fields come last so that the record packs into 48 bytes.
+// byte-wide fields come last so that the record packs into 24 bytes.
 type nodeImpl struct {
 	match   *techlib.Match // an entry of the library's match index
-	cut     Cut
 	arrival float64
 	valid   bool
 	fromInv bool  // realized as inverter of the opposite polarity
 	polMask uint8 // bit i set: leaf i is consumed complemented
+	cut     uint8 // the matched cut's offset in its node's cut list (< 34)
 }
 
 // Mapper holds mapping state for one run.
@@ -127,15 +128,15 @@ func (m *mapper) mapNode(v int) {
 		load = nominalPinCap
 	}
 
-	for _, cut := range m.cuts.Cuts(v) {
-		n := len(cut.Leaves)
+	for off, leaves := range m.cuts.Cuts(v).all() {
+		n := len(leaves)
 		if n < 1 || n > 3 {
 			continue
 		}
-		if n == 1 && int(cut.Leaves[0]) == v {
+		if n == 1 && int(leaves[0]) == v {
 			continue // trivial cut
 		}
-		tt := cutTT(m.g, v, cut.Leaves, m.probe, m.tts)
+		tt := cutTT(m.g, v, leaves, m.probe, m.tts)
 		// Try every leaf-polarity adjustment: complementing leaf i
 		// swaps its cofactors in the table.
 		for pm := uint8(0); pm < 1<<uint(n); pm++ {
@@ -156,7 +157,7 @@ func (m *mapper) mapNode(v int) {
 					match := &matches[k]
 					m.probe.Ops(20)
 					m.probe.FPScalar(8) // table interpolation
-					arr := m.matchArrival(match, cut, pm, load)
+					arr := m.matchArrival(match, leaves, pm, load)
 					better := arr < bestArr[pol]
 					m.probe.Branch(brMapChoice, better)
 					if better {
@@ -164,7 +165,7 @@ func (m *mapper) mapNode(v int) {
 						best[pol] = nodeImpl{
 							valid:   true,
 							match:   match,
-							cut:     cut,
+							cut:     uint8(off),
 							polMask: pm,
 							arrival: arr,
 						}
@@ -193,12 +194,12 @@ func (m *mapper) mapNode(v int) {
 	m.impls[1][v] = best[1]
 }
 
-// matchArrival returns the output arrival time of realizing a match:
-// the worst leaf arrival (in its required polarity) plus the matched
-// arc delay at the estimated load.
-func (m *mapper) matchArrival(match *techlib.Match, cut Cut, pm uint8, load float64) float64 {
+// matchArrival returns the output arrival time of realizing a match
+// over the cut leaves: the worst leaf arrival (in its required
+// polarity) plus the matched arc delay at the estimated load.
+func (m *mapper) matchArrival(match *techlib.Match, leaves []int32, pm uint8, load float64) float64 {
 	worst := 0.0
-	for i, leaf := range cut.Leaves {
+	for i, leaf := range leaves {
 		neg := pm>>uint(i)&1 == 1
 		arr := m.arrivalOf(int(leaf), neg)
 		d := 0.0
@@ -358,7 +359,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 		// A match has one input per cut leaf, and mapNode keeps cuts of
 		// at most three leaves.
 		var ins [3]netlist.NetID
-		for i, leaf := range impl.cut.Leaves {
+		for i, leaf := range m.cuts.Cuts(v).at(int(impl.cut)) {
 			leafNeg := impl.polMask>>uint(i)&1 == 1
 			src, err := visit(int(leaf), leafNeg)
 			if err != nil {
@@ -411,16 +412,22 @@ func (m *mapper) build(c *cover, registerOutputs bool) *netlist.Netlist {
 	if registerOutputs {
 		nl.AddPI("clk")
 	}
-	// name holds the n%d and u%d names as they are built, so each costs
-	// the one allocation of its string.
-	var name []byte
+	// The n%d and u%d names are substrings of one builder's string,
+	// reserved for the widest number, so together they cost one
+	// allocation. A builder only appends: a name handed out stays valid.
+	var names strings.Builder
+	names.Grow(2 * len(c.cells) * (1 + len(strconv.Itoa(c.base+len(c.cells)))))
+	var digits [20]byte
+	name := func(prefix byte, i int) string {
+		start := names.Len()
+		names.Write(strconv.AppendInt(append(digits[:0], prefix), int64(i), 10))
+		return names.String()[start:]
+	}
 	pins := c.pins
 	for i, typ := range c.cells {
-		name = strconv.AppendInt(append(name[:0], 'n'), int64(nl.NumNets()), 10)
-		out := nl.AddNet(string(name))
-		name = strconv.AppendInt(append(name[:0], 'u'), int64(i), 10)
+		out := nl.AddNet(name('n', nl.NumNets()))
 		k := typ.NumInputs()
-		nl.MustAddCell(string(name), typ, pins[:k], out)
+		nl.MustAddCell(name('u', i), typ, pins[:k], out)
 		pins = pins[k:]
 	}
 	for i, net := range c.pos {

@@ -19,7 +19,7 @@ import (
 // simulated counters — at 1, 2 and 8 workers.
 func TestCutEnumDeterministicAcrossWorkers(t *testing.T) {
 	g := designs.MustBenchmark("cavlc", 0.25)
-	run := func(workers int) ([][]Cut, perf.Counters) {
+	run := func(workers int) ([]cutList, perf.Counters) {
 		probe := perf.NewProbe(perf.DefaultProbeConfig())
 		ce := newCutEnum(g, 3, 8, probe, par.Fixed(workers), new(runScratch))
 		return ce.cuts, probe.Counters()

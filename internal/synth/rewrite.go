@@ -143,15 +143,15 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 			continue
 		}
 		tried := 0
-		for _, c := range cuts.Cuts(int(v)) {
+		for _, leaves := range cuts.Cuts(int(v)).all() {
 			if tried >= tryCuts {
 				break
 			}
-			if !usableCut(c.Leaves, int(v), k) {
+			if !usableCut(leaves, int(v), k) {
 				continue
 			}
 			tried++
-			for _, l := range c.Leaves {
+			for _, l := range leaves {
 				foreign(int(l))
 			}
 		}
@@ -319,16 +319,16 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 	}
 
 	tried := 0
-	for _, cut := range rb.cuts.Cuts(v) {
+	for _, leaves := range rb.cuts.Cuts(v).all() {
 		if tried >= rb.tryCuts {
 			break
 		}
-		if !usableCut(cut.Leaves, v, rb.k) {
+		if !usableCut(leaves, v, rb.k) {
 			continue
 		}
 		tried++
-		n := len(cut.Leaves)
-		tt := cutTT(rb.g, v, cut.Leaves, probe, &rb.sc.tts)
+		n := len(leaves)
+		tt := cutTT(rb.g, v, leaves, probe, &rb.sc.tts)
 		// ISOP extraction recurses over cofactors; its cost is the
 		// bulk of a resynthesis attempt.
 		probe.Ops(280)
@@ -337,7 +337,7 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 		// at most six variables).
 		var leafLits [6]aig.Lit
 		ok := true
-		for i, l := range cut.Leaves {
+		for i, l := range leaves {
 			if old2new.get(int(l)) == 0 && l != 0 {
 				// A leaf that was itself swept away (shouldn't
 				// happen in topo order, but stay safe).

@@ -15,7 +15,7 @@ import (
 // PartitionGrain): a latent quadratic that only bites at million-gate
 // scale. It is one epoch-stamped array per probe shard, reset in O(1)
 // between partitions. Each probe shard also keeps its truth-table memo,
-// its cut-enumeration storage (the candidate buffer and the slabs the
+// its cut-enumeration storage (the candidate buffer and the slab the
 // cut lists live in), its hash table and its partitions' results, and the
 // run keeps the per-variable cut-list array, one shard graph per
 // partition slot and one temporary graph that the shards of a
@@ -109,7 +109,7 @@ type runScratch struct {
 	shards [par.ProbeShards]shardScratch
 	// cuts is the per-variable cut-list array; each enumeration
 	// reslices it (see newCutEnum).
-	cuts [][]Cut
+	cuts []cutList
 	// parts holds one recycled shard graph per partition slot and tmp
 	// the graph the shards of several partitions merge into. Both die
 	// with the pass that built them: the pass result is a swept copy of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
@@ -65,6 +66,15 @@ func TestMapperSizesNetlistOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNodeImplPacksInto24Bytes: the mapper keeps a record per variable
+// and polarity, and refers to the matched cut by its offset in the
+// node's cut list instead of copying the cut into it.
+func TestNodeImplPacksInto24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(nodeImpl{}); size > 24 {
+		t.Fatalf("nodeImpl is %d bytes, want at most 24", size)
 	}
 }
 

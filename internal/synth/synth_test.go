@@ -118,12 +118,12 @@ func TestCutEnumLeafBounds(t *testing.T) {
 	ce := newCutEnum(g, 4, 8, nil, nil, new(runScratch))
 	count := 0
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
-		for _, c := range ce.Cuts(v) {
-			if len(c.Leaves) > 4 {
-				t.Fatalf("cut with %d leaves", len(c.Leaves))
+		for _, leaves := range ce.Cuts(v).all() {
+			if len(leaves) < 1 || len(leaves) > 4 {
+				t.Fatalf("cut with %d leaves", len(leaves))
 			}
-			for i := 1; i < len(c.Leaves); i++ {
-				if c.Leaves[i] <= c.Leaves[i-1] {
+			for i := 1; i < len(leaves); i++ {
+				if leaves[i] <= leaves[i-1] {
 					t.Fatal("cut leaves not sorted")
 				}
 			}
@@ -353,9 +353,9 @@ func TestUsableCutGuard(t *testing.T) {
 // the structural copy.
 func TestRebuildSkipsSelfCuts(t *testing.T) {
 	g := designs.MustBenchmark("int2float", 0.12)
-	ce := &cutEnum{g: g, k: 4, maxCuts: 1, cuts: make([][]Cut, g.NumVars())}
+	ce := &cutEnum{g: g, k: 4, maxCuts: 1, cuts: make([]cutList, g.NumVars())}
 	g.TopoAnds(func(v int, _, _ aig.Lit) {
-		ce.cuts[v] = []Cut{{Leaves: []int32{int32(v)}}}
+		ce.cuts[v] = cutList{1, int32(v)}
 	})
 	cp := g.PartitionCones(g.NumAnds() + 1)
 	if cp.NumParts() != 1 {
