@@ -13,8 +13,12 @@ import (
 // k-feasible: every path from the node to the inputs crosses a leaf.
 type cutList []int32
 
-// at returns the leaves of the cut at offset off.
-func (l cutList) at(off int) []int32 { return l[off+1 : off+1+int(l[off])] }
+// at returns the leaves of the cut at offset off, capped at their length
+// so that a reader's append cannot overwrite the next cut.
+func (l cutList) at(off int) []int32 {
+	end := off + 1 + int(l[off])
+	return l[off+1 : end : end]
+}
 
 // all yields each cut's offset and leaves, in list order.
 func (l cutList) all() iter.Seq2[int, []int32] {
@@ -87,10 +91,10 @@ func (ce *cutEnum) run() {
 	g := ce.g
 	// Constant node and inputs have only the trivial cut.
 	sh := &ce.rs.shards[0].cut
-	ce.cuts[0] = sh.trivialList(0)
+	ce.cuts[0] = append(sh.lists.take(2)[:0], 1, 0)
 	for i := range g.NumInputs() {
 		v := g.Input(i).Var()
-		ce.cuts[v] = sh.trivialList(v)
+		ce.cuts[v] = append(sh.lists.take(2)[:0], 1, int32(v))
 	}
 	// Bucket AND nodes by logic level, each bucket in topological
 	// (ascending-variable) order: a counting sort into one array, level
@@ -263,13 +267,6 @@ func (sh *cutShard) hasCandidate(n, k int, leaves []int32) bool {
 		}
 	}
 	return false
-}
-
-// trivialList returns the list that holds only the cut {v}.
-func (sh *cutShard) trivialList(v int) cutList {
-	list := sh.lists.take(2)
-	list[0], list[1] = 1, int32(v)
-	return list
 }
 
 // slab hands out small slices carved from geometrically growing

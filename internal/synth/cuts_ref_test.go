@@ -288,7 +288,8 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 
 // TestCutListsDoNotAlias: cut lists are carved from shared chunks, so
 // each must be capped at its own length — an append by a reader must
-// reallocate, never overwrite the neighbouring node's list. Walking a
+// reallocate, never overwrite the neighbouring node's list — and so
+// must each cut's leaves, never overwriting the next cut. Walking a
 // list must find whole cuts of 1..k strictly ascending leaves that end
 // exactly at the list's end, the last one the trivial cut {v}.
 func TestCutListsDoNotAlias(t *testing.T) {
@@ -314,6 +315,11 @@ func TestCutListsDoNotAlias(t *testing.T) {
 		}
 		if last < 0 || last != len(list)-2 || list[last] != 1 || list[last+1] != int32(v) {
 			t.Fatalf("node %d: list %v does not end with the trivial cut {1, %d}", v, list, v)
+		}
+		for off, leaves := range list.all() {
+			if cap(leaves) != len(leaves) {
+				t.Fatalf("node %d: cut at offset %d has %d leaves, cap %d", v, off, len(leaves), cap(leaves))
+			}
 		}
 	}
 }

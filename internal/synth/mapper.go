@@ -34,8 +34,14 @@ type nodeImpl struct {
 	valid   bool
 	fromInv bool  // realized as inverter of the opposite polarity
 	polMask uint8 // bit i set: leaf i is consumed complemented
-	cut     uint8 // the matched cut's offset in its node's cut list (< 34)
+	cut     uint8 // the matched cut's offset in its node's cut list
 }
+
+// The mapper keeps mapMaxCuts cuts of at most mapK leaves per node, then
+// the trivial cut at offset mapMaxCuts*(mapK+1), which must fit cut's byte.
+const mapK, mapMaxCuts = 3, 8
+
+var _ [255 - mapMaxCuts*(mapK+1)]struct{}
 
 // Mapper holds mapping state for one run.
 type mapper struct {
@@ -67,7 +73,7 @@ func mapToCells(g *aig.Graph, lib *techlib.Library, registerOutputs bool, probe 
 		return nil, fmt.Errorf("synth: library %s lacks an INV_X1 cell", lib.Name)
 	}
 	m := &mapper{g: g, lib: lib, probe: probe, inv: inv, tts: &rs.shards[0].tts}
-	m.cuts = newCutEnum(g, 3, 8, probe, pool, rs)
+	m.cuts = newCutEnum(g, mapK, mapMaxCuts, probe, pool, rs)
 	m.fanout = g.FanoutCounts()
 	nv := g.NumVars()
 	m.impls[0] = make([]nodeImpl, nv)
