@@ -86,18 +86,19 @@ type Graph struct {
 	inputs  []int // variable indices of primary inputs, in creation order
 	outputs []Lit // primary output literals, in creation order
 
+	// inNames ends at the last named input: unnamed ones take no room.
 	inNames  []string
 	outNames []string
 
-	// strash is the structural-hash table: an open-addressed,
-	// power-of-two array of AND variable indices (0 marks an empty slot:
-	// variable 0 is the constant, never an AND). A slot's key is the
-	// fanin pair already stored in nodes, so the table holds no keys of
-	// its own and is rebuilt from nodes when it grows: the first And that
-	// creates a node sizes it for reserve nodes, in the storage it has
-	// when that is large enough, and it is kept at most half full.
+	// strash is the structural-hash table: an open-addressed array of
+	// AND variable indices (0 marks an empty slot: variable 0 is the
+	// constant, never an AND). A slot's key is the fanin pair already
+	// stored in nodes, so the table holds no keys of its own and is
+	// rebuilt from nodes when it grows: the first And that creates a node
+	// sizes it for reserve ANDs, in the storage it has when that is large
+	// enough, and it is kept at most half full.
 	strash  []int32
-	reserve int // nodes the last NewSized or Reset made room for
+	reserve int // ANDs the last NewSized or Reset made room for
 
 	// Memoized levels and fanout counts; a stale memo keeps its storage.
 	levels, fanoutSize []int32
@@ -108,28 +109,19 @@ type Graph struct {
 func New(name string) *Graph { return NewSized(name, 0, 1023) }
 
 // NewSized is New with room reserved for the given numbers of primary
-// inputs and AND nodes. The reservation is a hint, not a limit: callers
-// that know what they are about to add (a partition shard, a merge, a
-// sweep) avoid both New's default reservation and regrowth of the node
-// array, the input lists and the hash table.
+// inputs and AND nodes, a hint rather than a limit: a caller that knows
+// what it will add avoids regrowing the node array, the input list and
+// the hash table.
 func NewSized(name string, inputs, ands int) *Graph {
-	g := &Graph{
-		Name:    name,
-		nodes:   make([]node, 1, 1+inputs+ands),
-		inputs:  make([]int, 0, inputs),
-		inNames: make([]string, 0, inputs),
-		reserve: 1 + inputs + ands,
-	}
-	g.nodes[0] = node{kind: kindConst}
+	g := new(Graph)
+	g.Reset(name, inputs, ands)
 	return g
 }
 
 // Reset empties the graph in place, as if it were NewSized(name, inputs,
-// ands), but keeps its node, port, strash and memo arrays for reuse: a
-// caller that builds one short-lived graph after another allocates only
-// when a graph outgrows every earlier one, and clears only as much table
-// as the new reservation needs. A graph rebuilt after Reset numbers its
-// variables, dedupes its ANDs and fingerprints exactly as a fresh one
+// ands), but keeps its node, port, strash and memo arrays for reuse, so
+// it allocates only when the new graph outgrows them. A graph rebuilt
+// after Reset numbers, dedupes and fingerprints exactly as a fresh one
 // does; only the hash table's slot positions may differ.
 func (g *Graph) Reset(name string, inputs, ands int) {
 	g.Name = name
@@ -149,8 +141,86 @@ func (g *Graph) Reset(name string, inputs, ands int) {
 	g.inNames = g.inNames[:0]
 	g.outNames = g.outNames[:0]
 	g.strash = g.strash[:0]
-	g.reserve = 1 + inputs + ands
+	g.reserve = ands
 	g.invalidate()
+}
+
+// Arena is storage that graphs built one after another share until
+// Rewind, such as a pass's shard graphs: the graph in hand grows into
+// its chunk, and Close leaves the rest to the next graph.
+type Arena struct {
+	nodes  Slab[node]
+	inputs Slab[int]
+}
+
+// ResetIn is Reset with g's arrays taken from a, until a.Close(g). The
+// ANDs are an estimate: g has room for half as many again.
+func (g *Graph) ResetIn(a *Arena, name string, inputs, ands int) {
+	ands += ands / 2
+	g.nodes, g.inputs = a.nodes.open(1+inputs+ands), a.inputs.open(inputs)
+	g.Reset(name, inputs, ands)
+}
+
+// ReserveStrash makes room in g's hash-table storage, which SwapStrash
+// lends, for a graph ResetIn reserves ands for (Reset: half again).
+func (g *Graph) ReserveStrash(ands int) {
+	if n := 2 * (ands + ands/2); cap(g.strash) < n {
+		g.strash = make([]int32, 0, n)
+	}
+}
+
+// Close ends the build of g, which ResetIn began in a.
+func (a *Arena) Close(g *Graph) {
+	g.nodes, g.inputs = a.nodes.close(g.nodes), a.inputs.close(g.inputs)
+}
+
+// Rewind frees all of a's storage for new graphs.
+func (a *Arena) Rewind() {
+	a.nodes.Rewind()
+	a.inputs.Rewind()
+}
+
+// Slab hands out slices of chunks that double up to 1<<14 entries and
+// serve again after each Rewind, so it allocates only when a round
+// outgrows every earlier one, and drops nothing.
+type Slab[T any] struct {
+	all  [][]T
+	used int // chunks handed out since the rewind, all[:used]
+	free []T // the current chunk's unused tail
+}
+
+// Rewind frees every chunk for new slices.
+func (s *Slab[T]) Rewind() { s.used, s.free = 0, nil }
+
+// Take returns n entries, not cleared, capped at n.
+func (s *Slab[T]) Take(n int) []T { return s.close(s.open(n)[:n]) }
+
+// open returns the free tail, emptied, with room for at least n: the
+// current chunk's, or else the first free chunk that is long enough.
+func (s *Slab[T]) open(n int) []T {
+	if len(s.free) < n {
+		j := s.used
+		for j < len(s.all) && len(s.all[j]) < n {
+			j++
+		}
+		if j == len(s.all) {
+			s.all = append(s.all, make([]T, max(256<<min(len(s.all), 6), n)))
+		}
+		s.all[s.used], s.all[j] = s.all[j], s.all[s.used]
+		s.free, s.used = s.all[s.used], s.used+1
+	}
+	return s.free[:0]
+}
+
+// close caps t, which open began, at its length and keeps what follows
+// it for the next open; an array that append moved t to joins the slab.
+func (s *Slab[T]) close(t []T) []T {
+	if cap(t) > 0 && (len(s.free) == 0 || &t[:1][0] != &s.free[:1][0]) {
+		s.all, s.used = slices.Insert(s.all, max(s.used-1, 0), t[:cap(t)]), s.used+1
+	} else {
+		s.free = s.free[len(t):]
+	}
+	return t[:len(t):len(t)]
 }
 
 // NumVars returns the number of variables including the constant node.
@@ -170,7 +240,9 @@ func (g *Graph) AddInput(name string) Lit {
 	v := len(g.nodes)
 	g.nodes = append(g.nodes, node{kind: kindInput})
 	g.inputs = append(g.inputs, v)
-	g.inNames = append(g.inNames, name)
+	if name != "" {
+		g.setInputName(len(g.inputs)-1, name)
+	}
 	g.invalidate()
 	return MakeLit(v, false)
 }
@@ -179,7 +251,19 @@ func (g *Graph) AddInput(name string) Lit {
 func (g *Graph) Input(i int) Lit { return MakeLit(g.inputs[i], false) }
 
 // InputName returns the name of the i-th primary input.
-func (g *Graph) InputName(i int) string { return g.inNames[i] }
+func (g *Graph) InputName(i int) string {
+	if i < len(g.inNames) {
+		return g.inNames[i]
+	}
+	return ""
+}
+
+func (g *Graph) setInputName(i int, name string) {
+	for len(g.inNames) <= i {
+		g.inNames = append(g.inNames, "")
+	}
+	g.inNames[i] = name
+}
 
 // AddOutput registers l as a primary output.
 func (g *Graph) AddOutput(l Lit, name string) {
@@ -235,9 +319,12 @@ func (g *Graph) SwapStrash(h *Graph) {
 // table is never more than half full, so the linear probe terminates.
 func (g *Graph) strashSlot(a, b Lit) int {
 	key := uint64(a)<<32 | uint64(b)
-	// Fibonacci hashing: the top log2(len) bits of the product.
-	i := int(key * 0x9E3779B97F4A7C15 >> uint(bits.LeadingZeros64(uint64(len(g.strash)-1))))
-	for {
+	// Fibonacci hashing, scaled to the length by a multiply-high.
+	hi, _ := bits.Mul64(key*0x9E3779B97F4A7C15, uint64(len(g.strash)))
+	for i := int(hi); ; i++ {
+		if i == len(g.strash) {
+			i = 0
+		}
 		v := g.strash[i]
 		if v == 0 {
 			return i
@@ -245,18 +332,13 @@ func (g *Graph) strashSlot(a, b Lit) int {
 		if n := &g.nodes[v]; n.fan0 == a && n.fan1 == b {
 			return i
 		}
-		i = (i + 1) & (len(g.strash) - 1)
 	}
 }
 
-// growStrash sizes the table to at least twice the reservation and the
-// node count, in its own storage when that is large enough, and
-// re-enters every AND node.
+// growStrash sizes the table for the reservation or, past it, twice the
+// ANDs, in its own storage if large enough, and re-enters every AND.
 func (g *Graph) growStrash() {
-	size := 16
-	for size < 2*max(g.reserve, len(g.nodes)+1) {
-		size *= 2
-	}
+	size := 2 * max(g.reserve, 2*(g.NumAnds()+1))
 	if cap(g.strash) >= size {
 		g.strash = g.strash[:size]
 		clear(g.strash)
@@ -287,8 +369,8 @@ func (g *Graph) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	// Grow before probing: room for one more node at half load. cap(nodes)
-	// exceeds the AND count, so the rebuilt table is strictly larger.
+	// Grow before probing: room for one more node at half load, so the
+	// rebuilt table is strictly larger.
 	if 2*(g.NumAnds()+1) > len(g.strash) {
 		g.growStrash()
 	}
@@ -470,7 +552,7 @@ func (g *Graph) SweepInto(dst *Graph, old2new []Lit) (*Graph, []Lit) {
 	old2new[0] = False
 	// Inputs are kept even when dangling so that I/O signatures match.
 	for i, v := range g.inputs {
-		old2new[v] = ng.AddInput(g.inNames[i])
+		old2new[v] = ng.AddInput(g.InputName(i))
 	}
 	for v := 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]

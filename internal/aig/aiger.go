@@ -316,8 +316,8 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 			name = strings.TrimRight(line[sp+1:], "\r")
 		}
 		switch {
-		case line[0] == 'i' && idx < len(g.inNames):
-			g.inNames[idx] = name
+		case line[0] == 'i' && idx < len(g.inputs):
+			g.setInputName(idx, name)
 		case line[0] == 'o' && idx < len(g.outNames):
 			g.outNames[idx] = name
 		}

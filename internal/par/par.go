@@ -56,12 +56,47 @@ const ProbeShards = 8
 // runs serially.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *region
+	mu      sync.Mutex
+	free    []*region // finished regions' state, for the next ones
+}
+
+// region is one parallel region: chunk c belongs to shard c % shards,
+// and its goroutines claim whole shards (For's are one chunk each).
+type region struct {
+	n, grain, chunks, shards int
+	fn                       func(start, end int)
+	probeFn                  func(start, end, shard, worker int, probe *perf.Probe)
+	probes                   []*perf.Probe // nil with a nil probe
+	next, joined             atomic.Int64
+	wg                       sync.WaitGroup
 }
 
 func (p *Pool) work() {
-	for fn := range p.tasks {
-		fn()
+	for r := range p.tasks {
+		r.run()
+		r.wg.Done()
+	}
+}
+
+// run claims shards until none is left, as the next worker index.
+func (r *region) run() {
+	worker := int(r.joined.Add(1)) - 1
+	for s := int(r.next.Add(1)) - 1; s < r.shards; s = int(r.next.Add(1)) - 1 {
+		var sp *perf.Probe
+		if r.probes != nil {
+			sp = r.probes[s]
+		}
+		for c := s; c < r.chunks; c += r.shards {
+			if lo, hi := c*r.grain, min(c*r.grain+r.grain, r.n); r.fn != nil {
+				r.fn(lo, hi)
+			} else {
+				r.probeFn(lo, hi, s, worker, sp)
+			}
+		}
+		// The shard's unfilled batch replays here, beside the other
+		// shards, not serially in MergeShards after the barrier.
+		sp.Settle()
 	}
 }
 
@@ -90,24 +125,13 @@ func Fixed(n int) *Pool {
 	defer poolsMu.Unlock()
 	p := pools[n]
 	if p == nil {
-		p = &Pool{workers: n, tasks: make(chan func())}
+		p = &Pool{workers: n, tasks: make(chan *region)}
 		for i := 0; i < n; i++ {
 			go p.work()
 		}
 		pools[n] = p
 	}
 	return p
-}
-
-// trySubmit hands fn to an idle worker, returning false when every
-// worker is busy; the caller then keeps the work. Never blocks.
-func (p *Pool) trySubmit(fn func()) bool {
-	select {
-	case p.tasks <- fn:
-		return true
-	default:
-		return false
-	}
 }
 
 func chunkCount(n, grain int) int { return (n + grain - 1) / grain }
@@ -129,41 +153,46 @@ func (p *Pool) For(n, grain int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	body := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= nchunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	p.runShared(body, min(p.workers, nchunks))
+	p.run(&region{n: n, grain: grain, chunks: nchunks, shards: nchunks, fn: fn})
 }
 
-// runShared runs body on up to want goroutines: the caller plus as
-// many idle pool workers as it can recruit without blocking.
-func (p *Pool) runShared(body func(), want int) {
-	var wg sync.WaitGroup
-	for i := 0; i < want-1; i++ {
-		wg.Add(1)
-		ok := p.trySubmit(func() {
-			defer wg.Done()
-			body()
-		})
-		if !ok {
-			wg.Done()
-			break // pool saturated: the caller absorbs the rest
+// run runs a region like `like` on the caller and the idle workers, up
+// to min(Workers, shards), it can recruit without blocking, in a
+// finished region's state (new when all are in use, or the pool nil).
+func (p *Pool) run(like *region) {
+	var r *region
+	if p != nil {
+		p.mu.Lock()
+		if k := len(p.free); k > 0 {
+			r, p.free = p.free[k-1], p.free[:k-1]
 		}
+		p.mu.Unlock()
 	}
-	body()
-	wg.Wait()
+	if r == nil {
+		r = new(region)
+	}
+	r.n, r.grain, r.chunks, r.shards = like.n, like.grain, like.chunks, like.shards
+	r.fn, r.probeFn, r.probes = like.fn, like.probeFn, like.probes
+	r.next.Store(0)
+	r.joined.Store(0)
+	for i := 0; i < min(p.Workers(), r.shards)-1; i++ {
+		r.wg.Add(1)
+		select {
+		case p.tasks <- r:
+			continue
+		default:
+			r.wg.Done()
+		}
+		break
+	}
+	r.run()
+	r.wg.Wait()
+	if p != nil {
+		r.fn, r.probeFn, r.probes = nil, nil, nil
+		p.mu.Lock()
+		p.free = append(p.free, r)
+		p.mu.Unlock()
+	}
 }
 
 // ForProbe is For for instrumented kernels. It partitions [0, n) into
@@ -177,10 +206,11 @@ func (p *Pool) runShared(body func(), want int) {
 // probe in shard order. Both data results and simulated counters are
 // therefore identical for every pool size, including 1.
 //
-// fn receives the shard index so callers can keep shard-local scratch
-// state; with a nil probe the same static schedule runs with a nil
-// shard probe.
-func (p *Pool) ForProbe(probe *perf.Probe, n, grain int, fn func(start, end, shard int, probe *perf.Probe)) {
+// fn receives the shard index and the index, below min(Workers,
+// ProbeShards), of the goroutine running the shard (which varies), so
+// callers can keep shard-local and per-goroutine scratch. With a nil
+// probe the same static schedule runs with a nil shard probe.
+func (p *Pool) ForProbe(probe *perf.Probe, n, grain int, fn func(start, end, shard, worker int, probe *perf.Probe)) {
 	if n <= 0 {
 		return
 	}
@@ -190,32 +220,12 @@ func (p *Pool) ForProbe(probe *perf.Probe, n, grain int, fn func(start, end, sha
 	nchunks := chunkCount(n, grain)
 	shards := min(ProbeShards, nchunks)
 	if shards == 1 {
-		fn(0, n, 0, probe)
+		fn(0, n, 0, 0, probe)
 		return
 	}
-	shardProbes := probe.Shards(shards)
-	var next atomic.Int64
-	body := func() {
-		for {
-			s := int(next.Add(1)) - 1
-			if s >= shards {
-				return
-			}
-			for c := s; c < nchunks; c += shards {
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi, s, shardProbes[s])
-			}
-			// The shard's unfilled batch replays here, beside the other
-			// shards, not serially in MergeShards after the barrier.
-			shardProbes[s].Settle()
-		}
-	}
-	p.runShared(body, min(p.Workers(), shards))
-	probe.MergeShards(shardProbes)
+	probes := probe.Shards(shards) // nil with a nil probe
+	p.run(&region{n: n, grain: grain, chunks: nchunks, shards: shards, probeFn: fn, probes: probes})
+	probe.MergeShards(probes)
 }
 
 // Map evaluates fn for every index in [0, n) on the pool and returns

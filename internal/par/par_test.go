@@ -72,7 +72,7 @@ func TestForProbeDeterministicCounters(t *testing.T) {
 		// Two regions back to back: shard state must persist and merge
 		// deterministically across regions.
 		for region := 0; region < 2; region++ {
-			p.ForProbe(probe, 1000, 16, func(lo, hi, shard int, sp *perf.Probe) {
+			p.ForProbe(probe, 1000, 16, func(lo, hi, shard, _ int, sp *perf.Probe) {
 				for i := lo; i < hi; i++ {
 					sp.LoadHot(region, uint64(i))
 					sp.Branch(0x7, i%3 == 0)
@@ -99,7 +99,7 @@ func TestForProbeDeterministicCounters(t *testing.T) {
 // and merged unsettled, for every worker count and shard count.
 func TestForProbeSettledMatchesSerialMerge(t *testing.T) {
 	cfg := perf.DefaultProbeConfig().WithLLCSlices(1, 4)
-	body := func(lo, hi, shard int, sp *perf.Probe) {
+	body := func(lo, hi, shard, _ int, sp *perf.Probe) {
 		for i := lo; i < hi; i++ {
 			sp.Load(uint64(i*4099+shard*977) % (1 << 22))
 			sp.LoadHot(shard, uint64(i))
@@ -113,7 +113,7 @@ func TestForProbeSettledMatchesSerialMerge(t *testing.T) {
 		probe := perf.NewProbe(cfg)
 		var phases []perf.Phase
 		for _, s := range shapes {
-			body(0, 50, 0, probe)
+			body(0, 50, 0, 0, probe)
 			region(probe, s[0], s[1])
 			phases = append(phases, probe.TakePhase("region", 0.5, s[0]))
 		}
@@ -124,7 +124,7 @@ func TestForProbeSettledMatchesSerialMerge(t *testing.T) {
 		shards := probe.Shards(min(ProbeShards, chunks))
 		for s := range shards {
 			for c := s; c < chunks; c += len(shards) {
-				body(c*grain, min(c*grain+grain, n), s, shards[s])
+				body(c*grain, min(c*grain+grain, n), s, 0, shards[s])
 			}
 		}
 		probe.MergeShards(shards)
@@ -141,7 +141,7 @@ func TestForProbeSettledMatchesSerialMerge(t *testing.T) {
 
 func TestForProbeNilProbe(t *testing.T) {
 	hits := make([]int32, 500)
-	Fixed(4).ForProbe(nil, len(hits), 8, func(lo, hi, shard int, sp *perf.Probe) {
+	Fixed(4).ForProbe(nil, len(hits), 8, func(lo, hi, shard, _ int, sp *perf.Probe) {
 		if sp != nil {
 			t.Error("nil probe should yield nil shards")
 		}
@@ -192,5 +192,61 @@ func TestFixedPoolsAreCached(t *testing.T) {
 	}
 	if Fixed(5).Workers() != 5 {
 		t.Fatalf("Workers = %d", Fixed(5).Workers())
+	}
+}
+
+// TestForProbeWorkerIndex: every chunk of one shard runs with the same
+// worker index, and the index stays below min(Workers, ProbeShards),
+// so per-goroutine scratch indexed by it is never shared.
+func TestForProbeWorkerIndex(t *testing.T) {
+	for _, p := range testPools(t) {
+		for _, n := range []int{3, 40, 1000} {
+			var workerOf [ProbeShards]atomic.Int32
+			for s := range workerOf {
+				workerOf[s].Store(-1)
+			}
+			var busy [ProbeShards]atomic.Int32
+			p.ForProbe(nil, n, 4, func(lo, hi, shard, worker int, _ *perf.Probe) {
+				if worker < 0 || worker >= min(p.Workers(), ProbeShards) {
+					t.Errorf("workers=%d n=%d: worker index %d", p.Workers(), n, worker)
+					return
+				}
+				if !workerOf[shard].CompareAndSwap(-1, int32(worker)) && workerOf[shard].Load() != int32(worker) {
+					t.Errorf("workers=%d n=%d: shard %d ran on two workers", p.Workers(), n, shard)
+				}
+				if busy[worker].Add(1) != 1 {
+					t.Errorf("workers=%d n=%d: worker %d runs two chunks at once", p.Workers(), n, worker)
+				}
+				busy[worker].Add(-1)
+			})
+		}
+	}
+}
+
+// TestRegionsAllocateNothing: a parallel region in a warm pool keeps
+// its state in the pool, so For and ForProbe (probed or not) allocate
+// nothing per region.
+func TestRegionsAllocateNothing(t *testing.T) {
+	probe := perf.NewProbe(perf.DefaultProbeConfig())
+	var sink atomic.Int64
+	probeFn := func(lo, hi, shard, worker int, sp *perf.Probe) {
+		sink.Add(int64(hi - lo + shard + worker))
+		sp.Ops(hi - lo)
+	}
+	forFn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	for _, p := range testPools(t) {
+		for _, region := range []struct {
+			name string
+			run  func()
+		}{
+			{"probed ForProbe", func() { p.ForProbe(probe, 256, 8, probeFn) }},
+			{"nil-probe ForProbe", func() { p.ForProbe(nil, 256, 8, probeFn) }},
+			{"For", func() { p.For(256, 8, forFn) }},
+		} {
+			region.run() // warm the pool's region state and the shard probes
+			if a := testing.AllocsPerRun(50, region.run); a != 0 {
+				t.Errorf("workers=%d: %s allocates %.1f objects per region", p.Workers(), region.name, a)
+			}
+		}
 	}
 }

@@ -136,10 +136,10 @@ func (p *Probe) model(n int) int {
 // cache and predictor state accumulates like a real worker's core
 // state. The parent must not record events while its shards are in
 // use; after the region, call MergeShards to fold the shard deltas
-// back in. A nil probe returns nil shards (all nil-safe).
+// back in. A nil probe has no shards: it returns nil.
 func (p *Probe) Shards(n int) []*Probe {
 	if p == nil {
-		return make([]*Probe, n)
+		return nil
 	}
 	for len(p.shards) < n {
 		s := NewProbe(p.cfg)

@@ -326,7 +326,7 @@ const matVecGrain = 128
 // are bit-identical to the serial loop.
 func (s *system) matVec(x, out []float64, probe *perf.Probe) {
 	probe.LoadRange(vecAddr(0, 0), s.n, 8)
-	s.pool.ForProbe(probe, s.n, matVecGrain, func(lo, hi, _ int, probe *perf.Probe) {
+	s.pool.ForProbe(probe, s.n, matVecGrain, func(lo, hi, _, _ int, probe *perf.Probe) {
 		for i := lo; i < hi; i++ {
 			acc := s.diag[i] * x[i]
 			for k := s.rowStart[i]; k < s.rowStart[i+1]; k++ {

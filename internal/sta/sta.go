@@ -255,7 +255,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 		if len(bucket) == 0 {
 			continue
 		}
-		pool.ForProbe(probe, len(bucket), staGrain, func(lo, hi, shard int, probe *perf.Probe) {
+		pool.ForProbe(probe, len(bucket), staGrain, func(lo, hi, shard, _ int, probe *perf.Probe) {
 			for _, id := range bucket[lo:hi] {
 				processCell(int(id), shard, probe)
 			}
@@ -298,7 +298,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 		holdViolations        int
 	}
 	partials := make([]epPartial, chunksOf(len(endpoints), epGrain))
-	pool.ForProbe(probe, len(endpoints), epGrain, func(lo, hi, _ int, probe *perf.Probe) {
+	pool.ForProbe(probe, len(endpoints), epGrain, func(lo, hi, _, _ int, probe *perf.Probe) {
 		part := epPartial{wns: math.Inf(1), whs: math.Inf(1), worstNet: netlist.NoNet}
 		for _, ep := range endpoints[lo:hi] {
 			probe.LoadHot(rgArrival, uint64(ep.net))

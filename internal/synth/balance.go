@@ -1,12 +1,12 @@
 // Package synth is the logic-synthesis engine: AIG optimization passes
 // (tree balancing, cut-based rewriting, cone refactoring) and a
 // polarity-aware, cut-based technology mapper targeting a standard-cell
-// library. Together with the optimization recipes in recipes.go it
-// substitutes for the commercial synthesis tool in the paper's flow.
-// The passes rebuild the netlist cone-parallel over a partitioned
-// structural hash table (see rewrite.go), so synthesis scales with
-// cores up to its serial merge/sweep fraction — the measured version
-// of the poor-but-nonzero multi-core scaling the paper reports.
+// library. Together with the recipes (StandardRecipes) it substitutes
+// for the commercial synthesis tool in the paper's flow. On the host,
+// only the partition rebuilds (see rewrite.go) and cut-enumeration
+// levels wider than cutGrain nodes run in parallel; partitioning, the
+// narrow levels, the shard merge, the sweep and the mapper's cover run
+// serially.
 package synth
 
 import (
@@ -37,7 +37,7 @@ func balancePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch
 	fanout := g.FanoutCounts()
 	srcLv := g.Levels()
 
-	shards, parInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
+	shards, parInstrs := forPartitions(probe, pool, rs, cp, func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 		return balancePartition(g, cp, pi, fanout, srcLv, sc, sg, probe)
 	})
 	ng := mergeShards(g, cp, shards, probe, rs)

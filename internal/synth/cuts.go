@@ -91,10 +91,10 @@ func (ce *cutEnum) run() {
 	g := ce.g
 	// Constant node and inputs have only the trivial cut.
 	sh := &ce.rs.shards[0].cut
-	ce.cuts[0] = append(sh.lists.take(2)[:0], 1, 0)
+	ce.cuts[0] = append(sh.lists.Take(2)[:0], 1, 0)
 	for i := range g.NumInputs() {
 		v := g.Input(i).Var()
-		ce.cuts[v] = append(sh.lists.take(2)[:0], 1, int32(v))
+		ce.cuts[v] = append(sh.lists.Take(2)[:0], 1, int32(v))
 	}
 	// Bucket AND nodes by logic level, each bucket in topological
 	// (ascending-variable) order: a counting sort into one array, level
@@ -121,7 +121,7 @@ func (ce *cutEnum) run() {
 		fill[levels[v]]++
 	})
 	var nodes []int32 // the level in hand; one closure serves every level
-	enumChunk := func(lo, hi, shard int, probe *perf.Probe) {
+	enumChunk := func(lo, hi, shard, _ int, probe *perf.Probe) {
 		sh := &ce.rs.shards[shard].cut
 		for _, v := range nodes[lo:hi] {
 			ce.enumNode(int(v), probe, sh)
@@ -186,7 +186,7 @@ func (ce *cutEnum) enumNode(v int, probe *perf.Probe, sh *cutShard) {
 		}
 	}
 	// The list is taken at its exact size, so every append fits.
-	list := sh.lists.take(size)[:0]
+	list := sh.lists.Take(size)[:0]
 	for _, i := range picked {
 		list = append(append(list, int32(sh.size[i])), sh.cand[i*k:i*k+sh.size[i]]...)
 	}
@@ -237,7 +237,7 @@ type cutShard struct {
 	// Finished lists are carved out of chunks, so a node costs no
 	// allocation of its own; the chunks belong to the run and are
 	// handed out again by every later enumeration.
-	lists slab[int32]
+	lists aig.Slab[int32]
 }
 
 // reset prepares the shard for an enumeration of at most maxCuts cuts
@@ -254,7 +254,7 @@ func (sh *cutShard) reset(k, maxCuts int) {
 	if len(sh.cand) < most*k {
 		sh.cand = make([]int32, most*k)
 	}
-	sh.lists.rewind()
+	sh.lists.Rewind()
 }
 
 // hasCandidate reports whether leaves equals one of the first n
@@ -267,41 +267,6 @@ func (sh *cutShard) hasCandidate(n, k int, leaves []int32) bool {
 		}
 	}
 	return false
-}
-
-// slab hands out small slices carved from geometrically growing
-// chunks. Every slice is capped at its length, so appending to one can
-// never run into its neighbour. A slab keeps its chunks: after rewind
-// it hands them out again, in order, and allocates only once they are
-// used up.
-type slab[T any] struct {
-	chunks [][]T
-	used   int // chunks handed out since the last rewind
-	free   []T
-}
-
-const (
-	slabMinChunk = 256
-	slabMaxChunk = 1 << 14
-)
-
-func (s *slab[T]) rewind() { s.used, s.free = 0, nil }
-
-func (s *slab[T]) take(n int) []T {
-	for len(s.free) < n {
-		if s.used == len(s.chunks) {
-			size := slabMinChunk
-			if last := len(s.chunks) - 1; last >= 0 {
-				size = min(2*len(s.chunks[last]), slabMaxChunk)
-			}
-			s.chunks = append(s.chunks, make([]T, max(size, n)))
-		}
-		s.free = s.chunks[s.used]
-		s.used++
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
 }
 
 func sameLeaves(a, b []int32) bool {

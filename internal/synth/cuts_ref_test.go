@@ -45,7 +45,7 @@ func refCutEnum(g *aig.Graph, k, maxCuts int, probe *perf.Probe, pool *par.Pool)
 			continue
 		}
 		before := ce.probe.Counters().Instrs
-		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, func(lo, hi, _ int, probe *perf.Probe) {
+		ce.pool.ForProbe(ce.probe, len(nodes), cutGrain, func(lo, hi, _, _ int, probe *perf.Probe) {
 			for _, v := range nodes[lo:hi] {
 				refEnumNode(ce, int(v), probe)
 			}
@@ -238,7 +238,7 @@ func TestCutEnumReusesRunStorage(t *testing.T) {
 	sequence := []struct{ k, maxCuts int }{{4, 6}, {6, 4}, {3, 8}}
 	chunks := func(rs *runScratch) (n int) {
 		for i := range rs.shards {
-			n += len(rs.shards[i].cut.lists.chunks)
+			n += reflect.ValueOf(&rs.shards[i].cut.lists).Elem().FieldByName("all").Len()
 		}
 		return n
 	}

@@ -47,11 +47,12 @@ func TestLargeSynthesisGolden(t *testing.T) {
 		rs := new(runScratch)
 		// optimize's loop, with each pass's result fingerprinted before
 		// the pass after next overwrites it.
+		rs.reserve(g, recipe.Passes)
 		cur := g
 		for i, p := range recipe.Passes {
 			rs.dst = nil
 			if i < len(recipe.Passes)-1 {
-				rs.dst = rs.passGraph(i)
+				rs.dst = rs.passes[i%2]
 			}
 			next, stats, err := runPass(cur, p, probe, pool, rs)
 			if err != nil {

@@ -401,22 +401,37 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 // fingerprint are those of creating each cell as the walk reached it.
 func (m *mapper) build(c *cover, registerOutputs bool) *netlist.Netlist {
 	g := m.g
+	nets := c.base + len(c.cells)
 	nl := netlist.NewSized(g.Name, m.lib, netlist.Size{
 		PIs:   c.base,
 		POs:   len(c.pos),
-		Nets:  c.base + len(c.cells),
+		Nets:  nets,
 		Cells: len(c.cells),
 		Pins:  len(c.pins),
 	})
+	// Every pin is planned, so each net's Sinks and POs are carved at
+	// their exact length from one array each for AddCell and AddPO.
+	counts := make([]int32, 2*nets)
+	for _, net := range c.pins {
+		counts[net]++
+	}
+	for _, net := range c.pos {
+		counts[nets+int(net)]++
+	}
+	sinks, pos := make([]netlist.PinRef, len(c.pins)), make([]int32, len(c.pos))
+	carve := func(net netlist.NetID) {
+		k, p := counts[net], counts[nets+int(net)]
+		nl.Nets[net].Sinks, nl.Nets[net].POs, sinks, pos = sinks[:0:k], pos[:0:p], sinks[k:], pos[p:]
+	}
 	for i := range g.NumInputs() {
 		name := g.InputName(i)
 		if name == "" {
 			name = fmt.Sprintf("pi%d", i)
 		}
-		nl.AddPI(name)
+		carve(nl.AddPI(name))
 	}
 	if registerOutputs {
-		nl.AddPI("clk")
+		carve(nl.AddPI("clk"))
 	}
 	// The n%d and u%d names are substrings of one builder's string,
 	// reserved for the widest number, so together they cost one
@@ -432,6 +447,7 @@ func (m *mapper) build(c *cover, registerOutputs bool) *netlist.Netlist {
 	pins := c.pins
 	for i, typ := range c.cells {
 		out := nl.AddNet(name('n', nl.NumNets()))
+		carve(out)
 		k := typ.NumInputs()
 		nl.MustAddCell(name('u', i), typ, pins[:k], out)
 		pins = pins[k:]

@@ -26,15 +26,18 @@ const PartitionGrain = 96
 // The graph is rebuilt cone-parallel over a partitioned strash: see
 // rebuildWithCuts.
 func rewritePool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
-	return rebuildWithCuts(g, probe, pool, rs, 4, 6, 2, brRewriteGain)
+	return rebuildWithCuts(g, probe, pool, rs, 4, 6, tries[PassRewrite], brRewriteGain)
 }
 
 // refactorPool is rewritePool with one large cut per node (up to 6
 // leaves), the classical coarse-grained companion pass: it collapses
 // bigger cones and resynthesizes them from their ISOP factorization.
 func refactorPool(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch) (*aig.Graph, passStats) {
-	return rebuildWithCuts(g, probe, pool, rs, 6, 4, 1, brRefactorGain)
+	return rebuildWithCuts(g, probe, pool, rs, 6, 4, tries[PassRefactor], brRefactorGain)
 }
+
+// tries is the number of cuts per node each pass tries.
+var tries = map[PassKind]int{PassRewrite: 2, PassRefactor: 1}
 
 // passStats describes the parallel structure of one executed pass: the
 // number of independent work units its widest parallel region offered
@@ -63,7 +66,7 @@ type passStats struct {
 func rebuildWithCuts(g *aig.Graph, probe *perf.Probe, pool *par.Pool, rs *runScratch, k, maxCuts, tryCuts int, brSite uint64) (*aig.Graph, passStats) {
 	cuts := newCutEnum(g, k, maxCuts, probe, pool, rs)
 	cp := partitionAccounted(g, probe, rs)
-	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp.NumParts(), func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
+	shards, rebuildInstrs := forPartitions(probe, pool, rs, cp, func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild {
 		return rebuildPartition(g, cp, pi, cuts, k, tryCuts, brSite, sc, sg, probe)
 	})
 	ng := mergeShards(g, cp, shards, probe, rs)
@@ -158,7 +161,7 @@ func partitionLeaves(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEn
 	}
 	slices.Sort(out)
 	sc.foreign = out
-	return append(sc.leafVars.take(len(out))[:0], out...)
+	return append(sc.leafVars.Take(len(out))[:0], out...)
 }
 
 // mergeShards folds the partition shards into one output graph in
@@ -193,8 +196,12 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 	for pi := range shards {
 		ands += shards[pi].sg.NumAnds()
 	}
-	ng := rs.tmpGraph(g.Name, g.NumInputs(), ands)
-	ng.SwapStrash(&rs.shards[0].table)
+	if rs.tmp == nil {
+		rs.tmp = new(aig.Graph)
+	}
+	ng := rs.tmp
+	ng.Reset(g.Name, g.NumInputs(), max(ands, rs.mergeAnds))
+	ng.SwapStrash(&rs.tables[0])
 	for i := range g.NumInputs() {
 		final[g.Input(i).Var()] = ng.AddInput(g.InputName(i))
 	}
@@ -224,7 +231,7 @@ func mergeShards(g *aig.Graph, cp *aig.ConePartitioning, shards []shardBuild, pr
 			final[v] = m[sl.Var()].NotIf(sl.IsNeg())
 		}
 	}
-	ng.SwapStrash(&rs.shards[0].table)
+	ng.SwapStrash(&rs.tables[0])
 	return sweepAccounted(g, ng, final, probe, rs)
 }
 
@@ -245,10 +252,13 @@ func sweepAccounted(g, ng *aig.Graph, final []aig.Lit, probe *perf.Probe, rs *ru
 	}
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)
-	dst := orNew(rs.dst)
-	dst.SwapStrash(&rs.shards[0].table)
+	dst := rs.dst
+	if dst == nil {
+		dst = aig.NewSized("", 0, 0)
+	}
+	dst.SwapStrash(&rs.tables[0])
 	swept, old2new := ng.SweepInto(dst, rs.sweepMap)
-	swept.SwapStrash(&rs.shards[0].table)
+	swept.SwapStrash(&rs.tables[0])
 	rs.sweepMap = old2new
 	swept.Name = g.Name
 	return swept
@@ -304,7 +314,7 @@ func (rb *rebuilder) rebuildNode(v int, f0, f1 aig.Lit, probe *perf.Probe) {
 	probe.LoopBranches(8)
 
 	// Baseline: direct structural copy.
-	old2new := &rb.sc.o2n
+	old2new := rb.sc.o2n
 	a := old2new.get(f0.Var()).NotIf(f0.IsNeg())
 	b := old2new.get(f1.Var()).NotIf(f1.IsNeg())
 	before := rb.ng.NumVars()

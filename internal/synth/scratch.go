@@ -13,18 +13,16 @@ import (
 // shard-literal map, which also marks its foreign leaves, and making it
 // dense per partition made total shard memory O(NumVars^2 /
 // PartitionGrain): a latent quadratic that only bites at million-gate
-// scale. It is one epoch-stamped array per probe shard, reset in O(1)
-// between partitions. Each probe shard also keeps its truth-table memo,
-// its cut-enumeration storage (the candidate buffer and the slab the
-// cut lists live in), its hash table and its partitions' results, and the
-// run keeps the per-variable cut-list array, one shard graph per
-// partition slot and one temporary graph that the shards of a
-// multi-partition pass merge into. All of it belongs to a runScratch
-// that one Synthesize, RunPass or MapToCells call makes and hands down to
-// every pass and the mapper: a run allocates its scratch, its cut
-// storage and its pass graphs when the first pass that needs them
-// grows them, not once per pass, and each partition retains only its
-// own compact result. A pass sweeps its temporary into another graph:
+// scale. It is one epoch-stamped array per goroutine of a region, reset
+// in O(1) between partitions. Each probe shard keeps its truth-table
+// memo, its cut storage, the arena of its shard graphs and its
+// partitions' results, and the run keeps the per-variable cut-list
+// array, one shard graph per partition slot and one temporary graph
+// that a multi-partition pass merges into. All of it belongs to a
+// runScratch that one Synthesize, RunPass or MapToCells call makes,
+// sizes once for the recipe's heaviest pass (see reserve) and hands
+// down to every pass and the mapper. A pass sweeps its temporary into
+// another graph:
 // for every pass but the recipe's last, one of the run's two pass
 // graphs, taken in turn so that a pass never writes the graph it
 // reads, with the sweep's variable map and the pass's cone
@@ -73,26 +71,19 @@ func (m *litMap) set(v int, l aig.Lit) {
 	m.epoch[v] = m.cur
 }
 
-// shardScratch is one probe shard's scratch: the literal map, the
-// truth-table memo, the cut-enumeration storage, the hash table its
-// partitions' shard graphs build with and their results. forPartitions
-// and the cut sweep hand each probe shard its own instance, and since a
-// shard's partitions (or cut chunks) run on a single goroutine in
-// ascending order, reuse is race-free and deterministic.
+// shardScratch is one probe shard's scratch: its goroutine's literal
+// map, the truth-table memo, the cut storage, and its partitions' shard
+// graphs and results. A shard's partitions (or cut chunks) run on one
+// goroutine in ascending order, so reuse is race-free and deterministic.
 type shardScratch struct {
-	o2n litMap
+	o2n *litMap
 	tts ttScratch
 	cut cutShard
-	// table holds the storage of the shard's hash table between
-	// partitions: each shard graph borrows it while it is built
-	// (aig.Graph.SwapStrash), since the merge only reads its nodes.
-	// Shard 0's also serves the serial merge and sweep, outside any
-	// parallel region.
-	table aig.Graph
-	// leafVars and owned hold the partitions' results until the merge;
-	// forPartitions rewinds them each pass.
-	leafVars slab[int32]
-	owned    slab[aig.Lit]
+	// arena, leafVars and owned hold the shard graphs and results until
+	// the merge; forPartitions rewinds them each pass.
+	arena    aig.Arena
+	leafVars aig.Slab[int32]
+	owned    aig.Slab[aig.Lit]
 	// Per-partition and per-node temporaries of partitionLeaves
 	// (foreign), balancePartition (lvl), rebuildNode/buildCover (cubes,
 	// terms, lits) and balanceNode (leaves), kept for their capacity.
@@ -101,12 +92,15 @@ type shardScratch struct {
 	terms, lits, leaves []aig.Lit
 }
 
-// runScratch is the scratch of one synthesis run: one shardScratch per
-// probe shard, the cut lists of the enumeration in hand, and the pass
-// graphs. Serial code — a graph's only partition, which runs inline,
-// and the mapper — uses shard 0's.
+// runScratch is the scratch of one synthesis run: per probe shard a
+// shardScratch, per goroutine of a region a literal map and the hash
+// table its shard graphs borrow, the cut lists in hand and the pass
+// graphs. Serial code uses index 0; tables[0] also merges and sweeps.
 type runScratch struct {
-	shards [par.ProbeShards]shardScratch
+	shards          [par.ProbeShards]shardScratch
+	lits            [par.ProbeShards]litMap
+	tables          [par.ProbeShards]aig.Graph
+	mult, mergeAnds int
 	// cuts is the per-variable cut-list array; each enumeration
 	// reslices it (see newCutEnum).
 	cuts []cutList
@@ -140,29 +134,20 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// orNew returns g, or a new empty graph when g is nil: the run makes
-// each of its graphs on first use, and a result that leaves it anew.
-func orNew(g *aig.Graph) *aig.Graph {
-	if g == nil {
-		return aig.NewSized("", 0, 0)
+// reserve sizes the run's storage for passes over g before any is
+// filled, for mult ANDs per owned node (one per node and cut that the
+// heaviest pass tries): the goroutines' tables for each region's
+// largest partition, the merge graph and tables[0] for all of g, and
+// the pass graphs for g.
+func (rs *runScratch) reserve(g *aig.Graph, passes []PassKind) {
+	for _, p := range passes {
+		rs.mult = max(rs.mult, 1+tries[p])
 	}
-	return g
-}
-
-// tmpGraph empties the run's temporary graph for a graph of the given
-// size.
-func (rs *runScratch) tmpGraph(name string, inputs, ands int) *aig.Graph {
-	rs.tmp = orNew(rs.tmp)
-	rs.tmp.Reset(name, inputs, ands)
-	return rs.tmp
-}
-
-// passGraph returns the run-owned graph the i-th pass of a recipe
-// sweeps its result into when a later pass reads it. Consecutive passes
-// get different graphs, so a pass never writes the graph it reads.
-func (rs *runScratch) passGraph(i int) *aig.Graph {
-	rs.passes[i%2] = orNew(rs.passes[i%2])
-	return rs.passes[i%2]
+	rs.mergeAnds = rs.mult * g.NumAnds() * 3 / 2 // half again, as ResetIn
+	rs.tables[0].ReserveStrash(rs.mult * g.NumAnds())
+	for i := range min(2, len(passes)-1) {
+		rs.passes[i] = aig.NewSized("", g.NumInputs(), g.NumAnds())
+	}
 }
 
 // releaseForMapping drops everything the mapper does not read — the
@@ -184,25 +169,35 @@ func (rs *runScratch) releaseForMapping() {
 // scratch for its probe shard and the partition's recycled shard graph,
 // and reports the instructions retired in the region. Both partitioned
 // paths, rewrite's and balance's, run through it.
-func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, n int, build func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild) ([]shardBuild, uint64) {
-	// Grow the partition slots before the region: inside it, slot pi is
-	// touched only by the goroutine that builds partition pi.
+func forPartitions(probe *perf.Probe, pool *par.Pool, rs *runScratch, cp *aig.ConePartitioning, build func(pi int, sc *shardScratch, sg *aig.Graph, probe *perf.Probe) shardBuild) ([]shardBuild, uint64) {
+	// Grow the slots, and the tables for the largest partition, before
+	// the region: inside it, only partition pi's goroutine touches slot pi.
+	n, most := cp.NumParts(), 0
 	for len(rs.parts) < n {
-		rs.parts = append(rs.parts, aig.NewSized("", 0, 0))
+		rs.parts = append(rs.parts, new(aig.Graph))
+	}
+	for _, part := range cp.Parts {
+		most = max(most, len(part.Nodes))
+	}
+	for w := range min(pool.Workers(), par.ProbeShards, n) {
+		rs.tables[w].ReserveStrash(rs.mult * most)
 	}
 	for i := range rs.shards {
-		rs.shards[i].leafVars.rewind()
-		rs.shards[i].owned.rewind()
+		rs.shards[i].arena.Rewind()
+		rs.shards[i].leafVars.Rewind()
+		rs.shards[i].owned.Rewind()
 	}
 	instrsBefore := probe.Instrs()
 	shards := grow(&rs.builds, n)
-	pool.ForProbe(probe, n, 1, func(lo, hi, shard int, probe *perf.Probe) {
+	pool.ForProbe(probe, n, 1, func(lo, hi, shard, worker int, probe *perf.Probe) {
 		sc := &rs.shards[shard]
+		sc.o2n = &rs.lits[worker]
 		for pi := lo; pi < hi; pi++ {
 			sg := rs.parts[pi]
-			sg.SwapStrash(&sc.table)
+			sg.SwapStrash(&rs.tables[worker])
 			shards[pi] = build(pi, sc, sg, probe)
-			sg.SwapStrash(&sc.table)
+			sg.SwapStrash(&rs.tables[worker])
+			sc.arena.Close(sg)
 		}
 	})
 	if n <= 1 {
@@ -229,14 +224,14 @@ func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k
 	sc.o2n.reset(g.NumVars())
 	sc.o2n.set(0, aig.False)
 	if cp.NumParts() == 1 {
-		sg.Reset(g.Name, g.NumInputs(), (1+tryCuts)*len(cp.Parts[pi].Nodes))
+		sg.ResetIn(&sc.arena, g.Name, g.NumInputs(), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 		for i := range g.NumInputs() {
 			sc.o2n.set(g.Input(i).Var(), sg.AddInput(g.InputName(i)))
 		}
 		return nil
 	}
 	leafVars := partitionLeaves(g, cp, pi, cuts, k, tryCuts, sc)
-	sg.Reset(g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
+	sg.ResetIn(&sc.arena, g.Name, len(leafVars), (1+tryCuts)*len(cp.Parts[pi].Nodes))
 	for _, lv := range leafVars {
 		sc.o2n.set(int(lv), sg.AddInput(""))
 	}
@@ -249,7 +244,7 @@ func beginShard(g *aig.Graph, cp *aig.ConePartitioning, pi int, cuts *cutEnum, k
 // size is the partition's, not the graph's.
 func ownedLits(cp *aig.ConePartitioning, pi int, sc *shardScratch) []aig.Lit {
 	part := cp.Parts[pi]
-	out := sc.owned.take(len(part.Nodes))
+	out := sc.owned.Take(len(part.Nodes))
 	for i, v := range part.Nodes {
 		out[i] = sc.o2n.get(int(v))
 	}

@@ -93,8 +93,7 @@ func runPass(g *aig.Graph, p PassKind, probe *perf.Probe, pool *par.Pool, rs *ru
 // worker count; benchmarks and conformance tests use this to pin the
 // serial baseline against the full pool.
 func RunPass(g *aig.Graph, p PassKind, probe *perf.Probe, workers int) (*aig.Graph, error) {
-	ng, _, err := runPass(g, p, probe, par.Fixed(workers), new(runScratch))
-	return ng, err
+	return optimize(g, Recipe{Passes: []PassKind{p}}, probe, nil, par.Fixed(workers), new(runScratch))
 }
 
 // optimize applies a recipe to the AIG, recording one perf phase per
@@ -105,11 +104,12 @@ func RunPass(g *aig.Graph, p PassKind, probe *perf.Probe, workers int) (*aig.Gra
 // next pass reads; only the recipe's result is a fresh graph, so
 // neither g nor the result is ever recycled.
 func optimize(g *aig.Graph, recipe Recipe, probe *perf.Probe, report *perf.Report, pool *par.Pool, rs *runScratch) (*aig.Graph, error) {
+	rs.reserve(g, recipe.Passes)
 	cur := g
 	for i, p := range recipe.Passes {
 		rs.dst = nil
 		if i < len(recipe.Passes)-1 {
-			rs.dst = rs.passGraph(i)
+			rs.dst = rs.passes[i%2] // never the graph the pass reads
 		}
 		next, stats, err := runPass(cur, p, probe, pool, rs)
 		if err != nil {
@@ -168,8 +168,9 @@ func Synthesize(g *aig.Graph, lib *techlib.Library, opts Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// Matching is per-node parallel, but the covering extraction and
-	// netlist construction serialize on shared structures.
+	// The phase's 0.60 parallel fraction is the counter model's: on the
+	// host the cover is serial, like cut-enumeration levels of at most
+	// cutGrain nodes.
 	report.AddPhase(probe.TakePhase("map", 0.60, opt.NumAnds()/64+1))
 	return &Result{Netlist: nl, Optimized: opt, Report: report}, nil
 }

@@ -362,6 +362,7 @@ func TestRebuildSkipsSelfCuts(t *testing.T) {
 		t.Fatalf("precondition: %d partitions, want 1", cp.NumParts())
 	}
 	rs := new(runScratch)
+	rs.shards[0].o2n = &rs.lits[0]
 	sb := rebuildPartition(g, cp, 0, ce, 4, 2, brRewriteGain, &rs.shards[0], aig.New(""), nil)
 	ng := mergeShards(g, cp, []shardBuild{sb}, nil, rs)
 	if !aig.SimEquiv(g, ng, 7, 12) {
