@@ -60,8 +60,9 @@ func Benchmark(name string, scale float64) (*aig.Graph, error) {
 	return swept, nil
 }
 
-// MaxScale is the largest scale Benchmark builds: MillionFamily's
-// adder.x1000 is the largest design anything here asks for.
+// MaxScale is the largest scale Benchmark builds: adder at 1000×, about
+// 1.4 M AND nodes, is the largest million-gate size the passes are sized
+// for.
 const MaxScale = 1000
 
 // CheckScale refuses a scale that is not in (0, MaxScale]: zero,
@@ -80,34 +81,4 @@ func MustBenchmark(name string, scale float64) *aig.Graph {
 		panic(err)
 	}
 	return g
-}
-
-// MillionSpec names one member of the million-gate benchmark family: an
-// existing generator pushed 100-1000x past its EPFL-like size.
-type MillionSpec struct {
-	Name  string
-	Scale float64
-	// ApproxAnds is the rough AND count realized at this scale, for
-	// sizing reports and budget decisions; the exact count is
-	// deterministic but generator-specific.
-	ApproxAnds int
-}
-
-// ID returns the family member's stable identifier, e.g. "adder.x100".
-func (s MillionSpec) ID() string { return fmt.Sprintf("%s.x%g", s.Name, s.Scale) }
-
-// MillionFamily returns the million-gate benchmark family in ascending
-// size order, from ~141k to ~1.4M AND nodes. The members are chosen
-// from generators whose size scales linearly with width and whose
-// output counts stay high enough for cone partitioning to produce
-// real design-level parallelism (which rules out single-output voter
-// and the logarithmically scaling decoder).
-func MillionFamily() []MillionSpec {
-	return []MillionSpec{
-		{Name: "adder", Scale: 100, ApproxAnds: 141_000},
-		{Name: "priority", Scale: 100, ApproxAnds: 274_000},
-		{Name: "max", Scale: 100, ApproxAnds: 307_000},
-		{Name: "bar", Scale: 50, ApproxAnds: 473_000},
-		{Name: "adder", Scale: 1000, ApproxAnds: 1_408_000},
-	}
 }

@@ -122,15 +122,6 @@ func andWord(g *aig.Graph, w word, m aig.Lit) word {
 	return out
 }
 
-// xorWords returns the bitwise XOR of equal-width a and b.
-func xorWords(g *aig.Graph, a, b word) word {
-	out := make(word, len(a))
-	for i := range a {
-		out[i] = g.Xor(a[i], b[i])
-	}
-	return out
-}
-
 // shiftLeftConst returns w << k with zero fill, same width.
 func shiftLeftConst(w word, k int) word {
 	out := make(word, len(w))

@@ -1,18 +1,16 @@
-package synth_test
+package dse
 
-// Extends the PR 5 recipe property suite from the hand-written
+// Extends synth's recipe property suite from the hand-written
 // StandardRecipes to the recipes the DSE autopilot samples: any pass
 // sequence up to the sampler's length bound, over random seeds. The
-// external test package breaks the synth -> dse import cycle; the
-// random-AIG generator is the synth_test one, reproduced here because
-// it is unexported there.
+// random-AIG generator is synth's, reproduced here because it is
+// unexported there.
 
 import (
 	"math/rand"
 	"testing"
 
 	"edacloud/internal/aig"
-	"edacloud/internal/dse"
 	"edacloud/internal/par"
 	"edacloud/internal/synth"
 	"edacloud/internal/techlib"
@@ -58,7 +56,11 @@ func randAIG(seed int64, inputs, andsPerOutput, outputs int) *aig.Graph {
 // identical at workers 1, 2 and 8.
 func TestDSESampledRecipesSimEquivAndWorkerInvariant(t *testing.T) {
 	lib := techlib.Default14nm()
-	params := dse.SampleParams(dse.Config{MaxPasses: 6}, 42, 12)
+	s := newSampler(42, 6)
+	params := make([]Params, 12)
+	for i := range params {
+		params[i] = s.sample()
+	}
 	seen := map[string]bool{}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randAIG(seed, 12, 70, 8)

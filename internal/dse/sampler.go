@@ -245,19 +245,3 @@ func (s *sampler) sample() Params {
 	}
 	return best
 }
-
-// SampleParams draws n points from a fresh sampler seeded with seed —
-// the prior over the whole search space a Config spans. It exists for
-// property tests: every recipe the DSE sampler can emit (any pass
-// sequence up to MaxPasses over balance/rewrite/refactor) must uphold
-// the synthesis layer's functional-equivalence and determinism
-// contracts.
-func SampleParams(cfg Config, seed int64, n int) []Params {
-	cfg = cfg.withDefaults()
-	s := newSampler(seed, cfg.MaxPasses)
-	out := make([]Params, n)
-	for i := range out {
-		out[i] = s.sample()
-	}
-	return out
-}

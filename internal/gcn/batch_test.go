@@ -19,14 +19,14 @@ func TestPredictBatchMatchesSerialAtAnyWorkerCount(t *testing.T) {
 	var want [][]float64
 	{
 		cfg.Workers = 1
-		m := NewModel(cfg, graphs[0].X.Cols)
+		m := NewSlabPool().NewModel(cfg, graphs[0].X.Cols)
 		for _, g := range graphs {
 			want = append(want, m.Predict(g))
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		cfg.Workers = workers
-		m := NewModel(cfg, graphs[0].X.Cols)
+		m := NewSlabPool().NewModel(cfg, graphs[0].X.Cols)
 		got := m.PredictBatch(graphs)
 		if len(got) != len(graphs) {
 			t.Fatalf("workers=%d: %d results for %d graphs", workers, len(got), len(graphs))

@@ -238,12 +238,6 @@ type Model struct {
 	slabs *SlabPool
 }
 
-// NewModel initializes a model for the given input feature width, with
-// a slab pool of its own.
-func NewModel(cfg Config, inDim int) *Model {
-	return NewSlabPool().NewModel(cfg, inDim)
-}
-
 // NewModel initializes a model for the given input feature width that
 // takes its working memory from sp.
 func (sp *SlabPool) NewModel(cfg Config, inDim int) *Model {
@@ -619,22 +613,6 @@ func (m *Model) train(samples []Sample, ar *arena) (TrainStats, error) {
 		stats.FinalLoss = epochLoss
 	}
 	return stats, nil
-}
-
-// Loss returns the mean squared error of the model on a sample set.
-func (m *Model) Loss(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range samples {
-		pred := m.Predict(s.G)
-		for j, p := range pred {
-			d := p - s.Targets[j]
-			total += d * d / float64(len(pred))
-		}
-	}
-	return total / float64(len(samples))
 }
 
 // adamState implements the Adam optimizer.

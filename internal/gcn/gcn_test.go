@@ -13,6 +13,22 @@ import (
 
 var lib = techlib.Default14nm()
 
+// Loss returns the mean squared error of the model on a sample set.
+func (m *Model) Loss(samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	var total float64
+	for _, s := range samples {
+		pred := m.Predict(s.G)
+		for j, p := range pred {
+			d := p - s.Targets[j]
+			total += d * d / float64(len(pred))
+		}
+	}
+	return total / float64(len(samples))
+}
+
 func tinyConfig() Config {
 	return Config{Hidden1: 16, Hidden2: 8, FCHidden: 8, Outputs: 4, LR: 3e-3, Epochs: 60, Seed: 1}
 }
@@ -58,10 +74,10 @@ func TestAggregateMean(t *testing.T) {
 	g := FromStarGraph(sg)
 	out := mat.New(3, 1)
 	g.aggregate(nil, g.X, out)
-	if out.At(2, 0) != 3 { // mean of 2 and 4
-		t.Fatalf("aggregate = %g, want 3", out.At(2, 0))
+	if out.Row(2)[0] != 3 { // mean of 2 and 4
+		t.Fatalf("aggregate = %g, want 3", out.Row(2)[0])
 	}
-	if out.At(0, 0) != 0 || out.At(1, 0) != 0 {
+	if out.Row(0)[0] != 0 || out.Row(1)[0] != 0 {
 		t.Fatal("source nodes should aggregate zero")
 	}
 }
@@ -77,7 +93,7 @@ func TestAggregateBackScattersEvenly(t *testing.T) {
 	dAgg := mat.FromRows([][]float64{{0}, {0}, {6}})
 	dH := mat.New(3, 1)
 	g.aggregateBack(nil, dAgg, dH)
-	if dH.At(0, 0) != 3 || dH.At(1, 0) != 3 {
+	if dH.Row(0)[0] != 3 || dH.Row(1)[0] != 3 {
 		t.Fatalf("backward scatter wrong: %v", dH.Data)
 	}
 }
@@ -92,7 +108,7 @@ func TestGradientsMatchNumerical(t *testing.T) {
 		Features: [][]float64{{1, 0.5}, {0.2, -1}, {-0.4, 0.8}, {0.9, 0.1}},
 	}
 	g := FromStarGraph(sg)
-	m := NewModel(cfg, 2)
+	m := NewSlabPool().NewModel(cfg, 2)
 	target := []float64{0.3, -0.7}
 
 	lossAt := func() float64 {
@@ -151,7 +167,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		})
 		_ = i
 	}
-	m := NewModel(tinyConfig(), netlist.FeatureDim)
+	m := NewSlabPool().NewModel(tinyConfig(), netlist.FeatureDim)
 	before := m.Loss(samples)
 	stats, err := m.Train(samples)
 	if err != nil {
@@ -170,7 +186,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	m := NewModel(tinyConfig(), netlist.FeatureDim)
+	m := NewSlabPool().NewModel(tinyConfig(), netlist.FeatureDim)
 	if _, err := m.Train(nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
@@ -185,7 +201,7 @@ func TestTrainValidation(t *testing.T) {
 	// A negative epoch count trained nothing and reported success.
 	cfg := tinyConfig()
 	cfg.Epochs = -3
-	stats, err := NewModel(cfg, netlist.FeatureDim).Train([]Sample{{G: g, Targets: []float64{1, 2, 3, 4}}})
+	stats, err := NewSlabPool().NewModel(cfg, netlist.FeatureDim).Train([]Sample{{G: g, Targets: []float64{1, 2, 3, 4}}})
 	if err == nil {
 		t.Fatalf("Epochs -3 accepted: %+v", stats)
 	}
@@ -193,7 +209,7 @@ func TestTrainValidation(t *testing.T) {
 
 func TestPredictDeterministic(t *testing.T) {
 	g := benchGraph(t, "priority", 0.1)
-	m := NewModel(tinyConfig(), netlist.FeatureDim)
+	m := NewSlabPool().NewModel(tinyConfig(), netlist.FeatureDim)
 	a := m.Predict(g)
 	b := m.Predict(g)
 	for i := range a {
@@ -281,7 +297,7 @@ func TestModelLearnsSizeSignal(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.Epochs = 150
-	m := NewModel(cfg, netlist.FeatureDim)
+	m := NewSlabPool().NewModel(cfg, netlist.FeatureDim)
 	if _, err := m.Train(samples); err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	const inDim = 12
 	run := func(workers int) (float64, []float64, []float64) {
 		samples := trainSamples(99, inDim, 400, 500, 600, 700)
-		m := NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 16, Epochs: 4, LR: 1e-3, Seed: 3, Workers: workers}, inDim)
+		m := NewSlabPool().NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 16, Epochs: 4, LR: 1e-3, Seed: 3, Workers: workers}, inDim)
 		stats, err := m.Train(samples)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -135,7 +135,7 @@ func TestTrainArenaMatchesFreshAllocation(t *testing.T) {
 	// makes the slab grow at least once after the first step.
 	samples := trainSamples(17, inDim, 30, 45, 400, 35, 650, 20)
 	run := func(ar *arena) (*Model, TrainStats) {
-		m := NewModel(cfg, inDim)
+		m := NewSlabPool().NewModel(cfg, inDim)
 		stats, err := m.train(samples, ar)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestTrainArenaMatchesFreshAllocation(t *testing.T) {
 // wastes.
 func TestPredictSlabIsRightSized(t *testing.T) {
 	const inDim = 5
-	m := NewModel(Config{Hidden1: 9, Hidden2: 6, FCHidden: 7, Outputs: 3, Seed: 1}, inDim)
+	m := NewSlabPool().NewModel(Config{Hidden1: 9, Hidden2: 6, FCHidden: 7, Outputs: 3, Seed: 1}, inDim)
 	for _, n := range []int{1, 37, 300} {
 		g := randomDAGGraph(rand.New(rand.NewSource(int64(n))), n, inDim)
 		ar := &arena{buf: make([]float64, m.forwardFloats(n))}
@@ -206,7 +206,7 @@ func TestTrainAllocBudget(t *testing.T) {
 	samples := trainSamples(5, inDim, 180, 220, 200, 240, 160)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	train := func(epochs int) (bytes, mallocs uint64) {
-		m := NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 32, Epochs: epochs, LR: 1e-3, Seed: 3}, inDim)
+		m := NewSlabPool().NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 32, Epochs: epochs, LR: 1e-3, Seed: 3}, inDim)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := m.Train(samples); err != nil {

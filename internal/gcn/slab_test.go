@@ -59,7 +59,7 @@ func TestSharedSlabPoolMatchesFreshSlabs(t *testing.T) {
 func TestWarmPredictAllocatesOnlyItsOutput(t *testing.T) {
 	const inDim = 8
 	g := randomDAGGraph(rand.New(rand.NewSource(4)), 300, inDim)
-	m := NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 32, Seed: 3, Workers: 1}, inDim)
+	m := NewSlabPool().NewModel(Config{Hidden1: 64, Hidden2: 32, FCHidden: 32, Seed: 3, Workers: 1}, inDim)
 	m.Predict(g)
 	allocs := testing.AllocsPerRun(50, func() { m.Predict(g) })
 	t.Logf("%.1f allocations per warm Predict", allocs)

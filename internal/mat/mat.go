@@ -64,21 +64,8 @@ func FromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// At returns element (i, j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a shared slice.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Zero clears the matrix in place.
 func (m *Dense) Zero() {

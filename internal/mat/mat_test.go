@@ -9,6 +9,19 @@ import (
 	"edacloud/internal/par"
 )
 
+// At returns element (i, j).
+func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// Clone returns a deep copy.
+func (m *Dense) Clone() *Dense {
+	c := New(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
 func TestNewAndAccessors(t *testing.T) {
 	m := New(2, 3)
 	m.Set(1, 2, 5)

@@ -11,11 +11,11 @@ import (
 // The dense DP and the copying priced solve as they were before the
 // DP kept only each layer's steps: one row entry per second of budget,
 // and every class copied to add the shadow price. They define what a
-// table's build and read, SolveMinCost, SolvePaper and a batch round's
-// priced solve must produce, bit for bit — every pick, and every total
+// table's build and read, SolveMinCost and a batch round's priced solve
+// must produce, bit for bit — every pick, and every total
 // summed in the same order.
 
-func refSolveDP(classes []Class, deadline int, value func(Item) float64, minCost bool) Selection {
+func refSolveDP(classes []Class, deadline int, value func(Item) float64) Selection {
 	n := len(classes)
 	width := deadline + 1
 	negInf := math.Inf(-1)
@@ -60,23 +60,11 @@ func refSolveDP(classes []Class, deadline int, value func(Item) float64, minCost
 		sel.TotalCost += it.Cost
 		c -= it.TimeSec
 	}
-	if !minCost {
-		sel.Objective = best
-	}
 	return sel
 }
 
 func refSolveMinCost(classes []Class, deadline int) Selection {
-	return refSolveDP(classes, deadline, func(it Item) float64 { return -it.Cost }, true)
-}
-
-func refSolvePaper(classes []Class, deadline int) Selection {
-	return refSolveDP(classes, deadline, func(it Item) float64 {
-		if it.Cost <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / it.Cost
-	}, false)
+	return refSolveDP(classes, deadline, func(it Item) float64 { return -it.Cost })
 }
 
 func refPricedSolve(job BatchJob, prices map[string]float64) Selection {
@@ -109,8 +97,7 @@ func refPricedSolve(job BatchJob, prices map[string]float64) Selection {
 func sameBits(got, want Selection) string {
 	if got.Feasible != want.Feasible || len(got.Pick) != len(want.Pick) ||
 		got.TotalTime != want.TotalTime ||
-		math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) ||
-		math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) {
 		return fmt.Sprintf("got %+v, want %+v", got, want)
 	}
 	for l := range got.Pick {
@@ -134,8 +121,8 @@ func slowestTotal(classes []Class) int {
 	return total
 }
 
-// checkAgainstReference solves one table at one deadline through both
-// objectives and the priced solve, and fails on any bit of difference
+// checkAgainstReference solves one table at one deadline through
+// SolveMinCost and the priced solve, and fails on any bit of difference
 // from the dense reference.
 func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices map[string]float64) {
 	t.Helper()
@@ -145,12 +132,6 @@ func checkAgainstReference(t *testing.T, classes []Class, deadline int, prices m
 	}
 	if diff := sameBits(got, refSolveMinCost(classes, deadline)); diff != "" {
 		t.Fatalf("SolveMinCost(%+v, %d): %s", classes, deadline, diff)
-	}
-	if got, err = SolvePaper(classes, deadline); err != nil {
-		t.Fatal(err)
-	}
-	if diff := sameBits(got, refSolvePaper(classes, deadline)); diff != "" {
-		t.Fatalf("SolvePaper(%+v, %d): %s", classes, deadline, diff)
 	}
 	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
 	if got, err = solvePriced(job, prices, &Scratch{}); err != nil {
@@ -180,8 +161,8 @@ func solvePriced(job BatchJob, prices map[string]float64, s *Scratch) (Selection
 var refLabels = []string{"a", "b", "c"}
 
 // randomTable draws a choice table built to stress the tie rules:
-// mostly whole-dollar costs (exact ties between sums), zero costs (a
-// +Inf paper value) and zero-time items.
+// mostly whole-dollar costs (exact ties between sums), zero costs and
+// zero-time items.
 func randomTable(rng *rand.Rand) []Class {
 	classes := make([]Class, 1+rng.Intn(4))
 	for l := range classes {
@@ -201,7 +182,7 @@ func randomTable(rng *rand.Rand) []Class {
 }
 
 // TestStepDPMatchesReference replays random tables at every deadline
-// from 0 past the slowest plan through both objectives and the priced
+// from 0 past the slowest plan through SolveMinCost and the priced
 // solve against the dense DP. Shadow prices are nil, zero, whole
 // dollars (priced costs tie exactly) or random thousandths.
 func TestStepDPMatchesReference(t *testing.T) {
@@ -272,7 +253,7 @@ func decodeTable(data []byte) ([]Class, int, map[string]float64, bool) {
 
 // checkScratchAgainstReference solves one table twice through one
 // Scratch and one table, after a table of a different size has left its
-// storage in them, through the priced solve and the paper objective,
+// storage in them, through the priced solve and the min-cost solve,
 // and fails on any bit of difference from the dense reference. The
 // Scratch's first pass builds in the recycled storage of that table,
 // and its second reads the table the first pass built.
@@ -288,8 +269,7 @@ func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, p
 	if n := len(other[0].Items); n > 1 {
 		other[0].Items = other[0].Items[:n-1]
 	}
-	minCost := func(it Item) float64 { return -it.Cost }
-	tb.solve(other, 2*deadline, minCost)
+	tb.solve(other, 2*deadline)
 	// A call that reads only the other table's first class leaves the
 	// other table unread, so the next call recycles it.
 	for _, o := range [][]Class{other, other[:1]} {
@@ -298,13 +278,7 @@ func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, p
 		}
 	}
 	job := BatchJob{Name: "j", Classes: classes, DeadlineSec: deadline}
-	wantPriced, wantPaper := refPricedSolve(job, prices), refSolvePaper(classes, deadline)
-	paper := func(it Item) float64 {
-		if it.Cost <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / it.Cost
-	}
+	wantPriced, wantMinCost := refPricedSolve(job, prices), refSolveMinCost(classes, deadline)
 	for pass := 1; pass <= 2; pass++ {
 		spare, builds := len(s.spare), s.builds
 		got, err := solvePriced(job, prices, &s)
@@ -320,15 +294,11 @@ func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, p
 		if pass == 1 && s.builds > builds && len(s.spare) > spare {
 			t.Fatalf("pass 1 of %+v built in fresh storage where it could recycle the other table's", classes)
 		}
-		got, best, err := tb.solve(classes, deadline, paper)
-		if err != nil {
+		if got, err = tb.solve(classes, deadline); err != nil {
 			t.Fatal(err)
 		}
-		if got.Feasible {
-			got.Objective = best
-		}
-		if diff := sameBits(got, wantPaper); diff != "" {
-			t.Fatalf("paper objective on %+v at deadline %d, pass %d through one table: %s", classes, deadline, pass, diff)
+		if diff := sameBits(got, wantMinCost); diff != "" {
+			t.Fatalf("min-cost solve of %+v at deadline %d, pass %d through one table: %s", classes, deadline, pass, diff)
 		}
 	}
 	checkBudgetReads(t, classes, deadline, &tb)
@@ -341,7 +311,7 @@ func checkScratchAgainstReference(t *testing.T, classes []Class, deadline int, p
 // SolveMinCost to that budget picks, feasibility included.
 func checkBudgetReads(t *testing.T, classes []Class, deadline int, tb *table) {
 	t.Helper()
-	tb.solve(classes, deadline, func(it Item) float64 { return -it.Cost })
+	tb.solve(classes, deadline)
 	fastest := MinTotalTime(classes)
 	for _, b := range []int{0, fastest - 1, fastest, deadline / 2, deadline - 1, deadline} {
 		if b < 0 || b > deadline {

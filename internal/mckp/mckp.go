@@ -3,19 +3,15 @@
 // one VM configuration per flow stage so the total runtime meets a
 // deadline and the deployment cost is optimal.
 //
-// Two exact pseudo-polynomial dynamic programs are provided — the
-// paper's literal objective (maximize the sum of reciprocal prices via
-// the Dudzinski–Walukiewicz recurrence) and the operationally intended
-// objective (minimize total dollars). Runtimes are integral seconds, an
+// An exact pseudo-polynomial dynamic program over integral time (the
+// Dudzinski–Walukiewicz recurrence) minimizes total dollars, the
+// objective the paper's Table I reports. Runtimes are integral seconds, an
 // assumption the paper justifies by per-second cloud billing. A table
 // solved to a budget answers every smaller budget exactly, so a Scratch
 // keeps the tables its last batch solve used, as serve.Engine does.
 package mckp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Item is one configuration choice within a class (stage).
 type Item struct {
@@ -36,9 +32,6 @@ type Selection struct {
 	Pick      []int // item index per class, aligned with input order
 	TotalTime int
 	TotalCost float64
-	// Objective is the maximized paper objective (sum of 1/cost) when
-	// produced by SolvePaper; zero otherwise.
-	Objective float64
 }
 
 func validate(classes []Class, deadline int) error {
@@ -61,44 +54,25 @@ func validate(classes []Class, deadline int) error {
 	return nil
 }
 
-// SolvePaper maximizes the paper's objective sum(1/p_ij) subject to
-// sum(t_ij) <= deadline, exactly one pick per class, using the
-// Dudzinski–Walukiewicz dynamic program over integral time.
-func SolvePaper(classes []Class, deadline int) (Selection, error) {
-	sel, best, err := new(table).solve(classes, deadline, func(it Item) float64 {
-		if it.Cost <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / it.Cost
-	})
-	if sel.Feasible {
-		sel.Objective = best
-	}
-	return sel, err
-}
-
 // SolveMinCost minimizes total cost subject to the deadline, the
 // operational variant the paper's Table I reports (its "Min Cost($)"
 // column).
 func SolveMinCost(classes []Class, deadline int) (Selection, error) {
-	sel, _, err := new(table).solve(classes, deadline, func(it Item) float64 { return -it.Cost })
-	return sel, err
+	return new(table).solve(classes, deadline)
 }
 
-// solve validates the table, keys t by it and its items' values, builds
-// t to deadline and reads it there, summing the totals in reverse class
-// order. It returns the selection and its value.
-func (t *table) solve(classes []Class, deadline int, value func(Item) float64) (Selection, float64, error) {
+// solve validates the table, keys t by it and its items' negated
+// costs, builds t to deadline and reads it there, summing the totals in
+// reverse class order.
+func (t *table) solve(classes []Class, deadline int) (Selection, error) {
 	if err := validate(classes, deadline); err != nil {
-		return Selection{}, 0, err
+		return Selection{}, err
 	}
-	t.key = appendKey(t.key[:0], classes, value)
+	t.key = appendKey(t.key[:0], classes, func(it Item) float64 { return -it.Cost })
 	t.build(deadline)
 	pick := make([]int, len(classes))
-	// The value at the built budget is the last layer's last step's.
-	best := t.steps[len(t.steps)-1].val
 	if !t.at(deadline, pick) {
-		return Selection{Feasible: false}, best, nil
+		return Selection{Feasible: false}, nil
 	}
 	sel := Selection{Feasible: true, Pick: pick}
 	for l := len(classes) - 1; l >= 0; l-- {
@@ -106,7 +80,7 @@ func (t *table) solve(classes []Class, deadline int, value func(Item) float64) (
 		sel.TotalTime += it.TimeSec
 		sel.TotalCost += it.Cost
 	}
-	return sel, best, nil
+	return sel, nil
 }
 
 // FixedProvision returns the selection that uses item index j in every

@@ -83,28 +83,6 @@ func TestPaperTableIConstraints(t *testing.T) {
 	}
 }
 
-func TestPaperObjectiveSolver(t *testing.T) {
-	classes := paperClasses()
-	sel, err := SolvePaper(classes, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sel.Feasible || sel.TotalTime > 10000 {
-		t.Fatalf("paper solver: %+v", sel)
-	}
-	if sel.Objective <= 0 {
-		t.Fatal("objective not reported")
-	}
-	// Objective must equal sum of reciprocal picked costs.
-	var want float64
-	for l, j := range sel.Pick {
-		want += 1 / classes[l].Items[j].Cost
-	}
-	if math.Abs(want-sel.Objective) > 1e-9 {
-		t.Fatalf("objective %f != recomputed %f", sel.Objective, want)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	if _, err := SolveMinCost(nil, 10); err == nil {
 		t.Fatal("empty classes accepted")
@@ -119,9 +97,6 @@ func TestValidation(t *testing.T) {
 	ok := []Class{{Name: "x", Items: []Item{{TimeSec: 1, Cost: 1}}}}
 	if _, err := SolveMinCost(ok, -1); err == nil {
 		t.Fatal("negative deadline accepted")
-	}
-	if _, err := SolvePaper(nil, 10); err == nil {
-		t.Fatal("paper solver skipped validation")
 	}
 }
 
@@ -247,16 +222,12 @@ func TestZeroDeadlineNonzeroTimes(t *testing.T) {
 		{Name: "a", Items: []Item{{TimeSec: 1, Cost: 1}}},
 		{Name: "b", Items: []Item{{TimeSec: 0, Cost: 1}}},
 	}
-	for name, solve := range map[string]func([]Class, int) (Selection, error){
-		"dp": SolveMinCost, "paper": SolvePaper,
-	} {
-		sel, err := solve(classes, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sel.Feasible {
-			t.Fatalf("%s: zero deadline with a mandatory 1s item reported feasible", name)
-		}
+	sel, err := SolveMinCost(classes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Feasible {
+		t.Fatal("zero deadline with a mandatory 1s item reported feasible")
 	}
 }
 
@@ -265,12 +236,8 @@ func TestEmptyClassAmongNonEmpty(t *testing.T) {
 		{Name: "full", Items: []Item{{TimeSec: 1, Cost: 1}}},
 		{Name: "empty"},
 	}
-	for name, solve := range map[string]func([]Class, int) (Selection, error){
-		"dp": SolveMinCost, "paper": SolvePaper,
-	} {
-		if _, err := solve(classes, 10); err == nil {
-			t.Fatalf("%s: empty class among non-empty ones accepted", name)
-		}
+	if _, err := SolveMinCost(classes, 10); err == nil {
+		t.Fatal("empty class among non-empty ones accepted")
 	}
 }
 
@@ -333,24 +300,16 @@ func TestTightestFeasibleDeadlinePicksFastest(t *testing.T) {
 // total, past which no budget changes anything.
 func TestFarDeadlinePicksCheapest(t *testing.T) {
 	classes := paperClasses()
-	for name, solve := range map[string]func([]Class, int) (Selection, error){
-		"dp": SolveMinCost, "paper": SolvePaper,
-	} {
-		far, err := solve(classes, 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		near, err := solve(classes, slowestTotal(classes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := sameBits(far, near); diff != "" {
-			t.Fatalf("%s: %s", name, diff)
-		}
-	}
 	sel, err := SolveMinCost(classes, 1<<40)
 	if err != nil {
 		t.Fatal(err)
+	}
+	near, err := SolveMinCost(classes, slowestTotal(classes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameBits(sel, near); diff != "" {
+		t.Fatal(diff)
 	}
 	cheapest, err := FixedProvision(classes, cheapest)
 	if err != nil {

@@ -34,9 +34,6 @@ const FeatureDim = 8
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.Succ) }
 
-// OutDegree returns the out-degree of node u.
-func (g *Graph) OutDegree(u int) int { return int(g.Start[u+1] - g.Start[u]) }
-
 // Successors returns the successor list of node u (shared storage).
 func (g *Graph) Successors(u int) []int32 { return g.Succ[g.Start[u]:g.Start[u+1]] }
 

@@ -53,24 +53,3 @@ func (bp *BranchPredictor) Record(site uint64, taken bool) bool {
 	}
 	return correct
 }
-
-// Stats returns branches and mispredictions since construction.
-func (bp *BranchPredictor) Stats() (branches, misses uint64) { return bp.branches, bp.misses }
-
-// MissRate returns the misprediction ratio in [0,1].
-func (bp *BranchPredictor) MissRate() float64 {
-	if bp.branches == 0 {
-		return 0
-	}
-	return float64(bp.misses) / float64(bp.branches)
-}
-
-// Reset clears history, counters and statistics.
-func (bp *BranchPredictor) Reset() {
-	for i := range bp.table {
-		bp.table[i] = 2
-	}
-	bp.history = 0
-	bp.branches = 0
-	bp.misses = 0
-}

@@ -104,21 +104,3 @@ func (c *Cache) walk(key uint64, base int) bool {
 	c.misses++
 	return false
 }
-
-// Stats returns accesses and misses since construction.
-func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
-
-// MissRate returns the miss ratio in [0,1], or 0 before any access.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.accesses = 0
-	c.misses = 0
-}

@@ -7,6 +7,45 @@ import (
 	"testing/quick"
 )
 
+// Stats returns accesses and misses since construction.
+func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
+
+// MissRate returns the miss ratio in [0,1], or 0 before any access.
+func (c *Cache) MissRate() float64 {
+	if c.accesses == 0 {
+		return 0
+	}
+	return float64(c.misses) / float64(c.accesses)
+}
+
+// Reset clears contents and statistics.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.accesses = 0
+	c.misses = 0
+}
+
+// Stats returns branches and mispredictions since construction.
+func (bp *BranchPredictor) Stats() (branches, misses uint64) { return bp.branches, bp.misses }
+
+// MissRate returns the misprediction ratio in [0,1].
+func (bp *BranchPredictor) MissRate() float64 {
+	if bp.branches == 0 {
+		return 0
+	}
+	return float64(bp.misses) / float64(bp.branches)
+}
+
+// Reset clears history, counters and statistics.
+func (bp *BranchPredictor) Reset() {
+	for i := range bp.table {
+		bp.table[i] = 2
+	}
+	bp.history = 0
+	bp.branches = 0
+	bp.misses = 0
+}
+
 func TestCacheGeometryValidation(t *testing.T) {
 	bad := [][3]int{
 		{0, 8, 64},         // zero size

@@ -234,11 +234,11 @@ func TestStatusOutlivesReplan(t *testing.T) {
 		}
 		hold(st)
 		if i > 0 {
-			st, err := eng.Status(i - 1)
+			r, err := eng.job(i - 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hold(st)
+			hold(r.snapshot())
 		}
 		if i%10 == 9 {
 			for _, st := range eng.Jobs() {
@@ -252,7 +252,7 @@ func TestStatusOutlivesReplan(t *testing.T) {
 		if !slices.Equal(h.st.Stages, h.stages) {
 			t.Fatalf("job %d: a status taken earlier now reports stages %+v, it reported %+v", h.st.ID, h.st.Stages, h.stages)
 		}
-		if now, _ := eng.Status(h.st.ID); !slices.Equal(now.Stages, h.stages) {
+		if now, _ := eng.job(h.st.ID); !slices.Equal(now.status.Stages, h.stages) {
 			moved++
 		}
 	}

@@ -303,15 +303,6 @@ func (e *Engine) submit(req SubmitRequest) (*record, error) {
 	return r, nil
 }
 
-// Status returns a snapshot of one job.
-func (e *Engine) Status(id int) (JobStatus, error) {
-	r, err := e.job(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return r.snapshot(), nil
-}
-
 // job returns the record of job id.
 func (e *Engine) job(id int) (*record, error) {
 	if id < 0 || id >= len(e.jobs) {

@@ -53,8 +53,6 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // Engine exposes the wrapped engine for in-process drivers.
-func (s *Server) Engine() *Engine { return s.eng }
-
 // jsonBuf is one response's encoding storage: an encoder and the
 // buffer it writes into, reused from response to response.
 type jsonBuf struct {

@@ -192,7 +192,7 @@ func TestOutOfRangeTimesRefused(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "2^53") {
 			t.Fatalf("%s %s %s: %d %s, want 400", c.method, c.path, c.body, rec.Code, rec.Body)
 		}
-		if now := s.Engine().Now(); now != 10 {
+		if now := s.eng.Now(); now != 10 {
 			t.Fatalf("%s %s %s moved the clock to %g", c.method, c.path, c.body, now)
 		}
 	}
@@ -201,8 +201,8 @@ func TestOutOfRangeTimesRefused(t *testing.T) {
 		{Tenant: "alpha", Template: "small", ArrivalSec: math.Inf(1)},
 		{Tenant: "alpha", Template: "small", ArrivalSec: 20, DeadlineSec: math.Inf(-1)},
 	} {
-		if _, err := s.Engine().Submit(req); err == nil || s.Engine().Now() != 10 {
-			t.Fatalf("submit %+v: err %v, clock %g", req, err, s.Engine().Now())
+		if _, err := s.eng.Submit(req); err == nil || s.eng.Now() != 10 {
+			t.Fatalf("submit %+v: err %v, clock %g", req, err, s.eng.Now())
 		}
 	}
 	if rec := send(h, "POST", "/v1/jobs", `{"tenant":"beta","template":"big","arrival_sec":20,"deadline_sec":9007199254740991}`); rec.Code != http.StatusCreated {
@@ -262,7 +262,7 @@ func TestWireFormat(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatal(err)
 		}
-		want := s.Engine().Report()
+		want := s.eng.Report()
 		if !reflect.DeepEqual(&got, want) {
 			t.Fatalf("/v1/report decodes to\n%s\nthe engine reports\n%s", &got, want)
 		}
@@ -313,10 +313,10 @@ func fuzzBody(f *testing.F, path string, codes ...int) {
 		if !slices.Contains(codes, rec.Code) {
 			t.Fatalf("body %q: status %d %s, want one of %v", body, rec.Code, rec.Body, codes)
 		}
-		if now := s.Engine().Now(); rec.Code == http.StatusBadRequest && now != 10 {
+		if now := s.eng.Now(); rec.Code == http.StatusBadRequest && now != 10 {
 			t.Fatalf("400 for %q moved the clock to %g: %s", body, now, rec.Body)
 		}
-		if now := s.Engine().Now(); now >= maxClockSec {
+		if now := s.eng.Now(); now >= maxClockSec {
 			t.Fatalf("body %q moved the clock out of range, to %g", body, now)
 		}
 		if rec := send(h, "POST", "/v1/advance", `{"drain":true}`); rec.Code != http.StatusOK {

@@ -210,21 +210,21 @@ func TestCancelFreesCapacity(t *testing.T) {
 	if err := eng.Cancel(0, 10); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := eng.Status(0)
-	if got.Status != StatusCanceled {
-		t.Fatalf("canceled job reports %s", got.Status)
+	got, _ := eng.job(0)
+	if got.status.Status != StatusCanceled {
+		t.Fatalf("canceled job reports %s", got.status.Status)
 	}
-	if len(got.Stages) != 1 {
-		t.Fatalf("canceled job keeps %d stages, want the 1 committed", len(got.Stages))
+	if len(got.status.Stages) != 1 {
+		t.Fatalf("canceled job keeps %d stages, want the 1 committed", len(got.status.Stages))
 	}
 	// Canceling again, or canceling a finished job, refuses.
 	if err := eng.Cancel(0, 20); err == nil {
 		t.Fatal("double cancel accepted")
 	}
 	eng.Drain()
-	b, _ := eng.Status(1)
-	if b.Status != StatusDone {
-		t.Fatalf("beneficiary: %s", b.Status)
+	b, _ := eng.job(1)
+	if b.status.Status != StatusDone {
+		t.Fatalf("beneficiary: %s", b.status.Status)
 	}
 	if err := eng.Cancel(1, eng.Now()); err == nil {
 		t.Fatal("canceling a done job accepted")
@@ -277,7 +277,8 @@ func TestEventStream(t *testing.T) {
 		perJob[ev.JobID] = append(perJob[ev.JobID], ev)
 	}
 	for id, seq := range perJob {
-		st, _ := eng.Status(id)
+		r, _ := eng.job(id)
+		st := r.status
 		wantIdx := 0
 		for i := 0; i < len(seq); i += 2 {
 			start, finish := seq[i], seq[i+1]
@@ -436,7 +437,7 @@ func TestSettledArchiveComplete(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i%20 == 19 {
-				if st, _ := eng.Status(i - 2); st.Status == StatusAdmitted && eng.Cancel(i-2, eng.Now()) == nil {
+				if r, _ := eng.job(i - 2); r.status.Status == StatusAdmitted && eng.Cancel(i-2, eng.Now()) == nil {
 					canceled++
 				}
 			}
@@ -546,9 +547,9 @@ func TestNoStarvation(t *testing.T) {
 		t.Fatalf("minnow starved at admission: %s (%s)", st.Status, st.Reason)
 	}
 	eng.Drain()
-	got, _ := eng.Status(0)
-	if got.Status != StatusDone {
-		t.Fatalf("minnow job: %s", got.Status)
+	got, _ := eng.job(0)
+	if got.status.Status != StatusDone {
+		t.Fatalf("minnow job: %s", got.status.Status)
 	}
 }
 

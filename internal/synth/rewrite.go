@@ -252,10 +252,7 @@ func sweepAccounted(g, ng *aig.Graph, final []aig.Lit, probe *perf.Probe, rs *ru
 	}
 	probe.Ops(4 * ng.NumVars())
 	probe.LoadCold(ng.NumVars() / 8)
-	dst := rs.dst
-	if dst == nil {
-		dst = aig.NewSized("", 0, 0)
-	}
+	dst := rs.sweepDst()
 	dst.SwapStrash(&rs.tables[0])
 	swept, old2new := ng.SweepInto(dst, rs.sweepMap)
 	swept.SwapStrash(&rs.tables[0])

@@ -150,6 +150,15 @@ func (rs *runScratch) reserve(g *aig.Graph, passes []PassKind) {
 	}
 }
 
+// sweepDst returns the graph the pass in hand sweeps its result into:
+// rs.dst, or a fresh graph for the recipe's result.
+func (rs *runScratch) sweepDst() *aig.Graph {
+	if rs.dst != nil {
+		return rs.dst
+	}
+	return aig.NewSized("", 0, 0)
+}
+
 // releaseForMapping drops everything the mapper does not read — the
 // pass graphs, the sweep map, the partitioning and the shards' rebuild
 // maps — and keeps the cut storage and shard 0's truth-table memo, so

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,62 @@ import (
 var lib = techlib.Default14nm()
 
 // --- truth table machinery ---
+
+// ttConst returns the constant-v table over n vars.
+func ttConst(v bool, n int) uint64 {
+	if v {
+		return ttMask(n)
+	}
+	return 0
+}
+
+// ttSupportSize counts the variables tt actually depends on.
+func ttSupportSize(tt uint64, n int) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		if ttDependsOn(tt, i, n) {
+			k++
+		}
+	}
+	return k
+}
+
+// literals returns the number of literals in the cube.
+func (c cube) literals() int {
+	return bits.OnesCount8(c.pos) + bits.OnesCount8(c.neg)
+}
+
+// cubeTT returns the truth table of the cube over n vars.
+func cubeTT(c cube, n int) uint64 {
+	tt := ttMask(n)
+	for i := 0; i < n; i++ {
+		if c.pos>>uint(i)&1 == 1 {
+			tt &= ttVar(i, n)
+		}
+		if c.neg>>uint(i)&1 == 1 {
+			tt &= ttNot(ttVar(i, n), n)
+		}
+	}
+	return tt
+}
+
+// coverTT returns the truth table of a cube cover.
+func coverTT(cubes []cube, n int) uint64 {
+	var tt uint64
+	for _, c := range cubes {
+		tt |= cubeTT(c, n)
+	}
+	return tt
+}
+
+// coverLiterals counts total literals, the cost measure for rebuilds.
+func coverLiterals(cubes []cube) int {
+	total := 0
+	for _, c := range cubes {
+		total += c.literals()
+	}
+	return total
+}
 
 func TestTTVarAndCofactors(t *testing.T) {
 	for n := 1; n <= 6; n++ {

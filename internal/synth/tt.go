@@ -25,14 +25,6 @@ func ttMask(n int) uint64 {
 // ttVar returns the truth table of variable i restricted to n vars.
 func ttVar(i, n int) uint64 { return ttVarMasks[i] & ttMask(n) }
 
-// ttConst returns the constant-v table over n vars.
-func ttConst(v bool, n int) uint64 {
-	if v {
-		return ttMask(n)
-	}
-	return 0
-}
-
 // ttNot complements a table over n vars.
 func ttNot(tt uint64, n int) uint64 { return ^tt & ttMask(n) }
 
@@ -56,49 +48,10 @@ func ttDependsOn(tt uint64, i, n int) bool {
 	return cofactor0(tt, i)&ttMask(n) != cofactor1(tt, i)&ttMask(n)
 }
 
-// ttSupportSize counts the variables tt actually depends on.
-func ttSupportSize(tt uint64, n int) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if ttDependsOn(tt, i, n) {
-			k++
-		}
-	}
-	return k
-}
-
 // cube is a product term: var i appears positively when pos bit i is
 // set, negatively when neg bit i is set, and is absent otherwise.
 type cube struct {
 	pos, neg uint8
-}
-
-// literals returns the number of literals in the cube.
-func (c cube) literals() int {
-	return popcount8(c.pos) + popcount8(c.neg)
-}
-
-func popcount8(x uint8) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// cubeTT returns the truth table of the cube over n vars.
-func cubeTT(c cube, n int) uint64 {
-	tt := ttMask(n)
-	for i := 0; i < n; i++ {
-		if c.pos>>uint(i)&1 == 1 {
-			tt &= ttVar(i, n)
-		}
-		if c.neg>>uint(i)&1 == 1 {
-			tt &= ttNot(ttVar(i, n), n)
-		}
-	}
-	return tt
 }
 
 // isop computes an irredundant sum-of-products cover of the incompletely
@@ -161,22 +114,4 @@ func isopRec(dst []cube, L, U uint64, topVar, n int) ([]cube, uint64) {
 	nv := ttNot(ttVar(v, n), n)
 	pv := ttVar(v, n)
 	return dst, f0&nv | f1&pv | fs
-}
-
-// coverTT returns the truth table of a cube cover.
-func coverTT(cubes []cube, n int) uint64 {
-	var tt uint64
-	for _, c := range cubes {
-		tt |= cubeTT(c, n)
-	}
-	return tt
-}
-
-// coverLiterals counts total literals, the cost measure for rebuilds.
-func coverLiterals(cubes []cube) int {
-	total := 0
-	for _, c := range cubes {
-		total += c.literals()
-	}
-	return total
 }
