@@ -65,6 +65,8 @@ Re-plan storage is kept (and a round builds its DP tables inline, in order, in o
 	! awk '/^type BatchState struct/,/^}/' internal/mckp/batch.go | grep -E '^\s*Workers\s' && ! awk '/^type Config struct/,/^}/' internal/serve/serve.go | grep -E '^\s*Workers\s'
 No co-tenant model (a characterized VM is its vCPUs of one host and nothing else runs there, as perf.Xeon14 models it; the cgroup scheduler, its interference factor and the co-tenant option multiplied every runtime by exactly 1)
 	! grep -rn --include='*.go' -e 'cloud\.CGroup' -e 'DefaultHost(' -e 'Interference float64' -e '\.Interference\b' -e 'Background \[\]' -e maxVCPUs internal cmd examples bench_test.go
+One netlist connectivity store (a cell is its type, output net and first-pin offset and a net its driver; cell inputs live in the netlist's one pin array, each net's sinks and outputs in the index it derives from that array and the output ports, and only ports store names; a name, pin list or sink list stored on a Cell or Net, or a mapper that plans a copy of its cover, builds names or carves sink lists itself, would be a second store to keep in step)
+	! awk '/^type (Cell|Net) struct/,/^}/' internal/netlist/*.go | grep -E '^\s*(Ins|Sinks|POs|Name)\b' && ! grep -rn --include='*.go' --exclude='*_test.go' -e 'netlist\.PinRef' -e 'Sinks' -e 'NetPOs' -e 'type cover struct' -e 'strings\.Builder' internal/synth
 GUARDS
 [[ -n $name ]] && run "$name" "$check"
 exit $failed

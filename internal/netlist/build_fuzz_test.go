@@ -10,11 +10,38 @@ import (
 
 // shape is every length a refused call must leave alone.
 func shape(n *Netlist) []int {
-	s := []int{len(n.Cells), len(n.Nets), len(n.PIs), len(n.POs)}
+	s := []int{len(n.Cells), len(n.Nets), len(n.PIs), len(n.POs), len(n.pins)}
 	for i := range n.Nets {
-		s = append(s, len(n.Nets[i].Sinks), len(n.Nets[i].POs))
+		s = append(s, len(n.Sinks(NetID(i))), len(n.NetPOs(NetID(i))))
 	}
 	return s
+}
+
+// checkIndex recounts every net's sinks from the cells' pins, in
+// ascending (cell, pin) order, and its outputs from the output ports,
+// in port order, and fails unless Sinks and NetPOs read exactly those.
+func checkIndex(t *testing.T, n *Netlist) {
+	t.Helper()
+	sinks := make([][]PinRef, len(n.Nets))
+	pos := make([][]int32, len(n.Nets))
+	for id := range n.Cells {
+		for pin, net := range n.Ins(CellID(id)) {
+			if net != NoNet {
+				sinks[net] = append(sinks[net], PinRef{CellID(id), int32(pin)})
+			}
+		}
+	}
+	for i, p := range n.POs {
+		pos[p.Net] = append(pos[p.Net], int32(i))
+	}
+	for i := range n.Nets {
+		if got := n.Sinks(NetID(i)); !slices.Equal(got, sinks[i]) {
+			t.Fatalf("net %d: Sinks %v, recount %v", i, got, sinks[i])
+		}
+		if got := n.NetPOs(NetID(i)); !slices.Equal(got, pos[i]) {
+			t.Fatalf("net %d: NetPOs %v, recount %v", i, got, pos[i])
+		}
+	}
 }
 
 // FuzzBuild drives the builder with a random sequence of AddPI, AddNet,
@@ -22,10 +49,11 @@ func shape(n *Netlist) []int {
 // inputs and PO nets are drawn from the driven nets, or are NoNet or
 // out of range; a cell's output may be any net, driven or not, or out
 // of range, and its connection count may be off by one. After every
-// call, accepted or refused, Check holds. AddCell refuses exactly the
-// calls a reference rule refuses, a refused call leaves the fingerprint
-// and every length unchanged, and an accepted one owns exactly the pins
-// it was given.
+// call, accepted or refused, Check holds and the fanout index equals a
+// recount from the pins and the output ports. AddCell refuses exactly
+// the calls a reference rule refuses, a refused call leaves the
+// fingerprint and every length unchanged, and an accepted one owns a
+// copy of exactly the pins it was given.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 3, 0, 0, 1, 0, 3, 1, 1, 2, 2, 2})
 	f.Add([]byte{1, 4, 2, 6, 3, 9, 0, 0, 3, 3, 0, 0, 250, 0, 3, 0, 0, 0, 0, 2, 0})
@@ -65,7 +93,7 @@ func FuzzBuild(f *testing.F) {
 			case 0:
 				driven = append(driven, n.AddPI("pi"+strconv.Itoa(len(n.PIs))))
 			case 1:
-				n.AddNet("")
+				n.AddNet()
 			case 2:
 				if net := pick(); net >= 0 && int(net) < len(n.Nets) {
 					n.AddPO("po"+strconv.Itoa(len(n.POs)), net)
@@ -85,7 +113,7 @@ func FuzzBuild(f *testing.F) {
 					refuse = n.Nets[out].Driver != NoCell || n.Nets[out].DriverPI >= 0
 				}
 				fp, before := n.Fingerprint(), shape(n)
-				id, err := n.AddCell("", typ, ins, out)
+				id, err := n.AddCell(typ, ins, out)
 				if (err != nil) != refuse {
 					t.Fatalf("AddCell(%s, %v, %d) err = %v, want refused %v", typ.Name, ins, out, err, refuse)
 				}
@@ -95,12 +123,12 @@ func FuzzBuild(f *testing.F) {
 					}
 					break
 				}
-				c := &n.Cells[id]
-				if !slices.Equal(c.Ins, ins) || cap(c.Ins) != len(c.Ins) {
-					t.Fatalf("cell %d owns pins %v (cap %d), given %v", id, c.Ins, cap(c.Ins), ins)
+				got := n.Ins(id)
+				if !slices.Equal(got, ins) || cap(got) != len(got) {
+					t.Fatalf("cell %d owns pins %v (cap %d), given %v", id, got, cap(got), ins)
 				}
 				ins[0] = -9 // the cell keeps its own copy
-				if c.Ins[0] == -9 {
+				if got[0] == -9 {
 					t.Fatal("the cell aliases its caller's input slice")
 				}
 				if out != NoNet {
@@ -110,6 +138,7 @@ func FuzzBuild(f *testing.F) {
 			if err := n.Check(); err != nil {
 				t.Fatalf("Check after call %d: %v", calls, err)
 			}
+			checkIndex(t, n)
 		}
 	})
 }

@@ -8,27 +8,31 @@ import "edacloud/internal/hash"
 // hash equal exactly when they are the same mapped circuit. FNV-1a
 // over fixed-width words — structure, not formatting.
 
-// Fingerprint returns the netlist's canonical structural hash.
+// Fingerprint returns the netlist's canonical structural hash. It
+// hashes derived names from a stack buffer and allocates nothing.
 func (n *Netlist) Fingerprint() uint64 {
+	var buf [16]byte
 	h := hash.New()
 	h.Str(n.Name)
 	h.Int(len(n.Cells))
-	for _, c := range n.Cells {
-		h.Str(c.Name)
-		if c.Type != nil {
-			h.Str(c.Type.Name)
-		}
+	for id, c := range n.Cells {
+		h.Str(string(appendName(buf[:0], 'u', int32(id))))
+		h.Str(c.Type.Name)
 		h.Int(int(c.Out))
-		for _, in := range c.Ins {
+		for _, in := range n.Ins(CellID(id)) {
 			h.Int(int(in))
 		}
 	}
 	h.Int(len(n.Nets))
-	for _, net := range n.Nets {
-		h.Str(net.Name)
+	for id, net := range n.Nets {
+		if net.DriverPI >= 0 {
+			h.Str(n.PIs[net.DriverPI].Name)
+		} else {
+			h.Str(string(appendName(buf[:0], 'n', int32(id))))
+		}
 		h.Int(int(net.Driver))
 		h.Int(int(net.DriverPI))
-		for _, s := range net.Sinks {
+		for _, s := range n.Sinks(NetID(id)) {
 			h.Int(int(s.Cell))
 			h.Int(int(s.Pin))
 		}
@@ -45,14 +49,20 @@ func (n *Netlist) Fingerprint() uint64 {
 }
 
 // ApproxBytes estimates the netlist's in-memory footprint — the unit
-// a byte-budgeted artifact cache accounts this netlist in.
+// a byte-budgeted artifact cache accounts this netlist in. It counts
+// every derived name as if it were stored.
 func (n *Netlist) ApproxBytes() int64 {
+	var buf [16]byte
 	var b int64
-	for _, c := range n.Cells {
-		b += 32 + int64(len(c.Name)) + 4*int64(len(c.Ins))
+	for id, c := range n.Cells {
+		b += 32 + int64(len(appendName(buf[:0], 'u', int32(id)))) + 4*int64(c.Type.NumInputs())
 	}
-	for _, net := range n.Nets {
-		b += 32 + int64(len(net.Name)) + 8*int64(len(net.Sinks))
+	for id, net := range n.Nets {
+		name := len(appendName(buf[:0], 'n', int32(id)))
+		if net.DriverPI >= 0 {
+			name = len(n.PIs[net.DriverPI].Name)
+		}
+		b += 32 + int64(name) + 8*int64(len(n.Sinks(NetID(id))))
 	}
 	for _, p := range n.PIs {
 		b += 16 + int64(len(p.Name))

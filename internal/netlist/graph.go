@@ -90,10 +90,10 @@ func (n *Netlist) StarGraph() *Graph {
 		default:
 			continue // floating net
 		}
-		for _, s := range net.Sinks {
+		for _, s := range n.Sinks(NetID(id)) {
 			acc.add(src, int32(s.Cell))
 		}
-		for _, po := range net.POs {
+		for _, po := range n.NetPOs(NetID(id)) {
 			acc.add(src, poNode(po))
 		}
 	}
@@ -133,7 +133,7 @@ func (n *Netlist) StarGraph() *Graph {
 		if isInverting(c.Type.TT, c.Type.NumInputs()) && !c.Type.Seq {
 			f[3] = 1
 		}
-		f[4] = float64(len(c.Ins)) / 4
+		f[4] = float64(c.Type.NumInputs()) / 4
 		f[5] = logScale(float64(fo[id]))
 		if err == nil {
 			f[6] = float64(levels[id]) / maxLevel
@@ -144,7 +144,7 @@ func (n *Netlist) StarGraph() *Graph {
 	for i := range n.PIs {
 		f := make([]float64, FeatureDim)
 		f[0] = 1
-		f[5] = logScale(float64(len(n.Nets[n.PIs[i].Net].Sinks)))
+		f[5] = logScale(float64(len(n.Sinks(n.PIs[i].Net))))
 		g.Features[nCells+i] = f
 	}
 	for i := range n.POs {

@@ -2,7 +2,9 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -22,14 +24,14 @@ func buildSmall(t *testing.T) *Netlist {
 	c := n.AddPI("c")
 	clk := n.AddPI("clk")
 
-	qNet := n.AddNet("q")
-	n.MustAddCell("ff", lib.MustCell("DFF_X1"), []NetID{c, clk}, qNet)
+	qNet := n.AddNet()
+	n.MustAddCell(lib.MustCell("DFF_X1"), []NetID{c, clk}, qNet)
 
-	andNet := n.AddNet("and_out")
-	n.MustAddCell("u_and", lib.MustCell("AND2_X1"), []NetID{a, b}, andNet)
+	andNet := n.AddNet()
+	n.MustAddCell(lib.MustCell("AND2_X1"), []NetID{a, b}, andNet)
 
-	outNet := n.AddNet("f")
-	n.MustAddCell("u_nand", lib.MustCell("NAND2_X1"), []NetID{andNet, qNet}, outNet)
+	outNet := n.AddNet()
+	n.MustAddCell(lib.MustCell("NAND2_X1"), []NetID{andNet, qNet}, outNet)
 
 	n.AddPO("f", outNet)
 	return n
@@ -58,7 +60,7 @@ func TestBuildAndCheck(t *testing.T) {
 func TestAddCellRejectsBadPinCount(t *testing.T) {
 	n := New("bad", lib)
 	a := n.AddPI("a")
-	if _, err := n.AddCell("x", lib.MustCell("NAND2_X1"), []NetID{a}, n.AddNet("o")); err == nil {
+	if _, err := n.AddCell(lib.MustCell("NAND2_X1"), []NetID{a}, n.AddNet()); err == nil {
 		t.Fatal("expected pin-count error")
 	}
 }
@@ -86,17 +88,17 @@ func TestAddCellRejectsDoubleDriver(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := New("dd", lib)
 			a := n.AddPI("a")
-			o := n.AddNet("o")
-			n.MustAddCell("inv1", inv, []NetID{a}, o)
+			o := n.AddNet()
+			n.MustAddCell(inv, []NetID{a}, o)
 			n.AddPO("y", o)
 			fp, cells := n.Fingerprint(), n.NumCells()
-			sinks := []int{len(n.Nets[a].Sinks), len(n.Nets[o].Sinks)}
-			if _, err := n.AddCell("bad", tc.typ, tc.ins(a, o), tc.out(a, o)); err == nil {
+			sinks := []int{len(n.Sinks(a)), len(n.Sinks(o))}
+			if _, err := n.AddCell(tc.typ, tc.ins(a, o), tc.out(a, o)); err == nil {
 				t.Fatal("AddCell accepted the cell")
 			}
-			if n.NumCells() != cells || len(n.Nets[a].Sinks) != sinks[0] || len(n.Nets[o].Sinks) != sinks[1] {
+			if n.NumCells() != cells || len(n.Sinks(a)) != sinks[0] || len(n.Sinks(o)) != sinks[1] {
 				t.Fatalf("refusal changed the netlist: %d cells (was %d), sinks %d/%d (were %v)",
-					n.NumCells(), cells, len(n.Nets[a].Sinks), len(n.Nets[o].Sinks), sinks)
+					n.NumCells(), cells, len(n.Sinks(a)), len(n.Sinks(o)), sinks)
 			}
 			if n.Fingerprint() != fp {
 				t.Fatal("refusal changed the fingerprint")
@@ -116,7 +118,7 @@ func TestMustAddCellPanics(t *testing.T) {
 			t.Fatal("MustAddCell did not panic")
 		}
 	}()
-	n.MustAddCell("x", lib.MustCell("NAND2_X1"), []NetID{a}, NoNet)
+	n.MustAddCell(lib.MustCell("NAND2_X1"), []NetID{a}, NoNet)
 }
 
 func TestTopoOrderRespectsDependencies(t *testing.T) {
@@ -141,10 +143,10 @@ func TestTopoOrderRespectsDependencies(t *testing.T) {
 func TestCombinationalCycleDetected(t *testing.T) {
 	n := New("cyc", lib)
 	a := n.AddPI("a")
-	n1 := n.AddNet("n1")
-	n2 := n.AddNet("n2")
-	n.MustAddCell("g1", lib.MustCell("NAND2_X1"), []NetID{a, n2}, n1)
-	n.MustAddCell("g2", lib.MustCell("NAND2_X1"), []NetID{n1, a}, n2)
+	n1 := n.AddNet()
+	n2 := n.AddNet()
+	n.MustAddCell(lib.MustCell("NAND2_X1"), []NetID{a, n2}, n1)
+	n.MustAddCell(lib.MustCell("NAND2_X1"), []NetID{n1, a}, n2)
 	if _, err := n.TopoCells(); err == nil {
 		t.Fatal("combinational cycle not detected")
 	}
@@ -157,10 +159,10 @@ func TestSequentialLoopAllowed(t *testing.T) {
 	// DFF feedback: q -> inv -> d of same DFF. Legal.
 	n := New("seqloop", lib)
 	clk := n.AddPI("clk")
-	q := n.AddNet("q")
-	d := n.AddNet("d")
-	n.MustAddCell("ff", lib.MustCell("DFF_X1"), []NetID{d, clk}, q)
-	n.MustAddCell("inv", lib.MustCell("INV_X1"), []NetID{q}, d)
+	q := n.AddNet()
+	d := n.AddNet()
+	n.MustAddCell(lib.MustCell("DFF_X1"), []NetID{d, clk}, q)
+	n.MustAddCell(lib.MustCell("INV_X1"), []NetID{q}, d)
 	n.AddPO("q", q)
 	if err := n.Check(); err != nil {
 		t.Fatalf("registered loop rejected: %v", err)
@@ -169,8 +171,8 @@ func TestSequentialLoopAllowed(t *testing.T) {
 
 func TestUndrivenNetDetected(t *testing.T) {
 	n := New("undriven", lib)
-	float := n.AddNet("floating")
-	n.MustAddCell("inv", lib.MustCell("INV_X1"), []NetID{float}, NoNet)
+	float := n.AddNet()
+	n.MustAddCell(lib.MustCell("INV_X1"), []NetID{float}, NoNet)
 	if err := n.Check(); err == nil {
 		t.Fatal("undriven net with sink not detected")
 	}
@@ -255,8 +257,8 @@ func TestQuickRandomNetlistInvariants(t *testing.T) {
 			for p := range ins {
 				ins[p] = nets[rng.Intn(len(nets))]
 			}
-			out := n.AddNet("")
-			n.MustAddCell("", typ, ins, out)
+			out := n.AddNet()
+			n.MustAddCell(typ, ins, out)
 			nets = append(nets, out)
 		}
 		n.AddPO("f", nets[len(nets)-1])
@@ -268,7 +270,7 @@ func TestQuickRandomNetlistInvariants(t *testing.T) {
 		sinks := 0
 		for i := range n.Nets {
 			if n.Nets[i].Driver != NoCell || n.Nets[i].DriverPI >= 0 {
-				sinks += len(n.Nets[i].Sinks) + len(n.Nets[i].POs)
+				sinks += len(n.Sinks(NetID(i))) + len(n.NetPOs(NetID(i)))
 			}
 		}
 		return g.NumEdges() == sinks
@@ -301,5 +303,34 @@ func TestIsInverting(t *testing.T) {
 	}
 	if isInverting(0, 0) {
 		t.Fatal("0-input cell marked inverting")
+	}
+}
+
+// TestIndexBuiltOnceForConcurrentReaders: goroutines that read a fresh
+// netlist's fanout at once all see the index one build made (the race
+// detector checks that they share it safely), and an Add call after it
+// drops it, so the next read sees the new cell.
+func TestIndexBuiltOnceForConcurrentReaders(t *testing.T) {
+	n := buildSmall(t)
+	fanout := make([][]int, 4)
+	var wg sync.WaitGroup
+	for g := range fanout {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n.Nets {
+				fanout[g] = append(fanout[g], len(n.Sinks(NetID(i)))+len(n.NetPOs(NetID(i))))
+			}
+		}()
+	}
+	wg.Wait()
+	for g, fo := range fanout {
+		if !slices.Equal(fo, []int{1, 1, 1, 1, 1, 1, 1}) {
+			t.Fatalf("goroutine %d read fanout %v", g, fo)
+		}
+	}
+	inv := n.MustAddCell(lib.MustCell("INV_X1"), []NetID{0}, n.AddNet())
+	if got := n.Sinks(0); len(got) != 2 || got[1] != (PinRef{inv, 0}) {
+		t.Fatalf("net a's sinks after a new cell: %v", got)
 	}
 }

@@ -9,9 +9,6 @@ type BranchPredictor struct {
 	table   []uint8 // 2-bit counters, 0..3; >=2 predicts taken
 	mask    uint64
 	history uint64
-
-	branches uint64
-	misses   uint64
 }
 
 // NewBranchPredictor builds a gshare predictor with 2^bits counters.
@@ -35,7 +32,6 @@ func NewBranchPredictor(bits uint) *BranchPredictor {
 // with the actual outcome, updating predictor state, and reports
 // whether the prediction was correct.
 func (bp *BranchPredictor) Record(site uint64, taken bool) bool {
-	bp.branches++
 	ctr := &bp.table[(site^bp.history)&bp.mask]
 	correct := (*ctr >= 2) == taken
 	h := bp.history << 1
@@ -48,8 +44,5 @@ func (bp *BranchPredictor) Record(site uint64, taken bool) bool {
 		*ctr--
 	}
 	bp.history = h & bp.mask
-	if !correct {
-		bp.misses++
-	}
 	return correct
 }

@@ -19,9 +19,6 @@ type Cache struct {
 	// tail. (The +1 gives up the topmost line of the address space,
 	// which no synthetic address stream reaches.)
 	lines []uint64
-
-	accesses uint64
-	misses   uint64
 }
 
 // NewCache builds a cache of (at most) sizeBytes with the given
@@ -71,12 +68,11 @@ func (c *Cache) Access(addr uint64) bool {
 	return hit || c.walk(key, base)
 }
 
-// mru counts a reference to addr and reports whether it re-hits the MRU
+// mru starts a reference to addr and reports whether it re-hits the MRU
 // line of its set, which moves nothing. Otherwise walk(key, base)
 // finishes the access. The split keeps mru small enough to inline into
 // a caller's loop, the common case.
 func (c *Cache) mru(addr uint64) (key uint64, base int, hit bool) {
-	c.accesses++
 	line := addr >> c.lineShift
 	base = int(line&c.setMask) * c.ways
 	return line + 1, base, c.lines[base] == line+1
@@ -101,6 +97,5 @@ func (c *Cache) walk(key uint64, base int) bool {
 		prev = cur
 	}
 	set[0] = key
-	c.misses++
 	return false
 }

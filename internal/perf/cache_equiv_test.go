@@ -37,11 +37,13 @@ func TestCacheMatchesRankLRU(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + gi)))
 			capacity := uint64(len(c.lines) * geo.line)
 			const region = uint64(1) << 34
-			hot := uint64(0) // sliding base of the hot window
+			hot := uint64(0)  // sliding base of the hot window
+			var ga, gm uint64 // accesses and misses of c since the last reset
 			for i := 0; i < accesses; i++ {
 				if i == accesses/2 {
 					c.Reset()
 					ref.Reset()
+					ga, gm = 0, 0
 				}
 				var addr uint64
 				switch r := rng.Intn(100); {
@@ -63,8 +65,11 @@ func TestCacheMatchesRankLRU(t *testing.T) {
 				if got != want {
 					t.Fatalf("access %d addr %#x: hit=%v, reference hit=%v", i, addr, got, want)
 				}
+				ga++
+				if !got {
+					gm++
+				}
 			}
-			ga, gm := c.Stats()
 			if ga != ref.accesses || gm != ref.misses {
 				t.Fatalf("stats %d/%d vs reference %d/%d", ga, gm, ref.accesses, ref.misses)
 			}

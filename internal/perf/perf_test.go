@@ -7,43 +7,42 @@ import (
 	"testing/quick"
 )
 
-// Stats returns accesses and misses since construction.
-func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
+// Reset clears the cache's contents.
+func (c *Cache) Reset() { clear(c.lines) }
 
-// MissRate returns the miss ratio in [0,1], or 0 before any access.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.accesses = 0
-	c.misses = 0
-}
-
-// Stats returns branches and mispredictions since construction.
-func (bp *BranchPredictor) Stats() (branches, misses uint64) { return bp.branches, bp.misses }
-
-// MissRate returns the misprediction ratio in [0,1].
-func (bp *BranchPredictor) MissRate() float64 {
-	if bp.branches == 0 {
-		return 0
-	}
-	return float64(bp.misses) / float64(bp.branches)
-}
-
-// Reset clears history, counters and statistics.
+// Reset clears history and counters.
 func (bp *BranchPredictor) Reset() {
 	for i := range bp.table {
 		bp.table[i] = 2
 	}
 	bp.history = 0
-	bp.branches = 0
-	bp.misses = 0
+}
+
+// sweepMisses accesses [0, span) in line steps, passes times over, and
+// returns the share of the accesses that missed.
+func sweepMisses(c *Cache, passes int, span uint64) float64 {
+	n, miss := 0, 0
+	for pass := 0; pass < passes; pass++ {
+		for a := uint64(0); a < span; a += 64 {
+			n++
+			if !c.Access(a) {
+				miss++
+			}
+		}
+	}
+	return float64(miss) / float64(n)
+}
+
+// mispredicts records n branches at site with the outcomes taken(i)
+// and returns the share that the predictor got wrong.
+func mispredicts(bp *BranchPredictor, site uint64, n int, taken func(i int) bool) float64 {
+	miss := 0
+	for i := 0; i < n; i++ {
+		if !bp.Record(site, taken(i)) {
+			miss++
+		}
+	}
+	return float64(miss) / float64(n)
 }
 
 func TestCacheGeometryValidation(t *testing.T) {
@@ -84,10 +83,6 @@ func TestCacheHitsAfterFill(t *testing.T) {
 	if !c.Access(32) { // same line
 		t.Fatal("same-line access missed")
 	}
-	acc, miss := c.Stats()
-	if acc != 3 || miss != 1 {
-		t.Fatalf("stats = %d/%d", acc, miss)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -108,22 +103,10 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheCapacityMissRate(t *testing.T) {
 	// Working set double the cache: repeated sweeps must keep missing
 	// with LRU (thrash). Working set within the cache: second sweep hits.
-	small := NewCache(4096, 4, 64) // 64 lines
-	for pass := 0; pass < 4; pass++ {
-		for a := uint64(0); a < 4096; a += 64 {
-			small.Access(a)
-		}
-	}
-	if r := small.MissRate(); r > 0.3 {
+	if r := sweepMisses(NewCache(4096, 4, 64), 4, 4096); r > 0.3 { // 64 lines
 		t.Fatalf("fitting working set missed %.0f%%", r*100)
 	}
-	thrash := NewCache(4096, 4, 64)
-	for pass := 0; pass < 4; pass++ {
-		for a := uint64(0); a < 8192; a += 64 {
-			thrash.Access(a)
-		}
-	}
-	if r := thrash.MissRate(); r < 0.9 {
+	if r := sweepMisses(NewCache(4096, 4, 64), 4, 8192); r < 0.9 {
 		t.Fatalf("thrashing working set only missed %.0f%%", r*100)
 	}
 }
@@ -132,24 +115,15 @@ func TestCacheReset(t *testing.T) {
 	c := NewCache(1024, 2, 64)
 	c.Access(0)
 	c.Reset()
-	if acc, miss := c.Stats(); acc != 0 || miss != 0 {
-		t.Fatal("stats not cleared")
-	}
 	if c.Access(0) {
 		t.Fatal("contents survived reset")
-	}
-	if c.MissRate() != 1 {
-		t.Fatalf("miss rate after one miss = %g", c.MissRate())
 	}
 }
 
 func TestBranchPredictorLearnsLoop(t *testing.T) {
 	bp := NewBranchPredictor(10)
 	// A loop back-edge: always taken. Must converge to ~0 misses.
-	for i := 0; i < 1000; i++ {
-		bp.Record(0x40, true)
-	}
-	if r := bp.MissRate(); r > 0.01 {
+	if r := mispredicts(bp, 0x40, 1000, func(int) bool { return true }); r > 0.01 {
 		t.Fatalf("always-taken branch missed %.1f%%", r*100)
 	}
 }
@@ -157,10 +131,7 @@ func TestBranchPredictorLearnsLoop(t *testing.T) {
 func TestBranchPredictorRandomBranch(t *testing.T) {
 	bp := NewBranchPredictor(10)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		bp.Record(0x80, rng.Intn(2) == 0)
-	}
-	r := bp.MissRate()
+	r := mispredicts(bp, 0x80, 20000, func(int) bool { return rng.Intn(2) == 0 })
 	if r < 0.35 || r > 0.65 {
 		t.Fatalf("random branch miss rate %.2f, want ~0.5", r)
 	}
@@ -169,15 +140,15 @@ func TestBranchPredictorRandomBranch(t *testing.T) {
 func TestBranchPredictorPattern(t *testing.T) {
 	// Alternating T/N is captured by global history.
 	bp := NewBranchPredictor(12)
-	for i := 0; i < 4000; i++ {
-		bp.Record(0x99, i%2 == 0)
+	alternate := func(i int) bool { return i%2 == 0 }
+	first := mispredicts(bp, 0x99, 4000, alternate)
+	if first > 0.05 {
+		t.Fatalf("alternating pattern missed %.1f%%", first*100)
 	}
-	if r := bp.MissRate(); r > 0.05 {
-		t.Fatalf("alternating pattern missed %.1f%%", r*100)
-	}
+	// A reset predictor relearns the pattern exactly as a fresh one did.
 	bp.Reset()
-	if b, m := bp.Stats(); b != 0 || m != 0 {
-		t.Fatal("reset did not clear stats")
+	if again := mispredicts(bp, 0x99, 4000, alternate); again != first {
+		t.Fatalf("after reset the pattern missed %.4f, fresh %.4f", again, first)
 	}
 }
 

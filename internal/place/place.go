@@ -218,7 +218,7 @@ func buildSystem(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe)
 	sinks := 0
 	for id := range nl.Nets {
 		if nl.Nets[id].Driver != netlist.NoCell {
-			sinks += len(nl.Nets[id].Sinks)
+			sinks += len(nl.Sinks(netlist.NetID(id)))
 		}
 	}
 	edges := make([]entry, 0, sinks)
@@ -239,7 +239,8 @@ func buildSystem(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe)
 
 	for id := range nl.Nets {
 		net := &nl.Nets[id]
-		k := len(net.Sinks) + len(net.POs)
+		sinks, pos := nl.Sinks(netlist.NetID(id)), nl.NetPOs(netlist.NetID(id))
+		k := len(sinks) + len(pos)
 		if k == 0 {
 			continue
 		}
@@ -248,18 +249,18 @@ func buildSystem(nl *netlist.Netlist, p *Placement, bins int, probe *perf.Probe)
 		switch {
 		case net.Driver != netlist.NoCell:
 			d := int32(net.Driver)
-			for _, s := range net.Sinks {
+			for _, s := range sinks {
 				if s.Cell == net.Driver {
 					continue // self-loop contributes nothing
 				}
 				edges = append(edges, entry{d, int32(s.Cell), w})
 			}
-			for _, po := range net.POs {
+			for _, po := range pos {
 				addFixed(int(d), w, p.POx[po], p.POy[po])
 			}
 		case net.DriverPI >= 0:
 			pi := net.DriverPI
-			for _, s := range net.Sinks {
+			for _, s := range sinks {
 				addFixed(int(s.Cell), w, p.PIx[pi], p.PIy[pi])
 			}
 		}
@@ -613,6 +614,7 @@ func HPWL(nl *netlist.Netlist, p *Placement, probe *perf.Probe) float64 {
 	var total float64
 	for id := range nl.Nets {
 		net := &nl.Nets[id]
+		sinks, pos := nl.Sinks(netlist.NetID(id)), nl.NetPOs(netlist.NetID(id))
 		minX, maxX := math.Inf(1), math.Inf(-1)
 		minY, maxY := math.Inf(1), math.Inf(-1)
 		touch := func(x, y float64) {
@@ -629,14 +631,14 @@ func HPWL(nl *netlist.Netlist, p *Placement, probe *perf.Probe) float64 {
 		default:
 			continue
 		}
-		for _, s := range net.Sinks {
+		for _, s := range sinks {
 			probe.Load(vecAddr(12, int(s.Cell)))
 			touch(p.X[s.Cell], p.Y[s.Cell])
 		}
-		for _, po := range net.POs {
+		for _, po := range pos {
 			touch(p.POx[po], p.POy[po])
 		}
-		if len(net.Sinks)+len(net.POs) > 0 {
+		if len(sinks)+len(pos) > 0 {
 			total += (maxX - minX) + (maxY - minY)
 		}
 		probe.FPScalar(4)

@@ -176,8 +176,8 @@ func TestHPWLZeroForSingleCellNets(t *testing.T) {
 	// A netlist with one inverter: PI -> INV -> PO.
 	nl := netlist.New("one", lib)
 	a := nl.AddPI("a")
-	out := nl.AddNet("f")
-	nl.MustAddCell("u0", lib.MustCell("INV_X1"), []netlist.NetID{a}, out)
+	out := nl.AddNet()
+	nl.MustAddCell(lib.MustCell("INV_X1"), []netlist.NetID{a}, out)
 	nl.AddPO("f", out)
 	p, _, err := Place(nl, Options{})
 	if err != nil {

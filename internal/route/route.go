@@ -314,7 +314,7 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell f
 	for id := range nl.Nets {
 		net := &nl.Nets[id]
 		if net.Driver != netlist.NoCell || net.DriverPI >= 0 {
-			terminals += len(net.Sinks) + len(net.POs)
+			terminals += len(nl.Sinks(netlist.NetID(id))) + len(nl.NetPOs(netlist.NetID(id)))
 		}
 	}
 	conns := make([]connection, 0, terminals)
@@ -331,11 +331,11 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, gcell f
 			continue
 		}
 		sinks = sinks[:0]
-		for _, s := range net.Sinks {
+		for _, s := range nl.Sinks(netlist.NetID(id)) {
 			x, y := gcellOf(pl.X[s.Cell], pl.Y[s.Cell])
 			sinks = append(sinks, pt{x, y})
 		}
-		for _, po := range net.POs {
+		for _, po := range nl.NetPOs(netlist.NetID(id)) {
 			x, y := gcellOf(pl.POx[po], pl.POy[po])
 			sinks = append(sinks, pt{x, y})
 		}

@@ -13,7 +13,6 @@ package sta
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"edacloud/internal/hash"
 	"edacloud/internal/netlist"
@@ -143,14 +142,13 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 	// Per-net electrical load: pin caps plus optional wire estimate.
 	load := make([]float64, nl.NumNets())
 	for id := range nl.Nets {
-		net := &nl.Nets[id]
 		var c float64
-		for _, s := range net.Sinks {
+		for _, s := range nl.Sinks(netlist.NetID(id)) {
 			c += nl.Cells[s.Cell].Type.InputCap(int(s.Pin))
 			probe.LoadHot(rgNetLoad, uint64(s.Cell))
 			probe.LoopBranches(2)
 		}
-		c += float64(float64(len(net.POs)) * 0.002) // output pad load
+		c += float64(float64(len(nl.NetPOs(netlist.NetID(id)))) * 0.002) // output pad load
 		load[id] = c
 	}
 	if pl != nil {
@@ -212,7 +210,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 			bestPin = 1
 			minArr = bestArr
 		} else {
-			for pin, netID := range c.Ins {
+			for pin, netID := range nl.Ins(netlist.CellID(id)) {
 				if netID == netlist.NoNet {
 					continue
 				}
@@ -266,17 +264,17 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 	// Backward pass: endpoint slacks. Endpoints are POs and DFF D pins.
 	res := &Result{WNS: math.Inf(1)}
 	type endpoint struct {
-		net  netlist.NetID
-		name string
+		net netlist.NetID
+		reg bool // a DFF's D pin, else a primary output
 	}
 	var endpoints []endpoint
 	for _, po := range nl.POs {
-		endpoints = append(endpoints, endpoint{po.Net, "po:" + po.Name})
+		endpoints = append(endpoints, endpoint{po.Net, false})
 	}
 	for id := range nl.Cells {
-		c := &nl.Cells[id]
-		if c.Type.Seq && len(c.Ins) > 0 && c.Ins[0] != netlist.NoNet {
-			endpoints = append(endpoints, endpoint{c.Ins[0], "dff:" + c.Name})
+		ins := nl.Ins(netlist.CellID(id))
+		if nl.Cells[id].Type.Seq && len(ins) > 0 && ins[0] != netlist.NoNet {
+			endpoints = append(endpoints, endpoint{ins[0], true})
 		}
 	}
 	res.Endpoints = len(endpoints)
@@ -318,7 +316,7 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 				part.maxArr = arr
 			}
 			// Hold: only register endpoints race the same clock edge.
-			if strings.HasPrefix(ep.name, "dff:") {
+			if ep.reg {
 				hold := minArrival[ep.net] - opts.HoldTimeNs
 				if hold < part.whs {
 					part.whs = hold
@@ -362,11 +360,12 @@ func Analyze(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *
 		if c.Type.Seq {
 			break // launched from a register
 		}
+		ins := nl.Ins(d)
 		pin := fromPin[net]
-		if pin < 0 || int(pin) >= len(c.Ins) {
+		if pin < 0 || int(pin) >= len(ins) {
 			break
 		}
-		net = c.Ins[pin]
+		net = ins[pin]
 	}
 	reverse(res.CriticalPath)
 
@@ -396,13 +395,13 @@ func addWireLoads(nl *netlist.Netlist, pl *place.Placement, load []float64, capP
 			continue
 		}
 		n := 0
-		for _, s := range net.Sinks {
+		for _, s := range nl.Sinks(netlist.NetID(id)) {
 			touch(pl.X[s.Cell], pl.Y[s.Cell])
 			probe.LoadHot(rgNetLoad, uint64(s.Cell))
 			probe.LoopBranches(2)
 			n++
 		}
-		for _, po := range net.POs {
+		for _, po := range nl.NetPOs(netlist.NetID(id)) {
 			touch(pl.POx[po], pl.POy[po])
 			n++
 		}

@@ -136,10 +136,10 @@ func TestWireLoadsSlowTiming(t *testing.T) {
 func TestAnalyzeRejectsCyclicNetlist(t *testing.T) {
 	nl := netlist.New("cyc", lib)
 	a := nl.AddPI("a")
-	n1 := nl.AddNet("n1")
-	n2 := nl.AddNet("n2")
-	nl.MustAddCell("g1", lib.MustCell("NAND2_X1"), []netlist.NetID{a, n2}, n1)
-	nl.MustAddCell("g2", lib.MustCell("NAND2_X1"), []netlist.NetID{n1, a}, n2)
+	n1 := nl.AddNet()
+	n2 := nl.AddNet()
+	nl.MustAddCell(lib.MustCell("NAND2_X1"), []netlist.NetID{a, n2}, n1)
+	nl.MustAddCell(lib.MustCell("NAND2_X1"), []netlist.NetID{n1, a}, n2)
 	nl.AddPO("f", n2)
 	if _, _, err := Analyze(nl, nil, Options{}); err == nil {
 		t.Fatal("cyclic netlist accepted")

@@ -2,8 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"edacloud/internal/aig"
 	"edacloud/internal/netlist"
@@ -227,67 +225,47 @@ func flipVar(tt uint64, i int) uint64 {
 	return (tt&m)>>s | (tt&^m)<<s
 }
 
-// cover is the mapper's plan of the netlist it emits: the cells the
-// chosen cover creates, in creation order, their input nets (each
-// cell's in pin order, concatenated) and the net each primary output
-// reads. The netlist's nets are the primary inputs, then clk when the
-// outputs are registered, then one per cell, so cell i will drive net
-// base+i and the plan names every net before the netlist exists.
-type cover struct {
-	base  int
-	cells []*techlib.Cell
-	pins  []netlist.NetID
-	pos   []netlist.NetID
-}
-
-// add records a cell of type typ on the given inputs and returns the
-// net it will drive.
-func (c *cover) add(typ *techlib.Cell, ins ...netlist.NetID) netlist.NetID {
-	c.cells = append(c.cells, typ)
-	c.pins = append(c.pins, ins...)
-	return netlist.NetID(c.base + len(c.cells) - 1)
-}
-
-// extract instantiates the chosen cover from the primary outputs in two
-// steps: plan walks the cover and records the cells it needs, and build
-// creates exactly those, in a netlist reserved at its final size.
+// extract instantiates the chosen cover in a walk depth-first from the
+// primary outputs, adding each cell to the netlist as the walk reaches
+// it: const tie cells when a constant is first read, an inverter where
+// no inverting match exists, and a DFF behind each registered output.
+// The netlist's nets are the primary inputs, then clk when the outputs
+// are registered, then one per cell, driven by it. It builds the
+// netlist's fanout index before returning it.
 func (m *mapper) extract(registerOutputs bool) (*netlist.Netlist, error) {
-	c, err := m.plan(registerOutputs)
-	if err != nil {
-		return nil, err
-	}
-	return m.build(c, registerOutputs), nil
-}
-
-// plan walks the chosen cover depth-first from the primary outputs,
-// recording every cell the netlist needs in the order build creates
-// them: const tie cells when a constant is first read, an inverter
-// where no inverting match exists, and a DFF behind each registered
-// output.
-func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 	g := m.g
 	// A cover has about one cell per AND node (0.6 to 1.8 on the
 	// benchmark designs) and two to three pins per cell: reserving
-	// that much spares the plan most of its regrowth.
+	// that much spares the netlist most of its regrowth.
 	hint := g.NumAnds() + g.NumOutputs() + 4
-	c := &cover{
-		base:  g.NumInputs(),
-		cells: make([]*techlib.Cell, 0, hint),
-		pins:  make([]netlist.NetID, 0, 5*hint/2),
-		pos:   make([]netlist.NetID, g.NumOutputs()),
+	nl := netlist.NewSized(g.Name, m.lib, netlist.Size{
+		PIs:   g.NumInputs() + 1,
+		POs:   g.NumOutputs(),
+		Nets:  g.NumInputs() + 1 + hint,
+		Cells: hint,
+		Pins:  5 * hint / 2,
+	})
+	piNet := make([]netlist.NetID, g.NumVars()) // by input variable
+	for i := range g.NumInputs() {
+		name := g.InputName(i)
+		if name == "" {
+			name = fmt.Sprintf("pi%d", i)
+		}
+		piNet[g.Input(i).Var()] = nl.AddPI(name)
 	}
 	var clkNet netlist.NetID = netlist.NoNet
 	if registerOutputs {
-		clkNet = netlist.NetID(c.base)
-		c.base++
+		clkNet = nl.AddPI("clk")
+	}
+	// add creates a cell of type typ on the given inputs and returns
+	// the net it drives.
+	add := func(typ *techlib.Cell, ins ...netlist.NetID) netlist.NetID {
+		out := nl.AddNet()
+		nl.MustAddCell(typ, ins, out)
+		return out
 	}
 
-	piNet := make([]netlist.NetID, g.NumVars()) // by input variable; PI i is net i
-	for i := range g.NumInputs() {
-		piNet[g.Input(i).Var()] = netlist.NetID(i)
-	}
-
-	// memo[pol][v] is the net planned for (v, polarity), NoNet until
+	// memo[pol][v] is the net built for (v, polarity), NoNet until
 	// then.
 	var memo [2][]netlist.NetID
 	for pol := range memo {
@@ -299,8 +277,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 
 	// makeConst lazily ties constant-0/1 nets to the first PI:
 	// AND2(a, !a) = 0, OR2(a, !a) = 1.
-	var constNets [2]netlist.NetID
-	constNets[0], constNets[1] = netlist.NoNet, netlist.NoNet
+	constNets := [2]netlist.NetID{netlist.NoNet, netlist.NoNet}
 	makeConst := func(one bool) (netlist.NetID, error) {
 		idx := 0
 		if one {
@@ -313,7 +290,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 			return netlist.NoNet, fmt.Errorf("synth: cannot tie constants in a design with no inputs")
 		}
 		a := piNet[g.Input(0).Var()]
-		an := c.add(m.inv, a)
+		an := add(m.inv, a)
 		typ := m.lib.Cell("AND2_X1")
 		if one {
 			typ = m.lib.Cell("OR2_X1")
@@ -321,7 +298,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 		if typ == nil {
 			return netlist.NoNet, fmt.Errorf("synth: library lacks AND2/OR2 tie cells")
 		}
-		constNets[idx] = c.add(typ, a, an)
+		constNets[idx] = add(typ, a, an)
 		return constNets[idx], nil
 	}
 
@@ -344,7 +321,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 			if !neg {
 				net = piNet[v]
 			} else {
-				net = c.add(m.inv, piNet[v])
+				net = add(m.inv, piNet[v])
 			}
 			memo[pol][v] = net
 			return net, nil
@@ -358,7 +335,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 			if err != nil {
 				return netlist.NoNet, err
 			}
-			net = c.add(m.inv, src)
+			net = add(m.inv, src)
 			memo[pol][v] = net
 			return net, nil
 		}
@@ -373,7 +350,7 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 			}
 			ins[impl.match.Perm[i]] = src
 		}
-		net = c.add(impl.match.Cell, ins[:impl.match.Cell.NumInputs()]...)
+		net = add(impl.match.Cell, ins[:impl.match.Cell.NumInputs()]...)
 		memo[pol][v] = net
 		return net, nil
 	}
@@ -389,75 +366,14 @@ func (m *mapper) plan(registerOutputs bool) (*cover, error) {
 			return nil, err
 		}
 		if registerOutputs {
-			net = c.add(dff, net, clkNet)
+			net = add(dff, net, clkNet)
 		}
-		c.pos[i] = net
-	}
-	return c, nil
-}
-
-// build creates the planned netlist: the ports and the cells in the
-// plan's order, so that every ID, every n%d/u%d name and the
-// fingerprint are those of creating each cell as the walk reached it.
-func (m *mapper) build(c *cover, registerOutputs bool) *netlist.Netlist {
-	g := m.g
-	nets := c.base + len(c.cells)
-	nl := netlist.NewSized(g.Name, m.lib, netlist.Size{
-		PIs:   c.base,
-		POs:   len(c.pos),
-		Nets:  nets,
-		Cells: len(c.cells),
-		Pins:  len(c.pins),
-	})
-	// Every pin is planned, so each net's Sinks and POs are carved at
-	// their exact length from one array each for AddCell and AddPO.
-	counts := make([]int32, 2*nets)
-	for _, net := range c.pins {
-		counts[net]++
-	}
-	for _, net := range c.pos {
-		counts[nets+int(net)]++
-	}
-	sinks, pos := make([]netlist.PinRef, len(c.pins)), make([]int32, len(c.pos))
-	carve := func(net netlist.NetID) {
-		k, p := counts[net], counts[nets+int(net)]
-		nl.Nets[net].Sinks, nl.Nets[net].POs, sinks, pos = sinks[:0:k], pos[:0:p], sinks[k:], pos[p:]
-	}
-	for i := range g.NumInputs() {
-		name := g.InputName(i)
-		if name == "" {
-			name = fmt.Sprintf("pi%d", i)
-		}
-		carve(nl.AddPI(name))
-	}
-	if registerOutputs {
-		carve(nl.AddPI("clk"))
-	}
-	// The n%d and u%d names are substrings of one builder's string,
-	// reserved for the widest number, so together they cost one
-	// allocation. A builder only appends: a name handed out stays valid.
-	var names strings.Builder
-	names.Grow(2 * len(c.cells) * (1 + len(strconv.Itoa(c.base+len(c.cells)))))
-	var digits [20]byte
-	name := func(prefix byte, i int) string {
-		start := names.Len()
-		names.Write(strconv.AppendInt(append(digits[:0], prefix), int64(i), 10))
-		return names.String()[start:]
-	}
-	pins := c.pins
-	for i, typ := range c.cells {
-		out := nl.AddNet(name('n', nl.NumNets()))
-		carve(out)
-		k := typ.NumInputs()
-		nl.MustAddCell(name('u', i), typ, pins[:k], out)
-		pins = pins[k:]
-	}
-	for i, net := range c.pos {
 		name := g.OutputName(i)
 		if name == "" {
 			name = fmt.Sprintf("po%d", i)
 		}
 		nl.AddPO(name, net)
 	}
-	return nl
+	nl.BuildIndex()
+	return nl, nil
 }

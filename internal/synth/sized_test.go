@@ -9,16 +9,18 @@ import (
 
 	"edacloud/internal/aig"
 	"edacloud/internal/designs"
+	"edacloud/internal/netlist"
 	"edacloud/internal/par"
 	"edacloud/internal/perf"
 	"edacloud/internal/techlib"
 )
 
-// TestMapperSizesNetlistOnce: the mapper plans its cover before it
-// emits, so the netlist it returns was reserved at its final size —
-// its cell, net and port arrays and the pin array backing every cell's
-// inputs all have cap == len — each cell owns exactly its pins, and
-// each net's sink and output lists were carved at their final length.
+// TestMapperSizesNetlistOnce: the mapper adds its cells straight into a
+// netlist reserved at its estimate and builds the fanout index before
+// it returns the netlist, so the op pays for the index. The index is
+// exact: its sink and output lists are allocated at their final length,
+// each net's sinks are the pins that read it, and together they are
+// every cell's pins and every primary output.
 func TestMapperSizesNetlistOnce(t *testing.T) {
 	lib := techlib.Default14nm()
 	for _, name := range []string{"adder", "priority", "bar", "dec"} {
@@ -29,53 +31,44 @@ func TestMapperSizesNetlistOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, registered := range []bool{false, true} {
+				where := fmt.Sprintf("%s/%s/registered=%v", name, rname, registered)
 				res, err := Synthesize(g, lib, Options{Recipe: recipe, RegisterOutputs: registered})
 				if err != nil {
-					t.Fatalf("%s/%s/registered=%v: %v", name, rname, registered, err)
+					t.Fatalf("%s: %v", where, err)
 				}
 				nl := res.Netlist
+				fan := reflect.ValueOf(nl).Elem().FieldByName("fan")
+				if fan.FieldByName("sinkStart").Len() != nl.NumNets()+1 {
+					t.Fatalf("%s: the mapper returned the netlist without its fanout index", where)
+				}
+				for _, list := range []string{"sinks", "pos"} {
+					if f := fan.FieldByName(list); f.Len() != f.Cap() {
+						t.Errorf("%s: index %s len %d, cap %d", where, list, f.Len(), f.Cap())
+					}
+				}
 				if err := nl.Check(); err != nil {
-					t.Fatalf("%s/%s/registered=%v: %v", name, rname, registered, err)
+					t.Fatalf("%s: %v", where, err)
 				}
-				pins := reflect.ValueOf(nl).Elem().FieldByName("pins")
-				if !pins.IsValid() {
-					t.Fatal("netlist.Netlist has no pins field")
-				}
-				for _, a := range []struct {
-					what     string
-					len, cap int
-				}{
-					{"Cells", len(nl.Cells), cap(nl.Cells)},
-					{"Nets", len(nl.Nets), cap(nl.Nets)},
-					{"PIs", len(nl.PIs), cap(nl.PIs)},
-					{"POs", len(nl.POs), cap(nl.POs)},
-					{"pins", pins.Len(), pins.Cap()},
-				} {
-					if a.len != a.cap {
-						t.Errorf("%s/%s/registered=%v: %s len %d, cap %d", name, rname, registered, a.what, a.len, a.cap)
-					}
-				}
-				total := 0
+				pins := 0
 				for i := range nl.Cells {
-					c := &nl.Cells[i]
-					total += len(c.Ins)
-					if cap(c.Ins) != len(c.Ins) {
-						t.Fatalf("%s/%s/registered=%v: cell %s has %d pins, cap %d", name, rname, registered, c.Name, len(c.Ins), cap(c.Ins))
-					}
-				}
-				if total != pins.Len() {
-					t.Errorf("%s/%s/registered=%v: cells hold %d pins, backing %d", name, rname, registered, total, pins.Len())
+					pins += len(nl.Ins(netlist.CellID(i)))
 				}
 				sinks, pos := 0, 0
 				for i := range nl.Nets {
-					n := &nl.Nets[i]
-					if cap(n.Sinks) != len(n.Sinks) || cap(n.POs) != len(n.POs) {
-						t.Fatalf("%s/%s/registered=%v: net %s has %d/%d sinks and %d/%d outputs (len/cap)", name, rname, registered, n.Name, len(n.Sinks), cap(n.Sinks), len(n.POs), cap(n.POs))
+					for _, s := range nl.Sinks(netlist.NetID(i)) {
+						if nl.Ins(s.Cell)[s.Pin] != netlist.NetID(i) {
+							t.Fatalf("%s: net %s lists pin %d of cell %s, which reads another net", where, nl.NetName(netlist.NetID(i)), s.Pin, nl.CellName(s.Cell))
+						}
 					}
-					sinks, pos = sinks+len(n.Sinks), pos+len(n.POs)
+					for _, po := range nl.NetPOs(netlist.NetID(i)) {
+						if nl.POs[po].Net != netlist.NetID(i) {
+							t.Fatalf("%s: net %d lists output %d, which reads another net", where, i, po)
+						}
+					}
+					sinks, pos = sinks+len(nl.Sinks(netlist.NetID(i))), pos+len(nl.NetPOs(netlist.NetID(i)))
 				}
-				if sinks != total || pos != len(nl.POs) {
-					t.Errorf("%s/%s/registered=%v: nets hold %d sinks and %d outputs, cells %d pins, netlist %d outputs", name, rname, registered, sinks, pos, total, len(nl.POs))
+				if sinks != pins || pos != len(nl.POs) {
+					t.Errorf("%s: nets hold %d sinks and %d outputs, cells %d pins, netlist %d outputs", where, sinks, pos, pins, len(nl.POs))
 				}
 			}
 		}
@@ -88,6 +81,15 @@ func TestMapperSizesNetlistOnce(t *testing.T) {
 func TestNodeImplPacksInto24Bytes(t *testing.T) {
 	if size := unsafe.Sizeof(nodeImpl{}); size > 24 {
 		t.Fatalf("nodeImpl is %d bytes, want at most 24", size)
+	}
+}
+
+// TestNetlistRecordsPack: a mapped netlist holds one cell record per
+// cell and one net record per net, and neither carries a name, a pin
+// list or a sink list of its own.
+func TestNetlistRecordsPack(t *testing.T) {
+	if c, n := unsafe.Sizeof(netlist.Cell{}), unsafe.Sizeof(netlist.Net{}); c != 16 || n != 8 {
+		t.Fatalf("netlist.Cell is %d bytes and netlist.Net %d, want 16 and 8", c, n)
 	}
 }
 

@@ -499,7 +499,7 @@ func netlistEval(t *testing.T, nl *netlist.Netlist, inputs map[string]bool) map[
 	for _, id := range order {
 		c := &nl.Cells[id]
 		var ins uint16
-		for pin, net := range c.Ins {
+		for pin, net := range nl.Ins(id) {
 			if val[net] {
 				ins |= 1 << uint(pin)
 			}
